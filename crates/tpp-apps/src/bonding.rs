@@ -24,12 +24,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use tpp_host::{
-    decode_echo, echo_reply, parse_echo, BondConfig, BondScheduler, ProbeBuilder, ProbeDelivery,
+    decode_echo, echo_in_place, parse_echo, BondConfig, BondScheduler, ProbeBuilder, ProbeDelivery,
     ProbeManager, RetryPolicy, DATA_ETHERTYPE,
 };
 use tpp_isa::programs;
 use tpp_netsim::{HostApp, HostCtx};
-use tpp_wire::ethernet::{build_frame, EtherType, Frame};
+use tpp_wire::ethernet::{write_header, EtherType, Frame, ETHERNET_HEADER_LEN};
 use tpp_wire::EthernetAddress;
 
 const WORDS_PER_HOP: usize = programs::BONDING_WORDS_PER_HOP;
@@ -84,8 +84,9 @@ pub struct BondSender {
     /// per-path series).
     pub bond: BondScheduler,
     next_seq: u64,
-    /// seq → (payload, retransmit deadline).
-    unacked: BTreeMap<u64, (Vec<u8>, u64)>,
+    /// seq → retransmit deadline. The payload is a function of the
+    /// sequence number, so a retransmission rebuilds it.
+    unacked: BTreeMap<u64, u64>,
     /// Probes sent per path.
     pub probes_sent: Vec<u64>,
     /// Echoes decoded per path.
@@ -155,24 +156,41 @@ impl BondSender {
         self.unacked.len()
     }
 
-    fn data_frame(&self, seq: u64) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(self.cfg.payload_bytes);
-        payload.extend_from_slice(DATA_MAGIC);
-        payload.extend_from_slice(&seq.to_be_bytes());
-        payload.resize(self.cfg.payload_bytes, 0);
-        payload
+    /// Data frame `seq`, built into a pooled buffer.
+    fn data_frame(&self, seq: u64, ctx: &mut HostCtx<'_>) -> Vec<u8> {
+        let len = ETHERNET_HEADER_LEN + self.cfg.payload_bytes;
+        let mut frame = ctx.alloc_frame(len);
+        write_header(&mut frame, self.cfg.dst, ctx.mac(), BOND_ETHERTYPE);
+        frame.extend_from_slice(DATA_MAGIC);
+        frame.extend_from_slice(&seq.to_be_bytes());
+        frame.resize(len, 0);
+        frame
+    }
+
+    /// Send `seq` down the scheduler's current pick (plus a redundant
+    /// copy when that path is suspect). Returns the picked path.
+    fn transmit(&mut self, seq: u64, ctx: &mut HostCtx<'_>) -> usize {
+        let path = self.bond.pick();
+        let frame = self.data_frame(seq, ctx);
+        ctx.send_on(path as u16, frame);
+        if let Some(dup) = self.bond.duplicate_target(path) {
+            let copy = self.data_frame(seq, ctx);
+            ctx.send_on(dup as u16, copy);
+            self.duplicates_sent += 1;
+        }
+        path
     }
 
     fn send_probe_round(&mut self, ctx: &mut HostCtx<'_>) {
         let stamp = ctx.now().to_be_bytes();
         for path in 0..self.probes.len() {
-            let frame = self.probe.build_frame_with_payload(
+            let nonce = self.probes[path].track_probe(
+                &self.probe,
                 self.cfg.dst,
-                ctx.mac(),
                 &stamp,
                 DATA_ETHERTYPE.0,
+                ctx,
             );
-            let nonce = self.probes[path].track(frame, ctx);
             self.nonce_path.insert(nonce, path);
             self.probes_sent[path] += 1;
         }
@@ -181,18 +199,10 @@ impl BondSender {
     fn send_data(&mut self, ctx: &mut HostCtx<'_>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let payload = self.data_frame(seq);
-        let frame = build_frame(self.cfg.dst, ctx.mac(), BOND_ETHERTYPE, &payload);
-        let path = self.bond.pick();
-        ctx.send_on(path as u16, frame.clone());
+        let path = self.transmit(seq, ctx);
         self.data_sent[path] += 1;
-        if let Some(dup) = self.bond.duplicate_target(path) {
-            ctx.send_on(dup as u16, frame);
-            self.duplicates_sent += 1;
-        }
         self.first_send.insert(seq, ctx.now());
-        self.unacked
-            .insert(seq, (payload, ctx.now() + self.cfg.rto_ns));
+        self.unacked.insert(seq, ctx.now() + self.cfg.rto_ns);
     }
 
     fn resend_due(&mut self, ctx: &mut HostCtx<'_>) {
@@ -200,22 +210,15 @@ impl BondSender {
         let due: Vec<u64> = self
             .unacked
             .iter()
-            .filter(|(_, (_, deadline))| *deadline <= now)
+            .filter(|(_, deadline)| **deadline <= now)
             .map(|(&seq, _)| seq)
             .collect();
         for seq in due {
-            let payload = self.unacked[&seq].0.clone();
-            let frame = build_frame(self.cfg.dst, ctx.mac(), BOND_ETHERTYPE, &payload);
             // Re-pick: a retransmission should use the *current* best
             // path, not the one that just lost the frame.
-            let path = self.bond.pick();
-            ctx.send_on(path as u16, frame.clone());
-            if let Some(dup) = self.bond.duplicate_target(path) {
-                ctx.send_on(dup as u16, frame);
-                self.duplicates_sent += 1;
-            }
+            self.transmit(seq, ctx);
             self.retransmits += 1;
-            self.unacked.get_mut(&seq).expect("due").1 = now + self.cfg.rto_ns;
+            self.unacked.insert(seq, now + self.cfg.rto_ns);
         }
     }
 
@@ -242,16 +245,15 @@ impl BondSender {
         let mut epoch_changed = false;
         let mut worst_queue = 0u64;
         let mut worst_util = 0u64;
-        for hop in &sample.hops {
-            if hop.words.len() < WORDS_PER_HOP {
+        for hop in sample.hops() {
+            let Some([switch_id, epoch, queue, util]) = hop.array() else {
                 continue;
-            }
-            let (switch_id, epoch) = (hop.words[0], hop.words[1]);
+            };
             if self.probes[path].note_epoch(switch_id, epoch, ctx) {
                 epoch_changed = true;
             }
-            worst_queue = worst_queue.max(hop.words[2] as u64);
-            worst_util = worst_util.max(hop.words[3] as u64);
+            worst_queue = worst_queue.max(queue as u64);
+            worst_util = worst_util.max(util as u64);
         }
         // Everything is stamped with arrival time — the instant the
         // scheduler actually learns it — so the health-event log is
@@ -324,21 +326,19 @@ impl HostApp for BondSender {
     fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
         if parse_echo(&frame, ctx.mac()).is_some() {
             self.on_probe_echo(&frame, ctx);
-            return;
-        }
-        let Ok(parsed) = Frame::new_checked(&frame[..]) else {
-            return;
-        };
-        let payload = parsed.payload();
-        if payload.len() >= 12 && &payload[0..4] == ACK_MAGIC {
-            let seq = u64::from_be_bytes(payload[4..12].try_into().expect("8"));
-            if self.unacked.remove(&seq).is_some() {
-                self.acked += 1;
-                let sent = self.first_send.get(&seq).copied().unwrap_or(ctx.now());
-                self.ack_latencies
-                    .push((sent, ctx.now().saturating_sub(sent)));
+        } else if let Ok(parsed) = Frame::new_checked(&frame[..]) {
+            let payload = parsed.payload();
+            if payload.len() >= 12 && &payload[0..4] == ACK_MAGIC {
+                let seq = u64::from_be_bytes(payload[4..12].try_into().expect("8"));
+                if self.unacked.remove(&seq).is_some() {
+                    self.acked += 1;
+                    let sent = self.first_send.get(&seq).copied().unwrap_or(ctx.now());
+                    self.ack_latencies
+                        .push((sent, ctx.now().saturating_sub(sent)));
+                }
             }
         }
+        ctx.recycle_frame(frame);
     }
 }
 
@@ -362,38 +362,44 @@ pub struct BondReceiver {
 }
 
 impl HostApp for BondReceiver {
-    fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
-        if let Some(reply) = echo_reply(&frame, ctx.mac()) {
+    fn on_frame(&mut self, mut frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
+        if echo_in_place(&mut frame, ctx.mac()) {
             self.tpps_echoed += 1;
             // Echo on the arrival NIC so the probe measures one path
             // both ways.
-            ctx.send_on(ctx.rx_port(), reply);
+            ctx.send_on(ctx.rx_port(), frame);
             return;
         }
-        let Ok(parsed) = Frame::new_checked(&frame[..]) else {
-            return;
-        };
-        let payload = parsed.payload();
-        if payload.len() < 12 || &payload[0..4] != DATA_MAGIC {
-            return;
+        if let Some((seq, src)) = bond_data(&frame) {
+            let port = ctx.rx_port();
+            *self.rx_per_port.entry(port).or_insert(0) += 1;
+            if self.seen.insert(seq) {
+                self.delivered.push(seq);
+            } else {
+                self.duplicates_suppressed += 1;
+            }
+            // ACK every copy, on its arrival NIC: the original ACK may
+            // have been lost with its path.
+            let mut ack = ctx.alloc_frame(ETHERNET_HEADER_LEN + 12);
+            write_header(&mut ack, src, ctx.mac(), BOND_ETHERTYPE);
+            ack.extend_from_slice(ACK_MAGIC);
+            ack.extend_from_slice(&seq.to_be_bytes());
+            ctx.send_on(port, ack);
+            self.acks_sent += 1;
         }
-        let seq = u64::from_be_bytes(payload[4..12].try_into().expect("8"));
-        let port = ctx.rx_port();
-        *self.rx_per_port.entry(port).or_insert(0) += 1;
-        if self.seen.insert(seq) {
-            self.delivered.push(seq);
-        } else {
-            self.duplicates_suppressed += 1;
-        }
-        // ACK every copy, on its arrival NIC: the original ACK may have
-        // been lost with its path.
-        let mut ack = Vec::with_capacity(12);
-        ack.extend_from_slice(ACK_MAGIC);
-        ack.extend_from_slice(&seq.to_be_bytes());
-        let reply = build_frame(parsed.src_addr(), ctx.mac(), BOND_ETHERTYPE, &ack);
-        ctx.send_on(port, reply);
-        self.acks_sent += 1;
+        ctx.recycle_frame(frame);
     }
+}
+
+/// `(sequence, sender)` of a bond data frame; `None` for anything else.
+fn bond_data(frame: &[u8]) -> Option<(u64, EthernetAddress)> {
+    let parsed = Frame::new_checked(frame).ok()?;
+    let payload = parsed.payload();
+    if payload.len() < 12 || &payload[0..4] != DATA_MAGIC {
+        return None;
+    }
+    let seq = u64::from_be_bytes(payload[4..12].try_into().expect("8"));
+    Some((seq, parsed.src_addr()))
 }
 
 #[cfg(test)]

@@ -172,8 +172,7 @@ impl CounterTask {
         let mut init = vec![0u32; 10];
         init[8..10].copy_from_slice(&self.gate_init());
         let probe = ProbeBuilder::stack(&program, 1).init_memory(&init);
-        let frame = probe.build_frame(self.dst, ctx.mac());
-        self.probes.track(frame, ctx);
+        self.probes.track_probe(&probe, self.dst, &[], 0, ctx);
         self.phase = Phase::AwaitRead { recover };
     }
 
@@ -190,8 +189,7 @@ impl CounterTask {
         init[2] = value;
         init[8..10].copy_from_slice(&self.gate_init());
         let probe = ProbeBuilder::stack(&program, 1).init_memory(&init);
-        let frame = probe.build_frame(self.dst, ctx.mac());
-        self.probes.track(frame, ctx);
+        self.probes.track_probe(&probe, self.dst, &[], 0, ctx);
         self.phase = Phase::AwaitWrite {
             value_written: value,
         };
@@ -223,8 +221,7 @@ impl CounterTask {
         init[10] = 0xffff_ffff;
         init[11] = s - 1;
         let probe = ProbeBuilder::stack(&program, 1).init_memory(&init);
-        let frame = probe.build_frame(self.dst, ctx.mac());
-        self.probes.track(frame, ctx);
+        self.probes.track_probe(&probe, self.dst, &[], 0, ctx);
         self.phase = Phase::AwaitOp { seq: s, cond };
     }
 
@@ -281,7 +278,14 @@ impl HostApp for CounterTask {
     }
 
     fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
-        match self.probes.on_frame(&frame, ctx) {
+        self.on_echo(&frame, ctx);
+        ctx.recycle_frame(frame);
+    }
+}
+
+impl CounterTask {
+    fn on_echo(&mut self, frame: &[u8], ctx: &mut HostCtx<'_>) {
+        match self.probes.on_frame(frame, ctx) {
             ProbeDelivery::Fresh { .. } => {}
             // Duplicated, stale, or foreign frames carry no new
             // information, and a late echo races the recovery read that
@@ -290,7 +294,7 @@ impl HostApp for CounterTask {
             | ProbeDelivery::Duplicate { .. }
             | ProbeDelivery::NotAProbe => return,
         }
-        let Some(tpp) = parse_echo(&frame, ctx.mac()) else {
+        let Some(tpp) = parse_echo(frame, ctx.mac()) else {
             return;
         };
         self.round_trips += 1;

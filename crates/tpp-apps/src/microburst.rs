@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use tpp_host::{decode_echo, ProbeBuilder, ProbeDelivery, ProbeManager, RetryPolicy};
+use tpp_host::{parse_echo, split_hops, ProbeBuilder, ProbeDelivery, ProbeManager, RetryPolicy};
 use tpp_isa::programs;
 use tpp_netsim::{HostApp, HostCtx};
 use tpp_wire::EthernetAddress;
@@ -127,48 +127,52 @@ impl HostApp for MicroburstMonitor {
             return;
         }
         let stamp = ctx.now().to_be_bytes();
-        let frame = self.probe.build_frame_with_payload(
+        self.probes.track_probe(
+            &self.probe,
             self.dst,
-            ctx.mac(),
             &stamp,
             tpp_host::DATA_ETHERTYPE.0,
+            ctx,
         );
-        self.probes.track(frame, ctx);
         self.probes_sent += 1;
         ctx.set_timer(self.interval_ns, TIMER_PROBE);
     }
 
     fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
-        match self.probes.on_frame(&frame, ctx) {
+        self.on_echo(&frame, ctx);
+        ctx.recycle_frame(frame);
+    }
+}
+
+impl MicroburstMonitor {
+    fn on_echo(&mut self, frame: &[u8], ctx: &mut HostCtx<'_>) {
+        match self.probes.on_frame(frame, ctx) {
             // A late sample is still a sample — it carries its own
             // send-time stamp, so the series stays correctly ordered.
             ProbeDelivery::Fresh { .. } | ProbeDelivery::Late { .. } => {}
             // But one probe must contribute exactly one sample per hop.
             ProbeDelivery::Duplicate { .. } | ProbeDelivery::NotAProbe => return,
         }
-        let Some(sample) = decode_echo(&frame, ctx.mac(), WORDS_PER_HOP) else {
+        let Some(tpp) = parse_echo(frame, ctx.mac()) else {
+            return;
+        };
+        let Some(sample) = split_hops(&tpp, WORDS_PER_HOP) else {
             return;
         };
         // Recover the send-time stamp we embedded in the inner payload.
-        let t_ns = tpp_host::parse_echo(&frame, ctx.mac())
-            .map(|tpp| {
-                let inner = tpp.inner_payload();
-                if inner.len() >= 8 {
-                    u64::from_be_bytes(inner[0..8].try_into().expect("8 bytes"))
-                } else {
-                    ctx.now()
-                }
-            })
-            .unwrap_or_else(|| ctx.now());
+        let inner = tpp.inner_payload();
+        let t_ns = if inner.len() >= 8 {
+            u64::from_be_bytes(inner[0..8].try_into().expect("8 bytes"))
+        } else {
+            ctx.now()
+        };
         self.echoes_received += 1;
         self.rtts.push((t_ns, ctx.now().saturating_sub(t_ns)));
-        for hop in sample.hops {
-            self.samples.push(QueueSample {
-                t_ns,
-                switch_id: hop.words[0],
-                queue_bytes: hop.words[1],
-            });
-        }
+        self.samples.extend(sample.hops().map(|hop| QueueSample {
+            t_ns,
+            switch_id: hop.word(0),
+            queue_bytes: hop.word(1),
+        }));
     }
 }
 

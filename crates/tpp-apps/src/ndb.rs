@@ -198,11 +198,13 @@ impl HostApp for NdbProbeSender {
             return;
         }
         let id = self.sent_ids.len() as u32;
-        let frame = self.probe.build_frame_with_payload(
+        let mut frame = ctx.alloc_frame(self.probe.frame_len(4));
+        self.probe.write_frame(
             self.dst,
             ctx.mac(),
             &id.to_be_bytes(),
             DATA_ETHERTYPE.0,
+            &mut frame,
         );
         ctx.send(frame);
         self.sent_ids.push(id);
@@ -222,7 +224,14 @@ pub struct TraceCollector {
 
 impl HostApp for TraceCollector {
     fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
-        let Ok(parsed) = Frame::new_checked(&frame[..]) else {
+        self.collect(&frame, ctx.now());
+        ctx.recycle_frame(frame);
+    }
+}
+
+impl TraceCollector {
+    fn collect(&mut self, frame: &[u8], now: u64) {
+        let Ok(parsed) = Frame::new_checked(frame) else {
             return;
         };
         if !parsed.is_tpp() {
@@ -243,18 +252,17 @@ impl HostApp for TraceCollector {
         }
         let packet_id = u32::from_be_bytes(inner[0..4].try_into().expect("4 bytes"));
         let hops = sample
-            .hops
-            .iter()
+            .hops()
             .map(|h| NdbHop {
-                switch_id: h.words[0],
-                entry_id: h.words[1],
-                entry_version: h.words[2],
-                input_port: h.words[3],
+                switch_id: h.word(0),
+                entry_id: h.word(1),
+                entry_version: h.word(2),
+                input_port: h.word(3),
             })
             .collect();
         self.traces.push(PathTrace {
             packet_id,
-            t_ns: ctx.now(),
+            t_ns: now,
             hops,
         });
     }

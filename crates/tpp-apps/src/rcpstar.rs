@@ -38,13 +38,16 @@
 
 use std::collections::BTreeMap;
 
+use tpp_host::manager::NONCE_LEN;
 use tpp_host::{
-    decode_echo, PacedSender, ProbeBuilder, ProbeDelivery, ProbeManager, RetryPolicy, RttEstimator,
+    parse_echo, split_hops, HopView, PacedSender, PathSample, ProbeBuilder, ProbeDelivery,
+    ProbeManager, RetryPolicy, RttEstimator,
 };
 use tpp_isa::{Assembler, SymbolTable, VirtAddr};
 use tpp_netsim::{HostApp, HostCtx};
 use tpp_rcp_ref::equation::{rcp_update, RcpParams};
-use tpp_wire::EthernetAddress;
+use tpp_wire::tpp::{TppPacket, WORD_SIZE};
+use tpp_wire::{EthernetAddress, ETHERNET_HEADER_LEN};
 
 /// The per-link SRAM word holding the RCP fair-share rate (allocated as
 /// `Link:Scratch[0]` by the control plane).
@@ -120,9 +123,11 @@ pub fn rate_probe_payload(key: u64, now_ns: u64) -> [u8; 24] {
     p
 }
 
-/// Decoded feedback of one echoed transport rate probe.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RateEcho {
+/// Decoded feedback of one echoed transport rate probe. Borrows the
+/// echo frame: the per-hop registers stay where the switches pushed
+/// them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RateEcho<'a> {
     /// Path bottleneck rate, bits/s: the minimum over hops of the RCP
     /// fair-share register (capacity where the register reads wiped).
     pub rate_bps: u64,
@@ -130,9 +135,25 @@ pub struct RateEcho {
     pub key: u64,
     /// The probe's send timestamp (RTT = receive time − this).
     pub sent_ns: u64,
+    path: PathSample<'a>,
+}
+
+impl<'a> RateEcho<'a> {
     /// `(switch id, boot epoch)` per hop — reboot detection for the
     /// transport's path-epoch reset.
-    pub epochs: Vec<(u32, u32)>,
+    pub fn epochs(&self) -> impl Iterator<Item = (u32, u32)> + 'a {
+        self.path.hops().map(|h| (h.word(0), h.word(6)))
+    }
+}
+
+/// The rate a collect record grants, bits/s: the hop's fair-share
+/// register, or its capacity where the register reads 0 (wiped by a
+/// reboot — falling back keeps the flow from stalling). `None` for a hop
+/// that reports no capacity.
+fn granted_bps(hop: &HopView<'_>) -> Option<u64> {
+    let cap = hop.word(3) as u64 * 1_000;
+    let reg = hop.word(4) as u64 * 1_000;
+    (cap > 0).then_some(if reg == 0 { cap } else { reg })
 }
 
 /// Decode an echoed [`rate_collect_probe`] frame addressed to `my_mac`.
@@ -142,39 +163,18 @@ pub struct RateEcho {
 /// native-mode Phase-1 read (the paper's in-band mechanism): the rate
 /// comes from the registers the TPP gathered, not from simulator
 /// ground truth.
-pub fn decode_rate_echo(frame: &[u8], my_mac: EthernetAddress) -> Option<RateEcho> {
-    let sample = decode_echo(frame, my_mac, COLLECT_WORDS_PER_HOP)?;
-    let tpp = tpp_host::parse_echo(frame, my_mac)?;
+pub fn decode_rate_echo(frame: &[u8], my_mac: EthernetAddress) -> Option<RateEcho<'_>> {
+    let tpp = parse_echo(frame, my_mac)?;
+    let path = split_hops(&tpp, COLLECT_WORDS_PER_HOP)?;
     let inner = tpp.inner_payload();
     if inner.len() < 24 || inner[0..2] != [0xF1, 0xC7] {
         return None;
     }
-    let sent_ns = u64::from_be_bytes(inner[8..16].try_into().expect("length checked"));
-    let key = u64::from_be_bytes(inner[16..24].try_into().expect("length checked"));
-    let mut rate_bps: Option<u64> = None;
-    let mut epochs = Vec::with_capacity(sample.hops.len());
-    for hop in &sample.hops {
-        let [sid, _q, _rx, cap_kbps, reg_kbps, _ts, epoch] = hop.words[..7] else {
-            continue;
-        };
-        epochs.push((sid, epoch));
-        let cap = cap_kbps as u64 * 1_000;
-        if cap == 0 {
-            continue;
-        }
-        // A wiped (rebooted) register reads 0: fall back to capacity.
-        let reg = if reg_kbps == 0 {
-            cap
-        } else {
-            reg_kbps as u64 * 1_000
-        };
-        rate_bps = Some(rate_bps.map_or(reg, |r| r.min(reg)));
-    }
     Some(RateEcho {
-        rate_bps: rate_bps?,
-        key,
-        sent_ns,
-        epochs,
+        rate_bps: path.hops().filter_map(|h| granted_bps(&h)).min()?,
+        key: u64::from_be_bytes(inner[16..24].try_into().expect("length checked")),
+        sent_ns: u64::from_be_bytes(inner[8..16].try_into().expect("length checked")),
+        path,
     })
 }
 
@@ -268,7 +268,9 @@ pub struct RcpStarSender {
     dst: EthernetAddress,
     sender: PacedSender,
     collect_probe: ProbeBuilder,
-    update_asm: Assembler,
+    /// The Phase-3 update TPP; words 1..4 of its packet memory (target
+    /// switch, rate, timestamp) are patched into each minted frame.
+    update_probe: ProbeBuilder,
     rtt: RttEstimator,
     probes: ProbeManager,
     /// Keyed by hop index (stable for a fixed path).
@@ -280,8 +282,6 @@ pub struct RcpStarSender {
     pub feedback_count: u64,
     /// Update TPPs sent.
     pub updates_sent: u64,
-    /// Raw words of the most recent collect echo, per hop (diagnostics).
-    pub debug_last_hops: Vec<Vec<u32>>,
     /// When the flow finished sending its `stop_after_bytes` (ns).
     pub completed_at: Option<u64>,
     running: bool,
@@ -294,6 +294,13 @@ impl RcpStarSender {
         let collect = asm
             .assemble(&collect_source(config.y_from_byte_counter))
             .expect("static program");
+        let update = asm
+            .assemble(
+                "CEXEC [Switch:SwitchID], [Packet:0]\n\
+                 STORE [Link:RCP-RateRegister], [Packet:2]\n\
+                 STORE [Link:RCP-Timestamp], [Packet:3]",
+            )
+            .expect("static program");
         RcpStarSender {
             sender: PacedSender::new(
                 dst,
@@ -302,7 +309,7 @@ impl RcpStarSender {
                 config.start_ns,
             ),
             collect_probe: ProbeBuilder::stack(&collect, config.expected_hops),
-            update_asm: asm,
+            update_probe: ProbeBuilder::stack(&update, 1).init_memory(&[0xffff_ffff, 0, 0, 0]),
             rtt: RttEstimator::new(),
             // Periodic probes are never re-sent — the next control round
             // supersedes them — but the nonce layer still dedups echoes
@@ -316,7 +323,6 @@ impl RcpStarSender {
             rate_trace: Vec::new(),
             feedback_count: 0,
             updates_sent: 0,
-            debug_last_hops: Vec::new(),
             completed_at: None,
             running: false,
             config,
@@ -359,7 +365,7 @@ impl RcpStarSender {
             return;
         }
         let now = ctx.now();
-        while let Some(frame) = self.sender.poll(now, ctx.mac()) {
+        while let Some(frame) = self.sender.poll(now, ctx.mac(), |n| ctx.alloc_frame(n)) {
             ctx.send(frame);
             if let Some(target) = self.config.stop_after_bytes {
                 if self.sender.bytes_sent >= target {
@@ -380,49 +386,39 @@ impl RcpStarSender {
             return;
         }
         let stamp = ctx.now().to_be_bytes();
-        let frame = self.collect_probe.build_frame_with_payload(
+        self.probes.track_probe(
+            &self.collect_probe,
             self.dst,
-            ctx.mac(),
             &stamp,
             tpp_host::DATA_ETHERTYPE.0,
+            ctx,
         );
-        self.probes.track(frame, ctx);
         ctx.set_timer(self.config.period_ns, TIMER_CONTROL);
     }
 
     /// Phases 2 + 3, on a collect echo.
     fn on_feedback(&mut self, frame: &[u8], ctx: &mut HostCtx<'_>) {
-        let Some(sample) = decode_echo(frame, ctx.mac(), COLLECT_WORDS_PER_HOP) else {
+        let Some(tpp) = parse_echo(frame, ctx.mac()) else {
+            return;
+        };
+        let Some(sample) = split_hops(&tpp, COLLECT_WORDS_PER_HOP) else {
             return;
         };
         // RTT from the echoed timestamp we embedded in the inner payload.
-        if let Some(tpp) = tpp_host::parse_echo(frame, ctx.mac()) {
-            let inner = tpp.inner_payload();
-            if inner.len() >= 8 {
-                let sent = u64::from_be_bytes(inner[0..8].try_into().expect("8 bytes"));
-                self.rtt.on_sample(ctx.now().saturating_sub(sent));
-            }
+        let inner = tpp.inner_payload();
+        if inner.len() >= 8 {
+            let sent = u64::from_be_bytes(inner[0..8].try_into().expect("8 bytes"));
+            self.rtt.on_sample(ctx.now().saturating_sub(sent));
         }
-        if sample.hops.is_empty() {
+        if sample.hop_count() == 0 {
             return;
         }
         self.feedback_count += 1;
-        self.debug_last_hops = sample.hops.iter().map(|h| h.words.clone()).collect();
 
         if !self.config.compute_updates {
             // Native-router mode: the register already holds the fair
             // share; just obey the path minimum.
-            let r_min = sample
-                .hops
-                .iter()
-                .filter_map(|h| {
-                    let cap = h.words.get(3).copied()? as u64 * 1_000;
-                    let reg = h.words.get(4).copied()? as u64 * 1_000;
-                    // A wiped (rebooted) register reads 0: fall back to
-                    // capacity rather than stalling the flow.
-                    (cap > 0).then_some(if reg == 0 { cap } else { reg })
-                })
-                .min();
+            let r_min = sample.hops().filter_map(|h| granted_bps(&h)).min();
             if let Some(r) = r_min {
                 self.sender.set_rate_bps(r.max(1_000), ctx.now());
                 self.rate_trace.push((ctx.now(), r));
@@ -441,8 +437,8 @@ impl RcpStarSender {
         // or the loop gain T/d exceeds 1 and the rate limit-cycles.
         let rtt_s = (self.rtt.srtt_or(self.config.initial_rtt_ns) as f64 / 1e9).max(period_s);
         let now = ctx.now();
-        for hop in &sample.hops {
-            let [sid, q_bytes, rx_bytes, cap_kbps, reg_kbps, reg_ts_us, epoch] = hop.words[..7]
+        for hop in sample.hops() {
+            let Some([sid, q_bytes, rx_bytes, cap_kbps, reg_kbps, reg_ts_us, epoch]) = hop.array()
             else {
                 continue;
             };
@@ -530,23 +526,17 @@ impl RcpStarSender {
             return;
         };
         let r_kbps = (r_min_bps / 1e3).round().max(1.0) as u32;
-        let update = self
-            .update_asm
-            .assemble(
-                "CEXEC [Switch:SwitchID], [Packet:0]\n\
-                 STORE [Link:RCP-RateRegister], [Packet:2]\n\
-                 STORE [Link:RCP-Timestamp], [Packet:3]",
-            )
-            .expect("static program");
         let now_us = (ctx.now() / 1_000) as u32;
-        let probe = ProbeBuilder::stack(&update, 1).init_memory(&[
-            0xffff_ffff,
-            bottleneck_sid,
-            r_kbps,
-            now_us,
-        ]);
-        self.probes
-            .track(probe.build_frame(self.dst, ctx.mac()), ctx);
+        let mut update = ctx.alloc_frame(self.update_probe.frame_len(0) + NONCE_LEN);
+        self.update_probe
+            .write_frame(self.dst, ctx.mac(), &[], 0, &mut update);
+        let mut memory = TppPacket::new_unchecked(&mut update[ETHERNET_HEADER_LEN..]);
+        for (word, value) in [(1, bottleneck_sid), (2, r_kbps), (3, now_us)] {
+            memory
+                .write_word(word * WORD_SIZE, value)
+                .expect("initialized above");
+        }
+        self.probes.track(update, ctx);
         self.updates_sent += 1;
 
         // The flow itself obeys the minimum along the path.
@@ -593,6 +583,7 @@ impl HostApp for RcpStarSender {
             // twice (a double byte-counter delta would halve y(t)).
             ProbeDelivery::Duplicate { .. } | ProbeDelivery::NotAProbe => {}
         }
+        ctx.recycle_frame(frame);
     }
 }
 

@@ -12,7 +12,7 @@
 //! `Queue:QueueSize` can. [`LinkHealthMonitor`] probes both per packet;
 //! [`classify_loss`] attributes each loss epoch.
 
-use tpp_host::{decode_echo, ProbeBuilder};
+use tpp_host::{parse_echo, split_hops, ProbeBuilder};
 use tpp_isa::programs;
 use tpp_netsim::{HostApp, HostCtx};
 use tpp_wire::EthernetAddress;
@@ -83,36 +83,46 @@ impl HostApp for LinkHealthMonitor {
             return;
         }
         let stamp = ctx.now().to_be_bytes();
-        ctx.send(self.probe.build_frame_with_payload(
+        let mut frame = ctx.alloc_frame(self.probe.frame_len(stamp.len()));
+        self.probe.write_frame(
             self.dst,
             ctx.mac(),
             &stamp,
             tpp_host::DATA_ETHERTYPE.0,
-        ));
+            &mut frame,
+        );
+        ctx.send(frame);
         self.probes_sent += 1;
         ctx.set_timer(self.interval_ns, TIMER_PROBE);
     }
 
     fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
-        let Some(sample) = decode_echo(&frame, ctx.mac(), WORDS_PER_HOP) else {
+        self.on_echo(&frame, ctx.mac(), ctx.now());
+        ctx.recycle_frame(frame);
+    }
+}
+
+impl LinkHealthMonitor {
+    fn on_echo(&mut self, frame: &[u8], my_mac: EthernetAddress, now: u64) {
+        let Some(tpp) = parse_echo(frame, my_mac) else {
             return;
         };
-        let t_ns = tpp_host::parse_echo(&frame, ctx.mac())
-            .and_then(|tpp| {
-                let inner = tpp.inner_payload();
-                (inner.len() >= 8)
-                    .then(|| u64::from_be_bytes(inner[0..8].try_into().expect("8 bytes")))
-            })
-            .unwrap_or_else(|| ctx.now());
+        let Some(sample) = split_hops(&tpp, WORDS_PER_HOP) else {
+            return;
+        };
+        let inner = tpp.inner_payload();
+        let t_ns = if inner.len() >= 8 {
+            u64::from_be_bytes(inner[0..8].try_into().expect("8 bytes"))
+        } else {
+            now
+        };
         self.echoes_received += 1;
-        for hop in sample.hops {
-            self.samples.push(HealthSample {
-                t_ns,
-                switch_id: hop.words[0],
-                snr_decidb: hop.words[1],
-                queue_bytes: hop.words[2],
-            });
-        }
+        self.samples.extend(sample.hops().map(|hop| HealthSample {
+            t_ns,
+            switch_id: hop.word(0),
+            snr_decidb: hop.word(1),
+            queue_bytes: hop.word(2),
+        }));
     }
 }
 

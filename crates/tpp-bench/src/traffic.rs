@@ -24,7 +24,7 @@ use tpp_host::transport::{
     self, segments_for, AckOutcome, FlowReceiver, FlowSender, RtoOutcome, SegmentHdr,
     TransportConfig, TransportStats, TRANSPORT_ETHERTYPE,
 };
-use tpp_host::{echo_reply, ProbeBuilder, DATA_ETHERTYPE};
+use tpp_host::{echo_in_place, ProbeBuilder, DATA_ETHERTYPE};
 use tpp_netsim::{HostApp, HostCtx};
 use tpp_wire::ethernet::{EtherType, Frame, ETHERNET_HEADER_LEN};
 use tpp_wire::EthernetAddress;
@@ -458,7 +458,9 @@ impl ClosedFlowGenApp {
         let mac = ctx.mac();
         while let Some(seg) = st.sender.poll_send(now) {
             let hdr = st.sender.data_hdr(seg, now);
-            ctx.send(hdr.into_frame(st.dst, mac));
+            let mut frame = ctx.alloc_frame(hdr.frame_len());
+            hdr.write_frame(st.dst, mac, &mut frame);
+            ctx.send(frame);
             stats.segments_sent += 1;
         }
     }
@@ -501,12 +503,9 @@ impl ClosedFlowGenApp {
             }
             if st.next_probe_ns <= now {
                 let payload = rate_probe_payload(*key, now);
-                let frame = self.probe.build_frame_with_payload(
-                    st.dst,
-                    ctx.mac(),
-                    &payload,
-                    DATA_ETHERTYPE.0,
-                );
+                let mut frame = ctx.alloc_frame(self.probe.frame_len(payload.len()));
+                self.probe
+                    .write_frame(st.dst, ctx.mac(), &payload, DATA_ETHERTYPE.0, &mut frame);
                 ctx.send(frame);
                 self.stats.probes_sent += 1;
                 st.next_probe_ns = now + self.cfg.probe_period_ns.max(1);
@@ -558,7 +557,9 @@ impl ClosedFlowGenApp {
             self.stats.dup_segments_rx += 1;
         }
         let ack = rx.ack_hdr(hdr);
-        ctx.send(ack.into_frame(src, ctx.mac()));
+        let mut frame = ctx.alloc_frame(ack.frame_len());
+        ack.write_frame(src, ctx.mac(), &mut frame);
+        ctx.send(frame);
         self.stats.acks_sent += 1;
         if out.complete && out.delivered > 0 {
             self.completions.push(Completion {
@@ -593,11 +594,11 @@ impl ClosedFlowGenApp {
 
     /// A rate-probe echo came back: clamp the flow's window to the
     /// in-band bottleneck rate and react to switch boot-epoch changes.
-    fn on_rate_echo(&mut self, echo: RateEcho, ctx: &mut HostCtx<'_>) {
+    fn on_rate_echo(&mut self, echo: RateEcho<'_>, ctx: &mut HostCtx<'_>) {
         let mut epoch_changed = false;
-        for (sid, ep) in &echo.epochs {
-            if let Some(prev) = self.switch_epochs.insert(*sid, *ep) {
-                if prev != *ep {
+        for (sid, ep) in echo.epochs() {
+            if let Some(prev) = self.switch_epochs.insert(sid, ep) {
+                if prev != ep {
                     epoch_changed = true;
                 }
             }
@@ -628,7 +629,7 @@ impl HostApp for ClosedFlowGenApp {
         self.service(ctx);
     }
 
-    fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
+    fn on_frame(&mut self, mut frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
         let Ok(eth) = Frame::new_checked(&frame[..]) else {
             ctx.recycle_frame(frame);
             return;
@@ -647,10 +648,11 @@ impl HostApp for ClosedFlowGenApp {
         }
         if let Some(echo) = decode_rate_echo(&frame, ctx.mac()) {
             self.on_rate_echo(echo, ctx);
-        } else if let Some(reply) = echo_reply(&frame, ctx.mac()) {
+        } else if echo_in_place(&mut frame, ctx.mac()) {
             // Receiver role: reflect executed probes back out of the
-            // NIC they arrived on (§2.2 Phase 1).
-            ctx.send_on(ctx.rx_port(), reply);
+            // NIC they arrived on (§2.2 Phase 1) — the same buffer.
+            ctx.send_on(ctx.rx_port(), frame);
+            return;
         }
         ctx.recycle_frame(frame);
     }

@@ -5,9 +5,11 @@
 //! distributed across end-hosts". This crate is the toolkit for part (b):
 //!
 //! * [`probe::ProbeBuilder`] — compile a program once, then mint TPP
-//!   frames (optionally piggy-backed on application payload);
-//! * [`probe::echo_reply`] — the receiver side of §2.2 Phase 1 ("the
-//!   receiver simply echos a fully executed TPP back to the sender");
+//!   frames (optionally piggy-backed on application payload) into
+//!   buffers the caller owns;
+//! * [`probe::echo_in_place`] — the receiver side of §2.2 Phase 1 ("the
+//!   receiver simply echos a fully executed TPP back to the sender"),
+//!   done on the delivered buffer itself;
 //! * [`EchoReceiver`] — a ready-made host app that echoes TPPs and sinks
 //!   data traffic, used as the receiver in the congestion-control
 //!   experiments;
@@ -43,7 +45,7 @@ pub use bonding::{BondConfig, BondScheduler, HealthEvent, PathHealth};
 pub use manager::{ProbeDelivery, ProbeManager, ProbeStats, RetryPolicy, PROBE_TIMER_TOKEN};
 pub use pacing::{PacedSender, TokenBucket};
 pub use probe::parse_echo;
-pub use probe::{echo_reply, ProbeBuilder, DATA_ETHERTYPE};
+pub use probe::{echo_in_place, ProbeBuilder, DATA_ETHERTYPE};
 pub use rtt::RttEstimator;
 pub use telemetry::{decode_echo, split_hops, HopView, PathSample};
 pub use transport::{
@@ -72,17 +74,18 @@ pub struct EchoReceiver {
 }
 
 impl HostApp for EchoReceiver {
-    fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
-        if let Some(reply) = echo_reply(&frame, ctx.mac()) {
+    fn on_frame(&mut self, mut frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
+        if echo_in_place(&mut frame, ctx.mac()) {
             self.tpps_echoed += 1;
             // Reflect out of the NIC the probe arrived on, so on a
             // multi-homed receiver the echo measures the same path.
-            ctx.send_on(ctx.rx_port(), reply);
+            ctx.send_on(ctx.rx_port(), frame);
             return;
         }
         if let Ok(parsed) = Frame::new_checked(&frame[..]) {
             self.data_frames += 1;
             self.data_bytes += parsed.payload().len() as u64;
         }
+        ctx.recycle_frame(frame);
     }
 }

@@ -26,7 +26,9 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use tpp_netsim::HostCtx;
 use tpp_telemetry::{SharedSink, TraceEvent, TraceEventKind, TraceSink};
 
-use crate::probe::parse_echo;
+use tpp_wire::EthernetAddress;
+
+use crate::probe::{parse_echo, ProbeBuilder};
 
 /// Length of the nonce appended to tracked probe frames.
 pub const NONCE_LEN: usize = 8;
@@ -171,6 +173,13 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Put a pooled copy of a retained probe frame on the wire.
+fn send_copy(port: u16, frame: &[u8], ctx: &mut HostCtx<'_>) {
+    let mut wire = ctx.alloc_frame(frame.len());
+    wire.extend_from_slice(frame);
+    ctx.send_on(port, wire);
+}
+
 impl ProbeManager {
     /// A manager with the given policy and no trace sink.
     pub fn new(policy: RetryPolicy) -> Self {
@@ -249,6 +258,12 @@ impl ProbeManager {
 
     /// Append a nonce to `frame`, send it, and track it for retry.
     /// Returns the nonce.
+    ///
+    /// Build `frame` into a buffer from [`HostCtx::alloc_frame`] with
+    /// [`NONCE_LEN`] bytes of capacity to spare and nothing here touches
+    /// the allocator: the nonce fits, the wire copy comes from the pool,
+    /// and the retained copy goes back to it once the probe is answered
+    /// or given up on.
     pub fn track(&mut self, mut frame: Vec<u8>, ctx: &mut HostCtx<'_>) -> u64 {
         self.nonce_counter += 1;
         // host_id+1 keeps host 0's nonces distinct from a raw counter;
@@ -259,7 +274,7 @@ impl ProbeManager {
         );
         frame.extend_from_slice(&nonce.to_be_bytes());
         let deadline_ns = ctx.now() + self.backoff(nonce, 0);
-        ctx.send_on(self.port, frame.clone());
+        send_copy(self.port, &frame, ctx);
         self.outstanding.insert(
             nonce,
             Outstanding {
@@ -273,12 +288,19 @@ impl ProbeManager {
         nonce
     }
 
-    /// Forget all outstanding probes without counting them as timeouts
-    /// (used when a new probing round supersedes the last).
-    pub fn cancel_all(&mut self) {
-        for (nonce, _) in std::mem::take(&mut self.outstanding) {
-            self.remember_completed(nonce);
-        }
+    /// Mint one probe of `probe` for `dst` into a pooled buffer sized for
+    /// the nonce, and [`track`](Self::track) it. Returns the nonce.
+    pub fn track_probe(
+        &mut self,
+        probe: &ProbeBuilder,
+        dst: EthernetAddress,
+        payload: &[u8],
+        inner_ethertype: u16,
+        ctx: &mut HostCtx<'_>,
+    ) -> u64 {
+        let mut frame = ctx.alloc_frame(probe.frame_len(payload.len()) + NONCE_LEN);
+        probe.write_frame(dst, ctx.mac(), payload, inner_ethertype, &mut frame);
+        self.track(frame, ctx)
     }
 
     /// Classify an incoming frame. `Fresh` is returned exactly once per
@@ -290,7 +312,8 @@ impl ProbeManager {
         let Some(nonce) = Self::frame_nonce(frame) else {
             return ProbeDelivery::NotAProbe;
         };
-        if self.outstanding.remove(&nonce).is_some() {
+        if let Some(o) = self.outstanding.remove(&nonce) {
+            ctx.recycle_frame(o.frame);
             self.remember_completed(nonce);
             self.stats.delivered += 1;
             return ProbeDelivery::Fresh { nonce };
@@ -330,13 +353,14 @@ impl ProbeManager {
                 let attempt = o.attempt;
                 let backoff = RetryPolicy::backoff_of(self.policy, nonce, attempt);
                 o.deadline_ns = now + backoff;
-                let frame = o.frame.clone();
-                ctx.send_on(self.port, frame);
+                send_copy(self.port, &o.frame, ctx);
                 self.stats.retries += 1;
                 self.emit(ctx.now(), 0, TraceEventKind::ProbeRetry { nonce, attempt });
             } else {
                 let retries = o.attempt;
-                self.outstanding.remove(&nonce);
+                if let Some(o) = self.outstanding.remove(&nonce) {
+                    ctx.recycle_frame(o.frame);
+                }
                 self.expired.insert(nonce);
                 // Bound the expired set the same way as the completed
                 // one: echoes older than the memory window are dropped
@@ -430,13 +454,11 @@ impl ProbeManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::ProbeBuilder;
     use crate::EchoReceiver;
     use tpp_asic::AsicConfig;
     use tpp_isa::assemble;
     use tpp_netsim::RunLimit;
-    use tpp_netsim::{time, Endpoint, HostApp, HostCtx, NetworkBuilder};
-    use tpp_wire::EthernetAddress;
+    use tpp_netsim::{time, Endpoint, HostApp, NetworkBuilder};
 
     /// Sends one tracked probe; counts fresh and duplicate echoes and
     /// expirations.
@@ -458,17 +480,13 @@ mod tests {
                 expired: 0,
             }
         }
-
-        fn probe_frame(&self, ctx: &HostCtx<'_>) -> Vec<u8> {
-            let program = assemble("PUSH [Switch:SwitchID]").unwrap();
-            ProbeBuilder::stack(&program, 2).build_frame(self.dst, ctx.mac())
-        }
     }
 
     impl HostApp for Tracker {
         fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-            let frame = self.probe_frame(ctx);
-            self.mgr.track(frame, ctx);
+            let program = assemble("PUSH [Switch:SwitchID]").unwrap();
+            let probe = ProbeBuilder::stack(&program, 2);
+            self.mgr.track_probe(&probe, self.dst, &[], 0, ctx);
         }
 
         fn on_timer(&mut self, token: u64, ctx: &mut HostCtx<'_>) {
@@ -483,6 +501,7 @@ mod tests {
                 ProbeDelivery::Duplicate { .. } => self.dup += 1,
                 ProbeDelivery::NotAProbe => {}
             }
+            ctx.recycle_frame(frame);
         }
     }
 
@@ -511,6 +530,10 @@ mod tests {
         assert_eq!(t.expired, 0);
         assert_eq!(t.mgr.stats().retries, 0);
         assert_eq!(t.mgr.outstanding(), 0);
+        // Two buffers were ever allocated — the retained probe and its
+        // wire copy — and both are back in the pool: the retained one on
+        // the echo, the wire copy (echoed in place) from `on_frame`.
+        assert_eq!(sim.frame_pool_stats(), (0, 2, 2));
     }
 
     #[test]
@@ -531,6 +554,9 @@ mod tests {
         assert_eq!(t.mgr.stats().retries, 2, "bounded retries");
         assert_eq!(t.mgr.stats().timeouts, 1);
         assert_eq!(t.mgr.outstanding(), 0);
+        // Each retry's wire copy reuses the buffer the lossy link just
+        // ate, and expiry hands the retained frame back too.
+        assert_eq!(sim.frame_pool_stats(), (2, 2, 4));
     }
 
     #[test]

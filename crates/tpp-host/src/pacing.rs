@@ -8,7 +8,7 @@
 //! where strict pacing is not wanted.
 
 use crate::probe::DATA_ETHERTYPE;
-use tpp_wire::ethernet::build_frame;
+use tpp_wire::ethernet::{write_header, ETHERNET_HEADER_LEN};
 use tpp_wire::EthernetAddress;
 
 /// A classic token bucket: `rate_bps` sustained, `burst_bytes` of slack.
@@ -80,8 +80,10 @@ impl TokenBucket {
 ///
 /// The app drives it from a timer loop:
 ///
-/// 1. call [`PacedSender::poll`] with the current time — it returns a
-///    frame when one is due and advances the internal departure clock;
+/// 1. call [`PacedSender::poll`] with the current time — when a frame
+///    is due it builds one into a buffer from `alloc` (pass
+///    `|n| ctx.alloc_frame(n)`) and advances the internal departure
+///    clock;
 /// 2. re-arm a timer for [`PacedSender::next_tx_ns`].
 #[derive(Debug, Clone)]
 pub struct PacedSender {
@@ -138,12 +140,20 @@ impl PacedSender {
 
     /// Release the next frame if it is due. At most one frame per call;
     /// callers loop if they polled late and want to catch up.
-    pub fn poll(&mut self, now_ns: u64, src: EthernetAddress) -> Option<Vec<u8>> {
+    pub fn poll(
+        &mut self,
+        now_ns: u64,
+        src: EthernetAddress,
+        alloc: impl FnOnce(usize) -> Vec<u8>,
+    ) -> Option<Vec<u8>> {
         if now_ns < self.next_tx_ns {
             return None;
         }
-        let mut payload = vec![0u8; self.payload_len];
-        payload[0..4].copy_from_slice(&self.seq.to_be_bytes());
+        let len = ETHERNET_HEADER_LEN + self.payload_len;
+        let mut frame = alloc(len);
+        write_header(&mut frame, self.dst, src, DATA_ETHERTYPE);
+        frame.extend_from_slice(&self.seq.to_be_bytes());
+        frame.resize(len, 0);
         self.seq = self.seq.wrapping_add(1);
         self.bytes_sent += self.payload_len as u64;
         self.frames_sent += 1;
@@ -152,7 +162,7 @@ impl PacedSender {
         if self.next_tx_ns + self.gap_ns() < now_ns {
             self.next_tx_ns = now_ns + self.gap_ns();
         }
-        Some(build_frame(self.dst, src, DATA_ETHERTYPE, &payload))
+        Some(frame)
     }
 }
 
@@ -205,9 +215,12 @@ mod tests {
         // 1000-byte payload + 14 header = 8112 bits; 8.112 Mb/s -> 1 ms gap.
         let mut sender = PacedSender::new(dst, 1000, 8_112_000, 0);
         assert_eq!(sender.gap_ns(), 1_000_000);
-        let f0 = sender.poll(0, src).unwrap();
-        assert!(sender.poll(500_000, src).is_none(), "not due yet");
-        let f1 = sender.poll(1_000_000, src).unwrap();
+        let f0 = sender.poll(0, src, Vec::with_capacity).unwrap();
+        assert!(
+            sender.poll(500_000, src, Vec::with_capacity).is_none(),
+            "not due yet"
+        );
+        let f1 = sender.poll(1_000_000, src, Vec::with_capacity).unwrap();
         assert_eq!(&f0[14..18], &0u32.to_be_bytes());
         assert_eq!(&f1[14..18], &1u32.to_be_bytes());
         assert_eq!(sender.frames_sent, 2);
@@ -219,12 +232,12 @@ mod tests {
         let dst = EthernetAddress::from_host_id(1);
         let src = EthernetAddress::from_host_id(2);
         let mut sender = PacedSender::new(dst, 1000, 8_112_000, 0);
-        sender.poll(0, src).unwrap();
+        sender.poll(0, src, Vec::with_capacity).unwrap();
         // Stall for 100 ms, then poll: at most a small catch-up, not 100
         // frames at once.
         let mut burst = 0;
         let mut t = 100_000_000;
-        while sender.poll(t, src).is_some() {
+        while sender.poll(t, src, Vec::with_capacity).is_some() {
             burst += 1;
             t += 1; // same instant, 1 ns apart
             if burst > 10 {

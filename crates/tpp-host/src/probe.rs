@@ -3,10 +3,10 @@
 //! §2.2: a flow's rate controller queries the network "using the flow's
 //! packets, or using additional probe packets". Both are supported: a
 //! [`ProbeBuilder`] mints stand-alone probes, or piggy-backs the TPP onto
-//! an application datagram via [`ProbeBuilder::build_frame_with_payload`].
+//! an application datagram, through [`ProbeBuilder::write_frame`].
 
 use tpp_isa::Program;
-use tpp_wire::ethernet::{build_frame, EtherType, Frame};
+use tpp_wire::ethernet::{write_header, EtherType, Frame};
 use tpp_wire::tpp::{AddressingMode, TppBuilder, TppPacket, FLAG_ECHOED, FLAG_EXECUTED};
 use tpp_wire::EthernetAddress;
 
@@ -16,13 +16,20 @@ use tpp_wire::EthernetAddress;
 pub const DATA_ETHERTYPE: EtherType = EtherType(0x0802);
 
 /// Compiles a program once and mints TPP frames on demand.
+///
+/// Everything probes of one builder share — Ethernet and TPP headers,
+/// instruction words, initialized packet memory — is laid out once, at
+/// construction, as a frame template. Minting a probe is then "copy the
+/// template, patch the MACs, append the payload" into a buffer the
+/// caller owns, so a steady-state sender never touches the allocator.
 #[derive(Debug, Clone)]
 pub struct ProbeBuilder {
-    words: Vec<u32>,
-    mode: AddressingMode,
-    mem_words: usize,
-    per_hop_words: usize,
-    init: Vec<u32>,
+    /// The TPP section the template was last laid out from.
+    tpp: TppBuilder,
+    prealloc_words: usize,
+    /// Ethernet header (zero MACs) + TPP section (inner EtherType 0),
+    /// no payload.
+    template: Vec<u8>,
 }
 
 impl ProbeBuilder {
@@ -30,27 +37,35 @@ impl ProbeBuilder {
     /// `program` (packet memory is sized from the program's per-hop
     /// footprint, the §2.1 "preallocate enough packet memory" rule).
     pub fn stack(program: &Program, expected_hops: usize) -> Self {
-        let per_hop = program.words_per_hop();
-        ProbeBuilder {
-            words: program.encode_words().expect("valid program"),
-            mode: AddressingMode::Stack,
-            mem_words: per_hop * expected_hops,
-            per_hop_words: 0,
-            init: Vec::new(),
-        }
+        Self::new(program, AddressingMode::Stack, expected_hops, 0)
     }
 
     /// A hop-mode probe: `per_hop_words` words per hop, `expected_hops`
     /// hop slots.
     pub fn hop(program: &Program, expected_hops: usize) -> Self {
-        let per_hop = program.words_per_hop();
+        Self::new(
+            program,
+            AddressingMode::Hop,
+            expected_hops,
+            program.words_per_hop(),
+        )
+    }
+
+    fn new(
+        program: &Program,
+        mode: AddressingMode,
+        expected_hops: usize,
+        per_hop_words: usize,
+    ) -> Self {
+        let words = program.encode_words().expect("valid program");
         ProbeBuilder {
-            words: program.encode_words().expect("valid program"),
-            mode: AddressingMode::Hop,
-            mem_words: per_hop * expected_hops,
-            per_hop_words: per_hop,
-            init: Vec::new(),
+            tpp: TppBuilder::new(mode)
+                .instructions(&words)
+                .per_hop_words(per_hop_words),
+            prealloc_words: program.words_per_hop() * expected_hops,
+            template: Vec::new(),
         }
+        .init_memory(&[])
     }
 
     /// Initialize the head of packet memory with explicit words — how
@@ -59,13 +74,42 @@ impl ProbeBuilder {
     /// Memory is extended if the initializer is longer than the
     /// preallocation.
     pub fn init_memory(mut self, words: &[u32]) -> Self {
-        self.init = words.to_vec();
+        let mut memory = words.to_vec();
+        memory.resize(self.prealloc_words.max(words.len()), 0);
+        self.template.clear();
+        let unset = EthernetAddress([0; 6]);
+        write_header(&mut self.template, unset, unset, EtherType::TPP);
+        self.tpp = self.tpp.memory_init(&memory);
+        self.tpp.build_into(&mut self.template);
         self
     }
 
-    /// Total packet-memory words the probe will carry.
-    pub fn mem_words(&self) -> usize {
-        self.mem_words.max(self.init.len())
+    /// Wire length of a probe carrying `payload_len` payload bytes —
+    /// what to ask [`HostCtx::alloc_frame`](tpp_netsim::HostCtx::alloc_frame)
+    /// for.
+    pub fn frame_len(&self, payload_len: usize) -> usize {
+        self.template.len() + payload_len
+    }
+
+    /// Append one probe frame to `buf`, piggy-backed on `payload` of the
+    /// given inner EtherType (an empty payload and 0 for a stand-alone
+    /// probe).
+    pub fn write_frame(
+        &self,
+        dst: EthernetAddress,
+        src: EthernetAddress,
+        payload: &[u8],
+        inner_ethertype: u16,
+        buf: &mut Vec<u8>,
+    ) {
+        let start = buf.len();
+        buf.reserve(self.frame_len(payload.len()));
+        buf.extend_from_slice(&self.template);
+        let mut eth = Frame::new_unchecked(&mut buf[start..]);
+        eth.set_dst_addr(dst);
+        eth.set_src_addr(src);
+        TppPacket::new_unchecked(eth.payload_mut()).set_inner_ethertype(inner_ethertype);
+        buf.extend_from_slice(payload);
     }
 
     /// Build a stand-alone probe frame.
@@ -74,7 +118,7 @@ impl ProbeBuilder {
     }
 
     /// Build a probe piggy-backed on application payload of the given
-    /// inner EtherType.
+    /// inner EtherType, as an owned frame.
     pub fn build_frame_with_payload(
         &self,
         dst: EthernetAddress,
@@ -82,46 +126,40 @@ impl ProbeBuilder {
         payload: &[u8],
         inner_ethertype: u16,
     ) -> Vec<u8> {
-        let mut memory = self.init.clone();
-        memory.resize(self.mem_words(), 0);
-        let tpp = TppBuilder::new(self.mode)
-            .instructions(&self.words)
-            .memory_init(&memory)
-            .per_hop_words(self.per_hop_words)
-            .payload(payload)
-            .inner_ethertype(inner_ethertype)
-            .build();
-        build_frame(dst, src, EtherType::TPP, &tpp)
+        let mut buf = Vec::new();
+        self.write_frame(dst, src, payload, inner_ethertype, &mut buf);
+        buf
     }
 }
 
 /// If `frame` is an executed, not-yet-echoed TPP addressed to `my_mac`,
-/// build the echo: source and destination swapped, [`FLAG_ECHOED`] set,
-/// contents untouched. Returns `None` for anything else.
+/// turn it into its own echo — source and destination swapped,
+/// [`FLAG_ECHOED`] set, contents untouched — and return `true`: the
+/// caller sends the very buffer it was delivered. Anything else is left
+/// byte-for-byte unchanged and yields `false`.
 ///
 /// "The receiver simply echos a fully executed TPP back to the sender"
 /// (§2.2 Phase 1). Filtering on [`FLAG_ECHOED`] keeps a sender from
 /// re-echoing its own echo.
-pub fn echo_reply(frame: &[u8], my_mac: EthernetAddress) -> Option<Vec<u8>> {
-    let parsed = Frame::new_checked(frame).ok()?;
-    if !parsed.is_tpp() || parsed.dst_addr() != my_mac {
-        return None;
+pub fn echo_in_place(frame: &mut [u8], my_mac: EthernetAddress) -> bool {
+    let Ok(mut eth) = Frame::new_checked(&mut *frame) else {
+        return false;
+    };
+    if !eth.is_tpp() || eth.dst_addr() != my_mac {
+        return false;
     }
-    let tpp = TppPacket::new_checked(parsed.payload()).ok()?;
+    let Ok(tpp) = TppPacket::new_checked(eth.payload()) else {
+        return false;
+    };
     let flags = tpp.flags();
     if flags & FLAG_EXECUTED == 0 || flags & FLAG_ECHOED != 0 {
-        return None;
+        return false;
     }
-    let mut reply = frame.to_vec();
-    {
-        let mut out = Frame::new_unchecked(&mut reply[..]);
-        let orig_src = parsed.src_addr();
-        out.set_dst_addr(orig_src);
-        out.set_src_addr(my_mac);
-        let mut tpp_out = TppPacket::new_unchecked(out.payload_mut());
-        tpp_out.set_flags(flags | FLAG_ECHOED);
-    }
-    Some(reply)
+    let sender = eth.src_addr();
+    eth.set_dst_addr(sender);
+    eth.set_src_addr(my_mac);
+    TppPacket::new_unchecked(eth.payload_mut()).set_flags(flags | FLAG_ECHOED);
+    true
 }
 
 /// Parse an incoming frame as an echoed TPP addressed to `my_mac`,
@@ -157,13 +195,12 @@ mod tests {
             assemble("PUSH [Switch:SwitchID]\nPUSH [Link:QueueSize]\nPUSH [Link:RX-Utilization]")
                 .unwrap();
         let probe = ProbeBuilder::stack(&program, 5);
-        assert_eq!(probe.mem_words(), 15, "3 words/hop x 5 hops");
         let (dst, src) = macs();
         let frame = probe.build_frame(dst, src);
         let parsed = Frame::new_checked(&frame[..]).unwrap();
         assert!(parsed.is_tpp());
         let tpp = TppPacket::new_checked(parsed.payload()).unwrap();
-        assert_eq!(tpp.mem_len(), 60);
+        assert_eq!(tpp.mem_len(), 60, "3 words/hop x 5 hops");
         assert_eq!(tpp.instruction_count(), 3);
     }
 
@@ -178,37 +215,74 @@ mod tests {
         assert_eq!(tpp.memory_words(), vec![0xffff_ffff, 0xb0b]);
     }
 
+    /// The copying echo `echo_in_place` replaced, kept as the reference.
+    fn echo_reply(frame: &[u8], my_mac: EthernetAddress) -> Option<Vec<u8>> {
+        let parsed = Frame::new_checked(frame).ok()?;
+        if !parsed.is_tpp() || parsed.dst_addr() != my_mac {
+            return None;
+        }
+        let tpp = TppPacket::new_checked(parsed.payload()).ok()?;
+        let flags = tpp.flags();
+        if flags & FLAG_EXECUTED == 0 || flags & FLAG_ECHOED != 0 {
+            return None;
+        }
+        let mut reply = frame.to_vec();
+        let mut out = Frame::new_unchecked(&mut reply[..]);
+        out.set_dst_addr(parsed.src_addr());
+        out.set_src_addr(my_mac);
+        TppPacket::new_unchecked(out.payload_mut()).set_flags(flags | FLAG_ECHOED);
+        Some(reply)
+    }
+
+    /// `echo_in_place` against the reference: same bytes when it echoes,
+    /// untouched buffer when it does not.
+    fn echo(frame: &[u8], my_mac: EthernetAddress) -> Option<Vec<u8>> {
+        let mut buf = frame.to_vec();
+        let echoed = echo_in_place(&mut buf, my_mac);
+        let want = echo_reply(frame, my_mac);
+        assert_eq!(echoed, want.is_some());
+        assert_eq!(buf, want.as_deref().unwrap_or(frame));
+        echoed.then_some(buf)
+    }
+
     #[test]
     fn echo_only_executed_unechoed_tpps_for_me() {
         let program = assemble("PUSH [Queue:QueueSize]").unwrap();
         let probe = ProbeBuilder::stack(&program, 2);
         let (dst, src) = macs();
-        let frame = probe.build_frame(dst, src);
+        let frame = probe.build_frame_with_payload(dst, src, b"stamp", DATA_ETHERTYPE.0);
 
         // Not yet executed: no echo.
-        assert!(echo_reply(&frame, dst).is_none());
+        assert!(echo(&frame, dst).is_none());
 
-        // Mark executed (as a TCPU would).
+        // Mark executed (as a TCPU would), keeping the ECN mark a switch
+        // may have set beside it.
         let mut executed = frame.clone();
         {
             let mut f = Frame::new_unchecked(&mut executed[..]);
             let mut tpp = TppPacket::new_unchecked(f.payload_mut());
-            tpp.set_flags(FLAG_EXECUTED);
+            tpp.set_flags(FLAG_EXECUTED | tpp_wire::tpp::FLAG_ECN);
         }
         // Wrong recipient: no echo.
-        assert!(echo_reply(&executed, src).is_none());
+        assert!(echo(&executed, src).is_none());
         // Right recipient: echo with swapped addresses and ECHOED flag.
-        let reply = echo_reply(&executed, dst).unwrap();
+        let reply = echo(&executed, dst).unwrap();
         let parsed = Frame::new_checked(&reply[..]).unwrap();
         assert_eq!(parsed.dst_addr(), src);
         assert_eq!(parsed.src_addr(), dst);
         let tpp = TppPacket::new_checked(parsed.payload()).unwrap();
         assert_ne!(tpp.flags() & FLAG_ECHOED, 0);
         // An echo is never echoed again.
-        assert!(echo_reply(&reply, src).is_none());
+        assert!(echo(&reply, src).is_none());
         // And the original sender can parse it.
         assert!(parse_echo(&reply, src).is_some());
         assert!(parse_echo(&reply, dst).is_none());
+
+        // Truncated Ethernet header and corrupted TPP section: left alone.
+        assert!(echo(&executed[..10], dst).is_none());
+        let mut corrupt = executed.clone();
+        corrupt[tpp_wire::ETHERNET_HEADER_LEN] = 9; // version
+        assert!(echo(&corrupt, dst).is_none());
     }
 
     #[test]
@@ -226,8 +300,8 @@ mod tests {
     #[test]
     fn non_tpp_frames_are_ignored() {
         let (dst, src) = macs();
-        let frame = build_frame(dst, src, DATA_ETHERTYPE, b"x");
-        assert!(echo_reply(&frame, dst).is_none());
+        let frame = tpp_wire::ethernet::build_frame(dst, src, DATA_ETHERTYPE, b"x");
+        assert!(echo(&frame, dst).is_none());
         assert!(parse_echo(&frame, dst).is_none());
     }
 }

@@ -46,7 +46,7 @@
 use std::collections::BTreeSet;
 
 use crate::rtt::RttEstimator;
-use tpp_wire::ethernet::{build_frame, EtherType, EthernetAddress};
+use tpp_wire::ethernet::{write_header, EtherType, EthernetAddress, ETHERNET_HEADER_LEN};
 
 /// EtherType of transport segments (DATA and ACK), distinct from the
 /// open-loop workload's [`DATA_ETHERTYPE`](crate::DATA_ETHERTYPE).
@@ -162,26 +162,34 @@ pub struct SegmentHdr {
 }
 
 impl SegmentHdr {
-    /// Serialize into an Ethernet payload (header plus a zeroed body
-    /// for data segments — the workload carries no real bytes).
-    pub fn encode(&self) -> Vec<u8> {
+    /// Wire length of this segment's frame: Ethernet and transport
+    /// headers plus the body of a data segment (ACKs carry none).
+    pub fn frame_len(&self) -> usize {
         let body = if self.kind == KIND_DATA {
             self.body_len as usize
         } else {
             0
         };
-        let mut p = vec![0u8; HDR_LEN + body];
-        p[0..2].copy_from_slice(&MAGIC);
-        p[2] = self.kind;
-        p[3] = self.flags;
-        p[4..8].copy_from_slice(&self.total_bytes.to_be_bytes());
-        p[8..16].copy_from_slice(&self.start_ns.to_be_bytes());
-        p[16..24].copy_from_slice(&self.key.to_be_bytes());
-        p[24..28].copy_from_slice(&self.seq.to_be_bytes());
-        p[28..32].copy_from_slice(&self.ack.to_be_bytes());
-        p[32..40].copy_from_slice(&self.ts.to_be_bytes());
-        p[40..42].copy_from_slice(&self.body_len.to_be_bytes());
-        p
+        ETHERNET_HEADER_LEN + HDR_LEN + body
+    }
+
+    /// Append this segment's whole Ethernet frame to `buf`: both headers
+    /// and, for data segments, a zeroed body (the workload carries no
+    /// real bytes). Everything is written once, straight into the
+    /// caller's (pooled) buffer.
+    pub fn write_frame(&self, dst: EthernetAddress, src: EthernetAddress, buf: &mut Vec<u8>) {
+        let end = buf.len() + self.frame_len();
+        write_header(buf, dst, src, TRANSPORT_ETHERTYPE);
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&[self.kind, self.flags]);
+        buf.extend_from_slice(&self.total_bytes.to_be_bytes());
+        buf.extend_from_slice(&self.start_ns.to_be_bytes());
+        buf.extend_from_slice(&self.key.to_be_bytes());
+        buf.extend_from_slice(&self.seq.to_be_bytes());
+        buf.extend_from_slice(&self.ack.to_be_bytes());
+        buf.extend_from_slice(&self.ts.to_be_bytes());
+        buf.extend_from_slice(&self.body_len.to_be_bytes());
+        buf.resize(end, 0);
     }
 
     /// Parse an Ethernet payload; `None` if it is not a transport
@@ -203,11 +211,6 @@ impl SegmentHdr {
             ts: be64(32),
             body_len: u16::from_be_bytes([p[40], p[41]]),
         })
-    }
-
-    /// Build the full Ethernet frame for this header.
-    pub fn into_frame(self, dst: EthernetAddress, src: EthernetAddress) -> Vec<u8> {
-        build_frame(dst, src, TRANSPORT_ETHERTYPE, &self.encode())
     }
 }
 
@@ -782,6 +785,37 @@ mod tests {
         FlowSender::new(cfg(), 0xAB, total_bytes, false, 1_000)
     }
 
+    fn macs() -> (EthernetAddress, EthernetAddress) {
+        (
+            EthernetAddress::from_host_id(3),
+            EthernetAddress::from_host_id(9),
+        )
+    }
+
+    /// The constructor `write_frame` replaced: encode the payload into a
+    /// `Vec`, then copy it behind an Ethernet header. Kept here as the
+    /// byte-equality reference.
+    fn encode_then_build_frame(hdr: &SegmentHdr) -> Vec<u8> {
+        let body = if hdr.kind == KIND_DATA {
+            hdr.body_len as usize
+        } else {
+            0
+        };
+        let mut p = vec![0u8; HDR_LEN + body];
+        p[0..2].copy_from_slice(&MAGIC);
+        p[2] = hdr.kind;
+        p[3] = hdr.flags;
+        p[4..8].copy_from_slice(&hdr.total_bytes.to_be_bytes());
+        p[8..16].copy_from_slice(&hdr.start_ns.to_be_bytes());
+        p[16..24].copy_from_slice(&hdr.key.to_be_bytes());
+        p[24..28].copy_from_slice(&hdr.seq.to_be_bytes());
+        p[28..32].copy_from_slice(&hdr.ack.to_be_bytes());
+        p[32..40].copy_from_slice(&hdr.ts.to_be_bytes());
+        p[40..42].copy_from_slice(&hdr.body_len.to_be_bytes());
+        let (dst, src) = macs();
+        tpp_wire::ethernet::build_frame(dst, src, TRANSPORT_ETHERTYPE, &p)
+    }
+
     #[test]
     fn header_roundtrip() {
         let hdr = SegmentHdr {
@@ -795,9 +829,13 @@ mod tests {
             ts: 9_999,
             body_len: 100,
         };
-        let p = hdr.encode();
+        let (dst, src) = macs();
+        let mut frame = Vec::new();
+        hdr.write_frame(dst, src, &mut frame);
+        assert_eq!(frame.len(), hdr.frame_len());
+        let p = &frame[ETHERNET_HEADER_LEN..];
         assert_eq!(p.len(), HDR_LEN + 100);
-        assert_eq!(SegmentHdr::decode(&p), Some(hdr));
+        assert_eq!(SegmentHdr::decode(p), Some(hdr));
         // The flow label convention lines up with the ECMP extractor.
         assert_eq!(&p[0..2], &MAGIC);
         assert_eq!(
@@ -805,6 +843,43 @@ mod tests {
             0xDEAD_BEEF
         );
         assert_eq!(SegmentHdr::decode(&p[..HDR_LEN - 1]), None);
+    }
+
+    #[test]
+    fn write_frame_matches_encode_then_build_frame() {
+        let data = SegmentHdr {
+            kind: KIND_DATA,
+            flags: FLAG_FIN,
+            total_bytes: 5_000,
+            start_ns: 0x0102_0304_0506_0708,
+            key: 0xA1B2_C3D4_E5F6_0718,
+            seq: 3,
+            ack: 0,
+            ts: 77_000,
+            body_len: 776,
+        };
+        // An ACK echoes `body_len` fields it does not carry a body for.
+        let ack = SegmentHdr {
+            kind: KIND_ACK,
+            ack: 4,
+            body_len: 0,
+            ..data
+        };
+        let phantom_body_ack = SegmentHdr {
+            body_len: 900,
+            ..ack
+        };
+        let (dst, src) = macs();
+        for hdr in [data, ack, phantom_body_ack] {
+            // A recycled buffer arrives cleared but with stale capacity;
+            // a dirty prefix shows the writer only appends.
+            let mut buf = vec![0xEE; 5];
+            buf.reserve(2_000);
+            hdr.write_frame(dst, src, &mut buf);
+            assert_eq!(&buf[..5], &[0xEE; 5]);
+            assert_eq!(&buf[5..], &encode_then_build_frame(&hdr)[..], "{hdr:?}");
+        }
+        assert_eq!(ack.frame_len(), ETHERNET_HEADER_LEN + HDR_LEN);
     }
 
     #[test]

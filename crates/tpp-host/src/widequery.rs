@@ -182,13 +182,13 @@ impl SegmentedCollector {
         let Some(sample) = split_hops(&tpp, symbols.len()) else {
             return false;
         };
-        if sample.hop_count != self.expected_hops {
+        if sample.hop_count() != self.expected_hops {
             return false;
         }
         let entry = self.partial.entry(query_id).or_default();
         entry.insert(
             segment,
-            sample.hops.iter().map(|h| h.words.clone()).collect(),
+            sample.hops().map(|h| h.words().collect()).collect(),
         );
         if entry.len() == self.layout.len() {
             self.finished.insert(query_id);

@@ -330,9 +330,14 @@ impl Instruction {
 /// decode-once/execute-many cache: the prefix plus the failure index
 /// reproduce exactly what per-packet [`Instruction::decode`] would do at
 /// each pc, so cached execution is bit-identical to fresh decoding.
+///
+/// The result is sized from the iterator's lower `size_hint`, so decoding
+/// an exact-size word source (the decode-cache miss path) allocates once
+/// instead of growing through a `realloc` chain.
 pub fn decode_program(words: impl IntoIterator<Item = u32>) -> (Vec<Instruction>, Option<usize>) {
-    let mut insns = Vec::new();
-    for (pc, word) in words.into_iter().enumerate() {
+    let words = words.into_iter();
+    let mut insns = Vec::with_capacity(words.size_hint().0);
+    for (pc, word) in words.enumerate() {
         match Instruction::decode(word) {
             Ok(insn) => insns.push(insn),
             Err(_) => return (insns, Some(pc)),
@@ -522,5 +527,23 @@ mod tests {
             mem: PacketOperand::Sp
         }
         .writes_switch());
+    }
+
+    #[test]
+    fn decode_program_allocates_exactly_once() {
+        let word = Instruction::Add.encode().unwrap();
+        let (insns, bad_at) = decode_program([word; 10]);
+        assert_eq!((insns.len(), bad_at), (10, None));
+        assert_eq!(
+            insns.capacity(),
+            10,
+            "sized from the size hint, never regrown"
+        );
+        // A bad word stops decoding; the prefix keeps its one allocation.
+        let mut words = [word; 10];
+        words[4] = 0xffff_ffff;
+        let (insns, bad_at) = decode_program(words);
+        assert_eq!((insns.len(), bad_at), (4, Some(4)));
+        assert_eq!(insns.capacity(), 10);
     }
 }

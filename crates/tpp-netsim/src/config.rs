@@ -45,7 +45,8 @@ pub struct SimConfig {
     /// from the start with ring series of that capacity (see
     /// [`crate::series`]).
     pub series_capacity: Option<usize>,
-    /// Retired frame buffers each shard's pool retains for reuse.
+    /// Retired frame buffers each shard's pool retains for reuse, per
+    /// size class (see [`crate::pool`]).
     pub frame_pool_buffers: usize,
     /// Enable ECMP routing: at build time an equal-cost next-hop table
     /// is derived from the topology (all shortest paths, not just the
@@ -127,7 +128,8 @@ impl SimConfig {
         self
     }
 
-    /// Bound each shard's frame pool to `buffers` retired buffers.
+    /// Bound each shard's frame pool to `buffers` retired buffers per
+    /// size class.
     pub fn frame_pool_buffers(mut self, buffers: usize) -> Self {
         self.frame_pool_buffers = buffers;
         self

@@ -129,18 +129,20 @@ impl HostCtx<'_> {
     }
 
     /// An empty buffer with at least `capacity` bytes reserved, drawn
-    /// from the simulator's frame pool. Heavy senders that build frames
-    /// into this buffer reuse the capacity of frames the network already
-    /// consumed instead of hitting the allocator per packet.
+    /// from the simulator's frame pool. Senders that build frames into
+    /// this buffer reuse the capacity of frames the network (or another
+    /// app) already consumed instead of hitting the allocator per
+    /// packet. Ask for the frame's real length: the pool serves small
+    /// and full-size requests from separate lists.
     pub fn alloc_frame(&mut self, capacity: usize) -> Vec<u8> {
         self.pool.alloc(capacity)
     }
 
     /// Return a consumed frame's capacity to the simulator's frame pool.
-    /// Delivered frames are owned by the receiving app; apps that are
-    /// done with one can hand it back here so the next
-    /// [`alloc_frame`](Self::alloc_frame) anywhere in the simulation
-    /// reuses the allocation.
+    /// Delivered frames are owned by the receiving app: one that does
+    /// not send the buffer back out (an echo) hands it back here when it
+    /// is done, so the next [`alloc_frame`](Self::alloc_frame) anywhere
+    /// on this shard reuses the allocation.
     pub fn recycle_frame(&mut self, frame: Vec<u8>) {
         self.pool.recycle(frame);
     }

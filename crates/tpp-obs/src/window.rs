@@ -114,8 +114,11 @@ impl WindowAgg {
 pub struct WindowedSeries {
     width_ns: u64,
     closed: Vec<WindowAgg>,
-    /// Open window: `(window index, samples so far)`.
-    open: Option<(u64, Vec<u64>)>,
+    /// Index of the open window, if any.
+    open: Option<u64>,
+    /// The open window's samples so far. One buffer for the life of the
+    /// series: sealing a window empties it but keeps its capacity.
+    samples: Vec<u64>,
 }
 
 impl WindowedSeries {
@@ -125,6 +128,7 @@ impl WindowedSeries {
             width_ns: width_ns.max(1),
             closed: Vec::new(),
             open: None,
+            samples: Vec::new(),
         }
     }
 
@@ -154,14 +158,11 @@ impl WindowedSeries {
     /// the open window (never a closed one), keeping the fold total.
     pub fn push(&mut self, t_ns: u64, value: u64) {
         let idx = t_ns / self.width_ns;
-        match &mut self.open {
-            Some((open_idx, vals)) if idx <= *open_idx => vals.push(value),
-            Some(_) => {
-                self.seal();
-                self.open = Some((idx, vec![value]));
-            }
-            None => self.open = Some((idx, vec![value])),
+        if self.open.is_none_or(|open_idx| idx > open_idx) {
+            self.seal();
+            self.open = Some(idx);
         }
+        self.samples.push(value);
     }
 
     /// Seal the open window (if any); call after the last sample.
@@ -170,9 +171,10 @@ impl WindowedSeries {
     }
 
     fn seal(&mut self) {
-        let Some((idx, mut vals)) = self.open.take() else {
+        let Some(idx) = self.open.take() else {
             return;
         };
+        let vals = &mut self.samples;
         vals.sort_unstable();
         self.closed.push(WindowAgg {
             start_ns: idx * self.width_ns,
@@ -180,9 +182,10 @@ impl WindowedSeries {
             min: vals[0],
             max: *vals.last().expect("non-empty window"),
             sum: vals.iter().sum(),
-            p50: nearest_rank(&vals, 1, 2),
-            p99: nearest_rank(&vals, 99, 100),
+            p50: nearest_rank(vals, 1, 2),
+            p99: nearest_rank(vals, 99, 100),
         });
+        vals.clear();
     }
 
     /// The sealed windows, oldest first.
@@ -301,6 +304,26 @@ mod tests {
                 "width {width} diverged after stride doubling"
             );
         }
+    }
+
+    #[test]
+    fn one_sample_buffer_serves_every_window() {
+        // Ten samples per window; by the third the buffer has its size.
+        let mut w = WindowedSeries::new(10);
+        for i in 0..25u64 {
+            w.push(i, i);
+        }
+        let (buffer, capacity) = (w.samples.as_ptr(), w.samples.capacity());
+        for i in 25..4_000u64 {
+            w.push(i, mix(i) % 1_000);
+        }
+        w.finish();
+        assert_eq!(w.windows().len(), 400);
+        assert_eq!(
+            (w.samples.as_ptr(), w.samples.capacity()),
+            (buffer, capacity),
+            "sealing must not drop or regrow the sample buffer"
+        );
     }
 
     #[test]

@@ -107,7 +107,7 @@ impl AimdSender {
             return;
         }
         let now = ctx.now();
-        while let Some(frame) = self.sender.poll(now, ctx.mac()) {
+        while let Some(frame) = self.sender.poll(now, ctx.mac(), |n| ctx.alloc_frame(n)) {
             // PacedSender wrote the sequence number in payload[0..4].
             let seq = u32::from_be_bytes([frame[14], frame[15], frame[16], frame[17]]);
             self.outstanding.insert(seq, now);

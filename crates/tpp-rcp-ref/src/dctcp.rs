@@ -114,7 +114,7 @@ impl DctcpSender {
     /// Wrap the pacer's datagram into a header-only TPP so switches can
     /// ECN-mark it.
     fn markable_frame(&mut self, now: u64, mac: EthernetAddress) -> Option<(u32, Vec<u8>)> {
-        let inner = self.pacer.poll(now, mac)?;
+        let inner = self.pacer.poll(now, mac, Vec::with_capacity)?;
         let parsed = Frame::new_checked(&inner[..]).expect("own frame");
         let seq = u32::from_be_bytes(parsed.payload()[0..4].try_into().expect("4 bytes"));
         let tpp = TppBuilder::new(AddressingMode::Stack)

@@ -174,6 +174,21 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Frame<T> {
     }
 }
 
+/// Append an Ethernet II header to `buf`. The caller appends the payload
+/// behind it; writing into a buffer the caller owns (typically one from
+/// the simulator's frame pool) is what keeps the send path off the
+/// allocator.
+pub fn write_header(
+    buf: &mut Vec<u8>,
+    dst: EthernetAddress,
+    src: EthernetAddress,
+    ethertype: EtherType,
+) {
+    buf.extend_from_slice(&dst.0);
+    buf.extend_from_slice(&src.0);
+    buf.extend_from_slice(&ethertype.0.to_be_bytes());
+}
+
 /// Build an owned Ethernet frame around a payload.
 pub fn build_frame(
     dst: EthernetAddress,
@@ -181,14 +196,9 @@ pub fn build_frame(
     ethertype: EtherType,
     payload: &[u8],
 ) -> Vec<u8> {
-    let mut buf = vec![0u8; ETHERNET_HEADER_LEN + payload.len()];
-    {
-        let mut frame = Frame::new_unchecked(&mut buf[..]);
-        frame.set_dst_addr(dst);
-        frame.set_src_addr(src);
-        frame.set_ethertype(ethertype);
-        frame.payload_mut().copy_from_slice(payload);
-    }
+    let mut buf = Vec::with_capacity(ETHERNET_HEADER_LEN + payload.len());
+    write_header(&mut buf, dst, src, ethertype);
+    buf.extend_from_slice(payload);
     buf
 }
 

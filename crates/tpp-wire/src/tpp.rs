@@ -296,10 +296,18 @@ impl<T: AsRef<[u8]>> TppPacket<T> {
     /// enforcement to execution time, so a corrupted or maliciously set
     /// stack pointer must degrade to a short read, not a panic.
     pub fn stack_words(&self) -> Vec<u32> {
-        let limit = self.sp().min(self.mem_len());
-        (0..limit / WORD_SIZE)
-            .map(|i| self.read_word(i * WORD_SIZE).expect("in bounds"))
+        let range = self.stack_range();
+        self.buffer.as_ref()[range]
+            .chunks_exact(WORD_SIZE)
+            .map(|w| get_u32(w, 0))
             .collect()
+    }
+
+    /// Buffer range of the whole words below the (clamped) stack pointer.
+    fn stack_range(&self) -> core::ops::Range<usize> {
+        let base = self.mem_base();
+        let limit = self.sp().min(self.mem_len()) / WORD_SIZE * WORD_SIZE;
+        base..base + limit
     }
 
     /// The encapsulated payload following the TPP section (§2: a TPP
@@ -315,6 +323,18 @@ impl<T: AsRef<[u8]>> TppPacket<T> {
     }
 }
 
+impl<'a> TppPacket<&'a [u8]> {
+    /// The pushed words (`memory[0..sp]`, big-endian, `sp` clamped like
+    /// [`stack_words`](Self::stack_words)) as they lie in the packet.
+    ///
+    /// Borrowed from the underlying buffer, not from this view, so an
+    /// end-host decoder can return per-hop views that outlive the
+    /// `TppPacket` it parsed them with — no copy out of packet memory.
+    pub fn stack_bytes(&self) -> &'a [u8] {
+        &self.buffer[self.stack_range()]
+    }
+}
+
 impl<T: AsRef<[u8]> + AsMut<[u8]>> TppPacket<T> {
     /// Set the flag byte.
     pub fn set_flags(&mut self, flags: u8) {
@@ -324,6 +344,11 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> TppPacket<T> {
     /// Set the hop counter.
     pub fn set_hop(&mut self, hop: u8) {
         self.buffer.as_mut()[9] = hop;
+    }
+
+    /// Set the EtherType of the encapsulated payload.
+    pub fn set_inner_ethertype(&mut self, ethertype: u16) {
+        put_u16(self.buffer.as_mut(), 14, ethertype);
     }
 
     /// Increment the hop counter (saturating). Each executing TCPU calls
@@ -456,13 +481,21 @@ impl TppBuilder {
         self
     }
 
-    /// Serialize to bytes (the Ethernet payload of a TPP frame).
+    /// Bytes [`build_into`](Self::build_into) will append.
+    pub fn encoded_len(&self) -> usize {
+        TPP_HEADER_LEN
+            + (self.instructions.len() + self.memory.len()) * WORD_SIZE
+            + self.payload.len()
+    }
+
+    /// Append the serialized TPP section and its payload to `buf` (behind
+    /// an Ethernet header the caller already wrote, typically).
     ///
     /// # Panics
     /// Panics if the program exceeds [`MAX_INSTRUCTIONS`] or any section
     /// exceeds the 16-bit length fields; both are programmer errors at
     /// packet construction time, not wire-input errors.
-    pub fn build(&self) -> Vec<u8> {
+    pub fn build_into(&self, buf: &mut Vec<u8>) {
         assert!(
             self.instructions.len() <= MAX_INSTRUCTIONS,
             "TPP limited to {MAX_INSTRUCTIONS} instructions"
@@ -471,25 +504,25 @@ impl TppBuilder {
         let mem_len = self.memory.len() * WORD_SIZE;
         let tpp_len = TPP_HEADER_LEN + insn_len + mem_len;
         assert!(tpp_len <= u16::MAX as usize, "TPP section too large");
-        let mut buf = vec![0u8; tpp_len + self.payload.len()];
-        buf[0] = 1; // version
-        buf[1] = 0; // flags
-        put_u16(&mut buf, 2, tpp_len as u16);
-        put_u16(&mut buf, 4, insn_len as u16);
-        put_u16(&mut buf, 6, mem_len as u16);
-        buf[8] = self.mode.to_wire();
-        buf[9] = 0; // hop
-        put_u16(&mut buf, 10, 0); // sp
-        put_u16(&mut buf, 12, self.per_hop_len as u16);
-        put_u16(&mut buf, 14, self.inner_ethertype);
-        for (i, word) in self.instructions.iter().enumerate() {
-            put_u32(&mut buf, TPP_HEADER_LEN + i * WORD_SIZE, *word);
+        buf.reserve(self.encoded_len());
+        buf.extend_from_slice(&[1, 0]); // version, flags
+        buf.extend_from_slice(&(tpp_len as u16).to_be_bytes());
+        buf.extend_from_slice(&(insn_len as u16).to_be_bytes());
+        buf.extend_from_slice(&(mem_len as u16).to_be_bytes());
+        buf.extend_from_slice(&[self.mode.to_wire(), 0, 0, 0]); // mode, hop, sp
+        buf.extend_from_slice(&(self.per_hop_len as u16).to_be_bytes());
+        buf.extend_from_slice(&self.inner_ethertype.to_be_bytes());
+        for word in self.instructions.iter().chain(&self.memory) {
+            buf.extend_from_slice(&word.to_be_bytes());
         }
-        let mem_base = TPP_HEADER_LEN + insn_len;
-        for (i, word) in self.memory.iter().enumerate() {
-            put_u32(&mut buf, mem_base + i * WORD_SIZE, *word);
-        }
-        buf[tpp_len..].copy_from_slice(&self.payload);
+        buf.extend_from_slice(&self.payload);
+    }
+
+    /// Serialize to owned bytes (the Ethernet payload of a TPP frame);
+    /// see [`build_into`](Self::build_into) for the panics.
+    pub fn build(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        self.build_into(&mut buf);
         buf
     }
 }
@@ -520,6 +553,41 @@ mod tests {
         assert_eq!(tpp.hop(), 0);
         assert_eq!(tpp.sp(), 0);
         assert_eq!(tpp.inner_payload(), b"app");
+    }
+
+    #[test]
+    fn build_into_appends_behind_existing_bytes() {
+        let builder = TppBuilder::new(AddressingMode::Hop)
+            .instructions(&[1, 2])
+            .memory_init(&[7, 8, 9])
+            .per_hop_words(1)
+            .payload(b"xy")
+            .inner_ethertype(0x0802);
+        let mut buf = vec![0xAA; 14];
+        builder.build_into(&mut buf);
+        assert_eq!(&buf[..14], &[0xAA; 14]);
+        assert_eq!(&buf[14..], &builder.build()[..]);
+        assert_eq!(buf.len(), 14 + builder.encoded_len());
+    }
+
+    #[test]
+    fn stack_bytes_outlives_the_view_and_clamps_sp() {
+        let mut bytes = TppBuilder::new(AddressingMode::Stack)
+            .instructions(&[0])
+            .memory_words(2)
+            .build();
+        let mut tpp = TppPacket::new_checked(&mut bytes[..]).unwrap();
+        tpp.push_word(0x0102_0304).unwrap();
+        let stack = {
+            let view = TppPacket::new_checked(&bytes[..]).unwrap();
+            view.stack_bytes()
+        };
+        assert_eq!(stack, &[1, 2, 3, 4]);
+        // An `sp` beyond packet memory degrades to a short read.
+        bytes[10..12].copy_from_slice(&400u16.to_be_bytes());
+        let view = TppPacket::new_unchecked(&bytes[..]);
+        assert_eq!(view.stack_bytes().len(), 8);
+        assert_eq!(view.stack_words(), vec![0x0102_0304, 0]);
     }
 
     #[test]

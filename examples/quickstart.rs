@@ -48,10 +48,11 @@ impl HostApp for Sink {
             tpp.hop(),
             tpp.sp(),
         );
-        for hop in &sample.hops {
+        for hop in sample.hops() {
             out.push_str(&format!(
                 "  hop {}: queue size = {} bytes\n",
-                hop.hop, hop.words[0]
+                hop.hop,
+                hop.word(0)
             ));
         }
         self.report = Some(out);

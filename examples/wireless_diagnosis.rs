@@ -78,9 +78,9 @@ struct Station {
 }
 
 impl HostApp for Station {
-    fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
-        if let Some(reply) = tpp::host::echo_reply(&frame, ctx.mac()) {
-            ctx.send(reply);
+    fn on_frame(&mut self, mut frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
+        if tpp::host::echo_in_place(&mut frame, ctx.mac()) {
+            ctx.send(frame);
             return;
         }
         if let Ok(parsed) = Frame::new_checked(&frame[..]) {
@@ -89,6 +89,7 @@ impl HostApp for Station {
                 self.received.push(seq);
             }
         }
+        ctx.recycle_frame(frame);
     }
 }
 

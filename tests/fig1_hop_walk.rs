@@ -87,19 +87,19 @@ fn figure1_walk_records_one_queue_sample_per_hop() {
     assert_eq!(tpp.mem_len(), 12, "memory was preallocated, never grown");
 
     let sample = split_hops(&tpp, 1).unwrap();
-    assert_eq!(sample.hop_count, 3);
+    assert_eq!(sample.hop_count(), 3);
     // The probe was sent right behind two 1014-byte data frames through
     // a slow first link: hop 0 must have seen queued bytes, and the
     // recorded value is an exact byte count, not an average.
     assert!(
-        sample.hops[0].words[0] >= 1014,
+        sample.hop(0).unwrap().word(0) >= 1014,
         "hop 0 should have observed the data backlog, got {:?}",
-        sample.column(0)
+        sample.column(0).collect::<Vec<_>>()
     );
     // Downstream hops drain at the same rate they fill (same capacity),
     // so the probe — which waited its turn at hop 0 — finds little or
     // nothing queued later.
-    assert!(sample.hops[2].words[0] < 3 * 1014);
+    assert!(sample.hop(2).unwrap().word(0) < 3 * 1014);
 
     // Golden snapshot: the full hop walk, pinned exactly. The range
     // assertions above catch gross breakage; this catches any silent
@@ -111,10 +111,9 @@ fn figure1_walk_records_one_queue_sample_per_hop() {
         .map(|(t, _)| *t)
         .unwrap();
     let per_hop: Vec<String> = sample
-        .hops
-        .iter()
+        .hops()
         .map(|h| {
-            let words: Vec<String> = h.words.iter().map(|w| w.to_string()).collect();
+            let words: Vec<String> = h.words().map(|w| w.to_string()).collect();
             format!("    [{}]", words.join(", "))
         })
         .collect();

@@ -96,13 +96,12 @@ fn tpp_unaware_middle_switch_is_invisible_to_collection() {
     assert_eq!(tpp.hop(), 2, "dark switch must not count as a hop");
 
     let sample = decode_echo(frame, EthernetAddress::from_host_id(0), WPH).expect("clean layout");
-    assert_eq!(sample.hop_count, 2);
-    assert_eq!(sample.hops.len(), 2);
+    assert_eq!(sample.hop_count(), 2);
     // Hop slots are contiguous — no gap where the dark switch sits.
-    let slots: Vec<usize> = sample.hops.iter().map(|h| h.hop).collect();
+    let slots: Vec<usize> = sample.hops().map(|h| h.hop).collect();
     assert_eq!(slots, vec![0, 1]);
     // And they belong to switches 1 and 3; switch 2 pushed nothing.
-    let ids: Vec<u32> = sample.hops.iter().map(|h| h.words[0]).collect();
+    let ids: Vec<u32> = sample.column(0).collect();
     assert_eq!(ids, vec![1, 3]);
 }
 
@@ -114,7 +113,7 @@ fn full_deployment_sees_every_switch() {
     let left = sim.host_app::<PathProbe>(tpp::netsim::HostId(0));
     let frame = left.echo.as_ref().expect("echo came back");
     let sample = decode_echo(frame, EthernetAddress::from_host_id(0), WPH).expect("clean layout");
-    let ids: Vec<u32> = sample.hops.iter().map(|h| h.words[0]).collect();
+    let ids: Vec<u32> = sample.column(0).collect();
     assert_eq!(ids, vec![1, 2, 3], "all three switches execute");
 }
 

@@ -44,7 +44,7 @@ fn fig1_enqueue_depths_match_hop_records() {
     let parsed = Frame::new_checked(&frame[..]).unwrap();
     let tpp = TppPacket::new_checked(parsed.payload()).unwrap();
     let sample = split_hops(&tpp, 1).unwrap();
-    let hop_depths: Vec<u64> = sample.hops.iter().map(|h| h.words[0] as u64).collect();
+    let hop_depths: Vec<u64> = sample.column(0).map(u64::from).collect();
     assert_eq!(hop_depths, vec![0x00, 0xa0, 0x0e]);
 
     // ...must agree with what the pipeline trace recorded. The probe's
