@@ -412,6 +412,10 @@ struct ClosedOut {
     sim_ns: u64,
     wall_s: f64,
     events: u64,
+    /// Conservative windows stepped (every shard steps each of them)
+    /// and events mailed across a shard boundary, over all shards.
+    windows: u64,
+    events_mailed: u64,
 }
 
 /// One closed-loop run at a given shard count/driver. The returned
@@ -568,6 +572,7 @@ fn run_closed(s: &ClosedScenario, shards: usize, sequential: bool) -> ClosedOut 
     };
 
     let goodput_bytes: u64 = completions.iter().map(|c| c.bytes as u64).sum();
+    let sync = sim.shard_sync_stats();
     ClosedOut {
         switches: switches.len(),
         hosts: n_hosts,
@@ -583,6 +588,8 @@ fn run_closed(s: &ClosedScenario, shards: usize, sequential: bool) -> ClosedOut 
         sim_ns: run_ns,
         wall_s,
         events: sim.events_processed(),
+        windows: sync[0].windows,
+        events_mailed: sync.iter().map(|s| s.events_mailed).sum(),
     }
 }
 
@@ -602,7 +609,8 @@ fn run_closed_matrix(s: &ClosedScenario) -> (ClosedOut, Vec<(&'static str, u64)>
         let out = run_closed(s, *shards, *sequential);
         println!(
             "closed[{name:<17}] {}/{} flows completed, {} retransmits \
-             ({} RTO, {} fast), fingerprint 0x{:016x} in {:.2} s wall",
+             ({} RTO, {} fast), fingerprint 0x{:016x} in {:.2} s wall; \
+             {} windows of {:.1} events, {} mailed",
             out.completed,
             out.flows_total,
             out.stats.retransmits,
@@ -610,6 +618,9 @@ fn run_closed_matrix(s: &ClosedScenario) -> (ClosedOut, Vec<(&'static str, u64)>
             out.stats.fast_retransmits,
             out.fingerprint,
             out.wall_s,
+            out.windows,
+            out.events as f64 / out.windows.max(1) as f64,
+            out.events_mailed,
         );
         outs.push((*name, out));
     }

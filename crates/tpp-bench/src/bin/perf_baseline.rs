@@ -413,10 +413,12 @@ fn run_netsim_workload() -> String {
 
     // The 1-shard row is the tracked baseline CI gates on; the 4-shard
     // rows measure what the windowed scheduler costs (sequential) and
-    // what threading buys on this machine's core count (threaded). On a
-    // single-core box the threaded row is expected to *lose* to 1 shard
-    // — barrier churn with nothing to run in parallel — which is why
-    // every row carries the `cores` context field.
+    // what threading buys on this machine's core count (threaded).
+    // The storm keeps few events in flight, so a window holds only a
+    // few per shard and the threaded row reads the cost of the
+    // per-window synchronisation, not a speed-up — least of all with
+    // more shards than `cores`, where a waiting shard's yield is a real
+    // context switch. Every row carries that field for this reason.
     let rows = [
         run_netsim_row("1_shard", 1, true, SimConfig::new().shards(1), SIM_MS),
         run_netsim_row(

@@ -10,18 +10,21 @@
 //! of any inter-shard link — no frame sent inside the window can arrive
 //! at another shard before the window closes. Frames that cross a shard
 //! boundary are pushed into the destination shard's mailbox and drained
-//! into its queue at the next window barrier.
+//! into its queue after the window's one synchronisation, a `min`
+//! all-reduce of where the next window opens ([`MinReduce`]).
 //!
 //! Determinism does not depend on the schedule: every queue orders by
 //! the canonical [`EventKey`], which is derived from event content, so
 //! the order in which mailbox items were deposited (or which thread ran
-//! first) is irrelevant. The sequential and threaded drivers execute
-//! the identical window schedule, and a one-shard run degenerates to
-//! the classic single event loop.
+//! first) is irrelevant. The sequential and threaded drivers run the
+//! same loop ([`drive`]) over the identical window schedule, and a
+//! one-shard run degenerates to the classic single event loop.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Barrier, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
+use std::sync::atomic::{AtomicBool, AtomicU64};
+use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -50,9 +53,27 @@ pub(crate) fn mix64(seed: u64, key: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Deterministic window-protocol counters of one shard: equal for the
+/// sequential and the threaded driver, and across repeated runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardSyncStats {
+    /// Conservative windows this shard stepped.
+    pub windows: u64,
+    /// Events this shard mailed to another shard.
+    pub events_mailed: u64,
+}
+
+/// One destination shard's mailbox, alone on its cache lines.
+#[derive(Default)]
+#[repr(align(128))]
+pub(crate) struct Inbox(pub(crate) Mutex<Vec<Event>>);
+
 /// Mutable state owned by one shard: its event queue and the per-shard
 /// halves of every cross-cutting facility (pool, counters, taps, trace
 /// sink). Aggregated views are summed by the `Simulator` accessors.
+/// Aligned: the per-event `processed` bump must not share a cache line
+/// with the neighbouring shard's queue.
+#[repr(align(128))]
 pub(crate) struct ShardState {
     pub(crate) events: EventQueue,
     pub(crate) pool: FramePool,
@@ -65,6 +86,7 @@ pub(crate) struct ShardState {
     pub(crate) taps: HashMap<(NodeId, PortId), Vec<TapRecord>>,
     pub(crate) sink: Option<SharedSink>,
     pub(crate) processed: u64,
+    pub(crate) sync: ShardSyncStats,
 }
 
 impl ShardState {
@@ -78,6 +100,7 @@ impl ShardState {
             taps: HashMap::new(),
             sink: None,
             processed: 0,
+            sync: ShardSyncStats::default(),
         }
     }
 }
@@ -96,7 +119,7 @@ pub(crate) struct ShardRun<'a> {
     pub(crate) switch_links: &'a mut [Vec<Option<Link>>],
     pub(crate) host_links: &'a mut [Vec<Option<Link>>],
     pub(crate) state: &'a mut ShardState,
-    pub(crate) inboxes: &'a [Mutex<Vec<Event>>],
+    pub(crate) inboxes: &'a [Inbox],
     pub(crate) l2_routes: &'a [Vec<(EthernetAddress, PortId)>],
     /// Equal-cost next-hop table, present only under
     /// [`SimConfig::ecmp`](crate::SimConfig::ecmp); shared read-only by
@@ -104,19 +127,22 @@ pub(crate) struct ShardRun<'a> {
     pub(crate) ecmp: Option<&'a crate::routing::EcmpTable>,
     pub(crate) fault_seed: u64,
     pub(crate) fault_epoch: u32,
+    /// End of the window being stepped: no mail may arrive before it.
+    pub(crate) window_end: u64,
+    /// Earliest arrival time mailed to another shard this window.
+    pub(crate) mailed_min: u64,
 }
 
 impl ShardRun<'_> {
-    /// Move mailbox deliveries into the event queue. Items deposited by
-    /// other shards during the previous window all lie at or beyond the
-    /// current barrier, so delivery is never late. The mailbox contents
-    /// are swapped into a per-shard scratch buffer: the lock is held
-    /// only for the swap, and the two buffers' capacities are reused
-    /// across windows instead of reallocating.
+    /// Move mailbox deliveries into the event queue; they all lie at or
+    /// beyond the end of the window they were sent in, so delivery is
+    /// never late. The mailbox contents are swapped into a per-shard
+    /// scratch buffer: the lock is held only for the swap, and the two
+    /// buffers' capacities are reused across windows.
     pub(crate) fn drain_inbox(&mut self) {
         let mut scratch = std::mem::take(&mut self.state.inbox_scratch);
         {
-            let mut inbox = self.inboxes[self.idx].lock().expect("inbox lock");
+            let mut inbox = self.inboxes[self.idx].0.lock().expect("inbox lock");
             std::mem::swap(&mut *inbox, &mut scratch);
         }
         for event in scratch.drain(..) {
@@ -126,14 +152,20 @@ impl ShardRun<'_> {
     }
 
     /// Time of this shard's earliest pending event.
-    pub(crate) fn next_pending(&self) -> u64 {
+    fn next_pending(&self) -> u64 {
         self.state.events.peek_time().unwrap_or(u64::MAX)
     }
 
-    /// Process every pending event strictly before `end_exclusive`.
-    pub(crate) fn step_until(&mut self, end_exclusive: u64) {
+    /// Step one conservative window: process every pending event
+    /// strictly before `end`. Returns this shard's share of where the
+    /// next window opens: its own earliest pending event or the earliest
+    /// arrival it mailed (still in a peer's inbox), whichever is first.
+    fn window(&mut self, end: u64) -> u64 {
+        self.window_end = end;
+        self.mailed_min = u64::MAX;
+        self.state.sync.windows += 1;
         while let Some(key) = self.state.events.peek_key() {
-            if key.time >= end_exclusive {
+            if key.time >= end {
                 break;
             }
             let event = self.state.events.pop().expect("peeked");
@@ -141,6 +173,7 @@ impl ShardRun<'_> {
             self.state.processed += 1;
             self.dispatch(event.kind);
         }
+        self.next_pending().min(self.mailed_min)
     }
 
     fn dispatch(&mut self, kind: EventKind) {
@@ -410,7 +443,7 @@ impl ShardRun<'_> {
     /// shard's queue or, across a shard boundary, in the destination
     /// shard's mailbox — propagation delay of inter-shard links is at
     /// least the lookahead, so the frame always arrives at or beyond
-    /// the next window barrier.
+    /// the end of the current window.
     fn transmit(&mut self, from: NodeId, port: PortId, tx_ns: u64, frame: Vec<u8>) {
         if !self.state.taps.is_empty() {
             self.tap(from, port, TapDir::Tx, &frame);
@@ -540,7 +573,13 @@ impl ShardRun<'_> {
         if shard == self.idx {
             self.state.events.push_event(event);
         } else {
-            self.inboxes[shard].lock().expect("inbox lock").push(event);
+            // What the whole scheme rests on: an earlier arrival would
+            // be silently reordered at the receiver.
+            debug_assert!(event.key.time >= self.window_end, "mail inside window");
+            self.mailed_min = self.mailed_min.min(event.key.time);
+            self.state.sync.events_mailed += 1;
+            let mut inbox = self.inboxes[shard].0.lock().expect("inbox lock");
+            inbox.push(event);
         }
     }
 
@@ -662,161 +701,190 @@ fn pick_tpp_bit(rng: &mut StdRng, frame: &[u8]) -> Option<(usize, u8)> {
     Some((byte, bit))
 }
 
-/// Step every shard through conservative windows until no shard holds a
-/// pending event before `limit`. The sequential and threaded drivers
-/// execute the identical window schedule — windows always open at the
-/// *global* minimum pending time — so results are bit-identical.
-pub(crate) fn step_shards(
-    runs: &mut [ShardRun<'_>],
-    limit: u64,
-    lookahead_ns: u64,
-    parallel: bool,
-) {
+/// One driver call: windows until no shard holds a pending event before
+/// `end_exclusive`, the shards ticking their own switches at
+/// `next_tick_ns` and every `tick_interval_ns` after it while that lies
+/// before the end (a tick *at* the end is left to the caller).
+#[derive(Clone, Copy)]
+pub(crate) struct Schedule {
+    pub(crate) next_tick_ns: u64,
+    pub(crate) tick_interval_ns: u64,
+    pub(crate) end_exclusive: u64,
+    pub(crate) lookahead_ns: u64,
+}
+
+/// Run `sched` with one thread stepping the shards in turn or, threaded,
+/// one scoped worker per shard meeting once per window in a
+/// [`MinReduce`]. Both run [`drive`], so results are bit-identical.
+pub(crate) fn run_shards(runs: &mut [ShardRun<'_>], sched: Schedule, parallel: bool) {
     if runs.len() <= 1 || !parallel {
-        step_shards_sequential(runs, limit, lookahead_ns);
-    } else {
-        step_shards_parallel(runs, limit, lookahead_ns);
+        return drive(runs, sched, |local| local);
     }
+    let reduce = &MinReduce::new(runs.len());
+    std::thread::scope(|scope| {
+        for (i, run) in runs.chunks_mut(1).enumerate() {
+            scope.spawn(move || {
+                let worker = || drive(run, sched, |local| reduce.all_min(i, local));
+                if let Err(panic) = catch_unwind(AssertUnwindSafe(worker)) {
+                    // Fail the peers too; they would wait forever.
+                    reduce.poisoned.store(true, Relaxed);
+                    resume_unwind(panic);
+                }
+            });
+        }
+    });
 }
 
-fn step_shards_sequential(runs: &mut [ShardRun<'_>], limit: u64, lookahead_ns: u64) {
+/// The window loop over the shards one thread steps (all of them, or
+/// one per worker). A window opens at the *global* minimum pending
+/// time, which `all_min` completes from this thread's share; that
+/// reduction is all the synchronisation a window pays. Every peer
+/// publishes after the last `deliver` of its window, so the drain after
+/// the reduction sees all mail of that window; mail a faster peer has
+/// already sent from the next one arrives at or beyond
+/// `open + lookahead`, where that window ends at the latest, so taking
+/// it early is harmless. A stats tick at `T` happens once the minimum
+/// says nothing is pending below `T`; it touches shard-owned switches
+/// only. Inboxes are empty whenever no window is open.
+fn drive(runs: &mut [ShardRun<'_>], sched: Schedule, mut all_min: impl FnMut(u64) -> u64) {
+    let mut next_tick = sched.next_tick_ns;
+    let mut limit = next_tick.min(sched.end_exclusive);
+    let mut local = runs.iter().fold(u64::MAX, |m, r| m.min(r.next_pending()));
     loop {
-        let mut min_pending = u64::MAX;
-        for run in runs.iter_mut() {
-            run.drain_inbox();
-            min_pending = min_pending.min(run.next_pending());
+        let open = all_min(local);
+        runs.iter_mut().for_each(ShardRun::drain_inbox);
+        while open >= limit {
+            if next_tick >= sched.end_exclusive {
+                return;
+            }
+            for sw in runs.iter_mut().flat_map(|run| run.switches.iter_mut()) {
+                sw.asic.tick(next_tick);
+            }
+            next_tick += sched.tick_interval_ns;
+            limit = next_tick.min(sched.end_exclusive);
         }
-        if min_pending >= limit {
-            return;
-        }
-        // Jump straight to the earliest work: empty windows are skipped,
-        // so sparse simulations don't spin through barriers.
-        let end = limit.min(min_pending.saturating_add(lookahead_ns));
-        for run in runs.iter_mut() {
-            run.step_until(end);
-        }
+        // Open at the earliest work: sparse runs skip the empty windows.
+        let end = limit.min(open.saturating_add(sched.lookahead_ns));
+        local = runs.iter_mut().fold(u64::MAX, |m, r| m.min(r.window(end)));
     }
 }
 
-/// Drive the whole tick schedule of a `RunLimit::Until` run through one
-/// persistent worker per shard: window-step to each tick, tick the
-/// shard's own switches at the barrier, and continue to the next tick —
-/// instead of spawning fresh threads (and a fresh [`Barrier`]) for every
-/// tick interval, which cost ~14 heap allocations per tick and dominated
-/// the threaded allocation count in `perf_baseline`.
-///
-/// The window protocol is identical to [`step_shards_parallel`], so the
-/// event schedule — and therefore every simulation result — is
-/// bit-identical. A stats tick at `T` happens once every shard has
-/// agreed (via the shared minimum) that nothing is pending strictly
-/// below `T`, matching the coordinator-driven path; ticking touches only
-/// shard-owned switches, so no extra barrier is needed around it.
-///
-/// `Simulator::run` falls back to per-tick stepping when a series set is
-/// sampled (the sampler needs the whole fleet in one place) or when
-/// running tick-by-tick toward quiescence.
-pub(crate) fn run_windows_parallel(
-    runs: &mut [ShardRun<'_>],
-    first_tick_ns: u64,
-    tick_interval_ns: u64,
-    t_end_ns: u64,
-    lookahead_ns: u64,
-) {
-    let barrier = Barrier::new(runs.len());
-    let slots = [AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)];
-    std::thread::scope(|scope| {
-        for (i, run) in runs.iter_mut().enumerate() {
-            let barrier = &barrier;
-            let slots = &slots;
-            scope.spawn(move || {
-                let leader = i == 0;
-                let mut round = 0usize;
-                let mut next_tick = first_tick_ns;
-                loop {
-                    // The same window limit the per-tick driver would
-                    // use: the next stats tick, or one past the end for
-                    // the final drain.
-                    let limit = if next_tick <= t_end_ns {
-                        next_tick
-                    } else {
-                        t_end_ns.saturating_add(1)
-                    };
-                    loop {
-                        run.drain_inbox();
-                        slots[round & 1].fetch_min(run.next_pending(), AtomicOrdering::AcqRel);
-                        barrier.wait();
-                        if leader {
-                            slots[(round + 1) & 1].store(u64::MAX, AtomicOrdering::Release);
-                        }
-                        barrier.wait();
-                        let min_pending = slots[round & 1].load(AtomicOrdering::Acquire);
-                        if min_pending >= limit {
-                            // Nobody steps this round (the minimum is
-                            // global), so nobody mails: the second
-                            // barrier is enough to move on, on every
-                            // thread alike.
-                            round += 1;
-                            break;
-                        }
-                        run.step_until(limit.min(min_pending.saturating_add(lookahead_ns)));
-                        barrier.wait();
-                        round += 1;
-                    }
-                    if next_tick > t_end_ns {
-                        return;
-                    }
-                    run.now_ns = next_tick;
-                    for sw in run.switches.iter_mut() {
-                        sw.asic.tick(next_tick);
-                    }
-                    next_tick += tick_interval_ns;
-                }
-            });
-        }
-    });
+/// One shard's slot of a [`MinReduce`], alone on its cache lines.
+#[derive(Default)]
+#[repr(align(128))]
+struct ReduceSlot {
+    /// Rounds published; written by the owner only.
+    round: AtomicU64,
+    /// Published values by round parity. Two suffice: a peer cannot
+    /// publish two rounds ahead before all have read the one between.
+    value: [AtomicU64; 2],
 }
 
-/// Threaded driver: one scoped worker per shard, synchronized per window
-/// by a [`Barrier`]. The global minimum pending time is agreed through
-/// two alternating `fetch_min` slots (publish into slot `r % 2`, while
-/// the leader resets the other slot for the next round between the two
-/// barrier waits).
-fn step_shards_parallel(runs: &mut [ShardRun<'_>], limit: u64, lookahead_ns: u64) {
-    let barrier = Barrier::new(runs.len());
-    let slots = [AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)];
-    std::thread::scope(|scope| {
-        for (i, run) in runs.iter_mut().enumerate() {
-            let barrier = &barrier;
-            let slots = &slots;
-            scope.spawn(move || {
-                let leader = i == 0;
-                let mut round = 0usize;
-                loop {
-                    // Every thread passed the end-of-window barrier below
-                    // (or this is the first round), so all mail from the
-                    // previous window has been deposited: the drain and
-                    // the published minimum see it.
-                    run.drain_inbox();
-                    slots[round & 1].fetch_min(run.next_pending(), AtomicOrdering::AcqRel);
-                    barrier.wait();
-                    if leader {
-                        slots[(round + 1) & 1].store(u64::MAX, AtomicOrdering::Release);
-                    }
-                    // Second wait: the reset above must be visible before
-                    // anyone publishes into that slot next round.
-                    barrier.wait();
-                    let min_pending = slots[round & 1].load(AtomicOrdering::Acquire);
-                    if min_pending >= limit {
-                        return;
-                    }
-                    run.step_until(limit.min(min_pending.saturating_add(lookahead_ns)));
-                    // Third wait: nobody may start the next round's drain
-                    // while a peer is still stepping (and mailing) this
-                    // window.
-                    barrier.wait();
-                    round += 1;
-                }
-            });
+/// Lock-free all-reduce `min` over one `u64` per shard per round: two
+/// cache-line transfers per hand-off while the peer is running.
+struct MinReduce {
+    slots: Vec<ReduceSlot>,
+    /// Set when a worker unwinds, so that its peers fail too.
+    poisoned: AtomicBool,
+}
+
+impl MinReduce {
+    fn new(shards: usize) -> Self {
+        MinReduce {
+            slots: (0..shards).map(|_| ReduceSlot::default()).collect(),
+            poisoned: AtomicBool::new(false),
         }
-    });
+    }
+
+    /// Publish `value` as shard `me`'s share of its next round and
+    /// return the minimum over every shard's share of that round.
+    fn all_min(&self, me: usize, value: u64) -> u64 {
+        let round = self.slots[me].round.load(Relaxed);
+        let parity = (round & 1) as usize;
+        self.slots[me].value[parity].store(value, Relaxed);
+        // Release, paired with the Acquire below: whoever sees the new
+        // round also sees the value and this shard's inbox deposits.
+        self.slots[me].round.store(round + 1, Release);
+        let mut min = value;
+        for slot in &self.slots {
+            // Poll, handing the CPU to whoever is runnable in between: a
+            // running peer is met without a wake-up, and a peer that
+            // needs this CPU (more workers than cores) gets it.
+            while slot.round.load(Acquire) <= round {
+                assert!(!self.poisoned.load(Relaxed), "a peer shard panicked");
+                std::thread::yield_now();
+            }
+            min = min.min(slot.value[parity].load(Relaxed));
+        }
+        min
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Shard `t`'s share of round `r`: seeded noise, thinned so that
+    /// `u64::MAX` ("nothing pending") turns up as well.
+    fn share(seed: u64, t: usize, r: u64) -> u64 {
+        let x = mix64(seed, (t as u64) << 40 | r);
+        if x.is_multiple_of(7) {
+            u64::MAX
+        } else {
+            x >> 8
+        }
+    }
+
+    /// Every thread must see the oracle minimum in every round;
+    /// `silent` shards publish `u64::MAX` throughout.
+    fn check_all_rounds(threads: usize, rounds: u64, seed: u64, silent: &[usize]) {
+        let share_of = |t: usize, r: u64| {
+            if silent.contains(&t) {
+                u64::MAX
+            } else {
+                share(seed, t, r)
+            }
+        };
+        let reduce = &MinReduce::new(threads);
+        // A thread that saw a wrong minimum keeps publishing (its peers
+        // would wait forever otherwise) and reports the first one.
+        let wrong: Vec<_> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|me| {
+                    scope.spawn(move || {
+                        let mut wrong = None;
+                        for r in 0..rounds {
+                            let oracle = (0..threads).map(|t| share_of(t, r)).min();
+                            let got = reduce.all_min(me, share_of(me, r));
+                            if Some(got) != oracle {
+                                wrong = wrong.or(Some((me, r, got, oracle)));
+                            }
+                        }
+                        wrong
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .filter_map(|w| w.join().expect("worker"))
+                .collect()
+        });
+        assert_eq!(wrong, [], "(thread, round, got, oracle)");
+    }
+
+    #[test]
+    fn more_threads_than_cpus_agree_on_every_minimum() {
+        check_all_rounds(8, 50_000, 0xfeed, &[]);
+    }
+
+    #[test]
+    fn two_threads_agree_over_a_million_rounds() {
+        check_all_rounds(2, 1_000_000, 0xbeef, &[]);
+    }
+
+    #[test]
+    fn a_shard_with_nothing_pending_never_lowers_the_minimum() {
+        check_all_rounds(3, 50_000, 0xcafe, &[1]);
+        check_all_rounds(2, 1_000, 0xcafe, &[0, 1]);
+    }
 }

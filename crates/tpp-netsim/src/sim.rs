@@ -9,17 +9,16 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
-use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{RunLimit, SimConfig};
-use crate::event::{node_port_key, Event, EventKey, EventKind, FaultApply, NodeId};
+use crate::event::{node_port_key, EventKey, EventKind, FaultApply, NodeId};
 use crate::fault::{ChannelProfile, FaultAction, FaultCounters, FaultPlan};
 use crate::node::{HostApp, HostId, SwitchId};
 use crate::series::{permille, SeriesSet};
-use crate::shard::{mix64, run_windows_parallel, step_shards, ShardRun, ShardState};
+use crate::shard::{mix64, run_shards, Inbox, Schedule, ShardRun, ShardState, ShardSyncStats};
 use tpp_asic::{Asic, AsicConfig, PortId, ProgramInterner};
 use tpp_telemetry::{MetricsRegistry, SharedSink};
 use tpp_wire::ethernet::Frame;
@@ -354,7 +353,7 @@ impl NetworkBuilder {
             shards: (0..num_shards)
                 .map(|_| ShardState::new(cfg.frame_pool_buffers))
                 .collect(),
-            inboxes: (0..num_shards).map(|_| Mutex::new(Vec::new())).collect(),
+            inboxes: (0..num_shards).map(|_| Inbox::default()).collect(),
             l2_routes,
             ecmp,
             fault_seed: 0,
@@ -603,8 +602,8 @@ pub struct Simulator {
     host_shard: Vec<usize>,
     shards: Vec<ShardState>,
     /// Cross-shard mailboxes, one per destination shard, drained into
-    /// the owner's queue at window barriers.
-    inboxes: Vec<Mutex<Vec<Event>>>,
+    /// the owner's queue after each window's synchronisation.
+    inboxes: Vec<Inbox>,
     /// Precomputed control-plane L2 tables (see [`compute_l2_routes`]).
     l2_routes: Vec<Vec<(EthernetAddress, PortId)>>,
     /// Equal-cost next-hop groups, built only under [`SimConfig::ecmp`]
@@ -662,6 +661,13 @@ impl Simulator {
     /// Total events dispatched so far, summed over shards.
     pub fn events_processed(&self) -> u64 {
         self.shards.iter().map(|s| s.processed).sum()
+    }
+
+    /// Windows stepped and events mailed across a shard boundary so
+    /// far, per shard. Deterministic: the same for the sequential and
+    /// the threaded driver, and from run to run.
+    pub fn shard_sync_stats(&self) -> Vec<ShardSyncStats> {
+        self.shards.iter().map(|s| s.sync).collect()
     }
 
     /// The fleet-wide program interner shared by every switch's decode
@@ -1166,15 +1172,10 @@ impl Simulator {
         }
     }
 
-    /// Pending events across all shard queues and mailboxes.
+    /// Pending events across all shard queues (the mailboxes are empty
+    /// whenever no window is open).
     fn pending_events(&self) -> usize {
-        let queued: usize = self.shards.iter().map(|s| s.events.len()).sum();
-        let mailed: usize = self
-            .inboxes
-            .iter()
-            .map(|m| m.lock().expect("inbox lock").len())
-            .sum();
-        queued + mailed
+        self.shards.iter().map(|s| s.events.len()).sum()
     }
 
     /// Construct the per-shard working views by splitting the node and
@@ -1217,18 +1218,25 @@ impl Simulator {
                 ecmp: self.ecmp.as_ref(),
                 fault_seed,
                 fault_epoch,
+                window_end: 0,
+                mailed_min: u64::MAX,
             });
         }
         runs
     }
 
     /// Advance every shard until no pending event lies strictly before
-    /// `limit`.
+    /// `limit`, the shards ticking their own switches at every stats
+    /// tick before it. `next_tick_ns` is left to the caller.
     fn step_events_below(&mut self, limit: u64) {
-        let lookahead = self.lookahead_ns;
+        let sched = Schedule {
+            next_tick_ns: self.next_tick_ns,
+            tick_interval_ns: self.tick_interval_ns,
+            end_exclusive: limit,
+            lookahead_ns: self.lookahead_ns,
+        };
         let parallel = self.parallel;
-        let mut runs = self.shard_runs();
-        step_shards(&mut runs, limit, lookahead, parallel);
+        run_shards(&mut self.shard_runs(), sched, parallel);
     }
 
     fn ensure_started(&mut self) {
@@ -1243,6 +1251,9 @@ impl Simulator {
                 run.call_host(HostId(h), 0, |app, ctx| app.on_start(ctx));
             }
         }
+        // Start-of-run sends across a shard boundary: the window loop
+        // expects empty mailboxes on entry and leaves them empty.
+        runs.iter_mut().for_each(ShardRun::drain_inbox);
     }
 
     /// One coordinator-driven stats tick at time `t`: every shard has
@@ -1269,23 +1280,21 @@ impl Simulator {
         self.ensure_started();
         match limit {
             RunLimit::Until(t_end_ns) => {
-                if self.parallel && self.num_shards > 1 && self.series.is_none() {
-                    // Fused threaded schedule: one thread per shard for
-                    // the whole run, ticking shard-owned switches at the
-                    // window barriers, instead of respawning threads per
-                    // tick. Bit-identical (same window schedule, same
-                    // tick times); see `run_windows_parallel`.
+                if self.series.is_none() {
+                    // Fused schedule: one `drive` for the whole run (one
+                    // thread per shard when threaded), each shard ticking
+                    // its own switches between windows, instead of coming
+                    // back to the coordinator (and respawning threads)
+                    // per tick. Same windows, same tick times.
                     let first_tick = self.next_tick_ns;
-                    let interval = self.tick_interval_ns;
-                    let lookahead = self.lookahead_ns;
-                    let mut runs = self.shard_runs();
-                    run_windows_parallel(&mut runs, first_tick, interval, t_end_ns, lookahead);
-                    drop(runs);
+                    self.step_events_below(t_end_ns.saturating_add(1));
                     if first_tick <= t_end_ns {
-                        let ticks = (t_end_ns - first_tick) / interval + 1;
-                        self.next_tick_ns = first_tick + ticks * interval;
+                        let ticks = (t_end_ns - first_tick) / self.tick_interval_ns + 1;
+                        self.next_tick_ns = first_tick + ticks * self.tick_interval_ns;
                     }
                 } else {
+                    // The series sampler needs the whole fleet in one
+                    // place at every tick.
                     while self.next_tick_ns <= t_end_ns {
                         let t = self.next_tick_ns;
                         self.step_events_below(t);

@@ -6,8 +6,8 @@ use tpp_asic::PortId;
 use tpp_isa::assemble;
 use tpp_netsim::RunLimit;
 use tpp_netsim::{
-    dumbbell, leaf_spine, linear_chain, time, DumbbellParams, HostApp, HostCtx, LeafSpineParams,
-    LinearChainParams,
+    dumbbell, leaf_spine, linear_chain, linear_chain_with, time, DumbbellParams, HostApp, HostCtx,
+    LeafSpineParams, LinearChainParams, SimConfig,
 };
 use tpp_wire::ethernet::{build_frame, EtherType, Frame};
 use tpp_wire::tpp::{AddressingMode, TppBuilder, TppPacket};
@@ -313,6 +313,30 @@ fn timers_fire_in_order_and_at_the_right_time() {
     sim.run(RunLimit::Until(time::millis(1)));
     let app = sim.host_app::<TimerApp>(chain.left);
     assert_eq!(app.fired, vec![(100, 1), (200, 2), (300, 3)]);
+}
+
+/// A panic on one threaded shard fails the run: its peer, waiting for
+/// it in the window reduction, must give up instead of waiting forever.
+#[test]
+#[should_panic(expected = "a scoped thread panicked")]
+fn a_panic_on_one_threaded_shard_fails_the_run() {
+    struct Bomb;
+    impl HostApp for Bomb {
+        fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+            ctx.set_timer(time::micros(50), 0);
+        }
+        fn on_timer(&mut self, _token: u64, _ctx: &mut HostCtx<'_>) {
+            panic!("boom");
+        }
+    }
+    let (mut sim, _) = linear_chain_with(
+        SimConfig::new().shards(2),
+        LinearChainParams::default(),
+        Box::new(Bomb),
+        Box::new(Idle),
+    );
+    assert_eq!(sim.num_shards(), 2);
+    sim.run(RunLimit::Until(time::millis(1)));
 }
 
 #[test]

@@ -21,10 +21,11 @@ use tpp::host::{BondConfig, EchoReceiver};
 use tpp::netsim::{
     bonded_diamond_with, dumbbell_with, fat_tree_with, leaf_spine_with, time, BondedDiamondParams,
     DumbbellParams, Endpoint, FatTreeParams, FaultPlan, HostApp, HostCtx, HostId, LeafSpineParams,
-    LinkProfile, LinkState, RunLimit, SimConfig, Simulator,
+    LinkProfile, LinkState, RunLimit, ShardSyncStats, SimConfig, Simulator,
 };
 use tpp::wire::ethernet::{build_frame, EtherType};
 use tpp::wire::EthernetAddress;
+use tpp_bench::dash_scenario::DashFeed;
 use tpp_bench::traffic::{
     completions_fingerprint, generate_schedule, splitmix64, FlowGenApp, FlowSizeDist, TrafficConfig,
 };
@@ -513,5 +514,143 @@ fn rcp_convergence_records_are_shard_count_invariant() {
     for (label, (traces, fp)) in runs {
         assert_eq!(traces, ref_traces, "{label}: rate traces diverged");
         assert_eq!(fp, ref_fp, "{label}: run fingerprint diverged");
+    }
+}
+
+/// A 2×2 leaf-spine where two sprayers cross the fabric towards the
+/// other rack, one of them over a lossy access link; no series, so the
+/// run takes the fused schedule (one `drive` call for all 5 ms, the
+/// shards ticking their own switches). Returns the per-shard window
+/// counters.
+fn leaf_spine_2x2_schedule(cfg: SimConfig) -> Vec<ShardSyncStats> {
+    let (mut sim, fabric) = leaf_spine_2x2(cfg);
+    sim.run(RunLimit::Until(time::millis(5)));
+    assert!(sim.host_app::<CountingSink>(fabric.hosts[1][1]).got > 0);
+    sim.shard_sync_stats()
+}
+
+fn leaf_spine_2x2(cfg: SimConfig) -> (Simulator, tpp::netsim::LeafSpine) {
+    let params = LeafSpineParams {
+        n_leaves: 2,
+        n_spines: 2,
+        hosts_per_leaf: 2,
+        delay_ns: time::micros(5),
+        ..LeafSpineParams::default()
+    };
+    let sprayer = |target: u32, period_ns: u64| -> Box<dyn HostApp> {
+        Box::new(Sprayer {
+            target: EthernetAddress::from_host_id(target),
+            period_ns,
+            stop_ns: time::millis(4),
+            payload_len: 600,
+            sent: 0,
+        })
+    };
+    let apps: Vec<Box<dyn HostApp>> = vec![
+        sprayer(3, 7_000),                 // host 0, leaf 0
+        Box::new(CountingSink::default()), // host 1
+        sprayer(1, 11_000),                // host 2, leaf 1
+        Box::new(CountingSink::default()), // host 3
+    ];
+    let (mut sim, fabric) = leaf_spine_with(cfg, params, apps);
+    sim.set_link_loss(Endpoint::host(fabric.hosts[0][0]), 50);
+    (sim, fabric)
+}
+
+/// The k=4 lossy closed-loop feed of the dashboard goldens. It samples
+/// series, so the run takes the other schedule: the coordinator ticks
+/// every 20 µs and threaded workers are respawned in between.
+fn closed_loop_k4_schedule(cfg: SimConfig) -> Vec<ShardSyncStats> {
+    let mut feed = DashFeed::fct(cfg);
+    feed.run_to_end();
+    feed.sim().shard_sync_stats()
+}
+
+/// Stats ticks land at the same instants whoever performs them: the
+/// shards themselves on the fused schedule (in one run call or across
+/// several that end between ticks), or the coordinator when series are
+/// sampled or the run heads for quiescence. The utilisation EWMAs in
+/// the port statistics move at every tick, so they tell.
+#[test]
+fn fused_and_coordinator_schedules_tick_alike() {
+    type Drive = fn(&mut Simulator);
+    const END: u64 = 3_900_000; // the sprayers are still sending
+    let drives: [(&str, Drive); 4] = [
+        ("fused, one call", |sim| sim.run(RunLimit::Until(END))),
+        ("fused, uneven calls", |sim| {
+            for t in (0..END).step_by(730_001).chain([END]) {
+                sim.run(RunLimit::Until(t));
+            }
+        }),
+        ("coordinator, series", |sim| {
+            sim.observe().series(8);
+            sim.run(RunLimit::Until(END));
+        }),
+        ("coordinator, quiescent", |sim| {
+            sim.run(RunLimit::Quiescent { limit_ns: END });
+            sim.run(RunLimit::Until(END));
+        }),
+    ];
+    for cfg in [
+        SimConfig::new().shards(1),
+        SimConfig::new().shards(2),
+        SimConfig::new().shards(2).sequential(),
+    ] {
+        let mut outcomes = drives.iter().map(|(label, drive)| {
+            let (mut sim, fabric) = leaf_spine_2x2(cfg.clone().tick_interval_ns(100_000));
+            drive(&mut sim);
+            let ports: Vec<_> = fabric
+                .leaves
+                .iter()
+                .chain(&fabric.spines)
+                .map(|&sw| sim.switch(sw))
+                .flat_map(|sw| (0..sw.num_ports()).map(|p| sw.port_stats(p as u16).clone()))
+                .collect();
+            assert!(ports.iter().any(|p| p.tx_utilization_permille > 0));
+            (label, (sim.now(), sim.events_processed(), ports))
+        });
+        let (_, reference) = outcomes.next().expect("at least one drive");
+        for (label, outcome) in outcomes {
+            assert_eq!(outcome, reference, "{label} under {cfg:?}");
+        }
+    }
+}
+
+/// The window schedule itself — not only what it computes — is the same
+/// for the sequential and the threaded driver and from run to run: every
+/// shard steps the same number of windows and mails the same number of
+/// events, whichever thread got there first.
+#[test]
+fn window_schedule_is_driver_invariant_and_repeatable() {
+    type Scenario = fn(SimConfig) -> Vec<ShardSyncStats>;
+    let scenarios: [(&str, Scenario); 2] = [
+        ("leaf-spine 2x2", leaf_spine_2x2_schedule),
+        ("closed loop k=4", closed_loop_k4_schedule),
+    ];
+    for (name, scenario) in scenarios {
+        for shards in [2, 4] {
+            let cfg = || SimConfig::new().seed(0x5eed).shards(shards);
+            let threaded = scenario(cfg());
+            assert_eq!(threaded.len(), shards, "{name}");
+            assert!(
+                threaded
+                    .iter()
+                    .all(|s| s.windows == threaded[0].windows && s.windows > 0),
+                "{name}: every shard steps every window: {threaded:?}"
+            );
+            assert!(
+                threaded.iter().any(|s| s.events_mailed > 0),
+                "{name}: traffic must cross a shard boundary: {threaded:?}"
+            );
+            assert_eq!(scenario(cfg()), threaded, "{name}: repeated threaded run");
+            assert_eq!(
+                scenario(cfg().sequential()),
+                threaded,
+                "{name}: sequential driver"
+            );
+        }
+        let one = scenario(SimConfig::new().seed(0x5eed).shards(1));
+        assert_eq!(one.len(), 1, "{name}");
+        assert_eq!(one[0].events_mailed, 0, "{name}: one shard has no peer");
     }
 }
