@@ -24,7 +24,6 @@ use crate::state::{AsicState, PortState, QueueState};
 use crate::stats::{PortStats, QueueStats, SwitchRegs};
 use crate::tables::{FlowAction, FlowEntry, FlowKey, L2Table, LpmTable, Tcam};
 use crate::tcpu::{ExecReport, Tcpu};
-use std::collections::HashMap;
 use tpp_telemetry::{DropKind, LookupKind, TcpuOutcome, TraceEvent, TraceEventKind, TraceSink};
 use tpp_wire::ethernet::{EtherType, Frame, ETHERNET_HEADER_LEN};
 use tpp_wire::tpp::TppPacket;
@@ -214,24 +213,17 @@ impl Port {
     }
 }
 
-/// The cached resolution of one exact-match flow: enough to replay the
-/// registers and trace events of a full table walk without touching the
-/// tables. Valid only for the generation it was inserted under.
-#[derive(Debug, Clone, Copy)]
-enum CachedLookup {
-    /// A table produced an egress decision.
-    Forward {
-        table: LookupKind,
-        port: PortId,
-        queue: QueueId,
-        entry_id: u32,
-        entry_version: u32,
-        alternates: u32,
-    },
-    /// A TCAM entry's action was `Drop` (counts as a TCAM hit).
-    FlowDrop { entry_id: u32 },
-    /// No table matched.
-    Miss,
+/// What one TCAM→L3→L2 walk resolved for a frame it forwards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Route {
+    table: LookupKind,
+    port: PortId,
+    queue: QueueId,
+    /// Matched TCAM entry (0 for L3/L2 routes).
+    entry_id: u32,
+    entry_version: u32,
+    /// How many tables could forward the packet.
+    alternates: u32,
 }
 
 /// A TPP-capable switch ASIC.
@@ -244,26 +236,6 @@ pub struct Asic {
     tcam: Tcam,
     global_sram: Vec<u32>,
     tcpu: Tcpu,
-    /// Exact-match fast path in front of the TCAM→L3→L2 walk. Entries
-    /// are valid only while `flow_cache_gen == table_gen`; any table
-    /// mutation bumps `table_gen` and the next lookup flushes the cache.
-    flow_cache: HashMap<FlowKey, CachedLookup>,
-    /// Generation the cache contents were built under.
-    flow_cache_gen: u64,
-    /// Current table generation: bumped by `install_flow`, `remove_flow`,
-    /// `l2_mut`, `l3_mut` (handing out `&mut` counts as a mutation) and
-    /// `reset`.
-    table_gen: u64,
-    flow_cache_hits: u64,
-    flow_cache_misses: u64,
-    /// One-shot egress substitution for the frame currently in the
-    /// pipeline, set by [`Asic::handle_frame_routed`] and consumed by the
-    /// next lookup. Models an ECMP selector stage in front of the L2
-    /// table: the substitution applies only when the L2 stage wins the
-    /// walk (TCAM and L3 entries keep their precedence), and the flow
-    /// cache is bypassed for the frame because the cached resolution
-    /// would pin every flow of a `(src, dst)` pair to one member port.
-    route_override: Option<PortId>,
     /// Structured trace sink; `None` (the default) keeps every stage's
     /// emission down to one branch.
     trace: Option<Box<dyn TraceSink>>,
@@ -295,12 +267,6 @@ impl Asic {
             tcpu: Tcpu::new(config.tcpu_cycle_budget)
                 .with_decode_cache(config.decode_cache_slots)
                 .with_batched_dispatch(config.batched_dispatch),
-            flow_cache: HashMap::new(),
-            flow_cache_gen: 0,
-            table_gen: 0,
-            flow_cache_hits: 0,
-            flow_cache_misses: 0,
-            route_override: None,
             trace: None,
             profile: None,
             interner: None,
@@ -319,7 +285,7 @@ impl Asic {
     }
 
     /// Approximate resident heap bytes of this switch's state: SRAM
-    /// slabs, tables, queues (including buffered frames), flow cache, and
+    /// slabs, tables, queues (including buffered frames), and the
     /// decode-cache slot array. Interned program bodies are fleet-shared
     /// and excluded (see [`ProgramInterner::approx_bytes`]).
     pub fn approx_bytes(&self) -> usize {
@@ -329,7 +295,6 @@ impl Asic {
             + self.l2.approx_bytes()
             + self.l3.approx_bytes()
             + self.tcam.approx_bytes()
-            + self.flow_cache.capacity() * std::mem::size_of::<(FlowKey, u64, CachedLookup)>()
             + self.tcpu.approx_bytes()
     }
 
@@ -494,17 +459,13 @@ impl Asic {
         self.ports[port as usize].queues[queue as usize].len_bytes()
     }
 
-    /// The L2 MAC table (control-plane access). Handing out `&mut`
-    /// conservatively counts as a mutation and invalidates the flow cache.
+    /// The L2 MAC table (control-plane access).
     pub fn l2_mut(&mut self) -> &mut L2Table {
-        self.table_gen = self.table_gen.wrapping_add(1);
         &mut self.l2
     }
 
-    /// The L3 LPM table (control-plane access). Handing out `&mut`
-    /// conservatively counts as a mutation and invalidates the flow cache.
+    /// The L3 LPM table (control-plane access).
     pub fn l3_mut(&mut self) -> &mut LpmTable {
-        self.table_gen = self.table_gen.wrapping_add(1);
         &mut self.l3
     }
 
@@ -518,7 +479,6 @@ impl Asic {
     pub fn install_flow(&mut self, entry: FlowEntry) {
         self.tcam.install(entry);
         self.regs.flow_table_version = self.regs.flow_table_version.wrapping_add(1);
-        self.table_gen = self.table_gen.wrapping_add(1);
     }
 
     /// Remove a TCAM flow entry (also bumps the table version).
@@ -526,14 +486,15 @@ impl Asic {
         let removed = self.tcam.remove(id);
         if removed.is_some() {
             self.regs.flow_table_version = self.regs.flow_table_version.wrapping_add(1);
-            self.table_gen = self.table_gen.wrapping_add(1);
         }
         removed
     }
 
-    /// Flow-cache `(hits, misses)` since construction or the last reset.
+    /// Always `(0, 0)`: the exact-match flow cache was deleted (it lost to
+    /// the bare walk on every workload, EXPERIMENTS.md E28). The accessor
+    /// stays because `benchmark/` calls it and is not edited by perf PRs.
     pub fn flow_cache_stats(&self) -> (u64, u64) {
-        (self.flow_cache_hits, self.flow_cache_misses)
+        (0, 0)
     }
 
     /// Decode-cache `(hits, misses)`; `(0, 0)` when the cache is off.
@@ -600,7 +561,7 @@ impl Asic {
     /// Capture every piece of mutable, TPP-visible state — registers,
     /// port stats, queue stats and contents, and both scratch SRAMs —
     /// into a comparable, restorable [`AsicState`]. Forwarding tables,
-    /// configuration, and the hot-path caches are deliberately excluded
+    /// configuration, and the decode cache are deliberately excluded
     /// (see the [`state`](crate::state) module docs).
     pub fn snapshot(&self) -> AsicState {
         // Unmaterialized SRAM regions snapshot as their full-length zero
@@ -640,10 +601,10 @@ impl Asic {
     /// registers, stats, queue contents, and SRAMs. The snapshot's shape
     /// must match this ASIC's configuration (same port count, same queue
     /// counts per port); SRAM lengths are taken from the snapshot. The
-    /// hot-path caches are left untouched — by construction they may
-    /// never change observable behavior, so a differential harness can
-    /// restore the same state onto a cached and an uncached ASIC and
-    /// expect bit-identical runs.
+    /// decode cache is left untouched — by construction it may never
+    /// change observable behavior, so a differential harness can restore
+    /// the same state onto a cached and an uncached ASIC and expect
+    /// bit-identical runs.
     ///
     /// # Panics
     ///
@@ -690,14 +651,8 @@ impl Asic {
         self.l2 = L2Table::new();
         self.l3 = LpmTable::new();
         self.tcam = Tcam::new();
-        // Both hot-path caches are volatile state too: the flow cache is
-        // invalidated by the generation bump, and the decode cache loses
-        // its warmed programs along with its hit counters.
-        self.table_gen = self.table_gen.wrapping_add(1);
-        self.flow_cache.clear();
-        self.flow_cache_gen = self.table_gen;
-        self.flow_cache_hits = 0;
-        self.flow_cache_misses = 0;
+        // The decode cache is volatile state too: it loses its warmed
+        // programs along with its hit counters.
         self.tcpu = Tcpu::new(self.config.tcpu_cycle_budget)
             .with_decode_cache(self.config.decode_cache_slots)
             .with_batched_dispatch(self.config.batched_dispatch);
@@ -734,9 +689,6 @@ impl Asic {
                 queue.stats().export_metrics(registry);
             }
         }
-        let (fh, fm) = self.flow_cache_stats();
-        registry.add("switch.flow_cache_hits", fh);
-        registry.add("switch.flow_cache_misses", fm);
         let (dh, dm) = self.decode_cache_stats();
         registry.add("switch.decode_cache_hits", dh);
         registry.add("switch.decode_cache_misses", dm);
@@ -756,7 +708,27 @@ impl Asic {
     }
 
     /// Process one arriving frame through the full pipeline.
-    pub fn handle_frame(&mut self, mut frame: Vec<u8>, in_port: PortId, now_ns: u64) -> Outcome {
+    pub fn handle_frame(&mut self, frame: Vec<u8>, in_port: PortId, now_ns: u64) -> Outcome {
+        self.handle_frame_routed(frame, in_port, now_ns, None)
+    }
+
+    /// [`Asic::handle_frame`] with an optional ECMP egress substitution:
+    /// when `hint` is `Some`, the frame's forwarding lookup resolves to
+    /// that port *if the L2 stage wins the table walk* (TCAM and L3 keep
+    /// their precedence, and an unknown destination still misses). The
+    /// caller — the simulator's routing layer — picks the member port
+    /// from the switch's equal-cost set by flow hash, so the choice lives
+    /// outside the ASIC exactly like a real selector stage fed by a hash
+    /// of header fields the `FlowKey` does not carry. The hint is an
+    /// argument of this frame's walk and nothing else: a frame dropped
+    /// before its lookup cannot leak it into the next one.
+    pub fn handle_frame_routed(
+        &mut self,
+        mut frame: Vec<u8>,
+        in_port: PortId,
+        now_ns: u64,
+        hint: Option<PortId>,
+    ) -> Outcome {
         assert!(
             (in_port as usize) < self.ports.len(),
             "in_port {in_port} out of range"
@@ -844,7 +816,9 @@ impl Asic {
                             // The stripped frame is an ordinary packet now
                             // (unless the inner payload was itself a TPP).
                             let inner_is_tpp = EtherType(inner_ethertype) == EtherType::TPP;
-                            self.forward_plain(frame, in_port, now_ns, inner_is_tpp)
+                            // `strip_tpp` leaves a full Ethernet header.
+                            let key = flow_key(&Frame::new_unchecked(&frame[..]), in_port);
+                            self.forward_plain(frame, &key, hint, inner_is_tpp)
                         }
                         None => {
                             if self.trace.is_some() {
@@ -866,251 +840,119 @@ impl Asic {
             }
         }
 
+        let key = flow_key(&parsed, in_port);
         if is_tpp {
-            self.forward_tpp(frame, in_port, now_ns)
+            self.forward_tpp(frame, &key, hint, now_ns)
         } else {
-            self.forward_plain(frame, in_port, now_ns, false)
+            self.forward_plain(frame, &key, hint, false)
         }
     }
 
-    /// [`Asic::handle_frame`] with an optional ECMP egress substitution:
-    /// when `out_port` is `Some`, the frame's forwarding lookup resolves
-    /// to that port *if the L2 stage wins the table walk* (TCAM and L3
-    /// keep their precedence, and an unknown destination still misses).
-    /// The caller — the simulator's routing layer — picks the member
-    /// port from the switch's equal-cost set by flow hash, so the choice
-    /// lives outside the ASIC exactly like a real selector stage fed by
-    /// a hash of header fields the exact-match `FlowKey` does not carry.
-    pub fn handle_frame_routed(
-        &mut self,
-        frame: Vec<u8>,
-        in_port: PortId,
-        now_ns: u64,
-        out_port: Option<PortId>,
-    ) -> Outcome {
-        self.route_override = out_port;
-        let outcome = self.handle_frame(frame, in_port, now_ns);
-        // Frames that drop before their lookup (parse error, edge
-        // filter) must not leak the override into the next frame.
-        self.route_override = None;
-        outcome
-    }
-
-    /// Forwarding lookup shared by both paths. Returns the egress port,
-    /// egress queue, matched entry info, and route diversity.
-    ///
-    /// With the flow cache on, repeated packets of a flow skip the table
-    /// walk entirely; the cached resolution replays the same registers and
-    /// trace events through [`Asic::commit_lookup`], so the cache is
-    /// invisible to TPPs and telemetry alike.
-    fn lookup(&mut self, key: &FlowKey) -> Result<(PortId, QueueId, u32, u32, u32), DropReason> {
-        let override_port = self.route_override.take();
-        // An overridden frame bypasses the cache entirely: its egress
-        // depends on entropy outside the FlowKey, so neither reading nor
-        // populating the exact-match cache would be sound.
-        let capacity = if override_port.is_some() {
-            0
-        } else {
-            self.config.flow_cache_entries
-        };
-        let mut resolved = if capacity > 0 {
-            if self.flow_cache_gen != self.table_gen {
-                self.flow_cache.clear();
-                self.flow_cache_gen = self.table_gen;
-            }
-            match self.flow_cache.get(key) {
-                Some(&cached) => {
-                    self.flow_cache_hits += 1;
-                    cached
-                }
-                None => {
-                    self.flow_cache_misses += 1;
-                    let resolved = self.lookup_tables(key);
-                    if self.flow_cache.len() >= capacity {
-                        // Wholesale eviction keeps the worst case at one
-                        // rebuild per `capacity` distinct flows.
-                        self.flow_cache.clear();
-                    }
-                    self.flow_cache.insert(*key, resolved);
-                    resolved
-                }
-            }
-        } else {
-            self.lookup_tables(key)
-        };
-        if let Some(out) = override_port {
-            if let CachedLookup::Forward {
-                table: LookupKind::L2,
-                port,
-                ..
-            } = &mut resolved
-            {
-                *port = out;
-            }
-        }
+    /// Forwarding lookup shared by both paths: one table walk, its
+    /// modelled cost charged to the profiler, its registers and trace
+    /// event committed.
+    fn lookup(&mut self, key: &FlowKey, hint: Option<PortId>) -> Result<Route, DropReason> {
+        let resolved = self.walk(key, hint);
         if self.profile.is_some() {
-            // Which tables the (cached or fresh) walk consulted is a
-            // pure function of the winning table and the key, so the
-            // attribution replays identically on cache hits.
-            let has_ipv4 = key.ipv4_dst.is_some();
-            let (l3, l2) = match resolved {
-                CachedLookup::Forward {
-                    table: LookupKind::Tcam,
-                    ..
-                }
-                | CachedLookup::FlowDrop { .. } => (false, false),
-                CachedLookup::Forward {
-                    table: LookupKind::L3,
-                    ..
-                } => (true, false),
-                CachedLookup::Forward {
-                    table: LookupKind::L2,
-                    ..
-                }
-                | CachedLookup::Miss => (has_ipv4, true),
+            // The *modelled* pipeline stops at the first table that hits
+            // (TCAM always, L3 for IPv4, then L2), whatever the software
+            // walk consulted to count alternates.
+            let (l3, l2) = match resolved.map(|route| route.table) {
+                Ok(LookupKind::Tcam) | Err(DropReason::FlowDrop { .. }) => (false, false),
+                Ok(LookupKind::L3) => (true, false),
+                Ok(LookupKind::L2) | Err(_) => (key.ipv4_dst.is_some(), true),
             };
             self.profile_tables(l3, l2);
         }
         self.commit_lookup(resolved)
     }
 
-    /// The pure TCAM→L3→L2 walk: no register or trace side effects, so a
-    /// result can be cached and replayed later with identical observable
-    /// behavior.
-    fn lookup_tables(&self, key: &FlowKey) -> CachedLookup {
-        // TCAM first (highest precedence, SDN-style), then L3 for IPv4,
-        // then L2 exact match.
-        if let Some(entry) = self.tcam.lookup(key) {
-            return match entry.action {
-                FlowAction::Forward(port) => CachedLookup::Forward {
-                    table: LookupKind::Tcam,
-                    port,
-                    queue: 0,
-                    entry_id: entry.id,
-                    entry_version: entry.version,
-                    alternates: self.route_diversity(key),
-                },
-                FlowAction::ForwardQueue(port, queue) => {
-                    let n_queues = self
-                        .ports
-                        .get(port as usize)
-                        .map(|p| p.queues.len())
-                        .unwrap_or(1);
-                    // An action naming a queue the port does not have
-                    // degrades to the lowest-priority queue.
-                    let queue = (queue as usize).min(n_queues.saturating_sub(1)) as QueueId;
-                    CachedLookup::Forward {
-                        table: LookupKind::Tcam,
-                        port,
-                        queue,
-                        entry_id: entry.id,
-                        entry_version: entry.version,
-                        alternates: self.route_diversity(key),
+    /// The TCAM→L3→L2 walk, each table consulted once: the first hit in
+    /// that precedence forwards (TCAM highest, SDN-style; L3 for IPv4
+    /// only; then L2 exact match), and the number of tables that hit is
+    /// `alternates` — the model's stand-in for "alternate routes for a
+    /// packet" (Table 2; the paper cites per-packet route diversity work
+    /// \[11\]). `hint` replaces the egress port only when L2 wins. No
+    /// register or trace side effects; those are [`Asic::commit_lookup`]'s.
+    fn walk(&self, key: &FlowKey, hint: Option<PortId>) -> Result<Route, DropReason> {
+        let tcam = match self.tcam.lookup(key) {
+            Some(entry) => {
+                let (port, queue) = match entry.action {
+                    FlowAction::Forward(port) => (port, 0),
+                    FlowAction::ForwardQueue(port, queue) => {
+                        let n_queues = self.ports.get(port as usize).map_or(1, |p| p.queues.len());
+                        // An action naming a queue the port does not have
+                        // degrades to the lowest-priority queue.
+                        let queue = (queue as usize).min(n_queues.saturating_sub(1));
+                        (port, queue as QueueId)
                     }
-                }
-                FlowAction::Drop => CachedLookup::FlowDrop { entry_id: entry.id },
-            };
-        }
-        if let Some(port) = key.ipv4_dst.and_then(|ip| self.l3.lookup(ip)) {
-            return CachedLookup::Forward {
-                table: LookupKind::L3,
-                port,
-                queue: 0,
-                entry_id: 0,
-                entry_version: 0,
-                alternates: self.route_diversity(key),
-            };
-        }
-        if let Some(port) = self.l2.lookup(key.dst_mac) {
-            return CachedLookup::Forward {
-                table: LookupKind::L2,
-                port,
-                queue: 0,
-                entry_id: 0,
-                entry_version: 0,
-                alternates: self.route_diversity(key),
-            };
-        }
-        CachedLookup::Miss
+                    FlowAction::Drop => return Err(DropReason::FlowDrop { entry_id: entry.id }),
+                };
+                Some((port, queue, entry.id, entry.version))
+            }
+            None => None,
+        };
+        let l3 = key.ipv4_dst.and_then(|ip| self.l3.lookup(ip));
+        let l2 = self.l2.lookup(key.dst_mac);
+        let (table, (port, queue, entry_id, entry_version)) = if let Some(hit) = tcam {
+            (LookupKind::Tcam, hit)
+        } else if let Some(port) = l3 {
+            (LookupKind::L3, (port, 0, 0, 0))
+        } else if let Some(port) = l2 {
+            (LookupKind::L2, (hint.unwrap_or(port), 0, 0, 0))
+        } else {
+            return Err(DropReason::NoRoute);
+        };
+        Ok(Route {
+            table,
+            port,
+            queue,
+            entry_id,
+            entry_version,
+            alternates: tcam.is_some() as u32 + l3.is_some() as u32 + l2.is_some() as u32,
+        })
     }
 
-    /// Apply a lookup resolution's side effects: bump the TPP-readable hit
-    /// registers and emit the trace event, exactly as the uncached walk
-    /// did. Cached and fresh lookups both funnel through here.
-    fn commit_lookup(
-        &mut self,
-        resolved: CachedLookup,
-    ) -> Result<(PortId, QueueId, u32, u32, u32), DropReason> {
+    /// Apply a walk's side effects: bump the TPP-readable hit registers
+    /// and emit the trace event (a `Drop` entry counts as a TCAM hit).
+    fn commit_lookup(&mut self, resolved: Result<Route, DropReason>) -> Result<Route, DropReason> {
         match resolved {
-            CachedLookup::Forward {
-                table,
-                port,
-                queue,
-                entry_id,
-                entry_version,
-                alternates,
-            } => {
-                match table {
+            Ok(route) => {
+                match route.table {
                     LookupKind::Tcam => self.regs.tcam_hits += 1,
                     LookupKind::L3 => self.regs.l3_hits += 1,
                     LookupKind::L2 => self.regs.l2_hits += 1,
                 }
                 if self.trace.is_some() {
                     self.emit(TraceEventKind::Lookup {
-                        table,
-                        out_port: port,
-                        queue,
-                        entry_id,
+                        table: route.table,
+                        out_port: route.port,
+                        queue: route.queue,
+                        entry_id: route.entry_id,
                     });
                 }
-                Ok((port, queue, entry_id, entry_version, alternates))
             }
-            CachedLookup::FlowDrop { entry_id } => {
-                self.regs.tcam_hits += 1;
-                Err(DropReason::FlowDrop { entry_id })
-            }
-            CachedLookup::Miss => {
+            Err(DropReason::FlowDrop { .. }) => self.regs.tcam_hits += 1,
+            Err(_) => {
                 if self.trace.is_some() {
                     self.emit(TraceEventKind::LookupMiss);
                 }
-                Err(DropReason::NoRoute)
             }
         }
-    }
-
-    /// How many distinct tables could forward this packet — the model's
-    /// stand-in for "alternate routes for a packet" (Table 2; the paper
-    /// cites per-packet route diversity work \[11\]).
-    fn route_diversity(&self, key: &FlowKey) -> u32 {
-        let mut n = 0;
-        if self.tcam.lookup(key).is_some() {
-            n += 1;
-        }
-        if key.ipv4_dst.is_some_and(|ip| self.l3.lookup(ip).is_some()) {
-            n += 1;
-        }
-        if self.l2.lookup(key.dst_mac).is_some() {
-            n += 1;
-        }
-        n
+        resolved
     }
 
     fn forward_plain(
         &mut self,
         frame: Vec<u8>,
-        in_port: PortId,
-        _now_ns: u64,
+        key: &FlowKey,
+        hint: Option<PortId>,
         is_tpp: bool,
     ) -> Outcome {
-        let key = match flow_key(&frame, in_port) {
-            Some(k) => k,
-            None => return self.drop_frame(DropReason::ParseError),
-        };
-        let (out_port, queue_id, _, _, _) = match self.lookup(&key) {
-            Ok(ok) => ok,
-            Err(reason) => return self.drop_frame(reason),
-        };
-        self.enqueue(frame, out_port, queue_id, None, is_tpp)
+        match self.lookup(key, hint) {
+            Ok(route) => self.enqueue(frame, route.port, route.queue, None, is_tpp),
+            Err(reason) => self.drop_frame(reason),
+        }
     }
 
     /// Record a drop in the trace and build the outcome.
@@ -1127,24 +969,27 @@ impl Asic {
         Outcome::Dropped { reason }
     }
 
-    fn forward_tpp(&mut self, mut frame: Vec<u8>, in_port: PortId, now_ns: u64) -> Outcome {
-        let key = match flow_key(&frame, in_port) {
-            Some(k) => k,
-            None => return self.drop_frame(DropReason::ParseError),
-        };
-        let (out_port, queue_id, entry_id, entry_version, alternates) = match self.lookup(&key) {
-            Ok(ok) => ok,
+    fn forward_tpp(
+        &mut self,
+        mut frame: Vec<u8>,
+        key: &FlowKey,
+        hint: Option<PortId>,
+        now_ns: u64,
+    ) -> Outcome {
+        let route = match self.lookup(key, hint) {
+            Ok(route) => route,
             Err(reason) => return self.drop_frame(reason),
         };
+        let (out_port, queue_id) = (route.port, route.queue);
         let meta = PacketMeta {
-            input_port: in_port,
+            input_port: key.in_port,
             output_port: out_port,
-            matched_entry_id: entry_id,
-            matched_entry_version: entry_version,
+            matched_entry_id: route.entry_id,
+            matched_entry_version: route.entry_version,
             queue_id,
             packet_length: frame.len() as u32,
             arrival_time_ns: now_ns,
-            alternate_routes: alternates,
+            alternate_routes: route.alternates,
         };
 
         // --- TCPU (Fig. 3: placed just before packets enter memory) ---
@@ -1371,9 +1216,8 @@ impl Asic {
     }
 }
 
-/// Extract the lookup key from a frame; `None` if unparseable.
-fn flow_key(frame: &[u8], in_port: PortId) -> Option<FlowKey> {
-    let parsed = Frame::new_checked(frame).ok()?;
+/// Extract the lookup key from a length-checked frame view.
+fn flow_key(parsed: &Frame<&[u8]>, in_port: PortId) -> FlowKey {
     let ethertype = parsed.ethertype();
     // A frame claiming IPv4 gets a full header validation (version, IHL,
     // lengths, checksum); packets that fail it are treated as having no
@@ -1385,13 +1229,13 @@ fn flow_key(frame: &[u8], in_port: PortId) -> Option<FlowKey> {
     } else {
         None
     };
-    Some(FlowKey {
+    FlowKey {
         in_port,
         dst_mac: parsed.dst_addr(),
         src_mac: parsed.src_addr(),
         ethertype: ethertype.0,
         ipv4_dst,
-    })
+    }
 }
 
 /// Remove a TPP section in place, restoring the encapsulated payload as
@@ -1418,6 +1262,7 @@ fn strip_tpp(frame: &mut Vec<u8>) -> Option<u16> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tpp_isa::assemble;
     use tpp_wire::ethernet::build_frame;
     use tpp_wire::tpp::{AddressingMode, TppBuilder};
@@ -2040,109 +1885,188 @@ mod tests {
     }
 
     #[test]
-    fn flow_cache_serves_repeats_and_tcam_mutations_invalidate() {
+    fn every_table_mutation_is_seen_by_the_very_next_frame() {
+        use tpp_wire::{build_ipv4, Ipv4Address};
         let mut asic = asic();
+        let ip = build_ipv4(
+            Ipv4Address::new(192, 168, 0, 1),
+            Ipv4Address::new(10, 1, 2, 3),
+            17,
+            64,
+            b"datagram",
+        );
         let mk = || {
             build_frame(
-                EthernetAddress::from_host_id(1),
-                EthernetAddress::from_host_id(2),
-                EtherType(0x0800),
-                &[0u8; 32],
-            )
-        };
-        // First packet walks the tables, second is served from the cache.
-        assert_eq!(asic.handle_frame(mk(), 0, 0).egress(), Some((1, 0)));
-        assert_eq!(asic.handle_frame(mk(), 0, 1).egress(), Some((1, 0)));
-        assert_eq!(asic.flow_cache_stats(), (1, 1));
-        assert_eq!(asic.regs().l2_hits, 2, "cached hits still count");
-
-        // Installing a higher-precedence TCAM route must invalidate the
-        // cached L2 decision: stale packets would keep going to port 1.
-        asic.install_flow(FlowEntry {
-            id: 7,
-            version: 1,
-            priority: 10,
-            pattern: crate::tables::FlowMatch {
-                dst_mac: Some(EthernetAddress::from_host_id(1)),
-                ..Default::default()
-            },
-            action: FlowAction::Forward(3),
-        });
-        assert_eq!(asic.handle_frame(mk(), 0, 2).egress(), Some((3, 0)));
-        assert_eq!(asic.regs().tcam_hits, 1);
-
-        // Removing it must re-expose the L2 route.
-        asic.remove_flow(7);
-        assert_eq!(asic.handle_frame(mk(), 0, 3).egress(), Some((1, 0)));
-    }
-
-    #[test]
-    fn l2_and_l3_mutations_invalidate_cached_routes_and_misses() {
-        let mut asic = asic();
-        let unknown = || {
-            build_frame(
                 EthernetAddress::from_host_id(9),
-                EthernetAddress::from_host_id(1),
-                EtherType(0x0800),
-                &[0u8; 16],
-            )
-        };
-        // A cached *miss* must also be invalidated: learn the MAC and the
-        // same flow must start forwarding.
-        assert!(asic.handle_frame(unknown(), 0, 0).is_drop());
-        assert!(asic.handle_frame(unknown(), 0, 1).is_drop());
-        assert_eq!(asic.flow_cache_stats(), (1, 1));
-        asic.l2_mut().insert(EthernetAddress::from_host_id(9), 3);
-        assert_eq!(asic.handle_frame(unknown(), 0, 2).egress(), Some((3, 0)));
-
-        // An L3 route change must override a cached L2 decision for IPv4.
-        use tpp_wire::{build_ipv4, Ipv4Address};
-        let ip_frame = || {
-            let ip = build_ipv4(
-                Ipv4Address::new(192, 168, 0, 1),
-                Ipv4Address::new(10, 1, 2, 3),
-                17,
-                64,
-                b"datagram",
-            );
-            build_frame(
-                EthernetAddress::from_host_id(1),
                 EthernetAddress::from_host_id(2),
                 EtherType::IPV4,
                 &ip,
             )
         };
-        assert_eq!(
-            asic.handle_frame(ip_frame(), 0, 3).egress(),
-            Some((1, 0)),
-            "L2 route before the prefix exists"
-        );
-        asic.l3_mut().insert(0x0a000000, 8, 2);
-        assert_eq!(
-            asic.handle_frame(ip_frame(), 0, 4).egress(),
-            Some((2, 0)),
-            "LPM insert must invalidate the cached L2 decision"
-        );
+        // (tcam_hits, l3_hits, l2_hits) after each frame.
+        let hits = |a: &Asic| (a.regs().tcam_hits, a.regs().l3_hits, a.regs().l2_hits);
+
+        assert!(asic.handle_frame(mk(), 0, 0).is_drop(), "unknown MAC");
+        assert_eq!(hits(&asic), (0, 0, 0));
+        asic.l2_mut().insert(EthernetAddress::from_host_id(9), 3);
+        assert_eq!(asic.handle_frame(mk(), 0, 1).egress(), Some((3, 0)));
+        assert_eq!(hits(&asic), (0, 0, 1));
+        asic.l3_mut().insert(0x0a00_0000, 8, 2);
+        assert_eq!(asic.handle_frame(mk(), 0, 2).egress(), Some((2, 0)));
+        assert_eq!(hits(&asic), (0, 1, 1));
+        asic.install_flow(FlowEntry {
+            id: 7,
+            version: 1,
+            priority: 10,
+            pattern: crate::tables::FlowMatch {
+                dst_mac: Some(EthernetAddress::from_host_id(9)),
+                ..Default::default()
+            },
+            action: FlowAction::Forward(1),
+        });
+        assert_eq!(asic.handle_frame(mk(), 0, 3).egress(), Some((1, 0)));
+        assert_eq!(hits(&asic), (1, 1, 1));
+        asic.remove_flow(7);
+        assert_eq!(asic.handle_frame(mk(), 0, 4).egress(), Some((2, 0)));
+        assert_eq!(hits(&asic), (1, 2, 1));
+        asic.reset(1_000);
+        assert!(asic.handle_frame(mk(), 0, 2_000).is_drop(), "tables wiped");
+        assert_eq!(hits(&asic), (0, 0, 0));
+        asic.l2_mut().insert(EthernetAddress::from_host_id(9), 1);
+        assert_eq!(asic.handle_frame(mk(), 0, 3_000).egress(), Some((1, 0)));
+        assert_eq!(hits(&asic), (0, 0, 1));
     }
 
     #[test]
-    fn reset_invalidates_flow_cache() {
+    fn ecmp_hint_applies_to_its_own_frame_only() {
         let mut asic = asic();
         let mk = || {
             build_frame(
                 EthernetAddress::from_host_id(1),
                 EthernetAddress::from_host_id(2),
-                EtherType(0x0800),
+                EtherType(0x0802),
                 &[0u8; 32],
             )
         };
-        assert_eq!(asic.handle_frame(mk(), 0, 0).egress(), Some((1, 0)));
-        asic.reset(1_000);
-        // Tables were wiped; a stale cache would still forward to port 1.
-        assert!(asic.handle_frame(mk(), 0, 2_000).is_drop());
-        // Re-learn a different route post-reboot.
-        asic.l2_mut().insert(EthernetAddress::from_host_id(1), 2);
-        assert_eq!(asic.handle_frame(mk(), 0, 3_000).egress(), Some((2, 0)));
+        assert_eq!(
+            asic.handle_frame_routed(mk(), 0, 0, Some(3)).egress(),
+            Some((3, 0)),
+            "L2 wins the walk, so the hint replaces its port"
+        );
+        // A frame too short to parse drops before its lookup; its hint
+        // dies with it and the next frame resolves by L2.
+        assert_eq!(
+            asic.handle_frame_routed(vec![0u8; 5], 0, 1, Some(3)),
+            Outcome::Dropped {
+                reason: DropReason::ParseError
+            }
+        );
+        assert_eq!(asic.handle_frame(mk(), 0, 2).egress(), Some((1, 0)));
+    }
+
+    /// The deleted two-pass lookup (`lookup_tables` + `route_diversity`),
+    /// kept as the reference [`Asic::walk`] is checked against: first hit
+    /// by precedence, then a second pass that counts the tables that hit.
+    fn reference_walk(
+        asic: &Asic,
+        key: &FlowKey,
+        hint: Option<PortId>,
+    ) -> Result<Route, DropReason> {
+        let route_diversity = || {
+            asic.tcam.lookup(key).is_some() as u32
+                + key.ipv4_dst.is_some_and(|ip| asic.l3.lookup(ip).is_some()) as u32
+                + asic.l2.lookup(key.dst_mac).is_some() as u32
+        };
+        let forward = |table, port, queue, entry_id, entry_version| {
+            Ok(Route {
+                table,
+                port,
+                queue,
+                entry_id,
+                entry_version,
+                alternates: route_diversity(),
+            })
+        };
+        if let Some(entry) = asic.tcam.lookup(key) {
+            return match entry.action {
+                FlowAction::Forward(port) => {
+                    forward(LookupKind::Tcam, port, 0, entry.id, entry.version)
+                }
+                FlowAction::ForwardQueue(port, queue) => {
+                    let n_queues = asic.ports.get(port as usize).map_or(1, |p| p.queues.len());
+                    let queue = (queue as usize).min(n_queues.saturating_sub(1)) as QueueId;
+                    forward(LookupKind::Tcam, port, queue, entry.id, entry.version)
+                }
+                FlowAction::Drop => Err(DropReason::FlowDrop { entry_id: entry.id }),
+            };
+        }
+        if let Some(port) = key.ipv4_dst.and_then(|ip| asic.l3.lookup(ip)) {
+            return forward(LookupKind::L3, port, 0, 0, 0);
+        }
+        if let Some(port) = asic.l2.lookup(key.dst_mac) {
+            return forward(LookupKind::L2, hint.unwrap_or(port), 0, 0, 0);
+        }
+        Err(DropReason::NoRoute)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The single walk resolves exactly as the two-pass reference
+        /// over random table contents: overlapping TCAM patterns at equal
+        /// priorities with all three actions, L3 prefixes, L2 bindings,
+        /// and keys with or without an IPv4 destination and a hint.
+        #[test]
+        fn single_walk_matches_two_pass_reference(
+            tcam in proptest::collection::vec(
+                (0u32..4, 0u16..3, any::<u8>(), any::<u8>()), 0..8),
+            l3 in proptest::collection::vec((any::<u8>(), 0u8..9, 0u16..4), 0..4),
+            l2 in proptest::collection::vec((0u32..4, 0u16..4), 0..4),
+            keys in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..16),
+        ) {
+            let mut cfg = AsicConfig::with_ports(1, 4);
+            cfg.ports[1].num_queues = 2;
+            let mut asic = Asic::new(cfg);
+            for (i, &(id, priority, fields, act)) in tcam.iter().enumerate() {
+                // Each field wildcarded or drawn from a two-value domain,
+                // so patterns overlap each other and the keys below.
+                let pick = |bit: u8| fields & (1 << bit) != 0;
+                asic.install_flow(FlowEntry {
+                    id,
+                    version: i as u32,
+                    priority,
+                    pattern: crate::tables::FlowMatch {
+                        in_port: pick(0).then_some(pick(1) as PortId),
+                        dst_mac: pick(2).then(|| EthernetAddress::from_host_id(pick(3) as u32)),
+                        src_mac: None,
+                        ethertype: pick(4).then_some(if pick(5) { 0x0800 } else { 0x0802 }),
+                    },
+                    action: match act % 3 {
+                        0 => FlowAction::Forward((act >> 2) as PortId % 4),
+                        1 => FlowAction::ForwardQueue((act >> 2) as PortId % 4, act >> 6),
+                        _ => FlowAction::Drop,
+                    },
+                });
+            }
+            for &(octet, len, port) in &l3 {
+                asic.l3_mut().insert((octet as u32) << 24, len, port);
+            }
+            for &(host, port) in &l2 {
+                asic.l2_mut().insert(EthernetAddress::from_host_id(host), port);
+            }
+            for &(bits, octet, hint) in &keys {
+                let ipv4 = bits & 1 != 0;
+                let key = FlowKey {
+                    in_port: (bits >> 1 & 1) as PortId,
+                    dst_mac: EthernetAddress::from_host_id((bits >> 2 & 3) as u32),
+                    src_mac: EthernetAddress::from_host_id(9),
+                    ethertype: if ipv4 { 0x0800 } else { 0x0802 },
+                    ipv4_dst: ipv4.then_some((octet as u32) << 24 | 7),
+                };
+                let hint = (hint & 1 != 0).then_some((hint >> 1) as PortId % 4);
+                prop_assert_eq!(asic.walk(&key, hint), reference_walk(&asic, &key, hint));
+            }
+        }
     }
 
     #[test]

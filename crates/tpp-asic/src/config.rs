@@ -75,18 +75,13 @@ pub struct AsicConfig {
     /// every packet, which is the pre-cache behavior `perf_baseline`
     /// measures against. Execution semantics are identical either way.
     pub decode_cache_slots: usize,
-    /// Capacity of the exact-match flow cache fronting the TCAM→L3→L2
-    /// lookup chain. `0` disables the cache (every packet walks the
-    /// tables). Cached results are invalidated by a generation counter
-    /// bumped on any table mutation or `reset()`.
-    pub flow_cache_entries: usize,
     /// Batched TCPU dispatch: when a switch drains an event window, a run
     /// of packets carrying the same program is detected by one byte
     /// compare per packet and executed against a single pinned decode
     /// (decode once, run N) through a straight-line fast loop. Cycles,
     /// counters, traces, and profiler spans are charged identically to
-    /// the per-frame path — bit-identical on or off, like the hot-path
-    /// caches. Requires `decode_cache_slots > 0` to have any effect.
+    /// the per-frame path — bit-identical on or off, like the decode
+    /// cache. Requires `decode_cache_slots > 0` to have any effect.
     pub batched_dispatch: bool,
 }
 
@@ -102,16 +97,14 @@ impl AsicConfig {
             link_sram_words: 0x1000 / 4,
             utilization_ewma_alpha: 0.5,
             decode_cache_slots: 64,
-            flow_cache_entries: 1024,
             batched_dispatch: true,
         }
     }
 
-    /// Disable both hot-path caches (decoded-program and flow lookup).
-    /// `perf_baseline` uses this to measure the uncached pipeline.
-    pub fn without_hot_path_caches(mut self) -> Self {
+    /// Disable the decoded-program cache. `perf_baseline` and the
+    /// differential tests use this for the uncached reference pipeline.
+    pub fn without_decode_cache(mut self) -> Self {
         self.decode_cache_slots = 0;
-        self.flow_cache_entries = 0;
         self
     }
 

@@ -16,15 +16,15 @@
 //! | Stage | Cycles |
 //! |---|---|
 //! | parser | [`PARSE_CYCLES`] + [`PARSE_TPP_EXTRA_CYCLES`] for TPP headers, + [`EDGE_FILTER_CYCLES`] when an ingress filter is configured |
-//! | tables | [`TCAM_SEARCH_CYCLES`] always, + [`L3_SEARCH_CYCLES`] / [`L2_SEARCH_CYCLES`] per table actually consulted by the walk |
+//! | tables | [`TCAM_SEARCH_CYCLES`] always, + [`L3_SEARCH_CYCLES`] / [`L2_SEARCH_CYCLES`] per table the modelled walk reaches before its first hit |
 //! | TCPU | the execution report's cycles (4-cycle pipeline latency + 1/instruction) |
 //! | MMU | [`MMU_ADMIT_CYCLES`] per enqueue admission (ECN check + drop-tail test) |
 //! | scheduler | 1 cycle per priority queue scanned at dequeue |
 //!
 //! The tables charge is a pure function of the *winning* table and the
-//! flow key, so cached (flow-cache hit) and uncached lookups attribute
-//! identically — profiling never observes the hot-path caches. A
-//! packet's span total is exactly `parser + tables + tcpu + mmu`
+//! flow key: the modelled pipeline stops at its first hit, whatever the
+//! software walk consulted to count alternate routes. A packet's span
+//! total is exactly `parser + tables + tcpu + mmu`
 //! (scheduler cycles accrue at dequeue, outside the ingress span); the
 //! `obs_invariants` proptests pin this sum.
 //!
@@ -100,9 +100,9 @@ impl ProfStage {
     }
 }
 
-/// Cycles the table walk charges, given which tables it consulted.
-/// Derived from the winning table and the flow key only, so cached and
-/// uncached lookups charge identically.
+/// Cycles the table walk charges, given which tables the modelled
+/// pipeline consulted: derived from the winning table and the flow key
+/// only.
 pub fn table_walk_cycles(consulted_l3: bool, consulted_l2: bool) -> u32 {
     TCAM_SEARCH_CYCLES
         + if consulted_l3 { L3_SEARCH_CYCLES } else { 0 }

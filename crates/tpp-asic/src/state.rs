@@ -1,7 +1,7 @@
 //! Whole-ASIC state snapshots for differential testing.
 //!
 //! The conformance harness (`tpp-bench`) needs to (a) seed two ASICs —
-//! one with the hot-path caches on, one with them off — with *identical*
+//! one with the decode cache on, one with it off — with *identical*
 //! adversarial state, and (b) prove after a run that every piece of
 //! TPP-visible state came out bit-identical. [`AsicState`] is the value
 //! type both halves use: `Asic::snapshot` captures it,
@@ -13,10 +13,9 @@
 //!   control-plane inputs the harness constructs explicitly, not state a
 //!   TPP can observe or mutate (only `FlowTableVersion`, which lives in
 //!   [`SwitchRegs`], is TPP-visible);
-//! - the flow cache and decode cache — they are semantically invisible by
-//!   design, which is exactly the property the differential harness
-//!   exists to check. Restoring them would let a buggy cache "restore"
-//!   its own bug away.
+//! - the decode cache — it is semantically invisible by design, which is
+//!   exactly the property the differential harness exists to check.
+//!   Restoring it would let a buggy cache "restore" its own bug away.
 
 use crate::stats::{PortStats, QueueStats, SwitchRegs};
 

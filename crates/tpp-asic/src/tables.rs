@@ -7,16 +7,14 @@
 //! reconstruct exactly which rule forwarded each packet.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use tpp_wire::EthernetAddress;
 
 /// A port index on the switch.
 pub type PortId = u16;
 
 /// The header fields the parser extracts for table lookups.
-///
-/// `Hash` lets the exact-match flow cache key on the whole tuple, the
-/// OVS-megaflow-style fast path in front of the TCAM→L3→L2 walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowKey {
     /// Ingress port the packet arrived on.
     pub in_port: PortId,
@@ -101,12 +99,14 @@ impl Tcam {
     }
 
     /// Install or replace (by id) an entry. Keeps entries sorted by
-    /// descending priority, ties broken by lower id first (deterministic).
+    /// descending priority, ties broken by lower id first (deterministic;
+    /// ids are unique, so the order is total and the slot is one
+    /// `partition_point`).
     pub fn install(&mut self, entry: FlowEntry) {
-        self.entries.retain(|e| e.id != entry.id);
-        self.entries.push(entry);
-        self.entries
-            .sort_by(|a, b| b.priority.cmp(&a.priority).then(a.id.cmp(&b.id)));
+        self.remove(entry.id);
+        let rank = |e: &FlowEntry| (std::cmp::Reverse(e.priority), e.id);
+        let at = self.entries.partition_point(|e| rank(e) < rank(&entry));
+        self.entries.insert(at, entry);
     }
 
     /// Remove an entry by id; returns it if present.
@@ -146,10 +146,41 @@ impl Tcam {
     }
 }
 
+/// Multiply-rotate hasher for the L2 table's six-byte keys, in place of
+/// SipHash-1-3 (~7 % of wall time on the fabric run, EXPERIMENTS.md E28).
+/// Deterministic — no per-process `RandomState` — which is sound here
+/// because the keys are MACs the control plane installs, never
+/// attacker-chosen.
+#[derive(Debug, Default, Clone, Copy)]
+struct MacHasher(u64);
+
+impl Hasher for MacHasher {
+    /// Words are loaded big-endian and right-aligned, so a MAC's *last*
+    /// byte — the one consecutive `from_host_id`s differ in — lands in
+    /// the low bits, which an odd multiply permutes among themselves.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[8 - chunk.len()..].copy_from_slice(chunk);
+            self.0 = (self.0.rotate_left(5) ^ u64::from_be_bytes(word))
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        }
+    }
+
+    /// Fold the high half down: a multiply only carries entropy upwards,
+    /// and hashbrown picks the bucket from the *low* bits (the control
+    /// tag from the top seven). Host ids strided by 256 or 65,536 differ
+    /// only in bytes whose product never reaches the low bits, so without
+    /// the fold they would all share one bucket.
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
 /// Exact-match L2 MAC table.
 #[derive(Debug, Default)]
 pub struct L2Table {
-    entries: HashMap<EthernetAddress, PortId>,
+    entries: HashMap<EthernetAddress, PortId, BuildHasherDefault<MacHasher>>,
 }
 
 impl L2Table {
@@ -268,6 +299,7 @@ impl LpmTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn key(in_port: PortId, dst: u32, ethertype: u16) -> FlowKey {
         FlowKey {
@@ -356,6 +388,76 @@ mod tests {
         assert_eq!(l2.lookup(EthernetAddress::from_host_id(1)), Some(4));
         assert_eq!(l2.lookup(EthernetAddress::from_host_id(2)), None);
         assert_eq!(l2.len(), 1);
+    }
+
+    proptest! {
+        /// `install` keeps the order retain + push + full sort would,
+        /// under id reuse and equal priorities.
+        #[test]
+        fn tcam_install_keeps_the_order_a_full_sort_would(
+            installs in proptest::collection::vec((0u32..48, 0u16..5), 1..200),
+        ) {
+            let mut tcam = Tcam::new();
+            let mut model: Vec<FlowEntry> = Vec::new();
+            for (version, (id, priority)) in installs.into_iter().enumerate() {
+                let entry = FlowEntry {
+                    id,
+                    version: version as u32,
+                    priority,
+                    pattern: FlowMatch::default(),
+                    action: FlowAction::Forward(0),
+                };
+                tcam.install(entry);
+                model.retain(|e| e.id != id);
+                model.push(entry);
+                model.sort_by(|a, b| b.priority.cmp(&a.priority).then(a.id.cmp(&b.id)));
+                prop_assert!(tcam.iter().eq(model.iter()));
+            }
+        }
+
+        /// The table under its own hasher behaves as a map: random
+        /// insert / overwrite / lookup against a `BTreeMap`.
+        #[test]
+        fn l2_table_matches_btreemap_model(
+            ops in proptest::collection::vec((any::<bool>(), 0u32..64, 0u32..4, any::<u16>()), 1..200),
+        ) {
+            let mut l2 = L2Table::new();
+            let mut model = std::collections::BTreeMap::new();
+            for (insert, low, shift, port) in ops {
+                // Ids collide often and differ in one byte at a time.
+                let mac = EthernetAddress::from_host_id(low << (8 * shift));
+                if insert {
+                    l2.insert(mac, port);
+                    model.insert(mac, port);
+                }
+                prop_assert_eq!(l2.lookup(mac), model.get(&mac).copied());
+                prop_assert_eq!(l2.len(), model.len());
+            }
+        }
+    }
+
+    #[test]
+    fn mac_hasher_spreads_strided_host_ids_over_low_bits_and_tags() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<MacHasher>::default();
+        for stride in [1u32, 256, 65_536] {
+            let mut buckets = [0u32; 4096];
+            let mut tags = [false; 128];
+            for i in 0..65_536u32 {
+                let h = build.hash_one(EthernetAddress::from_host_id(i.wrapping_mul(stride)));
+                buckets[(h & 0xfff) as usize] += 1;
+                tags[(h >> 57) as usize] = true;
+            }
+            // hashbrown: bucket from the low bits, control tag from the
+            // top seven. Mean load is 16 per 12-bit bucket.
+            let worst = buckets.iter().max().unwrap();
+            assert!(
+                *worst <= 64,
+                "stride {stride}: {worst} MACs share 12 low bits"
+            );
+            let used = tags.iter().filter(|t| **t).count();
+            assert!(used >= 100, "stride {stride}: only {used} of 128 tags used");
+        }
     }
 
     #[test]

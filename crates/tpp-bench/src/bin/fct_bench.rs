@@ -105,6 +105,10 @@ struct ScenarioOut {
     sim_ns: u64,
     wall_s: f64,
     events: u64,
+    /// Conservative windows stepped and the deepest event queue found at
+    /// a window's entry (stdout only).
+    windows: u64,
+    peak_pending: u64,
     allocs: u64,
     peak_rss_kb: u64,
     fingerprint: u64,
@@ -299,6 +303,7 @@ fn run_scenario(s: &Scenario) -> ScenarioOut {
             .len();
     }
 
+    let sync = sim.shard_sync_stats();
     ScenarioOut {
         switches: switches.len(),
         hosts: n_hosts,
@@ -309,6 +314,8 @@ fn run_scenario(s: &Scenario) -> ScenarioOut {
         sim_ns: run_ns,
         wall_s,
         events: sim.events_processed(),
+        windows: sync[0].windows,
+        peak_pending: sync.iter().map(|s| s.peak_pending).max().unwrap_or(0),
         allocs,
         peak_rss_kb,
         fingerprint,
@@ -412,9 +419,11 @@ struct ClosedOut {
     sim_ns: u64,
     wall_s: f64,
     events: u64,
-    /// Conservative windows stepped (every shard steps each of them)
-    /// and events mailed across a shard boundary, over all shards.
+    /// Conservative windows stepped (every shard steps each of them),
+    /// the deepest event queue any shard found at a window's entry, and
+    /// events mailed across a shard boundary, over all shards.
     windows: u64,
+    peak_pending: u64,
     events_mailed: u64,
 }
 
@@ -589,6 +598,7 @@ fn run_closed(s: &ClosedScenario, shards: usize, sequential: bool) -> ClosedOut 
         wall_s,
         events: sim.events_processed(),
         windows: sync[0].windows,
+        peak_pending: sync.iter().map(|s| s.peak_pending).max().unwrap_or(0),
         events_mailed: sync.iter().map(|s| s.events_mailed).sum(),
     }
 }
@@ -610,7 +620,7 @@ fn run_closed_matrix(s: &ClosedScenario) -> (ClosedOut, Vec<(&'static str, u64)>
         println!(
             "closed[{name:<17}] {}/{} flows completed, {} retransmits \
              ({} RTO, {} fast), fingerprint 0x{:016x} in {:.2} s wall; \
-             {} windows of {:.1} events, {} mailed",
+             {} windows of {:.1} events (peak {} pending), {} mailed",
             out.completed,
             out.flows_total,
             out.stats.retransmits,
@@ -620,6 +630,7 @@ fn run_closed_matrix(s: &ClosedScenario) -> (ClosedOut, Vec<(&'static str, u64)>
             out.wall_s,
             out.windows,
             out.events as f64 / out.windows.max(1) as f64,
+            out.peak_pending,
             out.events_mailed,
         );
         outs.push((*name, out));
@@ -821,7 +832,7 @@ fn scenario_json(name: &str, s: &Scenario, out: &ScenarioOut) -> String {
 fn summary(name: &str, out: &ScenarioOut) {
     println!(
         "{name}: {} switches, {} hosts | {} / {} flows completed ({} frames) | \
-         sim {:.1} ms in {:.2} s wall ({} events, {:.0}/s) | \
+         sim {:.1} ms in {:.2} s wall ({} events, {:.0}/s; {} windows, peak {} pending) | \
          {} allocs | {} B/switch | interner {} programs, {} shared / {} decoded",
         out.switches,
         out.hosts,
@@ -832,6 +843,8 @@ fn summary(name: &str, out: &ScenarioOut) {
         out.wall_s,
         out.events,
         out.events as f64 / out.wall_s,
+        out.windows,
+        out.peak_pending,
         out.allocs,
         out.bytes_per_switch,
         out.interner_distinct,

@@ -1,14 +1,14 @@
-//! Tracked performance baseline for the hot-path work: pipeline and TCPU
-//! throughput with the decode/flow caches on vs off, and a
+//! Tracked performance baseline for the hot-path work: TCPU throughput
+//! with the decode cache on vs off, the plain forwarding pipeline, and a
 //! datacenter-scale netsim workload exercising the frame pool.
 //!
 //! Writes `BENCH_pipeline.json` and `BENCH_netsim.json` into the current
 //! directory (run from the repo root; the committed copies are the
-//! tracked baseline). The "caches off" rows use
-//! `AsicConfig::without_hot_path_caches()`, i.e. the pre-optimization
-//! configuration, so every run re-measures the speedup against its own
-//! baseline on the same machine instead of comparing against stale
-//! absolute numbers.
+//! tracked baseline). The "caches off" row uses
+//! `AsicConfig::without_decode_cache()`, so every run re-measures the
+//! speedup against its own baseline on the same machine instead of
+//! comparing against stale absolute numbers. Plain frames never reach
+//! the decode cache, so `pipeline_plain` is one row.
 //!
 //! ```console
 //! $ cargo run --release -p tpp-bench --bin perf_baseline
@@ -67,8 +67,8 @@ fn measure(f: impl FnOnce()) -> Measurement {
     }
 }
 
-/// A populated ASIC at ACL scale: 256 TCAM entries (the rule-set sizes
-/// that motivated OVS's megaflow cache), 1k L2 MACs, 256 L3 prefixes.
+/// A populated ASIC at ACL scale: 256 TCAM entries, 1k L2 MACs, 256 L3
+/// prefixes.
 fn asic(config: AsicConfig) -> Asic {
     let mut asic = Asic::new(config);
     asic.l2_mut().insert(EthernetAddress::from_host_id(1), 1);
@@ -496,7 +496,7 @@ fn main() {
         run_pipeline_workload(
             "tcpu_repeated_program",
             "off",
-            AsicConfig::with_ports(1, 4).without_hot_path_caches(),
+            AsicConfig::with_ports(1, 4).without_decode_cache(),
             &tpp,
             frames,
             true,
@@ -511,15 +511,7 @@ fn main() {
         ),
         run_pipeline_workload(
             "pipeline_plain",
-            "off",
-            AsicConfig::with_ports(1, 4).without_hot_path_caches(),
-            &plain,
-            frames,
-            false,
-        ),
-        run_pipeline_workload(
-            "pipeline_plain",
-            "on",
+            "-",
             AsicConfig::with_ports(1, 4),
             &plain,
             frames,
@@ -553,27 +545,16 @@ fn main() {
         run_transport_workload(frames * 5),
     ];
 
-    let speedup = |name: &str| -> f64 {
-        let off = rows
-            .iter()
-            .find(|r| r.name == name && r.caches == "off")
-            .expect("off row");
-        let on = rows
-            .iter()
-            .find(|r| r.name == name && r.caches == "on")
-            .expect("on row");
-        on.packets_per_sec / off.packets_per_sec
-    };
-    let tcpu_speedup = speedup("tcpu_repeated_program");
-    let plain_speedup = speedup("pipeline_plain");
-    let row_pps = |name: &str| -> f64 {
+    let row_pps = |name: &str, caches: &str| -> f64 {
         rows.iter()
-            .find(|r| r.name == name)
+            .find(|r| r.name == name && r.caches == caches)
             .expect("row")
             .packets_per_sec
     };
+    let tcpu_speedup =
+        row_pps("tcpu_repeated_program", "on") / row_pps("tcpu_repeated_program", "off");
     // Sampling-on throughput as a fraction of sampling-off (1.0 = free).
-    let obs_on_vs_off = row_pps("obs_overhead_on") / row_pps("obs_overhead_off");
+    let obs_on_vs_off = row_pps("obs_overhead_on", "on") / row_pps("obs_overhead_off", "on");
 
     for row in &rows {
         println!(
@@ -581,9 +562,7 @@ fn main() {
             row.name, row.caches, row.packets_per_sec, row.allocs_per_packet
         );
     }
-    println!(
-        "speedup: tcpu_repeated_program {tcpu_speedup:.2}x, pipeline_plain {plain_speedup:.2}x"
-    );
+    println!("speedup: tcpu_repeated_program {tcpu_speedup:.2}x");
     println!("obs sampling on/off throughput ratio: {obs_on_vs_off:.2}");
 
     if quick {
@@ -594,19 +573,13 @@ fn main() {
             Some(c) if c > 0.0 => format!("{:.2}x", measured / c),
             _ => "n/a".to_string(),
         };
-        let row_pps_on = |name: &str| -> f64 {
-            rows.iter()
-                .find(|r| r.name == name && r.caches == "on")
-                .expect("caches-on row")
-                .packets_per_sec
-        };
         let pipeline_doc = std::fs::read_to_string("BENCH_pipeline.json").unwrap_or_default();
         let netsim_doc = std::fs::read_to_string("BENCH_netsim.json").unwrap_or_default();
         println!(
-            "quick delta vs committed: tcpu_on {}, plain_on {}, obs_ratio {}, \
+            "quick delta vs committed: tcpu_on {}, plain {}, obs_ratio {}, \
              netsim_1shard {} (tpps/wall-s), netsim allocs {} vs {}",
             ratio(
-                row_pps_on("tcpu_repeated_program"),
+                row_pps("tcpu_repeated_program", "on"),
                 committed_row_field(
                     &pipeline_doc,
                     "\"name\": \"tcpu_repeated_program\", \"caches\": \"on\"",
@@ -614,10 +587,10 @@ fn main() {
                 ),
             ),
             ratio(
-                row_pps_on("pipeline_plain"),
+                row_pps("pipeline_plain", "-"),
                 committed_row_field(
                     &pipeline_doc,
-                    "\"name\": \"pipeline_plain\", \"caches\": \"on\"",
+                    "\"name\": \"pipeline_plain\"",
                     "packets_per_sec",
                 ),
             ),
@@ -639,7 +612,6 @@ fn main() {
     let pipeline_json = format!(
         "{{\n  \"bench\": \"perf_baseline/pipeline\",\n  \"workloads\": [\n{}\n  ],\n  \
          \"speedup\": {{\"tcpu_repeated_program\": {tcpu_speedup:.2}, \
-         \"pipeline_plain\": {plain_speedup:.2}, \
          \"obs_sampling_on_vs_off\": {obs_on_vs_off:.2}}}\n}}\n",
         rows.iter().map(json_row).collect::<Vec<_>>().join(",\n")
     );

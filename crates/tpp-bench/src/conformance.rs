@@ -5,9 +5,9 @@
 //! adversarial initial register/SRAM state. [`run_case`] then executes
 //! the case three ways in lock step:
 //!
-//! 1. the optimized ASIC with hot-path caches **on**,
-//! 2. the same ASIC with hot-path caches **off**
-//!    ([`AsicConfig::without_hot_path_caches`]),
+//! 1. the optimized ASIC with the decode cache **on**,
+//! 2. the same ASIC with the decode cache **off**
+//!    ([`AsicConfig::without_decode_cache`]),
 //! 3. the allocation-happy reference semantics in `tpp-spec`,
 //!
 //! and demands bit-identical observable behavior: outcome, forwarded
@@ -348,7 +348,7 @@ pub fn run_case(case: &ConformanceCase) -> Result<CaseSummary, String> {
         cfg.queue_limit_bytes(case.queue_limit_bytes)
     };
     let mut cached = Asic::new(mk_cfg());
-    let mut uncached = Asic::new(mk_cfg().without_hot_path_caches());
+    let mut uncached = Asic::new(mk_cfg().without_decode_cache());
     for asic in [&mut cached, &mut uncached] {
         asic.l2_mut()
             .insert(EthernetAddress::from_host_id(1), EGRESS_PORT);

@@ -4,7 +4,7 @@
 //! The cache-equivalence property tests (`tests/hot_path_caches.rs`),
 //! the robustness tests (`tests/lint_and_robustness.rs`) and the
 //! conformance fuzz loop (`conformance`) all need the same ingredients —
-//! a routed cached/uncached ASIC pair, TPP frames with arbitrary
+//! a routed decode-cached/uncached ASIC pair, TPP frames with arbitrary
 //! instruction and memory sections, and lock-step comparisons. They live
 //! here once instead of being copy-pasted per test file.
 
@@ -13,7 +13,7 @@ use tpp_wire::ethernet::{build_frame, EtherType};
 use tpp_wire::tpp::{AddressingMode, TppBuilder};
 use tpp_wire::EthernetAddress;
 
-/// Identically-provisioned ASICs, hot-path caches on vs off, with the
+/// Identically-provisioned ASICs, decode cache on vs off, with the
 /// standard three-route test topology: L2 host 1 → port 1, L2 host 2 →
 /// port 2, L3 10.0.0.0/8 → port 3.
 pub fn asic_pair() -> (Asic, Asic) {
@@ -26,7 +26,7 @@ pub fn asic_pair() -> (Asic, Asic) {
     };
     (
         mk(AsicConfig::with_ports(7, 4)),
-        mk(AsicConfig::with_ports(7, 4).without_hot_path_caches()),
+        mk(AsicConfig::with_ports(7, 4).without_decode_cache()),
     )
 }
 

@@ -94,7 +94,6 @@ pub const SWITCH_SERIES_METRICS: &[&str] = &[
     "queue.max_bytes",
     "link.tx_util_permille",
     "drop.bytes_per_tick",
-    "cache.flow_hit_permille",
     "cache.decode_hit_permille",
 ];
 

@@ -61,9 +61,18 @@ pub struct ShardSyncStats {
     pub windows: u64,
     /// Events this shard mailed to another shard.
     pub events_mailed: u64,
+    /// Deepest this shard's event queue stood at a window's entry
+    /// (sampled once per window, after the inbox drain — never per
+    /// event).
+    pub peak_pending: u64,
 }
 
-/// One destination shard's mailbox, alone on its cache lines.
+/// One destination shard's mailbox for the windows of one parity, alone
+/// on its cache lines. A shard owns two: a peer that has already passed
+/// the reduction deposits the *next* window's mail while this shard
+/// still drains the last one's, and keeping the two apart is what makes
+/// a drain — and so the queue depth at every window's entry — the same
+/// under either driver.
 #[derive(Default)]
 #[repr(align(128))]
 pub(crate) struct Inbox(pub(crate) Mutex<Vec<Event>>);
@@ -119,7 +128,7 @@ pub(crate) struct ShardRun<'a> {
     pub(crate) switch_links: &'a mut [Vec<Option<Link>>],
     pub(crate) host_links: &'a mut [Vec<Option<Link>>],
     pub(crate) state: &'a mut ShardState,
-    pub(crate) inboxes: &'a [Inbox],
+    pub(crate) inboxes: &'a [[Inbox; 2]],
     pub(crate) l2_routes: &'a [Vec<(EthernetAddress, PortId)>],
     /// Equal-cost next-hop table, present only under
     /// [`SimConfig::ecmp`](crate::SimConfig::ecmp); shared read-only by
@@ -142,13 +151,23 @@ impl ShardRun<'_> {
     pub(crate) fn drain_inbox(&mut self) {
         let mut scratch = std::mem::take(&mut self.state.inbox_scratch);
         {
-            let mut inbox = self.inboxes[self.idx].0.lock().expect("inbox lock");
+            let mut inbox = self.inboxes[self.idx][self.window_parity()]
+                .0
+                .lock()
+                .expect("inbox lock");
             std::mem::swap(&mut *inbox, &mut scratch);
         }
         for event in scratch.drain(..) {
             self.state.events.push_event(event);
         }
         self.state.inbox_scratch = scratch;
+    }
+
+    /// Which of a shard's two inboxes the current window's mail goes to
+    /// and, once the window is over, is drained from. Every shard steps
+    /// every window, so all agree; no peer runs two windows ahead.
+    fn window_parity(&self) -> usize {
+        (self.state.sync.windows & 1) as usize
     }
 
     /// Time of this shard's earliest pending event.
@@ -163,7 +182,9 @@ impl ShardRun<'_> {
     fn window(&mut self, end: u64) -> u64 {
         self.window_end = end;
         self.mailed_min = u64::MAX;
-        self.state.sync.windows += 1;
+        let sync = &mut self.state.sync;
+        sync.windows += 1;
+        sync.peak_pending = sync.peak_pending.max(self.state.events.len() as u64);
         while let Some(key) = self.state.events.peek_key() {
             if key.time >= end {
                 break;
@@ -214,14 +235,10 @@ impl ShardRun<'_> {
             self.tap(NodeId::switch(s), port, TapDir::Rx, &frame);
         }
         let now = self.now_ns;
-        let route = self.ecmp.and_then(|table| self.ecmp_pick(table, s, &frame));
-        let local = s.0 - self.switch_base;
-        let outcome = match route {
-            Some(out) => self.switches[local]
-                .asic
-                .handle_frame_routed(frame, port, now, Some(out)),
-            None => self.switches[local].asic.handle_frame(frame, port, now),
-        };
+        let hint = self.ecmp.and_then(|table| self.ecmp_pick(table, s, &frame));
+        let outcome = self.switches[s.0 - self.switch_base]
+            .asic
+            .handle_frame_routed(frame, port, now, hint);
         if let Outcome::Enqueued { port: out, .. } = outcome {
             self.try_tx_switch(s, out);
         }
@@ -230,10 +247,10 @@ impl ShardRun<'_> {
     /// The ECMP egress override for one frame at switch `s`, or `None`
     /// when hashing does not apply (no flow key, unknown destination,
     /// or a group of at most one — single-path tiers keep the ASIC's
-    /// own lookup and its flow cache). Candidates are filtered to up
-    /// egress links (owned by this shard, so the filter is as
-    /// deterministic as the hash); a fully-dark group falls back to the
-    /// unfiltered pick and the frame drops at the transmitter.
+    /// own lookup). Candidates are filtered to up egress links (owned by
+    /// this shard, so the filter is as deterministic as the hash); a
+    /// fully-dark group falls back to the unfiltered pick and the frame
+    /// drops at the transmitter.
     fn ecmp_pick(
         &self,
         table: &crate::routing::EcmpTable,
@@ -578,7 +595,10 @@ impl ShardRun<'_> {
             debug_assert!(event.key.time >= self.window_end, "mail inside window");
             self.mailed_min = self.mailed_min.min(event.key.time);
             self.state.sync.events_mailed += 1;
-            let mut inbox = self.inboxes[shard].0.lock().expect("inbox lock");
+            let mut inbox = self.inboxes[shard][self.window_parity()]
+                .0
+                .lock()
+                .expect("inbox lock");
             inbox.push(event);
         }
     }
@@ -741,11 +761,10 @@ pub(crate) fn run_shards(runs: &mut [ShardRun<'_>], sched: Schedule, parallel: b
 /// reduction is all the synchronisation a window pays. Every peer
 /// publishes after the last `deliver` of its window, so the drain after
 /// the reduction sees all mail of that window; mail a faster peer has
-/// already sent from the next one arrives at or beyond
-/// `open + lookahead`, where that window ends at the latest, so taking
-/// it early is harmless. A stats tick at `T` happens once the minimum
-/// says nothing is pending below `T`; it touches shard-owned switches
-/// only. Inboxes are empty whenever no window is open.
+/// already sent from the next one sits in the inbox of the other parity
+/// until that window's own drain. A stats tick at `T` happens once the
+/// minimum says nothing is pending below `T`; it touches shard-owned
+/// switches only. Inboxes are empty whenever no window is open.
 fn drive(runs: &mut [ShardRun<'_>], sched: Schedule, mut all_min: impl FnMut(u64) -> u64) {
     let mut next_tick = sched.next_tick_ns;
     let mut limit = next_tick.min(sched.end_exclusive);

@@ -353,7 +353,7 @@ impl NetworkBuilder {
             shards: (0..num_shards)
                 .map(|_| ShardState::new(cfg.frame_pool_buffers))
                 .collect(),
-            inboxes: (0..num_shards).map(|_| Inbox::default()).collect(),
+            inboxes: (0..num_shards).map(|_| Default::default()).collect(),
             l2_routes,
             ecmp,
             fault_seed: 0,
@@ -603,7 +603,7 @@ pub struct Simulator {
     shards: Vec<ShardState>,
     /// Cross-shard mailboxes, one per destination shard, drained into
     /// the owner's queue after each window's synchronisation.
-    inboxes: Vec<Inbox>,
+    inboxes: Vec<[Inbox; 2]>,
     /// Precomputed control-plane L2 tables (see [`compute_l2_routes`]).
     l2_routes: Vec<Vec<(EthernetAddress, PortId)>>,
     /// Equal-cost next-hop groups, built only under [`SimConfig::ecmp`]
@@ -1000,8 +1000,6 @@ impl Simulator {
             let delta = dropped.saturating_sub(series.prev_drop_bytes);
             series.offer("drop.bytes_per_tick", now, delta);
             series.prev_drop_bytes = dropped;
-            let (fh, fm) = asic.flow_cache_stats();
-            series.offer("cache.flow_hit_permille", now, permille(fh, fm));
             let (dh, dm) = asic.decode_cache_stats();
             series.offer("cache.decode_hit_permille", now, permille(dh, dm));
         }

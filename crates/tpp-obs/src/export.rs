@@ -251,10 +251,10 @@ mod tests {
         // tpp-bench integration tests; here just check the shape.
         let text = series_jsonl(&set);
         let lines: Vec<&str> = text.lines().collect();
-        // 6 switch metrics + 2 fleet metrics.
-        assert_eq!(lines.len(), 8);
+        // 5 switch metrics + 2 fleet metrics.
+        assert_eq!(lines.len(), 7);
         assert!(lines[0].starts_with("{\"scope\":\"switch\",\"switch_id\":16,"));
-        assert!(lines[7].starts_with("{\"scope\":\"fleet\","));
+        assert!(lines[6].starts_with("{\"scope\":\"fleet\","));
         assert!(lines.iter().all(|l| l.ends_with("]}")));
     }
 

@@ -396,25 +396,19 @@ fn tab_caches(frame: &mut FrameBuf, snap: &FleetSnapshot, state: &DashState) {
         frame,
         snap,
         state,
-        " SWITCH     FLOWHIT pm min/mean/max  TREND          DECODEHIT pm min/mean/max  TREND",
+        " SWITCH     DECODEHIT pm min/mean/max  TREND",
         0,
         |s, i| {
             let r = &s.switches[i];
-            let f = win_cell(r.windows.get("cache.flow_hit_permille"));
             let d = win_cell(r.windows.get("cache.decode_hit_permille"));
-            let fs = r
-                .windows
-                .get("cache.flow_hit_permille")
-                .map(|w| sparkline(w, 12))
-                .unwrap_or_default();
             let ds = r
                 .windows
                 .get("cache.decode_hit_permille")
                 .map(|w| sparkline(w, 12))
                 .unwrap_or_default();
             format!(
-                " 0x{:<8x} {:>4}/{:>4}/{:>4}          {fs:<12}   {:>4}/{:>4}/{:>4}          {ds}",
-                r.switch_id, f.0, f.1, f.2, d.0, d.1, d.2
+                " 0x{:<8x} {:>4}/{:>4}/{:>4}          {ds}",
+                r.switch_id, d.0, d.1, d.2
             )
         },
     );

@@ -118,19 +118,18 @@ pub fn render_top(sim: &Simulator, collector: Option<&Collector>) -> String {
         let _ = writeln!(out, "\nSERIES peaks over {} ticks", set.ticks());
         let _ = writeln!(
             out,
-            "{:<8} {:>12} {:>12} {:>12} {:>10}",
-            "SWITCH", "QUEUE_MAX_B", "UTIL_PM", "DROP_B/TICK", "FLOWHIT_PM"
+            "{:<8} {:>12} {:>12} {:>12}",
+            "SWITCH", "QUEUE_MAX_B", "UTIL_PM", "DROP_B/TICK"
         );
         for sw in &set.switches {
             let peak = |m: &str| sw.get(m).map(|s| s.max_value()).unwrap_or(0);
             let _ = writeln!(
                 out,
-                "{:<8} {:>12} {:>12} {:>12} {:>10}",
+                "{:<8} {:>12} {:>12} {:>12}",
                 format!("0x{:02x}", sw.switch_id),
                 peak("queue.max_bytes"),
                 peak("link.tx_util_permille"),
                 peak("drop.bytes_per_tick"),
-                peak("cache.flow_hit_permille"),
             );
         }
     }

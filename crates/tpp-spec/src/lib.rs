@@ -10,9 +10,9 @@
 //!
 //! * the forwarding pipeline (parsing, lookup, queueing) — the harness
 //!   feeds it the post-lookup state a TPP would observe;
-//! * the hot-path caches of `tpp-asic` (decode cache, flow cache) —
-//!   those are required to be semantically invisible, which is exactly
-//!   what differential execution against this crate checks;
+//! * the decode cache of `tpp-asic` — it is required to be
+//!   semantically invisible, which is exactly what differential
+//!   execution against this crate checks;
 //! * cycle accounting beyond the §3.3 budget counter
 //!   (`4 + instructions_executed`, one cycle per instruction on top of
 //!   the 4-cycle pipeline latency).

@@ -1,5 +1,5 @@
-//! Differential conformance: the optimized ASIC (`tpp-asic`, hot-path
-//! caches on *and* off) against the reference semantics (`tpp-spec`),
+//! Differential conformance: the optimized ASIC (`tpp-asic`, decode
+//! cache on *and* off) against the reference semantics (`tpp-spec`),
 //! driven by the shared harness in `tpp_bench::conformance`.
 //!
 //! The debug-profile test here runs a few hundred seeded cases; the CI

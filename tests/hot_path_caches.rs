@@ -1,12 +1,12 @@
-//! The hot-path caches must be semantically invisible.
+//! The hot-path shortcuts must be semantically invisible.
 //!
-//! An ASIC with the decoded-program cache and the exact-match flow cache
-//! on must behave bit-identically to one with them off
-//! (`AsicConfig::without_hot_path_caches()`, the pre-optimization
-//! configuration): same outcomes, same forwarded bytes, same
-//! TPP-readable registers. Every frame is fed more than once so the
-//! caches actually serve hits, and programs include undecodable words so
-//! the cached `BadInstruction` halt position is exercised too.
+//! An ASIC with the decoded-program cache on must behave bit-identically
+//! to one with it off (`AsicConfig::without_decode_cache()`), and batched
+//! TCPU dispatch identically to the per-frame path: same outcomes, same
+//! forwarded bytes, same TPP-readable registers. Every frame is fed more
+//! than once so the cache actually serves hits, and programs include
+//! undecodable words so the cached `BadInstruction` halt position is
+//! exercised too.
 //!
 //! The shared ASIC-pair/frame builders live in `tpp_bench::testgen`,
 //! reused by the robustness tests and the conformance fuzz loop.
@@ -14,7 +14,6 @@
 use proptest::prelude::*;
 use tpp_asic::{Asic, AsicConfig};
 use tpp_bench::testgen::{asic_pair, regs_match, step_both, tpp_frame};
-use tpp_wire::ethernet::{build_frame, EtherType};
 use tpp_wire::EthernetAddress;
 
 /// Two identically populated ASICs differing only in
@@ -59,35 +58,6 @@ proptest! {
             words.is_empty() || hits >= (repeats as u64) - 1,
             "repeated program should hit the decode cache"
         );
-    }
-
-    /// A random mix of flows — L2-routed, L3-routed, and unroutable —
-    /// fed repeatedly forwards identically with the flow cache on and
-    /// off, and the flow cache serves repeats from cache.
-    #[test]
-    fn flow_cache_matches_table_walk(
-        flows in proptest::collection::vec((0u32..5, any::<bool>()), 1..12),
-        payload_len in 20usize..64,
-    ) {
-        let (mut cached, mut uncached) = asic_pair();
-        let frames: Vec<Vec<u8>> = flows
-            .iter()
-            .map(|&(dst, ipv4)| {
-                build_frame(
-                    EthernetAddress::from_host_id(dst),
-                    EthernetAddress::from_host_id(9),
-                    EtherType(if ipv4 { 0x0800 } else { 0x0802 }),
-                    &vec![0xabu8; payload_len],
-                )
-            })
-            .collect();
-        for (i, frame) in frames.iter().chain(frames.iter()).enumerate() {
-            step_both(&mut cached, &mut uncached, frame, i as u64);
-        }
-        regs_match(&cached, &uncached);
-        let (hits, misses) = cached.flow_cache_stats();
-        prop_assert!(hits >= frames.len() as u64, "second pass should hit");
-        prop_assert!(misses <= frames.len() as u64);
     }
 
     /// Batched TCPU dispatch is bit-identical to the per-frame path for

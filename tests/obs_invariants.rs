@@ -5,9 +5,9 @@
 //! 1. **Attribution is exact.** The per-stage cycle charges the profiler
 //!    records (parser, tables, TCPU, MMU) sum to precisely the span
 //!    total it reports, for arbitrary TPP frames — and the attribution
-//!    is identical with the hot-path caches on and off, since a cached
-//!    lookup must *charge* what the table walk would have cost, not
-//!    what the cache shortcut cost.
+//!    is identical with the decode cache on and off, since a cached
+//!    program must *charge* what its execution costs in the model, not
+//!    what the shortcut cost.
 //! 2. **Sampling is invisible.** Enabling the profiler (sample every
 //!    packet) must not change a single forwarded byte, register, or
 //!    conformance verdict: the observability plane reads the pipeline,
