@@ -264,9 +264,7 @@ impl Asic {
             l3: LpmTable::new(),
             tcam: Tcam::new(),
             global_sram: lazy_sram(config.global_sram_words),
-            tcpu: Tcpu::new(config.tcpu_cycle_budget)
-                .with_decode_cache(config.decode_cache_slots)
-                .with_batched_dispatch(config.batched_dispatch),
+            tcpu: Tcpu::new(config.tcpu_cycle_budget).with_decode_cache(config.decode_cache_slots),
             trace: None,
             profile: None,
             interner: None,
@@ -654,8 +652,7 @@ impl Asic {
         // The decode cache is volatile state too: it loses its warmed
         // programs along with its hit counters.
         self.tcpu = Tcpu::new(self.config.tcpu_cycle_budget)
-            .with_decode_cache(self.config.decode_cache_slots)
-            .with_batched_dispatch(self.config.batched_dispatch);
+            .with_decode_cache(self.config.decode_cache_slots);
         if let Some(interner) = &self.interner {
             self.tcpu.set_interner(interner.clone());
         }

@@ -75,14 +75,6 @@ pub struct AsicConfig {
     /// every packet, which is the pre-cache behavior `perf_baseline`
     /// measures against. Execution semantics are identical either way.
     pub decode_cache_slots: usize,
-    /// Batched TCPU dispatch: when a switch drains an event window, a run
-    /// of packets carrying the same program is detected by one byte
-    /// compare per packet and executed against a single pinned decode
-    /// (decode once, run N) through a straight-line fast loop. Cycles,
-    /// counters, traces, and profiler spans are charged identically to
-    /// the per-frame path — bit-identical on or off, like the decode
-    /// cache. Requires `decode_cache_slots > 0` to have any effect.
-    pub batched_dispatch: bool,
 }
 
 impl AsicConfig {
@@ -97,7 +89,6 @@ impl AsicConfig {
             link_sram_words: 0x1000 / 4,
             utilization_ewma_alpha: 0.5,
             decode_cache_slots: 64,
-            batched_dispatch: true,
         }
     }
 
@@ -105,14 +96,6 @@ impl AsicConfig {
     /// differential tests use this for the uncached reference pipeline.
     pub fn without_decode_cache(mut self) -> Self {
         self.decode_cache_slots = 0;
-        self
-    }
-
-    /// Enable or disable batched TCPU dispatch (on by default; see
-    /// [`AsicConfig::batched_dispatch`]). The differential tests run with
-    /// it off to prove the batched path changes nothing observable.
-    pub fn batched_dispatch(mut self, on: bool) -> Self {
-        self.batched_dispatch = on;
         self
     }
 

@@ -11,11 +11,18 @@
 //! Correctness: the cache stores the decoded prefix *and* the index of the
 //! first undecodable word (`bad_at`), which together reproduce exactly what
 //! per-packet decoding would observe at each pc — including the
-//! `BadInstruction` halt. A hash collision falls back to a fresh decode
-//! that replaces the slot, so execution semantics are bit-identical with
-//! the cache on or off.
+//! `BadInstruction` halt. A hash collision falls back to the interner,
+//! which compares bytes exactly too, and replaces the slot, so execution
+//! semantics are bit-identical with the cache on or off.
+//!
+//! Three layers, front to back: a last-hit memo (one byte compare), the
+//! direct-mapped slots (hash, then byte compare), and a
+//! [`ProgramInterner`] that every miss resolves through, so a program
+//! evicted from its slot is decoded and allocated once, not once per
+//! miss.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex};
 
 use tpp_isa::{decode_program, Instruction};
@@ -89,11 +96,6 @@ impl DecodedProgram {
         }
     }
 
-    /// The raw instruction bytes this program was decoded from.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
     /// Approximate resident bytes of this decoded program.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
@@ -102,8 +104,9 @@ impl DecodedProgram {
     }
 }
 
-/// A fleet-wide pool of decoded TPP programs, shared by every switch's
-/// [`DecodeCache`] in a simulation. The paper's applications stamp the
+/// A pool of decoded TPP programs: fleet-wide when the simulator hands
+/// one handle to every switch's [`DecodeCache`], private to one cache
+/// otherwise (a standalone ASIC). The paper's applications stamp the
 /// identical program on every packet of a flow; without the interner each
 /// switch decodes (and stores) its own copy, so a program crossing a
 /// k=8 fat tree is decoded up to 80 times and resident 80 times. The
@@ -121,9 +124,31 @@ pub struct ProgramInterner {
     inner: Arc<Mutex<InternerInner>>,
 }
 
+/// Hasher for a map whose keys are already [`program_hash`] values: it
+/// passes the key through instead of running SipHash over a hash. The
+/// high half is folded down because FNV's last step is a multiply, which
+/// carries entropy upwards only — the low bits hashbrown picks a bucket
+/// from would depend on the low byte of each 8-byte chunk alone.
+#[derive(Debug, Default, Clone, Copy)]
+struct PassThroughHasher(u64);
+
+impl Hasher for PassThroughHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the interner's keys are u64 program hashes");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
 #[derive(Debug, Default)]
 struct InternerInner {
-    by_hash: HashMap<u64, Vec<Arc<DecodedProgram>>>,
+    by_hash: HashMap<u64, Vec<Arc<DecodedProgram>>, BuildHasherDefault<PassThroughHasher>>,
     shared: u64,
     decoded: u64,
 }
@@ -194,9 +219,14 @@ pub struct DecodeCache {
     last: usize,
     hits: u64,
     misses: u64,
-    /// Fleet-wide program pool consulted on local miss; `None` keeps the
-    /// cache self-contained (standalone ASICs, unit tests).
+    /// Program pool every miss resolves through, so a program evicted
+    /// from its slot is decoded (and allocated) once, not once per miss:
+    /// the fleet's when one was installed, otherwise a private one
+    /// created on the first miss.
     interner: Option<ProgramInterner>,
+    /// True when `interner` is the fleet's, whose program bodies are
+    /// accounted once fleet-wide rather than at this cache.
+    fleet_interner: bool,
 }
 
 impl DecodeCache {
@@ -211,6 +241,7 @@ impl DecodeCache {
             hits: 0,
             misses: 0,
             interner: None,
+            fleet_interner: false,
         }
     }
 
@@ -221,6 +252,7 @@ impl DecodeCache {
     /// [`ProgramInterner::stats`].
     pub fn set_interner(&mut self, interner: ProgramInterner) {
         self.interner = Some(interner);
+        self.fleet_interner = true;
     }
 
     /// Look up the program encoded by `bytes`, decoding and inserting it on
@@ -239,22 +271,10 @@ impl DecodeCache {
             self.hits += 1;
         } else {
             self.misses += 1;
-            let program = match &self.interner {
-                Some(interner) => interner.intern(hash, bytes),
-                None => Arc::new(DecodedProgram::decode(hash, bytes)),
-            };
-            self.slots[idx] = Some(program);
+            let interner = self.interner.get_or_insert_with(ProgramInterner::new);
+            self.slots[idx] = Some(interner.intern(hash, bytes));
         }
         self.slots[idx].as_ref().expect("slot filled above")
-    }
-
-    /// Record a hit served by the TCPU's batched-dispatch window (the
-    /// pinned program of the current same-program run). The window only
-    /// ever serves exactly when the last-hit memo would have — same
-    /// byte-compare against the previously served program — so charging it
-    /// here keeps hit/miss counters identical with batching on or off.
-    pub(crate) fn note_window_hit(&mut self) {
-        self.hits += 1;
     }
 
     /// Programs served from the cache.
@@ -267,13 +287,18 @@ impl DecodeCache {
         self.misses
     }
 
-    /// Approximate resident bytes of this cache's slot array. Program
-    /// bodies are *not* counted here: with an interner attached they are
-    /// fleet-shared state, accounted once via
+    /// Approximate resident bytes of this cache: its slot array, plus the
+    /// program bodies of a private interner. A fleet interner's bodies
+    /// are shared state, accounted once via
     /// [`ProgramInterner::approx_bytes`].
     pub fn approx_bytes(&self) -> usize {
+        let private_bodies = match &self.interner {
+            Some(interner) if !self.fleet_interner => interner.approx_bytes(),
+            _ => 0,
+        };
         std::mem::size_of::<Self>()
             + self.slots.capacity() * std::mem::size_of::<Option<Arc<DecodedProgram>>>()
+            + private_bodies
     }
 }
 
@@ -391,6 +416,25 @@ mod tests {
         assert_eq!((cache_a.hits(), cache_a.misses()), (0, 1));
         assert_eq!((cache_b.hits(), cache_b.misses()), (0, 1));
         assert!(interner.approx_bytes() > 0);
+    }
+
+    #[test]
+    fn evicted_programs_come_back_from_a_private_interner() {
+        // One slot: A and B evict each other, so every lookup is a miss.
+        let mut cache = DecodeCache::new(1);
+        let empty = cache.approx_bytes();
+        let a = words_to_bytes(&[0x6000_0001]); // PUSHI 1
+        let b = words_to_bytes(&[0x6000_0002]); // PUSHI 2
+        let first = cache.lookup(&a).clone();
+        cache.lookup(&b);
+        assert!(Arc::ptr_eq(&first, cache.lookup(&a)), "not decoded again");
+        assert_eq!((cache.hits(), cache.misses()), (0, 3));
+        let private = cache.interner.clone().expect("created by the first miss");
+        assert_eq!(private.stats(), (1, 2));
+        // Private bodies are this cache's memory; a fleet interner's are not.
+        assert_eq!(cache.approx_bytes(), empty + private.approx_bytes());
+        cache.set_interner(ProgramInterner::new());
+        assert_eq!(cache.approx_bytes(), empty);
     }
 
     #[test]

@@ -86,10 +86,65 @@ pub struct FlowEntry {
     pub action: FlowAction,
 }
 
+/// An entry's place in the match order: higher priority first, ties
+/// broken by lower id (ids are unique, so the order is total).
+fn rank(e: &FlowEntry) -> (std::cmp::Reverse<u16>, u32) {
+    (std::cmp::Reverse(e.priority), e.id)
+}
+
+/// The four matchable fields packed into one word:
+/// `in_port` 16 | `dst_mac` 48 | `src_mac` 48 | `ethertype` 16.
+fn pack(
+    in_port: PortId,
+    dst_mac: EthernetAddress,
+    src_mac: EthernetAddress,
+    ethertype: u16,
+) -> u128 {
+    let mac = |m: EthernetAddress| m.0.iter().fold(0u128, |acc, &b| acc << 8 | b as u128);
+    (in_port as u128) << 112 | mac(dst_mac) << 64 | mac(src_mac) << 16 | ethertype as u128
+}
+
+impl FlowMatch {
+    /// `(mask, tuple)`: the bits of a packed key this pattern compares,
+    /// and the value they must have.
+    fn masked_tuple(&self) -> (u128, u128) {
+        const NONE: EthernetAddress = EthernetAddress([0; 6]);
+        const ALL: EthernetAddress = EthernetAddress::BROADCAST;
+        let mask = pack(
+            self.in_port.map_or(0, |_| !0),
+            self.dst_mac.map_or(NONE, |_| ALL),
+            self.src_mac.map_or(NONE, |_| ALL),
+            self.ethertype.map_or(0, |_| !0),
+        );
+        let tuple = pack(
+            self.in_port.unwrap_or(0),
+            self.dst_mac.unwrap_or(NONE),
+            self.src_mac.unwrap_or(NONE),
+            self.ethertype.unwrap_or(0),
+        );
+        (mask, tuple)
+    }
+}
+
+/// The entries sharing one wildcard mask, as an exact-match table from
+/// the masked tuple to the best-ranked entry with that exact pattern.
+#[derive(Debug)]
+struct MaskGroup {
+    mask: u128,
+    best: HashMap<u128, FlowEntry, BuildHasherDefault<MacHasher>>,
+}
+
 /// The flexible TCAM table: priority-ordered ternary matching.
+///
+/// `entries`, sorted by [`rank`], is the canonical control-plane view.
+/// `groups` is a tuple-space index derived from it — one exact-match
+/// table per wildcard mask in use (at most 16) — so a lookup costs one
+/// probe per distinct mask, not one compare per rule, and must be
+/// indistinguishable from `entries.iter().find(|e| e.pattern.matches(key))`.
 #[derive(Debug, Default)]
 pub struct Tcam {
     entries: Vec<FlowEntry>,
+    groups: Vec<MaskGroup>,
 }
 
 impl Tcam {
@@ -104,20 +159,66 @@ impl Tcam {
     /// `partition_point`).
     pub fn install(&mut self, entry: FlowEntry) {
         self.remove(entry.id);
-        let rank = |e: &FlowEntry| (std::cmp::Reverse(e.priority), e.id);
         let at = self.entries.partition_point(|e| rank(e) < rank(&entry));
         self.entries.insert(at, entry);
+        let (mask, tuple) = entry.pattern.masked_tuple();
+        let at = self.groups.iter().position(|g| g.mask == mask);
+        let at = at.unwrap_or_else(|| {
+            let best = HashMap::default();
+            self.groups.push(MaskGroup { mask, best });
+            self.groups.len() - 1
+        });
+        let best = self.groups[at].best.entry(tuple).or_insert(entry);
+        if rank(&entry) < rank(best) {
+            *best = entry;
+        }
     }
 
-    /// Remove an entry by id; returns it if present.
+    /// Remove an entry by id; returns it if present. If it was the best
+    /// of its exact pattern, the next entry with the identical pattern
+    /// takes its place in the index; a group left empty is dropped, so
+    /// lookups stop probing it.
     pub fn remove(&mut self, id: u32) -> Option<FlowEntry> {
         let pos = self.entries.iter().position(|e| e.id == id)?;
-        Some(self.entries.remove(pos))
+        let removed = self.entries.remove(pos);
+        let (mask, tuple) = removed.pattern.masked_tuple();
+        let at = self
+            .groups
+            .iter()
+            .position(|g| g.mask == mask)
+            .expect("an installed entry's mask has a group");
+        let best = &mut self.groups[at].best;
+        let slot = best.get_mut(&tuple).expect("an installed entry is indexed");
+        if slot.id == id {
+            // Rank-sorted: every entry this one outranked sits at or after `pos`.
+            match self.entries[pos..]
+                .iter()
+                .find(|e| e.pattern == removed.pattern)
+            {
+                Some(next) => *slot = *next,
+                None => {
+                    best.remove(&tuple);
+                    if best.is_empty() {
+                        self.groups.swap_remove(at);
+                    }
+                }
+            }
+        }
+        Some(removed)
     }
 
-    /// Highest-priority entry matching the key.
+    /// Highest-priority entry matching the key: one probe per wildcard
+    /// mask in use, best rank among the hits. An empty TCAM — every
+    /// fabric switch — does not even pack the key.
     pub fn lookup(&self, key: &FlowKey) -> Option<&FlowEntry> {
-        self.entries.iter().find(|e| e.pattern.matches(key))
+        if self.groups.is_empty() {
+            return None;
+        }
+        let tuple = pack(key.in_port, key.dst_mac, key.src_mac, key.ethertype);
+        self.groups
+            .iter()
+            .filter_map(|g| g.best.get(&(tuple & g.mask)))
+            .min_by_key(|e| rank(e))
     }
 
     /// Entry by id (control-plane view).
@@ -135,9 +236,14 @@ impl Tcam {
         self.entries.is_empty()
     }
 
-    /// Approximate resident heap bytes of this TCAM.
+    /// Approximate resident heap bytes of this TCAM, index included.
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.entries.capacity() * std::mem::size_of::<FlowEntry>()
+        use std::mem::size_of;
+        let slots: usize = self.groups.iter().map(|g| g.best.capacity()).sum();
+        size_of::<Self>()
+            + self.entries.capacity() * size_of::<FlowEntry>()
+            + self.groups.capacity() * size_of::<MaskGroup>()
+            + slots * (size_of::<(u128, FlowEntry)>() + size_of::<u64>())
     }
 
     /// Iterate over installed entries in priority order.
@@ -146,11 +252,12 @@ impl Tcam {
     }
 }
 
-/// Multiply-rotate hasher for the L2 table's six-byte keys, in place of
-/// SipHash-1-3 (~7 % of wall time on the fabric run, EXPERIMENTS.md E28).
+/// Multiply-rotate hasher for the L2 table's six-byte keys and the TCAM
+/// index's packed tuples, in place of SipHash-1-3 (~7 % of wall time on
+/// the fabric run, EXPERIMENTS.md E28).
 /// Deterministic — no per-process `RandomState` — which is sound here
-/// because the keys are MACs the control plane installs, never
-/// attacker-chosen.
+/// because the keys are MACs and rules the control plane installs,
+/// never attacker-chosen.
 #[derive(Debug, Default, Clone, Copy)]
 struct MacHasher(u64);
 
@@ -165,6 +272,12 @@ impl Hasher for MacHasher {
             self.0 = (self.0.rotate_left(5) ^ u64::from_be_bytes(word))
                 .wrapping_mul(0x9e37_79b9_7f4a_7c15);
         }
+    }
+
+    /// The TCAM index's packed tuples, big-endian like the MACs inside
+    /// them (the default feeds `write` native-endian bytes).
+    fn write_u128(&mut self, tuple: u128) {
+        self.write(&tuple.to_be_bytes());
     }
 
     /// Fold the high half down: a multiply only carries entropy upwards,
@@ -381,6 +494,80 @@ mod tests {
         assert_eq!(tcam.lookup(&key(0, 0, 0)).unwrap().id, 3);
     }
 
+    fn entry(id: u32, priority: u16, pattern: FlowMatch) -> FlowEntry {
+        FlowEntry {
+            id,
+            version: 1,
+            priority,
+            pattern,
+            action: FlowAction::Forward(id as PortId),
+        }
+    }
+
+    #[test]
+    fn removing_a_tuples_best_entry_promotes_the_next() {
+        let on_port_3 = FlowMatch {
+            in_port: Some(3),
+            ..Default::default()
+        };
+        let mut tcam = Tcam::new();
+        for (id, priority) in [(1, 5), (2, 9), (3, 7)] {
+            tcam.install(entry(id, priority, on_port_3));
+        }
+        assert_eq!(tcam.groups.len(), 1);
+        assert_eq!(tcam.groups[0].best.len(), 1, "one pattern, one tuple");
+        for want in [2, 3, 1] {
+            assert_eq!(tcam.lookup(&key(3, 0, 0)).unwrap().id, want);
+            assert!(tcam.lookup(&key(4, 0, 0)).is_none());
+            tcam.remove(want);
+        }
+        assert!(tcam.lookup(&key(3, 0, 0)).is_none());
+    }
+
+    #[test]
+    fn replacing_an_id_with_another_pattern_moves_it_between_groups() {
+        let by_port = FlowMatch {
+            in_port: Some(3),
+            ..Default::default()
+        };
+        let by_type = FlowMatch {
+            ethertype: Some(0x0800),
+            ..Default::default()
+        };
+        let mut tcam = Tcam::new();
+        tcam.install(entry(1, 5, by_port));
+        tcam.install(entry(2, 4, by_port));
+        tcam.install(entry(1, 5, by_type));
+        assert_eq!(tcam.len(), 2);
+        assert_eq!(tcam.groups.len(), 2);
+        // Id 1 left the port group (id 2 was promoted) and joined the other.
+        assert_eq!(tcam.lookup(&key(3, 0, 0x6666)).unwrap().id, 2);
+        assert_eq!(tcam.lookup(&key(9, 0, 0x0800)).unwrap().id, 1);
+        assert_eq!(tcam.lookup(&key(3, 0, 0x0800)).unwrap().id, 1);
+    }
+
+    #[test]
+    fn an_emptied_group_costs_no_probe() {
+        let mut tcam = Tcam::new();
+        assert!(tcam.groups.is_empty(), "an empty TCAM probes nothing");
+        tcam.install(entry(1, 5, FlowMatch::default()));
+        tcam.install(entry(
+            2,
+            5,
+            FlowMatch {
+                ethertype: Some(0x0800),
+                ..Default::default()
+            },
+        ));
+        assert_eq!(tcam.groups.len(), 2);
+        tcam.remove(2);
+        assert_eq!(tcam.groups.len(), 1);
+        assert_eq!(tcam.lookup(&key(0, 0, 0x0800)).unwrap().id, 1);
+        tcam.remove(1);
+        assert!(tcam.groups.is_empty());
+        assert!(tcam.lookup(&key(0, 0, 0x0800)).is_none());
+    }
+
     #[test]
     fn l2_exact_match() {
         let mut l2 = L2Table::new();
@@ -391,6 +578,58 @@ mod tests {
     }
 
     proptest! {
+        /// The index is indistinguishable from the sequential scan it
+        /// replaced — the specification — under install, replace-by-id
+        /// and remove over all 16 masks, with forced priority ties,
+        /// reused ids and duplicate patterns; `iter()` keeps rank order.
+        #[test]
+        fn tcam_index_matches_linear_scan(
+            ops in proptest::collection::vec(
+                ((0u32..4, 0u32..24, 0u16..4, 0u8..16), (0u16..3, 0u32..3, 0u32..3, 0u16..3)),
+                1..120,
+            ),
+            keys in proptest::collection::vec((0u16..3, 0u32..3, 0u32..3, 0u16..3), 16..17),
+        ) {
+            let mut tcam = Tcam::new();
+            for ((op, id, priority, mask), (in_port, dst, src, ethertype)) in ops {
+                if op == 0 {
+                    tcam.remove(id);
+                } else {
+                    let pattern = FlowMatch {
+                        in_port: (mask & 1 != 0).then_some(in_port),
+                        dst_mac: (mask & 2 != 0).then(|| EthernetAddress::from_host_id(dst)),
+                        src_mac: (mask & 4 != 0).then(|| EthernetAddress::from_host_id(src)),
+                        ethertype: (mask & 8 != 0).then_some(ethertype),
+                    };
+                    tcam.install(entry(id, priority, pattern));
+                }
+                prop_assert!(tcam.iter().map(rank).is_sorted());
+                prop_assert_eq!(
+                    tcam.groups.iter().map(|g| g.best.len()).sum::<usize>(),
+                    tcam.iter().map(|e| e.pattern).fold(Vec::new(), |mut seen, p| {
+                        if !seen.contains(&p) {
+                            seen.push(p);
+                        }
+                        seen
+                    }).len(),
+                    "one index slot per distinct pattern, none left behind"
+                );
+                for &(in_port, dst, src, ethertype) in &keys {
+                    let key = FlowKey {
+                        in_port,
+                        dst_mac: EthernetAddress::from_host_id(dst),
+                        src_mac: EthernetAddress::from_host_id(src),
+                        ethertype,
+                        ipv4_dst: None,
+                    };
+                    prop_assert_eq!(
+                        tcam.lookup(&key).map(|e| e.id),
+                        tcam.iter().find(|e| e.pattern.matches(&key)).map(|e| e.id)
+                    );
+                }
+            }
+        }
+
         /// `install` keeps the order retain + push + full sort would,
         /// under id reuse and equal priorities.
         #[test]
@@ -440,11 +679,21 @@ mod tests {
     fn mac_hasher_spreads_strided_host_ids_over_low_bits_and_tags() {
         use std::hash::BuildHasher;
         let build = BuildHasherDefault::<MacHasher>::default();
-        for stride in [1u32, 256, 65_536] {
+        // Bare MACs (the L2 table's keys), then the same MACs inside a
+        // packed tuple (the TCAM index's keys).
+        let mac = |i: u32, stride: u32| EthernetAddress::from_host_id(i.wrapping_mul(stride));
+        for (in_tuple, stride) in [false, true]
+            .into_iter()
+            .flat_map(|t| [1u32, 256, 65_536].map(|s| (t, s)))
+        {
+            let hash = |i| match in_tuple {
+                false => build.hash_one(mac(i, stride)),
+                true => build.hash_one(pack(3, mac(i, stride), mac(7, 1), 0x0800)),
+            };
             let mut buckets = [0u32; 4096];
             let mut tags = [false; 128];
             for i in 0..65_536u32 {
-                let h = build.hash_one(EthernetAddress::from_host_id(i.wrapping_mul(stride)));
+                let h = hash(i);
                 buckets[(h & 0xfff) as usize] += 1;
                 tags[(h >> 57) as usize] = true;
             }

@@ -16,9 +16,7 @@
 //! let a buggy program disturb the traffic carrying it. The fault is
 //! reported in the [`ExecReport`] so end-hosts (and tests) can see it.
 
-use std::sync::Arc;
-
-use crate::decode_cache::{DecodeCache, DecodedProgram, ProgramInterner};
+use crate::decode_cache::{DecodeCache, ProgramInterner};
 use crate::memmap::{Mmu, MmuFault};
 use tpp_isa::{Instruction, PacketOperand};
 use tpp_wire::tpp::{TppPacket, FLAG_EXECUTED, WORD_SIZE};
@@ -104,14 +102,6 @@ impl ExecReport {
 pub struct Tcpu {
     cycle_budget: u32,
     cache: Option<DecodeCache>,
-    /// Batched-dispatch run detection: when enabled, the program that
-    /// served the previous packet stays pinned (an `Arc`, immune to slot
-    /// eviction) and a run of same-program packets — the shape a switch
-    /// sees when it drains an event window — executes against the one
-    /// decode with a single byte-compare per packet and a fast
-    /// straight-line loop. Semantically invisible; see [`Tcpu::execute`].
-    batched: bool,
-    window: Option<Arc<DecodedProgram>>,
 }
 
 impl Tcpu {
@@ -121,8 +111,6 @@ impl Tcpu {
         Tcpu {
             cycle_budget,
             cache: None,
-            batched: false,
-            window: None,
         }
     }
 
@@ -130,15 +118,6 @@ impl Tcpu {
     /// cache off). Execution semantics are identical with or without it.
     pub fn with_decode_cache(mut self, slots: usize) -> Self {
         self.cache = (slots > 0).then(|| DecodeCache::new(slots));
-        self
-    }
-
-    /// Enable (or disable) batched dispatch. Requires the decode cache;
-    /// with the cache off this is a no-op. Execution, counters, and
-    /// profiler charging are bit-identical either way — proven by the
-    /// batched-vs-unbatched proptests.
-    pub fn with_batched_dispatch(mut self, on: bool) -> Self {
-        self.batched = on;
         self
     }
 
@@ -155,9 +134,10 @@ impl Tcpu {
         self.cycle_budget
     }
 
-    /// Approximate resident bytes of the TCPU's per-switch state (the
-    /// decode-cache slot array; interned program bodies are fleet-shared
-    /// and accounted at the interner).
+    /// Approximate resident bytes of the TCPU's per-switch state: the
+    /// decode-cache slot array and, when the cache resolves misses
+    /// through its own interner rather than the fleet's, the program
+    /// bodies interned there.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.cache.as_ref().map_or(0, DecodeCache::approx_bytes)
     }
@@ -188,23 +168,7 @@ impl Tcpu {
         };
 
         if let Some(cache) = self.cache.as_mut() {
-            let program: &Arc<DecodedProgram> = if self.batched {
-                // Batched dispatch: a run of packets carrying the program
-                // that served the previous packet is detected by one byte
-                // compare and executes against the pinned Arc — decode
-                // once, run N. The pin serves exactly when the cache's
-                // last-hit memo would (same compare against the same
-                // program), so hit/miss counters stay identical.
-                if matches!(&self.window, Some(p) if p.bytes() == tpp.instruction_bytes()) {
-                    cache.note_window_hit();
-                    self.window.as_ref().expect("matched above")
-                } else {
-                    let fresh = cache.lookup(tpp.instruction_bytes()).clone();
-                    &*self.window.insert(fresh)
-                }
-            } else {
-                cache.lookup(tpp.instruction_bytes())
-            };
+            let program = cache.lookup(tpp.instruction_bytes());
             // The uncached loop visits word positions 0..n, stopping at the
             // first undecodable word; replay exactly those positions, with
             // the budget check first at each pc, so halt interleaving is
@@ -213,10 +177,7 @@ impl Tcpu {
                 Some(bad) => bad + 1,
                 None => program.insns.len(),
             };
-            if self.batched
-                && program.bad_at.is_none()
-                && PIPELINE_LATENCY_CYCLES + n as u32 <= budget
-            {
+            if program.bad_at.is_none() && PIPELINE_LATENCY_CYCLES + n as u32 <= budget {
                 // Straight-line fast path: every word decoded cleanly and
                 // the whole program fits the budget, so the per-pc budget
                 // check (`4 + pc + 1 > budget` is impossible while

@@ -13,8 +13,7 @@
 //! replays this on the threaded scheduler, whose per-window bookkeeping
 //! and cross-shard buffer migration have to fit in the same budget.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
 
 use tpp::apps::rcpstar::init_rate_registers;
 use tpp::netsim::{
@@ -26,33 +25,7 @@ use tpp_bench::traffic::{
     generate_schedule, ClosedFlowGenApp, ClosedLoopConfig, FlowSizeDist, TrafficConfig,
 };
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Forwards to the system allocator, counting `alloc` and `realloc`.
-struct CountingAllocator;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the only addition is a
-// relaxed counter bump that touches no allocator state.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's `layout` is passed through as received.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`, as the
-        // caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same pass-through as `alloc`/`dealloc`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use common::{allocations, CountingAllocator};
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
@@ -66,8 +39,7 @@ fn host_frames(sim: &Simulator, n_hosts: usize) -> u64 {
         .sum()
 }
 
-// One test per binary: the counter is process-wide, and a second test
-// running on a parallel thread would be charged to this one.
+// One test per binary: see `common`.
 #[test]
 fn steady_state_host_frames_do_not_allocate() {
     let params = FatTreeParams::default(); // k=4: 16 hosts, 20 switches
@@ -115,13 +87,10 @@ fn steady_state_host_frames_do_not_allocate() {
     }
 
     sim.run(RunLimit::Until(last_start / 2));
-    let (allocs0, frames0) = (
-        ALLOCATIONS.load(Ordering::Relaxed),
-        host_frames(&sim, n_hosts),
-    );
+    let (allocs0, frames0) = (allocations(), host_frames(&sim, n_hosts));
     let (reused0, fresh0, _) = sim.frame_pool_stats();
     sim.run(RunLimit::Until(last_start));
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs0;
+    let allocs = allocations() - allocs0;
     let frames = host_frames(&sim, n_hosts) - frames0;
 
     let (mut completed, mut retransmits) = (0, 0);

@@ -1,37 +1,17 @@
 //! The hot-path shortcuts must be semantically invisible.
 //!
 //! An ASIC with the decoded-program cache on must behave bit-identically
-//! to one with it off (`AsicConfig::without_decode_cache()`), and batched
-//! TCPU dispatch identically to the per-frame path: same outcomes, same
-//! forwarded bytes, same TPP-readable registers. Every frame is fed more
-//! than once so the cache actually serves hits, and programs include
-//! undecodable words so the cached `BadInstruction` halt position is
-//! exercised too.
+//! to one with it off (`AsicConfig::without_decode_cache()`): same
+//! outcomes, same forwarded bytes, same TPP-readable registers. Every
+//! frame is fed more than once so the cache actually serves hits, and
+//! programs include undecodable words so the cached `BadInstruction` halt
+//! position is exercised too.
 //!
 //! The shared ASIC-pair/frame builders live in `tpp_bench::testgen`,
 //! reused by the robustness tests and the conformance fuzz loop.
 
 use proptest::prelude::*;
-use tpp_asic::{Asic, AsicConfig};
 use tpp_bench::testgen::{asic_pair, regs_match, step_both, tpp_frame};
-use tpp_wire::EthernetAddress;
-
-/// Two identically populated ASICs differing only in
-/// [`AsicConfig::batched_dispatch`]: the batched TCPU (decode once, run
-/// the window straight-line) vs the per-frame path.
-fn batch_pair() -> (Asic, Asic) {
-    let mk = |config: AsicConfig| {
-        let mut asic = Asic::new(config);
-        asic.l2_mut().insert(EthernetAddress::from_host_id(1), 1);
-        asic.l2_mut().insert(EthernetAddress::from_host_id(2), 2);
-        asic.l3_mut().insert(0x0a00_0000, 8, 3);
-        asic
-    };
-    (
-        mk(AsicConfig::with_ports(7, 4)),
-        mk(AsicConfig::with_ports(7, 4).batched_dispatch(false)),
-    )
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -60,10 +40,12 @@ proptest! {
         );
     }
 
-    /// Batched TCPU dispatch is bit-identical to the per-frame path for
-    /// arbitrary programs (valid or not — cached `BadInstruction` halt
-    /// positions included) under arbitrary same-program run lengths:
-    /// same outcomes, same egress bytes, same TPP-visible registers.
+    /// Same-program runs — the batches a switch sees when it drains an
+    /// event window, served by the last-hit memo and the straight-line
+    /// loop — are bit-identical to fresh per-frame decoding for arbitrary
+    /// programs (valid or not — cached `BadInstruction` halt positions
+    /// included) under arbitrary run lengths: same outcomes, same egress
+    /// bytes, same TPP-visible registers.
     #[test]
     fn batched_dispatch_matches_per_frame(
         words_a in proptest::collection::vec(any::<u32>(), 0..12),
@@ -72,15 +54,15 @@ proptest! {
         pattern in proptest::collection::vec(any::<bool>(), 4..24),
     ) {
         // Two programs interleaved by `pattern`: runs of the same
-        // program exercise the batch window (byte-compare fast path),
-        // switches between them exercise re-pinning.
+        // program exercise the memo (byte-compare fast path), switches
+        // between them the slot probe behind it.
         let frame_a = tpp_frame(1, 9, &words_a, &mem);
         let frame_b = tpp_frame(2, 9, &words_b, &mem);
-        let (mut batched, mut unbatched) = batch_pair();
+        let (mut cached, mut uncached) = asic_pair();
         for (i, pick_a) in pattern.iter().enumerate() {
             let frame = if *pick_a { &frame_a } else { &frame_b };
-            step_both(&mut batched, &mut unbatched, frame, i as u64);
+            step_both(&mut cached, &mut uncached, frame, i as u64);
         }
-        regs_match(&batched, &unbatched);
+        regs_match(&cached, &uncached);
     }
 }
