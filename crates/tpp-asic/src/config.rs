@@ -72,8 +72,8 @@ pub struct AsicConfig {
     pub utilization_ewma_alpha: f64,
     /// Slots in the TCPU's decoded-program cache (rounded up to a power
     /// of two). `0` disables the cache and decodes every instruction of
-    /// every packet, which is the pre-cache behavior `perf_baseline`
-    /// measures against. Execution semantics are identical either way.
+    /// every packet, which is the pre-cache behavior the differential
+    /// tests compare against. Execution semantics are identical either way.
     pub decode_cache_slots: usize,
 }
 
@@ -92,8 +92,9 @@ impl AsicConfig {
         }
     }
 
-    /// Disable the decoded-program cache. `perf_baseline` and the
-    /// differential tests use this for the uncached reference pipeline.
+    /// Disable the decoded-program cache. The conformance harness,
+    /// `testgen` and `tests/hot_path_caches.rs` use this for the uncached
+    /// reference pipeline.
     pub fn without_decode_cache(mut self) -> Self {
         self.decode_cache_slots = 0;
         self

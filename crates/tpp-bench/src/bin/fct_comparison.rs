@@ -17,6 +17,7 @@
 
 use tpp_apps::rcpstar::{init_rate_registers, RcpStarConfig, RcpStarSender};
 use tpp_bench::print_table;
+use tpp_bench::traffic::percentile;
 use tpp_host::EchoReceiver;
 use tpp_netsim::RunLimit;
 use tpp_netsim::{dumbbell, time, DumbbellParams, HostApp};
@@ -71,12 +72,6 @@ impl FctStats {
     }
     fn mean(v: &[f64]) -> f64 {
         v.iter().sum::<f64>() / v.len().max(1) as f64
-    }
-    fn pct(v: &[f64], p: f64) -> f64 {
-        if v.is_empty() {
-            return f64::NAN;
-        }
-        v[((v.len() - 1) as f64 * p).round() as usize]
     }
 }
 
@@ -179,8 +174,8 @@ fn main() {
                 name.to_string(),
                 class.to_string(),
                 format!("{:.0}", FctStats::mean(&v)),
-                format!("{:.0}", FctStats::pct(&v, 0.5)),
-                format!("{:.0}", FctStats::pct(&v, 0.95)),
+                format!("{:.0}", percentile(&v, 0.5)),
+                format!("{:.0}", percentile(&v, 0.95)),
                 v.len().to_string(),
                 s.unfinished.to_string(),
             ]);

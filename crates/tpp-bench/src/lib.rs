@@ -19,11 +19,11 @@
 //! | `fct_comparison` | §1 — mice/elephant flow completion times |
 //! | `conformance` | differential conformance fuzz: `tpp-asic` vs `tpp-spec` |
 //! | `bonding_demo` | multi-NIC bonding: probe-driven failover under degradation, flap, reboot |
-//! | `fct_bench` | §4 datacenters at scale — million-flow fat-tree FCT + memory benchmark |
+//! | `fct_bench` | §4 datacenters at scale — million-flow fat-tree FCT, deterministic `BENCH_fct.json` |
 //!
-//! Criterion benches (`cargo bench`) measure the *model's* performance:
-//! TCPU execution cost per instruction count, full-pipeline frame
-//! processing, and simulator event throughput.
+//! The *model's* performance — anything measured in wall time — is the
+//! repo benchmark's job (`benchmark/`, `BENCHMARK.json`), not this
+//! crate's.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
