@@ -138,7 +138,10 @@ impl DashFeed {
             .collect();
         let end_ns = last_start + time::millis(8);
 
-        let config = config.ecmp(true).frame_pool_buffers(4 * 1024);
+        let config = config
+            .ecmp(true)
+            .frame_pool_buffers(4 * 1024)
+            .tick_interval_ns(time::micros(20));
         let (mut sim, tree) = fat_tree_with(config, params.clone(), apps);
         let half = 2; // k/2
         let hpe = params.effective_hosts_per_edge();
@@ -155,7 +158,6 @@ impl DashFeed {
             sim.switch_mut(sw)
                 .enable_profiling(ProfileConfig::default());
         }
-        sim.observe().tick_interval_ns(time::micros(20));
         sim.observe().series(128);
 
         // Loss where ECMP spreads: edge uplinks and every agg port.
@@ -188,12 +190,11 @@ impl DashFeed {
 
     /// The bonded-diamond failover feed, profiled and series-recorded.
     pub fn bond(config: SimConfig) -> DashFeed {
-        let (mut sim, diamond) = bonding_scenario::build(config);
+        let (mut sim, diamond) = bonding_scenario::build(config.tick_interval_ns(time::micros(20)));
         for i in 0..sim.num_switches() {
             sim.switch_mut(SwitchId(i))
                 .enable_profiling(ProfileConfig::default());
         }
-        sim.observe().tick_interval_ns(time::micros(20));
         sim.observe().series(128);
         DashFeed {
             sim,

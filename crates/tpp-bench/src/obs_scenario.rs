@@ -17,7 +17,8 @@ use tpp_apps::{detect_bursts, MicroburstMonitor};
 use tpp_asic::ProfileConfig;
 use tpp_host::EchoReceiver;
 use tpp_netsim::{
-    leaf_spine, time, HostApp, HostCtx, HostId, LeafSpine, LeafSpineParams, RunLimit, Simulator,
+    leaf_spine_with, time, HostApp, HostCtx, HostId, LeafSpine, LeafSpineParams, RunLimit,
+    SimConfig, Simulator,
 };
 use tpp_obs::{prometheus_snapshot, render_top, series_jsonl, Collector};
 use tpp_telemetry::MetricsRegistry;
@@ -118,9 +119,9 @@ impl ObsScenario {
             Box::new(EchoReceiver::default()),
             burster(3_000), // offset so the two bursts interleave
         ];
-        let (mut sim, fabric) = leaf_spine(params, apps);
         // 20 µs ticks: fine-grained series without drowning the run.
-        sim.observe().tick_interval_ns(time::micros(20));
+        let config = SimConfig::new().tick_interval_ns(time::micros(20));
+        let (mut sim, fabric) = leaf_spine_with(config, params, apps);
         for &s in fabric.leaves.iter().chain(fabric.spines.iter()) {
             sim.switch_mut(s).enable_profiling(ProfileConfig::default());
         }

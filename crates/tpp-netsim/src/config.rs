@@ -3,8 +3,8 @@
 //!
 //! `SimConfig` is the one place where knobs that used to be scattered
 //! over `NetworkBuilder` setters and post-build `Simulator` methods now
-//! live: shard count, tick interval, RNG seed, series capacity and
-//! frame-pool bounds. It is an owned value with chainable builder
+//! live: shard count, tick interval, RNG seed, frame-pool bounds and
+//! ECMP. It is an owned value with chainable builder
 //! methods, consumed by [`NetworkBuilder::with_config`] — no `&mut`
 //! chaining, no partially-applied state.
 //!
@@ -41,10 +41,6 @@ pub struct SimConfig {
     /// Fault-plan streams are seeded separately by
     /// [`FaultPlan::seed`](crate::FaultPlan::seed).
     pub seed: u64,
-    /// When `Some(capacity)`, the per-tick time-series layer is enabled
-    /// from the start with ring series of that capacity (see
-    /// [`crate::series`]).
-    pub series_capacity: Option<usize>,
     /// Retired frame buffers each shard's pool retains for reuse, per
     /// size class (see [`crate::pool`]).
     pub frame_pool_buffers: usize,
@@ -77,7 +73,6 @@ impl Default for SimConfig {
             parallel: true,
             tick_interval_ns: crate::time::millis(1),
             seed: DEFAULT_SEED,
-            series_capacity: None,
             frame_pool_buffers: 1024,
             ecmp: false,
         }
@@ -121,13 +116,6 @@ impl SimConfig {
         self
     }
 
-    /// Enable the time-series layer from the start with ring series of
-    /// `capacity` points.
-    pub fn series_capacity(mut self, capacity: usize) -> Self {
-        self.series_capacity = Some(capacity);
-        self
-    }
-
     /// Bound each shard's frame pool to `buffers` retired buffers per
     /// size class.
     pub fn frame_pool_buffers(mut self, buffers: usize) -> Self {
@@ -152,25 +140,14 @@ pub enum RunLimit {
     /// repeatedly with increasing times; experiments step the clock in
     /// increments to sample ground-truth state in between.
     Until(u64),
-    /// Run until all traffic has drained (no pending events anywhere),
-    /// or `limit_ns` is reached, whichever comes first. Quiescence is
-    /// checked at stats-tick boundaries.
+    /// Run until a stats tick finds no event pending anywhere, or until
+    /// `limit_ns`, whichever comes first. The tick that finds the
+    /// network drained is taken and the clock stops at it, so a run with
+    /// no traffic at all stops at the first tick.
     Quiescent {
         /// Hard time limit, ns.
         limit_ns: u64,
     },
-}
-
-impl RunLimit {
-    /// Shorthand for [`RunLimit::Until`].
-    pub fn until(t_end_ns: u64) -> Self {
-        RunLimit::Until(t_end_ns)
-    }
-
-    /// Shorthand for [`RunLimit::Quiescent`].
-    pub fn quiescent(limit_ns: u64) -> Self {
-        RunLimit::Quiescent { limit_ns }
-    }
 }
 
 #[cfg(test)]
@@ -184,14 +161,12 @@ mod tests {
             .sequential()
             .tick_interval_ns(42)
             .seed(7)
-            .series_capacity(128)
             .frame_pool_buffers(8)
             .ecmp(true);
         assert_eq!(cfg.shards, 4);
         assert!(!cfg.parallel);
         assert_eq!(cfg.tick_interval_ns, 42);
         assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.series_capacity, Some(128));
         assert_eq!(cfg.frame_pool_buffers, 8);
         assert!(cfg.ecmp);
         assert!(!SimConfig::new().ecmp, "ECMP is opt-in");
@@ -200,11 +175,5 @@ mod tests {
     #[test]
     fn shards_clamped_to_at_least_one() {
         assert_eq!(SimConfig::new().shards(0).shards, 1);
-    }
-
-    #[test]
-    fn run_limit_shorthands() {
-        assert_eq!(RunLimit::until(5), RunLimit::Until(5));
-        assert_eq!(RunLimit::quiescent(9), RunLimit::Quiescent { limit_ns: 9 });
     }
 }

@@ -2,8 +2,9 @@
 //! knob that used to be a loose `Simulator` method.
 //!
 //! `sim.observe()` returns an [`ObsHandle`] borrowing the simulator;
-//! tick cadence, the time-series layer, frame taps and instruction-level
-//! trace sinks all hang off it. The handle exists so the `Simulator`
+//! the time-series layer, frame taps and instruction-level trace sinks
+//! all hang off it. The tick cadence they sample at is
+//! [`SimConfig::tick_interval_ns`](crate::SimConfig::tick_interval_ns). The handle exists so the `Simulator`
 //! surface reads as *control* (build, run, inject) while everything that
 //! merely watches the run lives in one place.
 
@@ -17,7 +18,7 @@ use tpp_telemetry::SharedSink;
 /// ```no_run
 /// # let mut sim: tpp_netsim::Simulator = unimplemented!();
 /// let sink = sim.observe().trace_all(4096);
-/// sim.observe().series(512).tick_interval_ns(500_000);
+/// sim.observe().series(512);
 /// ```
 pub struct ObsHandle<'a> {
     sim: &'a mut Simulator,
@@ -26,16 +27,6 @@ pub struct ObsHandle<'a> {
 impl<'a> ObsHandle<'a> {
     pub(crate) fn new(sim: &'a mut Simulator) -> Self {
         ObsHandle { sim }
-    }
-
-    /// Set how often switch utilization EWMAs (and the series layer)
-    /// tick.
-    ///
-    /// # Panics
-    /// Panics if `ns` is zero.
-    pub fn tick_interval_ns(self, ns: u64) -> Self {
-        self.sim.set_tick_interval_impl(ns);
-        self
     }
 
     /// Enable the per-tick time-series layer with ring series of

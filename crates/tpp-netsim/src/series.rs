@@ -8,6 +8,10 @@
 //! same memory with uniformly-spaced points, recent and old alike. The
 //! JSONL exporter in `tpp-obs` dumps a [`SeriesSet`] for offline
 //! plotting.
+//!
+//! Each shard samples its own switches at the ticks it takes inside the
+//! run loop; a fleet-wide series is the sum of one share per shard,
+//! merged when a run returns.
 
 use std::collections::BTreeMap;
 
@@ -86,6 +90,27 @@ impl RingSeries {
     pub fn max_value(&self) -> u64 {
         self.points.iter().map(|&(_, v)| v).max().unwrap_or(0)
     }
+
+    /// Overwrite with the pointwise sum of `parts`, which were offered
+    /// samples at the same instants: they decimated alike, so their
+    /// points line up one for one.
+    fn set_sum<'a>(&mut self, mut parts: impl Iterator<Item = &'a RingSeries>) {
+        let first = parts.next().expect("at least one part");
+        // `Vec::clone_from` keeps this series' allocation.
+        self.points.clone_from(&first.points);
+        self.stride = first.stride;
+        self.offered = first.offered;
+        for part in parts {
+            for (sum, &(t_ns, value)) in self.points.iter_mut().zip(&part.points) {
+                debug_assert_eq!(sum.0, t_ns, "parts offered at different instants");
+                sum.1 += value;
+            }
+        }
+    }
+}
+
+fn rings(metrics: &[&'static str], cap: usize) -> BTreeMap<&'static str, RingSeries> {
+    metrics.iter().map(|&m| (m, RingSeries::new(cap))).collect()
 }
 
 /// The per-tick metrics sampled for every switch.
@@ -113,13 +138,9 @@ pub struct SwitchSeries {
 
 impl SwitchSeries {
     fn new(switch_id: u32, cap: usize) -> Self {
-        let series = SWITCH_SERIES_METRICS
-            .iter()
-            .map(|&m| (m, RingSeries::new(cap)))
-            .collect();
         SwitchSeries {
             switch_id,
-            series,
+            series: rings(SWITCH_SERIES_METRICS, cap),
             prev_drop_bytes: 0,
         }
     }
@@ -141,6 +162,32 @@ impl SwitchSeries {
     }
 }
 
+/// One shard's share of the fleet series: the per-tick deltas of the
+/// fault counters and link losses that shard owns. Every shard offers
+/// its share at the same ticks, so the fleet series are the pointwise
+/// sums of the shares ([`SeriesSet::merge_fleet`]).
+#[derive(Debug, Clone)]
+pub(crate) struct FleetShare {
+    series: BTreeMap<&'static str, RingSeries>,
+    prev_faults: u64,
+    prev_losses: u64,
+}
+
+impl FleetShare {
+    /// Offer one tick's deltas of the shard's running totals.
+    pub(crate) fn offer(&mut self, t_ns: u64, faults: u64, losses: u64) {
+        for (metric, total, prev) in [
+            ("fault.events_per_tick", faults, &mut self.prev_faults),
+            ("link.frames_lost_per_tick", losses, &mut self.prev_losses),
+        ] {
+            if let Some(s) = self.series.get_mut(metric) {
+                s.offer(t_ns, total.saturating_sub(*prev));
+            }
+            *prev = total;
+        }
+    }
+}
+
 /// All series of a run: one [`SwitchSeries`] per switch (indexed like
 /// the simulator's switches) plus fleet-wide series.
 #[derive(Debug, Clone)]
@@ -148,28 +195,40 @@ pub struct SeriesSet {
     /// Per-switch series, indexed by the simulator's switch index.
     pub switches: Vec<SwitchSeries>,
     fleet: BTreeMap<&'static str, RingSeries>,
-    pub(crate) prev_faults: u64,
-    pub(crate) prev_losses: u64,
-    /// Stats ticks sampled.
-    pub(crate) ticks: u64,
+    /// One share of the fleet series per shard, indexed like the shards.
+    pub(crate) shares: Vec<FleetShare>,
 }
 
 impl SeriesSet {
     /// Build for `switch_ids` (the simulator's switches in index
     /// order), each series holding at most `cap` points.
     pub fn new(switch_ids: &[u32], cap: usize) -> Self {
+        SeriesSet::sharded(switch_ids, cap, 1)
+    }
+
+    /// [`SeriesSet::new`] for a simulator of `shards` shards.
+    pub(crate) fn sharded(switch_ids: &[u32], cap: usize, shards: usize) -> Self {
         SeriesSet {
             switches: switch_ids
                 .iter()
                 .map(|&id| SwitchSeries::new(id, cap))
                 .collect(),
-            fleet: FLEET_SERIES_METRICS
-                .iter()
-                .map(|&m| (m, RingSeries::new(cap)))
+            fleet: rings(FLEET_SERIES_METRICS, cap),
+            shares: (0..shards)
+                .map(|_| FleetShare {
+                    series: rings(FLEET_SERIES_METRICS, cap),
+                    prev_faults: 0,
+                    prev_losses: 0,
+                })
                 .collect(),
-            prev_faults: 0,
-            prev_losses: 0,
-            ticks: 0,
+        }
+    }
+
+    /// Rebuild the fleet series as the pointwise sums of the shards'
+    /// shares.
+    pub(crate) fn merge_fleet(&mut self) {
+        for (metric, fleet) in &mut self.fleet {
+            fleet.set_sum(self.shares.iter().map(|share| &share.series[metric]));
         }
     }
 
@@ -183,15 +242,10 @@ impl SeriesSet {
         self.fleet.iter().map(|(k, v)| (*k, v))
     }
 
-    /// Stats ticks sampled so far.
+    /// Stats ticks sampled so far: every tick offers each fleet series
+    /// one sample.
     pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
-    pub(crate) fn offer_fleet(&mut self, metric: &'static str, t_ns: u64, value: u64) {
-        if let Some(s) = self.fleet.get_mut(metric) {
-            s.offer(t_ns, value);
-        }
+        self.fleet.values().next().map_or(0, RingSeries::offered)
     }
 }
 

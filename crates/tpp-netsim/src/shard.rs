@@ -18,22 +18,26 @@
 //! the order in which mailbox items were deposited (or which thread ran
 //! first) is irrelevant. The sequential and threaded drivers run the
 //! same loop ([`drive`]) over the identical window schedule, and a
-//! one-shard run degenerates to the classic single event loop.
+//! one-shard run degenerates to the classic single event loop. That
+//! loop is the only one: stats ticks, series sampling and the
+//! quiescence check all happen inside it.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::atomic::{AtomicBool, AtomicU64};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::config::RunLimit;
 use crate::event::{Event, EventKey, EventKind, EventQueue, FaultApply, NodeId};
 use crate::fault::FaultCounters;
 use crate::node::{HostAction, HostApp, HostCtx, HostId, SwitchId};
 use crate::pool::FramePool;
-use crate::sim::{HostNode, Link, SwitchNode, TapDir, TapRecord};
+use crate::series::{permille, FleetShare, SwitchSeries};
+use crate::sim::{frames_lost, HostNode, Link, SwitchNode, TapDir, TapRecord};
 use crate::time::tx_time_ns;
 use tpp_asic::{Outcome, PortId};
 use tpp_telemetry::{SharedSink, TraceEvent, TraceEventKind, TraceSink};
@@ -136,6 +140,9 @@ pub(crate) struct ShardRun<'a> {
     pub(crate) ecmp: Option<&'a crate::routing::EcmpTable>,
     pub(crate) fault_seed: u64,
     pub(crate) fault_epoch: u32,
+    /// This shard's slice of the series of every switch, and its share
+    /// of the fleet series, while series are on.
+    pub(crate) series: Option<(&'a mut [SwitchSeries], &'a mut FleetShare)>,
     /// End of the window being stepped: no mail may arrive before it.
     pub(crate) window_end: u64,
     /// Earliest arrival time mailed to another shard this window.
@@ -195,6 +202,38 @@ impl ShardRun<'_> {
             self.dispatch(event.kind);
         }
         self.next_pending().min(self.mailed_min)
+    }
+
+    /// While series are on, take one stats-tick sample of this shard's
+    /// switches and of the fault counters and link losses it owns.
+    fn sample_series(&mut self, now: u64) {
+        let Some((switch_series, share)) = self.series.as_mut() else {
+            return;
+        };
+        for (sw, series) in self.switches.iter().zip(switch_series.iter_mut()) {
+            let asic = &sw.asic;
+            let (total, max) = asic.queue_occupancy();
+            series.offer("queue.total_bytes", now, total);
+            series.offer("queue.max_bytes", now, max);
+            let mut util = 0u64;
+            let mut dropped = 0u64;
+            for p in 0..asic.num_ports() {
+                let stats = asic.port_stats(p as PortId);
+                util = util.max(stats.tx_utilization_permille as u64);
+                dropped += stats.bytes_dropped;
+            }
+            series.offer("link.tx_util_permille", now, util);
+            // Saturating: a switch reboot resets its counters.
+            let delta = dropped.saturating_sub(series.prev_drop_bytes);
+            series.offer("drop.bytes_per_tick", now, delta);
+            series.prev_drop_bytes = dropped;
+            let (dh, dm) = asic.decode_cache_stats();
+            series.offer("cache.decode_hit_permille", now, permille(dh, dm));
+        }
+        let f = &self.state.counters;
+        let faults =
+            f.link_down_drops + f.duplicated + f.corrupted + f.reordered + f.reboots + f.link_downs;
+        share.offer(now, faults, frames_lost(self.switch_links, self.host_links));
     }
 
     fn dispatch(&mut self, kind: EventKind) {
@@ -721,66 +760,94 @@ fn pick_tpp_bit(rng: &mut StdRng, frame: &[u8]) -> Option<(usize, u8)> {
     Some((byte, bit))
 }
 
-/// One driver call: windows until no shard holds a pending event before
-/// `end_exclusive`, the shards ticking their own switches at
-/// `next_tick_ns` and every `tick_interval_ns` after it while that lies
-/// before the end (a tick *at* the end is left to the caller).
+/// One run call: windows and stats ticks under `limit`, the first tick
+/// at `next_tick_ns` and one every `tick_interval_ns` after it.
 #[derive(Clone, Copy)]
 pub(crate) struct Schedule {
     pub(crate) next_tick_ns: u64,
     pub(crate) tick_interval_ns: u64,
-    pub(crate) end_exclusive: u64,
+    pub(crate) limit: RunLimit,
     pub(crate) lookahead_ns: u64,
 }
 
 /// Run `sched` with one thread stepping the shards in turn or, threaded,
 /// one scoped worker per shard meeting once per window in a
-/// [`MinReduce`]. Both run [`drive`], so results are bit-identical.
-pub(crate) fn run_shards(runs: &mut [ShardRun<'_>], sched: Schedule, parallel: bool) {
+/// [`MinReduce`]. Both run [`drive`], so results are bit-identical, and
+/// return what it returns.
+pub(crate) fn run_shards(runs: &mut [ShardRun<'_>], sched: Schedule, parallel: bool) -> (u64, u64) {
     if runs.len() <= 1 || !parallel {
         return drive(runs, sched, |local| local);
     }
     let reduce = &MinReduce::new(runs.len());
+    let stopped = &OnceLock::new();
     std::thread::scope(|scope| {
         for (i, run) in runs.chunks_mut(1).enumerate() {
             scope.spawn(move || {
                 let worker = || drive(run, sched, |local| reduce.all_min(i, local));
-                if let Err(panic) = catch_unwind(AssertUnwindSafe(worker)) {
-                    // Fail the peers too; they would wait forever.
-                    reduce.poisoned.store(true, Relaxed);
-                    resume_unwind(panic);
+                match catch_unwind(AssertUnwindSafe(worker)) {
+                    // Every worker stops after the same reduction, so
+                    // all return alike.
+                    Ok(stop) => {
+                        let _ = stopped.set(stop);
+                    }
+                    Err(panic) => {
+                        // Fail the peers too; they would wait forever.
+                        reduce.poisoned.store(true, Relaxed);
+                        resume_unwind(panic);
+                    }
                 }
             });
         }
     });
+    *stopped.get().expect("every worker returned")
 }
 
-/// The window loop over the shards one thread steps (all of them, or
-/// one per worker). A window opens at the *global* minimum pending
-/// time, which `all_min` completes from this thread's share; that
-/// reduction is all the synchronisation a window pays. Every peer
-/// publishes after the last `deliver` of its window, so the drain after
-/// the reduction sees all mail of that window; mail a faster peer has
-/// already sent from the next one sits in the inbox of the other parity
-/// until that window's own drain. A stats tick at `T` happens once the
-/// minimum says nothing is pending below `T`; it touches shard-owned
-/// switches only. Inboxes are empty whenever no window is open.
-fn drive(runs: &mut [ShardRun<'_>], sched: Schedule, mut all_min: impl FnMut(u64) -> u64) {
+/// The run loop over the shards one thread steps (all of them, or one
+/// per worker). A window opens at the *global* minimum pending time,
+/// which `all_min` completes from this thread's share; that reduction
+/// is all the synchronisation a window pays. Every peer publishes after
+/// the last `deliver` of its window, so the drain after the reduction
+/// sees all mail of that window; mail a faster peer has already sent
+/// from the next one sits in the inbox of the other parity until that
+/// window's own drain. Inboxes are empty whenever no window is open.
+///
+/// Every event at or before the limit's instant is processed and every
+/// stats tick at or before it taken. A tick at `T` happens once the
+/// minimum says nothing is pending below `T`; it touches (and samples)
+/// shard-owned switches only. Under [`RunLimit::Quiescent`], a tick at
+/// which the minimum is `u64::MAX` — nothing pending anywhere, and a
+/// tick schedules no event — ends the run there. Returns the next tick
+/// and the instant the run stopped at.
+fn drive(
+    runs: &mut [ShardRun<'_>],
+    sched: Schedule,
+    mut all_min: impl FnMut(u64) -> u64,
+) -> (u64, u64) {
+    let (stop, quiescent) = match sched.limit {
+        RunLimit::Until(t_end_ns) => (t_end_ns, false),
+        RunLimit::Quiescent { limit_ns } => (limit_ns, true),
+    };
+    let end_exclusive = stop.saturating_add(1);
     let mut next_tick = sched.next_tick_ns;
-    let mut limit = next_tick.min(sched.end_exclusive);
+    let mut limit = next_tick.min(end_exclusive);
     let mut local = runs.iter().fold(u64::MAX, |m, r| m.min(r.next_pending()));
     loop {
         let open = all_min(local);
         runs.iter_mut().for_each(ShardRun::drain_inbox);
         while open >= limit {
-            if next_tick >= sched.end_exclusive {
-                return;
+            if next_tick >= end_exclusive {
+                return (next_tick, stop);
             }
-            for sw in runs.iter_mut().flat_map(|run| run.switches.iter_mut()) {
-                sw.asic.tick(next_tick);
+            let t = next_tick;
+            for run in runs.iter_mut() {
+                run.switches.iter_mut().for_each(|sw| sw.asic.tick(t));
+                run.sample_series(t);
             }
             next_tick += sched.tick_interval_ns;
-            limit = next_tick.min(sched.end_exclusive);
+            if quiescent && open == u64::MAX {
+                return (next_tick, t);
+            }
+            limit = next_tick.min(end_exclusive);
         }
         // Open at the earliest work: sparse runs skip the empty windows.
         let end = limit.min(open.saturating_add(sched.lookahead_ns));

@@ -2,9 +2,9 @@
 //! public control surface.
 //!
 //! The event loop itself lives in [`crate::shard`]; this module owns the
-//! topology arrays, partitions them into shards at build time, drives
-//! the window schedule (and the stats-tick barrier), and re-aggregates
-//! per-shard state (fault counters, losses, pools, taps) behind the same
+//! topology arrays, partitions them into shards at build time, hands
+//! each run call to the shard driver, and re-aggregates per-shard state
+//! (fault counters, losses, pools, taps, fleet series) behind the same
 //! accessors the single-threaded simulator had.
 
 use std::collections::{HashMap, VecDeque};
@@ -17,7 +17,7 @@ use crate::config::{RunLimit, SimConfig};
 use crate::event::{node_port_key, EventKey, EventKind, FaultApply, NodeId};
 use crate::fault::{ChannelProfile, FaultAction, FaultCounters, FaultPlan};
 use crate::node::{HostApp, HostId, SwitchId};
-use crate::series::{permille, SeriesSet};
+use crate::series::SeriesSet;
 use crate::shard::{mix64, run_shards, Inbox, Schedule, ShardRun, ShardState, ShardSyncStats};
 use tpp_asic::{Asic, AsicConfig, PortId, ProgramInterner};
 use tpp_telemetry::{MetricsRegistry, SharedSink};
@@ -328,10 +328,6 @@ impl NetworkBuilder {
                 &host_links,
             )
         });
-        let series = cfg.series_capacity.map(|cap| {
-            let ids: Vec<u32> = switches.iter().map(|sw| sw.asic.switch_id()).collect();
-            SeriesSet::new(&ids, cap)
-        });
 
         Simulator {
             now_ns: 0,
@@ -361,7 +357,7 @@ impl NetworkBuilder {
             next_fault_entry: 0,
             metrics: MetricsRegistry::new(),
             fleet_sink: None,
-            series,
+            series: None,
             interner,
         }
     }
@@ -398,6 +394,20 @@ fn peek_link<'a>(
             .get(port as usize)
             .and_then(Option::as_ref)
     }
+}
+
+/// Frames lost in flight over every link direction in the slices.
+pub(crate) fn frames_lost(
+    switch_links: &[Vec<Option<Link>>],
+    host_links: &[Vec<Option<Link>>],
+) -> u64 {
+    switch_links
+        .iter()
+        .chain(host_links)
+        .flatten()
+        .flatten()
+        .map(|l| l.losses)
+        .sum()
 }
 
 /// Shortest-path L2 tables (BFS over the physical topology), computed
@@ -574,9 +584,9 @@ pub struct Simulator {
     now_ns: u64,
     started: bool,
     /// Absolute time of the next stats tick (valid once started). Ticks
-    /// are coordinator-driven barriers, not queue events: every shard
-    /// stops strictly before the tick time, the coordinator advances the
-    /// EWMAs and samples the series, and the shards resume.
+    /// are not queue events: each shard takes them inside the run loop
+    /// once the window reduction says nothing is pending before the tick
+    /// time, advancing its own switches' EWMAs and sampling their series.
     next_tick_ns: u64,
     tick_interval_ns: u64,
     seed: u64,
@@ -626,8 +636,8 @@ pub struct Simulator {
     /// record simulator-level fault events into their own clones.
     fleet_sink: Option<SharedSink>,
     /// Ring-buffer time series sampled on every stats tick
-    /// (observability plane layer 2); `None` (the default) keeps the
-    /// tick handler at one extra branch.
+    /// (observability plane layer 2); `None` (the default) costs each
+    /// shard's tick one branch.
     series: Option<SeriesSet>,
     /// Fleet-wide program interner shared by every switch's decode
     /// cache (see [`ProgramInterner`]).
@@ -960,61 +970,10 @@ impl Simulator {
         total
     }
 
-    /// The recorded time series, if enabled (via
-    /// [`SimConfig::series_capacity`] or
-    /// [`ObsHandle::series`](crate::ObsHandle::series)).
+    /// The recorded time series, if enabled via
+    /// [`ObsHandle::series`](crate::ObsHandle::series).
     pub fn series(&self) -> Option<&SeriesSet> {
         self.series.as_ref()
-    }
-
-    /// Take one stats-tick sample of every switch into the series
-    /// layer. Off the fast path: the tick handler calls this only when
-    /// series are enabled.
-    #[cold]
-    #[inline(never)]
-    fn sample_series(&mut self) {
-        let now = self.now_ns;
-        let faults = {
-            let f = self.fault_counters();
-            f.link_down_drops + f.duplicated + f.corrupted + f.reordered + f.reboots + f.link_downs
-        };
-        let losses = self.total_losses();
-        let Some(set) = self.series.as_mut() else {
-            return;
-        };
-        set.ticks += 1;
-        for (sw, series) in self.switches.iter().zip(set.switches.iter_mut()) {
-            let asic = &sw.asic;
-            let (total, max) = asic.queue_occupancy();
-            series.offer("queue.total_bytes", now, total);
-            series.offer("queue.max_bytes", now, max);
-            let mut util = 0u64;
-            let mut dropped = 0u64;
-            for p in 0..asic.num_ports() {
-                let stats = asic.port_stats(p as PortId);
-                util = util.max(stats.tx_utilization_permille as u64);
-                dropped += stats.bytes_dropped;
-            }
-            series.offer("link.tx_util_permille", now, util);
-            // Saturating: a switch reboot resets its counters.
-            let delta = dropped.saturating_sub(series.prev_drop_bytes);
-            series.offer("drop.bytes_per_tick", now, delta);
-            series.prev_drop_bytes = dropped;
-            let (dh, dm) = asic.decode_cache_stats();
-            series.offer("cache.decode_hit_permille", now, permille(dh, dm));
-        }
-        set.offer_fleet(
-            "fault.events_per_tick",
-            now,
-            faults.saturating_sub(set.prev_faults),
-        );
-        set.prev_faults = faults;
-        set.offer_fleet(
-            "link.frames_lost_per_tick",
-            now,
-            losses.saturating_sub(set.prev_losses),
-        );
-        set.prev_losses = losses;
     }
 
     /// A switch's current boot epoch (ground truth for tests; end-hosts
@@ -1029,24 +988,6 @@ impl Simulator {
         self.link(from.node(), from.port())
             .map(|l| l.losses)
             .unwrap_or(0)
-    }
-
-    fn total_losses(&self) -> u64 {
-        let switch: u64 = self
-            .switch_links
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|l| l.losses)
-            .sum();
-        let host: u64 = self
-            .host_links
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|l| l.losses)
-            .sum();
-        switch + host
     }
 
     /// The frames captured at a tapped endpoint so far (empty for
@@ -1098,18 +1039,13 @@ impl Simulator {
         self.fleet_sink = None;
     }
 
-    pub(crate) fn set_tick_interval_impl(&mut self, ns: u64) {
-        assert!(ns > 0, "tick interval must be positive");
-        self.tick_interval_ns = ns;
-    }
-
     pub(crate) fn enable_series_impl(&mut self, capacity: usize) {
         let ids: Vec<u32> = self.switches.iter().map(|sw| sw.asic.switch_id()).collect();
-        self.series = Some(SeriesSet::new(&ids, capacity));
+        self.series = Some(SeriesSet::sharded(&ids, capacity, self.num_shards));
     }
 
-    /// The observability handle: tick interval, time series, taps and
-    /// trace sinks live behind one accessor (see [`crate::ObsHandle`]).
+    /// The observability handle: time series, taps and trace sinks live
+    /// behind one accessor (see [`crate::ObsHandle`]).
     pub fn observe(&mut self) -> crate::ObsHandle<'_> {
         crate::ObsHandle::new(self)
     }
@@ -1129,7 +1065,7 @@ impl Simulator {
         for sw in &self.switches {
             sw.asic.export_metrics(&mut self.metrics);
         }
-        let lost = self.total_losses();
+        let lost = frames_lost(&self.switch_links, &self.host_links);
         self.metrics.set("link.frames_lost", lost);
         let f = self.fault_counters();
         if f != FaultCounters::default() {
@@ -1170,12 +1106,6 @@ impl Simulator {
         }
     }
 
-    /// Pending events across all shard queues (the mailboxes are empty
-    /// whenever no window is open).
-    fn pending_events(&self) -> usize {
-        self.shards.iter().map(|s| s.events.len()).sum()
-    }
-
     /// Construct the per-shard working views by splitting the node and
     /// link arrays at the partition boundaries.
     fn shard_runs(&mut self) -> Vec<ShardRun<'_>> {
@@ -1188,6 +1118,10 @@ impl Simulator {
         let mut switch_links = self.switch_links.as_mut_slice();
         let mut host_links = self.host_links.as_mut_slice();
         let mut shards = self.shards.as_mut_slice();
+        let mut series = self
+            .series
+            .as_mut()
+            .map(|set| (set.switches.as_mut_slice(), set.shares.iter_mut()));
         for k in 0..self.num_shards {
             let n_switches = self.switch_ranges[k].len();
             let n_hosts = self.host_ranges[k].len();
@@ -1201,6 +1135,11 @@ impl Simulator {
             host_links = rest;
             let (st, rest) = shards.split_at_mut(1);
             shards = rest;
+            let shard_series = series.as_mut().map(|(switch_series, shares)| {
+                let (mine, rest) = std::mem::take(switch_series).split_at_mut(n_switches);
+                *switch_series = rest;
+                (mine, shares.next().expect("one fleet share per shard"))
+            });
             runs.push(ShardRun {
                 idx: k,
                 now_ns,
@@ -1216,25 +1155,12 @@ impl Simulator {
                 ecmp: self.ecmp.as_ref(),
                 fault_seed,
                 fault_epoch,
+                series: shard_series,
                 window_end: 0,
                 mailed_min: u64::MAX,
             });
         }
         runs
-    }
-
-    /// Advance every shard until no pending event lies strictly before
-    /// `limit`, the shards ticking their own switches at every stats
-    /// tick before it. `next_tick_ns` is left to the caller.
-    fn step_events_below(&mut self, limit: u64) {
-        let sched = Schedule {
-            next_tick_ns: self.next_tick_ns,
-            tick_interval_ns: self.tick_interval_ns,
-            end_exclusive: limit,
-            lookahead_ns: self.lookahead_ns,
-        };
-        let parallel = self.parallel;
-        run_shards(&mut self.shard_runs(), sched, parallel);
     }
 
     fn ensure_started(&mut self) {
@@ -1254,69 +1180,29 @@ impl Simulator {
         runs.iter_mut().for_each(ShardRun::drain_inbox);
     }
 
-    /// One coordinator-driven stats tick at time `t`: every shard has
-    /// drained all events strictly before `t`, so the EWMAs and series
-    /// observe a globally consistent state.
-    fn do_tick(&mut self, t: u64) {
-        self.now_ns = t;
-        for sw in &mut self.switches {
-            sw.asic.tick(t);
-        }
-        if self.series.is_some() {
-            self.sample_series();
-        }
-    }
-
     /// Run the event loop under `limit` — the single entry point of the
-    /// redesigned surface.
+    /// redesigned surface. One driver call (one scoped thread per shard
+    /// when threaded) steps every window and takes every stats tick,
+    /// sampling the series there while they are on.
     ///
     /// * [`RunLimit::Until`] runs to an absolute time (inclusive); may
     ///   be issued repeatedly with increasing times.
-    /// * [`RunLimit::Quiescent`] steps tick by tick until all traffic
-    ///   has drained or the limit is reached.
+    /// * [`RunLimit::Quiescent`] runs until a stats tick finds nothing
+    ///   pending anywhere, or the limit is reached.
     pub fn run(&mut self, limit: RunLimit) {
         self.ensure_started();
-        match limit {
-            RunLimit::Until(t_end_ns) => {
-                if self.series.is_none() {
-                    // Fused schedule: one `drive` for the whole run (one
-                    // thread per shard when threaded), each shard ticking
-                    // its own switches between windows, instead of coming
-                    // back to the coordinator (and respawning threads)
-                    // per tick. Same windows, same tick times.
-                    let first_tick = self.next_tick_ns;
-                    self.step_events_below(t_end_ns.saturating_add(1));
-                    if first_tick <= t_end_ns {
-                        let ticks = (t_end_ns - first_tick) / self.tick_interval_ns + 1;
-                        self.next_tick_ns = first_tick + ticks * self.tick_interval_ns;
-                    }
-                } else {
-                    // The series sampler needs the whole fleet in one
-                    // place at every tick.
-                    while self.next_tick_ns <= t_end_ns {
-                        let t = self.next_tick_ns;
-                        self.step_events_below(t);
-                        self.do_tick(t);
-                        self.next_tick_ns = t + self.tick_interval_ns;
-                    }
-                    self.step_events_below(t_end_ns.saturating_add(1));
-                }
-                self.now_ns = self.now_ns.max(t_end_ns);
-            }
-            RunLimit::Quiescent { limit_ns } => loop {
-                let t = self.next_tick_ns;
-                if t > limit_ns {
-                    self.step_events_below(limit_ns.saturating_add(1));
-                    self.now_ns = self.now_ns.max(limit_ns);
-                    break;
-                }
-                self.step_events_below(t);
-                self.do_tick(t);
-                self.next_tick_ns = t + self.tick_interval_ns;
-                if self.pending_events() == 0 {
-                    break;
-                }
-            },
+        let sched = Schedule {
+            next_tick_ns: self.next_tick_ns,
+            tick_interval_ns: self.tick_interval_ns,
+            limit,
+            lookahead_ns: self.lookahead_ns,
+        };
+        let parallel = self.parallel;
+        let (next_tick_ns, stop_ns) = run_shards(&mut self.shard_runs(), sched, parallel);
+        self.next_tick_ns = next_tick_ns;
+        self.now_ns = self.now_ns.max(stop_ns);
+        if let Some(set) = self.series.as_mut() {
+            set.merge_fleet();
         }
     }
 }

@@ -520,26 +520,43 @@ fn taps_capture_both_directions_with_hop_counts() {
     assert_eq!(records[0].tpp_hop, Some(2), "fully executed at delivery");
 }
 
+/// A quiescent run stops at the first stats tick (1 ms apart by
+/// default) that finds nothing pending anywhere, and the clock reads
+/// that tick, at one shard and at two threaded ones.
 #[test]
 fn quiescent_run_stops_when_traffic_drains() {
-    let dst = EthernetAddress::from_host_id(1);
-    let (mut sim, chain) = linear_chain(
-        LinearChainParams::default(),
-        Box::new(TppSender {
-            dst,
-            program: "PUSH [Queue:QueueSize]".into(),
-            mem_words: 3,
-            start_ns: 0,
-        }),
-        Box::new(TppCollector::default()),
-    );
-    sim.run(RunLimit::Quiescent {
-        limit_ns: time::secs(10),
-    });
-    // The probe was delivered and the clock stopped far before the limit
-    // (only the self-perpetuating stats tick remains).
-    assert_eq!(sim.host_app::<TppCollector>(chain.right).received.len(), 1);
-    assert!(sim.now() < time::secs(1), "stopped at {} ns", sim.now());
+    // (probe send time, or none at all; probes delivered; stop instant)
+    let inputs = [
+        (Some(0), 1, time::millis(1)),
+        (Some(time::micros(2_500)), 1, time::millis(3)),
+        (None, 0, time::millis(1)),
+    ];
+    for shards in [1, 2] {
+        for (start_ns, delivered, stop_ns) in inputs {
+            let left: Box<dyn HostApp> = match start_ns {
+                Some(start_ns) => Box::new(TppSender {
+                    dst: EthernetAddress::from_host_id(1),
+                    program: "PUSH [Queue:QueueSize]".into(),
+                    mem_words: 3,
+                    start_ns,
+                }),
+                None => Box::new(Idle),
+            };
+            let (mut sim, chain) = linear_chain_with(
+                SimConfig::new().shards(shards),
+                LinearChainParams::default(),
+                left,
+                Box::new(TppCollector::default()),
+            );
+            assert_eq!(sim.num_shards(), shards);
+            sim.run(RunLimit::Quiescent {
+                limit_ns: time::secs(10),
+            });
+            let received = &sim.host_app::<TppCollector>(chain.right).received;
+            assert_eq!(received.len(), delivered, "{shards} shards");
+            assert_eq!(sim.now(), stop_ns, "{shards} shards");
+        }
+    }
 }
 
 #[test]

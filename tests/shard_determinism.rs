@@ -104,6 +104,10 @@ fn fingerprint(
                 series_points.push((sw.switch_id, metric, series.points().to_vec()));
             }
         }
+        // The fleet series are sums of per-shard shares; no switch id.
+        for (metric, series) in set.fleet_iter() {
+            series_points.push((u32::MAX, metric, series.points().to_vec()));
+        }
     }
     Fingerprint {
         now_ns: sim.now(),
@@ -518,10 +522,8 @@ fn rcp_convergence_records_are_shard_count_invariant() {
 }
 
 /// A 2×2 leaf-spine where two sprayers cross the fabric towards the
-/// other rack, one of them over a lossy access link; no series, so the
-/// run takes the fused schedule (one `drive` call for all 5 ms, the
-/// shards ticking their own switches). Returns the per-shard window
-/// counters.
+/// other rack, one of them over a lossy access link, run for 5 ms in
+/// one call. Returns the per-shard window counters.
 fn leaf_spine_2x2_schedule(cfg: SimConfig) -> Vec<ShardSyncStats> {
     let (mut sim, fabric) = leaf_spine_2x2(cfg);
     sim.run(RunLimit::Until(time::millis(5)));
@@ -557,36 +559,36 @@ fn leaf_spine_2x2(cfg: SimConfig) -> (Simulator, tpp::netsim::LeafSpine) {
     (sim, fabric)
 }
 
-/// The k=4 lossy closed-loop feed of the dashboard goldens. It samples
-/// series, so the run takes the other schedule: the coordinator ticks
-/// every 20 µs and threaded workers are respawned in between.
+/// The k=4 lossy closed-loop feed of the dashboard goldens: series
+/// sampled at a tick every 20 µs, each run call one driver call (the
+/// threaded workers live across every tick of it).
 fn closed_loop_k4_schedule(cfg: SimConfig) -> Vec<ShardSyncStats> {
     let mut feed = DashFeed::fct(cfg);
     feed.run_to_end();
     feed.sim().shard_sync_stats()
 }
 
-/// Stats ticks land at the same instants whoever performs them: the
-/// shards themselves on the fused schedule (in one run call or across
-/// several that end between ticks), or the coordinator when series are
-/// sampled or the run heads for quiescence. The utilisation EWMAs in
-/// the port statistics move at every tick, so they tell.
+/// Stats ticks land at the same instants however the run is driven: in
+/// one run call or across several that end between ticks, with series
+/// sampled at every tick, or heading for quiescence first. The
+/// utilisation EWMAs in the port statistics move at every tick, so they
+/// tell. Observing does not move the window schedule either.
 #[test]
-fn fused_and_coordinator_schedules_tick_alike() {
+fn ticks_land_alike_however_the_run_is_driven() {
     type Drive = fn(&mut Simulator);
     const END: u64 = 3_900_000; // the sprayers are still sending
     let drives: [(&str, Drive); 4] = [
-        ("fused, one call", |sim| sim.run(RunLimit::Until(END))),
-        ("fused, uneven calls", |sim| {
+        ("one call", |sim| sim.run(RunLimit::Until(END))),
+        ("uneven calls", |sim| {
             for t in (0..END).step_by(730_001).chain([END]) {
                 sim.run(RunLimit::Until(t));
             }
         }),
-        ("coordinator, series", |sim| {
+        ("series on", |sim| {
             sim.observe().series(8);
             sim.run(RunLimit::Until(END));
         }),
-        ("coordinator, quiescent", |sim| {
+        ("quiescent, then until", |sim| {
             sim.run(RunLimit::Quiescent { limit_ns: END });
             sim.run(RunLimit::Until(END));
         }),
@@ -596,23 +598,32 @@ fn fused_and_coordinator_schedules_tick_alike() {
         SimConfig::new().shards(2),
         SimConfig::new().shards(2).sequential(),
     ] {
-        let mut outcomes = drives.iter().map(|(label, drive)| {
-            let (mut sim, fabric) = leaf_spine_2x2(cfg.clone().tick_interval_ns(100_000));
-            drive(&mut sim);
-            let ports: Vec<_> = fabric
-                .leaves
-                .iter()
-                .chain(&fabric.spines)
-                .map(|&sw| sim.switch(sw))
-                .flat_map(|sw| (0..sw.num_ports()).map(|p| sw.port_stats(p as u16).clone()))
-                .collect();
-            assert!(ports.iter().any(|p| p.tx_utilization_permille > 0));
-            (label, (sim.now(), sim.events_processed(), ports))
-        });
-        let (_, reference) = outcomes.next().expect("at least one drive");
-        for (label, outcome) in outcomes {
+        let outcomes: Vec<_> = drives
+            .iter()
+            .map(|(label, drive)| {
+                let (mut sim, fabric) = leaf_spine_2x2(cfg.clone().tick_interval_ns(100_000));
+                drive(&mut sim);
+                let ports: Vec<_> = fabric
+                    .leaves
+                    .iter()
+                    .chain(&fabric.spines)
+                    .map(|&sw| sim.switch(sw))
+                    .flat_map(|sw| (0..sw.num_ports()).map(|p| sw.port_stats(p as u16).clone()))
+                    .collect();
+                assert!(ports.iter().any(|p| p.tx_utilization_permille > 0));
+                let outcome = (sim.now(), sim.events_processed(), ports);
+                (label, outcome, sim.shard_sync_stats())
+            })
+            .collect();
+        let (_, reference, one_call_windows) = &outcomes[0];
+        for (label, outcome, _) in &outcomes[1..] {
             assert_eq!(outcome, reference, "{label} under {cfg:?}");
         }
+        let (_, _, series_windows) = &outcomes[2];
+        assert_eq!(
+            series_windows, one_call_windows,
+            "series on moved the window schedule under {cfg:?}"
+        );
     }
 }
 
