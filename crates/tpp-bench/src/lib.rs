@@ -1,25 +1,17 @@
 //! # tpp-bench — reproduction harness
 //!
-//! One binary per table/figure/quantitative claim in the paper (see the
-//! per-experiment index in `DESIGN.md` and the results in
-//! `EXPERIMENTS.md`):
+//! The paper's figures, tables and claims come from one binary over the
+//! shared scenario builders in [`repro`] (see the per-experiment index in
+//! `DESIGN.md` and the results in `EXPERIMENTS.md`):
 //!
 //! | Binary | Reproduces |
 //! |---|---|
-//! | `fig1_walkthrough` | Figure 1 — queue-size query walking a path |
-//! | `fig2_rcp_convergence` | Figure 2 — RCP vs RCP\* R(t)/C series |
-//! | `table1_instructions` | Table 1 — instruction set, live semantics |
-//! | `table2_namespaces` | Table 2 — statistics namespaces, live reads |
-//! | `overheads_table` | §3.3 — bytes/instr/cycle overhead accounting |
-//! | `microburst_detection` | §2.1 — TPP monitor vs coarse poller |
-//! | `ndb_debugger` | §2.3 — fault detection summary |
-//! | `cstore_consistency` | §3.2.3 — racy vs linearizable counters |
-//! | `rcp_ablation` | design-choice ablations for RCP\* |
-//! | `fixed_function_vs_tpp` | §4 — ECN/loss/TPP signal comparison |
-//! | `fct_comparison` | §1 — mice/elephant flow completion times |
+//! | `repro` | Fig. 1, Fig. 2, Tables 1–2, §3.3, §2.1, §2.3, §3.2.3, §4, §1 (E1–E8, E11, E14, E15) — byte-checked `REPRO.json` |
 //! | `conformance` | differential conformance fuzz: `tpp-asic` vs `tpp-spec` |
 //! | `bonding_demo` | multi-NIC bonding: probe-driven failover under degradation, flap, reboot |
 //! | `fct_bench` | §4 datacenters at scale — million-flow fat-tree FCT, deterministic `BENCH_fct.json` |
+//! | `tpp_top` | the observability dashboard, live or headless |
+//! | `tppasm` | assemble / disassemble / lint TPP programs |
 //!
 //! The *model's* performance — anything measured in wall time — is the
 //! repo benchmark's job (`benchmark/`, `BENCHMARK.json`), not this
@@ -31,12 +23,19 @@
 pub mod bonding_scenario;
 pub mod conformance;
 pub mod dash_scenario;
+pub mod json;
 pub mod obs_scenario;
+pub mod repro;
 pub mod testgen;
 pub mod traffic;
 
 /// Render a simple fixed-width table to stdout.
 pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+    print!("{}", format_table(headers, rows));
+}
+
+/// Lay out a simple fixed-width table, one line per row.
+pub(crate) fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -45,18 +44,21 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
             }
         }
     }
-    let line = |cells: Vec<String>| {
+    let mut out = String::new();
+    let mut line = |cells: &[String]| {
         let mut s = String::new();
         for (i, cell) in cells.iter().enumerate() {
             s.push_str(&format!("{:<width$}  ", cell, width = widths[i]));
         }
-        println!("{}", s.trim_end());
+        out.push_str(s.trim_end());
+        out.push('\n');
     };
-    line(headers.iter().map(|h| h.to_string()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
+    line(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>());
+    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
     for row in rows {
-        line(row.clone());
+        line(row);
     }
+    out
 }
 
 /// Parse a `--trace <path>` (or `--trace=<path>`) flag from the process

@@ -5,8 +5,8 @@
 //! in the IP header whenever the egress queue occupancy exceeds a
 //! configurable threshold." This module implements that design point —
 //! the switch exports exactly **one bit** per packet — so the
-//! `fixed_function_vs_tpp` experiment can compare it head-to-head with
-//! RCP\*'s TPP-read rates on the same substrate.
+//! fixed-function-signals experiment (`repro e11`) can compare it
+//! head-to-head with RCP\*'s TPP-read rates on the same substrate.
 //!
 //! Mechanism (rate-based DCTCP):
 //! * data packets are header-only TPPs (no instructions), so the ASIC's

@@ -4,21 +4,21 @@
 //! available in ns2 simulation. ... the behavior of RCP and RCP\* are
 //! qualitatively similar, in that they both show quick convergence."
 //!
-//! The full 30 s run lives in `examples/rcp_fairness.rs` and
-//! `tpp-bench`'s `fig2_rcp_convergence`; this test runs a compressed
+//! The full 30 s run lives in `examples/rcp_fairness.rs` and section
+//! `e2` of `REPRO.json` (`repro e2`); this test runs a compressed
 //! schedule (joins at 0 s, 5 s, 10 s over 15 s) and asserts the shape:
 //! R/C settles near 1, 1/2, 1/3 in both systems, and RCP\* tracks the
 //! reference within a coarse band.
 
 use std::path::Path;
 
-use tpp::apps::rcpstar::{init_rate_registers, RcpStarConfig, RcpStarSender};
+use tpp::apps::rcpstar::{RcpStarConfig, RcpStarSender};
 use tpp::host::EchoReceiver;
 use tpp::netsim::RunLimit;
-use tpp::netsim::{dumbbell, time, DumbbellParams, HostApp};
+use tpp::netsim::{time, DumbbellParams};
 use tpp::rcp_ref::fluid::mean_r_over_c;
 use tpp::rcp_ref::{FlowSchedule, RcpFluidSim, RcpParams};
-use tpp::wire::EthernetAddress;
+use tpp_bench::repro::rcp_dumbbell;
 use tpp_bench::testgen::assert_matches_golden;
 
 const C_BPS: f64 = 10e6;
@@ -50,32 +50,11 @@ fn rcp_and_rcpstar_converge_to_matching_fair_shares() {
     .run(15.0);
 
     // --- RCP* on the packet simulator ---
-    let starts = [0u64, time::secs(5), time::secs(10)];
-    let apps: Vec<(Box<dyn HostApp>, Box<dyn HostApp>)> = starts
-        .iter()
-        .enumerate()
-        .map(|(i, start)| {
-            let dst = EthernetAddress::from_host_id((2 * i + 1) as u32);
-            let cfg = RcpStarConfig {
-                start_ns: *start,
-                ..Default::default()
-            };
-            (
-                Box::new(RcpStarSender::new(dst, cfg)) as Box<dyn HostApp>,
-                Box::new(EchoReceiver::default()) as Box<dyn HostApp>,
-            )
-        })
-        .collect();
-    let (mut sim, bell) = dumbbell(
-        DumbbellParams {
-            n_pairs: 3,
-            ..Default::default()
-        },
-        apps,
-    );
-    for sw in [bell.left, bell.right] {
-        init_rate_registers(sim.switch_mut(sw));
-    }
+    let flows = [0, 5, 10].map(|t| RcpStarConfig {
+        start_ns: time::secs(t),
+        ..Default::default()
+    });
+    let (mut sim, bell) = rcp_dumbbell(DumbbellParams::default(), &flows);
     sim.run(RunLimit::Until(time::secs(15)));
     let star = &sim.host_app::<RcpStarSender>(bell.senders[0]).rate_trace;
 
@@ -142,25 +121,7 @@ fn rcp_and_rcpstar_converge_to_matching_fair_shares() {
 #[test]
 fn rcpstar_flows_share_fairly_among_themselves() {
     // Three simultaneous flows: goodputs within 20% of each other.
-    let apps: Vec<(Box<dyn HostApp>, Box<dyn HostApp>)> = (0..3)
-        .map(|i| {
-            let dst = EthernetAddress::from_host_id((2 * i + 1) as u32);
-            (
-                Box::new(RcpStarSender::new(dst, RcpStarConfig::default())) as Box<dyn HostApp>,
-                Box::new(EchoReceiver::default()) as Box<dyn HostApp>,
-            )
-        })
-        .collect();
-    let (mut sim, bell) = dumbbell(
-        DumbbellParams {
-            n_pairs: 3,
-            ..Default::default()
-        },
-        apps,
-    );
-    for sw in [bell.left, bell.right] {
-        init_rate_registers(sim.switch_mut(sw));
-    }
+    let (mut sim, bell) = rcp_dumbbell(DumbbellParams::default(), &[RcpStarConfig::default(); 3]);
     sim.run(RunLimit::Until(time::secs(8)));
     let goodputs: Vec<f64> = bell
         .receivers

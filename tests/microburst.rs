@@ -2,81 +2,19 @@
 //! coarse control-plane polling misses, asserted end to end.
 
 use tpp::apps::{detect_bursts, MicroburstMonitor};
-use tpp::host::{EchoReceiver, DATA_ETHERTYPE};
+use tpp::host::EchoReceiver;
 use tpp::netsim::RunLimit;
-use tpp::netsim::{dumbbell, time, DumbbellParams, HostApp, HostCtx};
-use tpp::wire::ethernet::build_frame;
+use tpp::netsim::{dumbbell, time, DumbbellParams, HostApp};
 use tpp::wire::EthernetAddress;
-
-/// Fires fixed-size bursts at `victim` on a fixed period.
-struct Burster {
-    victim: EthernetAddress,
-    frames: usize,
-    period_ns: u64,
-    remaining: u32,
-}
-
-impl HostApp for Burster {
-    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-        ctx.set_timer(self.period_ns, 0);
-    }
-    fn on_timer(&mut self, _t: u64, ctx: &mut HostCtx<'_>) {
-        if self.remaining == 0 {
-            return;
-        }
-        self.remaining -= 1;
-        for _ in 0..self.frames {
-            ctx.send(build_frame(
-                self.victim,
-                ctx.mac(),
-                DATA_ETHERTYPE,
-                &[0u8; 1400],
-            ));
-        }
-        ctx.set_timer(self.period_ns, 0);
-    }
-}
+use tpp_bench::repro::burst_dumbbell;
 
 #[test]
 fn tpp_monitor_finds_bursts_where_poller_sees_nothing() {
-    // Dumbbell with a 100 Mb/s bottleneck; pair 0 bursts 30 KB every
-    // 2 ms (the burst drains in ~2.4 ms at 100 Mb/s... make it 20 KB,
-    // draining in ~1.6 ms, so bursts are isolated); pair 1's sender is
-    // the TPP monitor.
-    let victim = EthernetAddress::from_host_id(1);
+    // Dumbbell with a 100 Mb/s bottleneck; pair 0 bursts ~20 KB every
+    // 2 ms, draining in ~1.6 ms, so bursts are isolated; pair 1's sender
+    // is the TPP monitor, probing every 53 µs for 45 ms.
     let n_bursts = 20u32;
-    let apps: Vec<(Box<dyn HostApp>, Box<dyn HostApp>)> = vec![
-        (
-            Box::new(Burster {
-                victim,
-                frames: 14, // ~20 KB
-                period_ns: time::millis(2),
-                remaining: n_bursts,
-            }),
-            Box::new(EchoReceiver::default()),
-        ),
-        (
-            // Probe interval 53 µs: co-prime with the 2 ms burst period.
-            Box::new(MicroburstMonitor::new(
-                EthernetAddress::from_host_id(3),
-                2,
-                time::micros(53),
-                0,
-                time::millis(45),
-            )),
-            Box::new(EchoReceiver::default()),
-        ),
-    ];
-    let (mut sim, bell) = dumbbell(
-        DumbbellParams {
-            n_pairs: 2,
-            bottleneck_kbps: 100_000,
-            edge_kbps: 1_000_000,
-            host_nic_kbps: 1_000_000,
-            ..Default::default()
-        },
-        apps,
-    );
+    let (mut sim, bell) = burst_dumbbell(n_bursts, time::millis(45));
 
     // Coarse poller at 10 ms (still far finer than the paper's "10s of
     // seconds" straw man) sampling ground truth.

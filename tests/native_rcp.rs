@@ -3,15 +3,12 @@
 //! probe traffic; only the location of the control computation differs
 //! (ASIC firmware vs end-host).
 
-use tpp::apps::rcpstar::{init_rate_registers, RcpStarConfig, RcpStarSender};
-use tpp::host::EchoReceiver;
+use tpp::apps::rcpstar::{RcpStarConfig, RcpStarSender};
 use tpp::netsim::RunLimit;
-use tpp::netsim::{dumbbell, time, DumbbellParams, HostApp};
-use tpp::rcp_ref::NativeRcpRouter;
-use tpp::wire::EthernetAddress;
+use tpp::netsim::{time, DumbbellParams};
+use tpp_bench::repro::{rcp_dumbbell, run_native_rcp};
 
 const C_BPS: f64 = 10e6;
-const PERIOD: u64 = time::millis(10);
 
 fn settled_mean(trace: &[(u64, u64)], lo: u64, hi: u64) -> f64 {
     let w: Vec<u64> = trace
@@ -25,43 +22,15 @@ fn settled_mean(trace: &[(u64, u64)], lo: u64, hi: u64) -> f64 {
 
 /// Run `n` flows for `secs`; `native` selects who computes the law.
 fn run(n: usize, secs: u64, native: bool) -> Vec<f64> {
-    let apps: Vec<(Box<dyn HostApp>, Box<dyn HostApp>)> = (0..n)
-        .map(|i| {
-            let dst = EthernetAddress::from_host_id((2 * i + 1) as u32);
-            let cfg = RcpStarConfig {
-                compute_updates: !native,
-                ..Default::default()
-            };
-            (
-                Box::new(RcpStarSender::new(dst, cfg)) as Box<dyn HostApp>,
-                Box::new(EchoReceiver::default()) as Box<dyn HostApp>,
-            )
-        })
-        .collect();
-    let (mut sim, bell) = dumbbell(
-        DumbbellParams {
-            n_pairs: n,
-            ..Default::default()
-        },
-        apps,
-    );
-    for sw in [bell.left, bell.right] {
-        init_rate_registers(sim.switch_mut(sw));
-    }
+    let flow = RcpStarConfig {
+        compute_updates: !native,
+        ..Default::default()
+    };
+    let (mut sim, bell) = rcp_dumbbell(DumbbellParams::default(), &vec![flow; n]);
     if native {
         // The ASIC-resident control loop, stepped every 10 ms by the
         // "firmware timer" (the harness).
-        let mut routers = [
-            NativeRcpRouter::paper_defaults(sim.switch(bell.left).num_ports(), 0.05, 0.01),
-            NativeRcpRouter::paper_defaults(sim.switch(bell.right).num_ports(), 0.05, 0.01),
-        ];
-        let mut t = 0;
-        while t < time::secs(secs) {
-            t += PERIOD;
-            sim.run(RunLimit::Until(t));
-            routers[0].step(sim.switch_mut(bell.left), t);
-            routers[1].step(sim.switch_mut(bell.right), t);
-        }
+        run_native_rcp(&mut sim, &bell, time::secs(secs));
     } else {
         sim.run(RunLimit::Until(time::secs(secs)));
     }
