@@ -397,12 +397,12 @@ impl Asic {
     }
 
     /// Charge a TCPU execution, attributing executed instructions to
-    /// opcodes via `word_at`.
+    /// opcodes from the program the TCPU just ran.
     #[cold]
     #[inline(never)]
-    fn profile_tcpu(&mut self, report: &ExecReport, word_at: impl Fn(usize) -> u32) {
+    fn profile_tcpu(&mut self, report: &ExecReport) {
         if let Some(p) = self.profile.as_deref_mut() {
-            p.charge_tcpu(report, word_at);
+            p.charge_tcpu(report, self.tcpu.executed_opcodes(report));
         }
     }
 
@@ -1042,7 +1042,7 @@ impl Asic {
                         });
                     }
                     if self.profile.is_some() {
-                        self.profile_tcpu(&report, |i| tpp.instruction_word(i));
+                        self.profile_tcpu(&report);
                     }
                     Some(report)
                 }

@@ -8,7 +8,8 @@
 //! bytes, verified by an exact byte compare, so `Instruction::decode` runs
 //! once per distinct program instead of once per instruction per packet.
 //!
-//! Correctness: the cache stores the decoded prefix *and* the index of the
+//! Correctness: the cache stores the lowered prefix (every switch address
+//! already resolved to its `memmap::Reg`) *and* the index of the
 //! first undecodable word (`bad_at`), which together reproduce exactly what
 //! per-packet decoding would observe at each pc — including the
 //! `BadInstruction` halt. A hash collision falls back to the interner,
@@ -25,7 +26,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex};
 
-use tpp_isa::{decode_program, Instruction};
+use crate::tcpu::{lower, Op};
 
 /// FNV-1a offset basis. Public (with [`FNV_PRIME`] and
 /// [`program_hash`]) so conformance tests can *construct* colliding
@@ -35,22 +36,18 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime (see [`FNV_OFFSET`]).
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// The cache's key function: chunked FNV-1a over raw instruction bytes.
+/// The cache's key function: FNV-1a over the raw instruction bytes,
+/// folded in 8-byte chunks. The byte-at-a-time variant serializes one
+/// 64-bit multiply per byte, which costs more than the decode it replaces
+/// on short programs; folding a word per round cuts the dependency chain
+/// 8×. Collisions don't matter for correctness — the cache verifies with
+/// an exact byte compare.
 ///
-/// Exposed so directed tests can derive second preimages: for two
+/// Public so directed tests can derive second preimages: for two
 /// 16-byte programs with 8-byte chunks `(a1, a2)` and `(b1, b2)`,
 /// `hash = ((OFFSET ^ c1)·P ^ c2)·P`, so picking any `b1 ≠ a1` and
 /// `b2 = (OFFSET ^ a1)·P ^ a2 ^ (OFFSET ^ b1)·P` collides.
 pub fn program_hash(bytes: &[u8]) -> u64 {
-    fnv1a(bytes)
-}
-
-/// FNV-1a over the raw instruction bytes, folded in 8-byte chunks. The
-/// byte-at-a-time variant serializes one 64-bit multiply per byte, which
-/// costs more than the decode it replaces on short programs; folding a
-/// word per round cuts the dependency chain 8×. Collisions don't matter
-/// for correctness — the cache verifies with an exact byte compare.
-fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
@@ -65,13 +62,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// One cached program: the raw bytes it was decoded from (for exact-match
-/// verification) and the decode result.
+/// verification) and the lowered result.
 #[derive(Debug, Clone)]
 pub struct DecodedProgram {
     hash: u64,
     bytes: Vec<u8>,
-    /// Instructions that decoded cleanly, front to back.
-    pub insns: Vec<Instruction>,
+    /// Instructions that decoded cleanly, lowered, front to back.
+    pub(crate) ops: Vec<Op>,
     /// Index of the first word that failed to decode, if any. Execution
     /// must halt with `BadInstruction` there, exactly as a fresh
     /// per-packet decode would.
@@ -79,19 +76,18 @@ pub struct DecodedProgram {
 }
 
 impl DecodedProgram {
-    /// Decode `bytes` (big-endian instruction words) into a program. Pure
-    /// function of the bytes, so two decodes of the same bytes — on any
-    /// switch — are interchangeable; that is what lets the interner share
-    /// one `Arc`'d copy fleet-wide.
+    /// Decode and lower `bytes` (big-endian instruction words) into a
+    /// program, with one allocation for the ops. Pure function of the
+    /// bytes, so two decodes of the same bytes — on any switch — are
+    /// interchangeable; that is what lets the interner share one `Arc`'d
+    /// copy fleet-wide.
     fn decode(hash: u64, bytes: &[u8]) -> Self {
-        let words = bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]));
-        let (insns, bad_at) = decode_program(words);
+        let mut ops = Vec::new();
+        let bad_at = lower(bytes, &mut ops);
         DecodedProgram {
             hash,
             bytes: bytes.to_vec(),
-            insns,
+            ops,
             bad_at,
         }
     }
@@ -100,7 +96,7 @@ impl DecodedProgram {
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.bytes.capacity()
-            + self.insns.capacity() * std::mem::size_of::<Instruction>()
+            + self.ops.capacity() * std::mem::size_of::<Op>()
     }
 }
 
@@ -263,7 +259,7 @@ impl DecodeCache {
             self.hits += 1;
             return self.slots[self.last].as_ref().expect("matched above");
         }
-        let hash = fnv1a(bytes);
+        let hash = program_hash(bytes);
         let idx = (hash as usize) & self.mask;
         self.last = idx;
         let hit = matches!(&self.slots[idx], Some(p) if p.hash == hash && p.bytes == bytes);
@@ -277,14 +273,15 @@ impl DecodeCache {
         self.slots[idx].as_ref().expect("slot filled above")
     }
 
-    /// Programs served from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits
+    /// The program the last [`lookup`](Self::lookup) served, if any.
+    pub fn last_served(&self) -> Option<&DecodedProgram> {
+        self.slots[self.last].as_deref()
     }
 
-    /// Programs that had to be decoded (cold slot or collision).
-    pub fn misses(&self) -> u64 {
-        self.misses
+    /// `(hits, misses)`: programs served from the cache vs. programs that
+    /// had to be decoded (cold slot or collision).
+    pub fn stats(&self) -> (u64, u64) {
+        (self.hits, self.misses)
     }
 
     /// Approximate resident bytes of this cache: its slot array, plus the
@@ -315,11 +312,11 @@ mod tests {
         let mut cache = DecodeCache::new(8);
         let bytes = words_to_bytes(&[0x0000_0000, 0x6000_0007]); // NOP, PUSHI 7
         let p = cache.lookup(&bytes);
-        assert_eq!(p.insns.len(), 2);
+        assert_eq!(p.ops.len(), 2);
         assert_eq!(p.bad_at, None);
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        assert_eq!(cache.stats(), (0, 1));
         cache.lookup(&bytes);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!(cache.stats(), (1, 1));
     }
 
     #[test]
@@ -329,8 +326,20 @@ mod tests {
         // fresh decode would never reach.
         let bytes = words_to_bytes(&[0x0000_0000, 0xf800_0000, 0x0000_0000]);
         let p = cache.lookup(&bytes);
-        assert_eq!(p.insns.len(), 1);
+        assert_eq!(p.ops.len(), 1);
         assert_eq!(p.bad_at, Some(1));
+    }
+
+    #[test]
+    fn lowering_allocates_once_and_stops_at_the_bad_word() {
+        let add = 0x4000_0000; // ADD
+        let mut cache = DecodeCache::new(8);
+        let p = cache.lookup(&words_to_bytes(&[add; 10]));
+        assert_eq!((p.ops.len(), p.ops.capacity(), p.bad_at), (10, 10, None));
+        let mut words = [add; 10];
+        words[4] = 0xffff_ffff;
+        let p = cache.lookup(&words_to_bytes(&words));
+        assert_eq!((p.ops.len(), p.ops.capacity(), p.bad_at), (4, 10, Some(4)));
     }
 
     /// Two distinct 16-byte programs whose chunked FNV-1a hashes are
@@ -365,18 +374,18 @@ mod tests {
         // B lands exactly where A sits; only the exact byte compare can
         // tell them apart.
         let mut cache = DecodeCache::new(64);
-        let pa_len = cache.lookup(&a).insns.len();
+        let pa_len = cache.lookup(&a).ops.len();
         assert_eq!(pa_len, 4, "program A decodes fully");
         let pb = cache.lookup(&b);
         assert_eq!(pb.bytes, b, "collision re-decoded, not served as A");
         assert_eq!(
-            (cache.hits(), cache.misses()),
+            cache.stats(),
             (0, 2),
             "the colliding lookup must count as a miss"
         );
         // And the slot now faithfully serves B.
         cache.lookup(&b);
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
+        assert_eq!(cache.stats(), (1, 2));
     }
 
     #[test]
@@ -389,14 +398,14 @@ mod tests {
         for _ in 0..3 {
             cache.lookup(&a);
         }
-        assert_eq!((cache.hits(), cache.misses()), (2, 1));
+        assert_eq!(cache.stats(), (2, 1));
         // B evicts A from the shared slot; the memo must not serve A's
         // decode for B's bytes.
         assert_eq!(cache.lookup(&b).bytes, b);
-        assert_eq!((cache.hits(), cache.misses()), (2, 2));
+        assert_eq!(cache.stats(), (2, 2));
         // And a re-lookup of A after eviction is a genuine miss again.
         assert_eq!(cache.lookup(&a).bytes, a);
-        assert_eq!((cache.hits(), cache.misses()), (2, 3));
+        assert_eq!(cache.stats(), (2, 3));
     }
 
     #[test]
@@ -413,8 +422,8 @@ mod tests {
         assert_eq!(interner.stats(), (1, 1), "one decode, one shared fill");
         assert_eq!(interner.distinct_programs(), 1);
         // Local accounting is unchanged: each cache saw a cold miss.
-        assert_eq!((cache_a.hits(), cache_a.misses()), (0, 1));
-        assert_eq!((cache_b.hits(), cache_b.misses()), (0, 1));
+        assert_eq!(cache_a.stats(), (0, 1));
+        assert_eq!(cache_b.stats(), (0, 1));
         assert!(interner.approx_bytes() > 0);
     }
 
@@ -428,7 +437,7 @@ mod tests {
         let first = cache.lookup(&a).clone();
         cache.lookup(&b);
         assert!(Arc::ptr_eq(&first, cache.lookup(&a)), "not decoded again");
-        assert_eq!((cache.hits(), cache.misses()), (0, 3));
+        assert_eq!(cache.stats(), (0, 3));
         let private = cache.interner.clone().expect("created by the first miss");
         assert_eq!(private.stats(), (1, 2));
         // Private bodies are this cache's memory; a fleet interner's are not.
@@ -455,11 +464,11 @@ mod tests {
         let mut cache = DecodeCache::new(1);
         let a = words_to_bytes(&[0x6000_0001]); // PUSHI 1
         let b = words_to_bytes(&[0x6000_0002]); // PUSHI 2
-        assert_eq!(cache.lookup(&a).insns.len(), 1);
+        assert_eq!(cache.lookup(&a).ops.len(), 1);
         let pb = cache.lookup(&b);
         assert_eq!(pb.bytes, b, "collision must re-decode the new program");
-        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+        assert_eq!(cache.stats(), (0, 2));
         cache.lookup(&b);
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
+        assert_eq!(cache.stats(), (1, 2));
     }
 }

@@ -51,7 +51,7 @@ pub mod tcpu;
 pub use asic::{Asic, DropReason, Outcome, PacketMeta, PortId, QueueId};
 pub use config::{AsicConfig, PortConfig, StripAction};
 pub use decode_cache::{DecodeCache, DecodedProgram, ProgramInterner};
-pub use memmap::{Mmu, MmuFault};
+pub use memmap::{Mmu, MmuFault, Reg};
 pub use profile::{PipelineProfile, ProfStage, ProfileConfig, Reservoir, Span, StageStat};
 pub use queue::DropTailQueue;
 pub use sram::{SramError, SramView, SramViewMut};

@@ -94,112 +94,115 @@ pub struct Mmu<'a> {
     pub global_sram: &'a mut [u32],
 }
 
+/// A switch-side operand resolved once, at decode: what an address
+/// names. [`Reg::of`] is the whole memory map, so an access costs one
+/// `match` in [`Mmu::read_reg`] / [`Mmu::write_reg`]. The address is kept
+/// beside the `Reg`: it indexes SRAM and names the address in a fault.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reg {
+    /// A named statistic (read-only).
+    Stat(Stat),
+    /// The egress port's scratch SRAM.
+    LinkSram,
+    /// The global scratch SRAM.
+    GlobalSram,
+    /// A hole inside a statistics namespace: reads are `Unmapped`, writes
+    /// `ReadOnly`.
+    StatHole,
+    /// The reserved range between namespaces: `Unmapped` both ways.
+    Unmapped,
+}
+
+impl Reg {
+    /// The register `addr` names.
+    pub fn of(addr: VirtAddr) -> Reg {
+        match addr.namespace() {
+            Namespace::LinkSram => Reg::LinkSram,
+            Namespace::GlobalSram => Reg::GlobalSram,
+            Namespace::Reserved => Reg::Unmapped,
+            Namespace::Switch | Namespace::Link | Namespace::Queue | Namespace::PacketMetadata => {
+                Stat::at(addr).map_or(Reg::StatHole, Reg::Stat)
+            }
+        }
+    }
+}
+
 impl<'a> Mmu<'a> {
     /// Read the 32-bit word at a virtual address.
     pub fn read(&self, addr: VirtAddr) -> Result<u32, MmuFault> {
-        match addr.namespace() {
-            Namespace::Switch => self.read_switch(addr),
-            Namespace::Link => self.read_link(addr),
-            Namespace::Queue => self.read_queue(addr),
-            Namespace::PacketMetadata => self.read_meta(addr),
-            Namespace::LinkSram => Self::sram_get(self.link_sram, addr),
-            Namespace::GlobalSram => Self::sram_get(self.global_sram, addr),
-            Namespace::Reserved => Err(MmuFault::Unmapped(addr)),
-        }
+        self.read_reg(Reg::of(addr), addr)
     }
 
     /// Write the 32-bit word at a virtual address. Only the scratch SRAM
     /// namespaces are writable.
     pub fn write(&mut self, addr: VirtAddr, value: u32) -> Result<(), MmuFault> {
-        match addr.namespace() {
-            Namespace::LinkSram => Self::sram_set(self.link_sram, addr, value),
-            Namespace::GlobalSram => Self::sram_set(self.global_sram, addr, value),
-            Namespace::Switch | Namespace::Link | Namespace::Queue | Namespace::PacketMetadata => {
-                Err(MmuFault::ReadOnly(addr))
-            }
-            Namespace::Reserved => Err(MmuFault::Unmapped(addr)),
-        }
+        self.write_reg(Reg::of(addr), addr, value)
     }
 
-    fn sram_get(sram: &[u32], addr: VirtAddr) -> Result<u32, MmuFault> {
-        sram.get(addr.word_index())
-            .copied()
-            .ok_or(MmuFault::OutOfRange(addr))
-    }
-
-    fn sram_set(sram: &mut [u32], addr: VirtAddr, value: u32) -> Result<(), MmuFault> {
-        match sram.get_mut(addr.word_index()) {
-            Some(cell) => {
-                *cell = value;
-                Ok(())
-            }
-            None => Err(MmuFault::OutOfRange(addr)),
-        }
-    }
-
-    fn read_switch(&self, addr: VirtAddr) -> Result<u32, MmuFault> {
-        let s = self.switch;
-        Ok(match addr {
-            a if a == Stat::SwitchId.addr() => s.switch_id,
-            a if a == Stat::FlowTableVersion.addr() => s.flow_table_version,
-            a if a == Stat::L2TableHits.addr() => s.l2_hits as u32,
-            a if a == Stat::L3TableHits.addr() => s.l3_hits as u32,
-            a if a == Stat::TcamHits.addr() => s.tcam_hits as u32,
-            a if a == Stat::PacketsProcessed.addr() => s.packets_processed as u32,
-            a if a == Stat::TppsExecuted.addr() => s.tpps_executed as u32,
-            a if a == Stat::WallClock.addr() => s.wall_clock_ns as u32,
-            a if a == Stat::BootEpoch.addr() => s.boot_epoch,
-            other => return Err(MmuFault::Unmapped(other)),
+    /// Read `reg`, which [`Reg::of`] resolved from `addr`.
+    pub fn read_reg(&self, reg: Reg, addr: VirtAddr) -> Result<u32, MmuFault> {
+        let (s, p, q, m) = (self.switch, self.port, self.queue, self.meta);
+        Ok(match reg {
+            Reg::Stat(Stat::SwitchId) => s.switch_id,
+            Reg::Stat(Stat::FlowTableVersion) => s.flow_table_version,
+            Reg::Stat(Stat::L2TableHits) => s.l2_hits as u32,
+            Reg::Stat(Stat::L3TableHits) => s.l3_hits as u32,
+            Reg::Stat(Stat::TcamHits) => s.tcam_hits as u32,
+            Reg::Stat(Stat::PacketsProcessed) => s.packets_processed as u32,
+            Reg::Stat(Stat::TppsExecuted) => s.tpps_executed as u32,
+            Reg::Stat(Stat::WallClock) => s.wall_clock_ns as u32,
+            Reg::Stat(Stat::BootEpoch) => s.boot_epoch,
+            Reg::Stat(Stat::RxBytes) => p.rx_bytes as u32,
+            Reg::Stat(Stat::TxBytes) => p.tx_bytes as u32,
+            Reg::Stat(Stat::RxUtilization) => p.rx_utilization_permille,
+            Reg::Stat(Stat::TxUtilization) => p.tx_utilization_permille,
+            Reg::Stat(Stat::LinkBytesDropped) => p.bytes_dropped as u32,
+            Reg::Stat(Stat::LinkBytesEnqueued) => p.bytes_enqueued as u32,
+            Reg::Stat(Stat::RxPackets) => p.rx_packets as u32,
+            Reg::Stat(Stat::TxPackets) => p.tx_packets as u32,
+            Reg::Stat(Stat::LinkCapacityKbps) => self.port_capacity_kbps,
+            Reg::Stat(Stat::LinkQueueSize) => q.queue_size_bytes as u32,
+            Reg::Stat(Stat::EcnMarked) => p.ecn_marked as u32,
+            Reg::Stat(Stat::SnrDeciBel) => p.snr_decidb,
+            Reg::Stat(Stat::QueueSize) => q.queue_size_bytes as u32,
+            Reg::Stat(Stat::QueueBytesEnqueued) => q.bytes_enqueued as u32,
+            Reg::Stat(Stat::QueueBytesDropped) => q.bytes_dropped as u32,
+            Reg::Stat(Stat::QueuePacketsEnqueued) => q.packets_enqueued as u32,
+            Reg::Stat(Stat::QueuePacketsDropped) => q.packets_dropped as u32,
+            Reg::Stat(Stat::QueueHighWatermark) => q.high_watermark_bytes as u32,
+            Reg::Stat(Stat::QueueLimit) => self.queue_limit_bytes,
+            Reg::Stat(Stat::InputPort) => m.input_port as u32,
+            Reg::Stat(Stat::OutputPort) => m.output_port as u32,
+            Reg::Stat(Stat::MatchedEntryId) => m.matched_entry_id,
+            Reg::Stat(Stat::MatchedEntryVersion) => m.matched_entry_version,
+            Reg::Stat(Stat::QueueId) => m.queue_id as u32,
+            Reg::Stat(Stat::PacketLength) => m.packet_length,
+            Reg::Stat(Stat::ArrivalTime) => m.arrival_time_ns as u32,
+            Reg::Stat(Stat::AlternateRoutes) => m.alternate_routes,
+            Reg::LinkSram => return sram_word(self.link_sram, addr),
+            Reg::GlobalSram => return sram_word(self.global_sram, addr),
+            Reg::StatHole | Reg::Unmapped => return Err(MmuFault::Unmapped(addr)),
         })
     }
 
-    fn read_link(&self, addr: VirtAddr) -> Result<u32, MmuFault> {
-        let p = self.port;
-        Ok(match addr {
-            a if a == Stat::RxBytes.addr() => p.rx_bytes as u32,
-            a if a == Stat::TxBytes.addr() => p.tx_bytes as u32,
-            a if a == Stat::RxUtilization.addr() => p.rx_utilization_permille,
-            a if a == Stat::TxUtilization.addr() => p.tx_utilization_permille,
-            a if a == Stat::LinkBytesDropped.addr() => p.bytes_dropped as u32,
-            a if a == Stat::LinkBytesEnqueued.addr() => p.bytes_enqueued as u32,
-            a if a == Stat::RxPackets.addr() => p.rx_packets as u32,
-            a if a == Stat::TxPackets.addr() => p.tx_packets as u32,
-            a if a == Stat::LinkCapacityKbps.addr() => self.port_capacity_kbps,
-            a if a == Stat::LinkQueueSize.addr() => self.queue.queue_size_bytes as u32,
-            a if a == Stat::EcnMarked.addr() => p.ecn_marked as u32,
-            a if a == Stat::SnrDeciBel.addr() => p.snr_decidb,
-            other => return Err(MmuFault::Unmapped(other)),
-        })
+    /// Write `reg`, which [`Reg::of`] resolved from `addr`. Only scratch
+    /// SRAM words are writable.
+    pub fn write_reg(&mut self, reg: Reg, addr: VirtAddr, value: u32) -> Result<(), MmuFault> {
+        let cell = match reg {
+            Reg::LinkSram => self.link_sram.get_mut(addr.word_index()),
+            Reg::GlobalSram => self.global_sram.get_mut(addr.word_index()),
+            Reg::Stat(_) | Reg::StatHole => return Err(MmuFault::ReadOnly(addr)),
+            Reg::Unmapped => return Err(MmuFault::Unmapped(addr)),
+        };
+        *cell.ok_or(MmuFault::OutOfRange(addr))? = value;
+        Ok(())
     }
+}
 
-    fn read_queue(&self, addr: VirtAddr) -> Result<u32, MmuFault> {
-        let q = self.queue;
-        Ok(match addr {
-            a if a == Stat::QueueSize.addr() => q.queue_size_bytes as u32,
-            a if a == Stat::QueueBytesEnqueued.addr() => q.bytes_enqueued as u32,
-            a if a == Stat::QueueBytesDropped.addr() => q.bytes_dropped as u32,
-            a if a == Stat::QueuePacketsEnqueued.addr() => q.packets_enqueued as u32,
-            a if a == Stat::QueuePacketsDropped.addr() => q.packets_dropped as u32,
-            a if a == Stat::QueueHighWatermark.addr() => q.high_watermark_bytes as u32,
-            a if a == Stat::QueueLimit.addr() => self.queue_limit_bytes,
-            other => return Err(MmuFault::Unmapped(other)),
-        })
-    }
-
-    fn read_meta(&self, addr: VirtAddr) -> Result<u32, MmuFault> {
-        let m = self.meta;
-        Ok(match addr {
-            a if a == Stat::InputPort.addr() => m.input_port as u32,
-            a if a == Stat::OutputPort.addr() => m.output_port as u32,
-            a if a == Stat::MatchedEntryId.addr() => m.matched_entry_id,
-            a if a == Stat::MatchedEntryVersion.addr() => m.matched_entry_version,
-            a if a == Stat::QueueId.addr() => m.queue_id as u32,
-            a if a == Stat::PacketLength.addr() => m.packet_length,
-            a if a == Stat::ArrivalTime.addr() => m.arrival_time_ns as u32,
-            a if a == Stat::AlternateRoutes.addr() => m.alternate_routes,
-            other => return Err(MmuFault::Unmapped(other)),
-        })
-    }
+fn sram_word(sram: &[u32], addr: VirtAddr) -> Result<u32, MmuFault> {
+    sram.get(addr.word_index())
+        .copied()
+        .ok_or(MmuFault::OutOfRange(addr))
 }
 
 #[cfg(test)]
@@ -326,6 +329,23 @@ mod tests {
         ] {
             assert_eq!(m.write(addr, 1), Err(MmuFault::ReadOnly(addr)));
         }
+    }
+
+    #[test]
+    fn reg_of_resolves_every_shape() {
+        let cap = Stat::LinkCapacityKbps;
+        assert_eq!(Reg::of(cap.addr()), Reg::Stat(cap));
+        let (hole, reserved, sram) = (VirtAddr(0x0ffc), VirtAddr(0x5000), VirtAddr(0x8006));
+        assert_eq!(Reg::of(hole), Reg::StatHole);
+        assert_eq!(Reg::of(reserved), Reg::Unmapped);
+        assert_eq!(Reg::of(sram), Reg::GlobalSram);
+        let mut b = banks();
+        let mut m = mmu(&mut b);
+        assert_eq!(m.write(hole, 1), Err(MmuFault::ReadOnly(hole)));
+        assert_eq!(m.write(reserved, 1), Err(MmuFault::Unmapped(reserved)));
+        // An unaligned SRAM address names the word it falls in.
+        m.write(sram, 5).unwrap();
+        assert_eq!(m.read(VirtAddr(0x8004)), Ok(5));
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! term dominates — exactly the excursions the §2.1 microburst monitor
 //! exists to catch.
 
-use tpp_isa::{Instruction, Opcode};
+use tpp_isa::Opcode;
 use tpp_telemetry::{Histogram, MetricsRegistry};
 
 use crate::tcpu::ExecReport;
@@ -369,15 +369,14 @@ impl PipelineProfile {
     }
 
     /// Charge a TCPU execution to the current span, attributing each
-    /// executed instruction word (fetched via `word_at`) to its opcode.
-    pub fn charge_tcpu(&mut self, report: &ExecReport, word_at: impl Fn(usize) -> u32) {
+    /// executed instruction to its opcode (`executed`, from the lowered
+    /// program that ran: see `Tcpu::executed_opcodes`).
+    pub fn charge_tcpu(&mut self, report: &ExecReport, executed: impl IntoIterator<Item = Opcode>) {
         self.cur.tcpu_cycles += report.cycles;
         self.tcpu_latency_cycles +=
             report.cycles.saturating_sub(report.instructions_executed) as u64;
-        for pc in 0..report.instructions_executed as usize {
-            if let Ok(insn) = Instruction::decode(word_at(pc)) {
-                self.opcode_counts[opcode_index(insn.opcode())] += 1;
-            }
+        for opcode in executed {
+            self.opcode_counts[opcode_index(opcode)] += 1;
         }
     }
 

@@ -17,10 +17,9 @@
 //! reported in the [`ExecReport`] so end-hosts (and tests) can see it.
 
 use crate::decode_cache::{DecodeCache, ProgramInterner};
-use crate::memmap::{Mmu, MmuFault};
-use tpp_isa::{Instruction, PacketOperand};
+use crate::memmap::{Mmu, MmuFault, Reg};
+use tpp_isa::{Instruction, Opcode, PacketOperand, VirtAddr};
 use tpp_wire::tpp::{TppPacket, FLAG_EXECUTED, WORD_SIZE};
-use tpp_wire::WireError;
 
 /// Fill/drain latency of the 5-stage pipeline (4 pipeline registers
 /// between the 5 stages; the paper quotes "a latency of 4 cycles").
@@ -95,13 +94,167 @@ impl ExecReport {
     }
 }
 
+/// One lowered instruction: the opcode, the packet operand, the 16-bit
+/// address (PUSHI's immediate) and the [`Reg`] that address names. It is
+/// the size of the [`Instruction`] it replaces, so a program's accounted
+/// footprint does not move.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Op {
+    opcode: Opcode,
+    mem: PacketOperand,
+    addr: VirtAddr,
+    reg: Reg,
+}
+
+const _: () = assert!(std::mem::size_of::<Op>() == std::mem::size_of::<Instruction>());
+
+impl Op {
+    fn lower(insn: Instruction) -> Op {
+        let (mem, field) = insn.operands();
+        let addr = VirtAddr(field);
+        Op {
+            opcode: insn.opcode(),
+            mem,
+            addr,
+            reg: Reg::of(addr),
+        }
+    }
+
+    /// Run the op: `Ok(wrote_switch)`, or why execution stops. The order
+    /// of packet and switch accesses is `tpp-spec`'s, because it decides
+    /// which fault wins and what a faulting op leaves behind: a POP
+    /// commits sp before its switch write, so a faulting POP has moved sp.
+    fn run(self, pkt: &mut PacketRegs<'_>, mmu: &mut Mmu<'_>) -> Result<bool, StepHalt> {
+        let (reg, addr) = (self.reg, self.addr);
+        match self.opcode {
+            Opcode::Nop => {}
+            Opcode::Push => pkt.push(mmu.read_reg(reg, addr)?)?,
+            Opcode::PushI => pkt.push(addr.0 as u32)?,
+            Opcode::Pop => mmu.write_reg(reg, addr, pkt.pop()?)?,
+            Opcode::Load => pkt.store(pkt.offset(self.mem), mmu.read_reg(reg, addr)?)?,
+            Opcode::Store => mmu.write_reg(reg, addr, pkt.load(pkt.offset(self.mem))?)?,
+            Opcode::Cstore => {
+                // CSTORE dst, cond, src: "stores src into dst only if
+                // dst == cond" (§2.2) — linearizable, as a switch runs one
+                // packet at a time — then writes the old value back so the
+                // end-host can tell whether its update won.
+                let base = pkt.offset(self.mem);
+                let (cond, src) = (pkt.load(base)?, pkt.load(base + WORD_SIZE)?);
+                let old = mmu.read_reg(reg, addr)?;
+                if old == cond {
+                    mmu.write_reg(reg, addr, src)?;
+                }
+                pkt.store(base + 2 * WORD_SIZE, old)?;
+                return Ok(old == cond);
+            }
+            Opcode::Cexec => {
+                // CEXEC reg, mask, value: "ensures the TPP executes on a
+                // switch only if (reg & mask) == value" (§2.2).
+                let base = pkt.offset(self.mem);
+                let (mask, value) = (pkt.load(base)?, pkt.load(base + WORD_SIZE)?);
+                if mmu.read_reg(reg, addr)? & mask != value {
+                    return Err(StepHalt::Cexec);
+                }
+            }
+            Opcode::Add | Opcode::Sub | Opcode::And | Opcode::Or => {
+                let (b, a) = (pkt.pop()?, pkt.pop()?);
+                pkt.push(match self.opcode {
+                    Opcode::Add => a.wrapping_add(b),
+                    Opcode::Sub => a.wrapping_sub(b),
+                    Opcode::And => a & b,
+                    _ => a | b,
+                })?;
+            }
+        }
+        Ok(matches!(self.opcode, Opcode::Pop | Opcode::Store))
+    }
+}
+
+/// Lower raw instruction bytes (big-endian words) into `ops`, stopping at
+/// the first word that fails to decode, and return its index: exactly
+/// what a fresh decode at each pc would see. One exact reservation, so
+/// lowering into a new `Vec` allocates once.
+pub(crate) fn lower(bytes: &[u8], ops: &mut Vec<Op>) -> Option<usize> {
+    ops.clear();
+    ops.reserve_exact(bytes.len() / WORD_SIZE);
+    for (pc, w) in bytes.chunks_exact(WORD_SIZE).enumerate() {
+        match Instruction::decode(u32::from_be_bytes([w[0], w[1], w[2], w[3]])) {
+            Ok(insn) => ops.push(Op::lower(insn)),
+            Err(_) => return Some(pc),
+        }
+    }
+    None
+}
+
+/// The packet side of one execution, read from the header once: packet
+/// memory, the stack pointer in a register, and the hop's base offset.
+/// Every access is bounds- and alignment-checked as
+/// `TppPacket::read_word` / `write_word` check it.
+struct PacketRegs<'a> {
+    mem: &'a mut [u8],
+    sp: usize,
+    hop_base: usize,
+}
+
+impl PacketRegs<'_> {
+    fn offset(&self, operand: PacketOperand) -> usize {
+        match operand {
+            PacketOperand::Sp => self.sp,
+            PacketOperand::Hop(words) => self.hop_base + words as usize * WORD_SIZE,
+            PacketOperand::Abs(words) => words as usize * WORD_SIZE,
+        }
+    }
+
+    fn word(&mut self, off: usize) -> Result<&mut [u8], StepHalt> {
+        match self.mem.get_mut(off..off + WORD_SIZE) {
+            Some(w) if off.is_multiple_of(WORD_SIZE) => Ok(w),
+            _ => Err(StepHalt::PacketMemory),
+        }
+    }
+
+    fn load(&mut self, off: usize) -> Result<u32, StepHalt> {
+        self.word(off)
+            .map(|w| u32::from_be_bytes([w[0], w[1], w[2], w[3]]))
+    }
+
+    fn store(&mut self, off: usize, value: u32) -> Result<(), StepHalt> {
+        self.word(off)
+            .map(|w| w.copy_from_slice(&value.to_be_bytes()))
+    }
+
+    /// PUSH: store at sp, then advance it (a full stack leaves sp put).
+    fn push(&mut self, value: u32) -> Result<(), StepHalt> {
+        self.store(self.sp, value)?;
+        self.sp += WORD_SIZE;
+        Ok(())
+    }
+
+    /// POP: load the word below sp, then retreat to it.
+    fn pop(&mut self) -> Result<u32, StepHalt> {
+        let Some(top) = self.sp.checked_sub(WORD_SIZE) else {
+            return Err(StepHalt::PacketMemory);
+        };
+        let value = self.load(top)?;
+        self.sp = top;
+        Ok(value)
+    }
+}
+
+/// Where the TCPU gets a packet's lowered program: the (semantically
+/// invisible) decode cache, or, with it off, lowering into a buffer.
+#[derive(Debug, Clone)]
+enum Programs {
+    Cached(DecodeCache),
+    Uncached(Vec<Op>),
+}
+
 /// The TCPU execution engine. All per-packet state lives in the packet
 /// and the [`Mmu`]; the engine itself carries only its configuration and
-/// the (semantically invisible) decoded-program cache.
+/// where its programs come from.
 #[derive(Debug, Clone)]
 pub struct Tcpu {
     cycle_budget: u32,
-    cache: Option<DecodeCache>,
+    programs: Programs,
 }
 
 impl Tcpu {
@@ -110,21 +263,24 @@ impl Tcpu {
     pub fn new(cycle_budget: u32) -> Self {
         Tcpu {
             cycle_budget,
-            cache: None,
+            programs: Programs::Uncached(Vec::new()),
         }
     }
 
     /// Attach a decoded-program cache with `slots` entries (`0` leaves the
     /// cache off). Execution semantics are identical with or without it.
     pub fn with_decode_cache(mut self, slots: usize) -> Self {
-        self.cache = (slots > 0).then(|| DecodeCache::new(slots));
+        self.programs = match slots {
+            0 => Programs::Uncached(Vec::new()),
+            _ => Programs::Cached(DecodeCache::new(slots)),
+        };
         self
     }
 
     /// Route decode-cache misses through a fleet-wide program interner
     /// (no-op when the cache is off).
     pub fn set_interner(&mut self, interner: ProgramInterner) {
-        if let Some(cache) = self.cache.as_mut() {
+        if let Programs::Cached(cache) = &mut self.programs {
             cache.set_interner(interner);
         }
     }
@@ -135,239 +291,120 @@ impl Tcpu {
     }
 
     /// Approximate resident bytes of the TCPU's per-switch state: the
-    /// decode-cache slot array and, when the cache resolves misses
-    /// through its own interner rather than the fleet's, the program
-    /// bodies interned there.
+    /// decode-cache slot array and the bodies of a private (not the
+    /// fleet's) interner, or, with the cache off, the lowering buffer.
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.cache.as_ref().map_or(0, DecodeCache::approx_bytes)
+        std::mem::size_of::<Self>()
+            + match &self.programs {
+                Programs::Cached(cache) => cache.approx_bytes(),
+                Programs::Uncached(ops) => ops.capacity() * std::mem::size_of::<Op>(),
+            }
     }
 
     /// Decode-cache `(hits, misses)`; `(0, 0)` when the cache is off.
     pub fn decode_cache_stats(&self) -> (u64, u64) {
-        self.cache
-            .as_ref()
-            .map_or((0, 0), |c| (c.hits(), c.misses()))
+        match &self.programs {
+            Programs::Cached(cache) => cache.stats(),
+            Programs::Uncached(_) => (0, 0),
+        }
     }
 
-    /// Execute a TPP in place: decode its instruction words (or fetch the
-    /// decoded program from the cache), run them against the packet memory
+    /// Execute a TPP in place: fetch its lowered program from the cache
+    /// (or lower its instruction words), run it against the packet memory
     /// and the switch [`Mmu`], then advance the hop counter and set
     /// [`FLAG_EXECUTED`].
     ///
-    /// The hop counter advances even after a fault or failed CEXEC, so
-    /// hop-addressed slots keep lining up with the path ("a TPP executes
-    /// at all TCPU-enabled ASICs it traverses", §3.2 — traversal, not
-    /// success, advances the hop).
+    /// At every pc, in order: the budget check (`cycles + 1 > budget`),
+    /// the bad-word check, the op. An op costs one cycle, so the budget
+    /// check first fails at pc `fit`, and the ops before it run without
+    /// either check. `hop_base` and `sp` are read from the header once;
+    /// `sp` lives in a register while the program runs and is written
+    /// back once when it stops, on a halt too. The hop counter advances
+    /// even after a fault or failed CEXEC, so hop-addressed slots keep
+    /// lining up with the path ("a TPP executes at all TCPU-enabled ASICs
+    /// it traverses", §3.2 — traversal, not success, advances the hop).
     pub fn execute(&mut self, tpp: &mut TppPacket<&mut [u8]>, mmu: &mut Mmu<'_>) -> ExecReport {
-        let budget = self.cycle_budget;
-        let mut report = ExecReport {
-            instructions_executed: 0,
-            cycles: PIPELINE_LATENCY_CYCLES,
-            halt: None,
-            wrote_switch: false,
+        let (ops, bad_word) = match &mut self.programs {
+            Programs::Cached(cache) => {
+                let program = cache.lookup(tpp.instruction_bytes());
+                (&program.ops[..], program.bad_at.is_some())
+            }
+            Programs::Uncached(ops) => {
+                let bad_at = lower(tpp.instruction_bytes(), ops);
+                (&ops[..], bad_at.is_some())
+            }
         };
-
-        if let Some(cache) = self.cache.as_mut() {
-            let program = cache.lookup(tpp.instruction_bytes());
-            // The uncached loop visits word positions 0..n, stopping at the
-            // first undecodable word; replay exactly those positions, with
-            // the budget check first at each pc, so halt interleaving is
-            // bit-identical.
-            let n = match program.bad_at {
-                Some(bad) => bad + 1,
-                None => program.insns.len(),
-            };
-            if program.bad_at.is_none() && PIPELINE_LATENCY_CYCLES + n as u32 <= budget {
-                // Straight-line fast path: every word decoded cleanly and
-                // the whole program fits the budget, so the per-pc budget
-                // check (`4 + pc + 1 > budget` is impossible while
-                // `4 + n <= budget`) and the bad_at compare can never
-                // fire — eliding them is branch-for-branch equivalent.
-                // Faulting instructions still halt inside `run_insn`
-                // exactly as in the exact-replay loop.
-                for (pc, insn) in program.insns.iter().enumerate() {
-                    if !Self::run_insn(*insn, pc, tpp, mmu, &mut report) {
-                        break;
-                    }
+        let (hop_base, sp) = (tpp.hop_base(), tpp.sp());
+        let mut pkt = PacketRegs {
+            mem: tpp.memory_mut(),
+            sp,
+            hop_base,
+        };
+        let fit = self.cycle_budget.saturating_sub(PIPELINE_LATENCY_CYCLES) as usize;
+        let mut wrote_switch = false;
+        let (executed, halt) = 'run: {
+            for (pc, op) in ops.iter().take(fit).enumerate() {
+                match op.run(&mut pkt, mmu) {
+                    Ok(wrote) => wrote_switch |= wrote,
+                    Err(stop) => break 'run stop.at(pc),
                 }
+            }
+            let pc = ops.len().min(fit);
+            let halt = if pc == ops.len() && !bad_word {
+                None
+            } else if pc == fit {
+                Some(HaltReason::BudgetExceeded { pc })
             } else {
-                for pc in 0..n {
-                    if report.cycles + 1 > budget {
-                        report.halt = Some(HaltReason::BudgetExceeded { pc });
-                        break;
-                    }
-                    if program.bad_at == Some(pc) {
-                        report.halt = Some(HaltReason::BadInstruction { pc });
-                        break;
-                    }
-                    if !Self::run_insn(program.insns[pc], pc, tpp, mmu, &mut report) {
-                        break;
-                    }
-                }
-            }
-        } else {
-            let count = tpp.instruction_count();
-            for pc in 0..count {
-                if report.cycles + 1 > budget {
-                    report.halt = Some(HaltReason::BudgetExceeded { pc });
-                    break;
-                }
-                let word = tpp.instruction_word(pc);
-                let insn = match Instruction::decode(word) {
-                    Ok(insn) => insn,
-                    Err(_) => {
-                        report.halt = Some(HaltReason::BadInstruction { pc });
-                        break;
-                    }
-                };
-                if !Self::run_insn(insn, pc, tpp, mmu, &mut report) {
-                    break;
-                }
-            }
-        }
-
+                Some(HaltReason::BadInstruction { pc })
+            };
+            (pc, halt)
+        };
+        let sp = pkt.sp;
+        tpp.set_sp(sp);
         tpp.advance_hop();
         let flags = tpp.flags();
         tpp.set_flags(flags | FLAG_EXECUTED);
-        report
-    }
-
-    /// Step one decoded instruction and fold the result into `report`.
-    /// Returns `false` when execution must stop.
-    fn run_insn(
-        insn: Instruction,
-        pc: usize,
-        tpp: &mut TppPacket<&mut [u8]>,
-        mmu: &mut Mmu<'_>,
-        report: &mut ExecReport,
-    ) -> bool {
-        match Self::step(insn, tpp, mmu) {
-            Ok(wrote) => {
-                report.instructions_executed += 1;
-                report.cycles += 1;
-                report.wrote_switch |= wrote;
-                true
-            }
-            Err(StepHalt::Cexec) => {
-                // The CEXEC itself counts as executed.
-                report.instructions_executed += 1;
-                report.cycles += 1;
-                report.halt = Some(HaltReason::CexecFailed { pc });
-                false
-            }
-            Err(StepHalt::Mmu(fault)) => {
-                report.halt = Some(HaltReason::Mmu { pc, fault });
-                false
-            }
-            Err(StepHalt::PacketMemory) => {
-                report.halt = Some(HaltReason::PacketMemory { pc });
-                false
-            }
+        ExecReport {
+            instructions_executed: executed as u32,
+            cycles: PIPELINE_LATENCY_CYCLES + executed as u32,
+            halt,
+            wrote_switch,
         }
     }
 
-    /// Resolve a packet operand to a byte offset in packet memory.
-    fn operand_offset(op: PacketOperand, tpp: &TppPacket<&mut [u8]>) -> usize {
-        match op {
-            PacketOperand::Sp => tpp.sp(),
-            PacketOperand::Hop(words) => tpp.hop_base() + words as usize * WORD_SIZE,
-            PacketOperand::Abs(words) => words as usize * WORD_SIZE,
-        }
-    }
-
-    fn step(
-        insn: Instruction,
-        tpp: &mut TppPacket<&mut [u8]>,
-        mmu: &mut Mmu<'_>,
-    ) -> Result<bool, StepHalt> {
-        match insn {
-            Instruction::Nop => Ok(false),
-            Instruction::Push { addr } => {
-                let value = mmu.read(addr)?;
-                tpp.push_word(value)?;
-                Ok(false)
-            }
-            Instruction::PushImm(imm) => {
-                tpp.push_word(imm as u32)?;
-                Ok(false)
-            }
-            Instruction::Pop { addr } => {
-                let value = tpp.pop_word()?;
-                mmu.write(addr, value)?;
-                Ok(true)
-            }
-            Instruction::Load { addr, dst } => {
-                let value = mmu.read(addr)?;
-                let off = Self::operand_offset(dst, tpp);
-                tpp.write_word(off, value)?;
-                Ok(false)
-            }
-            Instruction::Store { addr, src } => {
-                let off = Self::operand_offset(src, tpp);
-                let value = tpp.read_word(off)?;
-                mmu.write(addr, value)?;
-                Ok(true)
-            }
-            Instruction::Cstore { addr, mem } => {
-                // CSTORE dst, cond, src: "stores src into dst only if
-                // dst == cond" (§2.2); linearizable because the model
-                // executes one packet at a time per switch, exactly like
-                // the serialized dataplane pipeline.
-                let base = Self::operand_offset(mem, tpp);
-                let cond = tpp.read_word(base)?;
-                let src = tpp.read_word(base + WORD_SIZE)?;
-                let old = mmu.read(addr)?;
-                if old == cond {
-                    mmu.write(addr, src)?;
-                }
-                // Write the old value back so the end-host can tell
-                // whether its update won.
-                tpp.write_word(base + 2 * WORD_SIZE, old)?;
-                Ok(old == cond)
-            }
-            Instruction::Cexec { addr, mem } => {
-                // CEXEC reg, mask, value: "ensures the TPP executes on a
-                // switch only if (reg & mask) == value" (§2.2).
-                let base = Self::operand_offset(mem, tpp);
-                let mask = tpp.read_word(base)?;
-                let value = tpp.read_word(base + WORD_SIZE)?;
-                let reg = mmu.read(addr)?;
-                if reg & mask != value {
-                    return Err(StepHalt::Cexec);
-                }
-                Ok(false)
-            }
-            Instruction::Add => Self::binop(tpp, u32::wrapping_add),
-            Instruction::Sub => Self::binop(tpp, u32::wrapping_sub),
-            Instruction::And => Self::binop(tpp, |a, b| a & b),
-            Instruction::Or => Self::binop(tpp, |a, b| a | b),
-        }
-    }
-
-    fn binop(tpp: &mut TppPacket<&mut [u8]>, f: fn(u32, u32) -> u32) -> Result<bool, StepHalt> {
-        let b = tpp.pop_word()?;
-        let a = tpp.pop_word()?;
-        tpp.push_word(f(a, b))?;
-        Ok(false)
+    /// The opcodes of the instructions `report` — the last execution's —
+    /// counts as executed, read from the program that ran.
+    pub fn executed_opcodes(&self, report: &ExecReport) -> impl Iterator<Item = Opcode> + '_ {
+        let ops = match &self.programs {
+            Programs::Cached(cache) => cache.last_served().map_or(&[][..], |p| &p.ops[..]),
+            Programs::Uncached(ops) => &ops[..],
+        };
+        let executed = report.instructions_executed as usize;
+        ops.iter().take(executed).map(|op| op.opcode)
     }
 }
 
-/// Internal step outcome.
+/// Why one op stopped execution.
 enum StepHalt {
     Cexec,
     Mmu(MmuFault),
     PacketMemory,
 }
 
-impl From<MmuFault> for StepHalt {
-    fn from(fault: MmuFault) -> Self {
-        StepHalt::Mmu(fault)
+impl StepHalt {
+    /// Instructions executed (a failed CEXEC counts) and the halt at `pc`.
+    fn at(self, pc: usize) -> (usize, Option<HaltReason>) {
+        match self {
+            StepHalt::Cexec => (pc + 1, Some(HaltReason::CexecFailed { pc })),
+            StepHalt::Mmu(fault) => (pc, Some(HaltReason::Mmu { pc, fault })),
+            StepHalt::PacketMemory => (pc, Some(HaltReason::PacketMemory { pc })),
+        }
     }
 }
 
-impl From<WireError> for StepHalt {
-    fn from(_: WireError) -> Self {
-        StepHalt::PacketMemory
+impl From<MmuFault> for StepHalt {
+    fn from(fault: MmuFault) -> Self {
+        StepHalt::Mmu(fault)
     }
 }
 
@@ -641,6 +678,54 @@ mod tests {
         // cycle cut-through budget of a 1 GHz ASIC.
         assert!(cycles_for(5) <= 300);
         assert_eq!(cycles_for(5), 9);
+    }
+
+    /// Run `src` over `mem` with the stack pointer at `sp0` on a TCPU with
+    /// the decode cache off and on; the two must agree. Returns the header
+    /// `sp`, packet memory, the report and the executed opcodes.
+    fn run_both(src: &str, mem: &[u32], sp0: usize) -> (usize, Vec<u32>, ExecReport, Vec<Opcode>) {
+        let words = assemble(src).unwrap().encode_words().unwrap();
+        let mut runs = Vec::new();
+        for mut tcpu in [Tcpu::new(300), Tcpu::new(300).with_decode_cache(8)] {
+            let mut b = banks(1);
+            let mut bytes = TppBuilder::new(AddressingMode::Stack)
+                .instructions(&words)
+                .memory_init(mem)
+                .build();
+            let mut tpp = TppPacket::new_checked(&mut bytes[..]).unwrap();
+            tpp.set_sp(sp0);
+            let report = tcpu.execute(&mut tpp, &mut mmu(&mut b));
+            let opcodes = tcpu.executed_opcodes(&report).collect();
+            runs.push((tpp.sp(), tpp.memory_words(), report, opcodes));
+        }
+        assert_eq!(runs[0], runs[1], "cache off and on disagree on {src:?}");
+        runs.pop().unwrap()
+    }
+
+    #[test]
+    fn sp_is_written_back_on_a_halt() {
+        // A PUSH into the last word, then one more: sp stays at the end.
+        let (sp, mem, report, _) = run_both("PUSH [Switch:SwitchID]\nPUSHI 9", &[7, 7], 4);
+        assert_eq!(report.halt, Some(HaltReason::PacketMemory { pc: 1 }));
+        assert_eq!((sp, mem), (8, vec![7, 1]));
+        // ADD on one operand: the first pop commits, the second underflows.
+        let (sp, _, report, _) = run_both("PUSHI 5\nADD", &[0], 0);
+        assert_eq!(report.halt, Some(HaltReason::PacketMemory { pc: 1 }));
+        assert_eq!(sp, 0);
+        // A POP whose MMU write faults still leaves sp decremented.
+        let (sp, _, report, _) = run_both("PUSHI 9\nPOP [Link:CapacityKbps]", &[0], 0);
+        let fault = MmuFault::ReadOnly(tpp_isa::Stat::LinkCapacityKbps.addr());
+        assert_eq!(report.halt, Some(HaltReason::Mmu { pc: 1, fault }));
+        assert_eq!(sp, 0);
+    }
+
+    #[test]
+    fn executed_opcodes_come_from_the_program_that_ran() {
+        // Switch 1 fails the CEXEC: it counts, the NOP after it does not.
+        let src = "PUSHI 3\nCEXEC [Switch:SwitchID], [Packet:0]\nNOP";
+        let (_, _, report, opcodes) = run_both(src, &[0xffff_ffff, 5, 0], 8);
+        assert_eq!(report.halt, Some(HaltReason::CexecFailed { pc: 1 }));
+        assert_eq!(opcodes, [Opcode::PushI, Opcode::Cexec]);
     }
 
     #[test]

@@ -1242,6 +1242,89 @@ pub fn directed_cases() -> Vec<ConformanceCase> {
         ..ConformanceCase::default()
     });
 
+    // The boundaries the TCPU's register-held stack pointer moves across:
+    // a halt must leave the header `sp` where the last good op put it.
+    cases.push(ConformanceCase {
+        name: "push-past-last-word".into(),
+        insns: vec![
+            enc(Instruction::Push {
+                addr: Stat::SwitchId.addr(),
+            }),
+            enc(Instruction::PushImm(9)),
+        ],
+        memory: vec![0, 0],
+        sp0: 4,
+        ..ConformanceCase::default()
+    });
+
+    cases.push(ConformanceCase {
+        name: "add-underflow".into(),
+        insns: vec![enc(Instruction::PushImm(5)), enc(Instruction::Add)],
+        memory: vec![0],
+        ..ConformanceCase::default()
+    });
+
+    cases.push(ConformanceCase {
+        name: "pop-underflow".into(),
+        insns: vec![enc(Instruction::Pop { addr: sram0 })],
+        memory: vec![42],
+        ..ConformanceCase::default()
+    });
+
+    cases.push(ConformanceCase {
+        name: "pop-readonly-after-push".into(),
+        insns: vec![
+            enc(Instruction::PushImm(9)),
+            enc(Instruction::Pop {
+                addr: Stat::LinkCapacityKbps.addr(),
+            }),
+        ],
+        memory: vec![0],
+        ..ConformanceCase::default()
+    });
+
+    // Hop addressing: `hop * per_hop_len + off` runs past packet memory.
+    cases.push(ConformanceCase {
+        name: "hop-load-walks-past-memory".into(),
+        mode: 1,
+        per_hop_words: 2,
+        rounds: 3,
+        insns: vec![enc(Instruction::Load {
+            addr: Stat::SwitchId.addr(),
+            dst: PacketOperand::Hop(1),
+        })],
+        memory: vec![0; 4],
+        ..ConformanceCase::default()
+    });
+
+    cases.push(ConformanceCase {
+        name: "hop-store-past-memory".into(),
+        mode: 1,
+        per_hop_words: 2,
+        hop0: 2,
+        insns: vec![enc(Instruction::Store {
+            addr: sram0,
+            src: PacketOperand::Hop(0),
+        })],
+        memory: vec![1, 2, 3, 4],
+        ..ConformanceCase::default()
+    });
+
+    // The condition and source words fit, so the switch write lands;
+    // only the write-back of the old value runs past memory.
+    cases.push(ConformanceCase {
+        name: "hop-cstore-past-memory".into(),
+        mode: 1,
+        per_hop_words: 2,
+        hop0: 1,
+        insns: vec![enc(Instruction::Cstore {
+            addr: sram0,
+            mem: PacketOperand::Hop(0),
+        })],
+        memory: vec![0, 0, 0, 5],
+        ..ConformanceCase::default()
+    });
+
     cases
 }
 

@@ -150,6 +150,12 @@ macro_rules! stats {
             pub fn addr(self) -> VirtAddr {
                 match self { $($name::$variant => VirtAddr($addr),)* }
             }
+
+            /// The statistic at `addr`, if one is mapped there: the inverse
+            /// of [`addr`](Self::addr), resolved by one `match`.
+            pub fn at(addr: VirtAddr) -> Option<$name> {
+                match addr.0 { $($addr => Some($name::$variant),)* _ => None }
+            }
         }
     };
 }
@@ -378,6 +384,12 @@ mod tests {
         assert_eq!(addrs.len(), Stat::ALL.len());
         let syms: HashSet<_> = Stat::ALL.iter().map(|s| s.symbol()).collect();
         assert_eq!(syms.len(), Stat::ALL.len());
+        // `at` inverts `addr` and maps nothing else.
+        for raw in 0..=u16::MAX {
+            let at = Stat::at(VirtAddr(raw));
+            let scan = Stat::ALL.iter().copied().find(|s| s.addr().0 == raw);
+            assert_eq!(at, scan, "address {raw:#06x}");
+        }
         // Every stat address must live in the namespace its symbol claims.
         for stat in Stat::ALL {
             let ns = stat.addr().namespace();

@@ -256,9 +256,11 @@ impl Instruction {
         }
     }
 
-    /// Encode to the 4-byte wire word.
-    pub fn encode(&self) -> Result<u32> {
-        let (operand, addr16): (PacketOperand, u16) = match *self {
+    /// The packet operand and the 16-bit `addr / imm` field, as they are
+    /// encoded: instructions without a packet operand report `Sp`, those
+    /// without an address or immediate report 0.
+    pub fn operands(&self) -> (PacketOperand, u16) {
+        match *self {
             Instruction::Load { addr, dst } => (dst, addr.0),
             Instruction::Store { addr, src } => (src, addr.0),
             Instruction::Push { addr } | Instruction::Pop { addr } => (PacketOperand::Sp, addr.0),
@@ -269,7 +271,12 @@ impl Instruction {
             | Instruction::And
             | Instruction::Or
             | Instruction::Nop => (PacketOperand::Sp, 0),
-        };
+        }
+    }
+
+    /// Encode to the 4-byte wire word.
+    pub fn encode(&self) -> Result<u32> {
+        let (operand, addr16) = self.operands();
         let opcode = self.opcode() as u32;
         Ok((opcode << 27)
             | (operand.mode_bits() << 25)
@@ -320,30 +327,6 @@ impl Instruction {
             Instruction::Store { .. } | Instruction::Pop { .. } | Instruction::Cstore { .. }
         )
     }
-}
-
-/// Decode a whole program front to back, stopping at the first word that
-/// fails to decode.
-///
-/// Returns the decoded prefix and, if decoding stopped early, the index of
-/// the offending word. This is the decode-once half of the TCPU's
-/// decode-once/execute-many cache: the prefix plus the failure index
-/// reproduce exactly what per-packet [`Instruction::decode`] would do at
-/// each pc, so cached execution is bit-identical to fresh decoding.
-///
-/// The result is sized from the iterator's lower `size_hint`, so decoding
-/// an exact-size word source (the decode-cache miss path) allocates once
-/// instead of growing through a `realloc` chain.
-pub fn decode_program(words: impl IntoIterator<Item = u32>) -> (Vec<Instruction>, Option<usize>) {
-    let words = words.into_iter();
-    let mut insns = Vec::with_capacity(words.size_hint().0);
-    for (pc, word) in words.enumerate() {
-        match Instruction::decode(word) {
-            Ok(insn) => insns.push(insn),
-            Err(_) => return (insns, Some(pc)),
-        }
-    }
-    (insns, None)
 }
 
 /// Re-encode the canonical form of a decodable word, or `None` if the
@@ -527,23 +510,5 @@ mod tests {
             mem: PacketOperand::Sp
         }
         .writes_switch());
-    }
-
-    #[test]
-    fn decode_program_allocates_exactly_once() {
-        let word = Instruction::Add.encode().unwrap();
-        let (insns, bad_at) = decode_program([word; 10]);
-        assert_eq!((insns.len(), bad_at), (10, None));
-        assert_eq!(
-            insns.capacity(),
-            10,
-            "sized from the size hint, never regrown"
-        );
-        // A bad word stops decoding; the prefix keeps its one allocation.
-        let mut words = [word; 10];
-        words[4] = 0xffff_ffff;
-        let (insns, bad_at) = decode_program(words);
-        assert_eq!((insns.len(), bad_at), (4, Some(4)));
-        assert_eq!(insns.capacity(), 10);
     }
 }

@@ -39,9 +39,7 @@ pub mod programs;
 
 pub use address::{Namespace, Stat, SymbolTable, VirtAddr};
 pub use asm::{assemble, disassemble, Assembler};
-pub use instruction::{
-    canonicalize, decode_program, Instruction, Opcode, PacketOperand, MAX_WORD_OFFSET,
-};
+pub use instruction::{canonicalize, Instruction, Opcode, PacketOperand, MAX_WORD_OFFSET};
 pub use lint::{lint, Lint};
 pub use program::Program;
 

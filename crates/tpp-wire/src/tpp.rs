@@ -116,12 +116,18 @@ impl<T: AsRef<[u8]>> TppPacket<T> {
 
     /// Wrap and fully validate a buffer.
     ///
-    /// Checks, in order: header presence, version, length-field arithmetic
-    /// (`tpp_len == header + insn_len + mem_len`), 4-byte alignment of all
-    /// lengths, instruction count cap, addressing-mode validity, and that
-    /// `sp`, and in hop mode `hop * per_hop_len`, do not point outside
-    /// packet memory. A packet that passes cannot cause an out-of-bounds
-    /// access during execution.
+    /// Checks, in order: header presence; version; 4-byte alignment of
+    /// `insn_len` and `mem_len`; the instruction-count cap; length-field
+    /// arithmetic (`tpp_len == header + insn_len + mem_len`) and that the
+    /// buffer holds `tpp_len` bytes; addressing-mode validity; that `sp` is
+    /// word-aligned and at most `mem_len`; and that `per_hop_len` is
+    /// word-aligned.
+    ///
+    /// It does not check that `hop * per_hop_len` lies inside packet
+    /// memory: a packet whose hops outrun its per-hop slots is well formed
+    /// (the reference parser in `tpp-spec` accepts it too). Execution
+    /// bounds-checks every packet-memory access instead: an access past
+    /// the end halts the program rather than touching other bytes.
     pub fn new_checked(buffer: T) -> Result<TppPacket<T>> {
         let len = buffer.as_ref().len();
         if len < TPP_HEADER_LEN {
@@ -363,6 +369,15 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> TppPacket<T> {
     /// within packet memory — enforced at execution, not here).
     pub fn set_sp(&mut self, sp: usize) {
         put_u16(self.buffer.as_mut(), 10, sp as u16);
+    }
+
+    /// The packet-memory bytes, mutably: the TCPU borrows them once per
+    /// packet, keeps the stack pointer in a register, and writes it back
+    /// with [`set_sp`](Self::set_sp) when the program stops.
+    pub fn memory_mut(&mut self) -> &mut [u8] {
+        let base = self.mem_base();
+        let len = self.mem_len();
+        &mut self.buffer.as_mut()[base..base + len]
     }
 
     /// Write the 4-byte word at byte `offset` in packet memory.

@@ -14,7 +14,7 @@ use tpp_bench::conformance::{default_corpus_dir, load_corpus, run_case};
 fn committed_corpus_replays_clean() {
     let corpus = load_corpus(&default_corpus_dir()).expect("load tests/corpus");
     assert!(
-        corpus.len() >= 13,
+        corpus.len() >= 20,
         "corpus shrank to {} cases — witnesses must never be deleted",
         corpus.len()
     );
