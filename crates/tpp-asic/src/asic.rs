@@ -14,17 +14,14 @@ use crate::config::{AsicConfig, PortConfig, StripAction};
 use crate::decode_cache::ProgramInterner;
 use crate::memmap::Mmu;
 pub use crate::memmap::PacketMeta;
-use crate::profile::{
-    table_walk_cycles, PipelineProfile, ProfileConfig, EDGE_FILTER_CYCLES, MMU_ADMIT_CYCLES,
-    PARSE_CYCLES, PARSE_TPP_EXTRA_CYCLES,
-};
+use crate::profile::{Observer, PipelineProfile, ProfileConfig};
 use crate::queue::DropTailQueue;
 use crate::sram::{SramError, SramView, SramViewMut};
 use crate::state::{AsicState, PortState, QueueState};
 use crate::stats::{PortStats, QueueStats, SwitchRegs};
 use crate::tables::{FlowAction, FlowEntry, FlowKey, L2Table, LpmTable, Tcam};
 use crate::tcpu::{ExecReport, Tcpu};
-use tpp_telemetry::{DropKind, LookupKind, TcpuOutcome, TraceEvent, TraceEventKind, TraceSink};
+use tpp_telemetry::{LookupKind, TraceSink};
 use tpp_wire::ethernet::{EtherType, Frame, ETHERNET_HEADER_LEN};
 use tpp_wire::tpp::TppPacket;
 
@@ -54,27 +51,6 @@ pub enum DropReason {
     EdgeFiltered,
     /// The frame failed to parse.
     ParseError,
-}
-
-impl DropReason {
-    /// The telemetry mirror of this reason.
-    pub fn kind(&self) -> DropKind {
-        match self {
-            DropReason::NoRoute => DropKind::NoRoute,
-            DropReason::QueueFull { .. } => DropKind::QueueFull,
-            DropReason::FlowDrop { .. } => DropKind::FlowDrop,
-            DropReason::EdgeFiltered => DropKind::EdgeFiltered,
-            DropReason::ParseError => DropKind::ParseError,
-        }
-    }
-
-    /// The egress port involved, when the drop happened after a lookup.
-    pub fn port(&self) -> Option<PortId> {
-        match self {
-            DropReason::QueueFull { port } => Some(*port),
-            _ => None,
-        }
-    }
 }
 
 /// The pipeline's verdict on one frame.
@@ -215,12 +191,12 @@ impl Port {
 
 /// What one TCAM→L3→L2 walk resolved for a frame it forwards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Route {
-    table: LookupKind,
-    port: PortId,
-    queue: QueueId,
+pub(crate) struct Route {
+    pub(crate) table: LookupKind,
+    pub(crate) port: PortId,
+    pub(crate) queue: QueueId,
     /// Matched TCAM entry (0 for L3/L2 routes).
-    entry_id: u32,
+    pub(crate) entry_id: u32,
     entry_version: u32,
     /// How many tables could forward the packet.
     alternates: u32,
@@ -236,13 +212,10 @@ pub struct Asic {
     tcam: Tcam,
     global_sram: Vec<u32>,
     tcpu: Tcpu,
-    /// Structured trace sink; `None` (the default) keeps every stage's
-    /// emission down to one branch.
-    trace: Option<Box<dyn TraceSink>>,
-    /// Per-packet span profiler (observability plane layer 1); `None`
-    /// (the default) keeps every stage's attribution down to one
-    /// branch, like the trace sink.
-    profile: Option<Box<PipelineProfile>>,
+    /// The trace sink and the span profiler behind one seam; `None` (the
+    /// default) whenever both are off, so an unobserved frame pays one
+    /// branch per pipeline transition.
+    observer: Option<Box<Observer>>,
     /// Fleet-wide program interner handle, kept so `reset` can re-install
     /// it into the rebuilt TCPU (a reboot wipes the decode cache, not the
     /// fleet's shared decodes).
@@ -265,8 +238,7 @@ impl Asic {
             tcam: Tcam::new(),
             global_sram: lazy_sram(config.global_sram_words),
             tcpu: Tcpu::new(config.tcpu_cycle_budget).with_decode_cache(config.decode_cache_slots),
-            trace: None,
-            profile: None,
+            observer: None,
             interner: None,
             config,
         }
@@ -298,33 +270,13 @@ impl Asic {
 
     /// Attach (or with `None`, detach) a structured trace sink. While a
     /// sink is attached every pipeline stage emits one
-    /// [`TraceEvent`] per transition; detached, tracing costs one branch
-    /// per stage.
+    /// [`TraceEvent`](tpp_telemetry::TraceEvent) per transition;
+    /// detached, tracing costs nothing beyond the observer branch.
     pub fn set_trace_sink(&mut self, sink: Option<Box<dyn TraceSink>>) {
-        self.trace = sink;
-    }
-
-    /// True when a trace sink is attached.
-    pub fn is_traced(&self) -> bool {
-        self.trace.is_some()
-    }
-
-    /// Emit one trace event (no-op without a sink). `seq` is the
-    /// current `packets_processed` register, so all events of one
-    /// packet's walk share a sequence number. `#[cold]` keeps the
-    /// emission blocks (and the event construction feeding them) out of
-    /// the untraced hot path's code layout.
-    #[cold]
-    #[inline(never)]
-    fn emit(&mut self, kind: TraceEventKind) {
-        if let Some(sink) = self.trace.as_mut() {
-            sink.record(TraceEvent {
-                t_ns: self.regs.wall_clock_ns,
-                switch_id: self.regs.switch_id,
-                seq: self.regs.packets_processed,
-                kind,
-            });
-        }
+        self.observer.get_or_insert_default().sink = sink;
+        // Detaching the last instrument drops the observer altogether.
+        self.observer
+            .take_if(|o| o.sink.is_none() && o.profile.is_none());
     }
 
     /// Enable per-packet span profiling (observability plane layer 1):
@@ -333,98 +285,13 @@ impl Asic {
     /// budget-violation counters. Off by default; enabling replaces any
     /// previous profile.
     pub fn enable_profiling(&mut self, config: ProfileConfig) {
-        self.profile = Some(Box::new(PipelineProfile::new(
-            config,
-            self.config.switch_id as u64,
-        )));
-    }
-
-    /// Disable profiling, discarding collected statistics.
-    pub fn disable_profiling(&mut self) {
-        self.profile = None;
+        let profile = PipelineProfile::new(config, self.config.switch_id as u64);
+        self.observer.get_or_insert_default().profile = Some(profile);
     }
 
     /// The span profiler, when profiling is enabled.
     pub fn profile(&self) -> Option<&PipelineProfile> {
-        self.profile.as_deref()
-    }
-
-    /// True when span profiling is enabled.
-    pub fn is_profiled(&self) -> bool {
-        self.profile.is_some()
-    }
-
-    /// Begin a packet span and charge the parser stage. `#[cold]` like
-    /// [`Asic::emit`]: the unprofiled hot path pays one branch.
-    #[cold]
-    #[inline(never)]
-    fn profile_begin(&mut self, now_ns: u64, is_tpp: bool) {
-        if let Some(p) = self.profile.as_deref_mut() {
-            p.begin(now_ns);
-            let tpp_extra = if is_tpp { PARSE_TPP_EXTRA_CYCLES } else { 0 };
-            p.charge_parser(PARSE_CYCLES + tpp_extra);
-        }
-    }
-
-    /// Complete the current span for a packet dropped before reaching
-    /// MMU admission (parse error, edge filter, no route, flow drop).
-    #[cold]
-    #[inline(never)]
-    fn profile_finish_drop(&mut self) {
-        if let Some(p) = self.profile.as_deref_mut() {
-            p.finish(0, 0, false);
-        }
-    }
-
-    /// Charge the §4 edge filter's consultation to the parser stage.
-    #[cold]
-    #[inline(never)]
-    fn profile_edge_filter(&mut self) {
-        if let Some(p) = self.profile.as_deref_mut() {
-            p.charge_parser(EDGE_FILTER_CYCLES);
-        }
-    }
-
-    /// Charge the table walk. `consulted_l3`/`consulted_l2` derive from
-    /// the winning table and the flow key only, so cached and uncached
-    /// lookups charge identically (see `profile::table_walk_cycles`).
-    #[cold]
-    #[inline(never)]
-    fn profile_tables(&mut self, consulted_l3: bool, consulted_l2: bool) {
-        if let Some(p) = self.profile.as_deref_mut() {
-            p.charge_tables(table_walk_cycles(consulted_l3, consulted_l2));
-        }
-    }
-
-    /// Charge a TCPU execution, attributing executed instructions to
-    /// opcodes from the program the TCPU just ran.
-    #[cold]
-    #[inline(never)]
-    fn profile_tcpu(&mut self, report: &ExecReport) {
-        if let Some(p) = self.profile.as_deref_mut() {
-            p.charge_tcpu(report, self.tcpu.executed_opcodes(report));
-        }
-    }
-
-    /// Complete the current span at MMU admission: charge the MMU stage
-    /// and run the cut-through budget check against the head-of-line
-    /// drain estimate of `depth_before` bytes at `capacity_kbps`.
-    #[cold]
-    #[inline(never)]
-    fn profile_finish_enqueue(&mut self, depth_before: u64, capacity_kbps: u32, enqueued: bool) {
-        if let Some(p) = self.profile.as_deref_mut() {
-            let wait_ns = depth_before.saturating_mul(8_000_000) / capacity_kbps.max(1) as u64;
-            p.finish(MMU_ADMIT_CYCLES, wait_ns, enqueued);
-        }
-    }
-
-    /// Record a scheduler service (strict-priority scan depth).
-    #[cold]
-    #[inline(never)]
-    fn profile_dequeue(&mut self, queues_scanned: u32) {
-        if let Some(p) = self.profile.as_deref_mut() {
-            p.record_dequeue(queues_scanned);
-        }
+        self.observer.as_deref()?.profile.as_ref()
     }
 
     /// The switch's identifier.
@@ -637,10 +504,11 @@ impl Asic {
     /// registers, forwarding tables (L2/L3/TCAM), per-port statistics,
     /// queued frames, and both scratch SRAMs — then bump
     /// `Switch:BootEpoch`. The configuration survives (it models
-    /// NVRAM/firmware), as does an attached trace sink (an observer of
-    /// the switch, not part of it). End-hosts that cached state derived
-    /// from this switch detect the reboot by reading the epoch register
-    /// through a TPP and comparing against their cached value.
+    /// NVRAM/firmware), as do an attached trace sink and profiler
+    /// (instruments watching the switch, not part of it). End-hosts that
+    /// cached state derived from this switch detect the reboot by reading
+    /// the epoch register through a TPP and comparing against their
+    /// cached value.
     pub fn reset(&mut self, now_ns: u64) {
         let epoch = self.regs.boot_epoch.wrapping_add(1);
         self.regs = SwitchRegs::new(self.config.switch_id);
@@ -668,8 +536,8 @@ impl Asic {
             *port = Port::new(port.config.clone(), link_sram_words);
             port.stats.last_tick_ns = now_ns;
         }
-        if self.trace.is_some() {
-            self.emit(TraceEventKind::SwitchReboot { epoch });
+        if let Some(obs) = self.observer.as_deref_mut() {
+            obs.rebooted(&self.regs);
         }
     }
 
@@ -689,7 +557,7 @@ impl Asic {
         let (dh, dm) = self.decode_cache_stats();
         registry.add("switch.decode_cache_hits", dh);
         registry.add("switch.decode_cache_misses", dm);
-        if let Some(p) = self.profile.as_deref() {
+        if let Some(p) = self.profile() {
             p.export_metrics(registry);
         }
     }
@@ -734,107 +602,40 @@ impl Asic {
         self.regs.packets_processed += 1;
 
         // --- Header parser (Fig. 3) ---
-        let frame_len = frame.len() as u32;
-        let parsed = match Frame::new_checked(&frame[..]) {
-            Ok(f) => f,
-            Err(_) => {
-                if self.trace.is_some() {
-                    self.emit(TraceEventKind::Parse {
-                        in_port,
-                        len: frame_len,
-                        is_tpp: false,
-                        ok: false,
-                    });
-                    self.emit(TraceEventKind::Drop {
-                        reason: DropKind::ParseError,
-                        port: None,
-                    });
-                }
-                if self.profile.is_some() {
-                    self.profile_begin(now_ns, false);
-                    self.profile_finish_drop();
-                }
-                return Outcome::Dropped {
-                    reason: DropReason::ParseError,
-                };
-            }
+        let parsed = Frame::new_checked(&frame[..]);
+        let is_tpp = parsed.as_ref().is_ok_and(|f| f.is_tpp());
+        if let Some(obs) = self.observer.as_deref_mut() {
+            let len = frame.len() as u32;
+            obs.parsed(&self.regs, in_port, len, is_tpp, parsed.is_ok());
+        }
+        let Ok(parsed) = parsed else {
+            return self.drop_frame(DropReason::ParseError);
         };
-        let is_tpp = parsed.is_tpp();
-        if self.trace.is_some() {
-            self.emit(TraceEventKind::Parse {
-                in_port,
-                len: frame_len,
-                is_tpp,
-                ok: true,
-            });
-        }
-        if self.profile.is_some() {
-            self.profile_begin(now_ns, is_tpp);
-        }
 
         // --- §4 edge security filter on ingress ---
-        if is_tpp {
-            if self.profile.is_some()
-                && self.ports[in_port as usize]
-                    .config
-                    .ingress_tpp_filter
-                    .is_some()
-            {
-                self.profile_edge_filter();
+        let filter = if is_tpp {
+            self.ports[in_port as usize].config.ingress_tpp_filter
+        } else {
+            None
+        };
+        if let Some(action) = filter {
+            if let Some(obs) = self.observer.as_deref_mut() {
+                obs.edge_filter(&self.regs, in_port, action);
             }
-            match self.ports[in_port as usize].config.ingress_tpp_filter {
-                Some(StripAction::Drop) => {
-                    if self.trace.is_some() {
-                        self.emit(TraceEventKind::EdgeFilter {
-                            in_port,
-                            action: "drop",
-                        });
-                        self.emit(TraceEventKind::Drop {
-                            reason: DropKind::EdgeFiltered,
-                            port: None,
-                        });
+            return match action {
+                StripAction::Drop => self.drop_frame(DropReason::EdgeFiltered),
+                StripAction::Unwrap => match strip_tpp(&mut frame) {
+                    Some(inner_ethertype) => {
+                        // The stripped frame is an ordinary packet now
+                        // (unless the inner payload was itself a TPP).
+                        let inner_is_tpp = EtherType(inner_ethertype) == EtherType::TPP;
+                        // `strip_tpp` leaves a full Ethernet header.
+                        let key = flow_key(&Frame::new_unchecked(&frame[..]), in_port);
+                        self.forward_plain(frame, &key, hint, inner_is_tpp)
                     }
-                    if self.profile.is_some() {
-                        self.profile_finish_drop();
-                    }
-                    return Outcome::Dropped {
-                        reason: DropReason::EdgeFiltered,
-                    };
-                }
-                Some(StripAction::Unwrap) => {
-                    if self.trace.is_some() {
-                        self.emit(TraceEventKind::EdgeFilter {
-                            in_port,
-                            action: "unwrap",
-                        });
-                    }
-                    return match strip_tpp(&mut frame) {
-                        Some(inner_ethertype) => {
-                            // The stripped frame is an ordinary packet now
-                            // (unless the inner payload was itself a TPP).
-                            let inner_is_tpp = EtherType(inner_ethertype) == EtherType::TPP;
-                            // `strip_tpp` leaves a full Ethernet header.
-                            let key = flow_key(&Frame::new_unchecked(&frame[..]), in_port);
-                            self.forward_plain(frame, &key, hint, inner_is_tpp)
-                        }
-                        None => {
-                            if self.trace.is_some() {
-                                self.emit(TraceEventKind::Drop {
-                                    reason: DropKind::EdgeFiltered,
-                                    port: None,
-                                });
-                            }
-                            if self.profile.is_some() {
-                                self.profile_finish_drop();
-                            }
-                            Outcome::Dropped {
-                                reason: DropReason::EdgeFiltered,
-                            }
-                        }
-                    };
-                }
-                None => {}
-            }
+                    None => self.drop_frame(DropReason::EdgeFiltered),
+                },
+            };
         }
 
         let key = flow_key(&parsed, in_port);
@@ -845,23 +646,24 @@ impl Asic {
         }
     }
 
-    /// Forwarding lookup shared by both paths: one table walk, its
-    /// modelled cost charged to the profiler, its registers and trace
-    /// event committed.
+    /// Forwarding lookup shared by both paths: one table walk, with its
+    /// TPP-readable hit registers bumped (a `Drop` entry counts as a TCAM
+    /// hit) and its transition reported.
     fn lookup(&mut self, key: &FlowKey, hint: Option<PortId>) -> Result<Route, DropReason> {
         let resolved = self.walk(key, hint);
-        if self.profile.is_some() {
-            // The *modelled* pipeline stops at the first table that hits
-            // (TCAM always, L3 for IPv4, then L2), whatever the software
-            // walk consulted to count alternates.
-            let (l3, l2) = match resolved.map(|route| route.table) {
-                Ok(LookupKind::Tcam) | Err(DropReason::FlowDrop { .. }) => (false, false),
-                Ok(LookupKind::L3) => (true, false),
-                Ok(LookupKind::L2) | Err(_) => (key.ipv4_dst.is_some(), true),
-            };
-            self.profile_tables(l3, l2);
+        match resolved {
+            Ok(route) => match route.table {
+                LookupKind::Tcam => self.regs.tcam_hits += 1,
+                LookupKind::L3 => self.regs.l3_hits += 1,
+                LookupKind::L2 => self.regs.l2_hits += 1,
+            },
+            Err(DropReason::FlowDrop { .. }) => self.regs.tcam_hits += 1,
+            Err(_) => {}
         }
-        self.commit_lookup(resolved)
+        if let Some(obs) = self.observer.as_deref_mut() {
+            obs.looked_up(&self.regs, key, resolved);
+        }
+        resolved
     }
 
     /// The TCAM→L3→L2 walk, each table consulted once: the first hit in
@@ -870,7 +672,7 @@ impl Asic {
     /// `alternates` — the model's stand-in for "alternate routes for a
     /// packet" (Table 2; the paper cites per-packet route diversity work
     /// \[11\]). `hint` replaces the egress port only when L2 wins. No
-    /// register or trace side effects; those are [`Asic::commit_lookup`]'s.
+    /// register or observer side effects; those are [`Asic::lookup`]'s.
     fn walk(&self, key: &FlowKey, hint: Option<PortId>) -> Result<Route, DropReason> {
         let tcam = match self.tcam.lookup(key) {
             Some(entry) => {
@@ -910,35 +712,6 @@ impl Asic {
         })
     }
 
-    /// Apply a walk's side effects: bump the TPP-readable hit registers
-    /// and emit the trace event (a `Drop` entry counts as a TCAM hit).
-    fn commit_lookup(&mut self, resolved: Result<Route, DropReason>) -> Result<Route, DropReason> {
-        match resolved {
-            Ok(route) => {
-                match route.table {
-                    LookupKind::Tcam => self.regs.tcam_hits += 1,
-                    LookupKind::L3 => self.regs.l3_hits += 1,
-                    LookupKind::L2 => self.regs.l2_hits += 1,
-                }
-                if self.trace.is_some() {
-                    self.emit(TraceEventKind::Lookup {
-                        table: route.table,
-                        out_port: route.port,
-                        queue: route.queue,
-                        entry_id: route.entry_id,
-                    });
-                }
-            }
-            Err(DropReason::FlowDrop { .. }) => self.regs.tcam_hits += 1,
-            Err(_) => {
-                if self.trace.is_some() {
-                    self.emit(TraceEventKind::LookupMiss);
-                }
-            }
-        }
-        resolved
-    }
-
     fn forward_plain(
         &mut self,
         frame: Vec<u8>,
@@ -952,16 +725,10 @@ impl Asic {
         }
     }
 
-    /// Record a drop in the trace and build the outcome.
+    /// Report a drop before MMU admission and build the outcome.
     fn drop_frame(&mut self, reason: DropReason) -> Outcome {
-        if self.trace.is_some() {
-            self.emit(TraceEventKind::Drop {
-                reason: reason.kind(),
-                port: reason.port(),
-            });
-        }
-        if self.profile.is_some() {
-            self.profile_finish_drop();
+        if let Some(obs) = self.observer.as_deref_mut() {
+            obs.dropped(&self.regs, reason);
         }
         Outcome::Dropped { reason }
     }
@@ -1024,25 +791,8 @@ impl Asic {
                     };
                     let report = self.tcpu.execute(&mut tpp, &mut mmu);
                     self.regs.tpps_executed += 1;
-                    if self.trace.is_some() {
-                        let outcome = match report.halt {
-                            None => TcpuOutcome::Completed,
-                            Some(h) => TcpuOutcome::Halted(h.name()),
-                        };
-                        let hop = tpp.hop();
-                        let budget = self.tcpu.cycle_budget();
-                        self.emit(TraceEventKind::TcpuExec {
-                            out_port,
-                            instructions: report.instructions_executed,
-                            cycles: report.cycles,
-                            budget,
-                            outcome,
-                            hop,
-                            wrote_switch: report.wrote_switch,
-                        });
-                    }
-                    if self.profile.is_some() {
-                        self.profile_tcpu(&report);
+                    if let Some(obs) = self.observer.as_deref_mut() {
+                        obs.executed(&self.regs, out_port, &report, tpp.hop(), &self.tcpu);
                     }
                     Some(report)
                 }
@@ -1070,7 +820,6 @@ impl Asic {
         is_tpp: bool,
     ) -> Outcome {
         let len = frame.len() as u64;
-        let traced = self.trace.is_some();
         let port = &mut self.ports[out_port as usize];
         let capacity_kbps = port.config.capacity_kbps;
         // Occupancy *before* this frame — the value ECN compares against
@@ -1101,26 +850,7 @@ impl Asic {
         } else {
             port.stats.bytes_dropped += len;
         }
-        if traced {
-            if accepted {
-                self.emit(TraceEventKind::Enqueue {
-                    port: out_port,
-                    queue: queue_id,
-                    depth_bytes: depth_before,
-                    len: len as u32,
-                    ecn_marked,
-                });
-            } else {
-                self.emit(TraceEventKind::Drop {
-                    reason: DropKind::QueueFull,
-                    port: Some(out_port),
-                });
-            }
-        }
-        if self.profile.is_some() {
-            self.profile_finish_enqueue(depth_before, capacity_kbps, accepted);
-        }
-        if accepted {
+        let outcome = if accepted {
             Outcome::Enqueued {
                 port: out_port,
                 queue: queue_id,
@@ -1130,7 +860,12 @@ impl Asic {
             Outcome::Dropped {
                 reason: DropReason::QueueFull { port: out_port },
             }
+        };
+        if let Some(obs) = self.observer.as_deref_mut() {
+            let queue_ahead = (depth_before, capacity_kbps);
+            obs.admitted(&self.regs, &outcome, len as u32, ecn_marked, queue_ahead);
         }
+        outcome
     }
 
     /// Transmit the next frame of a port (the scheduler): queues are
@@ -1149,17 +884,8 @@ impl Asic {
             }
         }
         let (queue, frame, depth_after) = served?;
-        if self.trace.is_some() {
-            self.emit(TraceEventKind::Dequeue {
-                port: port_id,
-                queue,
-                len: frame.len() as u32,
-                depth_bytes: depth_after,
-            });
-        }
-        if self.profile.is_some() {
-            // The strict-priority scan inspected queues 0..=queue.
-            self.profile_dequeue(queue as u32 + 1);
+        if let Some(obs) = self.observer.as_deref_mut() {
+            obs.dequeued(&self.regs, port_id, queue, frame.len() as u32, depth_after);
         }
         Some(frame)
     }
@@ -1261,6 +987,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use tpp_isa::assemble;
+    use tpp_telemetry::{DropKind, TraceEventKind};
     use tpp_wire::ethernet::build_frame;
     use tpp_wire::tpp::{AddressingMode, TppBuilder};
     use tpp_wire::EthernetAddress;
@@ -1379,7 +1106,7 @@ mod tests {
         assert_eq!(p.total_cycles(), span.total_cycles() as u64);
         assert_eq!(p.packets(), 1);
         assert_eq!(p.budget_violations(), 0, "empty queue, tiny program");
-        assert_eq!(p.stage(ProfStage::Tcpu).hist().count(), 1);
+        assert_eq!(p.stage(ProfStage::Tcpu).count(), 1);
         let ops = p.opcode_breakdown();
         assert_eq!(ops.len(), 1);
         assert_eq!(ops[0].0.mnemonic(), "PUSH");
@@ -1388,11 +1115,7 @@ mod tests {
         // The scheduler stage is charged at dequeue.
         asic.dequeue(1).unwrap();
         assert_eq!(
-            asic.profile()
-                .unwrap()
-                .stage(ProfStage::Scheduler)
-                .hist()
-                .count(),
+            asic.profile().unwrap().stage(ProfStage::Scheduler).count(),
             1
         );
     }
@@ -1829,7 +1552,6 @@ mod tests {
         let shared = SharedSink::new(64);
         let mut asic = asic();
         asic.set_trace_sink(Some(Box::new(shared.clone())));
-        assert!(asic.is_traced());
         let frame = tpp_frame("PUSH [Switch:SwitchID]", 2);
         assert!(asic.handle_frame(frame, 0, 7_000).is_enqueued());
         asic.dequeue(1).unwrap();

@@ -6,11 +6,11 @@
 //!   with windowed sparklines, driven by key presses (`1`–`5`/tab to
 //!   switch category, `w` window width, `s` sort, `p` pause, `q` quit).
 //!   Pick the feed with `--scenario obs|fct|bond`.
-//! * **Headless**: `--headless` prints the classic summary table once
-//!   (the CI golden); add `--frame WxH` to print one dashboard frame
-//!   instead — a pure function of the seeded scenario, so CI byte-diffs
-//!   it at any shard count. `--prom FILE` / `--series FILE` write the
-//!   Prometheus snapshot and JSONL series dump (`-` for stdout).
+//! * **Headless**: `--headless` runs the feed to its end and prints one
+//!   dashboard frame (`--frame WxH`, default 120x40) — a pure function of
+//!   the seeded scenario, so CI byte-diffs it at any shard count.
+//!   `--prom FILE` / `--series FILE` write the same feed's Prometheus
+//!   snapshot and JSONL series dump (`-` for stdout).
 //! * **Profile diff**: `--diff A.jsonl B.jsonl` compares two recorded
 //!   series dumps (e.g. caches on vs off) side by side.
 //!
@@ -18,7 +18,7 @@
 //! $ cargo run -p tpp-bench --bin tpp_top                      # live view
 //! $ cargo run -p tpp-bench --bin tpp_top -- --scenario fct
 //! $ cargo run -p tpp-bench --bin tpp_top -- --headless --prom snap.prom --series series.jsonl
-//! $ cargo run -p tpp-bench --bin tpp_top -- --headless --frame 120x40 --tab transport --scenario fct
+//! $ cargo run -p tpp-bench --bin tpp_top -- --headless --tab transport --scenario fct
 //! $ cargo run -p tpp-bench --bin tpp_top -- --diff cache_on.jsonl cache_off.jsonl
 //! ```
 
@@ -26,10 +26,13 @@ use std::io::{Read as _, Write as _};
 use std::sync::mpsc;
 
 use tpp_bench::dash_scenario::{DashFeed, DashScenario};
-use tpp_bench::obs_scenario::run_obs_scenario;
 use tpp_obs::render::Tab;
 use tpp_obs::snapshot::SortKey;
 use tpp_obs::{parse_series_jsonl, render_dashboard, render_profile_diff, DashState};
+
+/// Frame size of the headless and diff views, and of a terminal whose
+/// size `stty` cannot tell.
+const DEFAULT_FRAME: (usize, usize) = (120, 40);
 
 fn write_out(path: &str, what: &str, contents: &str) {
     if path == "-" {
@@ -191,10 +194,10 @@ fn raw_mode(on: bool) -> bool {
         .unwrap_or(false)
 }
 
-/// Terminal size via `stty size` (rows cols); dashboard default
+/// Terminal size via `stty size` (rows cols); [`DEFAULT_FRAME`]
 /// otherwise.
 fn term_size() -> (usize, usize) {
-    let fallback = (120, 40);
+    let fallback = DEFAULT_FRAME;
     let Ok(out) = std::process::Command::new("stty")
         .arg("size")
         .stdin(std::process::Stdio::inherit())
@@ -273,7 +276,7 @@ fn main() {
     let args = parse_args();
 
     if let Some((a, b)) = &args.diff {
-        let (width, height) = args.frame.unwrap_or((120, 40));
+        let (width, height) = args.frame.unwrap_or(DEFAULT_FRAME);
         let dump_a = parse_series_jsonl(&read_file(a));
         let dump_b = parse_series_jsonl(&read_file(b));
         print!(
@@ -283,9 +286,10 @@ fn main() {
         return;
     }
 
-    if let (true, Some((width, height))) = (args.headless, args.frame) {
+    if args.headless {
         // One dashboard frame from the finished seeded scenario: a pure
         // function of (scenario, state, size) — the CI-pinned artifact.
+        let (width, height) = args.frame.unwrap_or(DEFAULT_FRAME);
         let mut feed = DashFeed::build(args.scenario);
         feed.run_to_end();
         let state = dash_state(&args);
@@ -300,28 +304,5 @@ fn main() {
         return;
     }
 
-    if !args.headless {
-        live_dashboard(&args);
-        return;
-    }
-
-    // Classic headless path: run the full scenario deterministically and
-    // print the end state (what CI pins as the obs_top golden).
-    let run = run_obs_scenario();
-    print!("{}", run.top);
-    println!(
-        "\nscenario: probes={} echoes={} peak_queue={}B bursts={} budget_violations={} divergence_max={}B",
-        run.probes_sent,
-        run.echoes_received,
-        run.peak_queue_bytes,
-        run.bursts_detected,
-        run.budget_violations,
-        run.divergence_max_bytes,
-    );
-    if let Some(p) = args.prom {
-        write_out(&p, "prometheus snapshot", &run.prom);
-    }
-    if let Some(p) = args.series {
-        write_out(&p, "series jsonl", &run.series);
-    }
+    live_dashboard(&args);
 }

@@ -3,8 +3,8 @@
 //!
 //! Three feeds cover the obs plane end to end:
 //!
-//! * **obs** — the seeded 2×2 microburst incast behind the existing
-//!   goldens (probes, profiling, series, divergence check).
+//! * **obs** — the seeded 2×2 microburst incast behind the obs goldens
+//!   (probes, profiling, series, divergence check).
 //! * **fct** — a k=4 ECMP fat-tree running the lossy closed-loop
 //!   transport on every host: retransmits, RTO ladder, rate clamps,
 //!   FCT distribution and per-uplink spread all light up.
@@ -20,22 +20,64 @@ use tpp_apps::bonding::BondSender;
 use tpp_apps::microburst::MicroburstMonitor;
 use tpp_apps::rcpstar::init_rate_registers;
 use tpp_asic::{PortId, ProfileConfig};
+use tpp_host::EchoReceiver;
 use tpp_netsim::{
-    fat_tree_with, time, Endpoint, FatTreeParams, HostApp, HostId, RunLimit, SimConfig, Simulator,
-    SwitchId,
+    fat_tree_with, leaf_spine_with, time, Endpoint, FatTreeParams, HostApp, HostCtx, HostId,
+    LeafSpineParams, RunLimit, SimConfig, Simulator, SwitchId,
 };
 use tpp_obs::{Collector, FleetSnapshot};
 use tpp_telemetry::MetricsRegistry;
 
 use crate::bonding_scenario;
-use crate::obs_scenario::{ObsScenario, SCENARIO_END_NS as OBS_END_NS};
 use crate::traffic::{
     generate_schedule, ClosedFlowGenApp, ClosedLoopConfig, FlowSizeDist, TrafficConfig,
 };
+use tpp_wire::ethernet::{build_frame, EtherType};
 use tpp_wire::EthernetAddress;
 
 /// Seeded per-frame loss on the fct feed's inter-switch links, permille.
 pub const FCT_LOSS_PERMILLE: u16 = 5;
+
+/// The obs feed's probe interval (one probe per ~RTT).
+pub const OBS_PROBE_INTERVAL_NS: u64 = 10_000;
+/// The obs feed's burst window, `[start, end)`.
+const OBS_BURST_NS: (u64, u64) = (200_000, 600_000);
+/// The obs monitor keeps probing well past the burst so its final
+/// samples see drained queues (the ~50 KB backlog takes ~400 µs to drain
+/// at 1 Gb/s, emptying around t=1.05 ms).
+const OBS_PROBE_STOP_NS: u64 = 1_300_000;
+/// Upper bound for the obs run (it quiesces much earlier).
+const OBS_END_NS: u64 = 3_000_000;
+
+/// A host incasting fixed-size data frames at a victim during
+/// `[start_ns, stop_ns)`.
+struct Burster {
+    target: EthernetAddress,
+    start_ns: u64,
+    stop_ns: u64,
+    period_ns: u64,
+    payload_len: usize,
+}
+
+impl HostApp for Burster {
+    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+        ctx.set_timer(self.start_ns, 0);
+    }
+
+    fn on_timer(&mut self, _token: u64, ctx: &mut HostCtx<'_>) {
+        if ctx.now() >= self.stop_ns {
+            return;
+        }
+        let frame = build_frame(
+            self.target,
+            ctx.mac(),
+            EtherType(0x0800),
+            &vec![0u8; self.payload_len],
+        );
+        ctx.send(frame);
+        ctx.set_timer(self.period_ns, 0);
+    }
+}
 
 /// Which scenario a feed drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,14 +130,57 @@ pub struct DashFeed {
 
 impl DashFeed {
     /// The microburst obs feed (default [`SimConfig`], honors
-    /// `TPP_SHARDS`).
+    /// `TPP_SHARDS`). On a 2-leaf × 2-spine fabric, host 0 (leaf 0) runs
+    /// the §2.1 [`MicroburstMonitor`] against the echoing victim, host 2
+    /// (leaf 1), while hosts 1 and 3 incast the victim and build a queue
+    /// at leaf 1's egress port. Every switch is profiled (every packet);
+    /// the run is lossless and drains, so the collector's divergence
+    /// check must come out exact.
     pub fn obs() -> DashFeed {
-        let sc = ObsScenario::new();
+        let params = LeafSpineParams {
+            n_leaves: 2,
+            n_spines: 2,
+            hosts_per_leaf: 2,
+            host_link_kbps: 1_000_000, // 1 Gb/s: 8 ns of drain per queued byte
+            fabric_link_kbps: 1_000_000,
+            queue_limit_bytes: 256 * 1024, // lossless: the burst peaks far below
+            delay_ns: time::micros(1),
+            host_nic_kbps: 1_000_000,
+        };
+        let victim = EthernetAddress::from_host_id(2);
+        let burster = |start_extra: u64| -> Box<dyn HostApp> {
+            Box::new(Burster {
+                target: victim,
+                start_ns: OBS_BURST_NS.0 + start_extra,
+                stop_ns: OBS_BURST_NS.1,
+                period_ns: 12_000, // ~1400 B / 12 µs ≈ line rate per burster
+                payload_len: 1400,
+            })
+        };
+        let apps: Vec<Box<dyn HostApp>> = vec![
+            Box::new(MicroburstMonitor::new(
+                victim,
+                6, // leaf-spine-leaf out and back
+                OBS_PROBE_INTERVAL_NS,
+                50_000,
+                OBS_PROBE_STOP_NS,
+            )),
+            burster(0),
+            Box::new(EchoReceiver::default()),
+            burster(3_000), // offset so the two bursts interleave
+        ];
+        // 20 µs ticks: fine-grained series without drowning the run.
+        let config = SimConfig::new().tick_interval_ns(time::micros(20));
+        let (mut sim, fabric) = leaf_spine_with(config, params, apps);
+        for &s in fabric.leaves.iter().chain(fabric.spines.iter()) {
+            sim.switch_mut(s).enable_profiling(ProfileConfig::default());
+        }
+        sim.observe().series(128);
         DashFeed {
+            sim,
             harvest: Harvest::Obs {
-                monitor: sc.monitor_host,
+                monitor: fabric.hosts[0][0],
             },
-            sim: sc.sim,
             end_ns: OBS_END_NS,
         }
     }

@@ -24,7 +24,6 @@ pub mod bonding_scenario;
 pub mod conformance;
 pub mod dash_scenario;
 pub mod json;
-pub mod obs_scenario;
 pub mod repro;
 pub mod testgen;
 pub mod traffic;

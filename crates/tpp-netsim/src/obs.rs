@@ -8,7 +8,6 @@
 //! surface reads as *control* (build, run, inject) while everything that
 //! merely watches the run lives in one place.
 
-use crate::node::SwitchId;
 use crate::sim::{Endpoint, Simulator};
 use tpp_telemetry::SharedSink;
 
@@ -49,15 +48,5 @@ impl<'a> ObsHandle<'a> {
     /// handle that stays readable while the simulation runs.
     pub fn trace_all(self, capacity: usize) -> SharedSink {
         self.sim.trace_all_impl(capacity)
-    }
-
-    /// Attach a shared trace sink to one switch only.
-    pub fn trace_switch(self, id: SwitchId, capacity: usize) -> SharedSink {
-        self.sim.trace_switch_impl(id, capacity)
-    }
-
-    /// Detach every trace sink.
-    pub fn trace_off(self) {
-        self.sim.trace_off_impl();
     }
 }

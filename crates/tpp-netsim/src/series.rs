@@ -86,11 +86,6 @@ impl RingSeries {
         self.points.last().copied()
     }
 
-    /// Largest recorded value.
-    pub fn max_value(&self) -> u64 {
-        self.points.iter().map(|&(_, v)| v).max().unwrap_or(0)
-    }
-
     /// Overwrite with the pointwise sum of `parts`, which were offered
     /// samples at the same instants: they decimated alike, so their
     /// points line up one for one.

@@ -1021,24 +1021,6 @@ impl Simulator {
         sink
     }
 
-    pub(crate) fn trace_switch_impl(&mut self, id: SwitchId, capacity: usize) -> SharedSink {
-        let sink = SharedSink::new(capacity);
-        self.switches[id.0]
-            .asic
-            .set_trace_sink(Some(Box::new(sink.clone())));
-        sink
-    }
-
-    pub(crate) fn trace_off_impl(&mut self) {
-        for sw in &mut self.switches {
-            sw.asic.set_trace_sink(None);
-        }
-        for shard in &mut self.shards {
-            shard.sink = None;
-        }
-        self.fleet_sink = None;
-    }
-
     pub(crate) fn enable_series_impl(&mut self, capacity: usize) {
         let ids: Vec<u32> = self.switches.iter().map(|sw| sw.asic.switch_id()).collect();
         self.series = Some(SeriesSet::sharded(&ids, capacity, self.num_shards));

@@ -63,14 +63,6 @@ pub struct DivergenceReport {
     pub probes_lost: u64,
 }
 
-impl DivergenceReport {
-    /// True when every observed switch matches ground truth exactly —
-    /// the expected verdict for a drained, lossless run.
-    pub fn is_exact(&self) -> bool {
-        self.max_abs_bytes == 0
-    }
-}
-
 /// What a bonded sender saw on one of its paths, aggregated after a
 /// run: probe accounting, the telemetry distributions its scheduler
 /// weighed, and every health transition on the failover timeline.
@@ -229,11 +221,6 @@ impl Collector {
     /// The aggregated view of one `(switch, queue)`.
     pub fn queue(&self, switch_id: u32, queue_id: u32) -> Option<&QueueView> {
         self.queues.get(&(switch_id, queue_id))
-    }
-
-    /// Iterate `((switch_id, queue_id), view)` in key order.
-    pub fn queues(&self) -> impl Iterator<Item = (&(u32, u32), &QueueView)> {
-        self.queues.iter()
     }
 
     /// The probe RTT distribution.

@@ -20,10 +20,8 @@
 //!    sound measurement plane, the two views must agree whenever the
 //!    network is quiescent and lossless.
 //!
-//! Exports: [`prometheus_snapshot`] (Prometheus text format),
-//! [`series_jsonl`] (one JSON object per series, for offline plotting),
-//! and [`render_top`] — the `tpp-top` live table of hot queues, stage
-//! latencies, budget violations and collector divergence.
+//! Exports: [`prometheus_snapshot`] (Prometheus text format) and
+//! [`series_jsonl`] (one JSON object per series, for offline plotting).
 //!
 //! On top of the raw sources sits the dashboard stack: [`window`] folds
 //! ring-series samples into fixed-width min/mean/max/p50/p99 windows,
@@ -41,7 +39,6 @@ pub mod collector;
 pub mod export;
 pub mod render;
 pub mod snapshot;
-pub mod top;
 pub mod window;
 
 pub use collector::{Collector, DivergenceReport, PathView, QueueView, SwitchDivergence};
@@ -50,5 +47,4 @@ pub use export::{
 };
 pub use render::{render_dashboard, render_profile_diff, DashState, FrameBuf, Tab};
 pub use snapshot::{FleetSnapshot, SortKey};
-pub use top::render_top;
 pub use window::{WindowAgg, WindowedSeries};

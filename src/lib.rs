@@ -95,7 +95,7 @@ pub mod prelude {
         LinearChainParams, NetworkBuilder, ObsHandle, RunLimit, SimConfig, Simulator, SwitchId,
         Topology,
     };
-    pub use crate::obs::{prometheus_snapshot, render_top, series_jsonl, Collector};
+    pub use crate::obs::{prometheus_snapshot, series_jsonl, Collector};
     pub use crate::telemetry::{
         write_csv, write_jsonl, MetricsRegistry, SharedSink, TraceEvent, TraceEventKind, TraceSink,
     };
