@@ -61,6 +61,15 @@ pub fn program_hash(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Fold a [`program_hash`]'s high half into its low half before taking
+/// low bits as an index. FNV's last step is a multiply, which carries
+/// entropy upwards only: unfolded, the low bits of the hash depend on the
+/// low byte of each 8-byte chunk alone, so programs that share those
+/// bytes (every two-word program with the same first byte) share a slot.
+fn fold(hash: u64) -> u64 {
+    hash ^ (hash >> 32)
+}
+
 /// One cached program: the raw bytes it was decoded from (for exact-match
 /// verification) and the lowered result.
 #[derive(Debug, Clone)]
@@ -121,10 +130,8 @@ pub struct ProgramInterner {
 }
 
 /// Hasher for a map whose keys are already [`program_hash`] values: it
-/// passes the key through instead of running SipHash over a hash. The
-/// high half is folded down because FNV's last step is a multiply, which
-/// carries entropy upwards only — the low bits hashbrown picks a bucket
-/// from would depend on the low byte of each 8-byte chunk alone.
+/// passes the key through, [`fold`]ed for the low bits hashbrown picks a
+/// bucket from, instead of running SipHash over a hash.
 #[derive(Debug, Default, Clone, Copy)]
 struct PassThroughHasher(u64);
 
@@ -138,7 +145,7 @@ impl Hasher for PassThroughHasher {
     }
 
     fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
+        fold(self.0)
     }
 }
 
@@ -260,7 +267,7 @@ impl DecodeCache {
             return self.slots[self.last].as_ref().expect("matched above");
         }
         let hash = program_hash(bytes);
-        let idx = (hash as usize) & self.mask;
+        let idx = fold(hash) as usize & self.mask;
         self.last = idx;
         let hit = matches!(&self.slots[idx], Some(p) if p.hash == hash && p.bytes == bytes);
         if hit {
@@ -317,6 +324,21 @@ mod tests {
         assert_eq!(cache.stats(), (0, 1));
         cache.lookup(&bytes);
         assert_eq!(cache.stats(), (1, 1));
+    }
+
+    #[test]
+    fn programs_sharing_their_first_byte_spread_over_the_slots() {
+        // PUSHI i; NOP — 64 two-word programs, one 8-byte hash chunk
+        // each, all starting with the PUSHI opcode byte.
+        let mut cache = DecodeCache::new(64);
+        for i in 0..64 {
+            cache.lookup(&words_to_bytes(&[0x6000_0000 | i, 0]));
+        }
+        let occupied = cache.slots.iter().filter(|slot| slot.is_some()).count();
+        assert!(
+            occupied >= 32,
+            "64 programs landed in {occupied} of 64 slots"
+        );
     }
 
     #[test]

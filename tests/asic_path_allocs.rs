@@ -91,11 +91,9 @@ fn steady_state_asic_frames_do_not_allocate() {
         asic.l2_mut()
             .insert(EthernetAddress::from_host_id(host), (host % PORTS) as u16);
     }
-    // PUSHI i; NOP; PUSHI i. The third word is what spreads the programs
-    // over the slots: the cache indexes by the low bits of a chunked FNV
-    // hash, which only the bytes past the last whole 8-byte chunk reach.
+    // PUSHI i; NOP.
     let templates: Vec<Vec<u8>> = (0..PROGRAMS)
-        .map(|i| tpp_frame(0, 9, &[0x6000_0000 | i, 0, 0x6000_0000 | i], &[0; 4]))
+        .map(|i| tpp_frame(0, 9, &[0x6000_0000 | i, 0], &[0; 4]))
         .collect();
     let mut rng = Rng64::new(23);
     let mut buf = Vec::with_capacity(256);
