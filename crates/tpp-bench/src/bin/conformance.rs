@@ -21,7 +21,7 @@
 use tpp_bench::conformance::{
     default_corpus_dir, directed_cases, fuzz, load_corpus, run_case, write_case,
 };
-use tpp_bench::print_table;
+use tpp_bench::format_table;
 
 fn main() {
     let mut cases: u64 = 500;
@@ -132,7 +132,7 @@ fn main() {
         }
     }
 
-    print_table(&["phase", "count", "status"], &rows);
+    print!("{}", format_table(&["phase", "count", "status"], &rows));
     if failed {
         std::process::exit(1);
     }

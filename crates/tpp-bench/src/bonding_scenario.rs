@@ -1,5 +1,5 @@
-//! The seeded bonding-failover scenario behind `bonding_demo` and the
-//! bonding chaos tests.
+//! The seeded bonding-failover scenario behind `BENCH_bonding.json`,
+//! the bonding chaos test that checks it and the dashboard's bond feed.
 //!
 //! A two-path bonded diamond (two switches per path) carries a
 //! sequenced data flow while `bonding_collect()` probes feed the
@@ -31,6 +31,8 @@ use tpp_netsim::{
     LinkProfile, LinkState, RunLimit, SimConfig, Simulator,
 };
 use tpp_wire::EthernetAddress;
+
+use crate::traffic::percentile;
 
 /// Probe cadence per path.
 pub const PROBE_INTERVAL_NS: u64 = time::micros(50);
@@ -109,9 +111,9 @@ pub fn build(config: SimConfig) -> (Simulator, BondedDiamond) {
     (sim, diamond)
 }
 
-/// Everything the demo prints and the chaos tests assert on, all of it
-/// derived from simulation state only (no wall clock) so it is
-/// shard-invariant and CI can byte-diff the JSON.
+/// Everything `BENCH_bonding.json` records and the chaos test asserts
+/// on, all of it derived from simulation state only (no wall clock) so
+/// it is shard-invariant and the file is checked byte for byte.
 #[derive(Debug, Clone)]
 pub struct BondingRun {
     /// Data sequences the sender issued.
@@ -258,14 +260,6 @@ fn health_code(h: PathHealth) -> u64 {
     }
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
 /// Drive the scenario to quiescence under `config` and fold the result.
 pub fn run_bonding_scenario(config: SimConfig) -> BondingRun {
     let (mut sim, diamond) = build(config);
@@ -291,6 +285,7 @@ pub fn run_bonding_scenario(config: SimConfig) -> BondingRun {
         .collect();
     let mut latencies: Vec<u64> = tx.ack_latencies.iter().map(|&(_, l)| l).collect();
     latencies.sort_unstable();
+    let [p50, p99, max] = [0.50, 0.99, 1.0].map(|p| percentile(&latencies, p).unwrap_or(0));
     let failover_detect_ns = tx
         .bond
         .events()
@@ -313,25 +308,8 @@ pub fn run_bonding_scenario(config: SimConfig) -> BondingRun {
         health_events: tx.bond.events().to_vec(),
         failover_detect_ns,
         epoch_changes: tx.epoch_changes,
-        ack_latency_ns: (
-            percentile(&latencies, 0.50),
-            percentile(&latencies, 0.99),
-            percentile(&latencies, 1.0),
-        ),
+        ack_latency_ns: (p50, p99, max),
         goodput_mbps: payload_bits / window_s / 1e6,
         quiesced_at_ns,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn percentile_bounds() {
-        assert_eq!(percentile(&[], 0.5), 0);
-        let v = vec![10, 20, 30, 40];
-        assert_eq!(percentile(&v, 0.0), 10);
-        assert_eq!(percentile(&v, 1.0), 40);
     }
 }

@@ -1,12 +1,17 @@
-//! Minimal JSON: the conformance corpus format and `REPRO.json`.
+//! Minimal JSON: the conformance corpus format, `REPRO.json`, and the
+//! reader behind the golden checker's field-level report.
 //!
 //! Hand-rolled because the build environment has no serde.
 
-/// A minimal JSON value: unsigned integers, strings, arrays, objects.
+/// A minimal JSON value: unsigned integers, strings, arrays, objects,
+/// and decimals or `null` kept as written.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// An unsigned integer.
     Num(u64),
+    /// A decimal (`4176.9`) or `null`, kept as its literal text so a
+    /// document reads back exactly as it was written.
+    Lit(String),
     /// A string (simple escapes only: `\"` and `\\`).
     Str(String),
     /// An array.
@@ -28,6 +33,7 @@ impl Json {
         let pad = "  ".repeat(indent);
         match self {
             Json::Num(n) => out.push_str(&n.to_string()),
+            Json::Lit(text) => out.push_str(text),
             Json::Str(s) => {
                 out.push('"');
                 for ch in s.chars() {
@@ -226,14 +232,20 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         }
         Some(b) if b.is_ascii_digit() => {
             let start = *pos;
-            while bytes.get(*pos).is_some_and(|b| b.is_ascii_digit()) {
-                *pos += 1;
+            *pos += bytes[start..]
+                .iter()
+                .take_while(|b| b.is_ascii_digit() || **b == b'.')
+                .count();
+            let text = std::str::from_utf8(&bytes[start..*pos]).expect("digits and dots");
+            match text.parse::<u64>() {
+                Ok(n) => Ok(Json::Num(n)),
+                Err(_) if text.parse::<f64>().is_ok() => Ok(Json::Lit(text.to_string())),
+                Err(_) => Err(format!("bad number at offset {start}")),
             }
-            std::str::from_utf8(&bytes[start..*pos])
-                .ok()
-                .and_then(|s| s.parse::<u64>().ok())
-                .map(Json::Num)
-                .ok_or_else(|| format!("bad number at offset {start}"))
+        }
+        Some(b'n') if bytes[*pos..].starts_with(b"null") => {
+            *pos += 4;
+            Ok(Json::Lit("null".to_string()))
         }
         other => Err(format!("unexpected {other:?} at offset {pos}")),
     }

@@ -8,10 +8,13 @@
 //! |---|---|
 //! | `repro` | Fig. 1, Fig. 2, Tables 1–2, §3.3, §2.1, §2.3, §3.2.3, §4, §1 (E1–E8, E11, E14, E15) — byte-checked `REPRO.json` |
 //! | `conformance` | differential conformance fuzz: `tpp-asic` vs `tpp-spec` |
-//! | `bonding_demo` | multi-NIC bonding: probe-driven failover under degradation, flap, reboot |
-//! | `fct_bench` | §4 datacenters at scale — million-flow fat-tree FCT, deterministic `BENCH_fct.json` |
+//! | `fct_bench` | §4 datacenters at scale ([`fct_scenario`]) — writes `BENCH_fct.json` |
 //! | `tpp_top` | the observability dashboard, live or headless |
 //! | `tppasm` | assemble / disassemble / lint TPP programs |
+//!
+//! Root tests check every tracked file (`REPRO.json`, `BENCH_fct.json`,
+//! `BENCH_bonding.json`, the goldens) with one function,
+//! [`testgen::assert_matches_golden`]; `UPDATE_GOLDEN=1` rewrites them.
 //!
 //! The *model's* performance — anything measured in wall time — is the
 //! repo benchmark's job (`benchmark/`, `BENCHMARK.json`), not this
@@ -23,18 +26,14 @@
 pub mod bonding_scenario;
 pub mod conformance;
 pub mod dash_scenario;
+pub mod fct_scenario;
 pub mod json;
 pub mod repro;
 pub mod testgen;
 pub mod traffic;
 
-/// Render a simple fixed-width table to stdout.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
-    print!("{}", format_table(headers, rows));
-}
-
 /// Lay out a simple fixed-width table, one line per row.
-pub(crate) fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {

@@ -747,7 +747,8 @@ fn e15(s: &mut Section) {
             let mut fct: Vec<f64> = ns.map(|ns| ns as f64 / 1e6).collect();
             fct.sort_by(f64::total_cmp);
             let avg = scaled(fct.iter().sum::<f64>() / fct.len().max(1) as f64, 0);
-            let [p50, p95] = [0.5, 0.95].map(|p| scaled(percentile(&fct, p), 0));
+            let [p50, p95] =
+                [0.5, 0.95].map(|p| scaled(percentile(&fct, p).unwrap_or(f64::NAN), 0));
             rows.push(row![name, class, avg, p50, p95, fct.len(), unfinished]);
         }
     }

@@ -13,6 +13,8 @@ use tpp_wire::ethernet::{build_frame, EtherType};
 use tpp_wire::tpp::{AddressingMode, TppBuilder};
 use tpp_wire::EthernetAddress;
 
+use crate::json::Json;
+
 /// Identically-provisioned ASICs, decode cache on vs off, with the
 /// standard three-route test topology: L2 host 1 → port 1, L2 host 2 →
 /// port 2, L3 10.0.0.0/8 → port 3.
@@ -83,8 +85,10 @@ pub fn tpp_frame(dst_host: u32, src_host: u32, words: &[u32], mem_init: &[u32]) 
 }
 
 /// Compare `actual` against the committed golden file at `path`,
-/// printing a line-by-line diff on mismatch. Set `UPDATE_GOLDEN=1` to
-/// (re)write the file instead of comparing.
+/// panicking with [`golden_mismatch`]'s report when they differ. Set
+/// `UPDATE_GOLDEN=1` to (re)write the file instead of comparing. This is
+/// the one checker of every tracked file: the goldens, `REPRO.json`,
+/// `BENCH_fct.json` and `BENCH_bonding.json`.
 ///
 /// # Panics
 ///
@@ -104,29 +108,141 @@ pub fn assert_matches_golden(path: &std::path::Path, actual: &str) {
             path.display()
         )
     });
-    if expected == actual {
-        return;
+    if let Some(report) = golden_mismatch(&expected, actual) {
+        panic!(
+            "golden mismatch against {} (set UPDATE_GOLDEN=1 to regenerate):\n{report}",
+            path.display()
+        );
     }
+}
+
+/// What moved from the golden `expected` to `actual`, or `None` when
+/// they are equal. When both parse as [`Json`] the report names the
+/// first field that moved, with both values
+/// (`closed_loop.retransmits: 786 → 790`); otherwise, or when the values
+/// are equal and only the layout moved, it lists every differing line.
+pub fn golden_mismatch(expected: &str, actual: &str) -> Option<String> {
+    if expected == actual {
+        return None;
+    }
+    if let (Ok(exp), Ok(act)) = (Json::parse(expected), Json::parse(actual)) {
+        if let Some(moved) = first_moved_field(&exp, &act, "") {
+            return Some(format!("  {moved}\n"));
+        }
+    }
+    let (mut exp_lines, mut act_lines) = (expected.lines(), actual.lines());
     let mut diff = String::new();
-    let mut exp_lines = expected.lines();
-    let mut act_lines = actual.lines();
-    let mut line = 0usize;
-    loop {
-        line += 1;
+    for line in 1.. {
         match (exp_lines.next(), act_lines.next()) {
             (None, None) => break,
-            (exp, act) if exp != act => {
-                diff.push_str(&format!(
-                    "  line {line}:\n    golden: {}\n    actual: {}\n",
-                    exp.unwrap_or("<eof>"),
-                    act.unwrap_or("<eof>")
-                ));
-            }
+            (exp, act) if exp != act => diff.push_str(&format!(
+                "  line {line}:\n    golden: {}\n    actual: {}\n",
+                exp.unwrap_or("<eof>"),
+                act.unwrap_or("<eof>")
+            )),
             _ => {}
         }
     }
-    panic!(
-        "golden mismatch against {} (set UPDATE_GOLDEN=1 to regenerate):\n{diff}",
-        path.display()
-    );
+    Some(diff)
+}
+
+/// The first field, in `exp`'s order, whose value differs in `act`, as
+/// `path: old → new`; `path` names the field, `a.b[2].c`.
+fn first_moved_field(exp: &Json, act: &Json, path: &str) -> Option<String> {
+    let field = |key: &str| match path {
+        "" => key.to_string(),
+        _ => format!("{path}.{key}"),
+    };
+    match (exp, act) {
+        (Json::Obj(fields), Json::Obj(act_fields)) => {
+            for (key, value) in fields {
+                let Some(act_value) = act.get(key) else {
+                    return Some(format!("{}: {} → <absent>", field(key), brief(value)));
+                };
+                if let Some(moved) = first_moved_field(value, act_value, &field(key)) {
+                    return Some(moved);
+                }
+            }
+            let added = act_fields.iter().find(|(key, _)| exp.get(key).is_none());
+            added.map(|(key, value)| format!("{}: <absent> → {}", field(key), brief(value)))
+        }
+        (Json::Arr(items), Json::Arr(act_items)) => {
+            for (i, (item, act_item)) in items.iter().zip(act_items).enumerate() {
+                if let Some(moved) = first_moved_field(item, act_item, &format!("{path}[{i}]")) {
+                    return Some(moved);
+                }
+            }
+            (items.len() != act_items.len())
+                .then(|| format!("{path}: {} → {} items", items.len(), act_items.len()))
+        }
+        _ => (exp != act).then(|| format!("{path}: {} → {}", brief(exp), brief(act))),
+    }
+}
+
+/// A value on one line: scalars as written, containers by size.
+fn brief(value: &Json) -> String {
+    match value {
+        Json::Num(n) => n.to_string(),
+        Json::Lit(text) => text.clone(),
+        Json::Str(s) => format!("{s:?}"),
+        Json::Arr(items) => format!("[{} items]", items.len()),
+        Json::Obj(fields) => format!("{{{} fields}}", fields.len()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::golden_mismatch;
+
+    /// Change the first digit after `key`, searching from `section`, and
+    /// require the report to name `path`.
+    fn flip_names(doc: &str, section: &str, key: &str, path: &str) {
+        let from = doc.find(section).expect("section");
+        let mut edited = doc.as_bytes().to_vec();
+        edited[from + doc[from..].find(key).expect("key") + key.len()] ^= 1;
+        let edited = String::from_utf8(edited).expect("a digit ^ 1 is ASCII");
+        let report = golden_mismatch(doc, &edited).expect("an edited digit is a mismatch");
+        assert!(report.starts_with(&format!("  {path}: ")), "{report}");
+    }
+
+    #[test]
+    fn mismatch_names_every_committed_fields_path() {
+        let fct = include_str!("../../../BENCH_fct.json");
+        for section in ["full", "smoke", "closed_loop"] {
+            for (key, field) in [
+                ("\"fingerprint\": \"0x", "fingerprint"),
+                ("\"flows_completed\": ", "flows_completed"),
+                ("\"p99_ms\": ", "fct_ms[0].p99_ms"),
+            ] {
+                let path = format!("{section}.{field}");
+                flip_names(fct, &format!("\"{section}\": {{"), key, &path);
+            }
+        }
+        let bonding = include_str!("../../../BENCH_bonding.json");
+        flip_names(bonding, "{", "\"retransmits\": ", "retransmits");
+        let repro = include_str!("../../../REPRO.json");
+        flip_names(repro, "{", "\"SP\": ", "e1.hops[0].SP");
+        for doc in [fct, bonding, repro] {
+            assert_eq!(golden_mismatch(doc, doc), None);
+        }
+    }
+
+    #[test]
+    fn mismatch_reports_shape_and_falls_back_to_lines() {
+        let report = |a: &str, b: &str| golden_mismatch(a, b).expect("differs");
+        assert_eq!(
+            report("{\"a\": [1, 2]}", "{\"a\": [1]}"),
+            "  a: 2 → 1 items\n"
+        );
+        assert_eq!(report("{\"a\": 1}", "{}"), "  a: 1 → <absent>\n");
+        assert_eq!(report("{}", "{\"b\": 0.5}"), "  b: <absent> → 0.5\n");
+        assert_eq!(report("{\"t\": null}", "{\"t\": 7}"), "  t: null → 7\n");
+        // Equal values in another layout, and text that is not JSON.
+        let moved = report("{\"a\": 1}\n", "{\n  \"a\": 1\n}\n");
+        assert!(moved.contains("line 1:"), "{moved}");
+        assert_eq!(
+            report("x\ny\n", "x\nz\n"),
+            "  line 2:\n    golden: y\n    actual: z\n"
+        );
+    }
 }

@@ -43,14 +43,8 @@ const META_MAGIC: u16 = 0xF1C7;
 const FLAG_LAST: u8 = 1 << 0;
 const FLAG_MINING: u8 = 1 << 1;
 
-/// splitmix64 — the tiny, seedable, statistically solid mixer used for
-/// every random draw in the engine (no external RNG dependency).
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+/// The one seeded mixer every draw in the engine goes through.
+pub use tpp_host::splitmix64;
 
 /// A splitmix64-sequence RNG: `state` advances by the golden-ratio
 /// increment, each output is one mix of it.
@@ -670,12 +664,11 @@ pub fn completions_fingerprint(completions: impl Iterator<Item = Completion>) ->
     acc
 }
 
-/// `p`-th percentile (0..=1) of an ascending-sorted slice; NaN if empty.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    sorted[((sorted.len() - 1) as f64 * p).round() as usize]
+/// `p`-th percentile (0..=1) of an ascending-sorted slice: the element
+/// at `round((n - 1) * p)`, no interpolation; `None` if empty.
+pub fn percentile<T: Copy>(sorted: &[T], p: f64) -> Option<T> {
+    let last = sorted.len().checked_sub(1)?;
+    Some(sorted[(last as f64 * p).round() as usize])
 }
 
 #[cfg(test)]
@@ -842,10 +835,12 @@ mod tests {
 
     #[test]
     fn percentile_basics() {
+        let ps = [0.0, 0.5, 1.0];
         let v = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 0.5), 3.0);
-        assert_eq!(percentile(&v, 1.0), 5.0);
-        assert!(percentile(&[], 0.5).is_nan());
+        assert_eq!(ps.map(|p| percentile(&v, p)), [1.0, 3.0, 5.0].map(Some));
+        // Index round(1.5) = 2: rounding, not interpolation.
+        let v = [10u64, 20, 30, 40];
+        assert_eq!(ps.map(|p| percentile(&v, p)), [10, 30, 40].map(Some));
+        assert_eq!(percentile::<u64>(&[], 0.5), None);
     }
 }

@@ -57,6 +57,18 @@ pub use widequery::{SegmentedCollector, SegmentedQuery, WideRow};
 use tpp_netsim::{HostApp, HostCtx};
 use tpp_wire::ethernet::Frame;
 
+/// splitmix64 — the seeded stream behind every random draw above the
+/// simulator: RTO jitter, probe nonces and backoff, and the benchmark's
+/// traffic matrices. `#[inline]` because callers in other crates draw
+/// per segment and the workspace builds without LTO.
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 /// A receiver that echoes every executed TPP back to its sender and
 /// counts received data bytes.
 ///

@@ -29,6 +29,7 @@ use tpp_telemetry::{SharedSink, TraceEvent, TraceEventKind, TraceSink};
 use tpp_wire::EthernetAddress;
 
 use crate::probe::{parse_echo, ProbeBuilder};
+use crate::splitmix64;
 
 /// Length of the nonce appended to tracked probe frames.
 pub const NONCE_LEN: usize = 8;
@@ -163,14 +164,6 @@ pub struct ProbeManager {
     armed_until: Option<u64>,
     trace: Option<SharedSink>,
     stats: ProbeStats,
-}
-
-/// splitmix64 — the standard 64-bit finalizer; deterministic and cheap.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Put a pooled copy of a retained probe frame on the wire.

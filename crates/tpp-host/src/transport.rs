@@ -46,6 +46,7 @@
 use std::collections::BTreeSet;
 
 use crate::rtt::RttEstimator;
+use crate::splitmix64;
 use tpp_wire::ethernet::{write_header, EtherType, EthernetAddress, ETHERNET_HEADER_LEN};
 
 /// EtherType of transport segments (DATA and ACK), distinct from the
@@ -70,15 +71,6 @@ pub const FLAG_FIN: u8 = 0x01;
 /// Header flag: the flow belongs to the workload's "mining" (elephant)
 /// class; carried through to completion records.
 pub const FLAG_MINING: u8 = 0x02;
-
-/// Splitmix64 — the deterministic stream behind RTO jitter.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Segment count of a flow of `total_bytes` at `mss`. Zero-byte flows
 /// still carry one FIN segment. Shared by sender and receiver so both

@@ -74,5 +74,5 @@ fn main() {
         None => println!("probe never arrived (unexpected)"),
     }
     println!("\n(idle network: all queues empty — rerun with cross-traffic");
-    println!(" via `cargo run --release --example microburst_hunt` to see them fill)");
+    println!(" via `cargo run --release -p tpp-bench --bin repro -- e6` to see them fill)");
 }

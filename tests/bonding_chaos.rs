@@ -1,24 +1,14 @@
 //! The bonding-chaos lane: the seeded degradation/flap/reboot scenario
-//! behind `bonding_demo` must fail over within a bounded number of
-//! probe intervals, deliver every payload exactly once to the app
-//! layer, and fingerprint bit-identically at every shard count.
+//! must fail over within a bounded number of probe intervals, deliver
+//! every payload exactly once to the app layer, fingerprint
+//! bit-identically at every shard count, and match the committed
+//! `BENCH_bonding.json` (`UPDATE_GOLDEN=1` rewrites it).
+
+use std::path::Path;
 
 use tpp::netsim::SimConfig;
 use tpp_bench::bonding_scenario::{run_bonding_scenario, BondingRun, PROBE_INTERVAL_NS, REBOOT_NS};
-
-/// The shard matrix every determinism suite exercises: threaded 1/2/4
-/// plus 4 shards driven sequentially.
-fn shard_configs() -> Vec<(&'static str, SimConfig)> {
-    vec![
-        ("1 shard", SimConfig::new().shards(1)),
-        ("2 shards", SimConfig::new().shards(2)),
-        ("4 shards", SimConfig::new().shards(4)),
-        (
-            "4 shards sequential",
-            SimConfig::new().shards(4).sequential(),
-        ),
-    ]
-}
+use tpp_bench::testgen::assert_matches_golden;
 
 fn assert_chaos_invariants(label: &str, run: &BondingRun) {
     // Exactly-once delivery at the app layer, in spite of proactive
@@ -67,8 +57,20 @@ fn assert_chaos_invariants(label: &str, run: &BondingRun) {
 fn bonding_chaos_is_exactly_once_bounded_and_shard_invariant() {
     let reference = run_bonding_scenario(SimConfig::new().shards(1));
     assert_chaos_invariants("1 shard", &reference);
+    assert_matches_golden(
+        &Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_bonding.json"),
+        &reference.to_json(),
+    );
     let want = reference.fingerprint();
-    for (label, config) in shard_configs().into_iter().skip(1) {
+    // The rest of the shard matrix: threaded 2/4, and 4 driven sequentially.
+    for (label, config) in [
+        ("2 shards", SimConfig::new().shards(2)),
+        ("4 shards", SimConfig::new().shards(4)),
+        (
+            "4 shards sequential",
+            SimConfig::new().shards(4).sequential(),
+        ),
+    ] {
         let run = run_bonding_scenario(config);
         assert_chaos_invariants(label, &run);
         assert_eq!(

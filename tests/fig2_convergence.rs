@@ -4,11 +4,10 @@
 //! available in ns2 simulation. ... the behavior of RCP and RCP\* are
 //! qualitatively similar, in that they both show quick convergence."
 //!
-//! The full 30 s run lives in `examples/rcp_fairness.rs` and section
-//! `e2` of `REPRO.json` (`repro e2`); this test runs a compressed
-//! schedule (joins at 0 s, 5 s, 10 s over 15 s) and asserts the shape:
-//! R/C settles near 1, 1/2, 1/3 in both systems, and RCP\* tracks the
-//! reference within a coarse band.
+//! The full 30 s run is section `e2` of `REPRO.json` (`repro e2`); this
+//! test runs a compressed schedule (joins at 0 s, 5 s, 10 s over 15 s)
+//! and asserts the shape: R/C settles near 1, 1/2, 1/3 in both systems,
+//! and RCP\* tracks the reference within a coarse band.
 
 use std::path::Path;
 
