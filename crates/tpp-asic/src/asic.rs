@@ -103,14 +103,6 @@ impl Outcome {
             _ => None,
         }
     }
-
-    /// Why the frame was dropped, if it was.
-    pub fn drop_reason(&self) -> Option<DropReason> {
-        match self {
-            Outcome::Dropped { reason } => Some(*reason),
-            _ => None,
-        }
-    }
 }
 
 /// Largest SRAM region (in words) served lazily from the shared zero

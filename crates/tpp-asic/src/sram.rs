@@ -125,11 +125,6 @@ impl<'a> SramViewMut<'a> {
     pub fn is_empty(&self) -> bool {
         self.words.is_empty()
     }
-
-    /// The whole region as a mutable slice (bulk initialization).
-    pub fn words_mut(&mut self) -> &mut [u32] {
-        self.words
-    }
 }
 
 #[cfg(test)]

@@ -69,11 +69,6 @@ impl Assembler {
         Assembler { symbols }
     }
 
-    /// The underlying symbol table (e.g. to register task symbols).
-    pub fn symbols_mut(&mut self) -> &mut SymbolTable {
-        &mut self.symbols
-    }
-
     /// Assemble program text into a [`Program`].
     pub fn assemble(&self, source: &str) -> Result<Program> {
         let mut instructions = Vec::new();

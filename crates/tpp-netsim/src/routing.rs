@@ -38,12 +38,12 @@
 //! [`Simulator::populate_l2`]: crate::Simulator::populate_l2
 //! [`SimConfig::ecmp`]: crate::SimConfig::ecmp
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::event::NodeId;
-use crate::node::HostId;
+use crate::node::{HostId, SwitchId};
 use crate::shard::mix64;
-use crate::sim::{HostNode, Link, SwitchNode};
+use crate::sim::{link, num_ports, HostNode, SwitchNode};
 use tpp_asic::PortId;
 use tpp_wire::ethernet::Frame;
 use tpp_wire::tpp::TppPacket;
@@ -137,65 +137,25 @@ impl EcmpTable {
         group[(hash % group.len() as u64) as usize]
     }
 
-    /// Build the table from the wired topology: one BFS per host
-    /// produces hop distances, and every connected port whose peer is
-    /// strictly closer to the host starts a shortest path.
-    pub(crate) fn build(
-        seed: u64,
-        switches: &[SwitchNode],
-        hosts: &[HostNode],
-        switch_links: &[Vec<Option<Link>>],
-        host_links: &[Vec<Option<Link>>],
-    ) -> EcmpTable {
+    /// Build the table from the wired topology: per host, every
+    /// connected port of a switch whose peer is strictly closer to the
+    /// host (by [`HopTree`]) starts a shortest path.
+    pub(crate) fn build(seed: u64, switches: &[SwitchNode], hosts: &[HostNode]) -> EcmpTable {
         let num_hosts = hosts.len();
         let mut index = vec![(0u32, 0u16); switches.len() * num_hosts];
         let mut ports: Vec<PortId> = Vec::new();
-        let peek = |node: NodeId, port: u16| -> Option<&Link> {
-            if node.is_host() {
-                host_links[node.index()].get(port as usize)?.as_ref()
-            } else {
-                switch_links[node.index()].get(port as usize)?.as_ref()
-            }
-        };
-        let ports_of = |node: NodeId| -> u16 {
-            if node.is_host() {
-                hosts[node.index()].nics.len() as u16
-            } else {
-                switches[node.index()].asic.num_ports() as u16
-            }
-        };
         for h in 0..num_hosts {
-            let mut dist: HashMap<NodeId, u32> = HashMap::new();
-            let mut frontier: VecDeque<NodeId> = VecDeque::new();
-            let start = NodeId::host(HostId(h));
-            dist.insert(start, 0);
-            frontier.push_back(start);
-            while let Some(node) = frontier.pop_front() {
-                let d = dist[&node];
-                for port in 0..ports_of(node) {
-                    let Some(link) = peek(node, port) else {
-                        continue;
-                    };
-                    if dist.contains_key(&link.peer) {
-                        continue;
-                    }
-                    dist.insert(link.peer, d + 1);
-                    // Hosts terminate the search along this branch.
-                    if !link.peer.is_host() {
-                        frontier.push_back(link.peer);
-                    }
-                }
-            }
-            for (s, links) in switch_links.iter().enumerate() {
-                let Some(&d) = dist.get(&NodeId::switch(crate::node::SwitchId(s))) else {
+            let tree = HopTree::from_host(switches, hosts, HostId(h));
+            for (s, sw) in switches.iter().enumerate() {
+                let Some(d) = tree.dist(NodeId::switch(SwitchId(s))) else {
                     continue;
                 };
                 let off = ports.len() as u32;
-                for (p, slot) in links.iter().enumerate() {
-                    let closer = slot
+                for (p, slot) in sw.links.iter().enumerate() {
+                    if slot
                         .as_ref()
-                        .is_some_and(|l| dist.get(&l.peer).is_some_and(|&pd| pd + 1 == d));
-                    if closer {
+                        .is_some_and(|l| tree.dist(l.peer).is_some_and(|pd| pd + 1 == d))
+                    {
                         ports.push(p as PortId);
                     }
                 }
@@ -209,6 +169,87 @@ impl EcmpTable {
             index,
             ports,
         }
+    }
+}
+
+/// Shortest-path L2 tables, computed once at build time: `routes[s]`
+/// lists the `(mac, out_port)` entries switch `s` needs for every host,
+/// the way back being the port the host's [`HopTree`] first reached `s`
+/// on. [`Simulator::populate_l2`] installs them; a rebooted switch
+/// restores only its own slice — which is what lets `SwitchReboot` stay
+/// shard-local.
+///
+/// [`Simulator::populate_l2`]: crate::Simulator::populate_l2
+pub(crate) fn compute_l2_routes(
+    switches: &[SwitchNode],
+    hosts: &[HostNode],
+) -> Vec<Vec<(EthernetAddress, PortId)>> {
+    let mut routes = vec![Vec::new(); switches.len()];
+    for (h, host) in hosts.iter().enumerate() {
+        let tree = HopTree::from_host(switches, hosts, HostId(h));
+        for (s, route) in routes.iter_mut().enumerate() {
+            if let Some(port) = tree.first_port[s] {
+                route.push((host.mac, port));
+            }
+        }
+    }
+    routes
+}
+
+/// One breadth-first search from a host over the wired topology, shared
+/// by the L2 tables and the ECMP groups: ports ascending, hosts terminal
+/// (reached, never expanded).
+struct HopTree {
+    /// Hop distance of every node, dense over switches then hosts;
+    /// `u32::MAX` where unreached.
+    dist: Vec<u32>,
+    /// Per switch, the port the search first reached it on.
+    first_port: Vec<Option<PortId>>,
+}
+
+impl HopTree {
+    fn from_host(switches: &[SwitchNode], hosts: &[HostNode], h: HostId) -> HopTree {
+        let mut tree = HopTree {
+            dist: vec![u32::MAX; switches.len() + hosts.len()],
+            first_port: vec![None; switches.len()],
+        };
+        let start = NodeId::host(h);
+        let at = tree.slot(start);
+        tree.dist[at] = 0;
+        let mut frontier = VecDeque::from([start]);
+        while let Some(node) = frontier.pop_front() {
+            let d = tree.dist[tree.slot(node)];
+            for port in 0..num_ports(switches, hosts, node) {
+                let Some(link) = link(switches, hosts, node, port) else {
+                    continue;
+                };
+                let at = tree.slot(link.peer);
+                if tree.dist[at] != u32::MAX {
+                    continue;
+                }
+                tree.dist[at] = d + 1;
+                if !link.peer.is_host() {
+                    tree.first_port[at] = Some(link.peer_port);
+                    frontier.push_back(link.peer);
+                }
+            }
+        }
+        tree
+    }
+
+    /// `node`'s index into `dist`.
+    fn slot(&self, node: NodeId) -> usize {
+        let hosts_from = if node.is_host() {
+            self.first_port.len()
+        } else {
+            0
+        };
+        hosts_from + node.index()
+    }
+
+    /// Hops from the host to `node`, if reachable.
+    fn dist(&self, node: NodeId) -> Option<u32> {
+        Some(self.dist[self.slot(node)]).filter(|&d| d != u32::MAX)
     }
 }
 

@@ -37,7 +37,7 @@ use crate::fault::FaultCounters;
 use crate::node::{HostAction, HostApp, HostCtx, HostId, SwitchId};
 use crate::pool::FramePool;
 use crate::series::{permille, FleetShare, SwitchSeries};
-use crate::sim::{frames_lost, HostNode, Link, SwitchNode, TapDir, TapRecord};
+use crate::sim::{frames_lost, link, link_mut, HostNode, SwitchNode, TapDir, TapRecord};
 use crate::time::tx_time_ns;
 use tpp_asic::{Outcome, PortId};
 use tpp_telemetry::{SharedSink, TraceEvent, TraceEventKind, TraceSink};
@@ -119,9 +119,9 @@ impl ShardState {
 }
 
 /// A shard's working view for one stepping call: disjoint `&mut` slices
-/// of the simulator's node/link arrays (split at the partition
-/// boundaries) plus its own [`ShardState`]. Global ids are translated
-/// through `switch_base` / `host_base`.
+/// of the simulator's node arrays, links included (split at the
+/// partition boundaries), plus its own [`ShardState`]. Global ids are
+/// translated through `switch_base` / `host_base`.
 pub(crate) struct ShardRun<'a> {
     pub(crate) idx: usize,
     pub(crate) now_ns: u64,
@@ -129,8 +129,6 @@ pub(crate) struct ShardRun<'a> {
     pub(crate) host_base: usize,
     pub(crate) switches: &'a mut [SwitchNode],
     pub(crate) hosts: &'a mut [HostNode],
-    pub(crate) switch_links: &'a mut [Vec<Option<Link>>],
-    pub(crate) host_links: &'a mut [Vec<Option<Link>>],
     pub(crate) state: &'a mut ShardState,
     pub(crate) inboxes: &'a [[Inbox; 2]],
     pub(crate) l2_routes: &'a [Vec<(EthernetAddress, PortId)>],
@@ -233,7 +231,7 @@ impl ShardRun<'_> {
         let f = &self.state.counters;
         let faults =
             f.link_down_drops + f.duplicated + f.corrupted + f.reordered + f.reboots + f.link_downs;
-        share.offer(now, faults, frames_lost(self.switch_links, self.host_links));
+        share.offer(now, faults, frames_lost(self.switches, self.hosts));
     }
 
     fn dispatch(&mut self, kind: EventKind) {
@@ -251,15 +249,11 @@ impl ShardRun<'_> {
                 }
             }
             EventKind::LinkFree { node, port } => {
-                if !node.is_host() {
-                    let s = SwitchId(node.index());
-                    self.switches[s.0 - self.switch_base].tx_busy[port as usize] = false;
-                    self.try_tx_switch(s, port);
-                } else {
-                    let h = HostId(node.index());
-                    self.hosts[h.0 - self.host_base].nics[port as usize].busy = false;
-                    self.try_tx_host(h, port);
-                }
+                let at = self.local(node);
+                link_mut(self.switches, self.hosts, at, port)
+                    .expect("wired")
+                    .busy = false;
+                self.try_tx(node, port);
             }
             EventKind::Timer { host, token } => {
                 self.call_host(host, 0, |app, ctx| app.on_timer(token, ctx));
@@ -279,7 +273,7 @@ impl ShardRun<'_> {
             .asic
             .handle_frame_routed(frame, port, now, hint);
         if let Outcome::Enqueued { port: out, .. } = outcome {
-            self.try_tx_switch(s, out);
+            self.try_tx(NodeId::switch(s), out);
         }
     }
 
@@ -305,9 +299,8 @@ impl ShardRun<'_> {
         }
         let local = s.0 - self.switch_base;
         let is_up = |p: &&PortId| {
-            self.switch_links[local]
-                .get(**p as usize)
-                .and_then(Option::as_ref)
+            self.switches[local].links[**p as usize]
+                .as_ref()
                 .is_some_and(|l| l.up)
         };
         let hash = table.flow_hash(
@@ -370,13 +363,10 @@ impl ShardRun<'_> {
         match apply {
             FaultApply::SetLinkUp { node, port, up } => {
                 let switch_id = self.node_switch_id(node);
-                let flipped = {
-                    let link = self.link_mut(node, port).expect("validated on install");
-                    let was_up = link.up;
-                    link.up = up;
-                    was_up != up
-                };
-                if !flipped {
+                let at = self.local(node);
+                let link =
+                    link_mut(self.switches, self.hosts, at, port).expect("validated on install");
+                if std::mem::replace(&mut link.up, up) == up {
                     return;
                 }
                 if up {
@@ -403,93 +393,60 @@ impl ShardRun<'_> {
                 port,
                 profile,
             } => {
-                self.link_mut(node, port)
+                let at = self.local(node);
+                link_mut(self.switches, self.hosts, at, port)
                     .expect("validated on install")
                     .faults = profile;
             }
         }
     }
 
-    /// Start transmitting the next queued frame on a switch port, if the
-    /// transmitter is idle and the port is connected.
-    fn try_tx_switch(&mut self, s: SwitchId, port: PortId) {
-        let local = s.0 - self.switch_base;
-        if self.switches[local].tx_busy[port as usize] {
-            return;
-        }
-        let connected = self.switch_links[local]
-            .get(port as usize)
-            .map(Option::is_some)
-            .unwrap_or(false);
-        if !connected {
-            // Unconnected port: black-hole anything queued there,
-            // reclaiming the buffers.
-            while let Some(frame) = self.switches[local].asic.dequeue(port) {
-                self.state.pool.recycle(frame);
+    /// Start transmitting the next queued frame of a switch port or host
+    /// NIC, if its transmitter is idle. The only place a frame goes on
+    /// the wire, and so the only place a `LinkFree` is scheduled.
+    fn try_tx(&mut self, node: NodeId, port: PortId) {
+        let at = self.local(node);
+        match link(self.switches, self.hosts, at, port) {
+            Some(link) if link.busy => return,
+            Some(_) => {}
+            None => {
+                // Unconnected port: black-hole anything queued there,
+                // reclaiming the buffers.
+                while let Some((frame, _)) = self.dequeue(at, port) {
+                    self.state.pool.recycle(frame);
+                }
+                return;
             }
-            return;
         }
-        let Some(frame) = self.switches[local].asic.dequeue(port) else {
+        let Some((frame, rate_kbps)) = self.dequeue(at, port) else {
             return;
         };
-        let rate = self.switches[local].asic.port_capacity_kbps(port);
-        let tx = self.profiled_tx_ns(
-            tx_time_ns(frame.len(), rate),
-            self.switch_links[local][port as usize]
-                .as_ref()
-                .expect("connected"),
-        );
-        self.switches[local].tx_busy[port as usize] = true;
-        let node = NodeId::switch(s);
+        let now = self.now_ns;
+        let link = link_mut(self.switches, self.hosts, at, port).expect("wired");
+        // A time-varying profile's degraded rate stretches the wire time
+        // (and so both the transmitter-busy interval and the arrival).
+        let mut tx = tx_time_ns(frame.len(), rate_kbps);
+        if let Some(p) = &link.profile {
+            tx = crate::profile::scale_tx_ns(tx, p.sample(now).rate_permille);
+        }
+        link.busy = true;
         self.state.events.push(
-            EventKey::link_free(self.now_ns + tx, node, port),
+            EventKey::link_free(now + tx, node, port),
             EventKind::LinkFree { node, port },
         );
         self.transmit(node, port, tx, frame);
     }
 
-    /// Start transmitting the next queued frame from one host NIC.
-    fn try_tx_host(&mut self, h: HostId, port: PortId) {
-        let local = h.0 - self.host_base;
-        if self.hosts[local].nics[port as usize].busy {
-            return;
-        }
-        let connected = self.host_links[local]
-            .get(port as usize)
-            .map(Option::is_some)
-            .unwrap_or(false);
-        if !connected {
-            while let Some(frame) = self.hosts[local].nics[port as usize].queue.pop_front() {
-                self.state.pool.recycle(frame);
-            }
-            return;
-        }
-        let Some(frame) = self.hosts[local].nics[port as usize].queue.pop_front() else {
-            return;
-        };
-        let rate = self.hosts[local].nics[port as usize].rate_kbps;
-        let tx = self.profiled_tx_ns(
-            tx_time_ns(frame.len(), rate),
-            self.host_links[local][port as usize]
-                .as_ref()
-                .expect("connected"),
-        );
-        self.hosts[local].nics[port as usize].busy = true;
-        let node = NodeId::host(h);
-        self.state.events.push(
-            EventKey::link_free(self.now_ns + tx, node, port),
-            EventKind::LinkFree { node, port },
-        );
-        self.transmit(node, port, tx, frame);
-    }
-
-    /// Serialization time through the link's time-varying profile, if
-    /// one is installed: a degraded rate stretches the wire time (and so
-    /// both the transmitter-busy interval and the arrival time).
-    fn profiled_tx_ns(&self, tx: u64, link: &Link) -> u64 {
-        match &link.profile {
-            Some(p) => crate::profile::scale_tx_ns(tx, p.sample(self.now_ns).rate_permille),
-            None => tx,
+    /// The next queued frame behind a transmitter and its line rate: the
+    /// one thing a switch port (its ASIC queues, its configured
+    /// capacity) and a host NIC (its own queue and rate) do differently.
+    fn dequeue(&mut self, at: NodeId, port: PortId) -> Option<(Vec<u8>, u32)> {
+        if at.is_host() {
+            let nic = &mut self.hosts[at.index()].nics[port as usize];
+            Some((nic.queue.pop_front()?, nic.rate_kbps))
+        } else {
+            let asic = &mut self.switches[at.index()].asic;
+            Some((asic.dequeue(port)?, asic.port_capacity_kbps(port)))
         }
     }
 
@@ -508,15 +465,9 @@ impl ShardRun<'_> {
         let now = self.now_ns;
         let fault_seed = self.fault_seed;
         let fault_epoch = self.fault_epoch;
-        let link = if !from.is_host() {
-            self.switch_links[from.index() - self.switch_base][port as usize]
-                .as_mut()
-                .expect("transmit on unconnected port")
-        } else {
-            self.host_links[from.index() - self.host_base][port as usize]
-                .as_mut()
-                .expect("transmit on unconnected NIC")
-        };
+        let at = self.local(from);
+        let link =
+            link_mut(self.switches, self.hosts, at, port).expect("transmit on an unwired port");
         if !link.up {
             link.losses += 1;
             self.state.counters.link_down_drops += 1;
@@ -673,7 +624,7 @@ impl ShardRun<'_> {
                     self.hosts[h.0 - self.host_base].nics[port as usize]
                         .queue
                         .push_back(frame);
-                    self.try_tx_host(h, port);
+                    self.try_tx(NodeId::host(h), port);
                 }
                 HostAction::Timer { delay_ns, token } => {
                     let host = &mut self.hosts[h.0 - self.host_base];
@@ -689,15 +640,12 @@ impl ShardRun<'_> {
         self.state.actions = actions;
     }
 
-    fn link_mut(&mut self, node: NodeId, port: PortId) -> Option<&mut Link> {
-        if !node.is_host() {
-            self.switch_links[node.index() - self.switch_base]
-                .get_mut(port as usize)
-                .and_then(Option::as_mut)
+    /// `node` re-indexed into this shard's slices.
+    fn local(&self, node: NodeId) -> NodeId {
+        if node.is_host() {
+            NodeId::host(HostId(node.index() - self.host_base))
         } else {
-            self.host_links[node.index() - self.host_base]
-                .get_mut(port as usize)
-                .and_then(Option::as_mut)
+            NodeId::switch(SwitchId(node.index() - self.switch_base))
         }
     }
 

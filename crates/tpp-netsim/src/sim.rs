@@ -7,7 +7,7 @@
 //! (fault counters, losses, pools, taps, fleet series) behind the same
 //! accessors the single-threaded simulator had.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 
 use rand::rngs::StdRng;
@@ -17,6 +17,7 @@ use crate::config::{RunLimit, SimConfig};
 use crate::event::{node_port_key, EventKey, EventKind, FaultApply, NodeId};
 use crate::fault::{ChannelProfile, FaultAction, FaultCounters, FaultPlan};
 use crate::node::{HostApp, HostId, SwitchId};
+use crate::routing::{compute_l2_routes, EcmpTable};
 use crate::series::SeriesSet;
 use crate::shard::{mix64, run_shards, Inbox, Schedule, ShardRun, ShardState, ShardSyncStats};
 use tpp_asic::{Asic, AsicConfig, PortId, ProgramInterner};
@@ -161,20 +162,18 @@ impl NetworkBuilder {
         // fills from it, so a program appearing at N switches is decoded
         // once and shares one allocation.
         let interner = ProgramInterner::new();
-        let switches: Vec<SwitchNode> = self
+        let mut switches: Vec<SwitchNode> = self
             .switches
             .into_iter()
             .map(|config| {
-                let ports = config.num_ports();
                 let mut asic = Asic::new(config);
                 asic.set_program_interner(interner.clone());
-                SwitchNode {
-                    asic,
-                    tx_busy: vec![false; ports],
-                }
+                let mut links = Vec::with_capacity(asic.num_ports());
+                links.resize_with(asic.num_ports(), || None);
+                SwitchNode { asic, links }
             })
             .collect();
-        let hosts: Vec<HostNode> = self
+        let mut hosts: Vec<HostNode> = self
             .hosts
             .into_iter()
             .enumerate()
@@ -185,74 +184,23 @@ impl NetworkBuilder {
                     .map(|_| Nic {
                         rate_kbps: rate,
                         queue: VecDeque::new(),
-                        busy: false,
+                        link: None,
                     })
                     .collect(),
                 timer_seq: 0,
             })
             .collect();
-
-        // Dense adjacency: one slot per (node, port), so the per-frame
-        // hot path indexes an array instead of probing a HashMap.
-        let mut switch_links: Vec<Vec<Option<Link>>> = switches
-            .iter()
-            .map(|sw| {
-                let ports = sw.asic.num_ports();
-                let mut v = Vec::with_capacity(ports);
-                v.resize_with(ports, || None);
-                v
-            })
-            .collect();
-        let mut host_links: Vec<Vec<Option<Link>>> = hosts
-            .iter()
-            .map(|h| {
-                let mut v = Vec::with_capacity(h.nics.len());
-                v.resize_with(h.nics.len(), || None);
-                v
-            })
-            .collect();
-        for (a, b, delay) in &self.links {
-            for ep in [a, b] {
-                match ep {
-                    Endpoint::SwitchPort(s, p) => assert!(
-                        s.0 < switches.len() && (*p as usize) < switches[s.0].asic.num_ports(),
-                        "link endpoint {ep:?} out of range"
-                    ),
-                    Endpoint::Host(h) | Endpoint::HostPort(h, _) => assert!(
-                        h.0 < hosts.len() && (ep.port() as usize) < hosts[h.0].nics.len(),
-                        "link endpoint {ep:?} out of range"
-                    ),
-                }
-            }
-            for (ep, peer) in [(a, b), (b, a)] {
-                let link = Link {
-                    peer: peer.node(),
-                    peer_port: peer.port(),
-                    peer_shard: 0,
-                    delay_ns: *delay,
-                    loss_permille: 0,
-                    up: true,
-                    faults: ChannelProfile::default(),
-                    profile: None,
-                    key: node_port_key(ep.node(), ep.port()),
-                    seq: 0,
-                    losses: 0,
-                    loss_rng: None,
-                    fault_rng: None,
-                    fault_rng_epoch: 0,
-                };
-                let slot = match ep {
-                    Endpoint::SwitchPort(s, p) => &mut switch_links[s.0][*p as usize],
-                    Endpoint::Host(h) | Endpoint::HostPort(h, _) => {
-                        &mut host_links[h.0][ep.port() as usize]
-                    }
-                };
-                assert!(
-                    slot.is_none(),
-                    "endpoint used by two links: {a:?} <-> {b:?}"
-                );
-                *slot = Some(link);
-            }
+        for ep in self.links.iter().flat_map(|(a, b, _)| [a, b]) {
+            let node = ep.node();
+            let len = if node.is_host() {
+                hosts.len()
+            } else {
+                switches.len()
+            };
+            assert!(
+                node.index() < len && ep.port() < num_ports(&switches, &hosts, node),
+                "link endpoint {ep:?} out of range"
+            );
         }
 
         // Partition: contiguous blocks of switch and host indices per
@@ -265,34 +213,15 @@ impl NetworkBuilder {
             let host_ranges = block_ranges(hosts.len(), num_shards);
             let switch_shard = expand_ranges(&switch_ranges, switches.len());
             let host_shard = expand_ranges(&host_ranges, hosts.len());
-            let shard_of = |node: NodeId| {
-                if node.is_host() {
-                    host_shard[node.index()]
-                } else {
-                    switch_shard[node.index()]
-                }
-            };
-            let mut lookahead_ns = u64::MAX;
-            let mut zero_delay_cross = false;
-            let mut visit = |own: usize, link: &Link| {
-                if shard_of(link.peer) != own {
-                    if link.delay_ns == 0 {
-                        zero_delay_cross = true;
-                    }
-                    lookahead_ns = lookahead_ns.min(link.delay_ns);
-                }
-            };
-            for (s, ports) in switch_links.iter().enumerate() {
-                for link in ports.iter().flatten() {
-                    visit(switch_shard[s], link);
-                }
-            }
-            for (h, ports) in host_links.iter().enumerate() {
-                for link in ports.iter().flatten() {
-                    visit(host_shard[h], link);
-                }
-            }
-            if zero_delay_cross && num_shards > 1 {
+            let shard_of = |ep: &Endpoint| node_shard(&switch_shard, &host_shard, ep.node());
+            let lookahead_ns = self
+                .links
+                .iter()
+                .filter(|(a, b, _)| shard_of(a) != shard_of(b))
+                .map(|&(_, _, delay)| delay)
+                .min()
+                .unwrap_or(u64::MAX);
+            if lookahead_ns == 0 && num_shards > 1 {
                 num_shards = 1;
                 continue;
             }
@@ -304,30 +233,46 @@ impl NetworkBuilder {
                 lookahead_ns,
             );
         };
-        let shard_of = |node: NodeId| {
-            if node.is_host() {
-                host_shard[node.index()]
-            } else {
-                switch_shard[node.index()]
+
+        // Each link direction lives on its transmitting node: one slot
+        // per switch port or NIC, so the per-frame hot path indexes the
+        // node it already holds instead of probing a map.
+        for (a, b, delay) in &self.links {
+            for (ep, peer) in [(a, b), (b, a)] {
+                let slot = match ep {
+                    Endpoint::SwitchPort(s, p) => &mut switches[s.0].links[*p as usize],
+                    Endpoint::Host(h) | Endpoint::HostPort(h, _) => {
+                        &mut hosts[h.0].nics[ep.port() as usize].link
+                    }
+                };
+                assert!(
+                    slot.is_none(),
+                    "endpoint used by two links: {a:?} <-> {b:?}"
+                );
+                *slot = Some(Link {
+                    peer: peer.node(),
+                    peer_port: peer.port(),
+                    peer_shard: node_shard(&switch_shard, &host_shard, peer.node()),
+                    delay_ns: *delay,
+                    busy: false,
+                    loss_permille: 0,
+                    up: true,
+                    faults: ChannelProfile::default(),
+                    profile: None,
+                    key: node_port_key(ep.node(), ep.port()),
+                    seq: 0,
+                    losses: 0,
+                    loss_rng: None,
+                    fault_rng: None,
+                    fault_rng_epoch: 0,
+                });
             }
-        };
-        for link in switch_links.iter_mut().flatten().flatten() {
-            link.peer_shard = shard_of(link.peer);
-        }
-        for link in host_links.iter_mut().flatten().flatten() {
-            link.peer_shard = shard_of(link.peer);
         }
 
-        let l2_routes = compute_l2_routes(&switches, &hosts, &switch_links, &host_links);
-        let ecmp = cfg.ecmp.then(|| {
-            crate::routing::EcmpTable::build(
-                cfg.seed,
-                &switches,
-                &hosts,
-                &switch_links,
-                &host_links,
-            )
-        });
+        let l2_routes = compute_l2_routes(&switches, &hosts);
+        let ecmp = cfg
+            .ecmp
+            .then(|| EcmpTable::build(cfg.seed, &switches, &hosts));
 
         Simulator {
             now_ns: 0,
@@ -340,8 +285,6 @@ impl NetworkBuilder {
             lookahead_ns,
             switches,
             hosts,
-            switch_links,
-            host_links,
             switch_ranges,
             host_ranges,
             switch_shard,
@@ -379,83 +322,68 @@ fn expand_ranges(ranges: &[Range<usize>], n: usize) -> Vec<usize> {
     owner
 }
 
-fn peek_link<'a>(
-    switch_links: &'a [Vec<Option<Link>>],
-    host_links: &'a [Vec<Option<Link>>],
+fn node_shard(switch_shard: &[usize], host_shard: &[usize], node: NodeId) -> usize {
+    if node.is_host() {
+        host_shard[node.index()]
+    } else {
+        switch_shard[node.index()]
+    }
+}
+
+/// The link direction transmitted from `(node, port)`, if wired. With
+/// [`link_mut`], the one place that tells a switch port from a host NIC
+/// when finding a link. Node indices count from the start of the
+/// slices, so a shard passes its own with its ids rebased.
+pub(crate) fn link<'a>(
+    switches: &'a [SwitchNode],
+    hosts: &'a [HostNode],
     node: NodeId,
     port: PortId,
 ) -> Option<&'a Link> {
     if node.is_host() {
-        host_links[node.index()]
-            .get(port as usize)
-            .and_then(Option::as_ref)
+        hosts[node.index()].nics.get(port as usize)?.link.as_ref()
     } else {
-        switch_links[node.index()]
-            .get(port as usize)
-            .and_then(Option::as_ref)
+        switches[node.index()].links.get(port as usize)?.as_ref()
     }
 }
 
-/// Frames lost in flight over every link direction in the slices.
-pub(crate) fn frames_lost(
-    switch_links: &[Vec<Option<Link>>],
-    host_links: &[Vec<Option<Link>>],
-) -> u64 {
-    switch_links
+/// Mutable twin of [`link`].
+pub(crate) fn link_mut<'a>(
+    switches: &'a mut [SwitchNode],
+    hosts: &'a mut [HostNode],
+    node: NodeId,
+    port: PortId,
+) -> Option<&'a mut Link> {
+    if node.is_host() {
+        hosts[node.index()]
+            .nics
+            .get_mut(port as usize)?
+            .link
+            .as_mut()
+    } else {
+        switches[node.index()]
+            .links
+            .get_mut(port as usize)?
+            .as_mut()
+    }
+}
+
+/// A node's port count: a switch's ports or a host's NICs.
+pub(crate) fn num_ports(switches: &[SwitchNode], hosts: &[HostNode], node: NodeId) -> u16 {
+    if node.is_host() {
+        hosts[node.index()].nics.len() as u16
+    } else {
+        switches[node.index()].links.len() as u16
+    }
+}
+
+/// Frames lost in flight over every link direction of the nodes.
+pub(crate) fn frames_lost(switches: &[SwitchNode], hosts: &[HostNode]) -> u64 {
+    let ports = switches.iter().flat_map(|sw| &sw.links);
+    let nics = hosts
         .iter()
-        .chain(host_links)
-        .flatten()
-        .flatten()
-        .map(|l| l.losses)
-        .sum()
-}
-
-/// Shortest-path L2 tables (BFS over the physical topology), computed
-/// once at build time: `routes[s]` lists the `(mac, out_port)` entries
-/// switch `s` needs for every host. [`Simulator::populate_l2`] installs
-/// them; a rebooted switch restores only its own slice — which is what
-/// lets `SwitchReboot` stay shard-local.
-fn compute_l2_routes(
-    switches: &[SwitchNode],
-    hosts: &[HostNode],
-    switch_links: &[Vec<Option<Link>>],
-    host_links: &[Vec<Option<Link>>],
-) -> Vec<Vec<(EthernetAddress, PortId)>> {
-    let mut routes: Vec<Vec<(EthernetAddress, PortId)>> = vec![Vec::new(); switches.len()];
-    for (h, host) in hosts.iter().enumerate() {
-        let mac = host.mac;
-        // BFS from the host; at each discovered switch, the way back
-        // toward the host is the port the search arrived on.
-        let mut visited: HashMap<NodeId, ()> = HashMap::new();
-        let mut frontier: VecDeque<NodeId> = VecDeque::new();
-        let start = NodeId::host(HostId(h));
-        visited.insert(start, ());
-        frontier.push_back(start);
-        while let Some(node) = frontier.pop_front() {
-            let ports: u16 = if node.is_host() {
-                hosts[node.index()].nics.len() as u16
-            } else {
-                switches[node.index()].asic.num_ports() as u16
-            };
-            for port in 0..ports {
-                let Some(link) = peek_link(switch_links, host_links, node, port) else {
-                    continue;
-                };
-                let (peer, peer_port) = (link.peer, link.peer_port);
-                if visited.contains_key(&peer) {
-                    continue;
-                }
-                visited.insert(peer, ());
-                if !peer.is_host() {
-                    routes[peer.index()].push((mac, peer_port));
-                    frontier.push_back(peer);
-                }
-                // Hosts terminate the search along this branch but are
-                // still marked visited.
-            }
-        }
-    }
-    routes
+        .flat_map(|h| h.nics.iter().map(|nic| &nic.link));
+    ports.chain(nics).flatten().map(|l| l.losses).sum()
 }
 
 /// Which way a tapped frame was travelling relative to the tap point.
@@ -510,7 +438,8 @@ impl TapRecord {
     }
 }
 
-/// One direction of a link: the peer, the channel properties, and the
+/// One direction of a link, owned by the node that transmits on it: the
+/// peer, the transmitter state, the channel properties, and the
 /// direction-owned determinism state (frame sequence counter and the
 /// lazily-armed per-direction RNG streams).
 #[derive(Debug)]
@@ -521,6 +450,9 @@ pub(crate) struct Link {
     /// go through its mailbox.
     pub(crate) peer_shard: usize,
     pub(crate) delay_ns: u64,
+    /// True while a frame is serializing onto this direction; its
+    /// `LinkFree` clears it.
+    pub(crate) busy: bool,
     /// In-flight loss probability in per-mille. 0 = lossless (and the
     /// RNG is never consulted, so lossless runs are unchanged by the
     /// feature). Models a fading wireless channel; set per direction
@@ -559,15 +491,16 @@ pub(crate) struct Link {
 
 pub(crate) struct SwitchNode {
     pub(crate) asic: Asic,
-    pub(crate) tx_busy: Vec<bool>,
+    /// The link direction transmitted from each port (`None`: unwired).
+    pub(crate) links: Vec<Option<Link>>,
 }
 
-/// One NIC of a host: its own rate, queue and transmitter state, so a
+/// One NIC of a host: its own rate, queue and link direction, so a
 /// multi-homed host's ports serialize independently.
 pub(crate) struct Nic {
     pub(crate) rate_kbps: u32,
     pub(crate) queue: VecDeque<Vec<u8>>,
-    pub(crate) busy: bool,
+    pub(crate) link: Option<Link>,
 }
 
 pub(crate) struct HostNode {
@@ -595,15 +528,9 @@ pub struct Simulator {
     /// Conservative window length: the minimum propagation delay of any
     /// inter-shard link (`u64::MAX` when nothing crosses a boundary).
     lookahead_ns: u64,
+    /// The nodes, each with the link directions it transmits on.
     switches: Vec<SwitchNode>,
     hosts: Vec<HostNode>,
-    /// Dense adjacency: `switch_links[s][p]` is the link transmitted
-    /// from switch `s` port `p`; `host_links[h][p]` from host `h`'s NIC
-    /// `p`. Indexed arrays instead of a `HashMap<(NodeRef, PortId),
-    /// Link>` because `transmit`/`try_tx_*` consult the topology once
-    /// per frame.
-    switch_links: Vec<Vec<Option<Link>>>,
-    host_links: Vec<Vec<Option<Link>>>,
     /// Contiguous index blocks per shard (switches and hosts partition
     /// independently); the slices handed to [`ShardRun`]s split here.
     switch_ranges: Vec<Range<usize>>,
@@ -618,7 +545,7 @@ pub struct Simulator {
     l2_routes: Vec<Vec<(EthernetAddress, PortId)>>,
     /// Equal-cost next-hop groups, built only under [`SimConfig::ecmp`]
     /// (see [`crate::routing`]). Shards read it by shared reference.
-    ecmp: Option<crate::routing::EcmpTable>,
+    ecmp: Option<EcmpTable>,
     /// Seed of the installed fault plan; per-link fault streams derive
     /// from it.
     fault_seed: u64,
@@ -664,7 +591,7 @@ impl Simulator {
 
     /// The equal-cost routing table, when built under
     /// [`SimConfig::ecmp`] (ground truth for routing tests).
-    pub fn ecmp_table(&self) -> Option<&crate::routing::EcmpTable> {
+    pub fn ecmp_table(&self) -> Option<&EcmpTable> {
         self.ecmp.as_ref()
     }
 
@@ -703,30 +630,8 @@ impl Simulator {
         (per_switch + self.interner.approx_bytes()) / self.switches.len()
     }
 
-    /// The link transmitted from `(node, port)`, if connected.
-    fn link(&self, node: NodeId, port: PortId) -> Option<&Link> {
-        peek_link(&self.switch_links, &self.host_links, node, port)
-    }
-
-    /// Mutable view of the link transmitted from `(node, port)`.
-    fn link_mut(&mut self, node: NodeId, port: PortId) -> Option<&mut Link> {
-        if node.is_host() {
-            self.host_links[node.index()]
-                .get_mut(port as usize)
-                .and_then(Option::as_mut)
-        } else {
-            self.switch_links[node.index()]
-                .get_mut(port as usize)
-                .and_then(Option::as_mut)
-        }
-    }
-
     fn node_shard(&self, node: NodeId) -> usize {
-        if node.is_host() {
-            self.host_shard[node.index()]
-        } else {
-            self.switch_shard[node.index()]
-        }
+        node_shard(&self.switch_shard, &self.host_shard, node)
     }
 
     /// Number of switches.
@@ -751,11 +656,6 @@ impl Simulator {
         &mut self.switches[id.0].asic
     }
 
-    /// A host's MAC address.
-    pub fn host_mac(&self, id: HostId) -> EthernetAddress {
-        self.hosts[id.0].mac
-    }
-
     /// Downcast a host's app to its concrete type.
     ///
     /// # Panics
@@ -766,37 +666,6 @@ impl Simulator {
             .as_any()
             .downcast_ref::<T>()
             .expect("host app type mismatch")
-    }
-
-    /// Mutable downcast of a host's app.
-    ///
-    /// # Panics
-    /// Panics if the app at `id` is not a `T`.
-    pub fn host_app_mut<T: HostApp>(&mut self, id: HostId) -> &mut T {
-        self.hosts[id.0]
-            .app
-            .as_any_mut()
-            .downcast_mut::<T>()
-            .expect("host app type mismatch")
-    }
-
-    /// Bytes currently backlogged across all of a host's NIC queues.
-    pub fn host_nic_backlog(&self, id: HostId) -> usize {
-        self.hosts[id.0]
-            .nics
-            .iter()
-            .flat_map(|nic| nic.queue.iter())
-            .map(Vec::len)
-            .sum()
-    }
-
-    /// Bytes currently backlogged in one NIC queue of a host.
-    pub fn host_nic_backlog_on(&self, id: HostId, port: PortId) -> usize {
-        self.hosts[id.0].nics[port as usize]
-            .queue
-            .iter()
-            .map(Vec::len)
-            .sum()
     }
 
     /// How many NICs a host has.
@@ -823,9 +692,13 @@ impl Simulator {
     pub fn set_link_loss(&mut self, from: Endpoint, loss_permille: u16) -> u16 {
         let seed = self.seed;
         let now = self.now_ns;
-        let link = self
-            .link_mut(from.node(), from.port())
-            .unwrap_or_else(|| panic!("{from:?} is not connected"));
+        let link = link_mut(
+            &mut self.switches,
+            &mut self.hosts,
+            from.node(),
+            from.port(),
+        )
+        .unwrap_or_else(|| panic!("{from:?} is not connected"));
         let stat = loss_permille.min(1000);
         link.loss_permille = stat;
         let profile_max = link.profile.as_ref().map_or(0, |p| p.max_loss_permille());
@@ -858,9 +731,13 @@ impl Simulator {
         profile: Option<crate::profile::LinkProfile>,
     ) {
         let seed = self.seed;
-        let link = self
-            .link_mut(from.node(), from.port())
-            .unwrap_or_else(|| panic!("{from:?} is not connected"));
+        let link = link_mut(
+            &mut self.switches,
+            &mut self.hosts,
+            from.node(),
+            from.port(),
+        )
+        .unwrap_or_else(|| panic!("{from:?} is not connected"));
         let arm =
             profile.as_ref().is_some_and(|p| p.max_loss_permille() > 0) || link.loss_permille > 0;
         link.profile = profile.map(Box::new);
@@ -873,7 +750,7 @@ impl Simulator {
     /// transmitted from `from` (losses and link-down drops excluded).
     /// Per-direction ground truth for bonding tests and fingerprints.
     pub fn link_tx_frames(&self, from: Endpoint) -> u64 {
-        self.link(from.node(), from.port())
+        link(&self.switches, &self.hosts, from.node(), from.port())
             .map(|l| l.seq)
             .unwrap_or(0)
     }
@@ -895,7 +772,7 @@ impl Simulator {
                 | FaultAction::LinkUp { at }
                 | FaultAction::SetChannel { from: at, .. } => {
                     assert!(
-                        self.link(at.node(), at.port()).is_some(),
+                        link(&self.switches, &self.hosts, at.node(), at.port()).is_some(),
                         "{at:?} is not connected"
                     );
                 }
@@ -916,7 +793,8 @@ impl Simulator {
                     // directions with it, as two per-direction steps
                     // routed to the owning shards (forward first).
                     let a = (at.node(), at.port());
-                    let link = self.link(a.0, a.1).expect("validated above");
+                    let link =
+                        link(&self.switches, &self.hosts, a.0, a.1).expect("validated above");
                     let b = (link.peer, link.peer_port);
                     for (dir, (node, port)) in [(0u64, a), (1, b)] {
                         let shard = self.node_shard(node);
@@ -985,7 +863,7 @@ impl Simulator {
     /// Frames lost in flight on the link direction transmitted from
     /// `from`.
     pub fn link_losses(&self, from: Endpoint) -> u64 {
-        self.link(from.node(), from.port())
+        link(&self.switches, &self.hosts, from.node(), from.port())
             .map(|l| l.losses)
             .unwrap_or(0)
     }
@@ -1047,7 +925,7 @@ impl Simulator {
         for sw in &self.switches {
             sw.asic.export_metrics(&mut self.metrics);
         }
-        let lost = frames_lost(&self.switch_links, &self.host_links);
+        let lost = frames_lost(&self.switches, &self.hosts);
         self.metrics.set("link.frames_lost", lost);
         let f = self.fault_counters();
         if f != FaultCounters::default() {
@@ -1088,8 +966,8 @@ impl Simulator {
         }
     }
 
-    /// Construct the per-shard working views by splitting the node and
-    /// link arrays at the partition boundaries.
+    /// Construct the per-shard working views by splitting the node
+    /// arrays (which carry their links) at the partition boundaries.
     fn shard_runs(&mut self) -> Vec<ShardRun<'_>> {
         let now_ns = self.now_ns;
         let fault_seed = self.fault_seed;
@@ -1097,8 +975,6 @@ impl Simulator {
         let mut runs = Vec::with_capacity(self.num_shards);
         let mut switches = self.switches.as_mut_slice();
         let mut hosts = self.hosts.as_mut_slice();
-        let mut switch_links = self.switch_links.as_mut_slice();
-        let mut host_links = self.host_links.as_mut_slice();
         let mut shards = self.shards.as_mut_slice();
         let mut series = self
             .series
@@ -1111,10 +987,6 @@ impl Simulator {
             switches = rest;
             let (h, rest) = hosts.split_at_mut(n_hosts);
             hosts = rest;
-            let (sl, rest) = switch_links.split_at_mut(n_switches);
-            switch_links = rest;
-            let (hl, rest) = host_links.split_at_mut(n_hosts);
-            host_links = rest;
             let (st, rest) = shards.split_at_mut(1);
             shards = rest;
             let shard_series = series.as_mut().map(|(switch_series, shares)| {
@@ -1129,8 +1001,6 @@ impl Simulator {
                 host_base: self.host_ranges[k].start,
                 switches: sw,
                 hosts: h,
-                switch_links: sl,
-                host_links: hl,
                 state: &mut st[0],
                 inboxes: &self.inboxes,
                 l2_routes: &self.l2_routes,

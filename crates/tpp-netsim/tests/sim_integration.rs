@@ -641,3 +641,79 @@ fn fat_tree_paths_have_textbook_lengths() {
         cross_pod[0].1
     );
 }
+
+/// Sends one plain frame to `dst` out of NIC `port` at start.
+struct SendOnce {
+    dst: EthernetAddress,
+    port: PortId,
+}
+
+impl HostApp for SendOnce {
+    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+        let frame = build_frame(self.dst, ctx.mac(), EtherType(0x0800), &[7; 46]);
+        ctx.send_on(self.port, frame);
+    }
+}
+
+/// Counts delivered frames.
+#[derive(Default)]
+struct Counter {
+    got: u64,
+}
+
+impl HostApp for Counter {
+    fn on_frame(&mut self, _frame: Vec<u8>, _ctx: &mut HostCtx<'_>) {
+        self.got += 1;
+    }
+}
+
+/// A sender and a receiver on switch ports 0 and 1 of a 3-port switch
+/// whose port 2 is unwired; the sender has `sender_nics` NICs, NIC 0
+/// wired.
+fn unwired_port_net(
+    sender: SendOnce,
+    sender_nics: u16,
+) -> (
+    tpp_netsim::Simulator,
+    tpp_netsim::SwitchId,
+    tpp_netsim::HostId,
+) {
+    use tpp_asic::AsicConfig;
+    use tpp_netsim::{Endpoint, NetworkBuilder};
+    let mut net = NetworkBuilder::new();
+    let s = net.add_switch(AsicConfig::with_ports(0x10, 3));
+    let tx = net.add_host_multi(Box::new(sender), 1_000_000, sender_nics);
+    let rx = net.add_host(Box::new(Counter::default()), 1_000_000);
+    net.connect(Endpoint::host(tx), Endpoint::switch(s, 0), 1_000);
+    net.connect(Endpoint::host(rx), Endpoint::switch(s, 1), 1_000);
+    let mut sim = net.build();
+    sim.populate_l2();
+    (sim, s, rx)
+}
+
+#[test]
+fn frames_on_an_unwired_nic_are_recycled_without_link_free() {
+    let dst = EthernetAddress::from_host_id(1);
+    let (mut sim, _, rx) = unwired_port_net(SendOnce { dst, port: 1 }, 2);
+    sim.run(RunLimit::Until(time::millis(1)));
+    assert_eq!(sim.frame_pool_stats().2, 1, "the frame is recycled");
+    assert_eq!(sim.host_app::<Counter>(rx).got, 0);
+    assert_eq!(sim.events_processed(), 0, "no LinkFree, no arrival");
+}
+
+#[test]
+fn frames_routed_to_an_unwired_switch_port_are_recycled_without_link_free() {
+    let dst = EthernetAddress::from_host_id(1);
+    let (mut sim, s, rx) = unwired_port_net(SendOnce { dst, port: 0 }, 1);
+    sim.switch_mut(s).l2_mut().insert(dst, 2);
+    sim.run(RunLimit::Until(time::millis(1)));
+    assert_eq!(sim.frame_pool_stats().2, 1, "the frame is recycled");
+    assert_eq!(sim.host_app::<Counter>(rx).got, 0);
+    assert_eq!(
+        sim.switch(s).port_stats(2).tx_packets,
+        1,
+        "dequeued at port 2"
+    );
+    // The sender NIC's LinkFree and the switch arrival; none for port 2.
+    assert_eq!(sim.events_processed(), 2);
+}

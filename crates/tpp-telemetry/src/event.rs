@@ -1,5 +1,5 @@
 //! The trace event schema: one typed record per pipeline stage, plus
-//! JSON-lines and CSV serialization.
+//! its JSON-lines serialization.
 //!
 //! The schema mirrors Figure 3's pipeline. A packet walking one switch
 //! produces, in order: `Parse` → (`EdgeFilter`)? → `Lookup` → (`TcpuExec`)?
@@ -435,152 +435,6 @@ impl TraceEvent {
         s.push('}');
         s
     }
-
-    /// Serialize as one CSV row of the fixed column set written by
-    /// [`write_csv`]. Fields a kind does not define are left empty.
-    pub fn to_csv_row(&self) -> String {
-        // Columns: event,stage,t_ns,switch,seq,port,queue,len,depth_bytes,detail
-        let (port, queue, len, depth, detail): (
-            Option<u16>,
-            Option<u8>,
-            Option<u32>,
-            Option<u64>,
-            String,
-        ) = match &self.kind {
-            TraceEventKind::Parse {
-                in_port,
-                len,
-                is_tpp,
-                ok,
-            } => (
-                Some(*in_port),
-                None,
-                Some(*len),
-                None,
-                format!("is_tpp={is_tpp} ok={ok}"),
-            ),
-            TraceEventKind::EdgeFilter { in_port, action } => {
-                (Some(*in_port), None, None, None, (*action).to_string())
-            }
-            TraceEventKind::Lookup {
-                table,
-                out_port,
-                queue,
-                entry_id,
-            } => (
-                Some(*out_port),
-                Some(*queue),
-                None,
-                None,
-                format!("{} entry={entry_id}", table.name()),
-            ),
-            TraceEventKind::LookupMiss => (None, None, None, None, String::new()),
-            TraceEventKind::TcpuExec {
-                out_port,
-                instructions,
-                cycles,
-                budget,
-                outcome,
-                hop,
-                ..
-            } => (
-                Some(*out_port),
-                None,
-                None,
-                None,
-                format!(
-                    "insns={instructions} cycles={cycles}/{budget} {} hop={hop}",
-                    outcome.name()
-                ),
-            ),
-            TraceEventKind::Enqueue {
-                port,
-                queue,
-                depth_bytes,
-                len,
-                ecn_marked,
-            } => (
-                Some(*port),
-                Some(*queue),
-                Some(*len),
-                Some(*depth_bytes),
-                format!("ecn={ecn_marked}"),
-            ),
-            TraceEventKind::Drop { reason, port } => {
-                (*port, None, None, None, reason.name().to_string())
-            }
-            TraceEventKind::Dequeue {
-                port,
-                queue,
-                len,
-                depth_bytes,
-            } => (
-                Some(*port),
-                Some(*queue),
-                Some(*len),
-                Some(*depth_bytes),
-                String::new(),
-            ),
-            TraceEventKind::HostHopRecord { hop, words } => {
-                let joined: Vec<String> = words.iter().map(u32::to_string).collect();
-                (
-                    None,
-                    None,
-                    None,
-                    None,
-                    format!("hop={hop} words={}", joined.join("|")),
-                )
-            }
-            TraceEventKind::LinkDown { port } | TraceEventKind::LinkUp { port } => {
-                (Some(*port), None, None, None, String::new())
-            }
-            TraceEventKind::SwitchReboot { epoch } => {
-                (None, None, None, None, format!("epoch={epoch}"))
-            }
-            TraceEventKind::CorruptionInjected { port, byte, bit } => (
-                Some(*port),
-                None,
-                None,
-                None,
-                format!("byte={byte} bit={bit}"),
-            ),
-            TraceEventKind::ProbeRetry { nonce, attempt } => (
-                None,
-                None,
-                None,
-                None,
-                format!("nonce={nonce} attempt={attempt}"),
-            ),
-            TraceEventKind::ProbeTimeout { nonce, retries } => (
-                None,
-                None,
-                None,
-                None,
-                format!("nonce={nonce} retries={retries}"),
-            ),
-            TraceEventKind::EpochMismatch { expected, observed } => (
-                None,
-                None,
-                None,
-                None,
-                format!("expected={expected} observed={observed}"),
-            ),
-        };
-        let opt = |x: Option<u64>| x.map(|v| v.to_string()).unwrap_or_default();
-        format!(
-            "{},{},{},{},{},{},{},{},{},{}",
-            self.kind.name(),
-            self.kind.stage().name(),
-            self.t_ns,
-            self.switch_id,
-            self.seq,
-            opt(port.map(u64::from)),
-            opt(queue.map(u64::from)),
-            opt(len.map(u64::from)),
-            opt(depth),
-            detail
-        )
-    }
 }
 
 /// Write events as JSON lines (one object per line).
@@ -590,21 +444,6 @@ pub fn write_jsonl<'a, W: Write>(
 ) -> io::Result<()> {
     for ev in events {
         writeln!(out, "{}", ev.to_json())?;
-    }
-    Ok(())
-}
-
-/// Write events as CSV with a header row.
-pub fn write_csv<'a, W: Write>(
-    out: &mut W,
-    events: impl IntoIterator<Item = &'a TraceEvent>,
-) -> io::Result<()> {
-    writeln!(
-        out,
-        "event,stage,t_ns,switch,seq,port,queue,len,depth_bytes,detail"
-    )?;
-    for ev in events {
-        writeln!(out, "{}", ev.to_csv_row())?;
     }
     Ok(())
 }
@@ -664,7 +503,7 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_and_csv_roundtrip_line_counts() {
+    fn jsonl_writes_one_line_per_event() {
         let events = vec![
             ev(TraceEventKind::LookupMiss),
             ev(TraceEventKind::Drop {
@@ -678,12 +517,9 @@ mod tests {
         ];
         let mut jsonl = Vec::new();
         write_jsonl(&mut jsonl, &events).unwrap();
-        assert_eq!(String::from_utf8(jsonl).unwrap().lines().count(), 3);
-        let mut csv = Vec::new();
-        write_csv(&mut csv, &events).unwrap();
-        let csv = String::from_utf8(csv).unwrap();
-        assert_eq!(csv.lines().count(), 4, "header + 3 rows");
-        assert!(csv.lines().nth(3).unwrap().contains("words=1|2|3"));
+        let jsonl = String::from_utf8(jsonl).unwrap();
+        assert_eq!(jsonl.lines().count(), 3);
+        assert!(jsonl.lines().nth(2).unwrap().contains("\"words\":[1,2,3]"));
     }
 
     #[test]
@@ -695,7 +531,6 @@ mod tests {
 
         let e = ev(TraceEventKind::SwitchReboot { epoch: 2 });
         assert!(e.to_json().contains("\"epoch\":2"));
-        assert!(e.to_csv_row().contains("epoch=2"));
 
         let e = ev(TraceEventKind::CorruptionInjected {
             port: 1,
@@ -715,7 +550,7 @@ mod tests {
             nonce: 42,
             retries: 3,
         });
-        assert!(e.to_csv_row().contains("retries=3"));
+        assert!(e.to_json().contains("\"retries\":3"));
 
         let e = ev(TraceEventKind::EpochMismatch {
             expected: 0,

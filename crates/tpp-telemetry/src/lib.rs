@@ -24,8 +24,8 @@
 //!   collect events from many switches (shards record from worker
 //!   threads, so this is an `Arc<Mutex<…>>`, and reads come back in a
 //!   canonical `(t_ns, switch_id)` order).
-//! * JSON-lines and CSV exporters ([`write_jsonl`], [`write_csv`]) —
-//!   the formats `tpp-bench`'s `--trace out.jsonl` flags produce.
+//! * The JSON-lines exporter ([`write_jsonl`]) — the format
+//!   `tpp-bench`'s `--trace out.jsonl` flags produce.
 //! * [`MetricsRegistry`] — named counters and log₂-bucket histograms,
 //!   merged across switches by `tpp-netsim::Simulator` on `tick`.
 
@@ -37,7 +37,7 @@ pub mod metrics;
 pub mod sink;
 
 pub use event::{
-    write_csv, write_jsonl, DropKind, LookupKind, Stage, TcpuOutcome, TraceEvent, TraceEventKind,
+    write_jsonl, DropKind, LookupKind, Stage, TcpuOutcome, TraceEvent, TraceEventKind,
 };
-pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Histogram, MetricsRegistry};
 pub use sink::{RingBufferSink, SharedSink, TraceSink, VecSink};

@@ -245,14 +245,6 @@ impl MetricsRegistry {
         self.histograms.clear();
     }
 
-    /// An owned point-in-time copy, stamped with the capture time.
-    pub fn snapshot(&self, t_ns: u64) -> MetricsSnapshot {
-        MetricsSnapshot {
-            t_ns,
-            registry: self.clone(),
-        }
-    }
-
     /// Render as one JSON object: `{"counters":{...},"histograms":{...}}`.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\"counters\":{");
@@ -279,15 +271,6 @@ impl MetricsRegistry {
         s.push_str("}}");
         s
     }
-}
-
-/// A point-in-time copy of a registry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Capture time, ns.
-    pub t_ns: u64,
-    /// The captured values.
-    pub registry: MetricsRegistry,
 }
 
 #[cfg(test)]
@@ -409,17 +392,6 @@ mod tests {
         let h = a.histogram("queue.depth_bytes").unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), 400);
-    }
-
-    #[test]
-    fn snapshot_is_independent() {
-        let mut r = MetricsRegistry::new();
-        r.add("x", 1);
-        let snap = r.snapshot(500);
-        r.add("x", 1);
-        assert_eq!(snap.registry.counter("x"), 1);
-        assert_eq!(r.counter("x"), 2);
-        assert_eq!(snap.t_ns, 500);
     }
 
     #[test]

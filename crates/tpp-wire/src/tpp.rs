@@ -259,12 +259,6 @@ impl<T: AsRef<[u8]>> TppPacket<T> {
         &self.buffer.as_ref()[TPP_HEADER_LEN..TPP_HEADER_LEN + count * WORD_SIZE]
     }
 
-    /// The `i`-th instruction word. `i` must be below
-    /// [`instruction_count`](Self::instruction_count).
-    pub fn instruction_word(&self, i: usize) -> u32 {
-        get_u32(self.buffer.as_ref(), TPP_HEADER_LEN + i * WORD_SIZE)
-    }
-
     /// Byte offset of packet memory within this buffer.
     fn mem_base(&self) -> usize {
         TPP_HEADER_LEN + self.insn_len()

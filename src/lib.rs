@@ -97,7 +97,7 @@ pub mod prelude {
     };
     pub use crate::obs::{prometheus_snapshot, series_jsonl, Collector};
     pub use crate::telemetry::{
-        write_csv, write_jsonl, MetricsRegistry, SharedSink, TraceEvent, TraceEventKind, TraceSink,
+        write_jsonl, MetricsRegistry, SharedSink, TraceEvent, TraceEventKind, TraceSink,
     };
     pub use crate::wire::ethernet::{build_frame, EtherType, Frame};
     pub use crate::wire::tpp::{AddressingMode, TppBuilder, TppPacket};

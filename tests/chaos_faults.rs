@@ -245,7 +245,7 @@ fn chaotic_run(seed: u64) -> (Vec<String>, FaultCounters) {
         .switch_reboot(time::secs(3), bell.right);
     sim.install_faults(&plan);
     sim.run(RunLimit::Until(time::secs(4)));
-    let rows = sink.events().iter().map(|e| e.to_csv_row()).collect();
+    let rows = sink.events().iter().map(|e| e.to_json()).collect();
     (rows, sim.fault_counters())
 }
 

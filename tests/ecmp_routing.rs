@@ -15,13 +15,15 @@
 //!    threaded and sequential (proptest over seeds and loss rates).
 //! 3. A single flow rides exactly one uplink until that uplink goes
 //!    down, then re-hashes onto the surviving one and keeps delivering.
+//! 4. Every switch's L2 port toward a host is a member of that pair's
+//!    ECMP group (both come from one BFS per host).
 
 use proptest::prelude::*;
 use tpp::apps::rcpstar::init_rate_registers;
 use tpp::netsim::routing::{FLOW_LABEL_MAGIC, FLOW_LABEL_OFFSET};
 use tpp::netsim::{
-    fat_tree_with, flow_label, time, EcmpTable, Endpoint, FatTreeParams, FaultPlan, HostApp,
-    HostCtx, HostId, RunLimit, SimConfig,
+    fat_tree_with, flow_label, leaf_spine_with, time, EcmpTable, Endpoint, FatTreeParams,
+    FaultPlan, HostApp, HostCtx, HostId, LeafSpineParams, RunLimit, SimConfig, Simulator, SwitchId,
 };
 use tpp::wire::ethernet::{build_frame, EtherType};
 use tpp::wire::EthernetAddress;
@@ -146,6 +148,49 @@ fn flow_label_parses_labelled_frames_only() {
 
     let short = build_frame(dst, src, EtherType(0x0802), &payload[..8]);
     assert_eq!(flow_label(&short), None, "too short to carry a label");
+}
+
+/// The L2 tables and the ECMP groups come from one BFS per host: the
+/// port a switch was first reached on (its L2 entry) is one of the
+/// ports whose peer is strictly closer (its group).
+fn assert_l2_port_in_ecmp_group(mut sim: Simulator) {
+    let n_hosts = sim.num_hosts() as u32;
+    let l2: Vec<Vec<Option<u16>>> = (0..sim.num_switches())
+        .map(|s| {
+            let table = sim.switch_mut(SwitchId(s)).l2_mut();
+            (0..n_hosts)
+                .map(|h| table.lookup(EthernetAddress::from_host_id(h)))
+                .collect()
+        })
+        .collect();
+    let table = sim.ecmp_table().expect("ecmp(true) builds the table");
+    for (s, ports) in l2.iter().enumerate() {
+        for (h, port) in ports.iter().enumerate() {
+            let group = table.group(s, h as u32);
+            let port = port.unwrap_or_else(|| panic!("switch {s} has no L2 entry for host {h}"));
+            assert!(
+                group.contains(&port),
+                "switch {s} -> host {h}: L2 port {port} not in ECMP group {group:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn l2_port_is_a_member_of_the_ecmp_group() {
+    let params = FatTreeParams::default(); // k=4
+    let apps = (0..params.n_hosts()).map(|_| Box::new(Idle) as _).collect();
+    assert_l2_port_in_ecmp_group(fat_tree_with(SimConfig::new().ecmp(true), params, apps).0);
+
+    let params = LeafSpineParams {
+        n_leaves: 2,
+        n_spines: 2,
+        ..LeafSpineParams::default()
+    };
+    let apps = (0..params.n_leaves * params.hosts_per_leaf)
+        .map(|_| Box::new(Idle) as _)
+        .collect();
+    assert_l2_port_in_ecmp_group(leaf_spine_with(SimConfig::new().ecmp(true), params, apps).0);
 }
 
 /// One closed-loop k=4 run; returns a fingerprint over per-flow

@@ -4,7 +4,7 @@
 //! A seeded simulation must produce *bit-identical* results at any shard
 //! count, threaded or sequential — the canonical event-key order and the
 //! per-link RNG streams make the partition unobservable. These tests
-//! take whole-run fingerprints (trace CSV rows, fault counters, the
+//! take whole-run fingerprints (trace JSON rows, fault counters, the
 //! metrics registry's JSON dump, ring-series points, events processed,
 //! host-app state) and compare them across `N ∈ {1, 2, 4}` shards, with
 //! the 4-shard configuration run both threaded and sequential.
@@ -112,7 +112,7 @@ fn fingerprint(
     Fingerprint {
         now_ns: sim.now(),
         events_processed: sim.events_processed(),
-        trace_rows: sink.events().iter().map(|e| e.to_csv_row()).collect(),
+        trace_rows: sink.events().iter().map(|e| e.to_json()).collect(),
         fault_counters: format!("{:?}", sim.fault_counters()),
         metrics_json: sim.metrics().to_json(),
         series_points,
