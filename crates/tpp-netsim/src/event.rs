@@ -1,21 +1,28 @@
-//! The event queue: a binary heap ordered by a canonical [`EventKey`].
+//! The event queue: one binary heap per event class, popped in a
+//! canonical [`EventKey`] order.
 //!
 //! The single-threaded simulator used to break time ties by insertion
 //! order, which is deterministic but *schedule-dependent*: two shards
 //! inserting the same logical events in different orders would disagree.
 //! The canonical key orders events by content instead —
-//! `(time, class, major, minor)` — so every shard's heap, and the
-//! one-shard heap, pop the same logical sequence. Cross-shard mailboxes
+//! `(time, class, major, minor)` — so every shard's queue, and the
+//! one-shard queue, pop the same logical sequence. Cross-shard mailboxes
 //! need no separate merge step: delivered events simply take their place
 //! in key order.
 //!
-//! Classes at equal time: scheduled faults fire first (they were
-//! installed before the run, lowest legacy sequence numbers), then host
+//! Classes at equal time: scheduled faults fire first, then host
 //! timers, then transmitter-free events, then frame arrivals (which are
-//! pushed last by the transmit path). `major` identifies the target
+//! pushed last by the transmit path). A fault may be installed mid-run
+//! and even at a time already past; it then pops before everything
+//! pending, and its time is not clamped. `major` identifies the target
 //! (a `(node, port)` key, a host, or a fault-plan entry index) and
 //! `minor` a per-target monotone sequence (per-link-direction frame
 //! counter, per-host timer counter).
+//!
+//! Host timers sit far ahead of the near-term link-free and frame
+//! events, so each class waits in a heap of its own (faults share the
+//! timers' heap): a pop sifts only through its own class, and
+//! [`EventQueue::pop_if`] takes the least of the three tops.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -116,6 +123,14 @@ impl EventKey {
             major: node_port_key(node, port),
             minor: 0,
         }
+    }
+
+    /// Whether this keys a frame arrival at `node`, on any port, at
+    /// `time`: the next frame of an arrival burst.
+    pub(crate) fn is_frame_to(&self, node: NodeId, time: u64) -> bool {
+        self.class == CLASS_FRAME
+            && self.time == time
+            && self.major >> 16 == node_port_key(node, 0) >> 16
     }
 
     /// Key of a frame arrival at `(node, port)`; `seq` is the
@@ -231,62 +246,72 @@ impl Ord for Event {
     }
 }
 
-/// A deterministic min-queue of events in canonical key order.
+/// Which heap of an [`EventQueue`] holds events of `class`: faults and
+/// timers, then link-free events, then frame arrivals. Heap order is
+/// class order.
+fn heap_of(class: u8) -> usize {
+    match class {
+        CLASS_FAULT | CLASS_TIMER => 0,
+        CLASS_LINK_FREE => 1,
+        _ => 2,
+    }
+}
+
+/// A deterministic min-queue of events in canonical key order, kept as
+/// one heap per class (see the module docs).
 #[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Event>,
+pub(crate) struct EventQueue {
+    heaps: [BinaryHeap<Event>; 3],
 }
 
 impl EventQueue {
     /// An empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue::default()
     }
 
-    /// Schedule `kind` under canonical key `key`.
-    pub fn push(&mut self, key: EventKey, kind: EventKind) {
-        self.heap.push(Event { key, kind });
-    }
-
-    /// Re-insert an already-keyed event (mailbox delivery).
-    pub fn push_event(&mut self, event: Event) {
-        self.heap.push(event);
-    }
-
-    /// Key of the earliest pending event.
-    pub fn peek_key(&self) -> Option<EventKey> {
-        self.heap.peek().map(|e| e.key)
+    /// Schedule an event under its canonical key.
+    pub(crate) fn push(&mut self, event: Event) {
+        self.heaps[heap_of(event.key.class)].push(event);
     }
 
     /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|e| e.key.time)
+    pub(crate) fn peek_time(&self) -> Option<u64> {
+        self.heaps
+            .iter()
+            .filter_map(|h| h.peek())
+            .map(|e| e.key.time)
+            .min()
     }
 
-    /// The earliest pending event, without removing it.
-    pub fn peek(&self) -> Option<&Event> {
-        self.heap.peek()
-    }
-
-    /// Pop the earliest event.
-    pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop()
+    /// Pop the earliest event if `pred` holds for its key. The three
+    /// heap tops are ranked once, as `(time, heap)`: keys in different
+    /// heaps never tie, and heap order is class order.
+    pub(crate) fn pop_if(&mut self, pred: impl FnOnce(&EventKey) -> bool) -> Option<Event> {
+        let rank = |i: usize| {
+            self.heaps[i]
+                .peek()
+                .map_or(u128::MAX, |e| ((e.key.time as u128) << 2) | i as u128)
+        };
+        let least = rank(0).min(rank(1)).min(rank(2));
+        let heap = self.heaps.get_mut((least & 3) as usize)?;
+        if pred(&heap.peek()?.key) {
+            heap.pop()
+        } else {
+            None
+        }
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+    pub(crate) fn len(&self) -> usize {
+        self.heaps.iter().map(BinaryHeap::len).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn timer_kind(token: u64) -> EventKind {
         EventKind::Timer {
@@ -295,17 +320,25 @@ mod tests {
         }
     }
 
+    fn push(q: &mut EventQueue, key: EventKey, kind: EventKind) {
+        q.push(Event { key, kind });
+    }
+
+    fn pop(q: &mut EventQueue) -> Option<Event> {
+        q.pop_if(|_| true)
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(EventKey::timer(30, HostId(0), 0), timer_kind(0));
-        q.push(EventKey::timer(10, HostId(0), 1), timer_kind(1));
-        q.push(EventKey::timer(20, HostId(0), 2), timer_kind(2));
+        push(&mut q, EventKey::timer(30, HostId(0), 0), timer_kind(0));
+        push(&mut q, EventKey::timer(10, HostId(0), 1), timer_kind(1));
+        push(&mut q, EventKey::timer(20, HostId(0), 2), timer_kind(2));
         assert_eq!(q.peek_time(), Some(10));
-        assert_eq!(q.pop().unwrap().key.time, 10);
-        assert_eq!(q.pop().unwrap().key.time, 20);
-        assert_eq!(q.pop().unwrap().key.time, 30);
-        assert!(q.pop().is_none());
+        assert_eq!(pop(&mut q).unwrap().key.time, 10);
+        assert_eq!(pop(&mut q).unwrap().key.time, 20);
+        assert_eq!(pop(&mut q).unwrap().key.time, 30);
+        assert!(pop(&mut q).is_none());
     }
 
     #[test]
@@ -331,7 +364,8 @@ mod tests {
         let node = NodeId::switch(SwitchId(1));
         // Push in scrambled order; pops must follow the canonical class
         // order: fault, timer, link-free, frame.
-        q.push(
+        push(
+            &mut q,
             EventKey::frame(5, node, 0, 0),
             EventKind::FrameArrive {
                 node,
@@ -339,12 +373,14 @@ mod tests {
                 frame: vec![],
             },
         );
-        q.push(
+        push(
+            &mut q,
             EventKey::link_free(5, node, 0),
             EventKind::LinkFree { node, port: 0 },
         );
-        q.push(EventKey::timer(5, HostId(0), 0), timer_kind(0));
-        q.push(
+        push(&mut q, EventKey::timer(5, HostId(0), 0), timer_kind(0));
+        push(
+            &mut q,
             EventKey::fault(5, 0, 0),
             EventKind::Fault {
                 apply: FaultApply::Reboot {
@@ -352,7 +388,7 @@ mod tests {
                 },
             },
         );
-        let classes: Vec<u8> = std::iter::from_fn(|| q.pop())
+        let classes: Vec<u8> = std::iter::from_fn(|| pop(&mut q))
             .map(|e| e.key.class)
             .collect();
         assert_eq!(
@@ -365,10 +401,14 @@ mod tests {
     fn equal_time_timers_pop_in_sequence_order() {
         let mut q = EventQueue::new();
         for (seq, token) in [(2u64, 3u64), (0, 1), (1, 2)] {
-            q.push(EventKey::timer(5, HostId(0), seq), timer_kind(token));
+            push(
+                &mut q,
+                EventKey::timer(5, HostId(0), seq),
+                timer_kind(token),
+            );
         }
         let mut tokens = Vec::new();
-        while let Some(e) = q.pop() {
+        while let Some(e) = pop(&mut q) {
             if let EventKind::Timer { token, .. } = e.kind {
                 tokens.push(token);
             }
@@ -390,9 +430,9 @@ mod tests {
         let pop_order = |order: &[usize]| -> Vec<EventKey> {
             let mut q = EventQueue::new();
             for &i in order {
-                q.push(keys[i], EventKind::LinkFree { node, port: 0 });
+                push(&mut q, keys[i], EventKind::LinkFree { node, port: 0 });
             }
-            std::iter::from_fn(|| q.pop()).map(|e| e.key).collect()
+            std::iter::from_fn(|| pop(&mut q)).map(|e| e.key).collect()
         };
         let a = pop_order(&[0, 1, 2, 3]);
         let b = pop_order(&[3, 2, 1, 0]);
@@ -401,13 +441,62 @@ mod tests {
         assert_eq!(b, c);
     }
 
-    #[test]
-    fn len_and_empty() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.push(EventKey::timer(1, HostId(0), 0), timer_kind(0));
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert!(q.is_empty());
+    /// Pop under `key.time < bound` and check the key against the least
+    /// of `reference`, removing it there too; `last` follows the pops.
+    fn pop_checked(
+        q: &mut EventQueue,
+        reference: &mut Vec<EventKey>,
+        last: &mut u64,
+        bound: u64,
+    ) -> Result<(), TestCaseError> {
+        reference.sort_unstable_by(|a, b| b.cmp(a));
+        let expected = reference.last().copied().filter(|k| k.time < bound);
+        let got = q.pop_if(|key| key.time < bound).map(|e| e.key);
+        prop_assert_eq!(got, expected);
+        if let Some(key) = expected {
+            reference.pop();
+            *last = key.time;
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The three heaps pop exactly what one sorted list of keys
+        /// would. Each op is `(action, class, dt, target)`: actions 0–5
+        /// push (action 0 at `dt` *below* the last popped time, as a
+        /// fault installed in the past is), 6–9 pop under the time bound
+        /// `last + dt`. Small `dt` and `target` ranges make equal times
+        /// across and within classes, and equal keys, common.
+        #[test]
+        fn pops_match_a_sorted_reference(
+            ops in proptest::collection::vec((0u8..10, 0u8..4, 0u64..6, 0u64..12), 1..160)
+        ) {
+            let mut q = EventQueue::new();
+            let mut reference: Vec<EventKey> = Vec::new();
+            let mut last = 100u64;
+            for (action, class, dt, target) in ops {
+                if action < 6 {
+                    let time = if action == 0 { last.saturating_sub(dt) } else { last + dt };
+                    let key = EventKey {
+                        time,
+                        class,
+                        major: target % 3,
+                        minor: target / 3,
+                    };
+                    push(&mut q, key, timer_kind(0));
+                    reference.push(key);
+                } else {
+                    let bound = last + dt;
+                    pop_checked(&mut q, &mut reference, &mut last, bound)?;
+                }
+                prop_assert_eq!(q.len(), reference.len());
+            }
+            while !reference.is_empty() {
+                pop_checked(&mut q, &mut reference, &mut last, u64::MAX)?;
+            }
+            prop_assert!(pop(&mut q).is_none());
+        }
     }
 }

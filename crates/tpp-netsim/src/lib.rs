@@ -64,7 +64,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod event;
+mod event;
 pub mod fault;
 pub mod node;
 pub mod obs;

@@ -163,7 +163,7 @@ impl ShardRun<'_> {
             std::mem::swap(&mut *inbox, &mut scratch);
         }
         for event in scratch.drain(..) {
-            self.state.events.push_event(event);
+            self.state.events.push(event);
         }
         self.state.inbox_scratch = scratch;
     }
@@ -190,11 +190,7 @@ impl ShardRun<'_> {
         let sync = &mut self.state.sync;
         sync.windows += 1;
         sync.peak_pending = sync.peak_pending.max(self.state.events.len() as u64);
-        while let Some(key) = self.state.events.peek_key() {
-            if key.time >= end {
-                break;
-            }
-            let event = self.state.events.pop().expect("peeked");
+        while let Some(event) = self.state.events.pop_if(|key| key.time < end) {
             self.now_ns = event.key.time;
             self.state.processed += 1;
             self.dispatch(event.kind);
@@ -336,24 +332,12 @@ impl ShardRun<'_> {
     /// then decodes a repeated program once for the burst.
     fn drain_arrival_burst(&mut self, node: NodeId) {
         let s = SwitchId(node.index());
-        loop {
-            let same_burst = matches!(
-                self.state.events.peek(),
-                Some(Event {
-                    key,
-                    kind: EventKind::FrameArrive { node: n2, .. },
-                }) if key.time == self.now_ns && *n2 == node
-            );
-            if !same_burst {
-                break;
-            }
-            let Some(Event {
-                kind: EventKind::FrameArrive { port, frame, .. },
-                ..
-            }) = self.state.events.pop()
-            else {
-                unreachable!("peek matched a frame arrival");
-            };
+        let now = self.now_ns;
+        while let Some(Event {
+            kind: EventKind::FrameArrive { port, frame, .. },
+            ..
+        }) = self.state.events.pop_if(|key| key.is_frame_to(node, now))
+        {
             self.state.processed += 1;
             self.switch_arrival(s, port, frame);
         }
@@ -430,10 +414,10 @@ impl ShardRun<'_> {
             tx = crate::profile::scale_tx_ns(tx, p.sample(now).rate_permille);
         }
         link.busy = true;
-        self.state.events.push(
-            EventKey::link_free(now + tx, node, port),
-            EventKind::LinkFree { node, port },
-        );
+        self.state.events.push(Event {
+            key: EventKey::link_free(now + tx, node, port),
+            kind: EventKind::LinkFree { node, port },
+        });
         self.transmit(node, port, tx, frame);
     }
 
@@ -578,7 +562,7 @@ impl ShardRun<'_> {
 
     fn deliver(&mut self, shard: usize, event: Event) {
         if shard == self.idx {
-            self.state.events.push_event(event);
+            self.state.events.push(event);
         } else {
             // What the whole scheme rests on: an earlier arrival would
             // be silently reordered at the receiver.
@@ -630,10 +614,10 @@ impl ShardRun<'_> {
                     let host = &mut self.hosts[h.0 - self.host_base];
                     let seq = host.timer_seq;
                     host.timer_seq += 1;
-                    self.state.events.push(
-                        EventKey::timer(self.now_ns + delay_ns, h, seq),
-                        EventKind::Timer { host: h, token },
-                    );
+                    self.state.events.push(Event {
+                        key: EventKey::timer(self.now_ns + delay_ns, h, seq),
+                        kind: EventKind::Timer { host: h, token },
+                    });
                 }
             }
         }

@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{RunLimit, SimConfig};
-use crate::event::{node_port_key, EventKey, EventKind, FaultApply, NodeId};
+use crate::event::{node_port_key, Event, EventKey, EventKind, FaultApply, NodeId};
 use crate::fault::{ChannelProfile, FaultAction, FaultCounters, FaultPlan};
 use crate::node::{HostApp, HostId, SwitchId};
 use crate::routing::{compute_l2_routes, EcmpTable};
@@ -798,36 +798,36 @@ impl Simulator {
                     let b = (link.peer, link.peer_port);
                     for (dir, (node, port)) in [(0u64, a), (1, b)] {
                         let shard = self.node_shard(node);
-                        self.shards[shard].events.push(
-                            EventKey::fault(*t_ns, entry, dir),
-                            EventKind::Fault {
+                        self.shards[shard].events.push(Event {
+                            key: EventKey::fault(*t_ns, entry, dir),
+                            kind: EventKind::Fault {
                                 apply: FaultApply::SetLinkUp { node, port, up },
                             },
-                        );
+                        });
                     }
                 }
                 FaultAction::SwitchReboot { switch } => {
                     let shard = self.switch_shard[switch.0];
-                    self.shards[shard].events.push(
-                        EventKey::fault(*t_ns, entry, 0),
-                        EventKind::Fault {
+                    self.shards[shard].events.push(Event {
+                        key: EventKey::fault(*t_ns, entry, 0),
+                        kind: EventKind::Fault {
                             apply: FaultApply::Reboot { switch: *switch },
                         },
-                    );
+                    });
                 }
                 FaultAction::SetChannel { from, profile } => {
                     let node = from.node();
                     let shard = self.node_shard(node);
-                    self.shards[shard].events.push(
-                        EventKey::fault(*t_ns, entry, 0),
-                        EventKind::Fault {
+                    self.shards[shard].events.push(Event {
+                        key: EventKey::fault(*t_ns, entry, 0),
+                        kind: EventKind::Fault {
                             apply: FaultApply::SetChannel {
                                 node,
                                 port: from.port(),
                                 profile: *profile,
                             },
                         },
-                    );
+                    });
                 }
             }
         }
