@@ -10,16 +10,17 @@
 //! ```
 
 use tpp_bench::fct_scenario::{closed_section, document, run, FULL, SMOKE};
+use tpp_netsim::SimConfig;
 
 fn main() {
     // Allocations are counted by `tests/fct_sections.rs`, not here.
-    let full = run("full", &FULL, 1, true, || 0);
+    let full = run("full", &FULL, SimConfig::new().sequential(), || 0);
     assert!(
         full.flows_completed >= 1_000_000,
         "datacenter run must complete at least a million flows (got {})",
         full.flows_completed
     );
-    let smoke = run("smoke", &SMOKE, 1, true, || 0);
+    let smoke = run("smoke", &SMOKE, SimConfig::new().sequential(), || 0);
     let doc = document(&full.section(), &smoke.section(), &closed_section());
     std::fs::write("BENCH_fct.json", doc).unwrap_or_else(|e| {
         eprintln!("cannot write BENCH_fct.json: {e}");

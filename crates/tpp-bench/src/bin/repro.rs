@@ -6,6 +6,7 @@
 
 use tpp_bench::repro::{document, run, EXPERIMENTS};
 use tpp_bench::{trace_arg, write_trace};
+use tpp_netsim::SimConfig;
 
 fn main() {
     let trace_to = trace_arg();
@@ -21,7 +22,7 @@ fn main() {
     }
     let mut sections = Vec::new();
     for key in keys {
-        let Some(section) = run(key, trace_to.is_some()) else {
+        let Some(section) = run(key, trace_to.is_some(), SimConfig::new()) else {
             eprintln!("unknown experiment {key}; usage: repro [eN…|all] [--trace path]");
             std::process::exit(2);
         };

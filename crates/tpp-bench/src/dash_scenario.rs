@@ -129,14 +129,13 @@ pub struct DashFeed {
 }
 
 impl DashFeed {
-    /// The microburst obs feed (default [`SimConfig`], honors
-    /// `TPP_SHARDS`). On a 2-leaf × 2-spine fabric, host 0 (leaf 0) runs
-    /// the §2.1 [`MicroburstMonitor`] against the echoing victim, host 2
-    /// (leaf 1), while hosts 1 and 3 incast the victim and build a queue
-    /// at leaf 1's egress port. Every switch is profiled (every packet);
-    /// the run is lossless and drains, so the collector's divergence
-    /// check must come out exact.
-    pub fn obs() -> DashFeed {
+    /// The microburst obs feed on the caller's `config`. On a 2-leaf ×
+    /// 2-spine fabric, host 0 (leaf 0) runs the §2.1 [`MicroburstMonitor`]
+    /// against the echoing victim, host 2 (leaf 1), while hosts 1 and 3
+    /// incast the victim and build a queue at leaf 1's egress port. Every
+    /// switch is profiled (every packet); the run is lossless and drains,
+    /// so the collector's divergence check must come out exact.
+    pub fn obs(config: SimConfig) -> DashFeed {
         let params = LeafSpineParams {
             n_leaves: 2,
             n_spines: 2,
@@ -170,7 +169,7 @@ impl DashFeed {
             burster(3_000), // offset so the two bursts interleave
         ];
         // 20 µs ticks: fine-grained series without drowning the run.
-        let config = SimConfig::new().tick_interval_ns(time::micros(20));
+        let config = config.tick_interval_ns(time::micros(20));
         let (mut sim, fabric) = leaf_spine_with(config, params, apps);
         for &s in fabric.leaves.iter().chain(fabric.spines.iter()) {
             sim.switch_mut(s).enable_profiling(ProfileConfig::default());
@@ -293,7 +292,7 @@ impl DashFeed {
     /// Build the feed named by `scenario` with its default config.
     pub fn build(scenario: DashScenario) -> DashFeed {
         match scenario {
-            DashScenario::Obs => DashFeed::obs(),
+            DashScenario::Obs => DashFeed::obs(SimConfig::new()),
             DashScenario::Fct => DashFeed::fct(SimConfig::new()),
             DashScenario::Bond => DashFeed::bond(SimConfig::new()),
         }

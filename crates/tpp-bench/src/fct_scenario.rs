@@ -6,8 +6,8 @@
 //! running *over the shared switches*: microburst monitors (§2.1), RCP\*
 //! (§2.2), ndb path tracing (§2.3). [`SMOKE`]: the same at k=4.
 //! [`closed_section`]: the loss-recovering transport over an ECMP-routed
-//! lossy k=8 fabric, at 1/2/4 shards. Every value is simulated, so two
-//! runs write the same bytes.
+//! lossy k=8 fabric, on every row of the shard matrix. Every value is
+//! simulated, so two runs write the same bytes.
 
 use std::ops::Range;
 use std::time::Instant;
@@ -18,7 +18,8 @@ use tpp_apps::rcpstar::{init_rate_registers, RcpStarConfig, RcpStarSender};
 use tpp_asic::PortId;
 use tpp_host::{EchoReceiver, TransportStats};
 use tpp_netsim::{
-    fat_tree_with, time, Endpoint, FatTreeParams, HostApp, HostId, RunLimit, SimConfig, Simulator,
+    fat_tree_with, shard_matrix, time, Endpoint, FatTreeParams, HostApp, HostId, RunLimit,
+    SimConfig, Simulator,
 };
 use tpp_wire::EthernetAddress;
 
@@ -121,9 +122,9 @@ impl Run {
     }
 }
 
-/// Build `s`, run it to its end and harvest its section `name`;
-/// `allocs` reads a process-wide allocation counter.
-pub fn run(name: &str, s: &Scenario, shards: usize, sequential: bool, allocs: fn() -> u64) -> Run {
+/// Build `s` on `config`, run it to its end and harvest its section
+/// `name`; `allocs` reads a process-wide allocation counter.
+pub fn run(name: &str, s: &Scenario, config: SimConfig, allocs: fn() -> u64) -> Run {
     let params = FatTreeParams {
         k: s.k,
         hosts_per_edge: s.hosts_per_edge,
@@ -194,11 +195,8 @@ pub fn run(name: &str, s: &Scenario, shards: usize, sequential: bool, allocs: fn
         })
         .collect();
 
-    let config = SimConfig::new()
-        .shards(shards)
-        .parallel(!sequential)
-        .ecmp(s.closed_loop)
-        .frame_pool_buffers(16 * 1024);
+    let (shards, parallel) = (config.shards, config.parallel);
+    let config = config.ecmp(s.closed_loop).frame_pool_buffers(16 * 1024);
     let (mut sim, tree) = fat_tree_with(config, params, apps);
     assert!(
         tree.all_hosts().eq((0..n_hosts).map(HostId)),
@@ -319,7 +317,7 @@ pub fn run(name: &str, s: &Scenario, shards: usize, sequential: bool, allocs: fn
     // window's entry and events mailed across a boundary are over all.
     let sync = sim.shard_sync_stats();
     let (flows_completed, windows) = (completions.len(), sync[0].windows);
-    let driver = if sequential { "seq" } else { "threaded" };
+    let driver = if parallel { "threaded" } else { "seq" };
     println!(
         "{name}[{shards} {driver}]: {flows_completed}/{flows_total} flows completed, fingerprint 0x{fingerprint:016x} | \
          sim {sim_ms:.1} ms in {wall_s:.2} s wall ({events} events, {:.0}/s) | {windows} windows of \
@@ -357,38 +355,31 @@ pub fn run(name: &str, s: &Scenario, shards: usize, sequential: bool, allocs: fn
     }
 }
 
-/// The shard-invariance matrix: the closed loop at 1/2/4 shards,
-/// threaded and sequential, must produce bit-identical fingerprints.
-const CLOSED_MATRIX: &[(&str, usize, bool)] = &[
-    ("1_shard_seq", 1, true),
-    ("2_shards_threaded", 2, false),
-    ("4_shards_threaded", 4, false),
-    ("4_shards_seq", 4, true),
-];
-
-/// Run the matrix; returns the `closed_loop` section (the 1-shard run's
-/// numbers and every row's fingerprint).
+/// Run the closed loop on every row of [`shard_matrix`]; returns the
+/// `closed_loop` section (the 1-shard run's numbers and every row's
+/// fingerprint).
 ///
 /// # Panics
 ///
 /// When a row's fingerprint differs from the 1-shard run's.
 pub fn closed_section() -> String {
-    let runs: Vec<Run> = CLOSED_MATRIX
-        .iter()
-        .map(|(_, shards, sequential)| run("closed_loop", &CLOSED, *shards, *sequential, || 0))
+    let runs: Vec<(&str, Run)> = shard_matrix()
+        .into_iter()
+        .map(|(row, config)| (row, run("closed_loop", &CLOSED, config, || 0)))
         .collect();
+    let reference = &runs[0].1;
     let mut rows = Vec::new();
-    for ((name, ..), Run { fingerprint, .. }) in CLOSED_MATRIX.iter().zip(&runs) {
+    for (row, Run { fingerprint, .. }) in &runs {
         assert_eq!(
-            *fingerprint, runs[0].fingerprint,
-            "{name}: closed-loop run diverged from the 1-shard baseline"
+            *fingerprint, reference.fingerprint,
+            "{row}: closed-loop run diverged from the 1-shard baseline"
         );
         rows.push(format!(
-            "      {{\"run\": \"{name}\", \"fingerprint\": \"0x{fingerprint:016x}\"}}"
+            "      {{\"run\": \"{row}\", \"fingerprint\": \"0x{fingerprint:016x}\"}}"
         ));
     }
     let shard_matrix = format!("    \"shard_matrix\": [\n{}\n    ],\n", rows.join(",\n"));
-    format!("{}{shard_matrix}{}", runs[0].head, runs[0].tail)
+    format!("{}{shard_matrix}{}", reference.head, reference.tail)
 }
 
 /// The whole `BENCH_fct.json` document from its three sections.

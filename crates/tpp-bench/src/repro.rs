@@ -2,9 +2,10 @@
 //! `EXPERIMENTS.md` (E1–E8, E11, E14, E15), each building its scenario
 //! through the shared builders below and filling one [`Section`] of
 //! `REPRO.json`. Every value is simulated (an integer, or the exact string
-//! a table prints), so any shard count writes the same bytes, and
-//! `tests/repro.rs` compares a fresh build with the committed file. Where
-//! the paper gives a figure, the section holds it under a `paper_` key.
+//! a table prints), so every row of the shard matrix writes the same
+//! bytes, and `tests/repro.rs` compares a fresh build on each row with the
+//! committed file. Where the paper gives a figure, the section holds it
+//! under a `paper_` key.
 
 use tpp_apps::ndb::{missing_ids, NdbProbeSender, PathPolicy, TraceCollector, Violation};
 use tpp_apps::rcpstar::{init_rate_registers, RcpStarConfig, RcpStarSender};
@@ -15,8 +16,8 @@ use tpp_control::NetworkController;
 use tpp_host::{EchoReceiver, ProbeBuilder, DATA_ETHERTYPE};
 use tpp_isa::{assemble, programs, Stat};
 use tpp_netsim::{
-    dumbbell, linear_chain, time, Dumbbell, DumbbellParams, HostApp, HostCtx, HostId,
-    LinearChainParams, RunLimit, Simulator,
+    dumbbell_with, linear_chain_with, time, Dumbbell, DumbbellParams, HostApp, HostCtx, HostId,
+    LinearChainParams, RunLimit, SimConfig, Simulator,
 };
 use tpp_rcp_ref::aimd::{AimdAcker, AimdConfig, AimdSender};
 use tpp_rcp_ref::dctcp::{DctcpConfig, DctcpReceiver, DctcpSender};
@@ -41,6 +42,8 @@ pub struct Section {
     /// Pipeline trace events; empty unless the run was traced.
     pub trace: Vec<TraceEvent>,
     tracing: bool,
+    /// Every simulator the experiment builds runs on this.
+    config: SimConfig,
     fields: Vec<(&'static str, Field)>,
 }
 
@@ -163,10 +166,13 @@ pub const EXPERIMENTS: [Experiment; 11] = [
     ("e15", "§1 flow completion times", e15),
 ];
 
-/// Run experiment `key` (`None` if unknown); `tracing` keeps e6 and e7's pipeline trace.
-pub fn run(key: &str, tracing: bool) -> Option<Section> {
+/// Run experiment `key` (`None` if unknown) on `config`; `tracing` keeps e6 and e7's
+/// pipeline trace.
+pub fn run(key: &str, tracing: bool, config: SimConfig) -> Option<Section> {
     let &(key, title, build) = EXPERIMENTS.iter().find(|e| e.0 == key)?;
-    let mut section = with(|s: &mut Section| (s.key, s.title, s.tracing) = (key, title, tracing));
+    let mut section = with(|s: &mut Section| {
+        (s.key, s.title, s.tracing, s.config) = (key, title, tracing, config)
+    });
     build(&mut section);
     Some(section)
 }
@@ -177,8 +183,10 @@ pub fn document(sections: &[Section]) -> String {
     Json::Obj(fields.collect()).pretty()
 }
 
-/// `params`' dumbbell with `n` pairs: `sender(i, receiver i's MAC)` to an `R::default()`.
+/// `params`' dumbbell on `config` with `n` pairs: `sender(i, receiver i's MAC)` to an
+/// `R::default()`.
 fn dumbbell_pairs<S: HostApp, R: HostApp + Default>(
+    config: &SimConfig,
     mut params: DumbbellParams,
     n: usize,
     mut sender: impl FnMut(usize, EthernetAddress) -> S,
@@ -189,7 +197,7 @@ fn dumbbell_pairs<S: HostApp, R: HostApp + Default>(
         apps.push((Box::new(sender(i, dst)), Box::new(R::default())));
     }
     params.n_pairs = n;
-    dumbbell(params, apps)
+    dumbbell_with(config.clone(), params, apps)
 }
 
 /// The apps on `hosts`, as `T`.
@@ -198,9 +206,13 @@ fn apps<'a, T: HostApp>(sim: &'a Simulator, hosts: &'a [HostId]) -> impl Iterato
 }
 
 /// An RCP\* sender per entry of `flows`, echo receivers, rate registers on both switches.
-pub fn rcp_dumbbell(params: DumbbellParams, flows: &[RcpStarConfig]) -> (Simulator, Dumbbell) {
+pub fn rcp_dumbbell(
+    config: &SimConfig,
+    params: DumbbellParams,
+    flows: &[RcpStarConfig],
+) -> (Simulator, Dumbbell) {
     let sender = |i: usize, dst| RcpStarSender::new(dst, flows[i]);
-    let (mut sim, bell) = dumbbell_pairs::<_, EchoReceiver>(params, flows.len(), sender);
+    let (mut sim, bell) = dumbbell_pairs::<_, EchoReceiver>(config, params, flows.len(), sender);
     for sw in [bell.left, bell.right] {
         init_rate_registers(sim.switch_mut(sw));
     }
@@ -247,7 +259,11 @@ impl HostApp for Burster {
 /// §2.1's dumbbell (100 Mb/s bottleneck, 1 Gb/s edges): pair 0 fires `bursts` ~20 KB
 /// bursts every 2 ms, each draining in ~1.6 ms; pair 1's sender is the TPP monitor,
 /// probing every 53 µs (co-prime with the burst period) until `monitor_stop_ns`.
-pub fn burst_dumbbell(bursts: u32, monitor_stop_ns: u64) -> (Simulator, Dumbbell) {
+pub fn burst_dumbbell(
+    config: &SimConfig,
+    bursts: u32,
+    monitor_stop_ns: u64,
+) -> (Simulator, Dumbbell) {
     let [victim, watched] = [1, 3].map(EthernetAddress::from_host_id);
     let burster = Burster { victim, bursts };
     let monitor = MicroburstMonitor::new(watched, 2, time::micros(53), 0, monitor_stop_ns);
@@ -259,7 +275,7 @@ pub fn burst_dumbbell(bursts: u32, monitor_stop_ns: u64) -> (Simulator, Dumbbell
         (p.n_pairs, p.bottleneck_kbps) = (2, 100_000);
         (p.edge_kbps, p.host_nic_kbps) = (1_000_000, 1_000_000);
     });
-    dumbbell(params, apps)
+    dumbbell_with(config.clone(), params, apps)
 }
 
 /// A standalone switch `id` with host 1 routed out of port 1.
@@ -334,7 +350,7 @@ fn e2(s: &mut Section) {
         let flows = starts.map(|t| {
             with(|c: &mut RcpStarConfig| (c.start_ns, c.compute_updates) = (time::secs(t), !native))
         });
-        let (mut sim, bell) = rcp_dumbbell(DumbbellParams::default(), &flows);
+        let (mut sim, bell) = rcp_dumbbell(&s.config, DumbbellParams::default(), &flows);
         match native {
             true => run_native_rcp(&mut sim, &bell, time::secs(run_s)),
             false => sim.run(RunLimit::Until(time::secs(run_s))),
@@ -491,7 +507,7 @@ fn e6(s: &mut Section) {
     s.put("bursts", bursts);
     s.put("run_ms", run_ms);
     s.put("threshold_bytes", threshold);
-    let (mut sim, bell) = burst_dumbbell(bursts, time::millis(run_ms));
+    let (mut sim, bell) = burst_dumbbell(&s.config, bursts, time::millis(run_ms));
     // A bounded ring: this run processes hundreds of thousands of frames.
     let sink = s.tracing.then(|| sim.observe().trace_all(65_536));
     // Ground truth: the bottleneck queue every 10 µs.
@@ -546,13 +562,13 @@ type NdbRun = (Vec<Violation>, usize, usize, Vec<TraceEvent>);
 /// §2.3's chain: 25 ndb probes across five switches, each forwarding by one controller
 /// rule that `fault` stales (`false`) or black-holes (`true`) at a position. Returns the
 /// violations, traces and missing packets after 20 ms, and the trace when `tracing`.
-fn ndb_run(fault: Option<(bool, usize)>, tracing: bool) -> NdbRun {
+fn ndb_run(config: &SimConfig, fault: Option<(bool, usize)>, tracing: bool) -> NdbRun {
     let mut controller = NetworkController::new();
     let dst = EthernetAddress::from_host_id(1);
     let prober = NdbProbeSender::new(dst, NDB_SWITCHES, time::micros(50), 25);
     let params = with(|p: &mut LinearChainParams| p.n_switches = NDB_SWITCHES);
     let collector = Box::<TraceCollector>::default();
-    let (mut sim, chain) = linear_chain(params, Box::new(prober), collector);
+    let (mut sim, chain) = linear_chain_with(config.clone(), params, Box::new(prober), collector);
     let to_dst = with(|m: &mut FlowMatch| m.dst_mac = Some(dst));
     let entry = controller.new_entry_id();
     for &sw in &chain.switches {
@@ -588,11 +604,12 @@ fn blames(v: &Violation, id: usize) -> bool {
 }
 
 fn e7(s: &mut Section) {
+    let config = s.config.clone();
     let yes = |b: bool| if b { "yes" } else { "NO" };
     let rows = s.table("faults", "fault;injected at;detected;localized");
     for (name, black_hole) in [("stale rule", false), ("black hole", true)] {
         for at in 0..NDB_SWITCHES {
-            let (found, _, missing, _) = ndb_run(Some((black_hole, at)), false);
+            let (found, _, missing, _) = ndb_run(&config, Some((black_hole, at)), false);
             // A black hole exists from t = 0: only its detection is checked.
             let detected = if black_hole { missing } else { found.len() } > 0;
             let localized = detected && (black_hole || found.iter().all(|v| blames(v, at + 1)));
@@ -601,7 +618,7 @@ fn e7(s: &mut Section) {
         }
     }
     // No fault, no violations; with `--trace`, this run is captured.
-    let (found, traces, _, events) = ndb_run(None, s.tracing);
+    let (found, traces, _, events) = ndb_run(&config, None, s.tracing);
     s.put("healthy_false_positives", found.len());
     s.put("healthy_traces", traces);
     s.trace = events;
@@ -609,6 +626,7 @@ fn e7(s: &mut Section) {
 
 fn e8(s: &mut Section) {
     const GOAL: u32 = 25;
+    let config = s.config.clone();
     s.put("increments_per_host", GOAL);
     let params = with(|p: &mut DumbbellParams| p.bottleneck_kbps = 100_000);
     let modes = [
@@ -620,7 +638,8 @@ fn e8(s: &mut Section) {
     for n in [1, 2, 3, 5] {
         for (label, mode) in modes {
             let task = |_, dst| CounterTask::new(dst, 1, 0, GOAL, mode);
-            let (mut sim, bell) = dumbbell_pairs::<_, EchoReceiver>(params.clone(), n, task);
+            let (mut sim, bell) =
+                dumbbell_pairs::<_, EchoReceiver>(&config, params.clone(), n, task);
             sim.run(RunLimit::Until(time::secs(60)));
             let tasks: Vec<&CounterTask> = apps(&sim, &bell.senders).collect();
             assert!(tasks.iter().all(|t| t.done()), "task did not finish");
@@ -665,12 +684,12 @@ fn e11(s: &mut Section) {
     s.put("buffer_bytes", params.queue_limit_bytes);
     s.put("ecn_k_bytes", ecn_k);
     let aimd = |_, dst| AimdSender::new(dst, AimdConfig::default(), 0);
-    let aimd = dumbbell_pairs::<_, AimdAcker>(params.clone(), 2, aimd);
+    let aimd = dumbbell_pairs::<_, AimdAcker>(&s.config, params.clone(), 2, aimd);
     let dctcp = |_, dst| DctcpSender::new(dst, DctcpConfig::default(), 0);
-    let (mut sim, bell) = dumbbell_pairs::<_, DctcpReceiver>(params.clone(), 2, dctcp);
+    let (mut sim, bell) = dumbbell_pairs::<_, DctcpReceiver>(&s.config, params.clone(), 2, dctcp);
     let (left, port) = (bell.left, bell.bottleneck_port);
     sim.switch_mut(left).set_ecn_threshold(port, Some(ecn_k));
-    let rcp = rcp_dumbbell(params, &[RcpStarConfig::default(); 2]);
+    let rcp = rcp_dumbbell(&s.config, params, &[RcpStarConfig::default(); 2]);
     let acked: Received = |sim, h| sim.host_app::<AimdAcker>(h).bytes;
     let marked: Received = |sim, h| sim.host_app::<DctcpReceiver>(h).bytes;
     let echoed: Received = |sim, h| sim.host_app::<EchoReceiver>(h).data_bytes;
@@ -683,6 +702,7 @@ fn e11(s: &mut Section) {
 }
 
 fn e14(s: &mut Section) {
+    let config = s.config.clone();
     // Which choices each variant keeps: byte-counter y, gain normalization, step clamp.
     let variants = [
         ("full RCP* (all three)", [true; 3]),
@@ -696,7 +716,7 @@ fn e14(s: &mut Section) {
         let flow = with(|c: &mut RcpStarConfig| {
             [c.y_from_byte_counter, c.gain_normalization, c.step_clamp] = keep
         });
-        let (mut sim, bell) = rcp_dumbbell(DumbbellParams::default(), &[flow; 2]);
+        let (mut sim, bell) = rcp_dumbbell(&config, DumbbellParams::default(), &[flow; 2]);
         sim.run(RunLimit::Until(time::secs(10)));
         // Flow 0's settled window.
         let trace = &sim.host_app::<RcpStarSender>(bell.senders[0]).rate_trace;
@@ -723,17 +743,19 @@ fn e15(s: &mut Section) {
     }
     let until = RunLimit::Until(time::secs(40));
     let params = with(|p: &mut DumbbellParams| p.queue_limit_bytes = 60_000);
-    let (mut sim, bell) = dumbbell_pairs::<_, AimdAcker>(params, flows.len(), |i, dst| {
-        let cfg = with(|c: &mut AimdConfig| c.stop_after_bytes = Some(flows[i].1));
-        AimdSender::new(dst, cfg, flows[i].0)
-    });
+    let (mut sim, bell) =
+        dumbbell_pairs::<_, AimdAcker>(&s.config, params, flows.len(), |i, dst| {
+            let cfg = with(|c: &mut AimdConfig| c.stop_after_bytes = Some(flows[i].1));
+            AimdSender::new(dst, cfg, flows[i].0)
+        });
     sim.run(until);
     let senders = apps::<AimdSender>(&sim, &bell.senders);
     let aimd: Vec<_> = senders.map(|a| a.completed_at).collect();
     let rcp = flows.iter().map(|&(start, bytes)| {
         with(|c: &mut RcpStarConfig| (c.start_ns, c.stop_after_bytes) = (start, Some(bytes)))
     });
-    let (mut sim, bell) = rcp_dumbbell(DumbbellParams::default(), &rcp.collect::<Vec<_>>());
+    let rcp: Vec<_> = rcp.collect();
+    let (mut sim, bell) = rcp_dumbbell(&s.config, DumbbellParams::default(), &rcp);
     sim.run(until);
     let senders = apps::<RcpStarSender>(&sim, &bell.senders);
     let rcp: Vec<_> = senders.map(|a| a.completed_at).collect();

@@ -135,15 +135,16 @@ pub struct SegmentHdr {
     pub kind: u8,
     /// [`FLAG_FIN`] | [`FLAG_MINING`].
     pub flags: u8,
-    /// Total flow size, bytes.
+    /// Total flow size, bytes. A `u32` byte count, so a flow of 4 GiB
+    /// or more cannot be named, as in `traffic::Flow.bytes`.
     pub total_bytes: u32,
     /// Flow start time, ns (carried for FCT accounting).
     pub start_ns: u64,
     /// Flow key — also the ECMP flow label (bytes 16..24, after
     /// [`MAGIC`]).
     pub key: u64,
-    /// DATA: segment index. ACK: index of the data segment that
-    /// triggered it (Karn disambiguation).
+    /// DATA: segment index, not a byte offset. ACK: index of the data
+    /// segment that triggered it (Karn disambiguation).
     pub seq: u32,
     /// ACK: cumulative next-expected segment. DATA: zero.
     pub ack: u32,
@@ -289,6 +290,9 @@ pub struct FlowSender {
 impl FlowSender {
     /// A sender for `total_bytes` keyed by `key`, starting at
     /// `start_ns`. Zero-byte flows still carry one FIN segment.
+    /// `total_bytes` is a `u32` byte count, so flows of 4 GiB or more are
+    /// unrepresentable; segments are numbered by index, and the sender
+    /// keeps one retransmit counter per segment.
     pub fn new(
         cfg: TransportConfig,
         key: u64,
@@ -775,6 +779,43 @@ mod tests {
 
     fn sender(total_bytes: u32) -> FlowSender {
         FlowSender::new(cfg(), 0xAB, total_bytes, false, 1_000)
+    }
+
+    /// The largest flow a `u32` byte count names, at the default MSS:
+    /// 3,050,403 segments, one retransmit counter each, a short last
+    /// segment, and no `seq + 1` that wraps on the way to completion.
+    #[test]
+    fn largest_u32_flow_segments_and_completes() {
+        let cfg = TransportConfig::default();
+        let mss = cfg.mss as u32;
+        let total_segs = segments_for(u32::MAX, cfg.mss);
+        assert_eq!(total_segs, u32::MAX.div_ceil(mss));
+        assert_eq!(total_segs, 3_050_403);
+        let mut tx = FlowSender::new(cfg, 0xAB, u32::MAX, false, 0);
+        assert_eq!(tx.total_segs(), total_segs);
+        let first = tx.poll_send(0).expect("the first segment");
+        assert_eq!(
+            (first.seq, first.body_len as u32, first.fin),
+            (0, mss, false)
+        );
+
+        // A cumulative ACK of everything but the last segment.
+        let last = total_segs - 1;
+        assert_eq!(tx.on_ack(last, 0, 0, 10), AckOutcome::Advanced);
+        let fin = tx.poll_send(10).expect("the last segment");
+        assert_eq!((fin.seq, fin.fin, fin.retransmit), (last, true, false));
+        assert_eq!(fin.body_len, 1_279);
+        let bytes = last as u64 * mss as u64 + fin.body_len as u64;
+        assert_eq!(bytes, u32::MAX as u64, "the segments carry every byte");
+        let hdr = tx.data_hdr(fin, 10);
+        assert_eq!((hdr.total_bytes, hdr.seq), (u32::MAX, last));
+        assert_eq!(tx.poll_send(10), None, "nothing past the last segment");
+        assert_eq!(tx.on_ack(total_segs, last, 10, 20), AckOutcome::Completed);
+
+        let mut rx = FlowReceiver::new(total_segs);
+        assert!(rx.on_data(u32::MAX, 0).duplicate, "a seq past the flow");
+        assert!(!rx.on_data(last, 0).duplicate, "the last segment buffers");
+        assert_eq!(rx.rcv_next(), 0);
     }
 
     fn macs() -> (EthernetAddress, EthernetAddress) {

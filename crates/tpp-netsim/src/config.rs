@@ -58,18 +58,11 @@ pub struct SimConfig {
 pub(crate) const DEFAULT_SEED: u64 = 0x7199_7199;
 
 impl Default for SimConfig {
-    /// The single-shard configuration every pre-existing experiment ran
-    /// under. The `TPP_SHARDS` environment variable overrides the shard
-    /// count so whole unmodified test suites can be replayed sharded
-    /// (the multi-shard CI determinism lane does exactly this).
+    /// One shard: the reference every row of
+    /// [`shard_matrix`](crate::shard_matrix) must reproduce.
     fn default() -> Self {
-        let shards = std::env::var("TPP_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1);
         SimConfig {
-            shards,
+            shards: 1,
             parallel: true,
             tick_interval_ns: crate::time::millis(1),
             seed: DEFAULT_SEED,
@@ -170,6 +163,7 @@ mod tests {
         assert_eq!(cfg.frame_pool_buffers, 8);
         assert!(cfg.ecmp);
         assert!(!SimConfig::new().ecmp, "ECMP is opt-in");
+        assert_eq!(SimConfig::new().shards, 1, "one shard unless asked");
     }
 
     #[test]

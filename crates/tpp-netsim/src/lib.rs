@@ -87,7 +87,7 @@ pub use routing::{flow_label, EcmpTable};
 pub use series::{
     RingSeries, SeriesSet, SwitchSeries, FLEET_SERIES_METRICS, SWITCH_SERIES_METRICS,
 };
-pub use shard::ShardSyncStats;
+pub use shard::{for_each_shard_row, shard_matrix, ShardSyncStats};
 pub use sim::{Endpoint, NetworkBuilder, Simulator, TapDir, TapRecord, Topology};
 pub use topology::{
     bonded_diamond, bonded_diamond_with, dumbbell, dumbbell_with, fat_tree, fat_tree_with,

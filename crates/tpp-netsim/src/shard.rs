@@ -31,7 +31,7 @@ use std::sync::{Mutex, OnceLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::config::RunLimit;
+use crate::config::{RunLimit, SimConfig};
 use crate::event::{Event, EventKey, EventKind, EventQueue, FaultApply, NodeId};
 use crate::fault::FaultCounters;
 use crate::node::{HostAction, HostApp, HostCtx, HostId, SwitchId};
@@ -55,6 +55,34 @@ pub(crate) fn mix64(seed: u64, key: u64) -> u64 {
     x ^= x >> 27;
     x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// The shard matrix: one shard (the reference), two and four on worker
+/// threads, and four stepped on one thread, each named as
+/// `BENCH_fct.json`'s `shard_matrix` prints it. A seeded run must come
+/// out bit-identical on every row, so suites that build a [`Simulator`]
+/// replay on each row's config ([`for_each_shard_row`]).
+///
+/// [`Simulator`]: crate::Simulator
+pub fn shard_matrix() -> [(&'static str, SimConfig); 4] {
+    let row = |shards, parallel| SimConfig::new().shards(shards).parallel(parallel);
+    [
+        ("1_shard_seq", row(1, false)),
+        ("2_shards_threaded", row(2, true)),
+        ("4_shards_threaded", row(4, true)),
+        ("4_shards_seq", row(4, false)),
+    ]
+}
+
+/// Run `check` once per row of [`shard_matrix`], on that row's config;
+/// a failing row is named before its panic goes on.
+pub fn for_each_shard_row(mut check: impl FnMut(SimConfig)) {
+    for (row, config) in shard_matrix() {
+        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| check(config))) {
+            eprintln!("failed on shard row {row}");
+            resume_unwind(panic);
+        }
+    }
 }
 
 /// Deterministic window-protocol counters of one shard: equal for the

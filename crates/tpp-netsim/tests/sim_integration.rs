@@ -1,13 +1,14 @@
 //! Integration tests: frames and TPPs traversing real multi-hop
-//! topologies, timing, and determinism.
+//! topologies, timing, and determinism, on every row of the shard
+//! matrix.
 #![allow(clippy::field_reassign_with_default)]
 
 use tpp_asic::PortId;
 use tpp_isa::assemble;
 use tpp_netsim::RunLimit;
 use tpp_netsim::{
-    dumbbell, leaf_spine, linear_chain, linear_chain_with, time, DumbbellParams, HostApp, HostCtx,
-    LeafSpineParams, LinearChainParams, SimConfig,
+    dumbbell_with, for_each_shard_row, leaf_spine_with, linear_chain_with, time, DumbbellParams,
+    HostApp, HostCtx, LeafSpineParams, LinearChainParams, SimConfig,
 };
 use tpp_wire::ethernet::{build_frame, EtherType, Frame};
 use tpp_wire::tpp::{AddressingMode, TppBuilder, TppPacket};
@@ -59,11 +60,16 @@ impl HostApp for Idle {}
 
 #[test]
 fn figure1_queue_walk_across_chain() {
+    for_each_shard_row(check_figure1_queue_walk_across_chain);
+}
+
+fn check_figure1_queue_walk_across_chain(config: SimConfig) {
     // Figure 1: a PUSH [Queue:QueueSize] TPP walks a 3-switch path and
     // returns one queue sample per hop; on an idle network all three
     // samples are zero and the hop count is 3.
     let dst = EthernetAddress::from_host_id(1); // right host is id 1
-    let (mut sim, chain) = linear_chain(
+    let (mut sim, chain) = linear_chain_with(
+        config,
         LinearChainParams::default(),
         Box::new(TppSender {
             dst,
@@ -83,8 +89,13 @@ fn figure1_queue_walk_across_chain() {
 
 #[test]
 fn switch_ids_recorded_in_path_order() {
+    for_each_shard_row(check_switch_ids_recorded_in_path_order);
+}
+
+fn check_switch_ids_recorded_in_path_order(config: SimConfig) {
     let dst = EthernetAddress::from_host_id(1);
-    let (mut sim, chain) = linear_chain(
+    let (mut sim, chain) = linear_chain_with(
+        config,
         LinearChainParams {
             n_switches: 5,
             ..Default::default()
@@ -104,6 +115,10 @@ fn switch_ids_recorded_in_path_order() {
 
 #[test]
 fn arrival_time_accounts_for_serialization_and_propagation() {
+    for_each_shard_row(check_arrival_time_accounts_for_serialization_and_propagation);
+}
+
+fn check_arrival_time_accounts_for_serialization_and_propagation(config: SimConfig) {
     // One 10 Mb/s chain of 1 switch: frame of known size, so arrival time
     // is exactly 2 serializations (host NIC + switch egress) + 2
     // propagation delays (no queueing).
@@ -115,7 +130,8 @@ fn arrival_time_accounts_for_serialization_and_propagation() {
         ..Default::default()
     };
     let dst = EthernetAddress::from_host_id(1);
-    let (mut sim, chain) = linear_chain(
+    let (mut sim, chain) = linear_chain_with(
+        config,
         params,
         Box::new(TppSender {
             dst,
@@ -135,6 +151,10 @@ fn arrival_time_accounts_for_serialization_and_propagation() {
 
 #[test]
 fn queue_builds_at_dumbbell_bottleneck_and_tpp_sees_it() {
+    for_each_shard_row(check_queue_builds_at_dumbbell_bottleneck_and_tpp_sees_it);
+}
+
+fn check_queue_builds_at_dumbbell_bottleneck_and_tpp_sees_it(config: SimConfig) {
     // Fill the bottleneck with bulk traffic from pair 0, then probe with
     // a TPP from pair 1: the probe's queue sample must be nonzero.
     struct Bulk {
@@ -174,7 +194,8 @@ fn queue_builds_at_dumbbell_bottleneck_and_tpp_sees_it() {
             Box::new(TppCollector::default()),
         ),
     ];
-    let (mut sim, bell) = dumbbell(
+    let (mut sim, bell) = dumbbell_with(
+        config,
         DumbbellParams {
             n_pairs: 2,
             ..Default::default()
@@ -206,6 +227,10 @@ fn queue_builds_at_dumbbell_bottleneck_and_tpp_sees_it() {
 
 #[test]
 fn leaf_spine_cross_rack_path_is_three_switches() {
+    for_each_shard_row(check_leaf_spine_cross_rack_path_is_three_switches);
+}
+
+fn check_leaf_spine_cross_rack_path_is_three_switches(config: SimConfig) {
     let params = LeafSpineParams {
         n_leaves: 2,
         n_spines: 2,
@@ -224,7 +249,7 @@ fn leaf_spine_cross_rack_path_is_three_switches() {
         Box::new(Idle),
         Box::new(TppCollector::default()),
     ];
-    let (mut sim, fabric) = leaf_spine(params, apps);
+    let (mut sim, fabric) = leaf_spine_with(config, params, apps);
     sim.run(RunLimit::Until(time::millis(1)));
     let collector = sim.host_app::<TppCollector>(fabric.hosts[1][1]);
     assert_eq!(collector.received.len(), 1);
@@ -237,6 +262,10 @@ fn leaf_spine_cross_rack_path_is_three_switches() {
 
 #[test]
 fn intra_rack_path_stays_on_one_switch() {
+    for_each_shard_row(check_intra_rack_path_stays_on_one_switch);
+}
+
+fn check_intra_rack_path_stays_on_one_switch(config: SimConfig) {
     let params = LeafSpineParams {
         n_leaves: 2,
         n_spines: 1,
@@ -254,7 +283,7 @@ fn intra_rack_path_stays_on_one_switch() {
         Box::new(Idle),
         Box::new(Idle),
     ];
-    let (mut sim, fabric) = leaf_spine(params, apps);
+    let (mut sim, fabric) = leaf_spine_with(config, params, apps);
     sim.run(RunLimit::Until(time::millis(1)));
     let collector = sim.host_app::<TppCollector>(fabric.hosts[0][1]);
     assert_eq!(collector.received[0].1, vec![0x10]);
@@ -262,12 +291,17 @@ fn intra_rack_path_stays_on_one_switch() {
 
 #[test]
 fn simulation_is_deterministic() {
+    for_each_shard_row(check_simulation_is_deterministic);
+}
+
+fn check_simulation_is_deterministic(config: SimConfig) {
     // Two identical runs produce identical telemetry, byte counters and
     // event timings.
     type RunResult = (Vec<(u64, Vec<u32>, u8)>, u64, u64);
-    fn run() -> RunResult {
+    fn run(config: SimConfig) -> RunResult {
         let dst = EthernetAddress::from_host_id(1);
-        let (mut sim, chain) = linear_chain(
+        let (mut sim, chain) = linear_chain_with(
+            config,
             LinearChainParams {
                 n_switches: 4,
                 ..Default::default()
@@ -286,11 +320,15 @@ fn simulation_is_deterministic() {
         let processed = sim.switch(chain.switches[3]).regs().packets_processed;
         (received, tx, processed)
     }
-    assert_eq!(run(), run());
+    assert_eq!(run(config.clone()), run(config));
 }
 
 #[test]
 fn timers_fire_in_order_and_at_the_right_time() {
+    for_each_shard_row(check_timers_fire_in_order_and_at_the_right_time);
+}
+
+fn check_timers_fire_in_order_and_at_the_right_time(config: SimConfig) {
     #[derive(Default)]
     struct TimerApp {
         fired: Vec<(u64, u64)>,
@@ -305,7 +343,8 @@ fn timers_fire_in_order_and_at_the_right_time() {
             self.fired.push((ctx.now(), token));
         }
     }
-    let (mut sim, chain) = linear_chain(
+    let (mut sim, chain) = linear_chain_with(
+        config,
         LinearChainParams::default(),
         Box::new(TimerApp::default()),
         Box::new(Idle),
@@ -341,6 +380,10 @@ fn a_panic_on_one_threaded_shard_fails_the_run() {
 
 #[test]
 fn utilization_register_reflects_offered_load() {
+    for_each_shard_row(check_utilization_register_reflects_offered_load);
+}
+
+fn check_utilization_register_reflects_offered_load(config: SimConfig) {
     // Saturate the bottleneck for 200 ms, then read RX-Utilization from
     // ground truth: it should be near 1000 per-mille.
     struct Flood {
@@ -366,7 +409,8 @@ fn utilization_register_reflects_offered_load() {
         }),
         Box::new(Idle),
     )];
-    let (mut sim, bell) = dumbbell(
+    let (mut sim, bell) = dumbbell_with(
+        config,
         DumbbellParams {
             n_pairs: 1,
             ..Default::default()
@@ -384,6 +428,10 @@ fn utilization_register_reflects_offered_load() {
 
 #[test]
 fn tpp_frames_share_fate_with_congestion() {
+    for_each_shard_row(check_tpp_frames_share_fate_with_congestion);
+}
+
+fn check_tpp_frames_share_fate_with_congestion(config: SimConfig) {
     // TPPs "are forwarded just like other packets; TPPs are therefore
     // subject to congestion" (§3.3): with a tiny bottleneck queue and a
     // flood, some probes must be dropped.
@@ -419,7 +467,8 @@ fn tpp_frames_share_fate_with_congestion() {
         }),
         Box::new(TppCollector::default()),
     )];
-    let (mut sim, bell) = dumbbell(
+    let (mut sim, bell) = dumbbell_with(
+        config,
         DumbbellParams {
             n_pairs: 1,
             queue_limit_bytes: 4_000,
@@ -445,11 +494,16 @@ fn tpp_frames_share_fate_with_congestion() {
 /// PortId sanity: topology helpers hand out ports that exist.
 #[test]
 fn dumbbell_bottleneck_port_is_last() {
+    for_each_shard_row(check_dumbbell_bottleneck_port_is_last);
+}
+
+fn check_dumbbell_bottleneck_port_is_last(config: SimConfig) {
     let apps: Vec<(Box<dyn HostApp>, Box<dyn HostApp>)> = vec![
         (Box::new(Idle), Box::new(Idle)),
         (Box::new(Idle), Box::new(Idle)),
     ];
-    let (sim, bell) = dumbbell(
+    let (sim, bell) = dumbbell_with(
+        config,
         DumbbellParams {
             n_pairs: 2,
             ..Default::default()
@@ -467,9 +521,14 @@ fn dumbbell_bottleneck_port_is_last() {
 
 #[test]
 fn taps_capture_both_directions_with_hop_counts() {
+    for_each_shard_row(check_taps_capture_both_directions_with_hop_counts);
+}
+
+fn check_taps_capture_both_directions_with_hop_counts(config: SimConfig) {
     use tpp_netsim::{Endpoint, TapDir};
     let dst = EthernetAddress::from_host_id(1);
-    let (mut sim, chain) = linear_chain(
+    let (mut sim, chain) = linear_chain_with(
+        config.clone(),
         LinearChainParams {
             n_switches: 2,
             ..Default::default()
@@ -499,7 +558,8 @@ fn taps_capture_both_directions_with_hop_counts() {
         .is_empty());
 
     // Host-side tap sees Rx at the collector.
-    let (mut sim2, chain2) = linear_chain(
+    let (mut sim2, chain2) = linear_chain_with(
+        config,
         LinearChainParams {
             n_switches: 2,
             ..Default::default()
@@ -561,7 +621,12 @@ fn quiescent_run_stops_when_traffic_drains() {
 
 #[test]
 fn broadcast_and_unknown_destinations_blackhole() {
-    let (mut sim, chain) = linear_chain(
+    for_each_shard_row(check_broadcast_and_unknown_destinations_blackhole);
+}
+
+fn check_broadcast_and_unknown_destinations_blackhole(config: SimConfig) {
+    let (mut sim, chain) = linear_chain_with(
+        config,
         LinearChainParams::default(),
         Box::new(TppSender {
             dst: EthernetAddress::BROADCAST,
@@ -583,7 +648,11 @@ fn broadcast_and_unknown_destinations_blackhole() {
 
 #[test]
 fn fat_tree_paths_have_textbook_lengths() {
-    use tpp_netsim::{fat_tree, FatTreeParams};
+    for_each_shard_row(check_fat_tree_paths_have_textbook_lengths);
+}
+
+fn check_fat_tree_paths_have_textbook_lengths(config: SimConfig) {
+    use tpp_netsim::{fat_tree_with, FatTreeParams};
     // k = 4: 16 hosts, 4 pods x (2 edge + 2 agg) + 4 cores.
     let k = 4;
     let n_hosts = k * k * k / 4;
@@ -612,7 +681,8 @@ fn fat_tree_paths_have_textbook_lengths() {
         };
         apps.push(app);
     }
-    let (mut sim, tree) = fat_tree(
+    let (mut sim, tree) = fat_tree_with(
+        config,
         FatTreeParams {
             k,
             ..Default::default()
@@ -671,6 +741,7 @@ impl HostApp for Counter {
 /// whose port 2 is unwired; the sender has `sender_nics` NICs, NIC 0
 /// wired.
 fn unwired_port_net(
+    config: SimConfig,
     sender: SendOnce,
     sender_nics: u16,
 ) -> (
@@ -680,7 +751,7 @@ fn unwired_port_net(
 ) {
     use tpp_asic::AsicConfig;
     use tpp_netsim::{Endpoint, NetworkBuilder};
-    let mut net = NetworkBuilder::new();
+    let mut net = NetworkBuilder::with_config(config);
     let s = net.add_switch(AsicConfig::with_ports(0x10, 3));
     let tx = net.add_host_multi(Box::new(sender), 1_000_000, sender_nics);
     let rx = net.add_host(Box::new(Counter::default()), 1_000_000);
@@ -693,8 +764,12 @@ fn unwired_port_net(
 
 #[test]
 fn frames_on_an_unwired_nic_are_recycled_without_link_free() {
+    for_each_shard_row(check_frames_on_an_unwired_nic_are_recycled_without_link_free);
+}
+
+fn check_frames_on_an_unwired_nic_are_recycled_without_link_free(config: SimConfig) {
     let dst = EthernetAddress::from_host_id(1);
-    let (mut sim, _, rx) = unwired_port_net(SendOnce { dst, port: 1 }, 2);
+    let (mut sim, _, rx) = unwired_port_net(config, SendOnce { dst, port: 1 }, 2);
     sim.run(RunLimit::Until(time::millis(1)));
     assert_eq!(sim.frame_pool_stats().2, 1, "the frame is recycled");
     assert_eq!(sim.host_app::<Counter>(rx).got, 0);
@@ -703,8 +778,14 @@ fn frames_on_an_unwired_nic_are_recycled_without_link_free() {
 
 #[test]
 fn frames_routed_to_an_unwired_switch_port_are_recycled_without_link_free() {
+    for_each_shard_row(
+        check_frames_routed_to_an_unwired_switch_port_are_recycled_without_link_free,
+    );
+}
+
+fn check_frames_routed_to_an_unwired_switch_port_are_recycled_without_link_free(config: SimConfig) {
     let dst = EthernetAddress::from_host_id(1);
-    let (mut sim, s, rx) = unwired_port_net(SendOnce { dst, port: 0 }, 1);
+    let (mut sim, s, rx) = unwired_port_net(config, SendOnce { dst, port: 0 }, 1);
     sim.switch_mut(s).l2_mut().insert(dst, 2);
     sim.run(RunLimit::Until(time::millis(1)));
     assert_eq!(sim.frame_pool_stats().2, 1, "the frame is recycled");

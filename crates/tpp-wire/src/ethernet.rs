@@ -114,11 +114,6 @@ impl<T: AsRef<[u8]>> Frame<T> {
         Ok(Frame { buffer })
     }
 
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// Destination MAC address.
     pub fn dst_addr(&self) -> EthernetAddress {
         let b = self.buffer.as_ref();

@@ -178,11 +178,6 @@ impl<T: AsRef<[u8]>> TppPacket<T> {
         Ok(())
     }
 
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// TPP format version (always 1).
     pub fn version(&self) -> u8 {
         self.buffer.as_ref()[0]

@@ -16,14 +16,17 @@
 //! 4. The same plan (same seed, same schedule) replays to a
 //!    byte-identical trace event sequence; a plan-free run injects
 //!    nothing.
+//!
+//! Every test holds on every row of the shard matrix.
 
 use tpp::apps::cstore::{CounterTask, CounterWriteMode};
 use tpp::apps::rcpstar::{init_rate_registers, RcpStarConfig, RcpStarSender, RCP_RATE_REGISTER};
 use tpp::host::EchoReceiver;
 use tpp::netsim::RunLimit;
 use tpp::netsim::{
-    dumbbell, fat_tree_with, time, ChannelProfile, Dumbbell, DumbbellParams, Endpoint,
-    FatTreeParams, FaultCounters, FaultPlan, HostApp, HostId, SimConfig, Simulator,
+    dumbbell_with, fat_tree_with, for_each_shard_row, time, ChannelProfile, Dumbbell,
+    DumbbellParams, Endpoint, FatTreeParams, FaultCounters, FaultPlan, HostApp, HostId, SimConfig,
+    Simulator,
 };
 use tpp::telemetry::TraceEventKind;
 use tpp::wire::EthernetAddress;
@@ -33,7 +36,7 @@ use tpp_bench::traffic::{
 
 const C_BPS: f64 = 10e6; // dumbbell default bottleneck
 
-fn rcp_dumbbell(n_flows: usize) -> (Simulator, Dumbbell) {
+fn rcp_dumbbell(config: SimConfig, n_flows: usize) -> (Simulator, Dumbbell) {
     let apps: Vec<(Box<dyn HostApp>, Box<dyn HostApp>)> = (0..n_flows)
         .map(|i| {
             let dst = EthernetAddress::from_host_id((2 * i + 1) as u32);
@@ -43,7 +46,8 @@ fn rcp_dumbbell(n_flows: usize) -> (Simulator, Dumbbell) {
             )
         })
         .collect();
-    let (mut sim, bell) = dumbbell(
+    let (mut sim, bell) = dumbbell_with(
+        config,
         DumbbellParams {
             n_pairs: n_flows,
             ..Default::default()
@@ -72,7 +76,11 @@ fn mean_rate_in_window(trace: &[(u64, u64)], lo_ns: u64, hi_ns: u64) -> f64 {
 /// 10% of the fair rate.
 #[test]
 fn rcp_reconverges_after_bottleneck_flap() {
-    let (mut sim, bell) = rcp_dumbbell(1);
+    for_each_shard_row(check_reconvergence_after_flap);
+}
+
+fn check_reconvergence_after_flap(config: SimConfig) {
+    let (mut sim, bell) = rcp_dumbbell(config, 1);
     let bottleneck = Endpoint::switch(bell.left, bell.bottleneck_port);
     let mut plan = FaultPlan::new(0xc4a0_5001);
     plan.corrupt_window(time::secs(1), time::millis(1500), bottleneck, 300)
@@ -104,6 +112,10 @@ fn rcp_reconverges_after_bottleneck_flap() {
 /// directions. Every increment must apply exactly once.
 #[test]
 fn cstore_counter_exact_under_loss_reorder_duplication() {
+    for_each_shard_row(check_cstore_counter);
+}
+
+fn check_cstore_counter(config: SimConfig) {
     const GOAL: u32 = 15;
     const WORD: usize = 4;
     let n = 3;
@@ -122,7 +134,8 @@ fn cstore_counter_exact_under_loss_reorder_duplication() {
             )
         })
         .collect();
-    let (mut sim, bell) = dumbbell(
+    let (mut sim, bell) = dumbbell_with(
+        config,
         DumbbellParams {
             n_pairs: n,
             bottleneck_kbps: 100_000,
@@ -184,7 +197,11 @@ fn cstore_counter_exact_under_loss_reorder_duplication() {
 /// flow re-converges. Nothing panics.
 #[test]
 fn switch_reboot_detected_and_reseeded() {
-    let (mut sim, bell) = rcp_dumbbell(1);
+    for_each_shard_row(check_reboot_reseed);
+}
+
+fn check_reboot_reseed(config: SimConfig) {
+    let (mut sim, bell) = rcp_dumbbell(config, 1);
     let sink = sim.observe().trace_all(1 << 20);
     let mut plan = FaultPlan::new(0xc4a0_5003);
     plan.switch_reboot(time::secs(2), bell.left);
@@ -226,8 +243,8 @@ fn switch_reboot_detected_and_reseeded() {
     );
 }
 
-fn chaotic_run(seed: u64) -> (Vec<String>, FaultCounters) {
-    let (mut sim, bell) = rcp_dumbbell(2);
+fn chaotic_run(config: &SimConfig, seed: u64) -> (Vec<String>, FaultCounters) {
+    let (mut sim, bell) = rcp_dumbbell(config.clone(), 2);
     let sink = sim.observe().trace_all(1 << 20);
     let host0 = Endpoint::host(bell.senders[0]);
     let bottleneck = Endpoint::switch(bell.left, bell.bottleneck_port);
@@ -253,14 +270,18 @@ fn chaotic_run(seed: u64) -> (Vec<String>, FaultCounters) {
 /// schedule, byte-identical trace event sequence.
 #[test]
 fn identical_fault_plans_replay_byte_identically() {
-    let (rows_a, counters_a) = chaotic_run(0xdead_beef);
-    let (rows_b, counters_b) = chaotic_run(0xdead_beef);
+    for_each_shard_row(check_fault_plan_replay);
+}
+
+fn check_fault_plan_replay(config: SimConfig) {
+    let (rows_a, counters_a) = chaotic_run(&config, 0xdead_beef);
+    let (rows_b, counters_b) = chaotic_run(&config, 0xdead_beef);
     assert!(!rows_a.is_empty());
     assert_eq!(counters_a, counters_b);
     assert_eq!(rows_a, rows_b, "same seed must replay identically");
 
     // A different seed rolls different per-frame dice.
-    let (_, counters_c) = chaotic_run(0x0bad_cafe);
+    let (_, counters_c) = chaotic_run(&config, 0x0bad_cafe);
     assert_ne!(
         (
             counters_a.duplicated,
@@ -280,7 +301,10 @@ fn identical_fault_plans_replay_byte_identically() {
 /// the edge uplinks, an uplink flap while flows are in flight, and an
 /// aggregation-switch reboot. Returns every flow's (key, FCT), the
 /// recovery counters, and the fault counters.
-fn closed_loop_chaos_run(seed: u64) -> (Vec<(u64, u64)>, [u64; 5], FaultCounters) {
+fn closed_loop_chaos_run(
+    config: &SimConfig,
+    seed: u64,
+) -> (Vec<(u64, u64)>, [u64; 5], FaultCounters) {
     let params = FatTreeParams::default(); // k=4: 16 hosts, 20 switches
     let half = params.k / 2;
     let hpe = params.effective_hosts_per_edge();
@@ -312,13 +336,8 @@ fn closed_loop_chaos_run(seed: u64) -> (Vec<(u64, u64)>, [u64; 5], FaultCounters
         })
         .collect();
 
-    let (mut sim, tree) = fat_tree_with(
-        SimConfig::new()
-            .ecmp(true)
-            .tick_interval_ns(time::millis(1)),
-        params,
-        apps,
-    );
+    let config = config.clone().ecmp(true).tick_interval_ns(time::millis(1));
+    let (mut sim, tree) = fat_tree_with(config, params, apps);
     for sw in tree
         .edges
         .iter()
@@ -372,13 +391,17 @@ fn closed_loop_chaos_run(seed: u64) -> (Vec<(u64, u64)>, [u64; 5], FaultCounters
 /// run replays byte-identically from the same seed.
 #[test]
 fn closed_loop_flows_survive_flap_and_reboot_and_replay_identically() {
-    let (fcts_a, counters_a, faults_a) = closed_loop_chaos_run(0xc4a0_5006);
+    for_each_shard_row(check_closed_loop_chaos);
+}
+
+fn check_closed_loop_chaos(config: SimConfig) {
+    let (fcts_a, counters_a, faults_a) = closed_loop_chaos_run(&config, 0xc4a0_5006);
     assert!(counters_a[1] > 0, "edge loss forced retransmits");
     assert!(counters_a[4] > 0, "the reboot's epoch bump reached senders");
     assert_eq!(faults_a.link_downs, 2, "one full-duplex flap");
     assert_eq!(faults_a.reboots, 1);
 
-    let (fcts_b, counters_b, faults_b) = closed_loop_chaos_run(0xc4a0_5006);
+    let (fcts_b, counters_b, faults_b) = closed_loop_chaos_run(&config, 0xc4a0_5006);
     assert_eq!(fcts_a, fcts_b, "per-flow FCTs replay byte-identically");
     assert_eq!(counters_a, counters_b);
     assert_eq!(faults_a, faults_b);
@@ -388,7 +411,11 @@ fn closed_loop_flows_survive_flap_and_reboot_and_replay_identically() {
 /// fault layer is invisible to fault-free runs.
 #[test]
 fn plan_free_runs_inject_nothing() {
-    let (mut sim, _bell) = rcp_dumbbell(1);
+    for_each_shard_row(check_plan_free_run);
+}
+
+fn check_plan_free_run(config: SimConfig) {
+    let (mut sim, _bell) = rcp_dumbbell(config, 1);
     let sink = sim.observe().trace_all(1 << 20);
     sim.run(RunLimit::Until(time::secs(1)));
     assert_eq!(sim.fault_counters(), FaultCounters::default());

@@ -5,9 +5,10 @@
 //! be pinned byte-for-byte: one per tab over the microburst scenario,
 //! plus the transport tab over the lossy closed-loop fct feed and the
 //! paths tab over the bonded-diamond feed, plus the profile-diff view.
-//! A shard matrix proves the frames are identical at 1/2/4 shards, and
-//! a property test drives random key scripts through [`DashState`] to
-//! check that no input sequence can bend a frame out of shape.
+//! Every golden is checked on every row of the shard matrix, every tab
+//! of the fct feed is compared across the rows, and a property test
+//! drives random key scripts through [`DashState`] to check that no
+//! input sequence can bend a frame out of shape.
 //! Regenerate goldens with `UPDATE_GOLDEN=1`.
 
 use std::path::Path;
@@ -16,7 +17,7 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use tpp_bench::dash_scenario::DashFeed;
 use tpp_bench::testgen::assert_matches_golden;
-use tpp_netsim::{time, SimConfig};
+use tpp_netsim::{for_each_shard_row, shard_matrix, time, SimConfig};
 use tpp_obs::render::Tab;
 use tpp_obs::{parse_series_jsonl, render_dashboard, render_profile_diff, DashState};
 use tpp_obs::{series_jsonl, FleetSnapshot};
@@ -34,7 +35,11 @@ fn assert_frame_shape(frame: &str, w: usize, h: usize) {
 
 #[test]
 fn obs_dashboard_tabs_match_goldens() {
-    let mut feed = DashFeed::obs();
+    for_each_shard_row(check_obs_tabs);
+}
+
+fn check_obs_tabs(config: SimConfig) {
+    let mut feed = DashFeed::obs(config);
     feed.run_to_end();
     let mut state = DashState::default();
     let snap = feed.snapshot(state.window_ns());
@@ -49,7 +54,11 @@ fn obs_dashboard_tabs_match_goldens() {
 
 #[test]
 fn fct_and_bond_dashboards_match_goldens() {
-    let mut fct = DashFeed::fct(SimConfig::new().shards(1));
+    for_each_shard_row(check_fct_and_bond_frames);
+}
+
+fn check_fct_and_bond_frames(config: SimConfig) {
+    let mut fct = DashFeed::fct(config.clone());
     fct.run_to_end();
     let mut state = DashState {
         tab: Tab::Transport,
@@ -59,7 +68,7 @@ fn fct_and_bond_dashboards_match_goldens() {
     assert_frame_shape(&frame, FRAME_W, FRAME_H);
     assert_matches_golden(Path::new("tests/golden/dash_fct_transport.txt"), &frame);
 
-    let mut bond = DashFeed::bond(SimConfig::new().shards(1));
+    let mut bond = DashFeed::bond(config);
     bond.run_to_end();
     state.tab = Tab::Paths;
     let frame = render_dashboard(&bond.snapshot(state.window_ns()), &state, FRAME_W, FRAME_H);
@@ -69,9 +78,13 @@ fn fct_and_bond_dashboards_match_goldens() {
 
 #[test]
 fn profile_diff_matches_golden() {
+    for_each_shard_row(check_profile_diff);
+}
+
+fn check_profile_diff(config: SimConfig) {
     // Mid-burst vs drained: the same fleet recorded at two instants is
     // the diff mode's bread and butter (same shape as caches on/off).
-    let mut feed = DashFeed::obs();
+    let mut feed = DashFeed::obs(config);
     feed.step_to(600_000);
     let mid = series_jsonl(feed.sim().series().expect("series on"));
     feed.run_to_end();
@@ -89,13 +102,13 @@ fn profile_diff_matches_golden() {
 }
 
 /// The acceptance gate: the fct feed — transport, ECMP, profiling and
-/// series all live — must render byte-identical frames at 1, 2 and 4
-/// shards, on every tab.
+/// series all live — must render byte-identical frames on every row of
+/// the shard matrix, on every tab.
 #[test]
 fn frames_identical_across_1_2_4_shards() {
     let mut baseline: Option<Vec<String>> = None;
-    for shards in [1usize, 2, 4] {
-        let mut feed = DashFeed::fct(SimConfig::new().shards(shards));
+    for (row, config) in shard_matrix() {
+        let mut feed = DashFeed::fct(config);
         feed.run_to_end();
         let mut state = DashState::default();
         let snap = feed.snapshot(state.window_ns());
@@ -110,12 +123,7 @@ fn frames_identical_across_1_2_4_shards() {
             None => baseline = Some(frames),
             Some(base) => {
                 for (tab, (a, b)) in Tab::ALL.iter().zip(base.iter().zip(frames.iter())) {
-                    assert_eq!(
-                        a,
-                        b,
-                        "tab {} diverged between 1 and {shards} shards",
-                        tab.title()
-                    );
+                    assert_eq!(a, b, "tab {} diverged on {row}", tab.title());
                 }
             }
         }
@@ -128,7 +136,7 @@ fn frames_identical_across_1_2_4_shards() {
 fn shared_snapshot() -> &'static FleetSnapshot {
     static SNAP: OnceLock<FleetSnapshot> = OnceLock::new();
     SNAP.get_or_init(|| {
-        let mut feed = DashFeed::obs();
+        let mut feed = DashFeed::obs(SimConfig::new());
         feed.run_to_end();
         feed.snapshot(time::micros(100))
     })

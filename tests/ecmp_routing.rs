@@ -11,19 +11,22 @@
 //!    four uplinks within 2x of uniform, and is a pure function of its
 //!    inputs (same label — same port, every time).
 //! 2. A closed-loop k=4 run under seeded loss produces bit-identical
-//!    completions *and* per-uplink frame counts at 1/2/4 shards,
-//!    threaded and sequential (proptest over seeds and loss rates).
+//!    completions *and* per-uplink frame counts on every row of the
+//!    shard matrix (proptest over seeds and loss rates).
 //! 3. A single flow rides exactly one uplink until that uplink goes
 //!    down, then re-hashes onto the surviving one and keeps delivering.
 //! 4. Every switch's L2 port toward a host is a member of that pair's
 //!    ECMP group (both come from one BFS per host).
+//!
+//! 1, 3 and 4 hold on every row of the shard matrix too.
 
 use proptest::prelude::*;
 use tpp::apps::rcpstar::init_rate_registers;
 use tpp::netsim::routing::{FLOW_LABEL_MAGIC, FLOW_LABEL_OFFSET};
 use tpp::netsim::{
-    fat_tree_with, flow_label, leaf_spine_with, time, EcmpTable, Endpoint, FatTreeParams,
-    FaultPlan, HostApp, HostCtx, HostId, LeafSpineParams, RunLimit, SimConfig, Simulator, SwitchId,
+    fat_tree_with, flow_label, for_each_shard_row, leaf_spine_with, shard_matrix, time, EcmpTable,
+    Endpoint, FatTreeParams, FaultPlan, HostApp, HostCtx, HostId, LeafSpineParams, RunLimit,
+    SimConfig, Simulator, SwitchId,
 };
 use tpp::wire::ethernet::{build_frame, EtherType};
 use tpp::wire::EthernetAddress;
@@ -85,6 +88,10 @@ impl HostApp for Streamer {
 /// labels within 2x of uniform, and each label's pick is stable.
 #[test]
 fn k8_uplink_spread_is_within_2x_of_uniform() {
+    for_each_shard_row(check_k8_uplink_spread);
+}
+
+fn check_k8_uplink_spread(config: SimConfig) {
     let k = 8;
     let params = FatTreeParams {
         k,
@@ -92,7 +99,7 @@ fn k8_uplink_spread_is_within_2x_of_uniform() {
     };
     let n_hosts = params.n_hosts();
     let apps: Vec<Box<dyn HostApp>> = (0..n_hosts).map(|_| Box::new(Idle) as _).collect();
-    let (sim, tree) = fat_tree_with(SimConfig::new().ecmp(true), params, apps);
+    let (sim, tree) = fat_tree_with(config.ecmp(true), params, apps);
     let table = sim.ecmp_table().expect("ecmp(true) builds the table");
 
     // Edge (pod 0, e 0) toward a host in pod 1: all k/2 uplinks tie.
@@ -178,9 +185,14 @@ fn assert_l2_port_in_ecmp_group(mut sim: Simulator) {
 
 #[test]
 fn l2_port_is_a_member_of_the_ecmp_group() {
+    for_each_shard_row(check_l2_port_in_group);
+}
+
+fn check_l2_port_in_group(config: SimConfig) {
+    let config = config.ecmp(true);
     let params = FatTreeParams::default(); // k=4
     let apps = (0..params.n_hosts()).map(|_| Box::new(Idle) as _).collect();
-    assert_l2_port_in_ecmp_group(fat_tree_with(SimConfig::new().ecmp(true), params, apps).0);
+    assert_l2_port_in_ecmp_group(fat_tree_with(config.clone(), params, apps).0);
 
     let params = LeafSpineParams {
         n_leaves: 2,
@@ -190,17 +202,13 @@ fn l2_port_is_a_member_of_the_ecmp_group() {
     let apps = (0..params.n_leaves * params.hosts_per_leaf)
         .map(|_| Box::new(Idle) as _)
         .collect();
-    assert_l2_port_in_ecmp_group(leaf_spine_with(SimConfig::new().ecmp(true), params, apps).0);
+    assert_l2_port_in_ecmp_group(leaf_spine_with(config, params, apps).0);
 }
 
-/// One closed-loop k=4 run; returns a fingerprint over per-flow
-/// completions, transport counters, and every edge uplink's frame count.
-fn closed_loop_fingerprint(
-    seed: u64,
-    loss_permille: u16,
-    shards: usize,
-    sequential: bool,
-) -> (u64, u64, u64) {
+/// One closed-loop k=4 run on `config`; returns a fingerprint over
+/// per-flow completions, transport counters, and every edge uplink's
+/// frame count.
+fn closed_loop_fingerprint(seed: u64, loss_permille: u16, config: SimConfig) -> (u64, u64, u64) {
     let params = FatTreeParams::default(); // k=4: 16 hosts, 20 switches
     let half = params.k / 2;
     let hpe = params.effective_hosts_per_edge();
@@ -231,13 +239,7 @@ fn closed_loop_fingerprint(
         })
         .collect();
 
-    let mut config = SimConfig::new()
-        .shards(shards)
-        .ecmp(true)
-        .tick_interval_ns(time::millis(1));
-    if sequential {
-        config = config.sequential();
-    }
+    let config = config.ecmp(true).tick_interval_ns(time::millis(1));
     let (mut sim, tree) = fat_tree_with(config, params, apps);
     let switches: Vec<_> = tree
         .edges
@@ -300,22 +302,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Satellite 2: completions and per-uplink frame counts are
-    /// bit-identical at 1/2/4 shards, threaded and sequential, for any
-    /// traffic seed and loss rate.
+    /// bit-identical on every row of the shard matrix, for any traffic
+    /// seed and loss rate.
     #[test]
     fn ecmp_closed_loop_is_shard_count_invariant(
         seed in any::<u64>(),
         loss in 5u16..26,
     ) {
-        let baseline = closed_loop_fingerprint(seed, loss, 1, true);
+        let [(_, reference), rows @ ..] = shard_matrix();
+        let baseline = closed_loop_fingerprint(seed, loss, reference);
         prop_assert!(baseline.1 > 0, "some flows must complete");
         prop_assert!(baseline.2 > 0, "seeded loss must force retransmits");
-        for (shards, sequential) in [(2, false), (4, false), (4, true)] {
-            let run = closed_loop_fingerprint(seed, loss, shards, sequential);
-            prop_assert_eq!(
-                run, baseline,
-                "shards={} sequential={} diverged", shards, sequential
-            );
+        for (row, config) in rows {
+            let run = closed_loop_fingerprint(seed, loss, config);
+            prop_assert_eq!(run, baseline, "{} diverged", row);
         }
     }
 }
@@ -324,6 +324,10 @@ proptest! {
 /// the pick re-hashes onto the surviving uplink and delivery continues.
 #[test]
 fn flow_path_is_stable_until_link_down_rehash() {
+    for_each_shard_row(check_flow_path_rehash);
+}
+
+fn check_flow_path_rehash(config: SimConfig) {
     let params = FatTreeParams::default(); // k=4
     let hpe = params.effective_hosts_per_edge();
     let n_hosts = params.n_hosts();
@@ -346,7 +350,7 @@ fn flow_path_is_stable_until_link_down_rehash() {
             }
         })
         .collect();
-    let (mut sim, tree) = fat_tree_with(SimConfig::new().ecmp(true), params, apps);
+    let (mut sim, tree) = fat_tree_with(config.ecmp(true), params, apps);
     assert_eq!(tree.hosts[1][0][0], HostId(dst_id), "pod-1 host id layout");
 
     let edge = tree.edges[0][0];

@@ -1,5 +1,5 @@
 //! `BENCH_fct.json`'s `smoke` (k=4, open loop, the three TPP apps) and
-//! `closed_loop` (lossy k=8 at 1/2/4 shards, one fingerprint) sections,
+//! `closed_loop` (lossy k=8 on every shard row, one fingerprint) sections,
 //! rebuilt and checked against the committed file. `full` (1.13 M flows)
 //! is spliced in from the file: `fct_bench` regenerates it, and
 //! `UPDATE_GOLDEN=1` rewrites the other two and keeps it. One test,
@@ -12,6 +12,7 @@ use std::path::Path;
 
 use tpp_bench::fct_scenario::{closed_section, document, run, SMOKE};
 use tpp_bench::testgen::assert_matches_golden;
+use tpp_netsim::SimConfig;
 
 use common::{allocations, CountingAllocator};
 
@@ -25,7 +26,7 @@ const SMOKE_ALLOC_CEILING: u64 = 1_542;
 
 #[test]
 fn smoke_and_closed_loop_sections_match_committed_file() {
-    let smoke = run("smoke", &SMOKE, 1, true, allocations);
+    let smoke = run("smoke", &SMOKE, SimConfig::new().sequential(), allocations);
     assert!(
         smoke.allocs <= SMOKE_ALLOC_CEILING,
         "allocation regression: the smoke run made {} > {SMOKE_ALLOC_CEILING}",

@@ -11,7 +11,9 @@ use std::path::Path;
 use tpp::host::{split_hops, DATA_ETHERTYPE};
 use tpp::isa::assemble;
 use tpp::netsim::RunLimit;
-use tpp::netsim::{linear_chain, time, HostApp, HostCtx, LinearChainParams};
+use tpp::netsim::{
+    for_each_shard_row, linear_chain_with, time, HostApp, HostCtx, LinearChainParams, SimConfig,
+};
 use tpp::wire::ethernet::build_frame;
 use tpp::wire::tpp::TppPacket;
 use tpp::wire::{EthernetAddress, Frame};
@@ -52,6 +54,10 @@ impl HostApp for Capture {
 
 #[test]
 fn figure1_walk_records_one_queue_sample_per_hop() {
+    for_each_shard_row(check_figure1_walk);
+}
+
+fn check_figure1_walk(config: SimConfig) {
     let params = LinearChainParams {
         n_switches: 3,
         // Slow links so the back-to-back data frames actually queue in
@@ -60,7 +66,8 @@ fn figure1_walk_records_one_queue_sample_per_hop() {
         host_nic_kbps: 100_000,
         ..Default::default()
     };
-    let (mut sim, chain) = linear_chain(
+    let (mut sim, chain) = linear_chain_with(
+        config,
         params,
         Box::new(OneProbe {
             dst: EthernetAddress::from_host_id(1),
@@ -131,6 +138,10 @@ fn figure1_walk_records_one_queue_sample_per_hop() {
 
 #[test]
 fn hop_addressed_variant_records_identically() {
+    for_each_shard_row(check_hop_addressed_variant);
+}
+
+fn check_hop_addressed_variant(config: SimConfig) {
     // The same telemetry in hop-addressing mode: LOAD into hop slots.
     struct HopProbe {
         dst: EthernetAddress,
@@ -142,7 +153,8 @@ fn hop_addressed_variant_records_identically() {
             ctx.send(probe.build_frame(self.dst, ctx.mac()));
         }
     }
-    let (mut sim, chain) = linear_chain(
+    let (mut sim, chain) = linear_chain_with(
+        config,
         LinearChainParams::default(),
         Box::new(HopProbe {
             dst: EthernetAddress::from_host_id(1),

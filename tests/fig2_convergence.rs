@@ -14,7 +14,7 @@ use std::path::Path;
 use tpp::apps::rcpstar::{RcpStarConfig, RcpStarSender};
 use tpp::host::EchoReceiver;
 use tpp::netsim::RunLimit;
-use tpp::netsim::{time, DumbbellParams};
+use tpp::netsim::{for_each_shard_row, time, DumbbellParams, SimConfig};
 use tpp::rcp_ref::fluid::mean_r_over_c;
 use tpp::rcp_ref::{FlowSchedule, RcpFluidSim, RcpParams};
 use tpp_bench::repro::rcp_dumbbell;
@@ -37,6 +37,10 @@ fn star_mean(trace: &[(u64, u64)], lo_s: f64, hi_s: f64) -> f64 {
 
 #[test]
 fn rcp_and_rcpstar_converge_to_matching_fair_shares() {
+    for_each_shard_row(check_convergence);
+}
+
+fn check_convergence(config: SimConfig) {
     // --- Reference (the ns-2 role) ---
     let reference = RcpFluidSim::new(
         RcpParams::paper_defaults(C_BPS, 0.05),
@@ -53,7 +57,7 @@ fn rcp_and_rcpstar_converge_to_matching_fair_shares() {
         start_ns: time::secs(t),
         ..Default::default()
     });
-    let (mut sim, bell) = rcp_dumbbell(DumbbellParams::default(), &flows);
+    let (mut sim, bell) = rcp_dumbbell(&config, DumbbellParams::default(), &flows);
     sim.run(RunLimit::Until(time::secs(15)));
     let star = &sim.host_app::<RcpStarSender>(bell.senders[0]).rate_trace;
 
@@ -119,8 +123,13 @@ fn rcp_and_rcpstar_converge_to_matching_fair_shares() {
 
 #[test]
 fn rcpstar_flows_share_fairly_among_themselves() {
+    for_each_shard_row(check_fair_share);
+}
+
+fn check_fair_share(config: SimConfig) {
     // Three simultaneous flows: goodputs within 20% of each other.
-    let (mut sim, bell) = rcp_dumbbell(DumbbellParams::default(), &[RcpStarConfig::default(); 3]);
+    let flows = [RcpStarConfig::default(); 3];
+    let (mut sim, bell) = rcp_dumbbell(&config, DumbbellParams::default(), &flows);
     sim.run(RunLimit::Until(time::secs(8)));
     let goodputs: Vec<f64> = bell
         .receivers

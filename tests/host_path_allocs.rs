@@ -9,16 +9,16 @@
 //! not per frame: the sender's `tx_count`, `BTreeMap` nodes for the
 //! active/receiver maps, and growth of the completion log.
 //!
-//! `SimConfig::default()` honours `TPP_SHARDS`, so the determinism lane
-//! replays this on the threaded scheduler, whose per-window bookkeeping
-//! and cross-shard buffer migration have to fit in the same budget.
+//! The run repeats on every row of the shard matrix: the threaded
+//! scheduler's per-window bookkeeping and cross-shard buffer migration
+//! have to fit in the same budget.
 
 mod common;
 
 use tpp::apps::rcpstar::init_rate_registers;
 use tpp::netsim::{
-    fat_tree_with, Endpoint, FatTreeParams, HostApp, HostId, RunLimit, SimConfig, Simulator,
-    SwitchId,
+    fat_tree_with, for_each_shard_row, Endpoint, FatTreeParams, HostApp, HostId, RunLimit,
+    SimConfig, Simulator, SwitchId,
 };
 use tpp::wire::EthernetAddress;
 use tpp_bench::traffic::{
@@ -42,6 +42,10 @@ fn host_frames(sim: &Simulator, n_hosts: usize) -> u64 {
 // One test per binary: see `common`.
 #[test]
 fn steady_state_host_frames_do_not_allocate() {
+    for_each_shard_row(check_host_frame_allocations);
+}
+
+fn check_host_frame_allocations(config: SimConfig) {
     let params = FatTreeParams::default(); // k=4: 16 hosts, 20 switches
     let half = params.k / 2;
     let hpe = params.effective_hosts_per_edge();
@@ -70,7 +74,7 @@ fn steady_state_host_frames_do_not_allocate() {
             Box::new(ClosedFlowGenApp::new(sched, ClosedLoopConfig::default())) as _
         })
         .collect();
-    let (mut sim, tree) = fat_tree_with(SimConfig::default().ecmp(true), params, apps);
+    let (mut sim, tree) = fat_tree_with(config.ecmp(true), params, apps);
     for i in 0..sim.num_switches() {
         init_rate_registers(sim.switch_mut(SwitchId(i)));
     }

@@ -4,7 +4,7 @@
 use tpp::apps::{detect_bursts, MicroburstMonitor};
 use tpp::host::EchoReceiver;
 use tpp::netsim::RunLimit;
-use tpp::netsim::{dumbbell, time, DumbbellParams, HostApp};
+use tpp::netsim::{dumbbell, time, DumbbellParams, HostApp, SimConfig};
 use tpp::wire::EthernetAddress;
 use tpp_bench::repro::burst_dumbbell;
 
@@ -14,7 +14,7 @@ fn tpp_monitor_finds_bursts_where_poller_sees_nothing() {
     // 2 ms, draining in ~1.6 ms, so bursts are isolated; pair 1's sender
     // is the TPP monitor, probing every 53 µs for 45 ms.
     let n_bursts = 20u32;
-    let (mut sim, bell) = burst_dumbbell(n_bursts, time::millis(45));
+    let (mut sim, bell) = burst_dumbbell(&SimConfig::new(), n_bursts, time::millis(45));
 
     // Coarse poller at 10 ms (still far finer than the paper's "10s of
     // seconds" straw man) sampling ground truth.

@@ -1,10 +1,12 @@
 //! Multi-homed hosts and time-varying link profiles at the netsim
 //! layer: NIC routing, per-NIC queue independence, and the composition
-//! of static loss with profile-sampled loss, latency and rate.
+//! of static loss with profile-sampled loss, latency and rate, on every
+//! row of the shard matrix.
 
 use tpp::asic::AsicConfig;
 use tpp::netsim::{
-    time, Endpoint, HostApp, HostCtx, Interp, LinkProfile, LinkState, NetworkBuilder, RunLimit,
+    for_each_shard_row, time, Endpoint, HostApp, HostCtx, Interp, LinkProfile, LinkState,
+    NetworkBuilder, RunLimit, SimConfig,
 };
 use tpp::wire::ethernet::{build_frame, EtherType};
 use tpp::wire::EthernetAddress;
@@ -42,9 +44,10 @@ impl HostApp for PortRecorder {
     }
 }
 
-/// Two hosts, two disjoint one-switch paths: NIC p of each host wires
-/// to switch p.
+/// Two hosts on `config`, two disjoint one-switch paths: NIC p of each
+/// host wires to switch p.
 fn two_path_pair(
+    config: SimConfig,
     sender: Box<dyn HostApp>,
     receiver: Box<dyn HostApp>,
 ) -> (
@@ -52,7 +55,7 @@ fn two_path_pair(
     tpp::netsim::HostId,
     tpp::netsim::HostId,
 ) {
-    let mut net = NetworkBuilder::new();
+    let mut net = NetworkBuilder::with_config(config);
     let s0 = net.add_switch(AsicConfig::with_ports(0x10, 2));
     let s1 = net.add_switch(AsicConfig::with_ports(0x20, 2));
     let h0 = net.add_host_multi(sender, 1_000_000, 2);
@@ -76,7 +79,12 @@ fn two_path_pair(
 
 #[test]
 fn send_on_routes_by_nic_and_rx_port_reports_arrival() {
+    for_each_shard_row(check_send_on_routes_by_nic);
+}
+
+fn check_send_on_routes_by_nic(config: SimConfig) {
     let (mut sim, _h0, h1) = two_path_pair(
+        config,
         Box::new(FanOut {
             dst: EthernetAddress::from_host_id(1),
             payload_len: 100,
@@ -101,6 +109,10 @@ fn send_on_routes_by_nic_and_rx_port_reports_arrival() {
 /// serialize independently.
 #[test]
 fn nic_queues_are_independent() {
+    for_each_shard_row(check_nic_queues_independent);
+}
+
+fn check_nic_queues_independent(config: SimConfig) {
     struct TwoBursts;
     impl HostApp for TwoBursts {
         fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -119,7 +131,11 @@ fn nic_queues_are_independent() {
             );
         }
     }
-    let (mut sim, _h0, h1) = two_path_pair(Box::new(TwoBursts), Box::new(PortRecorder::default()));
+    let (mut sim, _h0, h1) = two_path_pair(
+        config,
+        Box::new(TwoBursts),
+        Box::new(PortRecorder::default()),
+    );
     sim.run(RunLimit::Quiescent {
         limit_ns: time::millis(5),
     });
@@ -147,7 +163,12 @@ fn nic_queues_are_independent() {
 
 #[test]
 fn set_link_loss_reports_profile_composed_effective_loss() {
+    for_each_shard_row(check_effective_loss);
+}
+
+fn check_effective_loss(config: SimConfig) {
     let (mut sim, h0, _h1) = two_path_pair(
+        config,
         Box::new(PortRecorder::default()),
         Box::new(PortRecorder::default()),
     );
@@ -178,8 +199,13 @@ fn set_link_loss_reports_profile_composed_effective_loss() {
 /// nominal profile is a no-op.
 #[test]
 fn profile_delay_and_rate_shape_arrivals() {
+    for_each_shard_row(check_profile_shapes_arrivals);
+}
+
+fn check_profile_shapes_arrivals(config: SimConfig) {
     let arrival_with = |profile: Option<LinkProfile>| -> u64 {
         let (mut sim, h0, h1) = two_path_pair(
+            config.clone(),
             Box::new(FanOut {
                 dst: EthernetAddress::from_host_id(1),
                 payload_len: 1000,
@@ -235,6 +261,10 @@ fn profile_delay_and_rate_shape_arrivals() {
 /// an always-lose profile window blocks everything sent inside it.
 #[test]
 fn profile_loss_is_seeded_and_total_loss_blocks() {
+    for_each_shard_row(check_profile_loss);
+}
+
+fn check_profile_loss(config: SimConfig) {
     struct Pulser {
         dst: EthernetAddress,
         sent: u32,
@@ -255,6 +285,7 @@ fn profile_loss_is_seeded_and_total_loss_blocks() {
     }
     let run = |loss: u16| -> usize {
         let (mut sim, h0, h1) = two_path_pair(
+            config.clone(),
             Box::new(Pulser {
                 dst: EthernetAddress::from_host_id(1),
                 sent: 0,

@@ -5,7 +5,7 @@
 
 use tpp::apps::rcpstar::{RcpStarConfig, RcpStarSender};
 use tpp::netsim::RunLimit;
-use tpp::netsim::{time, DumbbellParams};
+use tpp::netsim::{time, DumbbellParams, SimConfig};
 use tpp_bench::repro::{rcp_dumbbell, run_native_rcp};
 
 const C_BPS: f64 = 10e6;
@@ -26,7 +26,8 @@ fn run(n: usize, secs: u64, native: bool) -> Vec<f64> {
         compute_updates: !native,
         ..Default::default()
     };
-    let (mut sim, bell) = rcp_dumbbell(DumbbellParams::default(), &vec![flow; n]);
+    let (mut sim, bell) =
+        rcp_dumbbell(&SimConfig::new(), DumbbellParams::default(), &vec![flow; n]);
     if native {
         // The ASIC-resident control loop, stepped every 10 ms by the
         // "firmware timer" (the harness).

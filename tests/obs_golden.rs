@@ -1,9 +1,9 @@
 //! Golden snapshot of the observability plane's end-to-end artifacts.
 //!
 //! Drives the seeded microburst feed (`DashFeed::obs` — the same code
-//! path as `tpp_top --headless`) and pins its Prometheus snapshot and
-//! JSONL series dump against committed goldens; `dashboard_golden.rs`
-//! pins its frames. The feed is fully deterministic (discrete-event
+//! path as `tpp_top --headless`) on every row of the shard matrix and
+//! pins its Prometheus snapshot and JSONL series dump against committed
+//! goldens; `dashboard_golden.rs` pins its frames. The feed is fully deterministic (discrete-event
 //! time, seeded reservoirs, no wall clock), so any diff is a real
 //! behavior change. Regenerate with `UPDATE_GOLDEN=1`.
 
@@ -12,11 +12,15 @@ use std::path::Path;
 use tpp_apps::{detect_bursts, MicroburstMonitor};
 use tpp_bench::dash_scenario::{DashFeed, OBS_PROBE_INTERVAL_NS};
 use tpp_bench::testgen::assert_matches_golden;
-use tpp_netsim::{time, HostId};
+use tpp_netsim::{for_each_shard_row, time, HostId, SimConfig};
 
 #[test]
 fn obs_scenario_matches_goldens() {
-    let mut feed = DashFeed::obs();
+    for_each_shard_row(check_obs_feed);
+}
+
+fn check_obs_feed(config: SimConfig) {
+    let mut feed = DashFeed::obs(config);
     feed.run_to_end();
     let snap = feed.snapshot(time::micros(100));
 

@@ -6,8 +6,9 @@
 //! per-link RNG streams make the partition unobservable. These tests
 //! take whole-run fingerprints (trace JSON rows, fault counters, the
 //! metrics registry's JSON dump, ring-series points, events processed,
-//! host-app state) and compare them across `N ∈ {1, 2, 4}` shards, with
-//! the 4-shard configuration run both threaded and sequential.
+//! host-app state) and compare them across the rows of the shard matrix
+//! (`tpp_netsim::shard_matrix`: one shard, two and four threaded, four
+//! sequential).
 //!
 //! The property-based half drives a chaotic leaf-spine under randomized
 //! seeds, loss rates and fault windows; the fixed half checks RCP\*
@@ -19,9 +20,10 @@ use tpp::apps::microburst::MicroburstMonitor;
 use tpp::apps::rcpstar::{init_rate_registers, RcpStarConfig, RcpStarSender};
 use tpp::host::{BondConfig, EchoReceiver};
 use tpp::netsim::{
-    bonded_diamond_with, dumbbell_with, fat_tree_with, leaf_spine_with, time, BondedDiamondParams,
-    DumbbellParams, Endpoint, FatTreeParams, FaultPlan, HostApp, HostCtx, HostId, LeafSpineParams,
-    LinkProfile, LinkState, RunLimit, ShardSyncStats, SimConfig, Simulator,
+    bonded_diamond_with, dumbbell_with, fat_tree_with, leaf_spine_with, shard_matrix, time,
+    BondedDiamondParams, DumbbellParams, Endpoint, FatTreeParams, FaultPlan, HostApp, HostCtx,
+    HostId, LeafSpineParams, LinkProfile, LinkState, RunLimit, ShardSyncStats, SimConfig,
+    Simulator,
 };
 use tpp::wire::ethernet::{build_frame, EtherType};
 use tpp::wire::EthernetAddress;
@@ -374,19 +376,11 @@ fn fat_tree_traffic(cfg: SimConfig, traffic_seed: u64) -> Fingerprint {
     fingerprint(sim, &sink, host_state, path_counters)
 }
 
-/// The shard configurations every scenario must agree across: one shard
-/// (the classic loop), two and four threaded, four sequential (same
-/// windows as threaded four, no worker threads).
-fn shard_configs(seed: u64) -> Vec<(&'static str, SimConfig)> {
-    vec![
-        ("1 shard", SimConfig::new().seed(seed).shards(1)),
-        ("2 shards", SimConfig::new().seed(seed).shards(2)),
-        ("4 shards", SimConfig::new().seed(seed).shards(4)),
-        (
-            "4 shards sequential",
-            SimConfig::new().seed(seed).shards(4).sequential(),
-        ),
-    ]
+/// The shard matrix with its simulator seed set to `seed`.
+fn shard_configs(seed: u64) -> impl Iterator<Item = (&'static str, SimConfig)> {
+    shard_matrix()
+        .into_iter()
+        .map(move |(row, cfg)| (row, cfg.seed(seed)))
 }
 
 proptest! {
@@ -402,7 +396,6 @@ proptest! {
         loss_permille in 0u16..150,
     ) {
         let mut runs = shard_configs(sim_seed)
-            .into_iter()
             .map(|(label, cfg)| (label, chaotic_leaf_spine(cfg, plan_seed, loss_permille)));
         let (_, reference) = runs.next().expect("at least one config");
         prop_assert!(!reference.trace_rows.is_empty(), "chaos must leave a trace");
@@ -423,7 +416,6 @@ proptest! {
         extra_delay_us in 0u64..250,
     ) {
         let mut runs = shard_configs(sim_seed)
-            .into_iter()
             .map(|(label, cfg)| {
                 (label, bonded_profile_flap(cfg, plan_seed, worst_loss, extra_delay_us))
             });
@@ -448,7 +440,6 @@ proptest! {
         traffic_seed in any::<u64>(),
     ) {
         let mut runs = shard_configs(sim_seed)
-            .into_iter()
             .map(|(label, cfg)| (label, fat_tree_traffic(cfg, traffic_seed)));
         let (_, reference) = runs.next().expect("at least one config");
         prop_assert!(
@@ -507,9 +498,7 @@ fn rcp_convergence_records_are_shard_count_invariant() {
         (traces, fp)
     };
 
-    let mut runs = shard_configs(0x7199_7199)
-        .into_iter()
-        .map(|(label, cfg)| (label, run(cfg)));
+    let mut runs = shard_configs(0x7199_7199).map(|(label, cfg)| (label, run(cfg)));
     let (_, (ref_traces, ref_fp)) = runs.next().expect("at least one config");
     assert!(
         ref_traces.iter().all(|t| t.len() > 10),
