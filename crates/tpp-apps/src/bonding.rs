@@ -281,7 +281,7 @@ impl HostApp for BondSender {
             // replacement (fanning out would multiply timer events).
             let path = ProbeManager::timer_port(token) as usize;
             if path < self.probes.len() {
-                for _nonce in self.probes[path].on_timer(ctx) {
+                for _ in 0..self.probes[path].on_timer(ctx) {
                     // Keep the nonce→path entry: if the echo still shows
                     // up (`Late`), it's a valid sample and a recovery
                     // hit. The manager's own dedup window bounds how

@@ -44,7 +44,7 @@
 use tpp_host::{parse_echo, ProbeBuilder, ProbeDelivery, ProbeManager, RetryPolicy};
 #[cfg(test)]
 use tpp_isa::VirtAddr;
-use tpp_isa::{assemble, Assembler, SymbolTable};
+use tpp_isa::{assemble, Program};
 use tpp_netsim::{HostApp, HostCtx};
 use tpp_wire::EthernetAddress;
 
@@ -84,6 +84,41 @@ const TIMER_KICK: u64 = 1;
 /// only when the seq guard halted the program (op already consumed).
 const OLD_SENTINEL: u32 = 0xffff_ffff;
 
+/// The probe programs of one writer, over its counter, sequence-guard
+/// and outcome words of `Switch:Scratch`.
+#[derive(Debug)]
+struct Programs {
+    /// [`CounterTask::send_read`]'s.
+    read: Program,
+    /// [`CounterTask::send_write`]'s.
+    write: Program,
+    /// [`CounterTask::send_op`]'s.
+    op: Program,
+}
+
+impl Programs {
+    fn new(counter: usize, seq: usize, res: usize) -> Programs {
+        let [counter, seq, res] = [counter, seq, res].map(|w| format!("[Switch:Scratch[{w}]]"));
+        let program = |text: String| assemble(&text).expect("static program");
+        Programs {
+            read: program(format!(
+                "CEXEC [Switch:SwitchID], [Packet:8]\n\
+                 PUSH {counter}\nPUSH {seq}\nPUSH {res}\nPUSH [Switch:BootEpoch]"
+            )),
+            write: program(format!(
+                "CEXEC [Switch:SwitchID], [Packet:8]\nSTORE {counter}, [Packet:2]"
+            )),
+            op: program(format!(
+                "CEXEC [Switch:SwitchID], [Packet:8]\n\
+                 CEXEC {seq}, [Packet:10]\n\
+                 STORE {seq}, [Packet:2]\n\
+                 CSTORE {counter}, [Packet:4]\n\
+                 STORE {res}, [Packet:6]"
+            )),
+        }
+    }
+}
+
 /// A host that performs `goal` increments of a shared switch counter.
 #[derive(Debug)]
 pub struct CounterTask {
@@ -91,9 +126,9 @@ pub struct CounterTask {
     mode: CounterWriteMode,
     target_switch: u32,
     counter_word: usize,
-    counter_addr_text: String,
-    seq_addr_text: String,
-    res_addr_text: String,
+    /// The three probe programs, assembled once in `on_start`, when the
+    /// host id that places this writer's guard cells is known.
+    programs: Option<Programs>,
     goal: u32,
     phase: Phase,
     /// Sequence number of the next increment op (1-based; the per-writer
@@ -123,9 +158,7 @@ impl CounterTask {
             mode,
             target_switch,
             counter_word: word,
-            counter_addr_text: format!("Switch:Scratch[{word}]"),
-            seq_addr_text: String::new(),
-            res_addr_text: String::new(),
+            programs: None,
             goal,
             phase: Phase::Idle,
             next_seq: 1,
@@ -150,8 +183,10 @@ impl CounterTask {
         self.probes.stats()
     }
 
-    fn asm(&self) -> Assembler {
-        Assembler::with_symbols(SymbolTable::new())
+    fn programs(&self) -> &Programs {
+        self.programs
+            .as_ref()
+            .expect("programs assembled in on_start")
     }
 
     fn gate_init(&self) -> [u32; 2] {
@@ -161,34 +196,19 @@ impl CounterTask {
     /// `CEXEC` gate + read of counter, guard cells, and boot epoch.
     /// Stack pushes land at words 0..4; the gate block lives at 8..10.
     fn send_read(&mut self, recover: Option<(u32, u32)>, ctx: &mut HostCtx<'_>) {
-        let program = assemble(&format!(
-            "CEXEC [Switch:SwitchID], [Packet:8]\n\
-             PUSH [{counter}]\nPUSH [{seq}]\nPUSH [{res}]\nPUSH [Switch:BootEpoch]",
-            counter = self.counter_addr_text,
-            seq = self.seq_addr_text,
-            res = self.res_addr_text,
-        ))
-        .expect("static program");
         let mut init = vec![0u32; 10];
         init[8..10].copy_from_slice(&self.gate_init());
-        let probe = ProbeBuilder::stack(&program, 1).init_memory(&init);
+        let probe = ProbeBuilder::stack(&self.programs().read, 1).init_memory(&init);
         self.probes.track_probe(&probe, self.dst, &[], 0, ctx);
         self.phase = Phase::AwaitRead { recover };
     }
 
     /// Racy write: gate + unconditional `STORE` of `value`.
     fn send_write(&mut self, value: u32, ctx: &mut HostCtx<'_>) {
-        let program = self
-            .asm()
-            .assemble(&format!(
-                "CEXEC [Switch:SwitchID], [Packet:8]\nSTORE [{}], [Packet:2]",
-                self.counter_addr_text
-            ))
-            .expect("static program");
         let mut init = vec![0u32; 10];
         init[2] = value;
         init[8..10].copy_from_slice(&self.gate_init());
-        let probe = ProbeBuilder::stack(&program, 1).init_memory(&init);
+        let probe = ProbeBuilder::stack(&self.programs().write, 1).init_memory(&init);
         self.probes.track_probe(&probe, self.dst, &[], 0, ctx);
         self.phase = Phase::AwaitWrite {
             value_written: value,
@@ -199,19 +219,6 @@ impl CounterTask {
     /// durable outcome record (module docs). Every transmission of op
     /// `s` carries the same `(s, cond)`, so at most one copy executes.
     fn send_op(&mut self, s: u32, cond: u32, ctx: &mut HostCtx<'_>) {
-        let program = self
-            .asm()
-            .assemble(&format!(
-                "CEXEC [Switch:SwitchID], [Packet:8]\n\
-                 CEXEC [{seq}], [Packet:10]\n\
-                 STORE [{seq}], [Packet:2]\n\
-                 CSTORE [{counter}], [Packet:4]\n\
-                 STORE [{res}], [Packet:6]",
-                seq = self.seq_addr_text,
-                counter = self.counter_addr_text,
-                res = self.res_addr_text,
-            ))
-            .expect("static program");
         let mut init = vec![0u32; 12];
         init[2] = s;
         init[4] = cond;
@@ -220,7 +227,7 @@ impl CounterTask {
         init[8..10].copy_from_slice(&self.gate_init());
         init[10] = 0xffff_ffff;
         init[11] = s - 1;
-        let probe = ProbeBuilder::stack(&program, 1).init_memory(&init);
+        let probe = ProbeBuilder::stack(&self.programs().op, 1).init_memory(&init);
         self.probes.track_probe(&probe, self.dst, &[], 0, ctx);
         self.phase = Phase::AwaitOp { seq: s, cond };
     }
@@ -250,8 +257,11 @@ impl HostApp for CounterTask {
         // Per-writer guard cells above the shared counter word: hosts
         // never collide because host ids are unique.
         let w = ctx.host_id().0;
-        self.seq_addr_text = format!("Switch:Scratch[{}]", self.counter_word + 1 + 2 * w);
-        self.res_addr_text = format!("Switch:Scratch[{}]", self.counter_word + 2 + 2 * w);
+        self.programs = Some(Programs::new(
+            self.counter_word,
+            self.counter_word + 1 + 2 * w,
+            self.counter_word + 2 + 2 * w,
+        ));
         ctx.set_timer(1, TIMER_KICK);
     }
 
@@ -262,7 +272,7 @@ impl HostApp for CounterTask {
         }
         if ProbeManager::is_timer(token) {
             let expired = self.probes.on_timer(ctx);
-            if expired.is_empty() || self.done() {
+            if expired == 0 || self.done() {
                 return;
             }
             // The current probe exhausted its retries. Reads and racy

@@ -392,12 +392,17 @@ struct FlowState {
 /// wakes at the earliest of (next scheduled start, earliest RTO,
 /// earliest probe), so behavior is a pure function of the frame/timer
 /// sequence the simulator delivers — bit-identical at any shard count.
+/// A finished sender's counter buffer goes on a free list and the next
+/// flow starts on it ([`FlowSender::reusing`]), so starting a flow does
+/// not allocate once the buffers have grown to the host's flow sizes.
 pub struct ClosedFlowGenApp {
     schedule: Vec<Flow>,
     next: usize,
     cfg: ClosedLoopConfig,
     probe: ProbeBuilder,
     active: BTreeMap<u64, FlowState>,
+    /// Counter buffers of completed and abandoned flows.
+    spare_tx: Vec<Vec<u16>>,
     receivers: BTreeMap<u64, FlowReceiver>,
     switch_epochs: BTreeMap<u32, u32>,
     /// Earliest pending service-timer deadline (dedup so bursts of
@@ -423,6 +428,7 @@ impl ClosedFlowGenApp {
             cfg,
             probe,
             active: BTreeMap::new(),
+            spare_tx: Vec::new(),
             receivers: BTreeMap::new(),
             switch_epochs: BTreeMap::new(),
             armed_at: 0,
@@ -470,7 +476,8 @@ impl ClosedFlowGenApp {
         {
             let f = self.schedule[self.next];
             self.next += 1;
-            let sender = FlowSender::new(
+            let sender = FlowSender::reusing(
+                self.spare_tx.pop().unwrap_or_default(),
                 self.cfg.transport.clone(),
                 f.key,
                 f.bytes,
@@ -509,9 +516,16 @@ impl ClosedFlowGenApp {
         for key in dead {
             let st = self.active.remove(&key).expect("key collected above");
             self.stats.flows_given_up += 1;
-            self.stats.absorb_sender(&st.sender);
+            self.retire(st.sender);
         }
         self.arm(ctx);
+    }
+
+    /// Fold a finished sender's counters into the stats and keep its
+    /// buffer for the next flow.
+    fn retire(&mut self, sender: FlowSender) {
+        self.stats.absorb_sender(&sender);
+        self.spare_tx.push(sender.into_tx_buffer());
     }
 
     /// Arm the service timer at the earliest pending deadline, if that
@@ -575,7 +589,7 @@ impl ClosedFlowGenApp {
             AckOutcome::Completed => {
                 let st = self.active.remove(&hdr.key).expect("looked up above");
                 self.stats.flows_completed += 1;
-                self.stats.absorb_sender(&st.sender);
+                self.retire(st.sender);
             }
             AckOutcome::Advanced | AckOutcome::Duplicate => {
                 let st = self.active.get_mut(&hdr.key).expect("looked up above");

@@ -302,15 +302,16 @@ impl BondScheduler {
     /// round-robin — the frame is probably lost either way, but the
     /// retransmit layer above still gets a deterministic choice.
     pub fn pick(&mut self) -> usize {
-        let weights: Vec<i64> = (0..self.paths.len()).map(|i| self.weight(i)).collect();
-        let total: i64 = weights.iter().sum();
+        let total: i64 = (0..self.paths.len()).map(|i| self.weight(i)).sum();
         if total == 0 {
             let pick = self.rr_cursor % self.paths.len();
             self.rr_cursor = self.rr_cursor.wrapping_add(1);
             return pick;
         }
-        for (p, &w) in self.paths.iter_mut().zip(&weights) {
-            p.credit += w;
+        // A path's weight reads only its own health and queue, never a
+        // credit, so adding as we go sees the weights summed above.
+        for i in 0..self.paths.len() {
+            self.paths[i].credit += self.weight(i);
         }
         // argmax over credits (first index wins ties → deterministic)
         let mut best = 0;

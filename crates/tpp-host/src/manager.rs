@@ -48,8 +48,9 @@ pub const PROBE_TIMER_TOKEN: u64 = 0x5052_4f42_4d47_0001; // "PROBMG"+1
 /// Bit span of [`PROBE_TIMER_TOKEN`] that carries the manager's port.
 const TIMER_PORT_MASK: u64 = 0xFFFF_u64 << 32;
 
-/// How many delivered nonces are remembered for duplicate detection.
-const COMPLETED_MEMORY: usize = 1024;
+/// How many delivered (and how many expired) nonces are remembered for
+/// duplicate and late-echo detection.
+const NONCE_MEMORY: usize = 1024;
 
 /// Retry behavior for tracked probes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,6 +145,36 @@ struct Outstanding {
     deadline_ns: u64,
 }
 
+/// The last [`NONCE_MEMORY`] nonces put in, oldest forgotten first. An
+/// echo older than the window reads as unknown at worst.
+#[derive(Debug, Default)]
+struct NonceMemory {
+    set: BTreeSet<u64>,
+    order: VecDeque<u64>,
+}
+
+impl NonceMemory {
+    fn insert(&mut self, nonce: u64) {
+        if self.set.insert(nonce) {
+            self.order.push_back(nonce);
+            if self.order.len() > NONCE_MEMORY {
+                if let Some(old) = self.order.pop_front() {
+                    self.set.remove(&old);
+                }
+            }
+        }
+    }
+
+    fn contains(&self, nonce: u64) -> bool {
+        self.set.contains(&nonce)
+    }
+
+    /// Forget `nonce` ahead of its turn; true if it was remembered.
+    fn remove(&mut self, nonce: u64) -> bool {
+        self.set.remove(&nonce)
+    }
+}
+
 /// Per-probe timeout/retry/dedup engine. See the module docs.
 #[derive(Debug, Default)]
 pub struct ProbeManager {
@@ -157,9 +188,8 @@ pub struct ProbeManager {
     salt: u64,
     nonce_counter: u64,
     outstanding: BTreeMap<u64, Outstanding>,
-    expired: BTreeSet<u64>,
-    completed: BTreeSet<u64>,
-    completed_order: VecDeque<u64>,
+    expired: NonceMemory,
+    completed: NonceMemory,
     epochs: BTreeMap<u32, u32>,
     armed_until: Option<u64>,
     trace: Option<SharedSink>,
@@ -307,16 +337,16 @@ impl ProbeManager {
         };
         if let Some(o) = self.outstanding.remove(&nonce) {
             ctx.recycle_frame(o.frame);
-            self.remember_completed(nonce);
+            self.completed.insert(nonce);
             self.stats.delivered += 1;
             return ProbeDelivery::Fresh { nonce };
         }
-        if self.expired.remove(&nonce) {
-            self.remember_completed(nonce);
+        if self.expired.remove(nonce) {
+            self.completed.insert(nonce);
             self.stats.late += 1;
             return ProbeDelivery::Late { nonce };
         }
-        if self.completed.contains(&nonce) {
+        if self.completed.contains(nonce) {
             self.stats.duplicates += 1;
             return ProbeDelivery::Duplicate { nonce };
         }
@@ -325,58 +355,57 @@ impl ProbeManager {
         ProbeDelivery::NotAProbe
     }
 
-    /// Service the retry clock: re-send due probes, expire exhausted
-    /// ones. Returns the nonces that gave up (the app decides whether to
-    /// re-issue a fresh probe). Call from `on_timer` when
-    /// [`ProbeManager::is_timer`] matches.
-    pub fn on_timer(&mut self, ctx: &mut HostCtx<'_>) -> Vec<u64> {
+    /// Service the retry clock: re-send due probes and expire exhausted
+    /// ones, in ascending nonce order. Returns how many expired (the app
+    /// decides whether to re-issue a fresh probe). Call from `on_timer`
+    /// when [`ProbeManager::is_timer`] matches. One in-place pass over
+    /// the outstanding probes; nothing is allocated.
+    pub fn on_timer(&mut self, ctx: &mut HostCtx<'_>) -> usize {
         self.armed_until = None;
         let now = ctx.now();
-        let due: Vec<u64> = self
-            .outstanding
-            .iter()
-            .filter(|(_, o)| o.deadline_ns <= now)
-            .map(|(n, _)| *n)
-            .collect();
-        let mut expired = Vec::new();
-        for nonce in due {
-            let o = self.outstanding.get_mut(&nonce).expect("due nonce");
-            if o.attempt < self.policy.max_retries {
-                o.attempt += 1;
-                let attempt = o.attempt;
-                let backoff = RetryPolicy::backoff_of(self.policy, nonce, attempt);
-                o.deadline_ns = now + backoff;
-                send_copy(self.port, &o.frame, ctx);
-                self.stats.retries += 1;
-                self.emit(ctx.now(), 0, TraceEventKind::ProbeRetry { nonce, attempt });
-            } else {
+        let ProbeManager {
+            policy,
+            port,
+            outstanding,
+            expired,
+            trace,
+            stats,
+            ..
+        } = self;
+        let mut n_expired = 0;
+        let mut next_deadline: Option<u64> = None;
+        outstanding.retain(|&nonce, o| {
+            let due = o.deadline_ns <= now;
+            if due && o.attempt >= policy.max_retries {
+                ctx.recycle_frame(std::mem::take(&mut o.frame));
+                expired.insert(nonce);
+                stats.timeouts += 1;
                 let retries = o.attempt;
-                if let Some(o) = self.outstanding.remove(&nonce) {
-                    ctx.recycle_frame(o.frame);
-                }
-                self.expired.insert(nonce);
-                // Bound the expired set the same way as the completed
-                // one: echoes older than the memory window are dropped
-                // as duplicates at worst.
-                if self.expired.len() > COMPLETED_MEMORY {
-                    let oldest = self.expired.iter().next().copied();
-                    if let Some(old) = oldest {
-                        self.expired.remove(&old);
-                    }
-                }
-                self.stats.timeouts += 1;
-                self.emit(
-                    ctx.now(),
+                emit(
+                    trace,
+                    now,
                     0,
                     TraceEventKind::ProbeTimeout { nonce, retries },
                 );
-                expired.push(nonce);
+                n_expired += 1;
+                return false;
             }
-        }
-        if let Some(next) = self.outstanding.values().map(|o| o.deadline_ns).min() {
+            if due {
+                o.attempt += 1;
+                o.deadline_ns = now + RetryPolicy::backoff_of(*policy, nonce, o.attempt);
+                send_copy(*port, &o.frame, ctx);
+                stats.retries += 1;
+                let attempt = o.attempt;
+                emit(trace, now, 0, TraceEventKind::ProbeRetry { nonce, attempt });
+            }
+            let d = o.deadline_ns;
+            next_deadline = Some(next_deadline.map_or(d, |next| next.min(d)));
+            true
+        });
+        if let Some(next) = next_deadline {
             self.arm(next, ctx);
         }
-        expired
+        n_expired
     }
 
     /// Record a switch's boot epoch as read from `Switch:BootEpoch`.
@@ -386,7 +415,8 @@ impl ProbeManager {
         match self.epochs.insert(switch_id, epoch) {
             Some(prev) if prev != epoch => {
                 self.stats.epoch_mismatches += 1;
-                self.emit(
+                emit(
+                    &mut self.trace,
                     ctx.now(),
                     switch_id,
                     TraceEventKind::EpochMismatch {
@@ -420,27 +450,18 @@ impl ProbeManager {
         let delay = deadline_ns.saturating_sub(ctx.now()).max(1);
         ctx.set_timer(delay, self.timer_token());
     }
+}
 
-    fn remember_completed(&mut self, nonce: u64) {
-        if self.completed.insert(nonce) {
-            self.completed_order.push_back(nonce);
-            if self.completed_order.len() > COMPLETED_MEMORY {
-                if let Some(old) = self.completed_order.pop_front() {
-                    self.completed.remove(&old);
-                }
-            }
-        }
-    }
-
-    fn emit(&mut self, t_ns: u64, switch_id: u32, kind: TraceEventKind) {
-        if let Some(sink) = &mut self.trace {
-            sink.record(TraceEvent {
-                t_ns,
-                switch_id,
-                seq: 0,
-                kind,
-            });
-        }
+/// Record `kind` in the manager's trace sink, if one is attached. A free
+/// function, so `on_timer` can call it while it walks `outstanding`.
+fn emit(trace: &mut Option<SharedSink>, t_ns: u64, switch_id: u32, kind: TraceEventKind) {
+    if let Some(sink) = trace {
+        sink.record(TraceEvent {
+            t_ns,
+            switch_id,
+            seq: 0,
+            kind,
+        });
     }
 }
 
@@ -484,7 +505,7 @@ mod tests {
 
         fn on_timer(&mut self, token: u64, ctx: &mut HostCtx<'_>) {
             if ProbeManager::is_timer(token) {
-                self.expired += self.mgr.on_timer(ctx).len() as u32;
+                self.expired += self.mgr.on_timer(ctx) as u32;
             }
         }
 
@@ -550,6 +571,86 @@ mod tests {
         // Each retry's wire copy reuses the buffer the lossy link just
         // ate, and expiry hands the retained frame back too.
         assert_eq!(sim.frame_pool_stats(), (2, 2, 4));
+    }
+
+    /// Tracks `n` single-shot probes, one every 10 µs, and records
+    /// which come back `Late`.
+    struct Flood {
+        dst: EthernetAddress,
+        n: usize,
+        probe: ProbeBuilder,
+        mgr: ProbeManager,
+        nonces: Vec<u64>,
+        expired: usize,
+        late: Vec<u64>,
+    }
+
+    const SEND_NEXT: u64 = 1;
+
+    impl HostApp for Flood {
+        fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+            ctx.set_timer(0, SEND_NEXT);
+        }
+
+        fn on_timer(&mut self, token: u64, ctx: &mut HostCtx<'_>) {
+            if ProbeManager::is_timer(token) {
+                self.expired += self.mgr.on_timer(ctx);
+            } else if self.nonces.len() < self.n {
+                let nonce = self.mgr.track_probe(&self.probe, self.dst, &[], 0, ctx);
+                self.nonces.push(nonce);
+                ctx.set_timer(time::micros(10), SEND_NEXT);
+            }
+        }
+
+        fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
+            if let ProbeDelivery::Late { nonce } = self.mgr.on_frame(&frame, ctx) {
+                self.late.push(nonce);
+            }
+            ctx.recycle_frame(frame);
+        }
+    }
+
+    /// The expired-nonce memory forgets the *oldest* expiries first: when
+    /// more probes expire than it holds, the echoes of the most recent
+    /// `NONCE_MEMORY` still read `Late`, whatever their nonce values.
+    #[test]
+    fn expired_memory_evicts_oldest_first() {
+        let n = NONCE_MEMORY + 76;
+        let program = assemble("PUSH [Switch:SwitchID]").unwrap();
+        let mut net = NetworkBuilder::new();
+        let s = net.add_switch(AsicConfig::with_ports(1, 2));
+        let h0 = net.add_host(
+            Box::new(Flood {
+                dst: EthernetAddress::from_host_id(1),
+                n,
+                probe: ProbeBuilder::stack(&program, 2),
+                mgr: ProbeManager::new(RetryPolicy {
+                    timeout_ns: time::millis(1),
+                    max_retries: 0,
+                    jitter_permille: 0,
+                }),
+                nonces: Vec::new(),
+                expired: 0,
+                late: Vec::new(),
+            }),
+            1_000_000,
+        );
+        let h1 = net.add_host(Box::new(EchoReceiver::default()), 1_000_000);
+        // Probes go out over 11 ms and expire 1 ms later, one per
+        // service tick; the first echo is due at 40 ms.
+        net.connect(Endpoint::host(h0), Endpoint::switch(s, 0), time::millis(10));
+        net.connect(Endpoint::host(h1), Endpoint::switch(s, 1), time::millis(10));
+        let mut sim = net.build();
+        sim.populate_l2();
+        sim.run(RunLimit::Until(time::millis(100)));
+        let f = sim.host_app::<Flood>(h0);
+        assert_eq!(f.expired, n);
+        let mut newest = f.nonces[n - NONCE_MEMORY..].to_vec();
+        let mut late = f.late.clone();
+        newest.sort_unstable();
+        late.sort_unstable();
+        assert_eq!(late, newest, "exactly the newest expiries read Late");
+        assert_eq!(f.mgr.stats().late, NONCE_MEMORY as u64);
     }
 
     #[test]

@@ -42,6 +42,17 @@
 //! delivers every segment exactly once, in order; duplicates and
 //! already-buffered arrivals still produce an ACK (that is what carries
 //! the dup-ACK signal back).
+//!
+//! # Buffers
+//!
+//! A sender's one heap buffer is its per-segment transmission counters.
+//! They are not a window ring: Karn's check reads the counter of the
+//! segment an ACK echoes, and duplication or reordering delivers ACKs
+//! for segments acknowledged long ago. A host running flow after flow
+//! hands a finished sender's buffer to the next one
+//! ([`FlowSender::into_tx_buffer`], [`FlowSender::reusing`]), so once
+//! its buffers have grown, starting a flow allocates nothing. The
+//! receiver's out-of-order set still allocates its tree nodes.
 
 use std::collections::BTreeSet;
 
@@ -292,8 +303,27 @@ impl FlowSender {
     /// `start_ns`. Zero-byte flows still carry one FIN segment.
     /// `total_bytes` is a `u32` byte count, so flows of 4 GiB or more are
     /// unrepresentable; segments are numbered by index, and the sender
-    /// keeps one retransmit counter per segment.
+    /// keeps one transmission counter per segment (Karn's rule reads it
+    /// for every ACK, old segments included). That counter buffer is the
+    /// sender's only allocation: [`FlowSender::reusing`] starts a flow on
+    /// the buffer of a finished one instead.
     pub fn new(
+        cfg: TransportConfig,
+        key: u64,
+        total_bytes: u32,
+        mining: bool,
+        start_ns: u64,
+    ) -> FlowSender {
+        FlowSender::reusing(Vec::new(), cfg, key, total_bytes, mining, start_ns)
+    }
+
+    /// [`FlowSender::new`], with the per-segment counters kept in
+    /// `tx_count` — a buffer from [`FlowSender::into_tx_buffer`]. Its
+    /// contents are discarded and every counter starts at zero, so the
+    /// sender behaves exactly as a fresh one; only a flow longer than
+    /// the buffer's capacity allocates.
+    pub fn reusing(
+        mut tx_count: Vec<u16>,
         cfg: TransportConfig,
         key: u64,
         total_bytes: u32,
@@ -304,6 +334,8 @@ impl FlowSender {
         let total_segs = segments_for(total_bytes, cfg.mss);
         let rem = total_bytes.max(1) % mss;
         let last_body = if rem == 0 { mss as u16 } else { rem as u16 };
+        tx_count.clear();
+        tx_count.resize(total_segs as usize, 0);
         FlowSender {
             key,
             start_ns,
@@ -317,7 +349,7 @@ impl FlowSender {
             dup_acks: 0,
             backoff: 0,
             pending_fast_rtx: false,
-            tx_count: vec![0; total_segs as usize],
+            tx_count,
             est: RttEstimator::new(),
             rate_bps: None,
             rto_at: None,
@@ -332,6 +364,12 @@ impl FlowSender {
             max_backoff: 0,
             cfg,
         }
+    }
+
+    /// Give up the per-segment counter buffer once the flow is over, for
+    /// the next flow's [`FlowSender::reusing`].
+    pub fn into_tx_buffer(self) -> Vec<u16> {
+        self.tx_count
     }
 
     /// All segments acknowledged.
@@ -768,6 +806,7 @@ impl TransportStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cfg() -> TransportConfig {
         TransportConfig {
@@ -1113,6 +1152,83 @@ mod tests {
         assert_eq!(b.flows_started, 1);
         assert_eq!(b.rate_limited_polls, 4);
         assert_eq!(b.max_backoff, 5, "ladder depth max-merges");
+    }
+
+    /// One step of a scripted sender drive (`reused_sender_matches_fresh`).
+    fn drive_step(s: &mut FlowSender, op: (u8, u32, u32, u64), now: &mut u64) -> String {
+        let (kind, a, b, dt) = op;
+        *now += dt;
+        let out = match kind {
+            0..=2 => {
+                let mut segs = Vec::new();
+                while let Some(seg) = s.poll_send(*now) {
+                    segs.push(seg);
+                }
+                format!("{segs:?}")
+            }
+            3..=5 => {
+                let ts = now.saturating_sub(dt / 2 + 1);
+                format!("{:?}", s.on_ack(a, b, ts, *now))
+            }
+            6 => {
+                *now = s.rto_deadline().unwrap_or(*now).max(*now);
+                format!("{:?}", s.on_rto(*now))
+            }
+            7 => {
+                s.set_rate_bps(u64::from(a) * 1_000_000);
+                String::new()
+            }
+            _ => {
+                s.on_path_epoch_change();
+                String::new()
+            }
+        };
+        format!("{out} {:?} {:?}", s.rto_deadline(), s.effective_window())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A sender started on a recycled counter buffer — dirtied by a
+        /// previous flow longer or shorter than the new one — answers a
+        /// scripted drive exactly as a fresh sender: same descriptors,
+        /// outcomes, deadlines, counters and final state.
+        #[test]
+        fn reused_sender_matches_fresh(
+            prev_segs in 1u32..40,
+            segs in 1u32..40,
+            prev_ops in proptest::collection::vec((0u8..9, 0u32..42, 0u32..42, 0u64..3_000_000), 0..40),
+            ops in proptest::collection::vec((0u8..9, 0u32..42, 0u32..42, 0u64..3_000_000), 1..120),
+        ) {
+            let bytes = |n: u32| n * 1408 - 700;
+            let mut prev = FlowSender::new(cfg(), 0x11, bytes(prev_segs), true, 0);
+            let mut now = 0;
+            for &op in &prev_ops {
+                drive_step(&mut prev, op, &mut now);
+            }
+            let buffer = prev.into_tx_buffer();
+            let mut fresh = FlowSender::new(cfg(), 0xAB, bytes(segs), false, 1_000);
+            let mut reused = FlowSender::reusing(buffer, cfg(), 0xAB, bytes(segs), false, 1_000);
+            let (mut t_fresh, mut t_reused) = (1_000, 1_000);
+            for &op in &ops {
+                let a = drive_step(&mut fresh, op, &mut t_fresh);
+                let b = drive_step(&mut reused, op, &mut t_reused);
+                prop_assert_eq!(a, b, "step {:?}", op);
+            }
+            prop_assert_eq!(format!("{fresh:?}"), format!("{reused:?}"));
+        }
+    }
+
+    #[test]
+    fn reusing_grows_and_zeroes_a_short_buffer() {
+        let mut first = sender(2 * 1408);
+        while first.poll_send(0).is_some() {}
+        let buffer = first.into_tx_buffer();
+        assert_eq!(buffer, [1, 1]);
+        let mut longer = FlowSender::reusing(buffer, cfg(), 0xAB, 5 * 1408, false, 0);
+        assert_eq!(longer.total_segs(), 5);
+        assert!(longer.poll_send(0).is_some_and(|seg| !seg.retransmit));
+        assert_eq!(longer.into_tx_buffer(), [1, 0, 0, 0, 0]);
     }
 
     #[test]

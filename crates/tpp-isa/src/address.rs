@@ -28,7 +28,6 @@
 //! (§3.2 "Multiple tasks").
 
 use crate::{IsaError, Result};
-use std::collections::BTreeMap;
 
 /// A 16-bit virtual address into the switch's unified statistics /
 /// SRAM address space.
@@ -146,6 +145,21 @@ macro_rules! stats {
                 match self { $($name::$variant => $symbol,)* }
             }
 
+            /// [`symbol`](Self::symbol) in lowercase, built at compile
+            /// time: the name a [`SymbolTable`] disassembles to.
+            fn lower_symbol(self) -> &'static str {
+                match self {
+                    $($name::$variant => {
+                        const LOWER: [u8; $symbol.len()] = ascii_lowercase($symbol);
+                        const TEXT: &str = match core::str::from_utf8(&LOWER) {
+                            Ok(text) => text,
+                            Err(_) => panic!("mnemonics are ASCII"),
+                        };
+                        TEXT
+                    })*
+                }
+            }
+
             /// The virtual address the compiler maps the mnemonic to.
             pub fn addr(self) -> VirtAddr {
                 match self { $($name::$variant => VirtAddr($addr),)* }
@@ -158,6 +172,18 @@ macro_rules! stats {
             }
         }
     };
+}
+
+/// `text` with its ASCII letters lowercased, as `N` bytes.
+const fn ascii_lowercase<const N: usize>(text: &str) -> [u8; N] {
+    let bytes = text.as_bytes();
+    let mut out = [0u8; N];
+    let mut i = 0;
+    while i < N {
+        out[i] = bytes[i].to_ascii_lowercase();
+        i += 1;
+    }
+    out
 }
 
 stats! {
@@ -270,63 +296,75 @@ impl Stat {
 }
 
 /// The compiler's symbol table: `Namespace:Statistic` mnemonics →
-/// virtual addresses.
+/// virtual addresses, matched without regard to ASCII case.
 ///
-/// Pre-populated with every [`Stat`]; tasks extend it with the scratch-SRAM
-/// symbols the control-plane agent allocates for them (§3.2 "Multiple
-/// tasks"), e.g. `Link:RCP-RateRegister`. It also resolves the indexed
-/// forms `Link:Scratch[k]` and `Switch:Scratch[k]` without registration.
-#[derive(Debug, Clone)]
+/// Every [`Stat`] resolves without being stored; tasks register the
+/// scratch-SRAM symbols the control-plane agent allocates for them (§3.2
+/// "Multiple tasks"), e.g. `Link:RCP-RateRegister`, and a registered
+/// symbol wins over a built-in of the same name. It also resolves the
+/// indexed forms `Link:Scratch[k]` and `Switch:Scratch[k]` and raw hex
+/// addresses. Building and resolving allocate nothing; registering
+/// stores the lowercased name.
+#[derive(Debug, Clone, Default)]
 pub struct SymbolTable {
-    symbols: BTreeMap<String, VirtAddr>,
-}
-
-impl Default for SymbolTable {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Registered symbols, lowercased and sorted by name.
+    registered: Vec<(String, VirtAddr)>,
 }
 
 impl SymbolTable {
-    /// A table holding all built-in statistics.
+    /// A table holding the built-in statistics only.
     pub fn new() -> Self {
-        let mut symbols = BTreeMap::new();
-        for stat in Stat::ALL {
-            symbols.insert(stat.symbol().to_ascii_lowercase(), stat.addr());
-        }
-        SymbolTable { symbols }
+        SymbolTable::default()
+    }
+
+    /// Position of `symbol` among the registered names, compared as if
+    /// lowercased.
+    fn find(&self, symbol: &str) -> std::result::Result<usize, usize> {
+        let lower = || symbol.bytes().map(|b| b.to_ascii_lowercase());
+        self.registered
+            .binary_search_by(|(name, _)| name.bytes().cmp(lower()))
     }
 
     /// Register a task-allocated symbol (e.g. from `tpp-control`'s SRAM
-    /// allocator). Returns the previous binding, if any.
+    /// allocator). Returns the previous binding, if any — a built-in's
+    /// address the first time a built-in name is registered.
     pub fn register(&mut self, symbol: &str, addr: VirtAddr) -> Option<VirtAddr> {
-        self.symbols.insert(symbol.to_ascii_lowercase(), addr)
+        match self.find(symbol) {
+            Ok(i) => Some(std::mem::replace(&mut self.registered[i].1, addr)),
+            Err(i) => {
+                self.registered
+                    .insert(i, (symbol.to_ascii_lowercase(), addr));
+                Stat::by_symbol(symbol).map(Stat::addr)
+            }
+        }
     }
 
     /// Resolve a mnemonic to a virtual address.
     ///
-    /// Supports three forms: registered/built-in symbols
+    /// Supports four forms: registered/built-in symbols
     /// (`Queue:QueueSize`), indexed link scratch (`Link:Scratch[k]`),
     /// indexed global scratch (`Switch:Scratch[k]`), and raw hex addresses
     /// (`0x2000`).
     pub fn resolve(&self, symbol: &str) -> Result<VirtAddr> {
-        let key = symbol.to_ascii_lowercase();
-        if let Some(addr) = self.symbols.get(&key) {
-            return Ok(*addr);
+        if let Ok(i) = self.find(symbol) {
+            return Ok(self.registered[i].1);
         }
-        if let Some(idx) = parse_indexed(&key, "link:scratch[") {
+        if let Some(stat) = Stat::by_symbol(symbol) {
+            return Ok(stat.addr());
+        }
+        if let Some(idx) = parse_indexed(symbol, "link:scratch[") {
             let off = idx * 4;
             if off < Namespace::LinkSram.len() {
                 return Ok(VirtAddr(Namespace::LinkSram.base().0 + off as u16));
             }
         }
-        if let Some(idx) = parse_indexed(&key, "switch:scratch[") {
+        if let Some(idx) = parse_indexed(symbol, "switch:scratch[") {
             let off = idx * 4;
             if off < Namespace::GlobalSram.len() {
                 return Ok(VirtAddr(Namespace::GlobalSram.base().0 + off as u16));
             }
         }
-        if let Some(hex) = key.strip_prefix("0x") {
+        if let Some(hex) = strip_prefix_ignore_case(symbol, "0x") {
             if let Ok(value) = u16::from_str_radix(hex, 16) {
                 return Ok(VirtAddr(value));
             }
@@ -334,19 +372,32 @@ impl SymbolTable {
         Err(IsaError::UnknownSymbol(symbol.to_string()))
     }
 
-    /// Best-effort reverse lookup for disassembly: the mnemonic bound to
-    /// `addr`, if any.
+    /// Best-effort reverse lookup for disassembly: the lowercase mnemonic
+    /// bound to `addr`, the alphabetically first if several are.
     pub fn symbol_for(&self, addr: VirtAddr) -> Option<&str> {
-        self.symbols
+        let registered = self
+            .registered
             .iter()
-            .find(|(_, a)| **a == addr)
-            .map(|(s, _)| s.as_str())
+            .filter(|(_, a)| *a == addr)
+            .map(|(name, _)| name.as_str());
+        let built_in = Stat::at(addr)
+            .map(Stat::lower_symbol)
+            .filter(|name| self.find(name).is_err());
+        registered.chain(built_in).min()
     }
 }
 
-/// Parse `prefix<k>]` returning `k`.
-fn parse_indexed(key: &str, prefix: &str) -> Option<usize> {
-    let rest = key.strip_prefix(prefix)?;
+/// `text` without `prefix`, which is matched ignoring ASCII case.
+pub(crate) fn strip_prefix_ignore_case<'a>(text: &'a str, prefix: &str) -> Option<&'a str> {
+    let head = text.get(..prefix.len())?;
+    head.eq_ignore_ascii_case(prefix)
+        .then(|| &text[prefix.len()..])
+}
+
+/// Parse `prefix<k>]` returning `k`; `prefix` is lowercase and matched
+/// ignoring case.
+fn parse_indexed(symbol: &str, prefix: &str) -> Option<usize> {
+    let rest = strip_prefix_ignore_case(symbol, prefix)?;
     let inner = rest.strip_suffix(']')?;
     inner.parse().ok()
 }

@@ -20,8 +20,8 @@
 //! packet    := '[Packet:SP]' | '[Packet:Hop[' n ']]' | '[Packet:' n ']'
 //! ```
 
-use crate::address::SymbolTable;
-use crate::instruction::{Instruction, PacketOperand};
+use crate::address::{strip_prefix_ignore_case, SymbolTable};
+use crate::instruction::{Instruction, Opcode, PacketOperand};
 use crate::program::Program;
 use crate::{IsaError, Result};
 
@@ -69,9 +69,11 @@ impl Assembler {
         Assembler { symbols }
     }
 
-    /// Assemble program text into a [`Program`].
+    /// Assemble program text into a [`Program`]. The instruction list,
+    /// sized from the line count, is the one allocation of a
+    /// successful call.
     pub fn assemble(&self, source: &str) -> Result<Program> {
-        let mut instructions = Vec::new();
+        let mut instructions = Vec::with_capacity(source.lines().count());
         for (idx, raw_line) in source.lines().enumerate() {
             let line_no = idx + 1;
             let line = strip_comment(raw_line).trim();
@@ -92,46 +94,56 @@ impl Assembler {
             Some(pos) => (&line[..pos], line[pos..].trim()),
             None => (line, ""),
         };
-        let operands: Vec<&str> = if rest.is_empty() {
-            Vec::new()
-        } else {
-            rest.split(',').map(str::trim).collect()
-        };
+        // At most two operands are kept; the count covers all of them.
+        let mut operands = [""; 2];
+        let mut n_operands = 0;
+        if !rest.is_empty() {
+            for operand in rest.split(',') {
+                if let Some(slot) = operands.get_mut(n_operands) {
+                    *slot = operand.trim();
+                }
+                n_operands += 1;
+            }
+        }
         let expect_count = |n: usize| -> Result<()> {
-            if operands.len() != n {
+            if n_operands != n {
                 Err(err(format!(
                     "{} expects {} operand(s), got {}",
                     mnemonic.to_ascii_uppercase(),
                     n,
-                    operands.len()
+                    n_operands
                 )))
             } else {
                 Ok(())
             }
         };
 
-        match mnemonic.to_ascii_uppercase().as_str() {
-            "NOP" => {
+        let opcode = Opcode::ALL
+            .iter()
+            .copied()
+            .find(|op| op.mnemonic().eq_ignore_ascii_case(mnemonic));
+        match opcode {
+            Some(Opcode::Nop) => {
                 expect_count(0)?;
                 Ok(Instruction::Nop)
             }
-            "ADD" => {
+            Some(Opcode::Add) => {
                 expect_count(0)?;
                 Ok(Instruction::Add)
             }
-            "SUB" => {
+            Some(Opcode::Sub) => {
                 expect_count(0)?;
                 Ok(Instruction::Sub)
             }
-            "AND" => {
+            Some(Opcode::And) => {
                 expect_count(0)?;
                 Ok(Instruction::And)
             }
-            "OR" => {
+            Some(Opcode::Or) => {
                 expect_count(0)?;
                 Ok(Instruction::Or)
             }
-            "PUSHI" => {
+            Some(Opcode::PushI) => {
                 expect_count(1)?;
                 let imm = parse_number(operands[0])
                     .ok_or_else(|| err(format!("bad immediate '{}'", operands[0])))?;
@@ -140,47 +152,50 @@ impl Assembler {
                 }
                 Ok(Instruction::PushImm(imm as u16))
             }
-            "PUSH" => {
+            Some(Opcode::Push) => {
                 expect_count(1)?;
                 Ok(Instruction::Push {
                     addr: self.parse_switch(operands[0], line_no)?,
                 })
             }
-            "POP" => {
+            Some(Opcode::Pop) => {
                 expect_count(1)?;
                 Ok(Instruction::Pop {
                     addr: self.parse_switch(operands[0], line_no)?,
                 })
             }
-            "LOAD" => {
+            Some(Opcode::Load) => {
                 expect_count(2)?;
                 Ok(Instruction::Load {
                     addr: self.parse_switch(operands[0], line_no)?,
                     dst: parse_packet(operands[1], line_no)?,
                 })
             }
-            "STORE" => {
+            Some(Opcode::Store) => {
                 expect_count(2)?;
                 Ok(Instruction::Store {
                     addr: self.parse_switch(operands[0], line_no)?,
                     src: parse_packet(operands[1], line_no)?,
                 })
             }
-            "CSTORE" => {
+            Some(Opcode::Cstore) => {
                 expect_count(2)?;
                 Ok(Instruction::Cstore {
                     addr: self.parse_switch(operands[0], line_no)?,
                     mem: parse_packet(operands[1], line_no)?,
                 })
             }
-            "CEXEC" => {
+            Some(Opcode::Cexec) => {
                 expect_count(2)?;
                 Ok(Instruction::Cexec {
                     addr: self.parse_switch(operands[0], line_no)?,
                     mem: parse_packet(operands[1], line_no)?,
                 })
             }
-            other => Err(err(format!("unknown mnemonic '{other}'"))),
+            None => Err(err(format!(
+                "unknown mnemonic '{}'",
+                mnemonic.to_ascii_uppercase()
+            ))),
         }
     }
 
@@ -264,26 +279,32 @@ fn parse_packet(operand: &str, line_no: usize) -> Result<PacketOperand> {
             "expected bracketed packet operand, got '{operand}'"
         ))
     })?;
-    let lower = inner.to_ascii_lowercase();
-    let rest = lower
-        .strip_prefix("packet:")
-        .or_else(|| lower.strip_prefix("packetmemory:"))
+    let rest = strip_prefix_ignore_case(inner, "packet:")
+        .or_else(|| strip_prefix_ignore_case(inner, "packetmemory:"))
         .ok_or_else(|| {
             err(format!(
                 "packet operand must start with Packet:, got '{inner}'"
             ))
         })?;
-    if rest == "sp" {
+    if rest.eq_ignore_ascii_case("sp") {
         return Ok(PacketOperand::Sp);
     }
-    if let Some(idx) = rest.strip_prefix("hop[").and_then(|r| r.strip_suffix(']')) {
-        let n = parse_number(idx).ok_or_else(|| err(format!("bad hop index '{idx}'")))?;
+    // Error texts quote the operand lowercased, as they always have.
+    let hop = strip_prefix_ignore_case(rest, "hop[").and_then(|r| r.strip_suffix(']'));
+    if let Some(idx) = hop {
+        let n = parse_number(idx)
+            .ok_or_else(|| err(format!("bad hop index '{}'", idx.to_ascii_lowercase())))?;
         if n > crate::instruction::MAX_WORD_OFFSET {
             return Err(IsaError::OffsetTooLarge(n));
         }
         return Ok(PacketOperand::Hop(n as u16));
     }
-    let n = parse_number(rest).ok_or_else(|| err(format!("bad packet word offset '{rest}'")))?;
+    let n = parse_number(rest).ok_or_else(|| {
+        err(format!(
+            "bad packet word offset '{}'",
+            rest.to_ascii_lowercase()
+        ))
+    })?;
     if n > crate::instruction::MAX_WORD_OFFSET {
         return Err(IsaError::OffsetTooLarge(n));
     }

@@ -133,8 +133,15 @@ impl WindowedSeries {
     }
 
     /// Fold a whole point slice (e.g. [`RingSeries::points`]) at once.
+    /// The window list is sized once, from the windows the first and
+    /// last point span (at most one per point).
     pub fn from_points(points: &[(u64, u64)], width_ns: u64) -> Self {
         let mut w = WindowedSeries::new(width_ns);
+        if let (Some(&(first, _)), Some(&(last, _))) = (points.first(), points.last()) {
+            let span = (last / w.width_ns).saturating_sub(first / w.width_ns);
+            let windows = span.saturating_add(1).min(points.len() as u64);
+            w.closed.reserve_exact(windows as usize);
+        }
         for &(t, v) in points {
             w.push(t, v);
         }

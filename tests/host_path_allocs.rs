@@ -6,8 +6,10 @@
 //! binary installs its own counting `#[global_allocator]` and checks the
 //! second half of the run — after set-up and pool warm-up — against a
 //! budget per frame a host put on the wire. What is left is per *flow*,
-//! not per frame: the sender's `tx_count`, `BTreeMap` nodes for the
-//! active/receiver maps, and growth of the completion log.
+//! not per frame: the receiver map's `BTreeMap` nodes, the nodes of a
+//! receiver's out-of-order set, and growth of the completion log. A
+//! sender starts on the counter buffer of a finished flow, so it adds
+//! nothing once the buffers have grown.
 //!
 //! The run repeats on every row of the shard matrix: the threaded
 //! scheduler's per-window bookkeeping and cross-shard buffer migration
@@ -54,7 +56,7 @@ fn check_host_frame_allocations(config: SimConfig) {
         .map(|i| EthernetAddress::from_host_id(i as u32))
         .collect();
     // Flows four times the default size (~18 host frames each), so the
-    // ~1.2 per-flow allocations sit well inside the per-frame budget.
+    // per-flow allocations sit well inside the per-frame budget.
     let traffic = TrafficConfig {
         flows_per_host: 400,
         mean_gap_ns: 200_000,
@@ -111,10 +113,12 @@ fn check_host_frame_allocations(config: SimConfig) {
     assert!(frames > 40_000, "second half carried {frames} host frames");
 
     let per_frame = allocs as f64 / frames as f64;
+    // Measured 0.018 / 0.019 / 0.046 / 0.046 on the four shard rows;
+    // a fresh counter buffer per flow reads 0.059 to 0.087.
     assert!(
-        per_frame <= 0.1,
+        per_frame <= 0.06,
         "{allocs} allocations for {frames} host-sent frames in the second half \
-         = {per_frame:.3} per frame (budget 0.1)"
+         = {per_frame:.3} per frame (budget 0.06)"
     );
     let (reused, fresh, _) = sim.frame_pool_stats();
     let (reused, fresh) = (reused - reused0, fresh - fresh0);
