@@ -188,13 +188,6 @@ pub struct Burst {
     pub peak_bytes: u64,
 }
 
-impl Burst {
-    /// The burst's observed duration.
-    pub fn duration_ns(&self) -> u64 {
-        self.end_ns - self.start_ns
-    }
-}
-
 /// Find excursions of a queue series above `threshold_bytes`.
 ///
 /// Consecutive above-threshold samples separated by gaps of at most
@@ -240,7 +233,7 @@ mod tests {
         assert_eq!(bursts[0].start_ns, 200);
         assert_eq!(bursts[0].end_ns, 400);
         assert_eq!(bursts[0].peak_bytes, 9_000);
-        assert_eq!(bursts[0].duration_ns(), 200);
+        assert_eq!(bursts[0].end_ns - bursts[0].start_ns, 200);
     }
 
     #[test]

@@ -83,11 +83,6 @@ impl Outcome {
         matches!(self, Outcome::Enqueued { .. })
     }
 
-    /// True if the frame was dropped.
-    pub fn is_drop(&self) -> bool {
-        matches!(self, Outcome::Dropped { .. })
-    }
-
     /// The TCPU execution report, when the frame carried a TPP that ran.
     pub fn exec_report(&self) -> Option<&ExecReport> {
         match self {
@@ -882,11 +877,6 @@ impl Asic {
         Some(frame)
     }
 
-    /// Number of egress queues on a port.
-    pub fn num_queues(&self, port: PortId) -> usize {
-        self.ports[port as usize].queues.len()
-    }
-
     /// `(total, max)` occupancy in bytes across every egress queue —
     /// the time-series layer's per-tick queue-depth sample.
     pub fn queue_occupancy(&self) -> (u64, u64) {
@@ -918,7 +908,8 @@ impl Asic {
     }
 
     /// True if the port has nothing queued.
-    pub fn port_idle(&self, port: PortId) -> bool {
+    #[cfg(test)]
+    fn port_idle(&self, port: PortId) -> bool {
         self.ports[port as usize]
             .queues
             .iter()
@@ -1582,7 +1573,10 @@ mod tests {
             EtherType(0x0800),
             &[],
         );
-        assert!(asic.handle_frame(frame, 0, 0).is_drop());
+        assert!(matches!(
+            asic.handle_frame(frame, 0, 0),
+            Outcome::Dropped { .. }
+        ));
         let events = shared.events();
         let names: Vec<&str> = events.iter().map(|e| e.kind.name()).collect();
         assert_eq!(names, vec!["parse", "lookup_miss", "drop"]);
@@ -1617,7 +1611,10 @@ mod tests {
         // (tcam_hits, l3_hits, l2_hits) after each frame.
         let hits = |a: &Asic| (a.regs().tcam_hits, a.regs().l3_hits, a.regs().l2_hits);
 
-        assert!(asic.handle_frame(mk(), 0, 0).is_drop(), "unknown MAC");
+        assert!(
+            matches!(asic.handle_frame(mk(), 0, 0), Outcome::Dropped { .. }),
+            "unknown MAC"
+        );
         assert_eq!(hits(&asic), (0, 0, 0));
         asic.l2_mut().insert(EthernetAddress::from_host_id(9), 3);
         assert_eq!(asic.handle_frame(mk(), 0, 1).egress(), Some((3, 0)));
@@ -1641,7 +1638,10 @@ mod tests {
         assert_eq!(asic.handle_frame(mk(), 0, 4).egress(), Some((2, 0)));
         assert_eq!(hits(&asic), (1, 2, 1));
         asic.reset(1_000);
-        assert!(asic.handle_frame(mk(), 0, 2_000).is_drop(), "tables wiped");
+        assert!(
+            matches!(asic.handle_frame(mk(), 0, 2_000), Outcome::Dropped { .. }),
+            "tables wiped"
+        );
         assert_eq!(hits(&asic), (0, 0, 0));
         asic.l2_mut().insert(EthernetAddress::from_host_id(9), 1);
         assert_eq!(asic.handle_frame(mk(), 0, 3_000).egress(), Some((1, 0)));

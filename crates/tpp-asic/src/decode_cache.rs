@@ -253,7 +253,7 @@ impl DecodeCache {
     /// Local hit/miss accounting is unchanged (an interner-served fill is
     /// still a local miss); the sharing shows up in the interner's own
     /// [`ProgramInterner::stats`].
-    pub fn set_interner(&mut self, interner: ProgramInterner) {
+    pub(crate) fn set_interner(&mut self, interner: ProgramInterner) {
         self.interner = Some(interner);
         self.fleet_interner = true;
     }
@@ -281,7 +281,7 @@ impl DecodeCache {
     }
 
     /// The program the last [`lookup`](Self::lookup) served, if any.
-    pub fn last_served(&self) -> Option<&DecodedProgram> {
+    pub(crate) fn last_served(&self) -> Option<&DecodedProgram> {
         self.slots[self.last].as_deref()
     }
 

@@ -54,12 +54,13 @@ impl DropTailQueue {
     }
 
     /// Instantaneous occupancy in bytes (`Queue:QueueSize`).
-    pub fn len_bytes(&self) -> u64 {
+    pub(crate) fn len_bytes(&self) -> u64 {
         self.stats.queue_size_bytes
     }
 
     /// Number of queued frames.
-    pub fn len_frames(&self) -> usize {
+    #[cfg(test)]
+    fn len_frames(&self) -> usize {
         self.frames.len()
     }
 

@@ -138,7 +138,7 @@ impl PortStats {
     /// Called periodically by the ASIC owner (the simulator); `alpha` is
     /// the EWMA weight of the newest sample and `capacity_kbps` the link
     /// rate. Idempotent for zero-length intervals.
-    pub fn tick_utilization(&mut self, now_ns: u64, capacity_kbps: u32, alpha: f64) {
+    pub(crate) fn tick_utilization(&mut self, now_ns: u64, capacity_kbps: u32, alpha: f64) {
         let dt_ns = now_ns.saturating_sub(self.last_tick_ns);
         if dt_ns == 0 {
             return;

@@ -269,7 +269,7 @@ impl Tcpu {
 
     /// Attach a decoded-program cache with `slots` entries (`0` leaves the
     /// cache off). Execution semantics are identical with or without it.
-    pub fn with_decode_cache(mut self, slots: usize) -> Self {
+    pub(crate) fn with_decode_cache(mut self, slots: usize) -> Self {
         self.programs = match slots {
             0 => Programs::Uncached(Vec::new()),
             _ => Programs::Cached(DecodeCache::new(slots)),
@@ -279,14 +279,14 @@ impl Tcpu {
 
     /// Route decode-cache misses through a fleet-wide program interner
     /// (no-op when the cache is off).
-    pub fn set_interner(&mut self, interner: ProgramInterner) {
+    pub(crate) fn set_interner(&mut self, interner: ProgramInterner) {
         if let Programs::Cached(cache) = &mut self.programs {
             cache.set_interner(interner);
         }
     }
 
     /// The configured budget.
-    pub fn cycle_budget(&self) -> u32 {
+    pub(crate) fn cycle_budget(&self) -> u32 {
         self.cycle_budget
     }
 
@@ -374,7 +374,10 @@ impl Tcpu {
 
     /// The opcodes of the instructions `report` — the last execution's —
     /// counts as executed, read from the program that ran.
-    pub fn executed_opcodes(&self, report: &ExecReport) -> impl Iterator<Item = Opcode> + '_ {
+    pub(crate) fn executed_opcodes(
+        &self,
+        report: &ExecReport,
+    ) -> impl Iterator<Item = Opcode> + '_ {
         let ops = match &self.programs {
             Programs::Cached(cache) => cache.last_served().map_or(&[][..], |p| &p.ops[..]),
             Programs::Uncached(ops) => &ops[..],

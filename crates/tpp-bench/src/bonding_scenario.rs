@@ -60,7 +60,7 @@ pub const SCENARIO_END_NS: u64 = time::millis(40);
 pub const PLAN_SEED: u64 = 0x0b0d_0b0d;
 
 /// The sender-side app configuration the scenario uses.
-pub fn sender_config() -> BondSenderConfig {
+pub(crate) fn sender_config() -> BondSenderConfig {
     BondSenderConfig {
         dst: EthernetAddress::from_host_id(1),
         expected_hops: 4, // 2 switches out + 2 back

@@ -16,17 +16,18 @@
 //! state. Any mismatch is a *divergence* — a conformance bug in one of
 //! the three implementations.
 //!
-//! [`gen_case`] draws arbitrary-but-encodable cases from a deterministic
-//! stream, [`minimize`] greedily shrinks a diverging case to a small
-//! replayable witness, and the JSON helpers serialize cases to
-//! `tests/corpus/` where they are replayed forever as golden regression
-//! tests (see `tests/conformance_corpus.rs` and the `conformance` bin).
+//! `gen_case` draws arbitrary-but-encodable cases from a deterministic
+//! stream, `minimize` greedily shrinks a diverging case to a small
+//! replayable witness, and the JSON helpers read and write the cases
+//! under `tests/corpus/` — the hand-written directed cases and the
+//! fuzzer's witnesses — which `tests/conformance_corpus.rs` replays
+//! forever as golden regression tests.
 
 use tpp_asic::{
     Asic, AsicConfig, AsicState, DropReason, ExecReport, HaltReason, Outcome, PortState, PortStats,
     QueueState, QueueStats, SwitchRegs,
 };
-use tpp_isa::{Instruction, Opcode, PacketOperand, Stat, VirtAddr};
+use tpp_isa::{Opcode, Stat};
 use tpp_spec::{
     execute, LinkBank, MetaBank, QueueBank, SpecPacket, SpecReport, SpecState, SwitchBank,
 };
@@ -194,7 +195,7 @@ impl Default for ConformanceCase {
 impl ConformanceCase {
     /// The TPP section bytes this case injects (header + instructions +
     /// memory, with the optional corruption applied).
-    pub fn tpp_section(&self) -> Vec<u8> {
+    pub(crate) fn tpp_section(&self) -> Vec<u8> {
         let pkt = SpecPacket {
             version: 1,
             flags: self.flags0,
@@ -446,7 +447,7 @@ pub fn run_case(case: &ConformanceCase) -> Result<CaseSummary, String> {
 /// accounting) around the `tpp-spec` interpreter. Returns the forwarded
 /// frame (`None` on a queue-full drop) and the execution report (`None`
 /// when the TCPU did not run: echoed or malformed TPP).
-pub fn spec_round(
+pub(crate) fn spec_round(
     spec: &mut SpecState,
     frame: &[u8],
     now_ns: u64,
@@ -788,7 +789,7 @@ fn gen_counter(rng: &mut TestRng) -> u64 {
 
 /// Deterministically generate the `seed`-th fuzz case. Same seed, same
 /// case — forever — so a CI failure log line is already a reproducer.
-pub fn gen_case(seed: u64) -> ConformanceCase {
+pub(crate) fn gen_case(seed: u64) -> ConformanceCase {
     let mut rng = TestRng::deterministic(&format!("tpp-conformance-{seed}"));
     let insns: Vec<u32> = (0..rng.usize_in(0..11))
         .map(|_| gen_word(&mut rng))
@@ -950,7 +951,7 @@ pub fn parse_agreement(blob: &[u8]) -> Result<(), String> {
 /// (fewer rounds, fewer/zeroed instructions, default seeds, smaller
 /// memory/SRAM, default provisioning), keep any candidate that still
 /// diverges, repeat to a fixpoint.
-pub fn minimize(case: &ConformanceCase) -> ConformanceCase {
+pub(crate) fn minimize(case: &ConformanceCase) -> ConformanceCase {
     let mut best = case.clone();
     if run_case(&best).is_ok() {
         return best;
@@ -1061,274 +1062,6 @@ fn candidates(c: &ConformanceCase) -> Vec<ConformanceCase> {
 }
 
 // ---------------------------------------------------------------------------
-// Directed cases (the committed corpus seed)
-// ---------------------------------------------------------------------------
-
-fn enc(i: Instruction) -> u32 {
-    i.encode().expect("directed instruction encodes")
-}
-
-/// Hand-written cases covering every halt reason, every opcode, both
-/// addressing modes, the echoed/malformed fast paths, queue-full drops
-/// and wide-counter narrowing. These are the initial committed corpus:
-/// each must run divergence-free forever.
-// One push per named case keeps each block independently movable;
-// clippy would fold them into one 170-line `vec![]` literal.
-#[allow(clippy::vec_init_then_push)]
-pub fn directed_cases() -> Vec<ConformanceCase> {
-    let sram0 = VirtAddr(0x8000);
-    let mut cases = Vec::new();
-
-    cases.push(ConformanceCase {
-        name: "cexec-halt".into(),
-        insns: vec![
-            enc(Instruction::Cexec {
-                addr: Stat::SwitchId.addr(),
-                mem: PacketOperand::Abs(0),
-            }),
-            enc(Instruction::Nop),
-        ],
-        memory: vec![0xffff_ffff, 5, 0],
-        ..ConformanceCase::default()
-    });
-
-    cases.push(ConformanceCase {
-        name: "pop-readonly-fault".into(),
-        insns: vec![enc(Instruction::Pop {
-            addr: Stat::QueueSize.addr(),
-        })],
-        memory: vec![42],
-        sp0: 4,
-        ..ConformanceCase::default()
-    });
-
-    cases.push(ConformanceCase {
-        name: "sram-out-of-range".into(),
-        insns: vec![enc(Instruction::Store {
-            addr: VirtAddr(0x4000 + 4 * 8),
-            src: PacketOperand::Abs(0),
-        })],
-        memory: vec![1],
-        link_sram: vec![0; 8],
-        ..ConformanceCase::default()
-    });
-
-    cases.push(ConformanceCase {
-        name: "bad-instruction".into(),
-        insns: vec![enc(Instruction::Nop), 0xf800_0000, enc(Instruction::Nop)],
-        ..ConformanceCase::default()
-    });
-
-    cases.push(ConformanceCase {
-        name: "budget-exhaustion".into(),
-        insns: vec![enc(Instruction::Nop); 10],
-        budget: 7,
-        ..ConformanceCase::default()
-    });
-
-    cases.push(ConformanceCase {
-        name: "budget-zero".into(),
-        insns: vec![enc(Instruction::Nop)],
-        budget: 0,
-        ..ConformanceCase::default()
-    });
-
-    cases.push(ConformanceCase {
-        name: "cstore-success-then-miss".into(),
-        rounds: 2,
-        insns: vec![enc(Instruction::Cstore {
-            addr: sram0,
-            mem: PacketOperand::Abs(0),
-        })],
-        memory: vec![0, 5, 0],
-        ..ConformanceCase::default()
-    });
-
-    cases.push(ConformanceCase {
-        name: "hop-mode-walk".into(),
-        mode: 1,
-        per_hop_words: 2,
-        rounds: 3,
-        insns: vec![
-            enc(Instruction::Load {
-                addr: Stat::WallClock.addr(),
-                dst: PacketOperand::Hop(0),
-            }),
-            enc(Instruction::Load {
-                addr: Stat::QueueSize.addr(),
-                dst: PacketOperand::Hop(1),
-            }),
-        ],
-        memory: vec![0; 8],
-        ..ConformanceCase::default()
-    });
-
-    cases.push(ConformanceCase {
-        name: "echoed-inert".into(),
-        flags0: FLAG_ECHOED,
-        insns: vec![enc(Instruction::Push {
-            addr: Stat::SwitchId.addr(),
-        })],
-        memory: vec![0],
-        ..ConformanceCase::default()
-    });
-
-    cases.push(ConformanceCase {
-        name: "queue-full-drop".into(),
-        queue_limit_bytes: 20,
-        insns: vec![enc(Instruction::Push {
-            addr: Stat::QueuePacketsDropped.addr(),
-        })],
-        memory: vec![0],
-        ..ConformanceCase::default()
-    });
-
-    cases.push(ConformanceCase {
-        name: "parse-reject-corrupt-version".into(),
-        insns: vec![enc(Instruction::Nop)],
-        corrupt: Some((0, 0xff)),
-        ..ConformanceCase::default()
-    });
-
-    cases.push(ConformanceCase {
-        name: "wide-counter-narrow".into(),
-        switch_seed: SwitchSeed {
-            packets_processed: 0x1_0000_0005,
-            ..SwitchSeed::default()
-        },
-        insns: vec![enc(Instruction::Push {
-            addr: Stat::PacketsProcessed.addr(),
-        })],
-        memory: vec![0],
-        ..ConformanceCase::default()
-    });
-
-    // One program exercising all twelve opcodes in a single traversal.
-    cases.push(ConformanceCase {
-        name: "all-opcodes".into(),
-        insns: vec![
-            enc(Instruction::Nop),
-            enc(Instruction::PushImm(1)),
-            enc(Instruction::PushImm(2)),
-            enc(Instruction::Add),
-            enc(Instruction::PushImm(1)),
-            enc(Instruction::Sub),
-            enc(Instruction::PushImm(3)),
-            enc(Instruction::And),
-            enc(Instruction::PushImm(4)),
-            enc(Instruction::Or),
-            enc(Instruction::Push {
-                addr: Stat::SwitchId.addr(),
-            }),
-            enc(Instruction::Pop { addr: sram0 }),
-            enc(Instruction::Store {
-                addr: VirtAddr(0x8004),
-                src: PacketOperand::Abs(0),
-            }),
-            enc(Instruction::Cstore {
-                addr: VirtAddr(0x8008),
-                mem: PacketOperand::Abs(1),
-            }),
-            enc(Instruction::Cexec {
-                addr: Stat::SwitchId.addr(),
-                mem: PacketOperand::Abs(4),
-            }),
-            enc(Instruction::Load {
-                addr: Stat::BootEpoch.addr(),
-                dst: PacketOperand::Abs(6),
-            }),
-        ],
-        memory: vec![0, 0, 0xbeef, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        ..ConformanceCase::default()
-    });
-
-    // The boundaries the TCPU's register-held stack pointer moves across:
-    // a halt must leave the header `sp` where the last good op put it.
-    cases.push(ConformanceCase {
-        name: "push-past-last-word".into(),
-        insns: vec![
-            enc(Instruction::Push {
-                addr: Stat::SwitchId.addr(),
-            }),
-            enc(Instruction::PushImm(9)),
-        ],
-        memory: vec![0, 0],
-        sp0: 4,
-        ..ConformanceCase::default()
-    });
-
-    cases.push(ConformanceCase {
-        name: "add-underflow".into(),
-        insns: vec![enc(Instruction::PushImm(5)), enc(Instruction::Add)],
-        memory: vec![0],
-        ..ConformanceCase::default()
-    });
-
-    cases.push(ConformanceCase {
-        name: "pop-underflow".into(),
-        insns: vec![enc(Instruction::Pop { addr: sram0 })],
-        memory: vec![42],
-        ..ConformanceCase::default()
-    });
-
-    cases.push(ConformanceCase {
-        name: "pop-readonly-after-push".into(),
-        insns: vec![
-            enc(Instruction::PushImm(9)),
-            enc(Instruction::Pop {
-                addr: Stat::LinkCapacityKbps.addr(),
-            }),
-        ],
-        memory: vec![0],
-        ..ConformanceCase::default()
-    });
-
-    // Hop addressing: `hop * per_hop_len + off` runs past packet memory.
-    cases.push(ConformanceCase {
-        name: "hop-load-walks-past-memory".into(),
-        mode: 1,
-        per_hop_words: 2,
-        rounds: 3,
-        insns: vec![enc(Instruction::Load {
-            addr: Stat::SwitchId.addr(),
-            dst: PacketOperand::Hop(1),
-        })],
-        memory: vec![0; 4],
-        ..ConformanceCase::default()
-    });
-
-    cases.push(ConformanceCase {
-        name: "hop-store-past-memory".into(),
-        mode: 1,
-        per_hop_words: 2,
-        hop0: 2,
-        insns: vec![enc(Instruction::Store {
-            addr: sram0,
-            src: PacketOperand::Hop(0),
-        })],
-        memory: vec![1, 2, 3, 4],
-        ..ConformanceCase::default()
-    });
-
-    // The condition and source words fit, so the switch write lands;
-    // only the write-back of the old value runs past memory.
-    cases.push(ConformanceCase {
-        name: "hop-cstore-past-memory".into(),
-        mode: 1,
-        per_hop_words: 2,
-        hop0: 1,
-        insns: vec![enc(Instruction::Cstore {
-            addr: sram0,
-            mem: PacketOperand::Hop(0),
-        })],
-        memory: vec![0, 0, 0, 5],
-        ..ConformanceCase::default()
-    });
-
-    cases
-}
-
-// ---------------------------------------------------------------------------
 // Case <-> JSON
 // ---------------------------------------------------------------------------
 
@@ -1336,9 +1069,19 @@ fn num_list(words: &[u32]) -> Json {
     Json::Arr(words.iter().map(|&w| Json::Num(w as u64)).collect())
 }
 
+fn num_obj(fields: &[(&str, u64)]) -> Json {
+    Json::Obj(
+        fields
+            .iter()
+            .map(|&(key, n)| (key.to_string(), Json::Num(n)))
+            .collect(),
+    )
+}
+
 impl ConformanceCase {
     /// Serialize to the corpus JSON format.
     pub fn to_json(&self) -> Json {
+        let (sw, li, qu) = (&self.switch_seed, &self.link_seed, &self.queue_seed);
         let mut fields = vec![
             ("name".to_string(), Json::Str(self.name.clone())),
             ("switch_id".to_string(), Json::Num(self.switch_id as u64)),
@@ -1363,97 +1106,40 @@ impl ConformanceCase {
             ("global_sram".to_string(), num_list(&self.global_sram)),
             (
                 "switch_seed".to_string(),
-                Json::Obj(vec![
-                    (
-                        "flow_table_version".to_string(),
-                        Json::Num(self.switch_seed.flow_table_version as u64),
-                    ),
-                    ("l2_hits".to_string(), Json::Num(self.switch_seed.l2_hits)),
-                    ("l3_hits".to_string(), Json::Num(self.switch_seed.l3_hits)),
-                    (
-                        "tcam_hits".to_string(),
-                        Json::Num(self.switch_seed.tcam_hits),
-                    ),
-                    (
-                        "packets_processed".to_string(),
-                        Json::Num(self.switch_seed.packets_processed),
-                    ),
-                    (
-                        "tpps_executed".to_string(),
-                        Json::Num(self.switch_seed.tpps_executed),
-                    ),
-                    (
-                        "boot_epoch".to_string(),
-                        Json::Num(self.switch_seed.boot_epoch as u64),
-                    ),
+                num_obj(&[
+                    ("flow_table_version", sw.flow_table_version.into()),
+                    ("l2_hits", sw.l2_hits),
+                    ("l3_hits", sw.l3_hits),
+                    ("tcam_hits", sw.tcam_hits),
+                    ("packets_processed", sw.packets_processed),
+                    ("tpps_executed", sw.tpps_executed),
+                    ("boot_epoch", sw.boot_epoch.into()),
                 ]),
             ),
             (
                 "link_seed".to_string(),
-                Json::Obj(vec![
-                    ("rx_bytes".to_string(), Json::Num(self.link_seed.rx_bytes)),
-                    ("tx_bytes".to_string(), Json::Num(self.link_seed.tx_bytes)),
-                    (
-                        "rx_packets".to_string(),
-                        Json::Num(self.link_seed.rx_packets),
-                    ),
-                    (
-                        "tx_packets".to_string(),
-                        Json::Num(self.link_seed.tx_packets),
-                    ),
-                    (
-                        "bytes_dropped".to_string(),
-                        Json::Num(self.link_seed.bytes_dropped),
-                    ),
-                    (
-                        "bytes_enqueued".to_string(),
-                        Json::Num(self.link_seed.bytes_enqueued),
-                    ),
-                    (
-                        "ecn_marked".to_string(),
-                        Json::Num(self.link_seed.ecn_marked),
-                    ),
-                    (
-                        "snr_decidb".to_string(),
-                        Json::Num(self.link_seed.snr_decidb as u64),
-                    ),
-                    (
-                        "rx_utilization_permille".to_string(),
-                        Json::Num(self.link_seed.rx_utilization_permille as u64),
-                    ),
-                    (
-                        "tx_utilization_permille".to_string(),
-                        Json::Num(self.link_seed.tx_utilization_permille as u64),
-                    ),
+                num_obj(&[
+                    ("rx_bytes", li.rx_bytes),
+                    ("tx_bytes", li.tx_bytes),
+                    ("rx_packets", li.rx_packets),
+                    ("tx_packets", li.tx_packets),
+                    ("bytes_dropped", li.bytes_dropped),
+                    ("bytes_enqueued", li.bytes_enqueued),
+                    ("ecn_marked", li.ecn_marked),
+                    ("snr_decidb", li.snr_decidb.into()),
+                    ("rx_utilization_permille", li.rx_utilization_permille.into()),
+                    ("tx_utilization_permille", li.tx_utilization_permille.into()),
                 ]),
             ),
             (
                 "queue_seed".to_string(),
-                Json::Obj(vec![
-                    (
-                        "queue_size_bytes".to_string(),
-                        Json::Num(self.queue_seed.queue_size_bytes),
-                    ),
-                    (
-                        "bytes_enqueued".to_string(),
-                        Json::Num(self.queue_seed.bytes_enqueued),
-                    ),
-                    (
-                        "bytes_dropped".to_string(),
-                        Json::Num(self.queue_seed.bytes_dropped),
-                    ),
-                    (
-                        "packets_enqueued".to_string(),
-                        Json::Num(self.queue_seed.packets_enqueued),
-                    ),
-                    (
-                        "packets_dropped".to_string(),
-                        Json::Num(self.queue_seed.packets_dropped),
-                    ),
-                    (
-                        "high_watermark_bytes".to_string(),
-                        Json::Num(self.queue_seed.high_watermark_bytes),
-                    ),
+                num_obj(&[
+                    ("queue_size_bytes", qu.queue_size_bytes),
+                    ("bytes_enqueued", qu.bytes_enqueued),
+                    ("bytes_dropped", qu.bytes_dropped),
+                    ("packets_enqueued", qu.packets_enqueued),
+                    ("packets_dropped", qu.packets_dropped),
+                    ("high_watermark_bytes", qu.high_watermark_bytes),
                 ]),
             ),
         ];
@@ -1466,7 +1152,9 @@ impl ConformanceCase {
         Json::Obj(fields)
     }
 
-    /// Deserialize from the corpus JSON format.
+    /// Deserialize from the corpus JSON format. Every integer is read
+    /// through `Json::to_int`, so a value too wide for its field is an
+    /// error naming the field rather than a silently different case.
     pub fn from_json(json: &Json) -> Result<ConformanceCase, String> {
         let name = match json.get("name") {
             Some(Json::Str(s)) => s.clone(),
@@ -1477,56 +1165,55 @@ impl ConformanceCase {
         let qu = json.get("queue_seed").ok_or("missing queue_seed")?;
         let corrupt = match json.get("corrupt") {
             None => None,
-            Some(Json::Arr(items)) if items.len() == 2 => match (&items[0], &items[1]) {
-                (Json::Num(idx), Json::Num(xor)) => Some((*idx as usize, *xor as u8)),
-                _ => return Err("corrupt must be [index, xor]".to_string()),
-            },
+            Some(Json::Arr(items)) if items.len() == 2 => {
+                Some((items[0].to_int("corrupt")?, items[1].to_int("corrupt")?))
+            }
             Some(other) => return Err(format!("corrupt must be [index, xor], got {other:?}")),
         };
         Ok(ConformanceCase {
             name,
-            switch_id: json.u64_field("switch_id")? as u32,
-            budget: json.u64_field("budget")? as u32,
-            rounds: json.u64_field("rounds")? as u32,
-            queue_limit_bytes: json.u64_field("queue_limit_bytes")? as u32,
-            now0_ns: json.u64_field("now0_ns")?,
-            mode: json.u64_field("mode")? as u8,
-            hop0: json.u64_field("hop0")? as u8,
-            sp0: json.u64_field("sp0")? as u16,
-            flags0: json.u64_field("flags0")? as u8,
-            per_hop_words: json.u64_field("per_hop_words")? as u16,
-            insns: json.u32_list("insns")?,
-            memory: json.u32_list("memory")?,
-            link_sram: json.u32_list("link_sram")?,
-            global_sram: json.u32_list("global_sram")?,
+            switch_id: json.int_field("switch_id")?,
+            budget: json.int_field("budget")?,
+            rounds: json.int_field("rounds")?,
+            queue_limit_bytes: json.int_field("queue_limit_bytes")?,
+            now0_ns: json.int_field("now0_ns")?,
+            mode: json.int_field("mode")?,
+            hop0: json.int_field("hop0")?,
+            sp0: json.int_field("sp0")?,
+            flags0: json.int_field("flags0")?,
+            per_hop_words: json.int_field("per_hop_words")?,
+            insns: json.int_list("insns")?,
+            memory: json.int_list("memory")?,
+            link_sram: json.int_list("link_sram")?,
+            global_sram: json.int_list("global_sram")?,
             switch_seed: SwitchSeed {
-                flow_table_version: sw.u64_field("flow_table_version")? as u32,
-                l2_hits: sw.u64_field("l2_hits")?,
-                l3_hits: sw.u64_field("l3_hits")?,
-                tcam_hits: sw.u64_field("tcam_hits")?,
-                packets_processed: sw.u64_field("packets_processed")?,
-                tpps_executed: sw.u64_field("tpps_executed")?,
-                boot_epoch: sw.u64_field("boot_epoch")? as u32,
+                flow_table_version: sw.int_field("flow_table_version")?,
+                l2_hits: sw.int_field("l2_hits")?,
+                l3_hits: sw.int_field("l3_hits")?,
+                tcam_hits: sw.int_field("tcam_hits")?,
+                packets_processed: sw.int_field("packets_processed")?,
+                tpps_executed: sw.int_field("tpps_executed")?,
+                boot_epoch: sw.int_field("boot_epoch")?,
             },
             link_seed: LinkSeed {
-                rx_bytes: li.u64_field("rx_bytes")?,
-                tx_bytes: li.u64_field("tx_bytes")?,
-                rx_packets: li.u64_field("rx_packets")?,
-                tx_packets: li.u64_field("tx_packets")?,
-                bytes_dropped: li.u64_field("bytes_dropped")?,
-                bytes_enqueued: li.u64_field("bytes_enqueued")?,
-                ecn_marked: li.u64_field("ecn_marked")?,
-                snr_decidb: li.u64_field("snr_decidb")? as u32,
-                rx_utilization_permille: li.u64_field("rx_utilization_permille")? as u32,
-                tx_utilization_permille: li.u64_field("tx_utilization_permille")? as u32,
+                rx_bytes: li.int_field("rx_bytes")?,
+                tx_bytes: li.int_field("tx_bytes")?,
+                rx_packets: li.int_field("rx_packets")?,
+                tx_packets: li.int_field("tx_packets")?,
+                bytes_dropped: li.int_field("bytes_dropped")?,
+                bytes_enqueued: li.int_field("bytes_enqueued")?,
+                ecn_marked: li.int_field("ecn_marked")?,
+                snr_decidb: li.int_field("snr_decidb")?,
+                rx_utilization_permille: li.int_field("rx_utilization_permille")?,
+                tx_utilization_permille: li.int_field("tx_utilization_permille")?,
             },
             queue_seed: QueueSeed {
-                queue_size_bytes: qu.u64_field("queue_size_bytes")?,
-                bytes_enqueued: qu.u64_field("bytes_enqueued")?,
-                bytes_dropped: qu.u64_field("bytes_dropped")?,
-                packets_enqueued: qu.u64_field("packets_enqueued")?,
-                packets_dropped: qu.u64_field("packets_dropped")?,
-                high_watermark_bytes: qu.u64_field("high_watermark_bytes")?,
+                queue_size_bytes: qu.int_field("queue_size_bytes")?,
+                bytes_enqueued: qu.int_field("bytes_enqueued")?,
+                bytes_dropped: qu.int_field("bytes_dropped")?,
+                packets_enqueued: qu.int_field("packets_enqueued")?,
+                packets_dropped: qu.int_field("packets_dropped")?,
+                high_watermark_bytes: qu.int_field("high_watermark_bytes")?,
             },
             corrupt,
         })
@@ -1639,30 +1326,45 @@ pub fn fuzz(seed0: u64, n: u64) -> Result<FuzzStats, Box<Divergence>> {
 mod tests {
     use super::*;
 
+    /// The hand-written directed cases (every corpus file that is not a
+    /// fuzzer's `divergence-*` witness) run divergence-free.
     #[test]
     fn directed_cases_agree() {
-        for case in directed_cases() {
-            if let Err(e) = run_case(&case) {
-                panic!("directed case {} diverged:\n{e}", case.name);
+        let corpus = load_corpus(&default_corpus_dir()).unwrap();
+        let directed: Vec<_> = corpus
+            .iter()
+            .filter(|(label, _)| !label.starts_with("divergence-"))
+            .collect();
+        assert!(!directed.is_empty(), "no directed cases in the corpus");
+        for (label, case) in directed {
+            if let Err(e) = run_case(case) {
+                panic!("directed case {label} ({}) diverged:\n{e}", case.name);
             }
+        }
+    }
+
+    /// Each corpus file is exactly what its parsed case writes back
+    /// (fields in `to_json` order, two-space indent, trailing newline),
+    /// so a typo that parses as another value or a misplaced field shows
+    /// here. `UPDATE_GOLDEN=1` rewrites a hand-written file into that
+    /// form.
+    #[test]
+    fn json_roundtrip_every_directed_case() {
+        let dir = default_corpus_dir();
+        for (label, case) in load_corpus(&dir).unwrap() {
+            crate::testgen::assert_matches_golden(&dir.join(label), &case.to_json().pretty());
         }
     }
 
     #[test]
     fn directed_case_names_are_unique() {
-        let mut names: Vec<String> = directed_cases().into_iter().map(|c| c.name).collect();
-        let n = names.len();
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), n);
-    }
-
-    #[test]
-    fn json_roundtrip_every_directed_case() {
-        for case in directed_cases() {
-            let text = case.to_json().pretty();
-            let back = ConformanceCase::from_json(&Json::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, case, "roundtrip of {}", case.name);
+        let mut names = std::collections::BTreeSet::new();
+        for (label, case) in load_corpus(&default_corpus_dir()).unwrap() {
+            assert!(
+                names.insert(case.name.clone()),
+                "{label}: case name {:?} is used by another corpus file",
+                case.name
+            );
         }
     }
 
@@ -1683,6 +1385,49 @@ mod tests {
         }
     }
 
+    /// Loads `case` with the value at `path` replaced by `value`.
+    fn load_with(case: &ConformanceCase, path: &[&str], value: u64) -> Result<(), String> {
+        fn set(json: &mut Json, path: &[&str], value: u64) {
+            let Some((first, rest)) = path.split_first() else {
+                *json = Json::Num(value);
+                return;
+            };
+            let child = match json {
+                Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == first).unwrap().1,
+                Json::Arr(items) => &mut items[first.parse::<usize>().unwrap()],
+                other => panic!("no {first} in {other:?}"),
+            };
+            set(child, rest, value);
+        }
+        let mut json = case.to_json();
+        set(&mut json, path, value);
+        ConformanceCase::from_json(&json).map(|_| ())
+    }
+
+    #[test]
+    fn from_json_rejects_values_too_wide_for_their_field() {
+        let case = ConformanceCase {
+            insns: vec![0],
+            corrupt: Some((0, 0xff)),
+            ..ConformanceCase::default()
+        };
+        for (path, value, field) in [
+            (&["mode"][..], 256, "mode"),
+            (&["sp0"], 65_536, "sp0"),
+            (&["switch_seed", "boot_epoch"], 1 << 32, "boot_epoch"),
+            (&["insns", "0"], 1 << 32, "insns"),
+            (&["corrupt", "1"], 256, "corrupt"),
+        ] {
+            let err = load_with(&case, path, value).unwrap_err();
+            assert!(
+                err.starts_with(&format!("field {field}: {value} does not fit")),
+                "{path:?} = {value}: {err}"
+            );
+            // The widest value that fits still loads.
+            load_with(&case, path, value - 1).unwrap();
+        }
+    }
+
     #[test]
     fn minimizer_is_stable_on_agreeing_cases() {
         // A conforming case minimizes to itself (nothing to shrink).
@@ -1692,9 +1437,10 @@ mod tests {
 
     #[test]
     fn queue_full_case_really_drops() {
-        let case = directed_cases()
+        let (_, case) = load_corpus(&default_corpus_dir())
+            .unwrap()
             .into_iter()
-            .find(|c| c.name == "queue-full-drop")
+            .find(|(_, c)| c.name == "queue-full-drop")
             .unwrap();
         let summary = run_case(&case).unwrap();
         assert!(summary.dropped);

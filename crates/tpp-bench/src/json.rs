@@ -118,27 +118,35 @@ impl Json {
         }
     }
 
-    /// A required integer field of an object.
-    pub fn u64_field(&self, key: &str) -> Result<u64, String> {
+    /// A required integer field of an object, converted to `T`.
+    pub(crate) fn int_field<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
         match self.get(key) {
-            Some(Json::Num(n)) => Ok(*n),
-            Some(other) => Err(format!("field {key}: expected number, got {other:?}")),
+            Some(value) => value.to_int(key),
             None => Err(format!("missing field {key}")),
         }
     }
 
-    /// A required array-of-integers field of an object.
-    pub fn u32_list(&self, key: &str) -> Result<Vec<u32>, String> {
+    /// A required array-of-integers field of an object, each element
+    /// converted to `T`.
+    pub(crate) fn int_list<T: TryFrom<u64>>(&self, key: &str) -> Result<Vec<T>, String> {
         match self.get(key) {
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(|i| match i {
-                    Json::Num(n) => Ok(*n as u32),
-                    other => Err(format!("field {key}: expected number, got {other:?}")),
-                })
-                .collect(),
+            Some(Json::Arr(items)) => items.iter().map(|i| i.to_int(key)).collect(),
             Some(other) => Err(format!("field {key}: expected array, got {other:?}")),
             None => Err(format!("missing field {key}")),
+        }
+    }
+
+    /// This value as a `T`. A number that does not fit is an error
+    /// naming `key`, never a truncation.
+    pub(crate) fn to_int<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        match self {
+            Json::Num(n) => T::try_from(*n).map_err(|_| {
+                format!(
+                    "field {key}: {n} does not fit in {}",
+                    std::any::type_name::<T>()
+                )
+            }),
+            other => Err(format!("field {key}: expected number, got {other:?}")),
         }
     }
 }

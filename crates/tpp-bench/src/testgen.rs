@@ -85,7 +85,7 @@ pub fn tpp_frame(dst_host: u32, src_host: u32, words: &[u32], mem_init: &[u32]) 
 }
 
 /// Compare `actual` against the committed golden file at `path`,
-/// panicking with [`golden_mismatch`]'s report when they differ. Set
+/// panicking with `golden_mismatch`'s report when they differ. Set
 /// `UPDATE_GOLDEN=1` to (re)write the file instead of comparing. This is
 /// the one checker of every tracked file: the goldens, `REPRO.json`,
 /// `BENCH_fct.json` and `BENCH_bonding.json`.
@@ -121,7 +121,7 @@ pub fn assert_matches_golden(path: &std::path::Path, actual: &str) {
 /// first field that moved, with both values
 /// (`closed_loop.retransmits: 786 → 790`); otherwise, or when the values
 /// are equal and only the layout moved, it lists every differing line.
-pub fn golden_mismatch(expected: &str, actual: &str) -> Option<String> {
+pub(crate) fn golden_mismatch(expected: &str, actual: &str) -> Option<String> {
     if expected == actual {
         return None;
     }

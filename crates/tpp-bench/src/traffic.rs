@@ -68,7 +68,7 @@ impl Rng64 {
     }
 
     /// Uniform in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 

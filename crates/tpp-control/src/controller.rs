@@ -84,17 +84,6 @@ impl NetworkController {
         version
     }
 
-    /// The controller's intended versions for one switch: entry id →
-    /// version. This is what ndb's `PathPolicy.expected_versions` is
-    /// built from.
-    pub fn intended_versions_for(&self, switch_id: u32) -> BTreeMap<u32, u32> {
-        self.intended_versions
-            .iter()
-            .filter(|((s, _), _)| *s == switch_id)
-            .map(|((_, e), v)| (*e, *v))
-            .collect()
-    }
-
     /// Intended versions across all switches, keyed by
     /// `(switch id, entry id)` — directly usable as an ndb
     /// `PathPolicy.expected_versions`.
@@ -143,7 +132,7 @@ mod tests {
         );
         assert_eq!((v1, v2), (1, 2));
         assert_eq!(sw.tcam().get(id).unwrap().version, 2);
-        assert_eq!(ctl.intended_versions_for(1).get(&id), Some(&2));
+        assert_eq!(ctl.intended_versions_all().get(&(1, id)), Some(&2));
     }
 
     #[test]
@@ -164,7 +153,7 @@ mod tests {
         let intended = ctl.intend_version_only(7, id);
         assert_eq!(intended, 2);
         assert_eq!(sw.tcam().get(id).unwrap().version, 1, "dataplane is stale");
-        assert_eq!(ctl.intended_versions_for(7).get(&id), Some(&2));
+        assert_eq!(ctl.intended_versions_all().get(&(7, id)), Some(&2));
     }
 
     #[test]
@@ -176,8 +165,6 @@ mod tests {
         ctl.install_rule(&mut s1, id, 5, FlowMatch::default(), FlowAction::Forward(1));
         ctl.install_rule(&mut s2, id, 5, FlowMatch::default(), FlowAction::Forward(2));
         ctl.install_rule(&mut s2, id, 5, FlowMatch::default(), FlowAction::Forward(3));
-        assert_eq!(ctl.intended_versions_for(1).get(&id), Some(&1));
-        assert_eq!(ctl.intended_versions_for(2).get(&id), Some(&2));
         assert_eq!(ctl.intended_versions_all().get(&(2, id)), Some(&2));
         assert_eq!(ctl.intended_versions_all().get(&(1, id)), Some(&1));
     }

@@ -2,7 +2,7 @@
 //!
 //! A first-fit free-list allocator over the two writable namespaces
 //! (global SRAM at `0x8000+`, per-link SRAM at `0x4000+`). Allocations
-//! are per *task name*; releasing a task returns all its ranges. The
+//! are per *task name* and live as long as the allocator. The
 //! allocator never hands out overlapping words — the isolation guarantee
 //! §3.2 assigns to the control-plane agent.
 
@@ -164,53 +164,14 @@ impl SramAllocator {
         Ok(allocation)
     }
 
-    /// Release every allocation owned by `task`, coalescing free space.
-    pub fn release_task(&mut self, task: &str) {
-        let mut freed: Vec<(Region, usize, usize)> = Vec::new();
-        self.allocations.retain(|a| {
-            if a.task == task {
-                freed.push((a.region, a.start_word, a.words));
-                false
-            } else {
-                true
-            }
-        });
-        for (region, start, words) in freed {
-            self.insert_free(region, start, words);
-        }
-    }
-
-    fn insert_free(&mut self, region: Region, start: usize, words: usize) {
-        let key = region_key(region);
-        let mut start = start;
-        let mut words = words;
-        // Coalesce with the predecessor…
-        if let Some((&(r, s), &l)) = self
-            .free
-            .range(..(key, start))
-            .next_back()
-            .filter(|((r, s), l)| *r == key && *s + **l == start)
-        {
-            debug_assert!(r == key && s + l == start);
-            self.free.remove(&(key, s));
-            start = s;
-            words += l;
-        }
-        // …and the successor.
-        if let Some(&l) = self.free.get(&(key, start + words)) {
-            self.free.remove(&(key, start + words));
-            words += l;
-        }
-        self.free.insert((key, start), words);
-    }
-
     /// All live allocations.
     pub fn allocations(&self) -> &[Allocation] {
         &self.allocations
     }
 
     /// Total free words in a region.
-    pub fn free_words(&self, region: Region) -> usize {
+    #[cfg(test)]
+    fn free_words(&self, region: Region) -> usize {
         let key = region_key(region);
         self.free
             .iter()
@@ -265,27 +226,6 @@ mod tests {
             alloc.alloc("a", Region::Global, 0),
             Err(AllocError::ZeroSize)
         );
-    }
-
-    #[test]
-    fn release_coalesces_and_allows_reuse() {
-        let mut alloc = SramAllocator::new(8, 0);
-        let _a = alloc.alloc("a", Region::Global, 3).unwrap();
-        let _b = alloc.alloc("b", Region::Global, 3).unwrap();
-        let _a2 = alloc.alloc("a", Region::Global, 2).unwrap();
-        assert_eq!(alloc.free_words(Region::Global), 0);
-        // Release "a": its two extents (0..3 and 6..8) come back.
-        alloc.release_task("a");
-        assert_eq!(alloc.free_words(Region::Global), 5);
-        // 0..3 is free again; a 3-word fit must succeed (first fit).
-        let c = alloc.alloc("c", Region::Global, 3).unwrap();
-        assert_eq!(c.start_word, 0);
-        // Release everything: one coalesced extent of 8.
-        alloc.release_task("b");
-        alloc.release_task("c");
-        assert_eq!(alloc.free_words(Region::Global), 8);
-        let d = alloc.alloc("d", Region::Global, 8).unwrap();
-        assert_eq!(d.start_word, 0);
     }
 
     #[test]

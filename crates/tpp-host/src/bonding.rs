@@ -178,16 +178,6 @@ impl BondScheduler {
         &self.events
     }
 
-    /// Queue-depth EWMA (bytes) for `path`.
-    pub fn ewma_queue(&self, path: usize) -> u64 {
-        self.paths[path].ewma_queue
-    }
-
-    /// TX-utilization EWMA (permille) for `path`.
-    pub fn ewma_util(&self, path: usize) -> u64 {
-        self.paths[path].ewma_util
-    }
-
     /// Fresh probe samples folded in for `path`.
     pub fn samples(&self, path: usize) -> u64 {
         self.paths[path].samples

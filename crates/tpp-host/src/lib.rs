@@ -13,8 +13,7 @@
 //! * [`EchoReceiver`] — a ready-made host app that echoes TPPs and sinks
 //!   data traffic, used as the receiver in the congestion-control
 //!   experiments;
-//! * [`pacing::PacedSender`] and [`pacing::TokenBucket`] — the rate
-//!   limiter each RCP\* flow runs at the end-host (§2.2: "The
+//! * [`pacing::PacedSender`] — the rate limiter each RCP\* flow runs at the end-host (§2.2: "The
 //!   implementation consists of a rate limiter and a rate controller at
 //!   end-hosts for every flow");
 //! * [`manager::ProbeManager`] — per-probe timeout, bounded retries
@@ -43,7 +42,7 @@ pub mod widequery;
 
 pub use bonding::{BondConfig, BondScheduler, HealthEvent, PathHealth};
 pub use manager::{ProbeDelivery, ProbeManager, ProbeStats, RetryPolicy, PROBE_TIMER_TOKEN};
-pub use pacing::{PacedSender, TokenBucket};
+pub use pacing::PacedSender;
 pub use probe::parse_echo;
 pub use probe::{echo_in_place, ProbeBuilder, DATA_ETHERTYPE};
 pub use rtt::RttEstimator;

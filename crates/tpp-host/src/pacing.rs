@@ -4,76 +4,11 @@
 //! controller at end-hosts for every flow". [`PacedSender`] is that rate
 //! limiter: it releases fixed-size data frames at a configurable rate;
 //! the rate controller (in `tpp-apps::rcpstar`) adjusts the rate from
-//! network feedback. [`TokenBucket`] is the burst-tolerant variant used
-//! where strict pacing is not wanted.
+//! network feedback.
 
 use crate::probe::DATA_ETHERTYPE;
 use tpp_wire::ethernet::{write_header, ETHERNET_HEADER_LEN};
 use tpp_wire::EthernetAddress;
-
-/// A classic token bucket: `rate_bps` sustained, `burst_bytes` of slack.
-#[derive(Debug, Clone)]
-pub struct TokenBucket {
-    rate_bps: u64,
-    burst_bytes: u64,
-    tokens_bytes: f64,
-    last_ns: u64,
-}
-
-impl TokenBucket {
-    /// A bucket that starts full.
-    pub fn new(rate_bps: u64, burst_bytes: u64) -> Self {
-        TokenBucket {
-            rate_bps,
-            burst_bytes,
-            tokens_bytes: burst_bytes as f64,
-            last_ns: 0,
-        }
-    }
-
-    /// Change the sustained rate (tokens already accrued are kept).
-    pub fn set_rate_bps(&mut self, rate_bps: u64, now_ns: u64) {
-        self.refill(now_ns);
-        self.rate_bps = rate_bps;
-    }
-
-    /// The current sustained rate.
-    pub fn rate_bps(&self) -> u64 {
-        self.rate_bps
-    }
-
-    fn refill(&mut self, now_ns: u64) {
-        let dt = now_ns.saturating_sub(self.last_ns);
-        self.last_ns = now_ns.max(self.last_ns);
-        let added = self.rate_bps as f64 * dt as f64 / 8e9;
-        self.tokens_bytes = (self.tokens_bytes + added).min(self.burst_bytes as f64);
-    }
-
-    /// Try to send `bytes` now; debits the bucket on success.
-    pub fn try_consume(&mut self, bytes: usize, now_ns: u64) -> bool {
-        self.refill(now_ns);
-        if self.tokens_bytes >= bytes as f64 {
-            self.tokens_bytes -= bytes as f64;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Nanoseconds until `bytes` worth of tokens will be available
-    /// (0 if available now).
-    pub fn time_until(&mut self, bytes: usize, now_ns: u64) -> u64 {
-        self.refill(now_ns);
-        let deficit = bytes as f64 - self.tokens_bytes;
-        if deficit <= 0.0 {
-            return 0;
-        }
-        if self.rate_bps == 0 {
-            return u64::MAX;
-        }
-        (deficit * 8e9 / self.rate_bps as f64).ceil() as u64
-    }
-}
 
 /// A strictly paced constant-size-frame sender: one frame every
 /// `frame_bits / rate` nanoseconds.
@@ -128,7 +63,7 @@ impl PacedSender {
     }
 
     /// Inter-frame gap at the current rate.
-    pub fn gap_ns(&self) -> u64 {
+    pub(crate) fn gap_ns(&self) -> u64 {
         let frame_bits = (self.payload_len as u64 + tpp_wire::ETHERNET_HEADER_LEN as u64) * 8;
         (frame_bits * 1_000_000_000).div_ceil(self.rate_bps.max(1))
     }
@@ -169,44 +104,6 @@ impl PacedSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const SEC: u64 = 1_000_000_000;
-
-    #[test]
-    fn token_bucket_sustained_rate() {
-        // 8 Mb/s = 1 MB/s; over 1 s, ~1 MB should pass in 1 KB units.
-        let mut tb = TokenBucket::new(8_000_000, 2_000);
-        let mut sent = 0u64;
-        for t in 0..1_000_000u64 {
-            let now = t * 1_000; // every µs
-            if tb.try_consume(1_000, now) {
-                sent += 1_000;
-            }
-        }
-        assert!((990_000..=1_010_000).contains(&sent), "sent {sent}");
-    }
-
-    #[test]
-    fn token_bucket_burst_then_starve() {
-        let mut tb = TokenBucket::new(8_000, 5_000); // 1 KB/s, 5 KB burst
-                                                     // Burst drains immediately.
-        assert!(tb.try_consume(5_000, 0));
-        assert!(!tb.try_consume(1, 0));
-        // Refill takes 1 ms per byte at 1 KB/s.
-        let wait = tb.time_until(1_000, 0);
-        assert_eq!(wait, SEC, "1000 bytes at 1000 B/s");
-        assert!(tb.try_consume(1_000, SEC));
-    }
-
-    #[test]
-    fn token_bucket_rate_change() {
-        let mut tb = TokenBucket::new(8_000, 1_000);
-        tb.try_consume(1_000, 0);
-        tb.set_rate_bps(16_000, 0);
-        // Double rate: 1000 bytes in 0.5 s.
-        assert!(!tb.try_consume(1_000, SEC / 4));
-        assert!(tb.try_consume(1_000, SEC / 2));
-    }
 
     #[test]
     fn paced_sender_spacing_and_sequence() {

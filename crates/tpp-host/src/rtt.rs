@@ -46,7 +46,7 @@ impl RttEstimator {
     }
 
     /// The smoothed RTT, if any samples have arrived.
-    pub fn srtt_ns(&self) -> Option<u64> {
+    pub(crate) fn srtt_ns(&self) -> Option<u64> {
         self.srtt_ns.map(|v| v as u64)
     }
 
@@ -57,7 +57,7 @@ impl RttEstimator {
     }
 
     /// Mean deviation of the RTT.
-    pub fn rttvar_ns(&self) -> u64 {
+    pub(crate) fn rttvar_ns(&self) -> u64 {
         self.rttvar_ns as u64
     }
 }

@@ -76,16 +76,6 @@ impl<'a> PathSample<'a> {
         self.hops().map(move |h| h.word(i))
     }
 
-    /// The hop with the maximum value in column `i`, if any hops exist.
-    pub fn argmax_column(&self, i: usize) -> Option<HopView<'a>> {
-        self.hops().max_by_key(|h| h.word(i))
-    }
-
-    /// The hop with the minimum value in column `i`.
-    pub fn argmin_column(&self, i: usize) -> Option<HopView<'a>> {
-        self.hops().min_by_key(|h| h.word(i))
-    }
-
     /// Re-emit this sample into a trace sink as one
     /// [`TraceEventKind::HostHopRecord`] per hop, so host-decoded
     /// telemetry lands in the same stream as the switches' pipeline
@@ -176,8 +166,6 @@ mod tests {
         assert_eq!(hop1.array::<3>(), None);
         assert!(sample.hop(3).is_none());
         assert_eq!(sample.column(1).collect::<Vec<_>>(), vec![10, 20, 30]);
-        assert_eq!(sample.argmax_column(1).unwrap().hop, 2);
-        assert_eq!(sample.argmin_column(1).unwrap().array(), Some([1, 10]));
     }
 
     #[test]
@@ -233,6 +221,5 @@ mod tests {
         let sample = split_hops(&tpp, 2).unwrap();
         assert_eq!(sample.hop_count(), 0);
         assert_eq!(sample.hops().len(), 0);
-        assert!(sample.argmax_column(0).is_none());
     }
 }

@@ -403,7 +403,8 @@ impl FlowSender {
     }
 
     /// The current smoothed RTT, if sampled.
-    pub fn srtt_ns(&self) -> Option<u64> {
+    #[cfg(test)]
+    fn srtt_ns(&self) -> Option<u64> {
         self.est.srtt_ns()
     }
 

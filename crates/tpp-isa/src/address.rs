@@ -64,7 +64,7 @@ impl VirtAddr {
     /// read-only, which is the memory-map isolation §4 relies on ("the
     /// memory map isolates critical forwarding state from state modifiable
     /// by TPPs").
-    pub fn is_writable(self) -> bool {
+    pub(crate) fn is_writable(self) -> bool {
         matches!(
             self.namespace(),
             Namespace::LinkSram | Namespace::GlobalSram

@@ -307,19 +307,6 @@ impl Instruction {
         })
     }
 
-    /// True for the Table 1 core set (vs. the arithmetic extension).
-    pub fn is_core(&self) -> bool {
-        matches!(
-            self,
-            Instruction::Load { .. }
-                | Instruction::Store { .. }
-                | Instruction::Push { .. }
-                | Instruction::Pop { .. }
-                | Instruction::Cstore { .. }
-                | Instruction::Cexec { .. }
-        )
-    }
-
     /// True if the instruction writes switch state (STORE/POP/CSTORE).
     pub fn writes_switch(&self) -> bool {
         matches!(
@@ -329,32 +316,32 @@ impl Instruction {
     }
 }
 
-/// Re-encode the canonical form of a decodable word, or `None` if the
-/// word does not decode at all.
-///
-/// The wire encoding is deliberately lossy in one direction: `PUSH`,
-/// `POP`, `PUSHI`, the arithmetic ops and `NOP` ignore the `mode`/`poff`
-/// operand bits on decode (as long as the mode itself is assigned), so
-/// several words map to the same [`Instruction`]. This helper collapses a
-/// word to the unique encoding [`Instruction::encode`] would produce —
-/// the invariant the conformance fuzzer checks is:
-///
-/// * `decode(encode(i)) == i` for every constructible instruction
-///   (encode is a right inverse of decode), and
-/// * `canonicalize` is idempotent: every decodable word reaches a fixed
-///   point after one step.
-pub fn canonicalize(word: u32) -> Option<u32> {
-    let insn = Instruction::decode(word).ok()?;
-    Some(
-        insn.encode()
-            .expect("decoded instructions always re-encode: poff is masked to 9 bits"),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::address::Stat;
+
+    /// Re-encode the canonical form of a decodable word, or `None` if the
+    /// word does not decode at all.
+    ///
+    /// The wire encoding is deliberately lossy in one direction: `PUSH`,
+    /// `POP`, `PUSHI`, the arithmetic ops and `NOP` ignore the `mode`/`poff`
+    /// operand bits on decode (as long as the mode itself is assigned), so
+    /// several words map to the same [`Instruction`]. This helper collapses a
+    /// word to the unique encoding [`Instruction::encode`] would produce;
+    /// the invariants checked here are:
+    ///
+    /// * `decode(encode(i)) == i` for every constructible instruction
+    ///   (encode is a right inverse of decode), and
+    /// * `canonicalize` is idempotent: every decodable word reaches a fixed
+    ///   point after one step.
+    fn canonicalize(word: u32) -> Option<u32> {
+        let insn = Instruction::decode(word).ok()?;
+        Some(
+            insn.encode()
+                .expect("decoded instructions always re-encode: poff is masked to 9 bits"),
+        )
+    }
 
     fn roundtrip(insn: Instruction) {
         let word = insn.encode().unwrap();
@@ -478,18 +465,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn core_vs_extension_classification() {
-        assert!(Instruction::Push { addr: VirtAddr(0) }.is_core());
-        assert!(Instruction::Cexec {
-            addr: VirtAddr(0),
-            mem: PacketOperand::Sp
-        }
-        .is_core());
-        assert!(!Instruction::Add.is_core());
-        assert!(!Instruction::PushImm(1).is_core());
     }
 
     #[test]

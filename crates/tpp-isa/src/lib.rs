@@ -39,7 +39,7 @@ pub mod programs;
 
 pub use address::{Namespace, Stat, SymbolTable, VirtAddr};
 pub use asm::{assemble, disassemble, Assembler};
-pub use instruction::{canonicalize, Instruction, Opcode, PacketOperand, MAX_WORD_OFFSET};
+pub use instruction::{Instruction, Opcode, PacketOperand, MAX_WORD_OFFSET};
 pub use lint::{lint, Lint};
 pub use program::Program;
 

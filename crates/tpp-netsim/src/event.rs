@@ -55,7 +55,7 @@ impl NodeId {
     }
 
     /// Whether this id names a host (else a switch).
-    pub fn is_host(self) -> bool {
+    pub(crate) fn is_host(self) -> bool {
         self.0 & HOST_BIT != 0
     }
 

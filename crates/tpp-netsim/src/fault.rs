@@ -46,7 +46,7 @@ pub struct ChannelProfile {
 impl ChannelProfile {
     /// True when the profile injects nothing — the state outside any
     /// window. A clean profile never consults the fault RNG.
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.duplicate_permille == 0 && self.reorder_permille == 0 && self.corrupt_permille == 0
     }
 }

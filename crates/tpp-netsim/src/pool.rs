@@ -86,7 +86,7 @@ impl FramePool {
     }
 
     /// A buffer holding a copy of `bytes` (the duplication fast path).
-    pub fn copy_of(&mut self, bytes: &[u8]) -> Vec<u8> {
+    pub(crate) fn copy_of(&mut self, bytes: &[u8]) -> Vec<u8> {
         let mut buf = self.alloc(bytes.len());
         buf.extend_from_slice(bytes);
         buf

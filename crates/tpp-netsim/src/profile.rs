@@ -116,11 +116,6 @@ impl LinkProfile {
         &self.points
     }
 
-    /// The interpolation mode.
-    pub fn interp(&self) -> Interp {
-        self.interp
-    }
-
     /// Sample the profile at `t_ns`. Pure: same `t_ns` in, same state
     /// out, on every shard. Before the first breakpoint the link is
     /// nominal; after the last breakpoint the last state holds.
@@ -145,7 +140,7 @@ impl LinkProfile {
     /// decide whether the link's loss RNG must be armed at install time
     /// (the RNG is only ever consulted when the effective loss is
     /// non-zero, so clean profiles stay bit-identical to no profile).
-    pub fn max_loss_permille(&self) -> u16 {
+    pub(crate) fn max_loss_permille(&self) -> u16 {
         self.points
             .iter()
             .map(|&(_, s)| s.loss_permille)
@@ -194,7 +189,7 @@ fn lerp_state(t: u64, t0: u64, s0: LinkState, t1: u64, s1: LinkState) -> LinkSta
 /// Scale a serialization time by a profile's rate: `rate_permille` of
 /// 500 doubles the wire time. A rate of 0 is clamped to 1 so a frame
 /// always finishes serializing eventually.
-pub fn scale_tx_ns(tx_ns: u64, rate_permille: u32) -> u64 {
+pub(crate) fn scale_tx_ns(tx_ns: u64, rate_permille: u32) -> u64 {
     if rate_permille == 1000 {
         return tx_ns;
     }

@@ -583,12 +583,6 @@ impl Simulator {
         self.num_shards
     }
 
-    /// The conservative window length: minimum inter-shard propagation
-    /// delay, or `u64::MAX` when no link crosses a shard boundary.
-    pub fn lookahead_ns(&self) -> u64 {
-        self.lookahead_ns
-    }
-
     /// The equal-cost routing table, when built under
     /// [`SimConfig::ecmp`] (ground truth for routing tests).
     pub fn ecmp_table(&self) -> Option<&EcmpTable> {

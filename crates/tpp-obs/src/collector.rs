@@ -89,7 +89,7 @@ pub struct PathView {
 /// Feed it a [`MicroburstMonitor`] or a [`BondSender`] after a run (or
 /// individual samples as they arrive), then export percentiles to a
 /// [`MetricsRegistry`] or cross-check with
-/// [`Collector::divergence_vs_sim`].
+/// `Collector::divergence_vs_sim`.
 #[derive(Debug, Clone, Default)]
 pub struct Collector {
     queues: BTreeMap<(u32, u32), QueueView>,
@@ -113,7 +113,13 @@ impl Collector {
     /// Record one queue-size observation. §2.1 probes carry
     /// `(Switch:SwitchID, Queue:QueueSize)` per hop and don't name the
     /// queue, so callers ingesting monitor samples use `queue_id` 0.
-    pub fn ingest_queue_sample(&mut self, switch_id: u32, queue_id: u32, t_ns: u64, bytes: u64) {
+    pub(crate) fn ingest_queue_sample(
+        &mut self,
+        switch_id: u32,
+        queue_id: u32,
+        t_ns: u64,
+        bytes: u64,
+    ) {
         self.queues
             .entry((switch_id, queue_id))
             .or_default()
@@ -121,7 +127,7 @@ impl Collector {
     }
 
     /// Record one probe round-trip time.
-    pub fn ingest_rtt(&mut self, rtt_ns: u64) {
+    pub(crate) fn ingest_rtt(&mut self, rtt_ns: u64) {
         self.rtt.observe(rtt_ns);
     }
 
@@ -247,7 +253,7 @@ impl Collector {
     /// ground-truth queue occupancy, switch by switch. Exact (max
     /// divergence 0) whenever the network has drained and no probe was
     /// lost mid-burst — the soundness check for the measurement plane.
-    pub fn divergence_vs_sim(&self, sim: &Simulator) -> DivergenceReport {
+    pub(crate) fn divergence_vs_sim(&self, sim: &Simulator) -> DivergenceReport {
         let mut report = DivergenceReport {
             probes_lost: self.probes_sent.saturating_sub(self.echoes_received),
             ..DivergenceReport::default()

@@ -11,7 +11,7 @@ use tpp_telemetry::{Histogram, MetricsRegistry};
 
 /// A metric name in Prometheus form: `tpp_` prefix, every character
 /// outside `[a-zA-Z0-9_]` (the registry uses dots) mapped to `_`.
-pub fn sanitize_metric_name(name: &str) -> String {
+pub(crate) fn sanitize_metric_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 4);
     out.push_str("tpp_");
     for ch in name.chars() {
@@ -27,7 +27,7 @@ pub fn sanitize_metric_name(name: &str) -> String {
 /// One-line `# HELP` text for a registry metric, chosen by family
 /// prefix. Families mirror the subsystems that export them, so every
 /// emitted metric gets a meaningful line without a per-name table.
-pub fn help_for(name: &str) -> &'static str {
+pub(crate) fn help_for(name: &str) -> &'static str {
     let families: [(&str, &str); 10] = [
         (
             "collector.",
@@ -158,7 +158,7 @@ impl SeriesDump {
     }
 
     /// Peak retained value.
-    pub fn max_value(&self) -> u64 {
+    pub(crate) fn max_value(&self) -> u64 {
         self.points.iter().map(|&(_, v)| v).max().unwrap_or(0)
     }
 }

@@ -42,9 +42,7 @@ pub mod snapshot;
 pub mod window;
 
 pub use collector::{Collector, DivergenceReport, PathView, QueueView, SwitchDivergence};
-pub use export::{
-    parse_series_jsonl, prometheus_snapshot, sanitize_metric_name, series_jsonl, SeriesDump,
-};
+pub use export::{parse_series_jsonl, prometheus_snapshot, series_jsonl, SeriesDump};
 pub use render::{render_dashboard, render_profile_diff, DashState, FrameBuf, Tab};
 pub use snapshot::{FleetSnapshot, SortKey};
 pub use window::{WindowAgg, WindowedSeries};

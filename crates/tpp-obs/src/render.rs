@@ -21,7 +21,7 @@ pub const SPARK_GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '
 /// Scale raw values into block glyphs against their own maximum; an
 /// all-zero series renders as a flat floor. Values beyond `width` are
 /// dropped from the left (newest stay).
-pub fn spark_raw(values: &[u64], width: usize) -> String {
+pub(crate) fn spark_raw(values: &[u64], width: usize) -> String {
     let start = values.len().saturating_sub(width);
     let vals = &values[start..];
     let max = vals.iter().copied().max().unwrap_or(0);
@@ -35,7 +35,7 @@ pub fn spark_raw(values: &[u64], width: usize) -> String {
 
 /// Sparkline over a windowed series: one glyph per window (the window
 /// *max* — peaks are what a dashboard must not smooth away).
-pub fn sparkline(series: &WindowedSeries, width: usize) -> String {
+pub(crate) fn sparkline(series: &WindowedSeries, width: usize) -> String {
     spark_raw(&series.spark_values(width), width)
 }
 
@@ -86,7 +86,7 @@ impl FrameBuf {
     }
 
     /// Fill row `y` with `ch`.
-    pub fn hline(&mut self, y: usize, ch: char) {
+    pub(crate) fn hline(&mut self, y: usize, ch: char) {
         if y < self.height {
             for x in 0..self.width {
                 self.cells[y * self.width + x] = ch;

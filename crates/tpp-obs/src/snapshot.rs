@@ -246,7 +246,7 @@ impl FleetSnapshot {
 
     /// Indices of [`Self::switches`] ordered by `key` (descending for
     /// load metrics, ascending for ids) — the sortable fleet table.
-    pub fn sorted_switches(&self, key: SortKey) -> Vec<usize> {
+    pub(crate) fn sorted_switches(&self, key: SortKey) -> Vec<usize> {
         let mut idx: Vec<usize> = (0..self.switches.len()).collect();
         match key {
             SortKey::SwitchId => idx.sort_by_key(|&i| self.switches[i].switch_id),

@@ -41,7 +41,7 @@ pub const SIM_WINDOWS: [u64; 4] = [
 ];
 
 /// Human label for a window width: `1s`, `10s`, `1m`, `5m`, `100us`...
-pub fn window_label(width_ns: u64) -> String {
+pub(crate) fn window_label(width_ns: u64) -> String {
     if width_ns >= time::secs(60) && width_ns.is_multiple_of(time::secs(60)) {
         format!("{}m", width_ns / time::secs(60))
     } else if width_ns >= time::secs(1) && width_ns.is_multiple_of(time::secs(1)) {
@@ -135,7 +135,7 @@ impl WindowedSeries {
     /// Fold a whole point slice (e.g. [`RingSeries::points`]) at once.
     /// The window list is sized once, from the windows the first and
     /// last point span (at most one per point).
-    pub fn from_points(points: &[(u64, u64)], width_ns: u64) -> Self {
+    pub(crate) fn from_points(points: &[(u64, u64)], width_ns: u64) -> Self {
         let mut w = WindowedSeries::new(width_ns);
         if let (Some(&(first, _)), Some(&(last, _))) = (points.first(), points.last()) {
             let span = (last / w.width_ns).saturating_sub(first / w.width_ns);
@@ -151,13 +151,8 @@ impl WindowedSeries {
 
     /// Fold a [`RingSeries`] — stride and overflow state do not matter,
     /// only the recorded points do.
-    pub fn from_ring(ring: &RingSeries, width_ns: u64) -> Self {
+    pub(crate) fn from_ring(ring: &RingSeries, width_ns: u64) -> Self {
         WindowedSeries::from_points(ring.points(), width_ns)
-    }
-
-    /// The configured window width, ns.
-    pub fn width_ns(&self) -> u64 {
-        self.width_ns
     }
 
     /// Offer one sample. Samples must be offered in non-decreasing
@@ -206,13 +201,13 @@ impl WindowedSeries {
     }
 
     /// Largest window-max across the series (sparkline scale).
-    pub fn max_value(&self) -> u64 {
+    pub(crate) fn max_value(&self) -> u64 {
         self.closed.iter().map(|w| w.max).max().unwrap_or(0)
     }
 
     /// Per-window values for a sparkline, newest `n` windows: the
     /// window maxima (peaks are what a dashboard must not smooth away).
-    pub fn spark_values(&self, n: usize) -> Vec<u64> {
+    pub(crate) fn spark_values(&self, n: usize) -> Vec<u64> {
         let start = self.closed.len().saturating_sub(n);
         self.closed[start..].iter().map(|w| w.max).collect()
     }

@@ -68,32 +68,6 @@ impl Histogram {
         }
     }
 
-    /// Smallest upper bound `2^i` such that at least `q` (0..=1) of the
-    /// samples fall below it — a coarse quantile for tail inspection.
-    ///
-    /// Returns 0 (not a bucket bound) for an empty histogram, and the
-    /// first non-empty bucket's bound for `q == 0.0`. Prefer
-    /// [`Histogram::quantile`] when the up-to-2× bucket rounding
-    /// matters.
-    pub fn quantile_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        // `q == 0.0` still targets the first sample; without the max the
-        // target would be rank 0, satisfied by bucket 0 even when it is
-        // empty (returning the bogus bound 1 for a histogram that holds
-        // no small samples at all).
-        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if n > 0 && seen >= target {
-                return if i >= 64 { u64::MAX } else { 1u64 << i };
-            }
-        }
-        u64::MAX
-    }
-
     /// HDR-style quantile: locate the bucket holding the `q`-th sample,
     /// then linearly interpolate within the bucket's `[2^(i-1), 2^i)`
     /// range, assuming samples spread uniformly inside it. Halves the
@@ -287,16 +261,12 @@ mod tests {
         assert_eq!(h.sum(), 1006);
         assert_eq!(h.max(), 1000);
         assert!((h.mean() - 201.2).abs() < 1e-9);
-        // 4 of 5 samples are <= 3 < 4: the 0.8 quantile bound is small.
-        assert!(h.quantile_bound(0.8) <= 4);
-        assert_eq!(h.quantile_bound(1.0), 1024, "1000 < 2^10");
     }
 
     #[test]
     fn quantile_empty_and_edge_cases() {
         let h = Histogram::default();
-        assert_eq!(h.quantile_bound(0.5), 0, "empty histogram reports 0");
-        assert_eq!(h.quantile(0.5), 0);
+        assert_eq!(h.quantile(0.5), 0, "empty histogram reports 0");
         assert_eq!(h.p50(), 0);
         assert_eq!(h.p99(), 0);
 
@@ -304,7 +274,6 @@ mod tests {
         // bucket 0's bound when bucket 0 is empty.
         let mut h = Histogram::default();
         h.observe(1000);
-        assert_eq!(h.quantile_bound(0.0), 1024);
         assert_eq!(h.quantile(0.0), h.quantile(1.0));
     }
 

@@ -35,21 +35,6 @@ impl EthernetAddress {
         let b = self.0;
         (b[0] == 0x02 && b[1] == 0x00).then(|| u32::from_be_bytes([b[2], b[3], b[4], b[5]]))
     }
-
-    /// True if this is the broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
-
-    /// True if the group (multicast) bit is set.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-
-    /// True for a unicast (non-multicast, non-broadcast) address.
-    pub fn is_unicast(&self) -> bool {
-        !self.is_multicast()
-    }
 }
 
 impl core::fmt::Display for EthernetAddress {
@@ -142,7 +127,8 @@ impl<T: AsRef<[u8]>> Frame<T> {
     }
 
     /// Total frame length in bytes, including the Ethernet header.
-    pub fn total_len(&self) -> usize {
+    #[cfg(test)]
+    fn total_len(&self) -> usize {
         self.buffer.as_ref().len()
     }
 }
@@ -205,10 +191,6 @@ mod tests {
     fn address_display_and_flags() {
         let a = EthernetAddress([0x02, 0x00, 0, 0, 0, 7]);
         assert_eq!(a.to_string(), "02:00:00:00:00:07");
-        assert!(a.is_unicast());
-        assert!(!a.is_broadcast());
-        assert!(EthernetAddress::BROADCAST.is_broadcast());
-        assert!(EthernetAddress::BROADCAST.is_multicast());
     }
 
     #[test]
@@ -216,7 +198,7 @@ mod tests {
         let a = EthernetAddress::from_host_id(1);
         let b = EthernetAddress::from_host_id(2);
         assert_ne!(a, b);
-        assert!(a.is_unicast());
+        assert_eq!(a.0[0] & 0x01, 0, "group bit clear: unicast");
     }
 
     #[test]

@@ -77,17 +77,18 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
     }
 
     /// Header length in bytes (IHL × 4).
-    pub fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         ((self.buffer.as_ref()[0] & 0x0f) as usize) * 4
     }
 
     /// Total packet length (header + payload), from the header field.
-    pub fn total_len(&self) -> usize {
+    pub(crate) fn total_len(&self) -> usize {
         get_u16(self.buffer.as_ref(), 2) as usize
     }
 
     /// Time to live.
-    pub fn ttl(&self) -> u8 {
+    #[cfg(test)]
+    fn ttl(&self) -> u8 {
         self.buffer.as_ref()[8]
     }
 
@@ -122,25 +123,6 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
     fn compute_checksum(&self) -> u16 {
         let header = &self.buffer.as_ref()[..self.header_len()];
         checksum(header)
-    }
-}
-
-impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
-    /// Decrement the TTL and fix up the checksum incrementally, as a
-    /// router's forwarding path would. Returns the new TTL (0 = the
-    /// packet should be dropped).
-    pub fn decrement_ttl(&mut self) -> u8 {
-        let buf = self.buffer.as_mut();
-        let ttl = buf[8].saturating_sub(1);
-        buf[8] = ttl;
-        // Recompute rather than incremental update: clarity over the
-        // nanoseconds, and the model isn't counting them here.
-        put_u16(buf, 10, 0);
-        let header_len = ((buf[0] & 0x0f) as usize) * 4;
-        let sum = checksum(&buf[..header_len]);
-        // (!sum) is the value that makes the header sum to zero.
-        put_u16(buf, 10, !sum);
-        ttl
     }
 }
 
@@ -237,28 +219,6 @@ mod tests {
             Ipv4Packet::new_checked(&buf[..]),
             Err(WireError::Truncated { .. })
         ));
-    }
-
-    #[test]
-    fn ttl_decrement_keeps_checksum_valid() {
-        let mut buf = sample();
-        {
-            let mut p = Ipv4Packet::new_unchecked(&mut buf[..]);
-            assert_eq!(p.decrement_ttl(), 63);
-        }
-        let p = Ipv4Packet::new_checked(&buf[..]).expect("checksum still valid");
-        assert_eq!(p.ttl(), 63);
-        // Down to zero.
-        let mut buf = build_ipv4(
-            Ipv4Address::new(1, 1, 1, 1),
-            Ipv4Address::new(2, 2, 2, 2),
-            6,
-            1,
-            &[],
-        );
-        let mut p = Ipv4Packet::new_unchecked(&mut buf[..]);
-        assert_eq!(p.decrement_ttl(), 0);
-        assert_eq!(p.decrement_ttl(), 0, "saturates");
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl AddressingMode {
     }
 
     /// Decode the wire value.
-    pub fn from_wire(value: u8) -> Result<Self> {
+    pub(crate) fn from_wire(value: u8) -> Result<Self> {
         match value {
             0 => Ok(AddressingMode::Stack),
             1 => Ok(AddressingMode::Hop),
@@ -486,7 +486,7 @@ impl TppBuilder {
     }
 
     /// Bytes [`build_into`](Self::build_into) will append.
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         TPP_HEADER_LEN
             + (self.instructions.len() + self.memory.len()) * WORD_SIZE
             + self.payload.len()

@@ -1,12 +1,14 @@
 //! Golden corpus replay: every committed case under `tests/corpus/`
 //! must run divergence-free, forever.
 //!
-//! The corpus starts with the directed cases (one per halt reason,
-//! opcode coverage, echoed/malformed/queue-full paths) and grows by one
-//! minimized JSON witness per divergence the fuzz loop ever finds — so
-//! any bug caught once is re-checked on every test run afterwards.
-//! Regenerate the directed seed files with
-//! `cargo run -p tpp-bench --bin conformance -- --write-corpus`.
+//! The JSON files are the only copy of the directed cases (one per halt
+//! reason, opcode coverage, echoed/malformed/queue-full paths); a new
+//! directed case is a hand-written file here. The corpus also grows by
+//! one minimized `divergence-<name>.json` witness per divergence the
+//! `conformance` fuzzer ever finds — so any bug caught once is
+//! re-checked on every test run afterwards. The unit tests in
+//! `tpp_bench::conformance` hold the files to canonical form and unique
+//! case names.
 
 use tpp_bench::conformance::{default_corpus_dir, load_corpus, run_case};
 

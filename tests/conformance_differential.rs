@@ -4,12 +4,12 @@
 //!
 //! The debug-profile test here runs a few hundred seeded cases; the CI
 //! conformance lane runs the `conformance` bin in release mode over
-//! ≥10 000 cases plus the full committed corpus.
+//! ≥10 000 cases; `conformance_corpus.rs` replays the committed corpus.
 
 use proptest::test_runner::TestRng;
 use tpp::asic::decode_cache::{program_hash, FNV_OFFSET, FNV_PRIME};
 use tpp::isa::{Instruction, Opcode};
-use tpp_bench::conformance::{directed_cases, fuzz, gen_blob, parse_agreement};
+use tpp_bench::conformance::{default_corpus_dir, fuzz, gen_blob, load_corpus, parse_agreement};
 use tpp_bench::testgen::{asic_pair, regs_match, step_both, tpp_frame};
 
 #[test]
@@ -41,9 +41,10 @@ fn spec_and_wire_parsers_agree_on_arbitrary_blobs() {
 
 #[test]
 fn directed_corpus_covers_every_opcode() {
-    let mut seen: Vec<u8> = directed_cases()
+    let corpus = load_corpus(&default_corpus_dir()).expect("load tests/corpus");
+    let mut seen: Vec<u8> = corpus
         .iter()
-        .flat_map(|case| case.insns.iter())
+        .flat_map(|(_, case)| case.insns.iter())
         .filter_map(|&w| Instruction::decode(w).ok())
         .map(|insn| insn.opcode() as u8)
         .collect();
