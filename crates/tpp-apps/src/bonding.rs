@@ -405,7 +405,7 @@ fn bond_data(frame: &[u8]) -> Option<(u64, EthernetAddress)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpp_netsim::{bonded_diamond, time, BondedDiamondParams, RunLimit};
+    use tpp_netsim::{bonded_diamond_with, time, BondedDiamondParams, RunLimit, SimConfig};
 
     fn sender_cfg(paths: usize) -> BondSenderConfig {
         BondSenderConfig {
@@ -428,7 +428,8 @@ mod tests {
 
     #[test]
     fn clean_bond_delivers_every_sequence_exactly_once() {
-        let (mut sim, d) = bonded_diamond(
+        let (mut sim, d) = bonded_diamond_with(
+            SimConfig::new(),
             BondedDiamondParams::default(),
             Box::new(BondSender::new(sender_cfg(2))),
             Box::new(BondReceiver::default()),

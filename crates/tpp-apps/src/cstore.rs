@@ -381,7 +381,7 @@ mod tests {
     use tpp_host::EchoReceiver;
     use tpp_isa::Stat;
     use tpp_netsim::RunLimit;
-    use tpp_netsim::{dumbbell, time, DumbbellParams, Simulator};
+    use tpp_netsim::{dumbbell_with, time, DumbbellParams, SimConfig, Simulator};
 
     const COUNTER_WORD: usize = 4;
     const TARGET_SWITCH: u32 = 1; // dumbbell left switch
@@ -410,7 +410,8 @@ mod tests {
                 )
             })
             .collect();
-        let (mut sim, bell) = dumbbell(
+        let (mut sim, bell) = dumbbell_with(
+            SimConfig::new(),
             DumbbellParams {
                 n_pairs: n_hosts,
                 bottleneck_kbps: 100_000, // uncongested for this task

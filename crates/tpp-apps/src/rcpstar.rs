@@ -604,7 +604,7 @@ mod tests {
     use super::*;
     use tpp_host::EchoReceiver;
     use tpp_netsim::RunLimit;
-    use tpp_netsim::{dumbbell, time, DumbbellParams, Simulator};
+    use tpp_netsim::{dumbbell_with, time, DumbbellParams, SimConfig, Simulator};
 
     /// A 10 Mb/s dumbbell with `n` RCP* flows starting at the given
     /// times; returns the simulator and handles.
@@ -624,7 +624,8 @@ mod tests {
                 )
             })
             .collect();
-        let (mut sim, bell) = dumbbell(
+        let (mut sim, bell) = dumbbell_with(
+            SimConfig::new(),
             DumbbellParams {
                 n_pairs: starts_ns.len(),
                 ..Default::default()

@@ -18,20 +18,17 @@
 
 use tpp_apps::bonding::BondSender;
 use tpp_apps::microburst::MicroburstMonitor;
-use tpp_apps::rcpstar::init_rate_registers;
 use tpp_asic::{PortId, ProfileConfig};
 use tpp_host::EchoReceiver;
 use tpp_netsim::{
-    fat_tree_with, leaf_spine_with, time, Endpoint, FatTreeParams, HostApp, HostCtx, HostId,
-    LeafSpineParams, RunLimit, SimConfig, Simulator, SwitchId,
+    leaf_spine_with, time, Endpoint, FatTreeParams, HostApp, HostCtx, HostId, LeafSpineParams,
+    RunLimit, SimConfig, Simulator, SwitchId,
 };
 use tpp_obs::{Collector, FleetSnapshot};
 use tpp_telemetry::MetricsRegistry;
 
 use crate::bonding_scenario;
-use crate::traffic::{
-    generate_schedule, ClosedFlowGenApp, ClosedLoopConfig, FlowSizeDist, TrafficConfig,
-};
+use crate::traffic::{closed_loop_fat_tree, ClosedFlowGenApp, TrafficConfig};
 use tpp_wire::ethernet::{build_frame, EtherType};
 use tpp_wire::EthernetAddress;
 
@@ -197,78 +194,43 @@ impl DashFeed {
             host_nic_kbps: 10_000_000,
         };
         let n_hosts = params.n_hosts();
-        let macs: Vec<EthernetAddress> = (0..n_hosts)
-            .map(|i| EthernetAddress::from_host_id(i as u32))
-            .collect();
         let traffic = TrafficConfig {
             flows_per_host: 20,
             mean_gap_ns: 100_000,
             ..Default::default()
         };
-        let mut last_start = 0u64;
-        let apps: Vec<Box<dyn HostApp>> = (0..n_hosts)
-            .map(|i| -> Box<dyn HostApp> {
-                let dist = if i % 2 == 0 {
-                    FlowSizeDist::WebSearch
-                } else {
-                    FlowSizeDist::DataMining
-                };
-                let sched = generate_schedule(&traffic, i as u32, &macs, dist);
-                if let Some(f) = sched.last() {
-                    last_start = last_start.max(f.start_ns);
-                }
-                Box::new(ClosedFlowGenApp::new(sched, ClosedLoopConfig::default()))
-            })
-            .collect();
-        let end_ns = last_start + time::millis(8);
-
         let config = config
             .ecmp(true)
             .frame_pool_buffers(4 * 1024)
             .tick_interval_ns(time::micros(20));
-        let (mut sim, tree) = fat_tree_with(config, params.clone(), apps);
-        let half = 2; // k/2
-        let hpe = params.effective_hosts_per_edge();
-        let switches: Vec<SwitchId> = tree
-            .edges
-            .iter()
-            .chain(tree.aggs.iter())
-            .flatten()
-            .copied()
-            .chain(tree.cores.iter().copied())
-            .collect();
-        for &sw in &switches {
-            init_rate_registers(sim.switch_mut(sw));
-            sim.switch_mut(sw)
+        let (mut sim, tree, _, last_start) = closed_loop_fat_tree(config, params, &traffic);
+        for i in 0..sim.num_switches() {
+            sim.switch_mut(SwitchId(i))
                 .enable_profiling(ProfileConfig::default());
         }
         sim.observe().series(128);
 
-        // Loss where ECMP spreads: edge uplinks and every agg port.
-        let mut uplinks = Vec::new();
-        for pod in tree.edges.iter() {
-            for &edge in pod {
-                for a in 0..half {
-                    let port = (hpe + a) as PortId;
-                    sim.set_link_loss(Endpoint::switch(edge, port), FCT_LOSS_PERMILLE);
-                    uplinks.push((edge, port));
-                }
+        // Loss where ECMP spreads: edge uplinks and every agg port; the
+        // core ports stay clean.
+        for from in tree.fabric_ports() {
+            if !matches!(from, Endpoint::SwitchPort(sw, _) if tree.cores.contains(&sw)) {
+                sim.set_link_loss(from, FCT_LOSS_PERMILLE);
             }
         }
-        for pod in tree.aggs.iter() {
-            for &agg in pod {
-                for p in 0..4usize {
-                    sim.set_link_loss(Endpoint::switch(agg, p as PortId), FCT_LOSS_PERMILLE);
-                }
-            }
-        }
+        let uplinks = tree
+            .edge_uplinks()
+            .into_iter()
+            .filter_map(|from| match from {
+                Endpoint::SwitchPort(sw, port) => Some((sw, port)),
+                _ => None,
+            });
         DashFeed {
             sim,
             harvest: Harvest::Fct {
                 hosts: n_hosts,
-                uplinks,
+                uplinks: uplinks.collect(),
             },
-            end_ns,
+            end_ns: last_start + time::millis(8),
         }
     }
 

@@ -15,17 +15,16 @@ use std::time::Instant;
 use tpp_apps::microburst::MicroburstMonitor;
 use tpp_apps::ndb::{NdbProbeSender, TraceCollector};
 use tpp_apps::rcpstar::{init_rate_registers, RcpStarConfig, RcpStarSender};
-use tpp_asic::PortId;
 use tpp_host::{EchoReceiver, TransportStats};
 use tpp_netsim::{
-    fat_tree_with, shard_matrix, time, Endpoint, FatTreeParams, HostApp, HostId, RunLimit,
-    SimConfig, Simulator,
+    fat_tree_with, shard_matrix, time, FatTreeParams, HostApp, HostId, RunLimit, SimConfig,
+    Simulator, SwitchId,
 };
 use tpp_wire::EthernetAddress;
 
 use crate::traffic::{
-    completions_fingerprint, generate_schedule, percentile, splitmix64, ClosedFlowGenApp,
-    ClosedLoopConfig, Completion, Flow, FlowGenApp, FlowSizeDist, TrafficConfig,
+    completions_fingerprint, flow_schedules, percentile, splitmix64, ClosedFlowGenApp,
+    ClosedLoopConfig, Completion, FlowGenApp, TrafficConfig,
 };
 
 /// A fat-tree (40 Gb/s fabric links, 10 Gb/s NICs), its seeded traffic
@@ -151,15 +150,9 @@ pub fn run(name: &str, s: &Scenario, config: SimConfig, allocs: fn() -> u64) -> 
         mean_gap_ns: s.mean_gap_ns,
         ..Default::default()
     };
-    let schedules: Vec<Vec<Flow>> = (0..flow_macs.len())
-        .map(|i| {
-            let dist = [FlowSizeDist::WebSearch, FlowSizeDist::DataMining][i % 2];
-            generate_schedule(&traffic, i as u32, &flow_macs, dist)
-        })
-        .collect();
-    let flows = || schedules.iter().flatten();
-    let run_ns = flows().map(|f| f.start_ns).max().unwrap_or(0) + time::millis(s.drain_ms);
-    let (flows_total, offered_bytes) = (flows().count(), flows().map(|f| f.bytes as u64).sum());
+    let (schedules, flows_total, last_start) = flow_schedules(&traffic, &flow_macs);
+    let run_ns = last_start + time::millis(s.drain_ms);
+    let offered_bytes = schedules.iter().flatten().map(|f| f.bytes as u64).sum();
 
     let mut schedules = schedules.into_iter();
     let apps: Vec<Box<dyn HostApp>> = (0..n_hosts)
@@ -202,20 +195,13 @@ pub fn run(name: &str, s: &Scenario, config: SimConfig, allocs: fn() -> u64) -> 
         tree.all_hosts().eq((0..n_hosts).map(HostId)),
         "host ids must be dense in (pod, edge, index) order"
     );
-    let lower = tree.edges.iter().chain(tree.aggs.iter()).flatten();
-    for sw in lower.chain(tree.cores.iter()) {
-        init_rate_registers(sim.switch_mut(*sw));
+    for i in 0..sim.num_switches() {
+        init_rate_registers(sim.switch_mut(SwitchId(i)));
     }
-    // Closed loop: seeded loss on every inter-switch link direction —
-    // edge uplinks (the ports ECMP spreads over), every agg and core port.
+    // Closed loop: seeded loss on every inter-switch link direction.
     // Host links stay clean: recovery is the transport's job, not the NIC's.
-    let uplinks: Vec<Endpoint> = (tree.edges.iter().flatten())
-        .flat_map(|edge| (hpe..hpe + k / 2).map(|p| Endpoint::switch(*edge, p as PortId)))
-        .collect();
     if s.closed_loop {
-        let upper = tree.aggs.iter().flatten().chain(tree.cores.iter());
-        let upper_ports = upper.flat_map(|sw| (0..k).map(|p| Endpoint::switch(*sw, p as PortId)));
-        for from in uplinks.iter().copied().chain(upper_ports) {
+        for from in tree.fabric_ports() {
             sim.set_link_loss(from, CLOSED_LOSS_PERMILLE);
         }
     }
@@ -227,7 +213,7 @@ pub fn run(name: &str, s: &Scenario, config: SimConfig, allocs: fn() -> u64) -> 
     let allocs = allocs() - allocs_before;
 
     let (sim_ms, events) = (run_ns as f64 / 1e6, sim.events_processed());
-    let mut completions: Vec<Completion> = Vec::with_capacity(flows_total);
+    let mut completions: Vec<Completion> = Vec::with_capacity(flows_total as usize);
     let (recovery_fold, fields) = if s.closed_loop {
         let mut stats = TransportStats::default();
         for i in flow_hosts.clone() {
@@ -251,7 +237,7 @@ pub fn run(name: &str, s: &Scenario, config: SimConfig, allocs: fn() -> u64) -> 
         } = stats;
         let completed = completions.len();
         assert!(
-            completed * 100 >= flows_total * 99,
+            completed as u64 * 100 >= flows_total * 99,
             "closed loop must complete >= 99% of flows under loss (got {completed}/{flows_total})"
         );
         assert!(
@@ -263,6 +249,7 @@ pub fn run(name: &str, s: &Scenario, config: SimConfig, allocs: fn() -> u64) -> 
             .wrapping_add(fast_retransmits.rotate_left(34))
             .wrapping_add(flows_given_up.rotate_left(51));
 
+        let uplinks = tree.edge_uplinks();
         let tx: Vec<u64> = uplinks.iter().map(|u| sim.link_tx_frames(*u)).collect();
         let (n_uplinks, mean_tx) = (tx.len(), tx.iter().sum::<u64>() as f64 / tx.len() as f64);
         let min_tx = *tx.iter().min().expect("an edge has uplinks");

@@ -19,13 +19,16 @@
 
 use std::collections::BTreeMap;
 
+use tpp_apps::rcpstar::init_rate_registers;
 use tpp_apps::{decode_rate_echo, rate_collect_probe, rate_probe_payload, RateEcho};
 use tpp_host::transport::{
     self, segments_for, AckOutcome, FlowReceiver, FlowSender, RtoOutcome, SegmentHdr,
     TransportConfig, TransportStats, TRANSPORT_ETHERTYPE,
 };
 use tpp_host::{echo_in_place, ProbeBuilder, DATA_ETHERTYPE};
-use tpp_netsim::{HostApp, HostCtx};
+use tpp_netsim::{
+    fat_tree_with, FatTree, FatTreeParams, HostApp, HostCtx, SimConfig, Simulator, SwitchId,
+};
 use tpp_wire::ethernet::{EtherType, Frame, ETHERNET_HEADER_LEN};
 use tpp_wire::EthernetAddress;
 
@@ -228,6 +231,25 @@ pub fn generate_schedule(
         });
     }
     out
+}
+
+/// The seeded schedules of the hosts `macs`, one per index (even indices
+/// draw web-search sizes, odd ones data-mining):
+/// `(schedules, flows_total, last_start_ns)`.
+pub fn flow_schedules(
+    traffic: &TrafficConfig,
+    macs: &[EthernetAddress],
+) -> (Vec<Vec<Flow>>, u64, u64) {
+    let schedules: Vec<Vec<Flow>> = (0..macs.len())
+        .map(|i| {
+            let dist = [FlowSizeDist::WebSearch, FlowSizeDist::DataMining][i % 2];
+            generate_schedule(traffic, i as u32, macs, dist)
+        })
+        .collect();
+    let flows_total = schedules.iter().map(|s| s.len() as u64).sum();
+    let last_start = schedules.iter().filter_map(|s| s.last());
+    let last_start = last_start.map(|f| f.start_ns).max().unwrap_or(0);
+    (schedules, flows_total, last_start)
 }
 
 /// A completed flow, recorded at the *receiving* host.
@@ -666,6 +688,29 @@ impl HostApp for ClosedFlowGenApp {
     }
 }
 
+/// The lossy closed-loop fabric's recipe, loss aside: `params`' fat tree
+/// on `config`, every host playing its [`flow_schedules`] entry through a
+/// [`ClosedFlowGenApp`], RCP\* rate registers on every switch.
+/// Returns `(sim, tree, flows_total, last_start_ns)`.
+pub fn closed_loop_fat_tree(
+    config: SimConfig,
+    params: FatTreeParams,
+    traffic: &TrafficConfig,
+) -> (Simulator, FatTree, u64, u64) {
+    let macs: Vec<_> = (0..params.n_hosts() as u32)
+        .map(EthernetAddress::from_host_id)
+        .collect();
+    let (schedules, flows_total, last_start) = flow_schedules(traffic, &macs);
+    let apps = (schedules.into_iter())
+        .map(|sched| Box::new(ClosedFlowGenApp::new(sched, ClosedLoopConfig::default())) as _)
+        .collect();
+    let (mut sim, tree) = fat_tree_with(config, params, apps);
+    for i in 0..sim.num_switches() {
+        init_rate_registers(sim.switch_mut(SwitchId(i)));
+    }
+    (sim, tree, flows_total, last_start)
+}
+
 /// Order-independent fingerprint of a set of completions: commutative
 /// accumulation of a mix of each `(key, fct_ns)` pair, so the value is
 /// identical for any shard count, thread interleaving, or host
@@ -737,6 +782,26 @@ mod tests {
         assert!(a.windows(2).all(|w| w[0].start_ns <= w[1].start_ns));
         let c = generate_schedule(&cfg, 4, &macs, FlowSizeDist::WebSearch);
         assert!(a.iter().zip(&c).any(|(x, y)| x.bytes != y.bytes));
+    }
+
+    #[test]
+    fn flow_schedules_alternate_sizes_per_index() {
+        let macs: Vec<EthernetAddress> = (0..5).map(EthernetAddress::from_host_id).collect();
+        let cfg = TrafficConfig {
+            flows_per_host: 30,
+            ..Default::default()
+        };
+        let (schedules, flows_total, last_start) = flow_schedules(&cfg, &macs);
+        assert_eq!(schedules.len(), macs.len());
+        for (i, sched) in schedules.iter().enumerate() {
+            let dist = [FlowSizeDist::WebSearch, FlowSizeDist::DataMining][i % 2];
+            let want = generate_schedule(&cfg, i as u32, &macs, dist);
+            let fields = |f: &Flow| (f.start_ns, f.dst, f.bytes, f.key, f.mining);
+            assert!(sched.iter().map(fields).eq(want.iter().map(fields)));
+        }
+        let all = || schedules.iter().flatten();
+        assert_eq!(flows_total, all().count() as u64);
+        assert_eq!(Some(last_start), all().map(|f| f.start_ns).max());
     }
 
     #[test]

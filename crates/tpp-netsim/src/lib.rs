@@ -90,8 +90,7 @@ pub use series::{
 pub use shard::{for_each_shard_row, shard_matrix, ShardSyncStats};
 pub use sim::{Endpoint, NetworkBuilder, Simulator, TapDir, TapRecord, Topology};
 pub use topology::{
-    bonded_diamond, bonded_diamond_with, dumbbell, dumbbell_with, fat_tree, fat_tree_with,
-    leaf_spine, leaf_spine_with, linear_chain, linear_chain_with, BondedDiamond,
-    BondedDiamondParams, Dumbbell, DumbbellParams, FatTree, FatTreeParams, LeafSpine,
-    LeafSpineParams, LinearChain, LinearChainParams,
+    bonded_diamond_with, dumbbell_with, fat_tree_with, leaf_spine_with, linear_chain_with,
+    BondedDiamond, BondedDiamondParams, Dumbbell, DumbbellParams, FatTree, FatTreeParams,
+    LeafSpine, LeafSpineParams, LinearChain, LinearChainParams,
 };

@@ -749,6 +749,12 @@ impl Simulator {
             .unwrap_or(0)
     }
 
+    /// The node at the far end of `from`'s link, if connected.
+    #[cfg(test)]
+    pub(crate) fn link_peer(&self, from: Endpoint) -> Option<NodeId> {
+        link(&self.switches, &self.hosts, from.node(), from.port()).map(|l| l.peer)
+    }
+
     /// Install a seeded [`FaultPlan`]: expands every entry into
     /// shard-local steps on the owning shards' queues and re-arms the
     /// per-link fault streams from the plan's seed. May be called before

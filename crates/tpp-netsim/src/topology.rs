@@ -1,21 +1,22 @@
 //! Canned topologies for experiments.
 //!
-//! Three shapes cover the paper's evaluation needs:
+//! Five shapes cover the paper's evaluation needs:
 //!
-//! * [`linear_chain`] — the Figure 1 setting: a TPP walking a multi-hop
+//! * [`linear_chain_with`] — the Figure 1 setting: a TPP walking a multi-hop
 //!   path, recording one value per hop;
-//! * [`dumbbell`] — the Figure 2 setting: N sender/receiver pairs sharing
+//! * [`dumbbell_with`] — the Figure 2 setting: N sender/receiver pairs sharing
 //!   one bottleneck link (the classic congestion-control topology);
-//! * [`leaf_spine`] — the §2.1 setting: a two-tier datacenter fabric
+//! * [`leaf_spine_with`] — the §2.1 setting: a two-tier datacenter fabric
 //!   where incast across leaves creates micro-bursts;
-//! * [`fat_tree`] — the 3-tier k-ary datacenter at realistic structure;
-//! * [`bonded_diamond`] — two multi-homed hosts joined by disjoint
+//! * [`fat_tree_with`] — the 3-tier k-ary datacenter at realistic structure;
+//! * [`bonded_diamond_with`] — two multi-homed hosts joined by disjoint
 //!   paths, the multipath bonding setting.
 //!
 //! Every builder assigns each switch a distinct `Switch:SwitchID`
 //! (chain/dumbbell: `1 + index`; leaf-spine: leaves `0x10 + l`, spines
 //! `0x20 + s`), installs shortest-path L2 routes, and returns handle
-//! structs so experiments can reach any element.
+//! structs so experiments can reach any element. Each takes the
+//! [`SimConfig`] (shard count, seed, tick interval, ...) first.
 
 use crate::config::SimConfig;
 use crate::node::{HostApp, HostId, SwitchId};
@@ -90,7 +91,7 @@ fn finish(net: NetworkBuilder) -> Simulator {
     sim
 }
 
-/// Parameters for [`linear_chain`].
+/// Parameters for [`linear_chain_with`].
 #[derive(Debug, Clone)]
 pub struct LinearChainParams {
     /// Number of switches on the path.
@@ -131,16 +132,6 @@ pub struct LinearChain {
 /// Build `left -- s0 -- s1 -- ... -- s(n-1) -- right`.
 ///
 /// Each switch uses port 0 toward the left, port 1 toward the right.
-pub fn linear_chain(
-    params: LinearChainParams,
-    left_app: Box<dyn HostApp>,
-    right_app: Box<dyn HostApp>,
-) -> (Simulator, LinearChain) {
-    linear_chain_with(SimConfig::default(), params, left_app, right_app)
-}
-
-/// [`linear_chain`] under an explicit [`SimConfig`] (shard count, seed,
-/// tick interval, ...).
 pub fn linear_chain_with(
     config: SimConfig,
     params: LinearChainParams,
@@ -178,7 +169,7 @@ pub fn linear_chain_with(
     )
 }
 
-/// Parameters for [`dumbbell`].
+/// Parameters for [`dumbbell_with`].
 #[derive(Debug, Clone)]
 pub struct DumbbellParams {
     /// Sender/receiver pairs.
@@ -229,14 +220,6 @@ pub struct Dumbbell {
 /// ```text
 /// s0..sN -> [left switch] --bottleneck--> [right switch] -> r0..rN
 /// ```
-pub fn dumbbell(
-    params: DumbbellParams,
-    apps: Vec<(Box<dyn HostApp>, Box<dyn HostApp>)>,
-) -> (Simulator, Dumbbell) {
-    dumbbell_with(SimConfig::default(), params, apps)
-}
-
-/// [`dumbbell`] under an explicit [`SimConfig`].
 pub fn dumbbell_with(
     config: SimConfig,
     params: DumbbellParams,
@@ -288,7 +271,7 @@ pub fn dumbbell_with(
     )
 }
 
-/// Parameters for [`leaf_spine`].
+/// Parameters for [`leaf_spine_with`].
 #[derive(Debug, Clone)]
 pub struct LeafSpineParams {
     /// Number of leaf (top-of-rack) switches.
@@ -342,7 +325,7 @@ impl LeafSpine {
     }
 }
 
-/// Parameters for [`fat_tree`].
+/// Parameters for [`fat_tree_with`].
 #[derive(Debug, Clone)]
 pub struct FatTreeParams {
     /// The fat-tree arity `k` (must be even): `k` pods, each with `k/2`
@@ -415,6 +398,25 @@ impl FatTree {
     pub fn all_hosts(&self) -> impl Iterator<Item = HostId> + '_ {
         self.hosts.iter().flatten().flatten().copied()
     }
+
+    /// Every edge switch's ports toward its pod's aggregation switches,
+    /// edge by edge in (pod, edge) order: the ports ECMP spreads over.
+    pub fn edge_uplinks(&self) -> Vec<Endpoint> {
+        let (hpe, half) = (self.hosts[0][0].len(), self.aggs[0].len());
+        let ports = |&edge| (hpe..hpe + half).map(move |p| Endpoint::switch(edge, p as PortId));
+        self.edges.iter().flatten().flat_map(ports).collect()
+    }
+
+    /// Every switch-to-switch link direction: [`Self::edge_uplinks`],
+    /// then every port of every aggregation and core switch.
+    pub fn fabric_ports(&self) -> Vec<Endpoint> {
+        let k = 2 * self.aggs[0].len();
+        let upper = self.aggs.iter().flatten().chain(&self.cores);
+        let upper = upper.flat_map(|&sw| (0..k).map(move |p| Endpoint::switch(sw, p as PortId)));
+        let mut ports = self.edge_uplinks();
+        ports.extend(upper);
+        ports
+    }
 }
 
 /// Build the classic 3-tier k-ary fat-tree of Al-Fares et al. — the §4
@@ -423,12 +425,8 @@ impl FatTree {
 /// core `0x300 + c`. Routing is shortest-path L2 (BFS; no ECMP).
 ///
 /// # Panics
-/// Panics if `k` is odd or zero, or if the app count ≠ `k^3/4`.
-pub fn fat_tree(params: FatTreeParams, apps: Vec<Box<dyn HostApp>>) -> (Simulator, FatTree) {
-    fat_tree_with(SimConfig::default(), params, apps)
-}
-
-/// [`fat_tree`] under an explicit [`SimConfig`].
+/// Panics if `k` is odd or zero, or if the app count ≠ the host count
+/// (`k^3/4` at the textbook `hosts_per_edge`).
 pub fn fat_tree_with(
     config: SimConfig,
     params: FatTreeParams,
@@ -515,11 +513,6 @@ pub fn fat_tree_with(
 /// `0..hosts_per_leaf` for hosts and `hosts_per_leaf + s` toward spine
 /// `s`; spine `s` uses port `l` toward leaf `l`. Routing is shortest-path
 /// L2 (no ECMP: BFS picks the lowest-numbered spine deterministically).
-pub fn leaf_spine(params: LeafSpineParams, apps: Vec<Box<dyn HostApp>>) -> (Simulator, LeafSpine) {
-    leaf_spine_with(SimConfig::default(), params, apps)
-}
-
-/// [`leaf_spine`] under an explicit [`SimConfig`].
 pub fn leaf_spine_with(
     config: SimConfig,
     params: LeafSpineParams,
@@ -585,7 +578,7 @@ pub fn leaf_spine_with(
     )
 }
 
-/// Parameters for [`bonded_diamond`].
+/// Parameters for [`bonded_diamond_with`].
 #[derive(Debug, Clone)]
 pub struct BondedDiamondParams {
     /// Number of disjoint paths between the two hosts (= NICs per host).
@@ -655,15 +648,6 @@ impl BondedDiamond {
 /// path lead to the local NIC — which NIC a frame leaves on (and so
 /// which path it takes) is entirely the sender's choice via
 /// [`crate::HostCtx::send_on`].
-pub fn bonded_diamond(
-    params: BondedDiamondParams,
-    sender_app: Box<dyn HostApp>,
-    receiver_app: Box<dyn HostApp>,
-) -> (Simulator, BondedDiamond) {
-    bonded_diamond_with(SimConfig::default(), params, sender_app, receiver_app)
-}
-
-/// [`bonded_diamond`] under an explicit [`SimConfig`].
 pub fn bonded_diamond_with(
     config: SimConfig,
     params: BondedDiamondParams,
@@ -713,4 +697,40 @@ pub fn bonded_diamond_with(
             receiver,
         },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    struct Idle;
+    impl HostApp for Idle {}
+
+    #[test]
+    fn fabric_ports_are_every_switch_to_switch_direction_once() {
+        for (k, hosts_per_edge) in [(4, 0), (4, 3), (8, 0)] {
+            let params = FatTreeParams {
+                k,
+                hosts_per_edge,
+                ..FatTreeParams::default()
+            };
+            let apps = (0..params.n_hosts()).map(|_| Box::new(Idle) as _).collect();
+            let (sim, tree) = fat_tree_with(SimConfig::default(), params, apps);
+            let ports = tree.fabric_ports();
+            // k³/4 edge uplinks, k³/2 aggregation ports, k³/4 core ports.
+            assert_eq!(ports.len(), k * k * k, "k={k} hpe={hosts_per_edge}");
+            let distinct: std::collections::HashSet<_> = ports.iter().collect();
+            assert_eq!(distinct.len(), ports.len(), "a port repeats");
+            for ep in &ports {
+                let peer = sim
+                    .link_peer(*ep)
+                    .filter(|_| matches!(ep, Endpoint::SwitchPort(..)));
+                assert!(
+                    peer.is_some_and(|n| !n.is_host()),
+                    "{ep:?} is no switch-to-switch port"
+                );
+            }
+            assert_eq!(tree.edge_uplinks(), ports[..k * k * k / 4]);
+        }
+    }
 }

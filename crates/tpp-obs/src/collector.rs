@@ -371,7 +371,7 @@ mod tests {
     fn ingest_bond_builds_path_views_and_metrics() {
         use tpp_apps::bonding::{BondReceiver, BondSender, BondSenderConfig};
         use tpp_host::BondConfig;
-        use tpp_netsim::{bonded_diamond, time, BondedDiamondParams, RunLimit};
+        use tpp_netsim::{bonded_diamond_with, time, BondedDiamondParams, RunLimit, SimConfig};
         use tpp_wire::EthernetAddress;
 
         let cfg = BondSenderConfig {
@@ -387,7 +387,8 @@ mod tests {
             rto_ns: time::micros(400),
             bond: BondConfig::default(),
         };
-        let (mut sim, d) = bonded_diamond(
+        let (mut sim, d) = bonded_diamond_with(
+            SimConfig::new(),
             BondedDiamondParams::default(),
             Box::new(BondSender::new(cfg)),
             Box::new(BondReceiver::default()),

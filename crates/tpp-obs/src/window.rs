@@ -216,6 +216,7 @@ impl WindowedSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpp_host::splitmix64;
 
     /// The brute-force oracle: bucket raw points by `t / width` in one
     /// pass over the whole slice, recomputing every aggregate from
@@ -243,22 +244,14 @@ mod tests {
             .collect()
     }
 
-    /// Deterministic pseudo-random stream for test data.
-    fn mix(x: u64) -> u64 {
-        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     #[test]
     fn matches_brute_force_across_window_sizes() {
         // Irregularly spaced timestamps (monotone), noisy values.
         let mut t = 0u64;
         let points: Vec<(u64, u64)> = (0..500u64)
             .map(|i| {
-                t += mix(i) % 37;
-                (t, mix(i ^ 0xABCD) % 10_000)
+                t += splitmix64(i) % 37;
+                (t, splitmix64(i ^ 0xABCD) % 10_000)
             })
             .collect();
         for width in [1, 7, 50, 128, 1_000, 10_000] {
@@ -276,7 +269,7 @@ mod tests {
 
     #[test]
     fn incremental_equals_batch() {
-        let points: Vec<(u64, u64)> = (0..200u64).map(|i| (i * 13, mix(i) % 500)).collect();
+        let points: Vec<(u64, u64)> = (0..200u64).map(|i| (i * 13, splitmix64(i) % 500)).collect();
         let batch = WindowedSeries::from_points(&points, 100);
         let mut inc = WindowedSeries::new(100);
         for &(t, v) in &points {
@@ -295,7 +288,7 @@ mod tests {
         // never how surviving samples aggregate.
         let mut ring = RingSeries::new(32);
         for i in 0..4_096u64 {
-            ring.offer(i * 10, mix(i) % 1_000);
+            ring.offer(i * 10, splitmix64(i) % 1_000);
         }
         assert!(ring.stride() > 1, "test must exercise the overflow path");
         for width in [64, 500, 4_096] {
@@ -317,7 +310,7 @@ mod tests {
         }
         let (buffer, capacity) = (w.samples.as_ptr(), w.samples.capacity());
         for i in 25..4_000u64 {
-            w.push(i, mix(i) % 1_000);
+            w.push(i, splitmix64(i) % 1_000);
         }
         w.finish();
         assert_eq!(w.windows().len(), 400);

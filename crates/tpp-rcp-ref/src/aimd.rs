@@ -214,7 +214,7 @@ impl HostApp for AimdAcker {
 mod tests {
     use super::*;
     use tpp_netsim::RunLimit;
-    use tpp_netsim::{dumbbell, time, DumbbellParams};
+    use tpp_netsim::{dumbbell_with, time, DumbbellParams, SimConfig};
 
     fn run_flows(n: usize, duration_ms: u64) -> (tpp_netsim::Simulator, tpp_netsim::Dumbbell) {
         let apps: Vec<(Box<dyn HostApp>, Box<dyn HostApp>)> = (0..n)
@@ -226,7 +226,8 @@ mod tests {
                 )
             })
             .collect();
-        let (mut sim, bell) = dumbbell(
+        let (mut sim, bell) = dumbbell_with(
+            SimConfig::new(),
             DumbbellParams {
                 n_pairs: n,
                 queue_limit_bytes: 30_000,

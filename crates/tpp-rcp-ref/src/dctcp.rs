@@ -252,7 +252,7 @@ impl HostApp for DctcpReceiver {
 mod tests {
     use super::*;
     use tpp_netsim::RunLimit;
-    use tpp_netsim::{dumbbell, time, DumbbellParams, Simulator};
+    use tpp_netsim::{dumbbell_with, time, DumbbellParams, SimConfig, Simulator};
 
     fn run(n: usize, ms: u64, ecn_threshold: u32) -> (Simulator, tpp_netsim::Dumbbell) {
         let apps: Vec<(Box<dyn HostApp>, Box<dyn HostApp>)> = (0..n)
@@ -264,7 +264,8 @@ mod tests {
                 )
             })
             .collect();
-        let (mut sim, bell) = dumbbell(
+        let (mut sim, bell) = dumbbell_with(
+            SimConfig::new(),
             DumbbellParams {
                 n_pairs: n,
                 queue_limit_bytes: 60_000,

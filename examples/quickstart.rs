@@ -61,7 +61,8 @@ impl HostApp for Sink {
 
 fn main() {
     // left host -- s1 -- s2 -- s3 -- right host, 10 Gb/s links.
-    let (mut sim, chain) = linear_chain(
+    let (mut sim, chain) = linear_chain_with(
+        SimConfig::new(),
         LinearChainParams::default(),
         Box::new(Prober),
         Box::new(Sink::default()),

@@ -89,11 +89,10 @@ pub mod prelude {
     };
     pub use crate::isa::{assemble, Program};
     pub use crate::netsim::{
-        dumbbell, dumbbell_with, fat_tree, fat_tree_with, leaf_spine, leaf_spine_with,
-        linear_chain, linear_chain_with, time, Dumbbell, DumbbellParams, Endpoint, FatTree,
-        FatTreeParams, HostApp, HostCtx, HostId, LeafSpine, LeafSpineParams, LinearChain,
-        LinearChainParams, NetworkBuilder, ObsHandle, RunLimit, SimConfig, Simulator, SwitchId,
-        Topology,
+        dumbbell_with, fat_tree_with, leaf_spine_with, linear_chain_with, time, Dumbbell,
+        DumbbellParams, Endpoint, FatTree, FatTreeParams, HostApp, HostCtx, HostId, LeafSpine,
+        LeafSpineParams, LinearChain, LinearChainParams, NetworkBuilder, ObsHandle, RunLimit,
+        SimConfig, Simulator, SwitchId, Topology,
     };
     pub use crate::obs::{prometheus_snapshot, series_jsonl, Collector};
     pub use crate::telemetry::{

@@ -20,45 +20,19 @@
 //! Every test holds on every row of the shard matrix.
 
 use tpp::apps::cstore::{CounterTask, CounterWriteMode};
-use tpp::apps::rcpstar::{init_rate_registers, RcpStarConfig, RcpStarSender, RCP_RATE_REGISTER};
+use tpp::apps::rcpstar::{RcpStarConfig, RcpStarSender, RCP_RATE_REGISTER};
 use tpp::host::EchoReceiver;
 use tpp::netsim::RunLimit;
 use tpp::netsim::{
-    dumbbell_with, fat_tree_with, for_each_shard_row, time, ChannelProfile, Dumbbell,
-    DumbbellParams, Endpoint, FatTreeParams, FaultCounters, FaultPlan, HostApp, HostId, SimConfig,
-    Simulator,
+    dumbbell_with, for_each_shard_row, time, ChannelProfile, DumbbellParams, Endpoint,
+    FatTreeParams, FaultCounters, FaultPlan, HostApp, HostId, SimConfig,
 };
 use tpp::telemetry::TraceEventKind;
 use tpp::wire::EthernetAddress;
-use tpp_bench::traffic::{
-    generate_schedule, ClosedFlowGenApp, ClosedLoopConfig, FlowSizeDist, TrafficConfig,
-};
+use tpp_bench::repro::rcp_dumbbell;
+use tpp_bench::traffic::{closed_loop_fat_tree, ClosedFlowGenApp, TrafficConfig};
 
 const C_BPS: f64 = 10e6; // dumbbell default bottleneck
-
-fn rcp_dumbbell(config: SimConfig, n_flows: usize) -> (Simulator, Dumbbell) {
-    let apps: Vec<(Box<dyn HostApp>, Box<dyn HostApp>)> = (0..n_flows)
-        .map(|i| {
-            let dst = EthernetAddress::from_host_id((2 * i + 1) as u32);
-            (
-                Box::new(RcpStarSender::new(dst, RcpStarConfig::default())) as Box<dyn HostApp>,
-                Box::new(EchoReceiver::default()) as Box<dyn HostApp>,
-            )
-        })
-        .collect();
-    let (mut sim, bell) = dumbbell_with(
-        config,
-        DumbbellParams {
-            n_pairs: n_flows,
-            ..Default::default()
-        },
-        apps,
-    );
-    for sw in [bell.left, bell.right] {
-        init_rate_registers(sim.switch_mut(sw));
-    }
-    (sim, bell)
-}
 
 fn mean_rate_in_window(trace: &[(u64, u64)], lo_ns: u64, hi_ns: u64) -> f64 {
     let w: Vec<u64> = trace
@@ -80,7 +54,7 @@ fn rcp_reconverges_after_bottleneck_flap() {
 }
 
 fn check_reconvergence_after_flap(config: SimConfig) {
-    let (mut sim, bell) = rcp_dumbbell(config, 1);
+    let (mut sim, bell) = rcp_dumbbell(&config, Default::default(), &[RcpStarConfig::default()]);
     let bottleneck = Endpoint::switch(bell.left, bell.bottleneck_port);
     let mut plan = FaultPlan::new(0xc4a0_5001);
     plan.corrupt_window(time::secs(1), time::millis(1500), bottleneck, 300)
@@ -201,7 +175,7 @@ fn switch_reboot_detected_and_reseeded() {
 }
 
 fn check_reboot_reseed(config: SimConfig) {
-    let (mut sim, bell) = rcp_dumbbell(config, 1);
+    let (mut sim, bell) = rcp_dumbbell(&config, Default::default(), &[RcpStarConfig::default()]);
     let sink = sim.observe().trace_all(1 << 20);
     let mut plan = FaultPlan::new(0xc4a0_5003);
     plan.switch_reboot(time::secs(2), bell.left);
@@ -244,7 +218,7 @@ fn check_reboot_reseed(config: SimConfig) {
 }
 
 fn chaotic_run(config: &SimConfig, seed: u64) -> (Vec<String>, FaultCounters) {
-    let (mut sim, bell) = rcp_dumbbell(config.clone(), 2);
+    let (mut sim, bell) = rcp_dumbbell(config, Default::default(), &[RcpStarConfig::default(); 2]);
     let sink = sim.observe().trace_all(1 << 20);
     let host0 = Endpoint::host(bell.senders[0]);
     let bottleneck = Endpoint::switch(bell.left, bell.bottleneck_port);
@@ -306,63 +280,26 @@ fn closed_loop_chaos_run(
     seed: u64,
 ) -> (Vec<(u64, u64)>, [u64; 5], FaultCounters) {
     let params = FatTreeParams::default(); // k=4: 16 hosts, 20 switches
-    let half = params.k / 2;
-    let hpe = params.effective_hosts_per_edge();
     let n_hosts = params.n_hosts();
-    let macs: Vec<EthernetAddress> = (0..n_hosts)
-        .map(|i| EthernetAddress::from_host_id(i as u32))
-        .collect();
     let traffic = TrafficConfig {
         seed,
         flows_per_host: 12,
         mean_gap_ns: 400_000,
         ..Default::default()
     };
-    let mut flows_total = 0u64;
-    let mut last_start = 0u64;
-    let apps: Vec<Box<dyn HostApp>> = (0..n_hosts)
-        .map(|i| {
-            let dist = if i % 2 == 0 {
-                FlowSizeDist::WebSearch
-            } else {
-                FlowSizeDist::DataMining
-            };
-            let sched = generate_schedule(&traffic, i as u32, &macs, dist);
-            flows_total += sched.len() as u64;
-            if let Some(f) = sched.last() {
-                last_start = last_start.max(f.start_ns);
-            }
-            Box::new(ClosedFlowGenApp::new(sched, ClosedLoopConfig::default())) as _
-        })
-        .collect();
-
     let config = config.clone().ecmp(true).tick_interval_ns(time::millis(1));
-    let (mut sim, tree) = fat_tree_with(config, params, apps);
-    for sw in tree
-        .edges
-        .iter()
-        .chain(tree.aggs.iter())
-        .flatten()
-        .chain(tree.cores.iter())
-    {
-        init_rate_registers(sim.switch_mut(*sw));
-    }
-    for edge in tree.edges.iter().flatten() {
-        for a in 0..half {
-            sim.set_link_loss(Endpoint::switch(*edge, (hpe + a) as u16), 10);
-        }
+    let (mut sim, tree, flows_total, last_start) = closed_loop_fat_tree(config, params, &traffic);
+    let uplinks = tree.edge_uplinks();
+    for &from in &uplinks {
+        sim.set_link_loss(from, 10);
     }
 
     // An uplink flaps while flows are in flight (ECMP routes around it)
     // and an aggregation switch reboots, wiping its SRAM and bumping
     // its boot epoch mid-conversation.
     let mut plan = FaultPlan::new(seed ^ 0xc4a0_5005);
-    plan.link_flap(
-        time::millis(1),
-        time::millis(3),
-        Endpoint::switch(tree.edges[0][0], hpe as u16),
-    )
-    .switch_reboot(time::millis(2), tree.aggs[0][0]);
+    plan.link_flap(time::millis(1), time::millis(3), uplinks[0])
+        .switch_reboot(time::millis(2), tree.aggs[0][0]);
     sim.install_faults(&plan);
     sim.run(RunLimit::Until(last_start + time::millis(50)));
 
@@ -415,7 +352,7 @@ fn plan_free_runs_inject_nothing() {
 }
 
 fn check_plan_free_run(config: SimConfig) {
-    let (mut sim, _bell) = rcp_dumbbell(config, 1);
+    let (mut sim, _bell) = rcp_dumbbell(&config, Default::default(), &[RcpStarConfig::default()]);
     let sink = sim.observe().trace_all(1 << 20);
     sim.run(RunLimit::Until(time::secs(1)));
     assert_eq!(sim.fault_counters(), FaultCounters::default());

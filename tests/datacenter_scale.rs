@@ -8,7 +8,7 @@ use tpp::apps::rcpstar::{init_rate_registers, RcpStarConfig, RcpStarSender};
 use tpp::apps::{CounterTask, CounterWriteMode, MicroburstMonitor};
 use tpp::host::EchoReceiver;
 use tpp::netsim::RunLimit;
-use tpp::netsim::{leaf_spine, time, HostApp, LeafSpineParams, Simulator};
+use tpp::netsim::{leaf_spine_with, time, HostApp, LeafSpineParams, SimConfig, Simulator};
 use tpp::wire::EthernetAddress;
 
 const N_LEAVES: usize = 8;
@@ -79,7 +79,7 @@ fn build_and_run() -> (Simulator, tpp::netsim::LeafSpine, Snapshot) {
             apps.push(app);
         }
     }
-    let (mut sim, fabric) = leaf_spine(params, apps);
+    let (mut sim, fabric) = leaf_spine_with(SimConfig::new(), params, apps);
     for sw in fabric.leaves.iter().chain(&fabric.spines) {
         init_rate_registers(sim.switch_mut(*sw));
     }

@@ -21,7 +21,6 @@
 //! 1, 3 and 4 hold on every row of the shard matrix too.
 
 use proptest::prelude::*;
-use tpp::apps::rcpstar::init_rate_registers;
 use tpp::netsim::routing::{FLOW_LABEL_MAGIC, FLOW_LABEL_OFFSET};
 use tpp::netsim::{
     fat_tree_with, flow_label, for_each_shard_row, leaf_spine_with, shard_matrix, time, EcmpTable,
@@ -31,8 +30,7 @@ use tpp::netsim::{
 use tpp::wire::ethernet::{build_frame, EtherType};
 use tpp::wire::EthernetAddress;
 use tpp_bench::traffic::{
-    completions_fingerprint, generate_schedule, splitmix64, ClosedFlowGenApp, ClosedLoopConfig,
-    FlowSizeDist, TrafficConfig,
+    closed_loop_fat_tree, completions_fingerprint, splitmix64, ClosedFlowGenApp, TrafficConfig,
 };
 
 /// A host that does nothing (a leaf the traffic never targets).
@@ -213,61 +211,16 @@ fn closed_loop_fingerprint(seed: u64, loss_permille: u16, config: SimConfig) -> 
     let half = params.k / 2;
     let hpe = params.effective_hosts_per_edge();
     let n_hosts = params.n_hosts();
-    let macs: Vec<EthernetAddress> = (0..n_hosts)
-        .map(|i| EthernetAddress::from_host_id(i as u32))
-        .collect();
-
     let traffic = TrafficConfig {
         seed,
         flows_per_host: 15,
         mean_gap_ns: 200_000,
         ..Default::default()
     };
-    let mut last_start = 0u64;
-    let apps: Vec<Box<dyn HostApp>> = (0..n_hosts)
-        .map(|i| {
-            let dist = if i % 2 == 0 {
-                FlowSizeDist::WebSearch
-            } else {
-                FlowSizeDist::DataMining
-            };
-            let sched = generate_schedule(&traffic, i as u32, &macs, dist);
-            if let Some(f) = sched.last() {
-                last_start = last_start.max(f.start_ns);
-            }
-            Box::new(ClosedFlowGenApp::new(sched, ClosedLoopConfig::default())) as _
-        })
-        .collect();
-
     let config = config.ecmp(true).tick_interval_ns(time::millis(1));
-    let (mut sim, tree) = fat_tree_with(config, params, apps);
-    let switches: Vec<_> = tree
-        .edges
-        .iter()
-        .chain(tree.aggs.iter())
-        .flatten()
-        .copied()
-        .chain(tree.cores.iter().copied())
-        .collect();
-    for sw in &switches {
-        init_rate_registers(sim.switch_mut(*sw));
-    }
-    for pod in tree.edges.iter() {
-        for edge in pod {
-            for a in 0..half {
-                sim.set_link_loss(Endpoint::switch(*edge, (hpe + a) as u16), loss_permille);
-            }
-        }
-    }
-    for agg in tree.aggs.iter().flatten() {
-        for p in 0..2 * half {
-            sim.set_link_loss(Endpoint::switch(*agg, p as u16), loss_permille);
-        }
-    }
-    for core in &tree.cores {
-        for p in 0..2 * half {
-            sim.set_link_loss(Endpoint::switch(*core, p as u16), loss_permille);
-        }
+    let (mut sim, tree, _, last_start) = closed_loop_fat_tree(config, params, &traffic);
+    for from in tree.fabric_ports() {
+        sim.set_link_loss(from, loss_permille);
     }
 
     sim.run(RunLimit::Until(last_start + time::millis(40)));

@@ -17,15 +17,10 @@
 
 mod common;
 
-use tpp::apps::rcpstar::init_rate_registers;
 use tpp::netsim::{
-    fat_tree_with, for_each_shard_row, Endpoint, FatTreeParams, HostApp, HostId, RunLimit,
-    SimConfig, Simulator, SwitchId,
+    for_each_shard_row, Endpoint, FatTreeParams, HostId, RunLimit, SimConfig, Simulator,
 };
-use tpp::wire::EthernetAddress;
-use tpp_bench::traffic::{
-    generate_schedule, ClosedFlowGenApp, ClosedLoopConfig, FlowSizeDist, TrafficConfig,
-};
+use tpp_bench::traffic::{closed_loop_fat_tree, ClosedFlowGenApp, TrafficConfig};
 
 use common::{allocations, CountingAllocator};
 
@@ -49,12 +44,7 @@ fn steady_state_host_frames_do_not_allocate() {
 
 fn check_host_frame_allocations(config: SimConfig) {
     let params = FatTreeParams::default(); // k=4: 16 hosts, 20 switches
-    let half = params.k / 2;
-    let hpe = params.effective_hosts_per_edge();
     let n_hosts = params.n_hosts();
-    let macs: Vec<EthernetAddress> = (0..n_hosts)
-        .map(|i| EthernetAddress::from_host_id(i as u32))
-        .collect();
     // Flows four times the default size (~18 host frames each), so the
     // per-flow allocations sit well inside the per-frame budget.
     let traffic = TrafficConfig {
@@ -63,33 +53,10 @@ fn check_host_frame_allocations(config: SimConfig) {
         size_scale_div: 2,
         ..Default::default()
     };
-    let mut last_start = 0u64;
-    let apps: Vec<Box<dyn HostApp>> = (0..n_hosts)
-        .map(|i| {
-            let dist = if i % 2 == 0 {
-                FlowSizeDist::WebSearch
-            } else {
-                FlowSizeDist::DataMining
-            };
-            let sched = generate_schedule(&traffic, i as u32, &macs, dist);
-            last_start = last_start.max(sched.last().expect("non-empty schedule").start_ns);
-            Box::new(ClosedFlowGenApp::new(sched, ClosedLoopConfig::default())) as _
-        })
-        .collect();
-    let (mut sim, tree) = fat_tree_with(config.ecmp(true), params, apps);
-    for i in 0..sim.num_switches() {
-        init_rate_registers(sim.switch_mut(SwitchId(i)));
-    }
+    let (mut sim, tree, _, last_start) = closed_loop_fat_tree(config.ecmp(true), params, &traffic);
     // Loss on every fabric link direction; host links stay clean.
-    for &edge in tree.edges.iter().flatten() {
-        for a in 0..half {
-            sim.set_link_loss(Endpoint::switch(edge, (hpe + a) as u16), LOSS_PERMILLE);
-        }
-    }
-    for &sw in tree.aggs.iter().flatten().chain(tree.cores.iter()) {
-        for p in 0..2 * half {
-            sim.set_link_loss(Endpoint::switch(sw, p as u16), LOSS_PERMILLE);
-        }
+    for from in tree.fabric_ports() {
+        sim.set_link_loss(from, LOSS_PERMILLE);
     }
 
     sim.run(RunLimit::Until(last_start / 2));

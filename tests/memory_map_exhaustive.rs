@@ -10,23 +10,20 @@
 //! cannot pass.
 
 use tpp_asic::{Mmu, MmuFault, PacketMeta, PortStats, QueueStats, Reg, SwitchRegs};
+use tpp_bench::traffic::Rng64;
 use tpp_isa::VirtAddr;
 use tpp_spec::{LinkBank, MetaBank, QueueBank, SpecFault, SpecState, SwitchBank};
 
 /// A stream of distinct values whose low 32 bits are distinct too.
 struct Values {
-    state: u64,
+    rng: Rng64,
     seen: std::collections::HashSet<u32>,
 }
 
 impl Values {
     fn next(&mut self) -> u64 {
         loop {
-            self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
+            let z = self.rng.next_u64();
             if self.seen.insert(z as u32) {
                 return z;
             }
@@ -46,7 +43,7 @@ impl Values {
 
 fn seeded_spec() -> SpecState {
     let mut v = Values {
-        state: 0x0074_7070_5f6d_6d75,
+        rng: Rng64::new(0x0074_7070_5f6d_6d75),
         seen: Default::default(),
     };
     SpecState {

@@ -4,7 +4,7 @@
 use tpp::apps::{detect_bursts, MicroburstMonitor};
 use tpp::host::EchoReceiver;
 use tpp::netsim::RunLimit;
-use tpp::netsim::{dumbbell, time, DumbbellParams, HostApp, SimConfig};
+use tpp::netsim::{dumbbell_with, time, DumbbellParams, HostApp, SimConfig};
 use tpp::wire::EthernetAddress;
 use tpp_bench::repro::burst_dumbbell;
 
@@ -79,7 +79,8 @@ fn quiet_network_reports_no_bursts() {
         )),
         Box::new(EchoReceiver::default()),
     )];
-    let (mut sim, bell) = dumbbell(
+    let (mut sim, bell) = dumbbell_with(
+        SimConfig::new(),
         DumbbellParams {
             n_pairs: 1,
             ..Default::default()

@@ -14,7 +14,7 @@ use tpp::apps::MicroburstMonitor;
 use tpp::control::{NetworkController, PortTrust, Region, SramAllocator};
 use tpp::host::EchoReceiver;
 use tpp::netsim::RunLimit;
-use tpp::netsim::{dumbbell, time, DumbbellParams, HostApp};
+use tpp::netsim::{dumbbell_with, time, DumbbellParams, HostApp, SimConfig};
 use tpp::wire::EthernetAddress;
 
 #[test]
@@ -64,7 +64,8 @@ fn rcp_and_ndb_coexist_on_one_network() {
             Box::new(EchoReceiver::default()),
         ),
     ];
-    let (mut sim, bell) = dumbbell(
+    let (mut sim, bell) = dumbbell_with(
+        SimConfig::new(),
         DumbbellParams {
             n_pairs: 3,
             ..Default::default()
@@ -131,7 +132,8 @@ fn untrusted_edge_ports_stop_tpps_but_not_data() {
             Box::new(EchoReceiver::default()),
         ),
     ];
-    let (mut sim, bell) = dumbbell(
+    let (mut sim, bell) = dumbbell_with(
+        SimConfig::new(),
         DumbbellParams {
             n_pairs: 2,
             ..Default::default()

@@ -6,14 +6,18 @@ use tpp::apps::Violation;
 use tpp::asic::{FlowAction, FlowMatch};
 use tpp::control::NetworkController;
 use tpp::netsim::RunLimit;
-use tpp::netsim::{leaf_spine, linear_chain, time, HostApp, LeafSpineParams, LinearChainParams};
+use tpp::netsim::{
+    leaf_spine_with, linear_chain_with, time, HostApp, LeafSpineParams, LinearChainParams,
+    SimConfig,
+};
 use tpp::wire::EthernetAddress;
 
 fn chain_with_rules(
     controller: &mut NetworkController,
 ) -> (tpp::netsim::Simulator, tpp::netsim::LinearChain, u32) {
     let dst = EthernetAddress::from_host_id(1);
-    let (mut sim, chain) = linear_chain(
+    let (mut sim, chain) = linear_chain_with(
+        SimConfig::new(),
         LinearChainParams {
             n_switches: 3,
             ..Default::default()
@@ -102,7 +106,8 @@ fn misroute_shows_up_as_wrong_path() {
         Box::new(NdbProbeSender::new(dst, 3, time::micros(50), 10)),
         Box::new(TraceCollector::default()),
     ];
-    let (mut sim, fabric) = leaf_spine(
+    let (mut sim, fabric) = leaf_spine_with(
+        SimConfig::new(),
         LeafSpineParams {
             n_leaves: 2,
             n_spines: 2,

@@ -17,19 +17,19 @@
 use proptest::prelude::*;
 use tpp::apps::bonding::{BondReceiver, BondSender, BondSenderConfig};
 use tpp::apps::microburst::MicroburstMonitor;
-use tpp::apps::rcpstar::{init_rate_registers, RcpStarConfig, RcpStarSender};
+use tpp::apps::rcpstar::{RcpStarConfig, RcpStarSender};
 use tpp::host::{BondConfig, EchoReceiver};
 use tpp::netsim::{
-    bonded_diamond_with, dumbbell_with, fat_tree_with, leaf_spine_with, shard_matrix, time,
-    BondedDiamondParams, DumbbellParams, Endpoint, FatTreeParams, FaultPlan, HostApp, HostCtx,
-    HostId, LeafSpineParams, LinkProfile, LinkState, RunLimit, ShardSyncStats, SimConfig,
-    Simulator,
+    bonded_diamond_with, fat_tree_with, leaf_spine_with, shard_matrix, time, BondedDiamondParams,
+    DumbbellParams, Endpoint, FatTreeParams, FaultPlan, HostApp, HostCtx, HostId, LeafSpineParams,
+    LinkProfile, LinkState, RunLimit, ShardSyncStats, SimConfig, Simulator,
 };
 use tpp::wire::ethernet::{build_frame, EtherType};
 use tpp::wire::EthernetAddress;
 use tpp_bench::dash_scenario::DashFeed;
+use tpp_bench::repro::rcp_dumbbell;
 use tpp_bench::traffic::{
-    completions_fingerprint, generate_schedule, splitmix64, FlowGenApp, FlowSizeDist, TrafficConfig,
+    completions_fingerprint, flow_schedules, splitmix64, FlowGenApp, TrafficConfig,
 };
 
 /// One switch's ring series, flattened: `(switch, metric, points)`.
@@ -308,20 +308,7 @@ fn fat_tree_traffic(cfg: SimConfig, traffic_seed: u64) -> Fingerprint {
         mean_gap_ns: 40_000,
         ..TrafficConfig::default()
     };
-    let mut schedules = Vec::with_capacity(fg_macs.len());
-    let mut last_start = 0u64;
-    for fg_idx in 0..fg_macs.len() {
-        let dist = if fg_idx % 2 == 0 {
-            FlowSizeDist::WebSearch
-        } else {
-            FlowSizeDist::DataMining
-        };
-        let sched = generate_schedule(&traffic, fg_idx as u32, &fg_macs, dist);
-        if let Some(f) = sched.last() {
-            last_start = last_start.max(f.start_ns);
-        }
-        schedules.push(sched);
-    }
+    let (schedules, _, last_start) = flow_schedules(&traffic, &fg_macs);
     let run_ns = last_start + time::millis(2);
 
     let mut schedules = schedules.into_iter();
@@ -466,27 +453,8 @@ proptest! {
 #[test]
 fn rcp_convergence_records_are_shard_count_invariant() {
     let run = |cfg: SimConfig| -> (Vec<Vec<(u64, u64)>>, Fingerprint) {
-        let n = 3;
-        let apps: Vec<(Box<dyn HostApp>, Box<dyn HostApp>)> = (0..n)
-            .map(|i| {
-                let dst = EthernetAddress::from_host_id((2 * i + 1) as u32);
-                (
-                    Box::new(RcpStarSender::new(dst, RcpStarConfig::default())) as Box<dyn HostApp>,
-                    Box::new(EchoReceiver::default()) as Box<dyn HostApp>,
-                )
-            })
-            .collect();
-        let (mut sim, bell) = dumbbell_with(
-            cfg,
-            DumbbellParams {
-                n_pairs: n,
-                ..DumbbellParams::default()
-            },
-            apps,
-        );
-        for sw in [bell.left, bell.right] {
-            init_rate_registers(sim.switch_mut(sw));
-        }
+        let flows = [RcpStarConfig::default(); 3];
+        let (mut sim, bell) = rcp_dumbbell(&cfg, DumbbellParams::default(), &flows);
         let sink = sim.observe().trace_all(1 << 16);
         sim.run(RunLimit::Until(time::secs(2)));
         let traces: Vec<Vec<(u64, u64)>> = bell

@@ -92,7 +92,8 @@ impl HostApp for BurstProber {
 /// simulator rebuilds on its stats tick sums to the same totals.
 #[test]
 fn trace_counts_reconcile_with_registers_and_metrics() {
-    let (mut sim, chain) = linear_chain(
+    let (mut sim, chain) = linear_chain_with(
+        SimConfig::new(),
         LinearChainParams::default(),
         Box::new(BurstProber { n: 20 }),
         Box::new(EchoReceiver::default()),

@@ -8,7 +8,9 @@ use tpp::apps::wireless::{classify_loss, DiagnosisConfig, LinkHealthMonitor, Los
 use tpp::host::{EchoReceiver, SegmentedCollector, SegmentedQuery};
 use tpp::isa::SymbolTable;
 use tpp::netsim::RunLimit;
-use tpp::netsim::{linear_chain, time, Endpoint, HostApp, HostCtx, LinearChainParams};
+use tpp::netsim::{
+    linear_chain_with, time, Endpoint, HostApp, HostCtx, LinearChainParams, SimConfig,
+};
 use tpp::wire::EthernetAddress;
 
 /// Sends one segmented query train and reassembles the echoes.
@@ -46,7 +48,8 @@ fn segmented_query_reassembles_wide_rows_over_live_network() {
     let query = SegmentedQuery::plan(&symbols, &SymbolTable::new(), 4, 12).unwrap();
     assert_eq!(query.segments(), 3);
     let collector = query.collector();
-    let (mut sim, chain) = linear_chain(
+    let (mut sim, chain) = linear_chain_with(
+        SimConfig::new(),
         LinearChainParams {
             n_switches: 4,
             ..Default::default()
@@ -79,7 +82,8 @@ fn segmented_query_reassembles_wide_rows_over_live_network() {
 #[test]
 fn snr_register_travels_with_probes_and_losses_classify() {
     // One switch whose egress to the right host is a fading radio.
-    let (mut sim, chain) = linear_chain(
+    let (mut sim, chain) = linear_chain_with(
+        SimConfig::new(),
         LinearChainParams {
             n_switches: 1,
             ..Default::default()
@@ -137,7 +141,8 @@ fn lossless_links_unchanged_by_loss_feature() {
     // Determinism guard: a lossless run must not consult the RNG, so
     // results are identical with the feature compiled in.
     fn run() -> u64 {
-        let (mut sim, chain) = linear_chain(
+        let (mut sim, chain) = linear_chain_with(
+            SimConfig::new(),
             LinearChainParams::default(),
             Box::new(LinkHealthMonitor::new(
                 EthernetAddress::from_host_id(1),
