@@ -413,7 +413,6 @@ mod tests {
         let (mut sim, bell) = dumbbell_with(
             SimConfig::new(),
             DumbbellParams {
-                n_pairs: n_hosts,
                 bottleneck_kbps: 100_000, // uncongested for this task
                 ..Default::default()
             },

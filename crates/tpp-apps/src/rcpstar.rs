@@ -624,14 +624,7 @@ mod tests {
                 )
             })
             .collect();
-        let (mut sim, bell) = dumbbell_with(
-            SimConfig::new(),
-            DumbbellParams {
-                n_pairs: starts_ns.len(),
-                ..Default::default()
-            },
-            apps,
-        );
+        let (mut sim, bell) = dumbbell_with(SimConfig::new(), DumbbellParams::default(), apps);
         for sw in [bell.left, bell.right] {
             init_rate_registers(sim.switch_mut(sw));
         }

@@ -187,7 +187,7 @@ pub fn document(sections: &[Section]) -> String {
 /// `R::default()`.
 fn dumbbell_pairs<S: HostApp, R: HostApp + Default>(
     config: &SimConfig,
-    mut params: DumbbellParams,
+    params: DumbbellParams,
     n: usize,
     mut sender: impl FnMut(usize, EthernetAddress) -> S,
 ) -> (Simulator, Dumbbell) {
@@ -196,7 +196,6 @@ fn dumbbell_pairs<S: HostApp, R: HostApp + Default>(
         let dst = EthernetAddress::from_host_id((2 * i + 1) as u32);
         apps.push((Box::new(sender(i, dst)), Box::new(R::default())));
     }
-    params.n_pairs = n;
     dumbbell_with(config.clone(), params, apps)
 }
 
@@ -272,7 +271,7 @@ pub fn burst_dumbbell(
         (Box::new(monitor), Box::<EchoReceiver>::default()),
     ];
     let params = with(|p: &mut DumbbellParams| {
-        (p.n_pairs, p.bottleneck_kbps) = (2, 100_000);
+        p.bottleneck_kbps = 100_000;
         (p.edge_kbps, p.host_nic_kbps) = (1_000_000, 1_000_000);
     });
     dumbbell_with(config.clone(), params, apps)

@@ -17,7 +17,9 @@
 //! through a splitmix64 stream, so a `(seed, host)` pair always yields
 //! the same schedule regardless of shard count or threading.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use tpp_apps::rcpstar::init_rate_registers;
 use tpp_apps::{decode_rate_echo, rate_collect_probe, rate_probe_payload, RateEcho};
@@ -410,13 +412,21 @@ struct FlowState {
 /// a reboot observed in-band resets the window state
 /// (`on_path_epoch_change`) — the paper's mechanism, no oracle.
 ///
-/// All per-flow state lives in `BTreeMap`s and the single service timer
-/// wakes at the earliest of (next scheduled start, earliest RTO,
+/// Per-flow state is kept only while a flow is live. A sending flow
+/// sits in `active`, an ordered map the service pass walks in key order;
+/// a flow this host is receiving sits in `receivers` until its last
+/// segment is delivered. Then it leaves only its key in `finished`, so
+/// a late retransmission is re-ACKed whole from its header alone.
+/// `receivers` and `finished` are hash maps that are looked up, never
+/// iterated, so no result depends on their order. The single service
+/// timer wakes at the earliest of (next scheduled start, earliest RTO,
 /// earliest probe), so behavior is a pure function of the frame/timer
 /// sequence the simulator delivers — bit-identical at any shard count.
-/// A finished sender's counter buffer goes on a free list and the next
-/// flow starts on it ([`FlowSender::reusing`]), so starting a flow does
-/// not allocate once the buffers have grown to the host's flow sizes.
+/// A finished flow's buffers go on free lists and the next flow starts
+/// on them ([`FlowSender::reusing`], [`FlowReceiver::reusing`]), so
+/// starting or receiving a flow does not allocate once the buffers have
+/// grown to the host's flow sizes and windows. A receiver whose sender
+/// gave up stays in `receivers`: nothing tells this host the flow ended.
 pub struct ClosedFlowGenApp {
     schedule: Vec<Flow>,
     next: usize,
@@ -425,7 +435,12 @@ pub struct ClosedFlowGenApp {
     active: BTreeMap<u64, FlowState>,
     /// Counter buffers of completed and abandoned flows.
     spare_tx: Vec<Vec<u16>>,
-    receivers: BTreeMap<u64, FlowReceiver>,
+    /// Flows this host is still receiving.
+    receivers: HashMap<u64, FlowReceiver, FlowKeyHash>,
+    /// Out-of-order buffers of fully delivered flows.
+    spare_ooo: Vec<Vec<u32>>,
+    /// Keys of the flows fully delivered to this host.
+    finished: HashSet<u64, FlowKeyHash>,
     switch_epochs: BTreeMap<u32, u32>,
     /// Earliest pending service-timer deadline (dedup so bursts of
     /// events do not arm redundant timers).
@@ -451,7 +466,9 @@ impl ClosedFlowGenApp {
             probe,
             active: BTreeMap::new(),
             spare_tx: Vec::new(),
-            receivers: BTreeMap::new(),
+            receivers: HashMap::default(),
+            spare_ooo: Vec::new(),
+            finished: HashSet::default(),
             switch_epochs: BTreeMap::new(),
             armed_at: 0,
             stats: TransportStats::default(),
@@ -574,31 +591,43 @@ impl ClosedFlowGenApp {
         ctx.set_timer(wake.saturating_sub(now).max(1), 0);
     }
 
-    /// A data segment arrived: deliver, ACK (including tombstone
-    /// re-ACKs for completed flows), and record the FCT on completion.
+    /// A data segment arrived: deliver, ACK (a segment of a finished
+    /// flow is re-ACKed whole), and record the FCT on completion.
     fn on_data(&mut self, hdr: &SegmentHdr, src: EthernetAddress, ctx: &mut HostCtx<'_>) {
         let total_segs = segments_for(hdr.total_bytes, self.cfg.transport.mss);
-        let rx = self
-            .receivers
-            .entry(hdr.key)
-            .or_insert_with(|| FlowReceiver::new(total_segs));
-        let out = rx.on_data(hdr.seq, ctx.now());
-        if out.duplicate {
-            self.stats.dup_segments_rx += 1;
-        }
-        let ack = rx.ack_hdr(hdr);
+        let ack = match self.receivers.entry(hdr.key) {
+            Entry::Vacant(_) if self.finished.contains(&hdr.key) => {
+                // What a completed receiver answers to any segment.
+                self.stats.dup_segments_rx += 1;
+                hdr.ack_for(total_segs)
+            }
+            entry => {
+                let rx = entry.or_insert_with(|| {
+                    FlowReceiver::reusing(self.spare_ooo.pop().unwrap_or_default(), total_segs)
+                });
+                let out = rx.on_data(hdr.seq, ctx.now());
+                if out.duplicate {
+                    self.stats.dup_segments_rx += 1;
+                }
+                let ack = rx.ack_hdr(hdr);
+                if out.complete {
+                    let rx = self.receivers.remove(&hdr.key).expect("inserted above");
+                    self.spare_ooo.push(rx.into_ooo_buffer());
+                    self.finished.insert(hdr.key);
+                    self.completions.push(Completion {
+                        key: hdr.key,
+                        bytes: hdr.total_bytes,
+                        mining: hdr.flags & transport::FLAG_MINING != 0,
+                        fct_ns: ctx.now().saturating_sub(hdr.start_ns),
+                    });
+                }
+                ack
+            }
+        };
         let mut frame = ctx.alloc_frame(ack.frame_len());
         ack.write_frame(src, ctx.mac(), &mut frame);
         ctx.send(frame);
         self.stats.acks_sent += 1;
-        if out.complete && out.delivered > 0 {
-            self.completions.push(Completion {
-                key: hdr.key,
-                bytes: hdr.total_bytes,
-                mining: hdr.flags & transport::FLAG_MINING != 0,
-                fct_ns: ctx.now().saturating_sub(hdr.start_ns),
-            });
-        }
     }
 
     /// An ACK arrived for one of our flows.
@@ -685,6 +714,30 @@ impl HostApp for ClosedFlowGenApp {
             return;
         }
         ctx.recycle_frame(frame);
+    }
+}
+
+/// Hash of a flow key for [`ClosedFlowGenApp`]'s receive-side maps: one
+/// splitmix64 of the key. Keys are `(source index << 32) | flow index`,
+/// so both halves must reach the low bits hashbrown picks a bucket from
+/// and the top seven it tags with. Deterministic, which is sound because
+/// the maps are never iterated and the keys come from the schedule.
+type FlowKeyHash = BuildHasherDefault<FlowKeyHasher>;
+
+#[derive(Debug, Default, Clone, Copy)]
+struct FlowKeyHasher(u64);
+
+impl Hasher for FlowKeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("flow keys are u64s");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = splitmix64(key);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -910,6 +963,129 @@ mod tests {
             fp
         };
         assert_eq!(run(), run());
+    }
+
+    /// Sends one three-segment flow at start and its first segment
+    /// again once the flow is long delivered; keeps every ACK.
+    struct ReplaySender {
+        dst: EthernetAddress,
+        first: Option<SegmentHdr>,
+        acks: Vec<SegmentHdr>,
+    }
+
+    impl ReplaySender {
+        fn send(&self, hdr: SegmentHdr, ctx: &mut HostCtx<'_>) {
+            let mut frame = ctx.alloc_frame(hdr.frame_len());
+            hdr.write_frame(self.dst, ctx.mac(), &mut frame);
+            ctx.send(frame);
+        }
+    }
+
+    impl HostApp for ReplaySender {
+        fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+            let cfg = TransportConfig {
+                init_cwnd: 3,
+                ..TransportConfig::default()
+            };
+            let mut tx = FlowSender::new(cfg, 0xF1, 3 * 1_000, false, 0);
+            while let Some(seg) = tx.poll_send(ctx.now()) {
+                let hdr = tx.data_hdr(seg, ctx.now());
+                self.first.get_or_insert(hdr);
+                self.send(hdr, ctx);
+            }
+            ctx.set_timer(tpp_netsim::time::millis(1), 0);
+        }
+
+        fn on_timer(&mut self, _token: u64, ctx: &mut HostCtx<'_>) {
+            self.send(self.first.expect("sent at start"), ctx);
+        }
+
+        fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
+            let eth = Frame::new_checked(&frame[..]).expect("a whole frame");
+            self.acks.extend(SegmentHdr::decode(eth.payload()));
+            ctx.recycle_frame(frame);
+        }
+    }
+
+    #[test]
+    fn finished_flow_is_reacked_whole_from_its_key() {
+        use tpp_asic::AsicConfig;
+        use tpp_netsim::{time, Endpoint, HostId, NetworkBuilder, RunLimit};
+
+        let mut net = NetworkBuilder::new();
+        let s = net.add_switch(AsicConfig::with_ports(1, 2));
+        let sender = ReplaySender {
+            dst: EthernetAddress::from_host_id(1),
+            first: None,
+            acks: Vec::new(),
+        };
+        let h0 = net.add_host(Box::new(sender), 1_000_000);
+        let rx_app = ClosedFlowGenApp::new(Vec::new(), ClosedLoopConfig::default());
+        let h1 = net.add_host(Box::new(rx_app), 1_000_000);
+        net.connect(Endpoint::host(h0), Endpoint::switch(s, 0), time::micros(1));
+        net.connect(Endpoint::host(h1), Endpoint::switch(s, 1), time::micros(1));
+        let mut sim = net.build();
+        sim.populate_l2();
+        sim.run(RunLimit::Until(time::millis(5)));
+
+        let sender = sim.host_app::<ReplaySender>(HostId(0));
+        let first = sender.first.expect("sent at start");
+        let total_segs = segments_for(first.total_bytes, TransportConfig::default().mss);
+        assert_eq!(total_segs, 3);
+        let acks: Vec<u32> = sender.acks.iter().map(|a| a.ack).collect();
+        assert_eq!(acks, [1, 2, 3, total_segs], "the replay is ACKed whole");
+        // Byte for byte what a completed receiver answers.
+        let mut done = FlowReceiver::new(total_segs);
+        for seq in 0..total_segs {
+            done.on_data(seq, 0);
+        }
+        assert_eq!(sender.acks[3], done.ack_hdr(&first));
+
+        let app = sim.host_app::<ClosedFlowGenApp>(HostId(1));
+        assert_eq!(app.completions.len(), 1, "no second completion");
+        assert_eq!(app.stats.dup_segments_rx, 1);
+        assert_eq!(app.stats.acks_sent, 4);
+        assert!(
+            app.receivers.is_empty(),
+            "the finished flow left its receiver"
+        );
+        assert!(app.finished.contains(&first.key));
+        assert_eq!(app.spare_ooo.len(), 1, "its buffer waits for the next flow");
+    }
+
+    #[test]
+    fn lossy_run_leaves_no_live_receiver() {
+        tpp_netsim::for_each_shard_row(|config| {
+            use tpp_netsim::{time, HostId, RunLimit};
+
+            let params = FatTreeParams::default(); // k=4: 16 hosts
+            let n_hosts = params.n_hosts();
+            let traffic = TrafficConfig {
+                flows_per_host: 20,
+                mean_gap_ns: 200_000,
+                ..Default::default()
+            };
+            let (mut sim, tree, flows_total, last_start) =
+                closed_loop_fat_tree(config.ecmp(true), params, &traffic);
+            for from in tree.fabric_ports() {
+                sim.set_link_loss(from, 20);
+            }
+            sim.run(RunLimit::Until(last_start + time::millis(50)));
+
+            let (mut completed, mut dups) = (0, 0);
+            for h in 0..n_hosts {
+                let app = sim.host_app::<ClosedFlowGenApp>(HostId(h));
+                assert_eq!(app.unfinished(), 0, "host {h} has flows in flight");
+                assert!(app.receivers.is_empty(), "host {h} holds a live receiver");
+                assert_eq!(app.finished.len(), app.completions.len());
+                let stats = app.stats_snapshot();
+                assert_eq!(stats.flows_given_up, 0);
+                completed += app.completions.len() as u64;
+                dups += stats.dup_segments_rx;
+            }
+            assert_eq!(completed, flows_total, "every flow delivered once");
+            assert!(dups > 0, "loss must force duplicate arrivals");
+        });
     }
 
     #[test]

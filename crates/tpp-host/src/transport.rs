@@ -38,10 +38,10 @@
 //!  COMPLETE   GAVE_UP (tx_count[snd_una] > max_retries)
 //! ```
 //!
-//! The receiver holds `rcv_next` plus a bounded out-of-order buffer and
-//! delivers every segment exactly once, in order; duplicates and
-//! already-buffered arrivals still produce an ACK (that is what carries
-//! the dup-ACK signal back).
+//! The receiver holds `rcv_next` plus an out-of-order buffer (bounded by
+//! the sender's window) and delivers every segment exactly once, in
+//! order; duplicates and already-buffered arrivals still produce an ACK
+//! (that is what carries the dup-ACK signal back).
 //!
 //! # Buffers
 //!
@@ -52,9 +52,9 @@
 //! hands a finished sender's buffer to the next one
 //! ([`FlowSender::into_tx_buffer`], [`FlowSender::reusing`]), so once
 //! its buffers have grown, starting a flow allocates nothing. The
-//! receiver's out-of-order set still allocates its tree nodes.
-
-use std::collections::BTreeSet;
+//! receiver's one buffer, its sorted out-of-order segments, is handed
+//! on the same way ([`FlowReceiver::into_ooo_buffer`],
+//! [`FlowReceiver::reusing`]).
 
 use crate::rtt::RttEstimator;
 use crate::splitmix64;
@@ -194,6 +194,17 @@ impl SegmentHdr {
         buf.extend_from_slice(&self.ts.to_be_bytes());
         buf.extend_from_slice(&self.body_len.to_be_bytes());
         buf.resize(end, 0);
+    }
+
+    /// The cumulative ACK `ack` answering this data segment: flow
+    /// fields copied, `seq`/`ts` echoed for Karn sampling and RTT.
+    pub fn ack_for(&self, ack: u32) -> SegmentHdr {
+        SegmentHdr {
+            kind: KIND_ACK,
+            ack,
+            body_len: 0,
+            ..*self
+        }
     }
 
     /// Parse an Ethernet payload; `None` if it is not a transport
@@ -651,13 +662,21 @@ pub struct RxOutcome {
     pub complete: bool,
 }
 
-/// Receiver half of one flow: cumulative delivery plus a bounded
-/// out-of-order buffer, exactly-once.
+/// Receiver half of one flow: cumulative delivery plus an out-of-order
+/// buffer, exactly-once.
+///
+/// The buffer is a sorted `Vec<u32>` of the segments held above
+/// `rcv_next`. Its length is bounded by the sender's window
+/// (`max_cwnd`), not by the receiver: the receiver buffers whatever
+/// in-window segment arrives. An arrival that closes the gap at
+/// `rcv_next` drains the in-order run from the front. A host receiving
+/// flow after flow hands a finished receiver's buffer to the next one
+/// ([`FlowReceiver::into_ooo_buffer`], [`FlowReceiver::reusing`]).
 #[derive(Debug)]
 pub struct FlowReceiver {
     total_segs: u32,
     rcv_next: u32,
-    ooo: BTreeSet<u32>,
+    ooo: Vec<u32>,
     /// Segments delivered in order so far.
     pub delivered_segs: u64,
     /// Duplicate data arrivals absorbed.
@@ -669,14 +688,30 @@ pub struct FlowReceiver {
 impl FlowReceiver {
     /// A receiver expecting `total_segs` segments.
     pub fn new(total_segs: u32) -> FlowReceiver {
+        FlowReceiver::reusing(Vec::new(), total_segs)
+    }
+
+    /// [`FlowReceiver::new`], with the out-of-order segments kept in
+    /// `ooo` — a buffer from [`FlowReceiver::into_ooo_buffer`]. Its
+    /// contents are discarded, so the receiver behaves exactly as a
+    /// fresh one; only a window deeper than the buffer's capacity
+    /// allocates.
+    pub fn reusing(mut ooo: Vec<u32>, total_segs: u32) -> FlowReceiver {
+        ooo.clear();
         FlowReceiver {
             total_segs: total_segs.max(1),
             rcv_next: 0,
-            ooo: BTreeSet::new(),
+            ooo,
             delivered_segs: 0,
             dup_segments: 0,
             completed_at: None,
         }
+    }
+
+    /// Give up the out-of-order buffer once the flow is over, for the
+    /// next flow's [`FlowReceiver::reusing`].
+    pub fn into_ooo_buffer(self) -> Vec<u32> {
+        self.ooo
     }
 
     /// Whether everything has been delivered.
@@ -693,20 +728,25 @@ impl FlowReceiver {
     /// included — that is the dup-ACK signal); delivery is exactly
     /// once and in order.
     pub fn on_data(&mut self, seq: u32, now: u64) -> RxOutcome {
-        let duplicate = seq >= self.total_segs || seq < self.rcv_next || self.ooo.contains(&seq);
+        let slot = self.ooo.binary_search(&seq);
+        let duplicate = seq >= self.total_segs || seq < self.rcv_next || slot.is_ok();
         let mut delivered = 0;
         if duplicate {
             self.dup_segments += 1;
         } else if seq == self.rcv_next {
-            self.rcv_next += 1;
-            delivered += 1;
-            while self.ooo.remove(&self.rcv_next) {
-                self.rcv_next += 1;
-                delivered += 1;
-            }
+            // Every buffered segment lies above `rcv_next`, so the run
+            // that now follows it in order is a prefix of the buffer.
+            delivered = 1 + self
+                .ooo
+                .iter()
+                .zip(seq + 1..)
+                .take_while(|&(&held, want)| held == want)
+                .count() as u32;
+            self.ooo.drain(..delivered as usize - 1);
+            self.rcv_next += delivered;
             self.delivered_segs += delivered as u64;
-        } else {
-            self.ooo.insert(seq);
+        } else if let Err(at) = slot {
+            self.ooo.insert(at, seq);
         }
         let complete = self.is_complete();
         if complete && self.completed_at.is_none() {
@@ -723,17 +763,7 @@ impl FlowReceiver {
     /// Header of the ACK answering a data segment `hdr` (echoes its
     /// `seq`/`ts` for Karn sampling and RTT).
     pub fn ack_hdr(&self, data: &SegmentHdr) -> SegmentHdr {
-        SegmentHdr {
-            kind: KIND_ACK,
-            flags: data.flags,
-            total_bytes: data.total_bytes,
-            start_ns: data.start_ns,
-            key: data.key,
-            seq: data.seq,
-            ack: self.rcv_next,
-            ts: data.ts,
-            body_len: 0,
-        }
+        data.ack_for(self.rcv_next)
     }
 }
 
@@ -1218,6 +1248,125 @@ mod tests {
             }
             prop_assert_eq!(format!("{fresh:?}"), format!("{reused:?}"));
         }
+
+        /// A receiver started on a recycled out-of-order buffer, left
+        /// non-empty by an unfinished flow, absorbs an arrival sequence
+        /// exactly as a fresh receiver: same outcomes and final state.
+        #[test]
+        fn reused_receiver_matches_fresh(
+            prev_segs in 1u32..40,
+            segs in 1u32..40,
+            prev_arrivals in proptest::collection::vec(0u32..44, 0..60),
+            arrivals in proptest::collection::vec(0u32..44, 1..120),
+        ) {
+            let buffer = dirty_ooo_buffer(prev_segs, &prev_arrivals);
+            let mut fresh = FlowReceiver::new(segs);
+            let mut reused = FlowReceiver::reusing(buffer, segs);
+            for (now, &seq) in arrivals.iter().enumerate() {
+                let now = now as u64;
+                prop_assert_eq!(fresh.on_data(seq, now), reused.on_data(seq, now), "seq {}", seq);
+            }
+            prop_assert_eq!(format!("{fresh:?}"), format!("{reused:?}"));
+        }
+
+        /// The sorted-`Vec` out-of-order buffer against a `BTreeSet`
+        /// model of it, on arrival orders built to stress it: every
+        /// segment once in an order made of ascending and descending
+        /// runs (a descending run closes a gap in one arrival), plus
+        /// duplicates and segments past the end spliced in anywhere.
+        #[test]
+        fn ooo_buffer_matches_btreeset_model(
+            prev_segs in 1u32..40,
+            prev_arrivals in proptest::collection::vec(0u32..44, 0..60),
+            segs in 1u32..40,
+            run_of in proptest::collection::vec(0u32..6, 40..41),
+            extras in proptest::collection::vec((0usize..200, 0u32..44), 0..40),
+        ) {
+            // Stable sort on a small run label: equal labels keep their
+            // order (ascending runs), odd labels are walked backwards.
+            let mut arrivals: Vec<u32> = (0..segs).collect();
+            arrivals.sort_by_key(|&seq| {
+                let run = run_of[seq as usize];
+                (run, if run % 2 == 1 { u32::MAX - seq } else { seq })
+            });
+            for &(at, seq) in &extras {
+                arrivals.insert(at % (arrivals.len() + 1), seq);
+            }
+            let buffer = dirty_ooo_buffer(prev_segs, &prev_arrivals);
+            let mut rx = FlowReceiver::reusing(buffer, segs);
+            let mut model = ModelReceiver::new(segs);
+            for (now, &seq) in arrivals.iter().enumerate() {
+                let now = now as u64;
+                prop_assert_eq!(rx.on_data(seq, now), model.on_data(seq), "seq {}", seq);
+                prop_assert_eq!(rx.rcv_next(), model.rcv_next);
+                prop_assert_eq!(rx.dup_segments, model.dup_segments);
+            }
+            prop_assert!(rx.is_complete(), "every segment arrived");
+            prop_assert_eq!(rx.delivered_segs, u64::from(segs));
+        }
+    }
+
+    /// The out-of-order buffer a receiver of `total_segs` hands back
+    /// after `arrivals`: non-empty whenever a gap was left open.
+    fn dirty_ooo_buffer(total_segs: u32, arrivals: &[u32]) -> Vec<u32> {
+        let mut prev = FlowReceiver::new(total_segs);
+        for &seq in arrivals {
+            prev.on_data(seq, 0);
+        }
+        prev.into_ooo_buffer()
+    }
+
+    /// Reference receiver: the out-of-order buffer as a `BTreeSet`.
+    struct ModelReceiver {
+        total_segs: u32,
+        rcv_next: u32,
+        ooo: std::collections::BTreeSet<u32>,
+        dup_segments: u64,
+    }
+
+    impl ModelReceiver {
+        fn new(total_segs: u32) -> ModelReceiver {
+            ModelReceiver {
+                total_segs: total_segs.max(1),
+                rcv_next: 0,
+                ooo: Default::default(),
+                dup_segments: 0,
+            }
+        }
+
+        fn on_data(&mut self, seq: u32) -> RxOutcome {
+            let duplicate =
+                seq >= self.total_segs || seq < self.rcv_next || self.ooo.contains(&seq);
+            let mut delivered = 0;
+            if duplicate {
+                self.dup_segments += 1;
+            } else if seq == self.rcv_next {
+                self.rcv_next += 1;
+                delivered += 1;
+                while self.ooo.remove(&self.rcv_next) {
+                    self.rcv_next += 1;
+                    delivered += 1;
+                }
+            } else {
+                self.ooo.insert(seq);
+            }
+            RxOutcome {
+                ack: self.rcv_next,
+                delivered,
+                duplicate,
+                complete: self.rcv_next == self.total_segs,
+            }
+        }
+    }
+
+    #[test]
+    fn dirty_buffer_is_really_dirty() {
+        let buffer = dirty_ooo_buffer(8, &[5, 2, 7]);
+        assert_eq!(buffer, [2, 5, 7], "held in order, nothing delivered");
+        let mut rx = FlowReceiver::reusing(buffer, 8);
+        assert_eq!(rx.on_data(2, 0).delivered, 0, "the old contents are gone");
+        assert_eq!(rx.on_data(0, 0).ack, 1);
+        assert_eq!(rx.into_ooo_buffer(), [2]);
     }
 
     #[test]

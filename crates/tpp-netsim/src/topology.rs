@@ -172,8 +172,6 @@ pub fn linear_chain_with(
 /// Parameters for [`dumbbell_with`].
 #[derive(Debug, Clone)]
 pub struct DumbbellParams {
-    /// Sender/receiver pairs.
-    pub n_pairs: usize,
     /// Capacity of the host-facing edge links, kbps.
     pub edge_kbps: u32,
     /// Capacity of the shared bottleneck link, kbps.
@@ -189,7 +187,6 @@ pub struct DumbbellParams {
 impl Default for DumbbellParams {
     fn default() -> Self {
         DumbbellParams {
-            n_pairs: 3,
             edge_kbps: 100_000,      // 100 Mb/s edges
             bottleneck_kbps: 10_000, // the paper's 10 Mb/s bottleneck
             queue_limit_bytes: 128 * 1024,
@@ -215,7 +212,8 @@ pub struct Dumbbell {
     pub bottleneck_port: PortId,
 }
 
-/// Build N sender/receiver pairs around one bottleneck:
+/// Build one sender/receiver pair per entry of `apps` around one
+/// bottleneck:
 ///
 /// ```text
 /// s0..sN -> [left switch] --bottleneck--> [right switch] -> r0..rN
@@ -225,8 +223,7 @@ pub fn dumbbell_with(
     params: DumbbellParams,
     apps: Vec<(Box<dyn HostApp>, Box<dyn HostApp>)>,
 ) -> (Simulator, Dumbbell) {
-    assert_eq!(apps.len(), params.n_pairs, "one app pair per host pair");
-    let n = params.n_pairs;
+    let n = apps.len();
     let mut net = NetworkBuilder::with_config(config);
     // Ports 0..n face hosts at edge rate; port n is the bottleneck.
     let mk_cfg = |id: u32| {

@@ -194,14 +194,7 @@ fn check_queue_builds_at_dumbbell_bottleneck_and_tpp_sees_it(config: SimConfig) 
             Box::new(TppCollector::default()),
         ),
     ];
-    let (mut sim, bell) = dumbbell_with(
-        config,
-        DumbbellParams {
-            n_pairs: 2,
-            ..Default::default()
-        },
-        apps,
-    );
+    let (mut sim, bell) = dumbbell_with(config, DumbbellParams::default(), apps);
     sim.run(RunLimit::Until(time::millis(4)));
     // Ground truth: the bottleneck queue really is backlogged.
     assert!(
@@ -409,14 +402,7 @@ fn check_utilization_register_reflects_offered_load(config: SimConfig) {
         }),
         Box::new(Idle),
     )];
-    let (mut sim, bell) = dumbbell_with(
-        config,
-        DumbbellParams {
-            n_pairs: 1,
-            ..Default::default()
-        },
-        apps,
-    );
+    let (mut sim, bell) = dumbbell_with(config, DumbbellParams::default(), apps);
     sim.run(RunLimit::Until(time::millis(200)));
     let util = sim
         .switch(bell.left)
@@ -470,7 +456,6 @@ fn check_tpp_frames_share_fate_with_congestion(config: SimConfig) {
     let (mut sim, bell) = dumbbell_with(
         config,
         DumbbellParams {
-            n_pairs: 1,
             queue_limit_bytes: 4_000,
             ..Default::default()
         },
@@ -502,14 +487,7 @@ fn check_dumbbell_bottleneck_port_is_last(config: SimConfig) {
         (Box::new(Idle), Box::new(Idle)),
         (Box::new(Idle), Box::new(Idle)),
     ];
-    let (sim, bell) = dumbbell_with(
-        config,
-        DumbbellParams {
-            n_pairs: 2,
-            ..Default::default()
-        },
-        apps,
-    );
+    let (sim, bell) = dumbbell_with(config, DumbbellParams::default(), apps);
     assert_eq!(bell.bottleneck_port, 2 as PortId);
     assert_eq!(sim.switch(bell.left).num_ports(), 3);
     assert_eq!(

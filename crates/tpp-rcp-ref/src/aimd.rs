@@ -229,7 +229,6 @@ mod tests {
         let (mut sim, bell) = dumbbell_with(
             SimConfig::new(),
             DumbbellParams {
-                n_pairs: n,
                 queue_limit_bytes: 30_000,
                 ..Default::default()
             },

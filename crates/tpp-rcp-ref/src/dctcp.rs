@@ -267,7 +267,6 @@ mod tests {
         let (mut sim, bell) = dumbbell_with(
             SimConfig::new(),
             DumbbellParams {
-                n_pairs: n,
                 queue_limit_bytes: 60_000,
                 ..Default::default()
             },

@@ -111,7 +111,6 @@ fn check_cstore_counter(config: SimConfig) {
     let (mut sim, bell) = dumbbell_with(
         config,
         DumbbellParams {
-            n_pairs: n,
             bottleneck_kbps: 100_000,
             ..Default::default()
         },

@@ -6,10 +6,11 @@
 //! binary installs its own counting `#[global_allocator]` and checks the
 //! second half of the run — after set-up and pool warm-up — against a
 //! budget per frame a host put on the wire. What is left is per *flow*,
-//! not per frame: the receiver map's `BTreeMap` nodes, the nodes of a
-//! receiver's out-of-order set, and growth of the completion log. A
-//! sender starts on the counter buffer of a finished flow, so it adds
-//! nothing once the buffers have grown.
+//! not per frame: growth of the completion log and of the set of
+//! finished flow keys. A sender starts on the counter buffer of a
+//! finished flow and a receiver on its out-of-order buffer, and a
+//! receiver leaves the live-flow map when its flow is delivered, so
+//! neither adds anything once the buffers and the map have grown.
 //!
 //! The run repeats on every row of the shard matrix: the threaded
 //! scheduler's per-window bookkeeping and cross-shard buffer migration
@@ -80,12 +81,14 @@ fn check_host_frame_allocations(config: SimConfig) {
     assert!(frames > 40_000, "second half carried {frames} host frames");
 
     let per_frame = allocs as f64 / frames as f64;
-    // Measured 0.018 / 0.019 / 0.046 / 0.046 on the four shard rows;
-    // a fresh counter buffer per flow reads 0.059 to 0.087.
+    // Measured 0.0015 / 0.0024 / 0.0291 / 0.0289 on the four shard rows;
+    // on several shards nearly all of it is the fresh frame buffers
+    // below. A receiver kept per flow ever seen read 0.018 to 0.046,
+    // and a fresh counter buffer per flow 0.059 to 0.087.
     assert!(
-        per_frame <= 0.06,
+        per_frame <= 0.04,
         "{allocs} allocations for {frames} host-sent frames in the second half \
-         = {per_frame:.3} per frame (budget 0.06)"
+         = {per_frame:.3} per frame (budget 0.04)"
     );
     let (reused, fresh, _) = sim.frame_pool_stats();
     let (reused, fresh) = (reused - reused0, fresh - fresh0);

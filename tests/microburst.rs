@@ -79,14 +79,7 @@ fn quiet_network_reports_no_bursts() {
         )),
         Box::new(EchoReceiver::default()),
     )];
-    let (mut sim, bell) = dumbbell_with(
-        SimConfig::new(),
-        DumbbellParams {
-            n_pairs: 1,
-            ..Default::default()
-        },
-        apps,
-    );
+    let (mut sim, bell) = dumbbell_with(SimConfig::new(), DumbbellParams::default(), apps);
     sim.run(RunLimit::Until(time::millis(25)));
     let monitor = sim.host_app::<MicroburstMonitor>(bell.senders[0]);
     for sid in monitor.switches_observed() {

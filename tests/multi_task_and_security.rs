@@ -64,14 +64,7 @@ fn rcp_and_ndb_coexist_on_one_network() {
             Box::new(EchoReceiver::default()),
         ),
     ];
-    let (mut sim, bell) = dumbbell_with(
-        SimConfig::new(),
-        DumbbellParams {
-            n_pairs: 3,
-            ..Default::default()
-        },
-        apps,
-    );
+    let (mut sim, bell) = dumbbell_with(SimConfig::new(), DumbbellParams::default(), apps);
     for sw in [bell.left, bell.right] {
         init_rate_registers(sim.switch_mut(sw));
     }
@@ -132,14 +125,7 @@ fn untrusted_edge_ports_stop_tpps_but_not_data() {
             Box::new(EchoReceiver::default()),
         ),
     ];
-    let (mut sim, bell) = dumbbell_with(
-        SimConfig::new(),
-        DumbbellParams {
-            n_pairs: 2,
-            ..Default::default()
-        },
-        apps,
-    );
+    let (mut sim, bell) = dumbbell_with(SimConfig::new(), DumbbellParams::default(), apps);
     let mut controller = NetworkController::new();
     // Tenant 0 attaches at the left switch port 0: untrusted.
     controller.set_port_trust(sim.switch_mut(bell.left), 0, PortTrust::UntrustedDrop);
