@@ -559,9 +559,11 @@ impl Asic {
         }
     }
 
-    /// Process one arriving frame through the full pipeline.
+    /// Process one arriving frame through the full pipeline. A dropped
+    /// frame's buffer is freed; [`Asic::handle_frame_routed`] hands it
+    /// back instead.
     pub fn handle_frame(&mut self, frame: Vec<u8>, in_port: PortId, now_ns: u64) -> Outcome {
-        self.handle_frame_routed(frame, in_port, now_ns, None)
+        self.handle_frame_routed(frame, in_port, now_ns, None).0
     }
 
     /// [`Asic::handle_frame`] with an optional ECMP egress substitution:
@@ -574,13 +576,17 @@ impl Asic {
     /// of header fields the `FlowKey` does not carry. The hint is an
     /// argument of this frame's walk and nothing else: a frame dropped
     /// before its lookup cannot leak it into the next one.
+    ///
+    /// The second value is the buffer of a frame the pipeline dropped
+    /// (anywhere: parse, edge filter, lookup or a full egress queue), so
+    /// the caller can recycle its capacity; `None` when it was enqueued.
     pub fn handle_frame_routed(
         &mut self,
         mut frame: Vec<u8>,
         in_port: PortId,
         now_ns: u64,
         hint: Option<PortId>,
-    ) -> Outcome {
+    ) -> (Outcome, Option<Vec<u8>>) {
         assert!(
             (in_port as usize) < self.ports.len(),
             "in_port {in_port} out of range"
@@ -596,7 +602,7 @@ impl Asic {
             obs.parsed(&self.regs, in_port, len, is_tpp, parsed.is_ok());
         }
         let Ok(parsed) = parsed else {
-            return self.drop_frame(DropReason::ParseError);
+            return self.drop_frame(DropReason::ParseError, frame);
         };
 
         // --- §4 edge security filter on ingress ---
@@ -610,7 +616,7 @@ impl Asic {
                 obs.edge_filter(&self.regs, in_port, action);
             }
             return match action {
-                StripAction::Drop => self.drop_frame(DropReason::EdgeFiltered),
+                StripAction::Drop => self.drop_frame(DropReason::EdgeFiltered, frame),
                 StripAction::Unwrap => match strip_tpp(&mut frame) {
                     Some(inner_ethertype) => {
                         // The stripped frame is an ordinary packet now
@@ -620,7 +626,7 @@ impl Asic {
                         let key = flow_key(&Frame::new_unchecked(&frame[..]), in_port);
                         self.forward_plain(frame, &key, hint, inner_is_tpp)
                     }
-                    None => self.drop_frame(DropReason::EdgeFiltered),
+                    None => self.drop_frame(DropReason::EdgeFiltered, frame),
                 },
             };
         }
@@ -705,19 +711,20 @@ impl Asic {
         key: &FlowKey,
         hint: Option<PortId>,
         is_tpp: bool,
-    ) -> Outcome {
+    ) -> (Outcome, Option<Vec<u8>>) {
         match self.lookup(key, hint) {
             Ok(route) => self.enqueue(frame, route.port, route.queue, None, is_tpp),
-            Err(reason) => self.drop_frame(reason),
+            Err(reason) => self.drop_frame(reason, frame),
         }
     }
 
-    /// Report a drop before MMU admission and build the outcome.
-    fn drop_frame(&mut self, reason: DropReason) -> Outcome {
+    /// Report a drop before MMU admission and build the outcome, handing
+    /// the frame back.
+    fn drop_frame(&mut self, reason: DropReason, frame: Vec<u8>) -> (Outcome, Option<Vec<u8>>) {
         if let Some(obs) = self.observer.as_deref_mut() {
             obs.dropped(&self.regs, reason);
         }
-        Outcome::Dropped { reason }
+        (Outcome::Dropped { reason }, Some(frame))
     }
 
     fn forward_tpp(
@@ -726,10 +733,10 @@ impl Asic {
         key: &FlowKey,
         hint: Option<PortId>,
         now_ns: u64,
-    ) -> Outcome {
+    ) -> (Outcome, Option<Vec<u8>>) {
         let route = match self.lookup(key, hint) {
             Ok(route) => route,
-            Err(reason) => return self.drop_frame(reason),
+            Err(reason) => return self.drop_frame(reason, frame),
         };
         let (out_port, queue_id) = (route.port, route.queue);
         let meta = PacketMeta {
@@ -797,7 +804,7 @@ impl Asic {
 
     /// Admit a frame to its egress queue. `is_tpp` is threaded from the
     /// parse stage (via the forward path) so the ECN check does not have
-    /// to re-parse the Ethernet header.
+    /// to re-parse the Ethernet header. A refused frame is handed back.
     fn enqueue(
         &mut self,
         mut frame: Vec<u8>,
@@ -805,7 +812,7 @@ impl Asic {
         queue_id: QueueId,
         exec: Option<ExecReport>,
         is_tpp: bool,
-    ) -> Outcome {
+    ) -> (Outcome, Option<Vec<u8>>) {
         let len = frame.len() as u64;
         let port = &mut self.ports[out_port as usize];
         let capacity_kbps = port.config.capacity_kbps;
@@ -831,7 +838,8 @@ impl Asic {
         port.stats.rx_bytes += len;
         port.stats.rx_packets += 1;
         port.stats.rx_window_bytes += len;
-        let accepted = port.queues[queue_id as usize].enqueue(frame);
+        let refused = port.queues[queue_id as usize].enqueue(frame).err();
+        let accepted = refused.is_none();
         if accepted {
             port.stats.bytes_enqueued += len;
         } else {
@@ -852,7 +860,7 @@ impl Asic {
             let queue_ahead = (depth_before, capacity_kbps);
             obs.admitted(&self.regs, &outcome, len as u32, ecn_marked, queue_ahead);
         }
-        outcome
+        (outcome, refused)
     }
 
     /// Transmit the next frame of a port (the scheduler): queues are
@@ -1090,7 +1098,7 @@ mod tests {
         assert_eq!(p.packets(), 1);
         assert_eq!(p.budget_violations(), 0, "empty queue, tiny program");
         assert_eq!(p.stage(ProfStage::Tcpu).count(), 1);
-        let ops = p.opcode_breakdown();
+        let ops: Vec<_> = p.opcode_breakdown().collect();
         assert_eq!(ops.len(), 1);
         assert_eq!(ops[0].0.mnemonic(), "PUSH");
         assert_eq!(ops[0].1, 1);
@@ -1660,7 +1668,7 @@ mod tests {
             )
         };
         assert_eq!(
-            asic.handle_frame_routed(mk(), 0, 0, Some(3)).egress(),
+            asic.handle_frame_routed(mk(), 0, 0, Some(3)).0.egress(),
             Some((3, 0)),
             "L2 wins the walk, so the hint replaces its port"
         );
@@ -1668,9 +1676,13 @@ mod tests {
         // dies with it and the next frame resolves by L2.
         assert_eq!(
             asic.handle_frame_routed(vec![0u8; 5], 0, 1, Some(3)),
-            Outcome::Dropped {
-                reason: DropReason::ParseError
-            }
+            (
+                Outcome::Dropped {
+                    reason: DropReason::ParseError
+                },
+                Some(vec![0u8; 5])
+            ),
+            "the dropped frame comes back"
         );
         assert_eq!(asic.handle_frame(mk(), 0, 2).egress(), Some((1, 0)));
     }

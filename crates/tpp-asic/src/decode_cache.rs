@@ -9,8 +9,8 @@
 //! once per distinct program instead of once per instruction per packet.
 //!
 //! Correctness: the cache stores the lowered prefix (every switch address
-//! already resolved to its `memmap::Reg`) *and* the index of the
-//! first undecodable word (`bad_at`), which together reproduce exactly what
+//! already resolved to its `memmap::Reg`) *and* whether an undecodable
+//! word ends it (`bad_at`), which together reproduce exactly what
 //! per-packet decoding would observe at each pc — including the
 //! `BadInstruction` halt. A hash collision falls back to the interner,
 //! which compares bytes exactly too, and replaces the slot, so execution
@@ -26,7 +26,9 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex};
 
+use crate::profile::{opcode_index, N_OPCODES};
 use crate::tcpu::{lower, Op};
+use tpp_wire::tpp::MAX_INSTRUCTIONS;
 
 /// FNV-1a offset basis. Public (with [`FNV_PRIME`] and
 /// [`program_hash`]) so conformance tests can *construct* colliding
@@ -78,11 +80,25 @@ pub struct DecodedProgram {
     bytes: Vec<u8>,
     /// Instructions that decoded cleanly, lowered, front to back.
     pub(crate) ops: Vec<Op>,
-    /// Index of the first word that failed to decode, if any. Execution
-    /// must halt with `BadInstruction` there, exactly as a fresh
-    /// per-packet decode would.
-    pub bad_at: Option<usize>,
+    /// How many of `ops` carry each opcode, by `opcode_index`: the
+    /// profiler adds the whole tally when an execution ran every op. A
+    /// TPP holds at most `MAX_INSTRUCTIONS` (64) words, so a byte each
+    /// is enough.
+    pub(crate) opcode_counts: [u8; N_OPCODES],
+    /// A word failed to decode, the one after `ops` ([`Self::bad_at`]).
+    pub(crate) bad: bool,
 }
+
+// The tally and the flag fit in the bytes the word index `bad_at:
+// Option<usize>` took before, so an interned body's accounted size (and
+// `BENCH_fct.json`'s `bytes_per_switch`) does not move.
+const _: () = assert!(
+    std::mem::size_of::<DecodedProgram>()
+        == std::mem::size_of::<u64>()
+            + 2 * std::mem::size_of::<Vec<u8>>()
+            + std::mem::size_of::<Option<usize>>()
+);
+const _: () = assert!(MAX_INSTRUCTIONS <= u8::MAX as usize);
 
 impl DecodedProgram {
     /// Decode and lower `bytes` (big-endian instruction words) into a
@@ -92,13 +108,26 @@ impl DecodedProgram {
     /// copy fleet-wide.
     fn decode(hash: u64, bytes: &[u8]) -> Self {
         let mut ops = Vec::new();
-        let bad_at = lower(bytes, &mut ops);
+        let bad = lower(bytes, &mut ops).is_some();
+        let mut opcode_counts = [0u8; N_OPCODES];
+        for op in &ops {
+            let count = &mut opcode_counts[opcode_index(op.opcode())];
+            *count = count.checked_add(1).expect("a TPP has at most 64 words");
+        }
         DecodedProgram {
             hash,
             bytes: bytes.to_vec(),
             ops,
-            bad_at,
+            opcode_counts,
+            bad,
         }
+    }
+
+    /// Index of the first word that failed to decode, if any: the one
+    /// after the lowered ops. Execution must halt with `BadInstruction`
+    /// there, exactly as a fresh per-packet decode would.
+    pub fn bad_at(&self) -> Option<usize> {
+        self.bad.then_some(self.ops.len())
     }
 
     /// Approximate resident bytes of this decoded program.
@@ -320,7 +349,7 @@ mod tests {
         let bytes = words_to_bytes(&[0x0000_0000, 0x6000_0007]); // NOP, PUSHI 7
         let p = cache.lookup(&bytes);
         assert_eq!(p.ops.len(), 2);
-        assert_eq!(p.bad_at, None);
+        assert_eq!(p.bad_at(), None);
         assert_eq!(cache.stats(), (0, 1));
         cache.lookup(&bytes);
         assert_eq!(cache.stats(), (1, 1));
@@ -349,7 +378,7 @@ mod tests {
         let bytes = words_to_bytes(&[0x0000_0000, 0xf800_0000, 0x0000_0000]);
         let p = cache.lookup(&bytes);
         assert_eq!(p.ops.len(), 1);
-        assert_eq!(p.bad_at, Some(1));
+        assert_eq!(p.bad_at(), Some(1));
     }
 
     #[test]
@@ -357,11 +386,14 @@ mod tests {
         let add = 0x4000_0000; // ADD
         let mut cache = DecodeCache::new(8);
         let p = cache.lookup(&words_to_bytes(&[add; 10]));
-        assert_eq!((p.ops.len(), p.ops.capacity(), p.bad_at), (10, 10, None));
+        assert_eq!((p.ops.len(), p.ops.capacity(), p.bad_at()), (10, 10, None));
         let mut words = [add; 10];
         words[4] = 0xffff_ffff;
         let p = cache.lookup(&words_to_bytes(&words));
-        assert_eq!((p.ops.len(), p.ops.capacity(), p.bad_at), (4, 10, Some(4)));
+        assert_eq!(
+            (p.ops.len(), p.ops.capacity(), p.bad_at()),
+            (4, 10, Some(4))
+        );
     }
 
     /// Two distinct 16-byte programs whose chunked FNV-1a hashes are

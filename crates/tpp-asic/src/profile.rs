@@ -120,6 +120,17 @@ impl ProfStage {
             ProfStage::Scheduler => "scheduler",
         }
     }
+
+    /// The stage histogram's exported name, `profile.stage.<name>_cycles`.
+    fn metric_name(self) -> &'static str {
+        match self {
+            ProfStage::Parser => "profile.stage.parser_cycles",
+            ProfStage::Tables => "profile.stage.tables_cycles",
+            ProfStage::Tcpu => "profile.stage.tcpu_cycles",
+            ProfStage::Mmu => "profile.stage.mmu_cycles",
+            ProfStage::Scheduler => "profile.stage.scheduler_cycles",
+        }
+    }
 }
 
 /// Cycles the table walk charges, given which tables the modelled
@@ -207,14 +218,26 @@ impl Reservoir {
     /// Exact percentile over the held samples (nearest-rank); 0 when
     /// empty. `p` in 0..=1.
     pub fn percentile(&self, p: f64) -> u64 {
-        if self.samples.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let rank = ((p.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).max(1);
-        sorted[rank - 1]
+        let mut sorted = Vec::new();
+        self.sort_into(&mut sorted);
+        nearest_rank(&sorted, p)
     }
+
+    /// Replace `out`'s contents with the held samples, ascending.
+    fn sort_into(&self, out: &mut Vec<u64>) {
+        out.clear();
+        out.extend_from_slice(&self.samples);
+        out.sort_unstable();
+    }
+}
+
+/// Nearest-rank percentile `p` (0..=1) of ascending `sorted`; 0 when empty.
+fn nearest_rank(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = ((p.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).max(1);
+    sorted[rank - 1]
 }
 
 /// The span-total aggregation: a log₂ histogram (mergeable, exportable)
@@ -244,14 +267,18 @@ impl StageStat {
         &self.hist
     }
 
-    /// Median over the reservoir (exact for small streams).
-    pub fn p50(&self) -> u64 {
-        self.reservoir.percentile(0.50)
+    /// Median and 99th percentile over the reservoir (exact for small
+    /// streams), from one sort done in `scratch` (left holding the sorted
+    /// samples): a caller reading many switches allocates nothing after
+    /// its first.
+    pub fn p50_p99(&self, scratch: &mut Vec<u64>) -> (u64, u64) {
+        self.reservoir.sort_into(scratch);
+        (nearest_rank(scratch, 0.50), nearest_rank(scratch, 0.99))
     }
 
-    /// 99th percentile over the reservoir.
-    pub fn p99(&self) -> u64 {
-        self.reservoir.percentile(0.99)
+    /// Samples the reservoir holds (what [`StageStat::p50_p99`] sorts).
+    pub fn held(&self) -> usize {
+        self.reservoir.samples.len()
     }
 
     /// Largest sample ever recorded (from the histogram, not subject to
@@ -284,9 +311,27 @@ impl Default for ProfileConfig {
     }
 }
 
-const N_OPCODES: usize = Opcode::ALL.len();
+pub(crate) const N_OPCODES: usize = Opcode::ALL.len();
 
-fn opcode_index(op: Opcode) -> usize {
+/// Exported counter name per opcode, `profile.tcpu.opcode.<MNEMONIC>`,
+/// in [`opcode_index`] order.
+const OPCODE_METRICS: [&str; N_OPCODES] = [
+    "profile.tcpu.opcode.NOP",
+    "profile.tcpu.opcode.LOAD",
+    "profile.tcpu.opcode.STORE",
+    "profile.tcpu.opcode.PUSH",
+    "profile.tcpu.opcode.POP",
+    "profile.tcpu.opcode.CSTORE",
+    "profile.tcpu.opcode.CEXEC",
+    "profile.tcpu.opcode.ADD",
+    "profile.tcpu.opcode.SUB",
+    "profile.tcpu.opcode.AND",
+    "profile.tcpu.opcode.OR",
+    "profile.tcpu.opcode.PUSHI",
+];
+
+/// `op`'s position in [`Opcode::ALL`].
+pub(crate) fn opcode_index(op: Opcode) -> usize {
     match op {
         Opcode::Nop => 0,
         Opcode::Load => 1,
@@ -410,12 +455,11 @@ impl PipelineProfile {
 
     /// Per-opcode executed-instruction counts (1 cycle each), in
     /// [`Opcode::ALL`] order, zero entries skipped.
-    pub fn opcode_breakdown(&self) -> Vec<(Opcode, u64)> {
+    pub fn opcode_breakdown(&self) -> impl Iterator<Item = (Opcode, u64)> + '_ {
         Opcode::ALL
             .iter()
             .map(|&op| (op, self.opcode_counts[opcode_index(op)]))
             .filter(|&(_, n)| n > 0)
-            .collect()
     }
 
     /// Export under `profile.*` names.
@@ -426,11 +470,10 @@ impl PipelineProfile {
         registry.add("profile.budget_violations", self.budget_violations);
         registry.add("profile.tcpu.latency_cycles", self.tcpu_latency_cycles);
         for (op, count) in self.opcode_breakdown() {
-            registry.add(&format!("profile.tcpu.opcode.{}", op.mnemonic()), count);
+            registry.add(OPCODE_METRICS[opcode_index(op)], count);
         }
         for stage in ProfStage::ALL {
-            let name = format!("profile.stage.{}_cycles", stage.name());
-            registry.merge_histogram(&name, self.stage(stage));
+            registry.merge_histogram(stage.metric_name(), self.stage(stage));
         }
         registry.merge_histogram("profile.span.total_cycles", self.total_stat.hist());
     }
@@ -540,7 +583,8 @@ impl Observer {
 
     /// The TCPU ran a TPP; `hop` is the hop counter after it. Each
     /// executed instruction is attributed to its opcode, from the lowered
-    /// program the TCPU just ran.
+    /// program the TCPU just ran (its whole per-opcode tally when every
+    /// op ran).
     #[cold]
     #[inline(never)]
     pub(crate) fn executed(
@@ -571,9 +615,7 @@ impl Observer {
             p.cur.tcpu_cycles += report.cycles;
             p.tcpu_latency_cycles +=
                 report.cycles.saturating_sub(report.instructions_executed) as u64;
-            for opcode in tcpu.executed_opcodes(report) {
-                p.opcode_counts[opcode_index(opcode)] += 1;
-            }
+            tcpu.count_executed_opcodes(report, &mut p.opcode_counts);
         }
     }
 
@@ -700,6 +742,32 @@ mod tests {
         assert_eq!(r.percentile(0.5), 20);
         assert_eq!(r.percentile(1.0), 40);
         assert_eq!(Reservoir::new(4, 1).percentile(0.5), 0);
+    }
+
+    #[test]
+    fn one_sort_yields_both_percentiles() {
+        let mut r = StageStat::new(64, 3);
+        for v in 0..1_000u64 {
+            r.record(v.wrapping_mul(0x9E37_79B9) % 500);
+        }
+        let mut scratch = Vec::new();
+        let each = (r.reservoir.percentile(0.5), r.reservoir.percentile(0.99));
+        assert_eq!(r.p50_p99(&mut scratch), each);
+        assert_eq!(r.held(), 64);
+        assert!(scratch.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(StageStat::new(4, 1).p50_p99(&mut scratch), (0, 0));
+    }
+
+    #[test]
+    fn static_names_match_the_formatted_ones() {
+        for &op in Opcode::ALL {
+            let name = format!("profile.tcpu.opcode.{}", op.mnemonic());
+            assert_eq!(OPCODE_METRICS[opcode_index(op)], name);
+        }
+        for stage in ProfStage::ALL {
+            let name = format!("profile.stage.{}_cycles", stage.name());
+            assert_eq!(stage.metric_name(), name);
+        }
     }
 
     #[test]

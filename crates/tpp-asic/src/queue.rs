@@ -26,14 +26,15 @@ impl DropTailQueue {
         }
     }
 
-    /// Try to enqueue a frame. Returns `true` if accepted, `false` if the
-    /// frame was dropped because it would exceed the byte limit.
-    pub fn enqueue(&mut self, frame: Vec<u8>) -> bool {
+    /// Try to enqueue a frame. A frame that would exceed the byte limit
+    /// is dropped: counted, and handed back as `Err` so its owner can
+    /// reuse the buffer.
+    pub fn enqueue(&mut self, frame: Vec<u8>) -> Result<(), Vec<u8>> {
         let len = frame.len() as u64;
         if self.stats.queue_size_bytes + len > self.limit_bytes as u64 {
             self.stats.bytes_dropped += len;
             self.stats.packets_dropped += 1;
-            return false;
+            return Err(frame);
         }
         self.stats.queue_size_bytes += len;
         self.stats.bytes_enqueued += len;
@@ -43,7 +44,7 @@ impl DropTailQueue {
             .high_watermark_bytes
             .max(self.stats.queue_size_bytes);
         self.frames.push_back(frame);
-        true
+        Ok(())
     }
 
     /// Dequeue the head frame, if any.
@@ -112,8 +113,8 @@ mod tests {
     #[test]
     fn fifo_order_and_occupancy() {
         let mut q = DropTailQueue::new(1000);
-        assert!(q.enqueue(vec![1; 100]));
-        assert!(q.enqueue(vec![2; 200]));
+        assert!(q.enqueue(vec![1; 100]).is_ok());
+        assert!(q.enqueue(vec![2; 200]).is_ok());
         assert_eq!(q.len_bytes(), 300);
         assert_eq!(q.len_frames(), 2);
         assert_eq!(q.dequeue().unwrap(), vec![1; 100]);
@@ -126,23 +127,27 @@ mod tests {
     #[test]
     fn drop_tail_on_overflow() {
         let mut q = DropTailQueue::new(250);
-        assert!(q.enqueue(vec![0; 200]));
-        assert!(!q.enqueue(vec![0; 100]), "would exceed limit");
+        assert!(q.enqueue(vec![0; 200]).is_ok());
+        assert_eq!(
+            q.enqueue(vec![0; 100]),
+            Err(vec![0; 100]),
+            "would exceed limit; the frame comes back"
+        );
         assert_eq!(q.stats().packets_dropped, 1);
         assert_eq!(q.stats().bytes_dropped, 100);
         // A smaller frame that fits is still accepted (drop-tail, not
         // gate-closed).
-        assert!(q.enqueue(vec![0; 50]));
+        assert!(q.enqueue(vec![0; 50]).is_ok());
         assert_eq!(q.len_bytes(), 250);
     }
 
     #[test]
     fn high_watermark_tracks_peak() {
         let mut q = DropTailQueue::new(1000);
-        q.enqueue(vec![0; 400]);
-        q.enqueue(vec![0; 400]);
+        let _ = q.enqueue(vec![0; 400]);
+        let _ = q.enqueue(vec![0; 400]);
         q.dequeue();
-        q.enqueue(vec![0; 100]);
+        let _ = q.enqueue(vec![0; 100]);
         assert_eq!(q.stats().high_watermark_bytes, 800);
     }
 
@@ -152,7 +157,7 @@ mod tests {
         let mut q = DropTailQueue::new(500);
         let mut dequeued = 0u64;
         for i in 0..20 {
-            q.enqueue(vec![0; 60 + i]);
+            let _ = q.enqueue(vec![0; 60 + i]);
             if i % 3 == 0 {
                 if let Some(f) = q.dequeue() {
                     dequeued += f.len() as u64;

@@ -136,7 +136,7 @@ struct MaskGroup {
 
 /// The flexible TCAM table: priority-ordered ternary matching.
 ///
-/// `entries`, sorted by [`rank`], is the canonical control-plane view.
+/// `entries`, sorted by rank (`(Reverse(priority), id)`), is the canonical control-plane view.
 /// `groups` is a tuple-space index derived from it — one exact-match
 /// table per wildcard mask in use (at most 16) — so a lookup costs one
 /// probe per distinct mask, not one compare per rule, and must be

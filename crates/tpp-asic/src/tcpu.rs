@@ -18,6 +18,7 @@
 
 use crate::decode_cache::{DecodeCache, ProgramInterner};
 use crate::memmap::{Mmu, MmuFault, Reg};
+use crate::profile::{opcode_index, N_OPCODES};
 use tpp_isa::{Instruction, Opcode, PacketOperand, VirtAddr};
 use tpp_wire::tpp::{TppPacket, FLAG_EXECUTED, WORD_SIZE};
 
@@ -109,6 +110,11 @@ pub(crate) struct Op {
 const _: () = assert!(std::mem::size_of::<Op>() == std::mem::size_of::<Instruction>());
 
 impl Op {
+    /// The lowered instruction's opcode.
+    pub(crate) fn opcode(&self) -> Opcode {
+        self.opcode
+    }
+
     fn lower(insn: Instruction) -> Op {
         let (mem, field) = insn.operands();
         let addr = VirtAddr(field);
@@ -327,7 +333,7 @@ impl Tcpu {
         let (ops, bad_word) = match &mut self.programs {
             Programs::Cached(cache) => {
                 let program = cache.lookup(tpp.instruction_bytes());
-                (&program.ops[..], program.bad_at.is_some())
+                (&program.ops[..], program.bad)
             }
             Programs::Uncached(ops) => {
                 let bad_at = lower(tpp.instruction_bytes(), ops);
@@ -384,6 +390,29 @@ impl Tcpu {
         };
         let executed = report.instructions_executed as usize;
         ops.iter().take(executed).map(|op| op.opcode)
+    }
+
+    /// Add [`Tcpu::executed_opcodes`] to `counts` (by `opcode_index`):
+    /// a cached program that ran every op adds its precomputed tally, a
+    /// halted one (or an uncached run) walks the executed prefix.
+    pub(crate) fn count_executed_opcodes(
+        &self,
+        report: &ExecReport,
+        counts: &mut [u64; N_OPCODES],
+    ) {
+        if let Programs::Cached(cache) = &self.programs {
+            if let Some(p) = cache.last_served() {
+                if report.instructions_executed as usize == p.ops.len() {
+                    for (count, &n) in counts.iter_mut().zip(&p.opcode_counts) {
+                        *count += u64::from(n);
+                    }
+                    return;
+                }
+            }
+        }
+        for opcode in self.executed_opcodes(report) {
+            counts[opcode_index(opcode)] += 1;
+        }
     }
 }
 
@@ -698,7 +727,13 @@ mod tests {
             let mut tpp = TppPacket::new_checked(&mut bytes[..]).unwrap();
             tpp.set_sp(sp0);
             let report = tcpu.execute(&mut tpp, &mut mmu(&mut b));
-            let opcodes = tcpu.executed_opcodes(&report).collect();
+            let opcodes: Vec<Opcode> = tcpu.executed_opcodes(&report).collect();
+            // The profiler's tally (whole-program or prefix) must count
+            // exactly the walked opcodes.
+            let (mut tally, mut walked) = ([0u64; N_OPCODES], [0u64; N_OPCODES]);
+            tcpu.count_executed_opcodes(&report, &mut tally);
+            opcodes.iter().for_each(|&op| walked[opcode_index(op)] += 1);
+            assert_eq!(tally, walked, "opcode tally of {src:?}");
             runs.push((tpp.sp(), tpp.memory_words(), report, opcodes));
         }
         assert_eq!(runs[0], runs[1], "cache off and on disagree on {src:?}");
@@ -720,6 +755,23 @@ mod tests {
         let fault = MmuFault::ReadOnly(tpp_isa::Stat::LinkCapacityKbps.addr());
         assert_eq!(report.halt, Some(HaltReason::Mmu { pc: 1, fault }));
         assert_eq!(sp, 0);
+    }
+
+    #[test]
+    fn a_completed_run_counts_every_op() {
+        let src = "PUSHI 3\nPUSHI 4\nADD\nNOP\nPUSH [Switch:SwitchID]";
+        let (_, _, report, opcodes) = run_both(src, &[0; 4], 0);
+        assert_eq!(report.halt, None);
+        assert_eq!(
+            opcodes,
+            [
+                Opcode::PushI,
+                Opcode::PushI,
+                Opcode::Add,
+                Opcode::Nop,
+                Opcode::Push
+            ]
+        );
     }
 
     #[test]

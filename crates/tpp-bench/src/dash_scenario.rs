@@ -123,6 +123,9 @@ pub struct DashFeed {
     sim: Simulator,
     harvest: Harvest,
     end_ns: u64,
+    /// [`DashFeed::prom`]'s registry, cleared and refilled per call so a
+    /// refresh reuses the keys the last one built.
+    registry: MetricsRegistry,
 }
 
 impl DashFeed {
@@ -178,6 +181,7 @@ impl DashFeed {
                 monitor: fabric.hosts[0][0],
             },
             end_ns: OBS_END_NS,
+            registry: MetricsRegistry::new(),
         }
     }
 
@@ -231,6 +235,7 @@ impl DashFeed {
                 uplinks: uplinks.collect(),
             },
             end_ns: last_start + time::millis(8),
+            registry: MetricsRegistry::new(),
         }
     }
 
@@ -248,6 +253,7 @@ impl DashFeed {
                 sender: diamond.sender,
             },
             end_ns: bonding_scenario::SCENARIO_END_NS,
+            registry: MetricsRegistry::new(),
         }
     }
 
@@ -320,13 +326,14 @@ impl DashFeed {
 
     /// Prometheus snapshot of every switch's export plus the
     /// collector's aggregates, at the current instant.
-    pub fn prom(&self) -> String {
-        let mut reg = MetricsRegistry::new();
+    pub fn prom(&mut self) -> String {
+        let reg = &mut self.registry;
+        reg.clear();
         for i in 0..self.sim.num_switches() {
-            self.sim.switch(SwitchId(i)).export_metrics(&mut reg);
+            self.sim.switch(SwitchId(i)).export_metrics(reg);
         }
-        self.collector().export_metrics(&mut reg);
-        tpp_obs::prometheus_snapshot(&reg)
+        self.collector().export_metrics(&mut self.registry);
+        tpp_obs::prometheus_snapshot(&self.registry)
     }
 
     /// JSONL dump of the recorded series (all three feeds record).
@@ -341,6 +348,7 @@ impl DashFeed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpp_obs::WindowedSeries;
 
     #[test]
     fn scenario_names_parse() {
@@ -368,9 +376,40 @@ mod tests {
             "shares sum to ~1000 permille"
         );
         assert!(
-            snap.switches.iter().any(|s| !s.windows.is_empty()),
+            snap.switches.iter().any(|s| !s.series.is_empty()),
             "series recorded and folded"
         );
+    }
+
+    #[test]
+    fn a_capture_folds_every_series_like_its_own_windowed_series() {
+        // Profiled switches: the capture's scratch also sorts each span
+        // reservoir, which must not leak into any window.
+        let mut feed = DashFeed::obs(SimConfig::new());
+        feed.step_to(700_000);
+        let width = time::micros(20);
+        let snap = feed.snapshot(width);
+        let set = feed.sim().series().expect("series on");
+        let fold = |points: &[(u64, u64)]| {
+            let mut w = WindowedSeries::new(width);
+            points.iter().for_each(|&(t, v)| w.push(t, v));
+            w.finish();
+            w
+        };
+        let sim = feed.sim();
+        assert!((0..sim.num_switches()).all(|i| sim.switch(SwitchId(i)).profile().is_some()));
+        let mut folded = 0;
+        for (row, sw) in snap.switches.iter().zip(&set.switches) {
+            for (metric, ring) in sw.iter() {
+                let got = snap.switch_windows(row, metric).expect("folded");
+                assert_eq!(got, fold(ring.points()).windows(), "{metric}");
+                folded += 1;
+            }
+        }
+        assert_eq!(folded, 4 * 5, "four switches, five series each");
+        for ((metric, got), (_, ring)) in snap.fleet_windows().zip(set.fleet_iter()) {
+            assert_eq!(got, fold(ring.points()).windows(), "{metric}");
+        }
     }
 
     #[test]

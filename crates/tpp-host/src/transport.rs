@@ -681,8 +681,6 @@ pub struct FlowReceiver {
     pub delivered_segs: u64,
     /// Duplicate data arrivals absorbed.
     pub dup_segments: u64,
-    /// Completion time, set once.
-    pub completed_at: Option<u64>,
 }
 
 impl FlowReceiver {
@@ -704,7 +702,6 @@ impl FlowReceiver {
             ooo,
             delivered_segs: 0,
             dup_segments: 0,
-            completed_at: None,
         }
     }
 
@@ -726,8 +723,9 @@ impl FlowReceiver {
 
     /// Absorb one data segment. Every call yields an ACK (duplicates
     /// included — that is the dup-ACK signal); delivery is exactly
-    /// once and in order.
-    pub fn on_data(&mut self, seq: u32, now: u64) -> RxOutcome {
+    /// once and in order. `_now` is unused: completion time is the
+    /// caller's to record, from [`RxOutcome::complete`].
+    pub fn on_data(&mut self, seq: u32, _now: u64) -> RxOutcome {
         let slot = self.ooo.binary_search(&seq);
         let duplicate = seq >= self.total_segs || seq < self.rcv_next || slot.is_ok();
         let mut delivered = 0;
@@ -749,9 +747,6 @@ impl FlowReceiver {
             self.ooo.insert(at, seq);
         }
         let complete = self.is_complete();
-        if complete && self.completed_at.is_none() {
-            self.completed_at = Some(now);
-        }
         RxOutcome {
             ack: self.rcv_next,
             delivered,
@@ -1135,7 +1130,6 @@ mod tests {
         assert_eq!(d.ack, 4);
         assert_eq!(r.delivered_segs, 4);
         assert_eq!(r.dup_segments, 1);
-        assert_eq!(r.completed_at, Some(50));
         // Post-completion duplicates still re-ACK.
         let tomb = r.on_data(3, 60);
         assert!(tomb.duplicate && tomb.complete);

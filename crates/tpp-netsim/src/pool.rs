@@ -5,9 +5,10 @@
 //! allocates and each drop frees — at datacenter scale that is one
 //! allocator round-trip per frame. The pool keeps the capacity of frames
 //! the simulator consumed (in-flight losses, link-down drops, black-holed
-//! frames on unconnected ports) and of frames host apps are done with,
-//! and hands it back to senders through [`crate::HostCtx::alloc_frame`]
-//! and to the fault layer's duplication path.
+//! frames on unconnected ports, frames a switch's pipeline dropped) and
+//! of frames host apps are done with, and hands it back to senders
+//! through [`crate::HostCtx::alloc_frame`] and to the fault layer's
+//! duplication path.
 //!
 //! Buffers are kept in two size classes, because traffic is bimodal —
 //! ACKs, probes and echoes are tens of bytes, data segments are ~1.5 KB

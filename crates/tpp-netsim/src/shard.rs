@@ -293,12 +293,23 @@ impl ShardRun<'_> {
         }
         let now = self.now_ns;
         let hint = self.ecmp.and_then(|table| self.ecmp_pick(table, s, &frame));
-        let outcome = self.switches[s.0 - self.switch_base]
+        let (outcome, dropped) = self.switches[s.0 - self.switch_base]
             .asic
             .handle_frame_routed(frame, port, now, hint);
+        if let Some(frame) = dropped {
+            self.recycle_dropped(frame);
+        }
         if let Outcome::Enqueued { port: out, .. } = outcome {
             self.try_tx(NodeId::switch(s), out);
         }
+    }
+
+    /// Keep the buffer of a frame a switch dropped. Out of line: most
+    /// frames are forwarded, and the arrival path is layout-sensitive.
+    #[cold]
+    #[inline(never)]
+    fn recycle_dropped(&mut self, frame: Vec<u8>) {
+        self.state.pool.recycle(frame);
     }
 
     /// The ECMP egress override for one frame at switch `s`, or `None`

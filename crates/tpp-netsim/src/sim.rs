@@ -1,7 +1,7 @@
 //! The simulator core: topology wiring, the sharded run loop, and the
 //! public control surface.
 //!
-//! The event loop itself lives in [`crate::shard`]; this module owns the
+//! The event loop itself lives in the private `shard` module; this module owns the
 //! topology arrays, partitions them into shards at build time, hands
 //! each run call to the shard driver, and re-aggregates per-shard state
 //! (fault counters, losses, pools, taps, fleet series) behind the same

@@ -755,6 +755,32 @@ fn check_frames_on_an_unwired_nic_are_recycled_without_link_free(config: SimConf
 }
 
 #[test]
+fn a_frame_refused_at_a_full_queue_is_recycled() {
+    for_each_shard_row(check_a_frame_refused_at_a_full_queue_is_recycled);
+}
+
+fn check_a_frame_refused_at_a_full_queue_is_recycled(config: SimConfig) {
+    use tpp_asic::AsicConfig;
+    use tpp_netsim::{Endpoint, NetworkBuilder};
+    let dst = EthernetAddress::from_host_id(1);
+    let mut net = NetworkBuilder::with_config(config);
+    // A queue smaller than the one 60-byte frame: the MMU refuses it.
+    let mut switch = AsicConfig::with_ports(0x10, 2);
+    switch.ports[1].queue_limit_bytes = 32;
+    let s = net.add_switch(switch);
+    let tx = net.add_host(Box::new(SendOnce { dst, port: 0 }), 1_000_000);
+    let rx = net.add_host(Box::new(Counter::default()), 1_000_000);
+    net.connect(Endpoint::host(tx), Endpoint::switch(s, 0), 1_000);
+    net.connect(Endpoint::host(rx), Endpoint::switch(s, 1), 1_000);
+    let mut sim = net.build();
+    sim.populate_l2();
+    sim.run(RunLimit::Until(time::millis(1)));
+    assert_eq!(sim.switch(s).queue_stats(1, 0).packets_dropped, 1);
+    assert_eq!(sim.host_app::<Counter>(rx).got, 0);
+    assert_eq!(sim.frame_pool_stats().2, 1, "the dropped frame is recycled");
+}
+
+#[test]
 fn frames_routed_to_an_unwired_switch_port_are_recycled_without_link_free() {
     for_each_shard_row(
         check_frames_routed_to_an_unwired_switch_port_are_recycled_without_link_free,

@@ -10,6 +10,7 @@
 //! (empty) ground-truth occupancy exactly: divergence 0.
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
 use tpp_apps::bonding::BondSender;
 use tpp_apps::microburst::MicroburstMonitor;
@@ -52,17 +53,6 @@ pub struct SwitchDivergence {
     pub abs_diff_bytes: u64,
 }
 
-/// The collector's view vs ground truth, switch by switch.
-#[derive(Debug, Clone, Default)]
-pub struct DivergenceReport {
-    /// One row per simulator switch, in simulator index order.
-    pub per_switch: Vec<SwitchDivergence>,
-    /// Worst per-switch divergence.
-    pub max_abs_bytes: u64,
-    /// Probes sent but never echoed back (lost, or still in flight).
-    pub probes_lost: u64,
-}
-
 /// What a bonded sender saw on one of its paths, aggregated after a
 /// run: probe accounting, the telemetry distributions its scheduler
 /// weighed, and every health transition on the failover timeline.
@@ -89,7 +79,7 @@ pub struct PathView {
 /// Feed it a [`MicroburstMonitor`] or a [`BondSender`] after a run (or
 /// individual samples as they arrive), then export percentiles to a
 /// [`MetricsRegistry`] or cross-check with
-/// `Collector::divergence_vs_sim`.
+/// `Collector::divergences`.
 #[derive(Debug, Clone, Default)]
 pub struct Collector {
     queues: BTreeMap<(u32, u32), QueueView>,
@@ -250,29 +240,26 @@ impl Collector {
     }
 
     /// Compare the end-host view against the simulator's current
-    /// ground-truth queue occupancy, switch by switch. Exact (max
-    /// divergence 0) whenever the network has drained and no probe was
-    /// lost mid-burst — the soundness check for the measurement plane.
-    pub(crate) fn divergence_vs_sim(&self, sim: &Simulator) -> DivergenceReport {
-        let mut report = DivergenceReport {
-            probes_lost: self.probes_sent.saturating_sub(self.echoes_received),
-            ..DivergenceReport::default()
-        };
-        for i in 0..sim.num_switches() {
+    /// ground-truth queue occupancy: one row per simulator switch, in
+    /// index order. Exact (every divergence 0) whenever the network has
+    /// drained and no probe was lost mid-burst — the soundness check for
+    /// the measurement plane.
+    pub(crate) fn divergences<'a>(
+        &'a self,
+        sim: &'a Simulator,
+    ) -> impl Iterator<Item = SwitchDivergence> + 'a {
+        (0..sim.num_switches()).map(move |i| {
             let asic = sim.switch(SwitchId(i));
             let switch_id = asic.switch_id();
             let (ground, _) = asic.queue_occupancy();
             let observed = self.last_observed(switch_id);
-            let diff = observed.map_or(0, |o| o.abs_diff(ground));
-            report.max_abs_bytes = report.max_abs_bytes.max(diff);
-            report.per_switch.push(SwitchDivergence {
+            SwitchDivergence {
                 switch_id,
                 observed_bytes: observed,
                 ground_truth_bytes: ground,
-                abs_diff_bytes: diff,
-            });
-        }
-        report
+                abs_diff_bytes: observed.map_or(0, |o| o.abs_diff(ground)),
+            }
+        })
     }
 
     /// Export the collector's aggregates under `collector.*`.
@@ -308,25 +295,43 @@ impl Collector {
             registry.merge_histogram("transport.fct_ns", &self.fct);
         }
         // Likewise ECMP spread: only runs that ingested uplink counters
-        // grow an ecmp.* family.
+        // grow an ecmp.* family. Per-uplink and per-path names are
+        // formatted into one buffer; a registry that already holds them
+        // allocates nothing.
+        let mut buf = String::new();
         for (&(switch_id, port), &tx) in &self.uplinks {
-            registry.set(
-                &format!("ecmp.uplink.sw{switch_id}.port{port}.tx_frames"),
-                tx,
+            let name = named(
+                &mut buf,
+                format_args!("ecmp.uplink.sw{switch_id}.port{port}.tx_frames"),
             );
+            registry.set(name, tx);
         }
         for (path, view) in &self.paths {
-            registry.set(&format!("bond.path{path}.probes_sent"), view.probes_sent);
-            registry.set(&format!("bond.path{path}.echoes"), view.echoes_received);
-            registry.set(&format!("bond.path{path}.probes_lost"), view.probes_lost);
-            registry.set(
-                &format!("bond.path{path}.transitions"),
-                view.transitions.len() as u64,
-            );
-            registry.merge_histogram(&format!("bond.path{path}.queue_bytes"), &view.queue_hist);
-            registry.merge_histogram(&format!("bond.path{path}.util_permille"), &view.util_hist);
+            for (metric, value) in [
+                ("probes_sent", view.probes_sent),
+                ("echoes", view.echoes_received),
+                ("probes_lost", view.probes_lost),
+                ("transitions", view.transitions.len() as u64),
+            ] {
+                let name = named(&mut buf, format_args!("bond.path{path}.{metric}"));
+                registry.set(name, value);
+            }
+            for (metric, hist) in [
+                ("queue_bytes", &view.queue_hist),
+                ("util_permille", &view.util_hist),
+            ] {
+                let name = named(&mut buf, format_args!("bond.path{path}.{metric}"));
+                registry.merge_histogram(name, hist);
+            }
         }
     }
+}
+
+/// `args` formatted into `buf`, replacing what it held.
+fn named<'a>(buf: &'a mut String, args: fmt::Arguments<'_>) -> &'a str {
+    buf.clear();
+    let _ = buf.write_fmt(args);
+    buf
 }
 
 #[cfg(test)]

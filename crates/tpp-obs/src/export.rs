@@ -5,14 +5,17 @@
 //! pinned as goldens in CI.
 
 use std::fmt::Write;
+use std::ops::Range;
 
 use tpp_netsim::{RingSeries, SeriesSet};
 use tpp_telemetry::{Histogram, MetricsRegistry};
 
-/// A metric name in Prometheus form: `tpp_` prefix, every character
-/// outside `[a-zA-Z0-9_]` (the registry uses dots) mapped to `_`.
-pub(crate) fn sanitize_metric_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 4);
+/// Append `name` in Prometheus form to `out` — `tpp_` prefix, every
+/// character outside `[a-zA-Z0-9_]` (the registry uses dots) mapped to
+/// `_` — and return where it landed, so a metric's later lines copy it
+/// (`String::extend_from_within`) instead of sanitizing it again.
+pub(crate) fn sanitize_metric_name(out: &mut String, name: &str) -> Range<usize> {
+    let start = out.len();
     out.push_str("tpp_");
     for ch in name.chars() {
         if ch.is_ascii_alphanumeric() || ch == '_' {
@@ -21,7 +24,13 @@ pub(crate) fn sanitize_metric_name(name: &str) -> String {
             out.push('_');
         }
     }
-    out
+    start..out.len()
+}
+
+/// Bytes [`sanitize_metric_name`] appends: the prefix plus one byte per
+/// character (every non-ASCII character becomes `_`).
+fn metric_name_len(name: &str) -> usize {
+    4 + name.chars().count()
 }
 
 /// One-line `# HELP` text for a registry metric, chosen by family
@@ -63,28 +72,70 @@ pub(crate) fn help_for(name: &str) -> &'static str {
     "TPP simulator metric."
 }
 
+/// The longest a `u64` prints.
+const MAX_DIGITS: usize = 20;
+
+/// Bytes one counter's three lines can take.
+fn counter_len(name: &str) -> usize {
+    let n = metric_name_len(name);
+    // `# HELP n help\n`, `# TYPE n counter\n`, `n value\n`.
+    (9 + n + help_for(name).len()) + (16 + n) + (2 + n + MAX_DIGITS)
+}
+
+/// Bytes one summary's seven lines can take.
+fn summary_len(name: &str) -> usize {
+    let n = metric_name_len(name);
+    // HELP, `# TYPE n summary`, three `n{quantile="…"} v`, `_sum`, `_count`.
+    (9 + n + help_for(name).len())
+        + (16 + n)
+        + 3 * (19 + n + MAX_DIGITS)
+        + (6 + n + MAX_DIGITS)
+        + (8 + n + MAX_DIGITS)
+}
+
+/// `# HELP <name> <help>` and `# TYPE <name> <kind>`; returns where the
+/// sanitized name sits in `out`.
+fn write_head(out: &mut String, name: &str, kind: &str) -> Range<usize> {
+    out.push_str("# HELP ");
+    let n = sanitize_metric_name(out, name);
+    let _ = writeln!(out, " {}", help_for(name));
+    out.push_str("# TYPE ");
+    out.extend_from_within(n.clone());
+    let _ = writeln!(out, " {kind}");
+    n
+}
+
 fn write_summary(out: &mut String, name: &str, hist: &Histogram) {
-    let n = sanitize_metric_name(name);
-    let _ = writeln!(out, "# HELP {n} {}", help_for(name));
-    let _ = writeln!(out, "# TYPE {n} summary");
+    let n = write_head(out, name, "summary");
     for (q, label) in [(0.5, "0.5"), (0.99, "0.99"), (1.0, "1")] {
-        let _ = writeln!(out, "{n}{{quantile=\"{label}\"}} {}", hist.quantile(q));
+        out.extend_from_within(n.clone());
+        let _ = writeln!(out, "{{quantile=\"{label}\"}} {}", hist.quantile(q));
     }
-    let _ = writeln!(out, "{n}_sum {}", hist.sum());
-    let _ = writeln!(out, "{n}_count {}", hist.count());
+    out.extend_from_within(n.clone());
+    let _ = writeln!(out, "_sum {}", hist.sum());
+    out.extend_from_within(n);
+    let _ = writeln!(out, "_count {}", hist.count());
 }
 
 /// Render a [`MetricsRegistry`] in the Prometheus text exposition
 /// format: counters as `counter` samples, histograms as `summary`
 /// quantiles (p50/p99/max) with `_sum`/`_count`. Scrape-ready: write
-/// it to a file or serve it verbatim.
+/// it to a file or serve it verbatim. The text is written into one
+/// buffer, sized up front for the longest every line can be.
 pub fn prometheus_snapshot(registry: &MetricsRegistry) -> String {
-    let mut out = String::new();
+    let bytes = registry
+        .counters()
+        .map(|(name, _)| counter_len(name))
+        .sum::<usize>()
+        + registry
+            .histograms()
+            .map(|(name, _)| summary_len(name))
+            .sum::<usize>();
+    let mut out = String::with_capacity(bytes);
     for (name, value) in registry.counters() {
-        let n = sanitize_metric_name(name);
-        let _ = writeln!(out, "# HELP {n} {}", help_for(name));
-        let _ = writeln!(out, "# TYPE {n} counter");
-        let _ = writeln!(out, "{n} {value}");
+        let n = write_head(&mut out, name, "counter");
+        out.extend_from_within(n);
+        let _ = writeln!(out, " {value}");
     }
     for (name, hist) in registry.histograms() {
         write_summary(&mut out, name, hist);
@@ -220,11 +271,37 @@ mod tests {
 
     #[test]
     fn sanitizes_names() {
-        assert_eq!(
-            sanitize_metric_name("profile.span.total_cycles"),
-            "tpp_profile_span_total_cycles"
-        );
-        assert_eq!(sanitize_metric_name("a-b c"), "tpp_a_b_c");
+        let mut out = String::from("# ");
+        for (name, prom) in [
+            ("profile.span.total_cycles", "tpp_profile_span_total_cycles"),
+            ("a-b c", "tpp_a_b_c"),
+            ("é.µ", "tpp____"),
+        ] {
+            let at = sanitize_metric_name(&mut out, name);
+            assert_eq!(&out[at], prom);
+            assert_eq!(metric_name_len(name), prom.len());
+        }
+    }
+
+    #[test]
+    fn the_presized_buffer_never_grows() {
+        // Twenty-digit counters fill their bound exactly.
+        let counters = ["profile.packets", "x", "fault.é"];
+        let mut reg = MetricsRegistry::new();
+        counters.iter().for_each(|name| reg.set(name, u64::MAX));
+        let text = prometheus_snapshot(&reg);
+        let bound = counters.map(counter_len).iter().sum::<usize>();
+        assert_eq!((text.len(), text.capacity()), (bound, bound));
+
+        // Summaries' quantile labels leave slack, never an overflow.
+        let summaries = ["queue.depth_bytes", "h"];
+        summaries
+            .iter()
+            .for_each(|name| reg.observe(name, u64::MAX));
+        let text = prometheus_snapshot(&reg);
+        let bound = bound + summaries.map(summary_len).iter().sum::<usize>();
+        assert_eq!(text.capacity(), bound, "one allocation, never regrown");
+        assert!(text.len() <= bound);
     }
 
     #[test]

@@ -41,8 +41,8 @@ pub mod render;
 pub mod snapshot;
 pub mod window;
 
-pub use collector::{Collector, DivergenceReport, PathView, QueueView, SwitchDivergence};
+pub use collector::{Collector, PathView, QueueView, SwitchDivergence};
 pub use export::{parse_series_jsonl, prometheus_snapshot, series_jsonl, SeriesDump};
 pub use render::{render_dashboard, render_profile_diff, DashState, FrameBuf, Tab};
 pub use snapshot::{FleetSnapshot, SortKey};
-pub use window::{WindowAgg, WindowedSeries};
+pub use window::{WindowAgg, WindowStore, WindowedSeries};

@@ -9,34 +9,41 @@
 //! snapshot and re-renders; all of its state lives in [`DashState`] and
 //! is mutated only by [`DashState::apply_key`].
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use crate::export::SeriesDump;
 use crate::snapshot::{FleetSnapshot, SortKey};
-use crate::window::{window_label, WindowedSeries, SIM_WINDOWS, WALL_WINDOWS};
+use crate::window::{max_value, newest, WindowAgg, WindowLabel, SIM_WINDOWS, WALL_WINDOWS};
 
 /// Block glyphs for one-cell bars, shallowest to fullest.
 pub const SPARK_GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 
-/// Scale raw values into block glyphs against their own maximum; an
-/// all-zero series renders as a flat floor. Values beyond `width` are
-/// dropped from the left (newest stay).
-pub(crate) fn spark_raw(values: &[u64], width: usize) -> String {
-    let start = values.len().saturating_sub(width);
-    let vals = &values[start..];
-    let max = vals.iter().copied().max().unwrap_or(0);
-    vals.iter()
-        .map(|&v| {
+/// One block glyph per value, scaled against the values' own maximum;
+/// an all-zero run renders as a flat floor.
+struct Spark<I>(I);
+
+impl<I: Iterator<Item = u64> + Clone> fmt::Display for Spark<I> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let max = self.0.clone().max().unwrap_or(0);
+        for v in self.0.clone() {
             let level = (v * 7).checked_div(max).unwrap_or(0);
-            SPARK_GLYPHS[level as usize]
-        })
-        .collect()
+            f.write_char(SPARK_GLYPHS[level as usize])?;
+        }
+        Ok(())
+    }
 }
 
-/// Sparkline over a windowed series: one glyph per window (the window
-/// *max* — peaks are what a dashboard must not smooth away).
-pub(crate) fn sparkline(series: &WindowedSeries, width: usize) -> String {
-    spark_raw(&series.spark_values(width), width)
+/// [`Spark`] as a string. Values beyond `width` are dropped from the
+/// left (newest stay).
+pub(crate) fn spark_raw(values: &[u64], width: usize) -> String {
+    let start = values.len().saturating_sub(width);
+    Spark(values[start..].iter().copied()).to_string()
+}
+
+/// Sparkline over folded windows: one glyph per window, newest `width`
+/// (the window *max* — peaks are what a dashboard must not smooth away).
+fn sparkline(windows: &[WindowAgg], width: usize) -> Spark<impl Iterator<Item = u64> + Clone + '_> {
+    Spark(newest(windows, width).iter().map(|w| w.max))
 }
 
 /// A fixed-size character grid. Writes clip at the edges, so layout
@@ -46,6 +53,36 @@ pub struct FrameBuf {
     width: usize,
     height: usize,
     cells: Vec<char>,
+}
+
+/// A write position in a [`FrameBuf`]. Text written through it with
+/// `write!` lands in consecutive cells of one row, clipped like
+/// [`FrameBuf::put`], so a formatted line needs no `String` of its own.
+struct Cursor<'a> {
+    frame: &'a mut FrameBuf,
+    x: usize,
+    y: usize,
+}
+
+impl fmt::Write for Cursor<'_> {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        let FrameBuf {
+            width,
+            height,
+            cells,
+        } = &mut *self.frame;
+        if self.y < *height {
+            let row = &mut cells[self.y * *width..(self.y + 1) * *width];
+            for ch in text.chars() {
+                let Some(cell) = row.get_mut(self.x) else {
+                    break;
+                };
+                *cell = ch;
+                self.x += 1;
+            }
+        }
+        Ok(())
+    }
 }
 
 impl FrameBuf {
@@ -73,16 +110,18 @@ impl FrameBuf {
     /// Write `text` starting at `(x, y)`, clipping at the right edge
     /// and ignoring out-of-range rows.
     pub fn put(&mut self, x: usize, y: usize, text: &str) {
-        if y >= self.height {
-            return;
-        }
-        for (i, ch) in text.chars().enumerate() {
-            let cx = x + i;
-            if cx >= self.width {
-                break;
-            }
-            self.cells[y * self.width + cx] = ch;
-        }
+        let _ = self.at(x, y).write_str(text);
+    }
+
+    /// [`FrameBuf::put`] for formatted text, written straight into the
+    /// cells.
+    fn put_fmt(&mut self, x: usize, y: usize, args: fmt::Arguments<'_>) {
+        let _ = self.at(x, y).write_fmt(args);
+    }
+
+    /// A cursor at `(x, y)`, for a line written in pieces.
+    fn at(&mut self, x: usize, y: usize) -> Cursor<'_> {
+        Cursor { frame: self, x, y }
     }
 
     /// Fill row `y` with `ch`.
@@ -95,11 +134,12 @@ impl FrameBuf {
     }
 
     /// The frame as text: `height` lines of exactly `width` cells, each
-    /// newline-terminated.
+    /// newline-terminated, in one buffer of exactly its size.
     pub fn render(&self) -> String {
-        let mut out = String::with_capacity((self.width + 1) * self.height);
-        for y in 0..self.height {
-            out.extend(&self.cells[y * self.width..(y + 1) * self.width]);
+        let bytes = self.cells.iter().map(|c| c.len_utf8()).sum::<usize>() + self.height;
+        let mut out = String::with_capacity(bytes);
+        for row in self.cells.chunks(self.width) {
+            out.extend(row);
             out.push('\n');
         }
         out
@@ -222,39 +262,53 @@ impl DashState {
     }
 }
 
-fn fmt_ns(t_ns: u64) -> String {
-    if t_ns >= 1_000_000_000 {
-        format!(
-            "{}.{:03}s",
-            t_ns / 1_000_000_000,
-            (t_ns % 1_000_000_000) / 1_000_000
-        )
-    } else if t_ns >= 1_000_000 {
-        format!("{}.{:03}ms", t_ns / 1_000_000, (t_ns % 1_000_000) / 1_000)
-    } else if t_ns >= 1_000 {
-        format!("{}us", t_ns / 1_000)
-    } else {
-        format!("{t_ns}ns")
+/// A duration for display: `1.234s`, `5.000ms`, `12us`, `800ns`.
+struct Ns(u64);
+
+impl fmt::Display for Ns {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let t_ns = self.0;
+        if t_ns >= 1_000_000_000 {
+            let ms = (t_ns % 1_000_000_000) / 1_000_000;
+            write!(f, "{}.{ms:03}s", t_ns / 1_000_000_000)
+        } else if t_ns >= 1_000_000 {
+            write!(
+                f,
+                "{}.{:03}ms",
+                t_ns / 1_000_000,
+                (t_ns % 1_000_000) / 1_000
+            )
+        } else if t_ns >= 1_000 {
+            write!(f, "{}us", t_ns / 1_000)
+        } else {
+            write!(f, "{t_ns}ns")
+        }
     }
 }
 
 fn header(frame: &mut FrameBuf, snap: &FleetSnapshot, state: &DashState) {
-    let mut line = format!(
+    let mut line = frame.at(0, 0);
+    let _ = write!(
+        line,
         " TPP FLEET  t={}  switches={}  hosts={}  ticks={}",
-        fmt_ns(snap.t_ns),
+        Ns(snap.t_ns),
         snap.switches.len(),
         snap.num_hosts,
         snap.ticks
     );
     if state.paused {
-        line.push_str("  *PAUSED*");
+        let _ = line.write_str("  *PAUSED*");
     }
-    frame.put(0, 0, &line);
 
-    let mut tabs = String::from(" ");
+    let mut tabs = frame.at(0, 1);
+    let _ = tabs.write_char(' ');
     for (i, t) in Tab::ALL.iter().enumerate() {
         if *t == state.tab {
-            let _ = write!(tabs, "[{}:{}] ", i + 1, t.title().to_uppercase());
+            let _ = write!(tabs, "[{}:", i + 1);
+            for ch in t.title().chars() {
+                let _ = tabs.write_char(ch.to_ascii_uppercase());
+            }
+            let _ = tabs.write_str("] ");
         } else {
             let _ = write!(tabs, " {}:{}  ", i + 1, t.title());
         }
@@ -262,10 +316,9 @@ fn header(frame: &mut FrameBuf, snap: &FleetSnapshot, state: &DashState) {
     let _ = write!(
         tabs,
         "  window={}  sort={}",
-        window_label(state.window_ns()),
+        WindowLabel(state.window_ns()),
         state.sort.label()
     );
-    frame.put(0, 1, &tabs);
     frame.hline(2, '-');
 }
 
@@ -283,31 +336,36 @@ fn body_rows(frame: &FrameBuf, extra: usize) -> usize {
     frame.height().saturating_sub(5 + extra)
 }
 
-fn win_cell(series: Option<&WindowedSeries>) -> (u64, u64, u64) {
-    series
-        .and_then(|s| s.last())
+fn win_cell(windows: Option<&[WindowAgg]>) -> (u64, u64, u64) {
+    windows
+        .and_then(|w| w.last())
         .map(|w| (w.min, w.sum / w.count.max(1), w.max))
         .unwrap_or((0, 0, 0))
 }
 
-fn put_switch_table<F: Fn(&FleetSnapshot, usize) -> String>(
+/// The sorted fleet table: `head`, then one `row` per switch that fits
+/// above `extra` spare lines. Returns the first row below the table.
+fn put_switch_table<F>(
     frame: &mut FrameBuf,
     snap: &FleetSnapshot,
     state: &DashState,
     head: &str,
     extra: usize,
     row: F,
-) -> usize {
+) -> usize
+where
+    F: Fn(&mut dyn fmt::Write, &FleetSnapshot, usize) -> fmt::Result,
+{
     frame.put(0, 3, head);
     let order = snap.sorted_switches(state.sort);
     let avail = body_rows(frame, extra);
     let shown = order.len().min(avail);
     for (r, &i) in order.iter().take(shown).enumerate() {
-        let line = row(snap, i);
-        frame.put(0, 4 + r, &line);
+        let _ = row(&mut frame.at(0, 4 + r), snap, i);
     }
     if order.len() > shown {
-        frame.put(0, 4 + shown, &format!(" … (+{} more)", order.len() - shown));
+        let more = order.len() - shown;
+        frame.put_fmt(0, 4 + shown, format_args!(" … (+{more} more)"));
     }
     4 + shown + usize::from(order.len() > shown)
 }
@@ -319,9 +377,10 @@ fn tab_latency(frame: &mut FrameBuf, snap: &FleetSnapshot, state: &DashState) {
         state,
         " SWITCH      PKTS    SMPL   VIOL   SPAN p50/p99/max cyc    OCC_B",
         4,
-        |s, i| {
+        |line, s, i| {
             let r = &s.switches[i];
-            format!(
+            write!(
+                line,
                 " 0x{:<8x} {:>7} {:>7} {:>6}   {:>6}/{:>6}/{:>6}   {:>8}",
                 r.switch_id,
                 r.packets,
@@ -335,35 +394,34 @@ fn tab_latency(frame: &mut FrameBuf, snap: &FleetSnapshot, state: &DashState) {
         },
     );
     let c = &snap.collector;
-    frame.put(
+    frame.put_fmt(
         0,
         y + 1,
-        &format!(
+        format_args!(
             " collector: probes={} echoes={} samples={}  rtt p50/p99/max = {}/{}/{}",
             c.probes_sent,
             c.echoes_received,
             c.samples,
-            fmt_ns(c.rtt.0),
-            fmt_ns(c.rtt.1),
-            fmt_ns(c.rtt.2)
+            Ns(c.rtt.0),
+            Ns(c.rtt.1),
+            Ns(c.rtt.2)
         ),
     );
-    frame.put(
+    frame.put_fmt(
         0,
         y + 2,
-        &format!(
+        format_args!(
             " divergence vs ground truth: max {} bytes",
             c.divergence_max_bytes
         ),
     );
-    let ops: Vec<String> = snap
-        .opcodes
-        .iter()
-        .take(6)
-        .map(|(m, n)| format!("{m}:{n}"))
-        .collect();
-    if !ops.is_empty() {
-        frame.put(0, y + 3, &format!(" tcpu ops: {}", ops.join("  ")));
+    if !snap.opcodes.is_empty() {
+        let mut line = frame.at(0, y + 3);
+        let _ = line.write_str(" tcpu ops: ");
+        for (k, (m, n)) in snap.opcodes.iter().take(6).enumerate() {
+            let sep = if k > 0 { "  " } else { "" };
+            let _ = write!(line, "{sep}{m}:{n}");
+        }
     }
 }
 
@@ -374,19 +432,20 @@ fn tab_queues(frame: &mut FrameBuf, snap: &FleetSnapshot, state: &DashState) {
         state,
         " SWITCH     HOT(p,q)     HOT_B   Qmax win min/mean/max      DROP/T  TREND(Qmax)",
         0,
-        |s, i| {
+        |line, s, i| {
             let r = &s.switches[i];
-            let q = win_cell(r.windows.get("queue.max_bytes"));
-            let d = win_cell(r.windows.get("drop.bytes_per_tick"));
-            let spark = r
-                .windows
-                .get("queue.max_bytes")
-                .map(|w| sparkline(w, 24))
-                .unwrap_or_default();
-            format!(
-                " 0x{:<8x} ({:>2},{:>2}) {:>9}   {:>7}/{:>7}/{:>7} {:>9}  {spark}",
+            let qmax = s.switch_windows(r, "queue.max_bytes");
+            let q = win_cell(qmax);
+            let d = win_cell(s.switch_windows(r, "drop.bytes_per_tick"));
+            write!(
+                line,
+                " 0x{:<8x} ({:>2},{:>2}) {:>9}   {:>7}/{:>7}/{:>7} {:>9}  ",
                 r.switch_id, r.hot.0, r.hot.1, r.hot.2, q.0, q.1, q.2, d.2
-            )
+            )?;
+            match qmax {
+                Some(w) => write!(line, "{}", sparkline(w, 24)),
+                None => Ok(()),
+            }
         },
     );
 }
@@ -398,18 +457,19 @@ fn tab_caches(frame: &mut FrameBuf, snap: &FleetSnapshot, state: &DashState) {
         state,
         " SWITCH     DECODEHIT pm min/mean/max  TREND",
         0,
-        |s, i| {
+        |line, s, i| {
             let r = &s.switches[i];
-            let d = win_cell(r.windows.get("cache.decode_hit_permille"));
-            let ds = r
-                .windows
-                .get("cache.decode_hit_permille")
-                .map(|w| sparkline(w, 12))
-                .unwrap_or_default();
-            format!(
-                " 0x{:<8x} {:>4}/{:>4}/{:>4}          {ds}",
+            let hits = s.switch_windows(r, "cache.decode_hit_permille");
+            let d = win_cell(hits);
+            write!(
+                line,
+                " 0x{:<8x} {:>4}/{:>4}/{:>4}          ",
                 r.switch_id, d.0, d.1, d.2
-            )
+            )?;
+            match hits {
+                Some(w) => write!(line, "{}", sparkline(w, 12)),
+                None => Ok(()),
+            }
         },
     );
 }
@@ -418,10 +478,10 @@ fn tab_transport(frame: &mut FrameBuf, snap: &FleetSnapshot, _state: &DashState)
     match &snap.transport {
         Some(t) => {
             let s = &t.stats;
-            frame.put(
+            frame.put_fmt(
                 0,
                 3,
-                &format!(
+                format_args!(
                     " flows: started={} completed={} gave_up={}   segments={} acks={}",
                     s.flows_started,
                     s.flows_completed,
@@ -430,31 +490,31 @@ fn tab_transport(frame: &mut FrameBuf, snap: &FleetSnapshot, _state: &DashState)
                     s.acks_sent
                 ),
             );
-            frame.put(
+            frame.put_fmt(
                 0,
                 4,
-                &format!(
+                format_args!(
                     " loss recovery: retransmits={} rto_fires={} fast_rtx={} dup_rx={} max_backoff={}",
                     s.retransmits, s.rto_fires, s.fast_retransmits, s.dup_segments_rx,
                     s.max_backoff
                 ),
             );
-            frame.put(
+            frame.put_fmt(
                 0,
                 5,
-                &format!(
+                format_args!(
                     " rate control: probes={} rate_updates={} rate_limited_polls={} epoch_resets={}",
                     s.probes_sent, s.rate_updates, s.rate_limited_polls, s.epoch_resets
                 ),
             );
-            frame.put(
+            frame.put_fmt(
                 0,
                 6,
-                &format!(
+                format_args!(
                     " fct: p50/p99/max = {}/{}/{}  ({} flows)",
-                    fmt_ns(t.fct.0),
-                    fmt_ns(t.fct.1),
-                    fmt_ns(t.fct.2),
+                    Ns(t.fct.0),
+                    Ns(t.fct.1),
+                    Ns(t.fct.2),
                     t.fct_count
                 ),
             );
@@ -468,15 +528,15 @@ fn tab_transport(frame: &mut FrameBuf, snap: &FleetSnapshot, _state: &DashState)
         frame.put(0, 9, "  SWITCH    PORT   TX_FRAMES  SHARE");
         let avail = frame.height().saturating_sub(11);
         for (r, u) in snap.uplinks.iter().take(avail).enumerate() {
-            let bar: String = "#".repeat((u.share_permille / 25) as usize);
-            frame.put(
-                0,
-                10 + r,
-                &format!(
-                    "  0x{:<6x} {:>5} {:>11}  {:>4}‰ {bar}",
-                    u.switch_id, u.port, u.tx_frames, u.share_permille
-                ),
+            let mut line = frame.at(0, 10 + r);
+            let _ = write!(
+                line,
+                "  0x{:<6x} {:>5} {:>11}  {:>4}‰ ",
+                u.switch_id, u.port, u.tx_frames, u.share_permille
             );
+            for _ in 0..u.share_permille / 25 {
+                let _ = line.write_char('#');
+            }
         }
     }
 }
@@ -491,10 +551,10 @@ fn tab_paths(frame: &mut FrameBuf, snap: &FleetSnapshot, _state: &DashState) {
         frame.put(0, 4, "  (no bonded paths ingested)");
     }
     for (r, p) in snap.bond_paths.iter().enumerate() {
-        frame.put(
+        frame.put_fmt(
             0,
             4 + r,
-            &format!(
+            format_args!(
                 " {:>4}  {:<8} {:>7} {:>8} {:>6} {:>6}   {:>5}/{:>5}/{:>5}     {:>4}/{:>4}/{:>4}",
                 p.path,
                 p.health.name(),
@@ -513,14 +573,14 @@ fn tab_paths(frame: &mut FrameBuf, snap: &FleetSnapshot, _state: &DashState) {
     }
     let y = 5 + snap.bond_paths.len();
     frame.put(0, y, " FLEET SERIES");
-    for (r, (metric, w)) in snap.fleet_windows.iter().enumerate() {
-        frame.put(
+    for (r, (metric, w)) in snap.fleet_windows().enumerate() {
+        frame.put_fmt(
             0,
             y + 1 + r,
-            &format!(
+            format_args!(
                 "  {:<26} peak={:>8}  {}",
                 metric,
-                w.max_value(),
+                max_value(w),
                 sparkline(w, 32)
             ),
         );
@@ -528,7 +588,9 @@ fn tab_paths(frame: &mut FrameBuf, snap: &FleetSnapshot, _state: &DashState) {
 }
 
 /// Render one dashboard frame: a pure function of `(snap, state, width,
-/// height)` — same inputs, same bytes.
+/// height)` — same inputs, same bytes. Lines are formatted straight into
+/// the cell grid, so a frame costs three allocations: the grid, the
+/// table's sort order and the returned text.
 pub fn render_dashboard(
     snap: &FleetSnapshot,
     state: &DashState,
@@ -624,14 +686,12 @@ pub fn render_profile_diff(
 mod tests {
     use super::*;
     use crate::snapshot::{CollectorSummary, SwitchRow};
-    use std::collections::BTreeMap;
+    use crate::window::WindowStore;
 
     fn tiny_snapshot() -> FleetSnapshot {
-        let mut windows = BTreeMap::new();
-        windows.insert(
-            "queue.max_bytes",
-            WindowedSeries::from_points(&[(0, 5), (150, 9), (320, 2)], 100),
-        );
+        let mut series = WindowStore::default();
+        let points = [(0, 5), (150, 9), (320, 2)];
+        series.fold("queue.max_bytes", &points, 100, &mut Vec::new());
         FleetSnapshot {
             t_ns: 2_500_000,
             num_hosts: 4,
@@ -645,9 +705,10 @@ mod tests {
                 span: (120, 260, 300),
                 hot: (1, 0, 9000),
                 occupancy_bytes: 0,
-                windows,
+                series: 0..1,
             }],
-            fleet_windows: BTreeMap::new(),
+            series,
+            fleet_series: 1..1,
             opcodes: vec![("LOAD", 99), ("PUSH", 41)],
             transport: None,
             uplinks: Vec::new(),

@@ -10,15 +10,20 @@
 //! snapshot owns every number, and rendering (or diffing, or sorting)
 //! never touches live state again. That split is what lets CI pin
 //! frames byte-for-byte: same snapshot in, same bytes out.
+//!
+//! A capture allocates a handful of buffers, each sized once, however
+//! many switches and series it reads: every series folds into one
+//! [`WindowStore`], and the folds and the span-percentile sorts share one
+//! scratch buffer (DESIGN.md, "Observability plane").
 
-use std::collections::BTreeMap;
+use std::ops::Range;
 
 use tpp_host::bonding::PathHealth;
 use tpp_host::TransportStats;
-use tpp_netsim::{Simulator, SwitchId, SWITCH_SERIES_METRICS};
+use tpp_netsim::{RingSeries, Simulator, SwitchId, SWITCH_SERIES_METRICS};
 
 use crate::collector::Collector;
-use crate::window::WindowedSeries;
+use crate::window::{max_windows, WindowAgg, WindowStore};
 
 /// One switch's numbers: dataplane profile, hottest queue, and the
 /// windowed fold of each of its ring series.
@@ -38,9 +43,10 @@ pub struct SwitchRow {
     pub hot: (u16, u16, u64),
     /// Current total egress occupancy, bytes.
     pub occupancy_bytes: u64,
-    /// Windowed fold of each ring-series metric
-    /// ([`SWITCH_SERIES_METRICS`] names).
-    pub windows: BTreeMap<&'static str, WindowedSeries>,
+    /// This switch's folded ring series ([`SWITCH_SERIES_METRICS`]
+    /// names): a group of [`FleetSnapshot::series`]; empty when series
+    /// are off.
+    pub series: Range<usize>,
 }
 
 /// One ECMP-spread uplink: tx frames and share of the spread total.
@@ -112,8 +118,11 @@ pub struct FleetSnapshot {
     pub window_ns: u64,
     /// Per-switch rows, in simulator index order.
     pub switches: Vec<SwitchRow>,
-    /// Windowed fleet-wide series (fault/loss rates), by metric name.
-    pub fleet_windows: BTreeMap<&'static str, WindowedSeries>,
+    /// Every folded series, per-switch groups first, then the fleet's.
+    pub series: WindowStore,
+    /// The fleet-wide series (fault/loss rates), in name order: a group
+    /// of [`Self::series`].
+    pub fleet_series: Range<usize>,
     /// Fleet TCPU opcode mix `(mnemonic, executed)`, descending.
     pub opcodes: Vec<(&'static str, u64)>,
     /// Transport aggregate, when any host's stats were ingested.
@@ -133,39 +142,59 @@ impl FleetSnapshot {
     /// simulation or the collector.
     pub fn capture(sim: &Simulator, collector: &Collector, window_ns: u64) -> FleetSnapshot {
         let series = sim.series();
-        let mut switches = Vec::with_capacity(sim.num_switches());
-        let mut opcode_acc: Vec<(&'static str, u64)> = Vec::new();
-        for i in 0..sim.num_switches() {
+        let n = sim.num_switches();
+        let switch_rings = |i: usize| {
+            let sw = series.and_then(|set| set.switches.get(i));
+            SWITCH_SERIES_METRICS
+                .iter()
+                .filter_map(move |&metric| Some((metric, sw?.get(metric)?)))
+        };
+        let fleet_rings = || series.into_iter().flat_map(|set| set.fleet_iter());
+
+        // Size every buffer once: the series and windows the folds add,
+        // the opcode rows, and the scratch the folds and the reservoir
+        // sorts share.
+        let (mut n_series, mut n_windows, mut scratch_len, mut n_opcodes) = (0, 0, 0, 0);
+        let mut size = |ring: &RingSeries| {
+            n_series += 1;
+            n_windows += max_windows(ring.points(), window_ns);
+            scratch_len = scratch_len.max(ring.points().len());
+        };
+        (0..n)
+            .flat_map(switch_rings)
+            .for_each(|(_, ring)| size(ring));
+        fleet_rings().for_each(|(_, ring)| size(ring));
+        for p in (0..n).filter_map(|i| sim.switch(SwitchId(i)).profile()) {
+            scratch_len = scratch_len.max(p.total_stat().held());
+            n_opcodes += p.opcode_breakdown().count();
+        }
+        let mut store = WindowStore::with_capacity(n_series, n_windows);
+        let mut scratch = Vec::with_capacity(scratch_len);
+        let mut opcodes: Vec<(&'static str, u64)> = Vec::with_capacity(n_opcodes);
+
+        let mut switches = Vec::with_capacity(n);
+        for i in 0..n {
             let asic = sim.switch(SwitchId(i));
             let (occ, _) = asic.queue_occupancy();
             let (hp, hq, hw) = asic.hottest_queue();
             let (packets, sampled, violations, span) = match asic.profile() {
                 Some(p) => {
-                    let t = p.total_stat();
                     for (op, n) in p.opcode_breakdown() {
-                        match opcode_acc.iter_mut().find(|(m, _)| *m == op.mnemonic()) {
+                        match opcodes.iter_mut().find(|(m, _)| *m == op.mnemonic()) {
                             Some(slot) => slot.1 += n,
-                            None => opcode_acc.push((op.mnemonic(), n)),
+                            None => opcodes.push((op.mnemonic(), n)),
                         }
                     }
-                    (
-                        p.packets(),
-                        p.sampled(),
-                        p.budget_violations(),
-                        (t.p50(), t.p99(), t.max()),
-                    )
+                    let t = p.total_stat();
+                    let (p50, p99) = t.p50_p99(&mut scratch);
+                    let span = (p50, p99, t.max());
+                    (p.packets(), p.sampled(), p.budget_violations(), span)
                 }
                 None => (0, 0, 0, (0, 0, 0)),
             };
-            let mut windows = BTreeMap::new();
-            if let Some(set) = series {
-                if let Some(sw) = set.switches.get(i) {
-                    for &metric in SWITCH_SERIES_METRICS {
-                        if let Some(s) = sw.get(metric) {
-                            windows.insert(metric, WindowedSeries::from_ring(s, window_ns));
-                        }
-                    }
-                }
+            let first = store.len();
+            for (metric, ring) in switch_rings(i) {
+                store.fold(metric, ring.points(), window_ns, &mut scratch);
             }
             switches.push(SwitchRow {
                 switch_id: asic.switch_id(),
@@ -175,17 +204,16 @@ impl FleetSnapshot {
                 span,
                 hot: (hp, hq.into(), hw),
                 occupancy_bytes: occ,
-                windows,
+                series: first..store.len(),
             });
         }
-        opcode_acc.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+        opcodes.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
 
-        let mut fleet_windows = BTreeMap::new();
-        if let Some(set) = series {
-            for (metric, s) in set.fleet_iter() {
-                fleet_windows.insert(metric, WindowedSeries::from_ring(s, window_ns));
-            }
+        let first = store.len();
+        for (metric, ring) in fleet_rings() {
+            store.fold(metric, ring.points(), window_ns, &mut scratch);
         }
+        let fleet_series = first..store.len();
 
         let transport = (collector.transport() != &TransportStats::default()
             || collector.fct().count() > 0)
@@ -221,7 +249,11 @@ impl FleetSnapshot {
             })
             .collect();
 
-        let report = collector.divergence_vs_sim(sim);
+        let divergence_max_bytes = collector
+            .divergences(sim)
+            .map(|d| d.abs_diff_bytes)
+            .max()
+            .unwrap_or(0);
         let rtt = collector.rtt();
         FleetSnapshot {
             t_ns: sim.now(),
@@ -229,8 +261,9 @@ impl FleetSnapshot {
             ticks: series.map_or(0, |s| s.ticks()),
             window_ns,
             switches,
-            fleet_windows,
-            opcodes: opcode_acc,
+            series: store,
+            fleet_series,
+            opcodes,
             transport,
             uplinks,
             bond_paths,
@@ -239,9 +272,19 @@ impl FleetSnapshot {
                 echoes_received: collector.echoes_received,
                 samples: collector.samples(),
                 rtt: (rtt.p50(), rtt.p99(), rtt.max()),
-                divergence_max_bytes: report.max_abs_bytes,
+                divergence_max_bytes,
             },
         }
+    }
+
+    /// The windows of `row`'s series `metric`, if it was recorded.
+    pub fn switch_windows(&self, row: &SwitchRow, metric: &str) -> Option<&[WindowAgg]> {
+        self.series.find(row.series.clone(), metric)
+    }
+
+    /// The fleet-wide series as `(metric, windows)`, in name order.
+    pub fn fleet_windows(&self) -> impl Iterator<Item = (&'static str, &[WindowAgg])> + '_ {
+        self.series.group(self.fleet_series.clone())
     }
 
     /// Indices of [`Self::switches`] ordered by `key` (descending for
@@ -335,7 +378,7 @@ mod tests {
             span: (0, 0, 0),
             hot: (0, 0, hot),
             occupancy_bytes: 0,
-            windows: BTreeMap::new(),
+            series: 0..0,
         };
         let snap = FleetSnapshot {
             t_ns: 0,
@@ -343,7 +386,8 @@ mod tests {
             ticks: 0,
             window_ns: 1,
             switches: vec![row(0x10, 5, 100), row(0x11, 9, 50), row(0x12, 5, 200)],
-            fleet_windows: BTreeMap::new(),
+            series: WindowStore::default(),
+            fleet_series: 0..0,
             opcodes: Vec::new(),
             transport: None,
             uplinks: Vec::new(),

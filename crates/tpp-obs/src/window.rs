@@ -19,8 +19,10 @@
 //!
 //! [`RingSeries`]: tpp_netsim::RingSeries
 
+use std::fmt;
+use std::ops::Range;
+
 use tpp_netsim::time;
-use tpp_netsim::RingSeries;
 
 /// The wall-clock window presets the issue tracker of any real fleet
 /// would ask for: 1 s, 10 s, 1 min, 5 min.
@@ -41,17 +43,22 @@ pub const SIM_WINDOWS: [u64; 4] = [
 ];
 
 /// Human label for a window width: `1s`, `10s`, `1m`, `5m`, `100us`...
-pub(crate) fn window_label(width_ns: u64) -> String {
-    if width_ns >= time::secs(60) && width_ns.is_multiple_of(time::secs(60)) {
-        format!("{}m", width_ns / time::secs(60))
-    } else if width_ns >= time::secs(1) && width_ns.is_multiple_of(time::secs(1)) {
-        format!("{}s", width_ns / time::secs(1))
-    } else if width_ns >= time::millis(1) && width_ns.is_multiple_of(time::millis(1)) {
-        format!("{}ms", width_ns / time::millis(1))
-    } else if width_ns >= time::micros(1) && width_ns.is_multiple_of(time::micros(1)) {
-        format!("{}us", width_ns / time::micros(1))
-    } else {
-        format!("{width_ns}ns")
+pub(crate) struct WindowLabel(pub(crate) u64);
+
+impl fmt::Display for WindowLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let width_ns = self.0;
+        for (unit_ns, unit) in [
+            (time::secs(60), "m"),
+            (time::secs(1), "s"),
+            (time::millis(1), "ms"),
+            (time::micros(1), "us"),
+        ] {
+            if width_ns >= unit_ns && width_ns.is_multiple_of(unit_ns) {
+                return write!(f, "{}{unit}", width_ns / unit_ns);
+            }
+        }
+        write!(f, "{width_ns}ns")
     }
 }
 
@@ -132,26 +139,22 @@ impl WindowedSeries {
         }
     }
 
-    /// Fold a whole point slice (e.g. [`RingSeries::points`]) at once.
-    /// The window list is sized once, from the windows the first and
-    /// last point span (at most one per point).
-    pub(crate) fn from_points(points: &[(u64, u64)], width_ns: u64) -> Self {
-        let mut w = WindowedSeries::new(width_ns);
-        if let (Some(&(first, _)), Some(&(last, _))) = (points.first(), points.last()) {
-            let span = (last / w.width_ns).saturating_sub(first / w.width_ns);
-            let windows = span.saturating_add(1).min(points.len() as u64);
-            w.closed.reserve_exact(windows as usize);
+    /// Fold a whole point slice (e.g. `RingSeries::points`) at once,
+    /// into a window list sized once by [`max_windows`].
+    #[cfg(test)]
+    fn from_points(points: &[(u64, u64)], width_ns: u64) -> Self {
+        let mut closed = Vec::with_capacity(max_windows(points, width_ns));
+        fold_into(points, width_ns, &mut closed, &mut Vec::new());
+        WindowedSeries {
+            closed,
+            ..WindowedSeries::new(width_ns)
         }
-        for &(t, v) in points {
-            w.push(t, v);
-        }
-        w.finish();
-        w
     }
 
     /// Fold a [`RingSeries`] — stride and overflow state do not matter,
     /// only the recorded points do.
-    pub(crate) fn from_ring(ring: &RingSeries, width_ns: u64) -> Self {
+    #[cfg(test)]
+    fn from_ring(ring: &tpp_netsim::RingSeries, width_ns: u64) -> Self {
         WindowedSeries::from_points(ring.points(), width_ns)
     }
 
@@ -199,17 +202,110 @@ impl WindowedSeries {
     pub fn last(&self) -> Option<&WindowAgg> {
         self.closed.last()
     }
+}
 
-    /// Largest window-max across the series (sparkline scale).
-    pub(crate) fn max_value(&self) -> u64 {
-        self.closed.iter().map(|w| w.max).max().unwrap_or(0)
+/// The most windows [`fold_into`] can seal from `points`: one per window
+/// the first and last point span, and at most one per point.
+pub(crate) fn max_windows(points: &[(u64, u64)], width_ns: u64) -> usize {
+    let width_ns = width_ns.max(1);
+    match (points.first(), points.last()) {
+        (Some(&(first, _)), Some(&(last, _))) => {
+            let span = (last / width_ns).saturating_sub(first / width_ns);
+            span.saturating_add(1).min(points.len() as u64) as usize
+        }
+        _ => 0,
+    }
+}
+
+/// Fold `points` into `width_ns` windows appended to `out`, holding each
+/// open window's samples in `scratch` (whatever it held is discarded; it
+/// is left empty): exactly [`WindowedSeries::push`] then
+/// [`WindowedSeries::finish`], run on the caller's buffers so a caller
+/// folding many series allocates nothing per series.
+pub(crate) fn fold_into(
+    points: &[(u64, u64)],
+    width_ns: u64,
+    out: &mut Vec<WindowAgg>,
+    scratch: &mut Vec<u64>,
+) {
+    scratch.clear();
+    let mut w = WindowedSeries {
+        closed: std::mem::take(out),
+        samples: std::mem::take(scratch),
+        ..WindowedSeries::new(width_ns)
+    };
+    for &(t, v) in points {
+        w.push(t, v);
+    }
+    w.finish();
+    (*out, *scratch) = (w.closed, w.samples);
+}
+
+/// Largest window-max across `windows` (sparkline scale).
+pub(crate) fn max_value(windows: &[WindowAgg]) -> u64 {
+    windows.iter().map(|w| w.max).max().unwrap_or(0)
+}
+
+/// The newest `n` windows: what a sparkline of width `n` draws.
+pub(crate) fn newest(windows: &[WindowAgg], n: usize) -> &[WindowAgg] {
+    &windows[windows.len().saturating_sub(n)..]
+}
+
+/// Many folded series in two flat lists — every series' windows back to
+/// back, and per series its metric name and span of that list — so a
+/// whole fleet's worth of series costs two allocations, not two per
+/// series.
+#[derive(Debug, Clone, Default)]
+pub struct WindowStore {
+    series: Vec<(&'static str, Range<usize>)>,
+    windows: Vec<WindowAgg>,
+}
+
+impl WindowStore {
+    /// An empty store with room for `series` series of `windows` windows
+    /// in total.
+    pub(crate) fn with_capacity(series: usize, windows: usize) -> Self {
+        WindowStore {
+            series: Vec::with_capacity(series),
+            windows: Vec::with_capacity(windows),
+        }
     }
 
-    /// Per-window values for a sparkline, newest `n` windows: the
-    /// window maxima (peaks are what a dashboard must not smooth away).
-    pub(crate) fn spark_values(&self, n: usize) -> Vec<u64> {
-        let start = self.closed.len().saturating_sub(n);
-        self.closed[start..].iter().map(|w| w.max).collect()
+    /// Series folded so far: the next one's index.
+    pub(crate) fn len(&self) -> usize {
+        self.series.len()
+    }
+
+    /// Fold `points` into `width_ns` windows as series `metric`
+    /// ([`fold_into`], with `scratch` for each window's samples).
+    pub(crate) fn fold(
+        &mut self,
+        metric: &'static str,
+        points: &[(u64, u64)],
+        width_ns: u64,
+        scratch: &mut Vec<u64>,
+    ) {
+        let start = self.windows.len();
+        fold_into(points, width_ns, &mut self.windows, scratch);
+        self.series.push((metric, start..self.windows.len()));
+    }
+
+    /// The series with indices in `group`, as `(metric, windows)` in
+    /// fold order.
+    pub fn group(
+        &self,
+        group: Range<usize>,
+    ) -> impl Iterator<Item = (&'static str, &[WindowAgg])> + '_ {
+        self.series[group]
+            .iter()
+            .map(|(metric, span)| (*metric, &self.windows[span.clone()]))
+    }
+
+    /// The windows of series `metric` within `group`, if it was folded.
+    pub fn find(&self, group: Range<usize>, metric: &str) -> Option<&[WindowAgg]> {
+        self.group(group)
+            .find(|&(m, _)| m == metric)
+            .map(|(_, windows)| windows)
     }
 }
 
@@ -217,6 +313,7 @@ impl WindowedSeries {
 mod tests {
     use super::*;
     use tpp_host::splitmix64;
+    use tpp_netsim::RingSeries;
 
     /// The brute-force oracle: bucket raw points by `t / width` in one
     /// pass over the whole slice, recomputing every aggregate from
@@ -342,22 +439,51 @@ mod tests {
 
     #[test]
     fn labels() {
-        assert_eq!(window_label(time::secs(1)), "1s");
-        assert_eq!(window_label(time::secs(10)), "10s");
-        assert_eq!(window_label(time::secs(60)), "1m");
-        assert_eq!(window_label(time::secs(300)), "5m");
-        assert_eq!(window_label(time::micros(100)), "100us");
-        assert_eq!(window_label(time::millis(2)), "2ms");
-        assert_eq!(window_label(1_500), "1500ns");
+        let label = |ns| WindowLabel(ns).to_string();
+        assert_eq!(label(time::secs(1)), "1s");
+        assert_eq!(label(time::secs(10)), "10s");
+        assert_eq!(label(time::secs(60)), "1m");
+        assert_eq!(label(time::secs(300)), "5m");
+        assert_eq!(label(time::micros(100)), "100us");
+        assert_eq!(label(time::millis(2)), "2ms");
+        assert_eq!(label(1_500), "1500ns");
     }
 
     #[test]
     fn spark_values_take_newest_window_maxima() {
         let points: Vec<(u64, u64)> = (0..50u64).map(|i| (i * 10, i)).collect();
         let w = WindowedSeries::from_points(&points, 100);
-        let spark = w.spark_values(3);
+        let spark = newest(w.windows(), 3);
         assert_eq!(spark.len(), 3);
-        assert_eq!(*spark.last().unwrap(), 49);
-        assert_eq!(w.max_value(), 49);
+        assert_eq!(spark.last().unwrap().max, 49);
+        assert_eq!(max_value(w.windows()), 49);
+        assert_eq!(newest(&[], 3), []);
+    }
+
+    #[test]
+    fn a_store_folds_each_series_like_its_own_windowed_series() {
+        let mut t = 0u64;
+        let points: Vec<(u64, u64)> = (0..300u64)
+            .map(|i| {
+                t += splitmix64(i) % 23;
+                (t, splitmix64(!i) % 1_000)
+            })
+            .collect();
+        let parts = [&points[..100], &points[100..], &[][..], &points[7..8]];
+        let cap: usize = parts.iter().map(|p| max_windows(p, 64)).sum();
+        let mut store = WindowStore::with_capacity(parts.len(), cap);
+        // Left over from another use of the scratch: must not leak in.
+        let mut scratch = vec![u64::MAX; 1_000];
+        for (metric, part) in ["a", "b", "c", "d"].into_iter().zip(parts) {
+            store.fold(metric, part, 64, &mut scratch);
+        }
+        assert_eq!(store.windows.capacity(), cap, "sized once, never grown");
+        assert!(scratch.is_empty());
+        for (i, (metric, windows)) in store.group(0..store.len()).enumerate() {
+            assert_eq!(windows, WindowedSeries::from_points(parts[i], 64).windows());
+            assert_eq!(store.find(0..store.len(), metric), Some(windows));
+        }
+        assert_eq!(store.find(2..4, "a"), None, "outside the group");
+        assert_eq!(store.find(0..4, "c"), Some(&[][..]), "folded, empty");
     }
 }

@@ -1,7 +1,7 @@
 //! The straight-line reference interpreter.
 //!
 //! One loop, one exhaustive match, fresh decoding of every instruction
-//! word at every pc, no caches. The `match` in [`step`] has **no
+//! word at every pc, no caches. The `match` in `step` has **no
 //! wildcard arm**: if `tpp-isa` ever grows an instruction variant this
 //! crate fails to compile until the reference semantics are written
 //! down, which is the "100% of instruction variants" guarantee the

@@ -8,7 +8,7 @@
 //! uniform exported *view* — the shape a production system would scrape.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A power-of-two bucketed histogram of `u64` samples.
 ///
@@ -132,10 +132,33 @@ impl Histogram {
 /// Names are dotted paths (`stage.metric`); aggregation across switches
 /// is a plain merge (counters add, histograms merge), which is correct
 /// because every exported value is a monotonic count or a sample stream.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// A registry rebuilt over and over (`clear`, then re-export) keeps its
+/// keys: [`MetricsRegistry::clear`] marks every entry absent instead of
+/// dropping it, and the next write to a known name finds its key, so a
+/// steady-state rebuild allocates nothing. An absent entry is invisible
+/// to every reader — [`counter`](Self::counter),
+/// [`histogram`](Self::histogram), the iterators, [`to_json`](Self::to_json)
+/// and `==` see exactly what the current rebuild exported.
+#[derive(Clone, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
+    /// `None` marks a key the last [`MetricsRegistry::clear`] emptied.
+    counters: BTreeMap<String, Option<u64>>,
+    histograms: BTreeMap<String, Option<Histogram>>,
+}
+
+/// Apply `f` to the value of `name` in `map` (`V::default()` when absent
+/// or cleared). One lookup for a known name; only a new name allocates
+/// its key.
+fn update<V: Default>(map: &mut BTreeMap<String, Option<V>>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(slot) => f(slot.get_or_insert_with(V::default)),
+        None => {
+            let mut value = V::default();
+            f(&mut value);
+            map.insert(name.to_string(), Some(value));
+        }
+    }
 }
 
 impl MetricsRegistry {
@@ -149,87 +172,80 @@ impl MetricsRegistry {
     /// aggregated view must never report a small value because one
     /// input overflowed.
     pub fn add(&mut self, name: &str, delta: u64) {
-        match self.counters.get_mut(name) {
-            Some(v) => *v = v.saturating_add(delta),
-            None => {
-                self.counters.insert(name.to_string(), delta);
-            }
-        }
+        update(&mut self.counters, name, |v| *v = v.saturating_add(delta));
     }
 
     /// Set a counter to an absolute value (for gauge-like registers).
     pub fn set(&mut self, name: &str, value: u64) {
-        self.counters.insert(name.to_string(), value);
+        update(&mut self.counters, name, |v| *v = value);
     }
 
     /// Read a counter (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.counters.get(name).copied().flatten().unwrap_or(0)
     }
 
     /// Record a histogram sample.
     pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(value);
+        update(&mut self.histograms, name, |h| h.observe(value));
     }
 
     /// Merge a pre-aggregated histogram into the named entry (created
     /// empty first if needed) — the export path for subsystems that
     /// maintain their own `Histogram` instances.
     pub fn merge_histogram(&mut self, name: &str, hist: &Histogram) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .merge(hist);
+        update(&mut self.histograms, name, |h| h.merge(hist));
     }
 
     /// Read a histogram, if it exists.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+        self.histograms.get(name).and_then(Option::as_ref)
     }
 
     /// Iterate counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
+        self.counters
+            .iter()
+            .filter_map(|(k, v)| v.map(|v| (k.as_str(), v)))
     }
 
     /// Iterate histograms in name order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
+        self.histograms
+            .iter()
+            .filter_map(|(k, v)| v.as_ref().map(|h| (k.as_str(), h)))
     }
 
     /// Merge another registry into this one (counters add saturating,
     /// histograms merge). Keys present in only one registry survive the
     /// merge untouched.
     pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, value) in &other.counters {
-            let v = self.counters.entry(name.clone()).or_insert(0);
-            *v = v.saturating_add(*value);
+        for (name, value) in other.counters() {
+            self.add(name, value);
         }
-        for (name, hist) in &other.histograms {
-            self.histograms.entry(name.clone()).or_default().merge(hist);
+        for (name, hist) in other.histograms() {
+            self.merge_histogram(name, hist);
         }
     }
 
-    /// Reset everything to empty.
+    /// Reset everything to empty. Keys are kept, marked absent, so the
+    /// next rebuild reuses them.
     pub fn clear(&mut self) {
-        self.counters.clear();
-        self.histograms.clear();
+        self.counters.values_mut().for_each(|v| *v = None);
+        self.histograms.values_mut().for_each(|h| *h = None);
     }
 
     /// Render as one JSON object: `{"counters":{...},"histograms":{...}}`.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\"counters\":{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
+        for (i, (name, value)) in self.counters().enumerate() {
             if i > 0 {
                 s.push(',');
             }
             let _ = write!(s, "\"{name}\":{value}");
         }
         s.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
+        for (i, (name, h)) in self.histograms().enumerate() {
             if i > 0 {
                 s.push(',');
             }
@@ -244,6 +260,23 @@ impl MetricsRegistry {
         }
         s.push_str("}}");
         s
+    }
+}
+
+/// Equal when both registries export the same present entries; keys a
+/// `clear` left absent do not count.
+impl PartialEq for MetricsRegistry {
+    fn eq(&self, other: &Self) -> bool {
+        self.counters().eq(other.counters()) && self.histograms().eq(other.histograms())
+    }
+}
+
+impl fmt::Debug for MetricsRegistry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MetricsRegistry")
+            .field("counters", &self.counters().collect::<Vec<_>>())
+            .field("histograms", &self.histograms().collect::<Vec<_>>())
+            .finish()
     }
 }
 
@@ -372,5 +405,40 @@ mod tests {
         assert!(j.contains("\"a.b\":2"));
         assert!(j.contains("\"count\":1"));
         assert!(j.contains("\"sum\":8"));
+    }
+
+    #[test]
+    fn cleared_entries_are_absent_until_re_exported() {
+        // One rebuild exports a fault counter, a zero opcode and a
+        // histogram; the next exports only `kept`. The reused registry
+        // must read exactly like one built fresh from the second export.
+        let mut reused = MetricsRegistry::new();
+        reused.set("fault.reboots", 3);
+        reused.add("profile.tcpu.opcode.NOP", 0);
+        reused.observe("queue.depth_bytes", 64);
+        reused.add("kept", 1);
+        reused.clear();
+        reused.add("kept", 2);
+
+        let mut fresh = MetricsRegistry::new();
+        fresh.add("kept", 2);
+
+        assert_eq!(reused, fresh);
+        assert_eq!(reused.to_json(), fresh.to_json());
+        assert_eq!(reused.counters().collect::<Vec<_>>(), vec![("kept", 2)]);
+        assert_eq!(reused.histograms().count(), 0);
+        assert_eq!(reused.counter("fault.reboots"), 0);
+        assert!(reused.histogram("queue.depth_bytes").is_none());
+        assert_ne!(reused, {
+            let mut other = fresh.clone();
+            other.add("profile.tcpu.opcode.NOP", 0);
+            other
+        });
+
+        // Re-exported, a cleared key starts from zero, not from its old value.
+        reused.add("fault.reboots", 1);
+        reused.observe("queue.depth_bytes", 8);
+        assert_eq!(reused.counter("fault.reboots"), 1);
+        assert_eq!(reused.histogram("queue.depth_bytes").unwrap().count(), 1);
     }
 }

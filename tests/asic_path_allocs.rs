@@ -10,11 +10,14 @@
 //! every program and the queues and tables have reached their size —
 //! against a budget per frame. A decode miss is served by the cache's
 //! interner and a table write patches the TCAM index in place, so the
-//! expectation is zero; before either existed it was ~2 per frame.
+//! expectation is zero; before either existed it was ~2 per frame. The
+//! stream then runs on through the span profiler, whose histograms,
+//! reservoir and opcode tally are full-size after a warm-up: a profiled
+//! frame allocates nothing either.
 
 mod common;
 
-use tpp::asic::{Asic, AsicConfig, FlowAction, FlowEntry, FlowMatch, Outcome};
+use tpp::asic::{Asic, AsicConfig, FlowAction, FlowEntry, FlowMatch, Outcome, ProfileConfig};
 use tpp::wire::EthernetAddress;
 use tpp_bench::testgen::tpp_frame;
 use tpp_bench::traffic::Rng64;
@@ -128,5 +131,22 @@ fn steady_state_asic_frames_do_not_allocate() {
     );
     eprintln!(
         "asic_path_allocs: {allocs} allocs / {frames} frames; {hits} decode hits, {misses} misses"
+    );
+
+    // Profiled: a warm-up quarter fills the 1,024-sample span reservoir.
+    asic.enable_profiling(ProfileConfig::default());
+    let (warm, end) = (FRAMES + FRAMES / 4, FRAMES + FRAMES / 2);
+    offer(&mut asic, &mut rng, &templates, FRAMES..warm, &mut buf);
+    let allocs0 = allocations();
+    offer(&mut asic, &mut rng, &templates, warm..end, &mut buf);
+    let allocs = allocations() - allocs0;
+    let profile = asic.profile().expect("profiling on");
+    assert_eq!(profile.packets(), u64::from(end - FRAMES));
+    assert!(profile.opcode_breakdown().count() == 2, "PUSHI and NOP");
+    assert_eq!(
+        allocs,
+        0,
+        "{allocs} allocations for {} profiled frames",
+        end - warm
     );
 }

@@ -15,12 +15,25 @@
 //! The run repeats on every row of the shard matrix: the threaded
 //! scheduler's per-window bookkeeping and cross-shard buffer migration
 //! have to fit in the same budget.
+//!
+//! The same test then pins the dashboard refresh that runs beside such
+//! a fleet: after one warm-up, a refresh of a profiled, series-on
+//! leaf-spine makes at most [`REFRESH_BUDGET`] allocations, because the
+//! simulator's registry keeps its keys and the snapshot, frame and
+//! Prometheus text are each written into buffers sized once.
 
 mod common;
 
+use tpp::apps::microburst::MicroburstMonitor;
+use tpp::asic::ProfileConfig;
+use tpp::host::EchoReceiver;
 use tpp::netsim::{
-    for_each_shard_row, Endpoint, FatTreeParams, HostId, RunLimit, SimConfig, Simulator,
+    for_each_shard_row, leaf_spine_with, time, Endpoint, FatTreeParams, HostApp, HostId,
+    LeafSpineParams, RunLimit, SimConfig, Simulator, SwitchId,
 };
+use tpp::obs::{prometheus_snapshot, render_dashboard, Collector, DashState, FleetSnapshot};
+use tpp::telemetry::MetricsRegistry;
+use tpp::wire::EthernetAddress;
 use tpp_bench::traffic::{closed_loop_fat_tree, ClosedFlowGenApp, TrafficConfig};
 
 use common::{allocations, CountingAllocator};
@@ -37,10 +50,15 @@ fn host_frames(sim: &Simulator, n_hosts: usize) -> u64 {
         .sum()
 }
 
+/// Allocations one steady-state dashboard refresh may make (it made
+/// ~410 when every call rebuilt its keys, strings and maps).
+const REFRESH_BUDGET: u64 = 20;
+
 // One test per binary: see `common`.
 #[test]
 fn steady_state_host_frames_do_not_allocate() {
     for_each_shard_row(check_host_frame_allocations);
+    for_each_shard_row(check_refresh_allocations);
 }
 
 fn check_host_frame_allocations(config: SimConfig) {
@@ -107,4 +125,74 @@ fn check_host_frame_allocations(config: SimConfig) {
         "host_path_allocs: {allocs} allocs / {frames} host frames = {per_frame:.4}; \
          pool reuse {reuse:.4}"
     );
+}
+
+/// One dashboard refresh, as `tpp_top` and the repo benchmark's
+/// `probe_storm_obs` run it: the frame and the Prometheus text.
+fn refresh(sim: &mut Simulator, state: &DashState) -> (String, String) {
+    let collector = Collector::new();
+    let snap = FleetSnapshot::capture(sim, &collector, state.window_ns());
+    let frame = render_dashboard(&snap, state, 120, 40);
+    (frame, prometheus_snapshot(sim.metrics()))
+}
+
+fn check_refresh_allocations(config: SimConfig) {
+    let params = LeafSpineParams::default(); // 4 leaves x 2 spines, 16 hosts
+    let n_hosts = params.n_leaves * params.hosts_per_leaf;
+    // Even hosts probe the odd host one leaf over, which echoes.
+    let apps = (0..n_hosts)
+        .map(|i| -> Box<dyn HostApp> {
+            if i % 2 == 1 {
+                return Box::new(EchoReceiver::default());
+            }
+            let target = EthernetAddress::from_host_id(((i + 5) % n_hosts) as u32);
+            Box::new(MicroburstMonitor::new(
+                target,
+                6,
+                10_000,
+                0,
+                time::millis(20),
+            ))
+        })
+        .collect();
+    let (mut sim, fabric) = leaf_spine_with(config, params, apps);
+    for &s in fabric.leaves.iter().chain(&fabric.spines) {
+        sim.switch_mut(s).enable_profiling(ProfileConfig::default());
+    }
+    sim.observe().series(512);
+    let state = DashState::default();
+
+    sim.run(RunLimit::Until(time::millis(2)));
+    refresh(&mut sim, &state); // warm-up: the registry learns its keys
+    for ms in 3..=10 {
+        sim.run(RunLimit::Until(time::millis(ms)));
+        let allocs0 = allocations();
+        let (frame, prom) = refresh(&mut sim, &state);
+        let allocs = allocations() - allocs0;
+        assert!(
+            allocs <= REFRESH_BUDGET,
+            "refresh at {ms} ms made {allocs} allocations (budget {REFRESH_BUDGET})"
+        );
+
+        // The reused registry exports what one built from nothing does.
+        let mut fresh = MetricsRegistry::new();
+        for i in 0..sim.num_switches() {
+            sim.switch(SwitchId(i)).export_metrics(&mut fresh);
+        }
+        fresh.set(
+            "link.frames_lost",
+            sim.metrics().counter("link.frames_lost"),
+        );
+        assert_eq!(prom, prometheus_snapshot(&fresh), "at {ms} ms");
+        let snap = FleetSnapshot::capture(&sim, &Collector::new(), state.window_ns());
+        assert_eq!(
+            frame,
+            render_dashboard(&snap, &state, 120, 40),
+            "at {ms} ms"
+        );
+        assert!(prom.contains("tpp_profile_tcpu_opcode_"), "profiled");
+        if ms == 10 {
+            eprintln!("refresh allocations: {allocs} (budget {REFRESH_BUDGET})");
+        }
+    }
 }

@@ -91,7 +91,10 @@ proptest! {
                 "stage {} diverged between caches on/off", stage.name()
             );
         }
-        prop_assert_eq!(pc.opcode_breakdown(), pu.opcode_breakdown());
+        prop_assert_eq!(
+            pc.opcode_breakdown().collect::<Vec<_>>(),
+            pu.opcode_breakdown().collect::<Vec<_>>()
+        );
     }
 
     /// A profiled ASIC forwards bit-identically to an unprofiled one:
