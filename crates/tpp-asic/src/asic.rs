@@ -9,6 +9,15 @@
 //! The ASIC is a passive object driven by its owner (a `tpp-netsim` switch
 //! node or a unit test): it never knows about time except through the
 //! `now_ns` it is handed, which keeps the whole system deterministic.
+//!
+//! A frame may arrive as a **head** plus a **tail**: the bytes a sender
+//! wrote, then a count of zero bytes the wire carries after them (a bulk
+//! payload nobody reads, see [`DropTailQueue`]). Every length the
+//! pipeline counts or exposes — port and queue bytes, `PacketMeta`'s
+//! `packet_length`, observer lengths — is `head.len() + tail`. A stage
+//! never reads the tail: a tailed frame whose headers the pipeline
+//! parses past Ethernet (a TPP, IPv4) is zero-filled whole on arrival,
+//! so it behaves exactly like its materialized twin.
 
 use crate::config::{AsicConfig, PortConfig, StripAction};
 use crate::decode_cache::ProgramInterner;
@@ -563,7 +572,7 @@ impl Asic {
     /// frame's buffer is freed; [`Asic::handle_frame_routed`] hands it
     /// back instead.
     pub fn handle_frame(&mut self, frame: Vec<u8>, in_port: PortId, now_ns: u64) -> Outcome {
-        self.handle_frame_routed(frame, in_port, now_ns, None).0
+        self.handle_frame_routed(frame, 0, in_port, now_ns, None).0
     }
 
     /// [`Asic::handle_frame`] with an optional ECMP egress substitution:
@@ -577,12 +586,16 @@ impl Asic {
     /// argument of this frame's walk and nothing else: a frame dropped
     /// before its lookup cannot leak it into the next one.
     ///
+    /// The frame is `frame` followed by `tail` zero bytes (0: the frame
+    /// is whole; see the [module docs](self)).
+    ///
     /// The second value is the buffer of a frame the pipeline dropped
     /// (anywhere: parse, edge filter, lookup or a full egress queue), so
     /// the caller can recycle its capacity; `None` when it was enqueued.
     pub fn handle_frame_routed(
         &mut self,
         mut frame: Vec<u8>,
+        mut tail: u32,
         in_port: PortId,
         now_ns: u64,
         hint: Option<PortId>,
@@ -593,12 +606,16 @@ impl Asic {
         );
         self.regs.wall_clock_ns = now_ns;
         self.regs.packets_processed += 1;
+        if tail > 0 && !tail_is_opaque(&frame) {
+            materialize(&mut frame, tail);
+            tail = 0;
+        }
 
         // --- Header parser (Fig. 3) ---
         let parsed = Frame::new_checked(&frame[..]);
         let is_tpp = parsed.as_ref().is_ok_and(|f| f.is_tpp());
         if let Some(obs) = self.observer.as_deref_mut() {
-            let len = frame.len() as u32;
+            let len = frame.len() as u32 + tail;
             obs.parsed(&self.regs, in_port, len, is_tpp, parsed.is_ok());
         }
         let Ok(parsed) = parsed else {
@@ -624,7 +641,7 @@ impl Asic {
                         let inner_is_tpp = EtherType(inner_ethertype) == EtherType::TPP;
                         // `strip_tpp` leaves a full Ethernet header.
                         let key = flow_key(&Frame::new_unchecked(&frame[..]), in_port);
-                        self.forward_plain(frame, &key, hint, inner_is_tpp)
+                        self.forward_plain(frame, 0, &key, hint, inner_is_tpp)
                     }
                     None => self.drop_frame(DropReason::EdgeFiltered, frame),
                 },
@@ -633,9 +650,10 @@ impl Asic {
 
         let key = flow_key(&parsed, in_port);
         if is_tpp {
+            // Whole: a TPP's tail was zero-filled above.
             self.forward_tpp(frame, &key, hint, now_ns)
         } else {
-            self.forward_plain(frame, &key, hint, false)
+            self.forward_plain(frame, tail, &key, hint, false)
         }
     }
 
@@ -708,12 +726,13 @@ impl Asic {
     fn forward_plain(
         &mut self,
         frame: Vec<u8>,
+        tail: u32,
         key: &FlowKey,
         hint: Option<PortId>,
         is_tpp: bool,
     ) -> (Outcome, Option<Vec<u8>>) {
         match self.lookup(key, hint) {
-            Ok(route) => self.enqueue(frame, route.port, route.queue, None, is_tpp),
+            Ok(route) => self.enqueue(frame, tail, route.port, route.queue, None, is_tpp),
             Err(reason) => self.drop_frame(reason, frame),
         }
     }
@@ -799,21 +818,23 @@ impl Asic {
             None
         };
 
-        self.enqueue(frame, out_port, queue_id, exec, true)
+        self.enqueue(frame, 0, out_port, queue_id, exec, true)
     }
 
-    /// Admit a frame to its egress queue. `is_tpp` is threaded from the
-    /// parse stage (via the forward path) so the ECN check does not have
-    /// to re-parse the Ethernet header. A refused frame is handed back.
+    /// Admit a frame of `frame.len() + tail` wire bytes to its egress
+    /// queue. `is_tpp` is threaded from the parse stage (via the forward
+    /// path) so the ECN check does not have to re-parse the Ethernet
+    /// header. A refused frame is handed back.
     fn enqueue(
         &mut self,
         mut frame: Vec<u8>,
+        tail: u32,
         out_port: PortId,
         queue_id: QueueId,
         exec: Option<ExecReport>,
         is_tpp: bool,
     ) -> (Outcome, Option<Vec<u8>>) {
-        let len = frame.len() as u64;
+        let len = frame.len() as u64 + tail as u64;
         let port = &mut self.ports[out_port as usize];
         let capacity_kbps = port.config.capacity_kbps;
         // Occupancy *before* this frame — the value ECN compares against
@@ -838,7 +859,7 @@ impl Asic {
         port.stats.rx_bytes += len;
         port.stats.rx_packets += 1;
         port.stats.rx_window_bytes += len;
-        let refused = port.queues[queue_id as usize].enqueue(frame).err();
+        let refused = port.queues[queue_id as usize].enqueue(frame, tail).err();
         let accepted = refused.is_none();
         if accepted {
             port.stats.bytes_enqueued += len;
@@ -863,14 +884,25 @@ impl Asic {
         (outcome, refused)
     }
 
-    /// Transmit the next frame of a port (the scheduler): queues are
-    /// served in strict priority order, queue 0 first.
+    /// Transmit the next frame of a port, whole: [`Asic::dequeue_with_tail`]
+    /// with the tail zero-filled onto the head.
     pub fn dequeue(&mut self, port_id: PortId) -> Option<Vec<u8>> {
+        self.dequeue_with_tail(port_id).map(|(mut frame, tail)| {
+            if tail > 0 {
+                materialize(&mut frame, tail);
+            }
+            frame
+        })
+    }
+
+    /// Transmit the next frame of a port (the scheduler) as its head and
+    /// tail: queues are served in strict priority order, queue 0 first.
+    pub fn dequeue_with_tail(&mut self, port_id: PortId) -> Option<(Vec<u8>, u32)> {
         let port = &mut self.ports[port_id as usize];
-        let mut served: Option<(QueueId, Vec<u8>, u64)> = None;
+        let mut served: Option<(QueueId, (Vec<u8>, u32), u64)> = None;
         for (queue_id, queue) in port.queues.iter_mut().enumerate() {
             if let Some(frame) = queue.dequeue() {
-                let len = frame.len() as u64;
+                let len = frame.0.len() as u64 + frame.1 as u64;
                 port.stats.tx_bytes += len;
                 port.stats.tx_packets += 1;
                 port.stats.tx_window_bytes += len;
@@ -880,7 +912,8 @@ impl Asic {
         }
         let (queue, frame, depth_after) = served?;
         if let Some(obs) = self.observer.as_deref_mut() {
-            obs.dequeued(&self.regs, port_id, queue, frame.len() as u32, depth_after);
+            let len = frame.0.len() as u32 + frame.1;
+            obs.dequeued(&self.regs, port_id, queue, len, depth_after);
         }
         Some(frame)
     }
@@ -928,6 +961,21 @@ impl Asic {
     pub fn port_capacity_kbps(&self, port: PortId) -> u32 {
         self.ports[port as usize].config.capacity_kbps
     }
+}
+
+/// Whether no stage reads past `head`: it holds a whole Ethernet header
+/// whose EtherType is neither TPP nor IPv4, the two payloads the
+/// pipeline parses (and whose parsers check lengths).
+fn tail_is_opaque(head: &[u8]) -> bool {
+    Frame::new_checked(head).is_ok_and(|f| !f.is_tpp() && f.ethertype() != EtherType::IPV4)
+}
+
+/// Zero-fill a frame's `tail` onto its head, leaving it whole. Out of
+/// line: the simulator's frames never need it.
+#[cold]
+#[inline(never)]
+fn materialize(frame: &mut Vec<u8>, tail: u32) {
+    frame.resize(frame.len() + tail as usize, 0);
 }
 
 /// Extract the lookup key from a length-checked frame view.
@@ -1668,14 +1716,14 @@ mod tests {
             )
         };
         assert_eq!(
-            asic.handle_frame_routed(mk(), 0, 0, Some(3)).0.egress(),
+            asic.handle_frame_routed(mk(), 0, 0, 0, Some(3)).0.egress(),
             Some((3, 0)),
             "L2 wins the walk, so the hint replaces its port"
         );
         // A frame too short to parse drops before its lookup; its hint
         // dies with it and the next frame resolves by L2.
         assert_eq!(
-            asic.handle_frame_routed(vec![0u8; 5], 0, 1, Some(3)),
+            asic.handle_frame_routed(vec![0u8; 5], 0, 0, 1, Some(3)),
             (
                 Outcome::Dropped {
                     reason: DropReason::ParseError
@@ -1837,6 +1885,142 @@ mod tests {
         let parsed = Frame::new_checked(&sent[..]).unwrap();
         let tpp = TppPacket::new_checked(parsed.payload()).unwrap();
         assert_eq!(tpp.stack_words(), vec![0xA1]);
+    }
+
+    /// A `len`-byte bulk frame to host 1 (egress port 1): a 38-byte head
+    /// (Ethernet plus 24 header bytes), then zeros. Tailed, the zeros are
+    /// a count; otherwise they are bytes.
+    fn bulk_frame(len: usize, tailed: bool) -> (Vec<u8>, u32) {
+        let mut payload = vec![0u8; len - ETHERNET_HEADER_LEN];
+        payload[..24].copy_from_slice(&[0x5A; 24]);
+        let mut frame = build_frame(
+            EthernetAddress::from_host_id(1),
+            EthernetAddress::from_host_id(2),
+            EtherType(0x0802),
+            &payload,
+        );
+        if !tailed {
+            return (frame, 0);
+        }
+        frame.truncate(ETHERNET_HEADER_LEN + 24);
+        let tail = (len - frame.len()) as u32;
+        (frame, tail)
+    }
+
+    /// Everything a run of the twin scenario shows.
+    struct TwinRun {
+        outcomes: Vec<Outcome>,
+        port: PortStats,
+        queue: QueueStats,
+        /// The TPP's `Queue:QueueSize` read.
+        read: Vec<u32>,
+        /// The frames served, zero-filled.
+        served: Vec<Vec<u8>>,
+        /// A snapshot taken with the queue full.
+        saved: AsicState,
+    }
+
+    /// Fill port 1's 3,000-byte queue with two bulk frames, send a TPP
+    /// reading `Queue:QueueSize` behind them, then one frame a byte past
+    /// the limit (dropped) and one that lands exactly on it (admitted).
+    fn twin_run(tailed: bool) -> TwinRun {
+        let mut asic = Asic::new(AsicConfig::with_ports(0xA1, 4).queue_limit_bytes(3_000));
+        asic.l2_mut().insert(EthernetAddress::from_host_id(1), 1);
+        asic.enable_profiling(ProfileConfig::default());
+        let mut outcomes = Vec::new();
+        let mut offer = |asic: &mut Asic, (frame, tail): (Vec<u8>, u32)| {
+            outcomes.push(asic.handle_frame_routed(frame, tail, 0, 1_000, None).0);
+        };
+        offer(&mut asic, bulk_frame(1_200, tailed));
+        offer(&mut asic, bulk_frame(1_100, tailed));
+        let probe = tpp_frame("PUSH [Queue:QueueSize]", 1);
+        let room = 3_000 - 2_300 - probe.len();
+        offer(&mut asic, (probe, 0));
+        offer(&mut asic, bulk_frame(room + 1, tailed));
+        offer(&mut asic, bulk_frame(room, tailed));
+        assert_eq!(asic.queue_len_bytes(1, 0), 3_000, "exactly at the limit");
+        let saved = asic.snapshot();
+        let (port, queue) = (asic.port_stats(1).clone(), asic.queue_stats(1, 0).clone());
+        let served: Vec<Vec<u8>> = std::iter::from_fn(|| asic.dequeue(1)).collect();
+        let probe = Frame::new_checked(&served[2][..]).unwrap();
+        let read = TppPacket::new_checked(probe.payload()).unwrap();
+        TwinRun {
+            outcomes,
+            port,
+            queue,
+            read: read.stack_words(),
+            served,
+            saved,
+        }
+    }
+
+    #[test]
+    fn tailed_frames_and_their_materialized_twins_agree() {
+        let tailed = twin_run(true);
+        let whole = twin_run(false);
+        assert_eq!(tailed.outcomes, whole.outcomes);
+        assert!(matches!(
+            tailed.outcomes[3],
+            Outcome::Dropped {
+                reason: DropReason::QueueFull { port: 1 }
+            }
+        ));
+        assert!(
+            tailed.outcomes[4].is_enqueued(),
+            "exactly at the limit fits"
+        );
+        assert_eq!(tailed.port, whole.port);
+        assert_eq!(tailed.queue, whole.queue);
+        assert_eq!(
+            tailed.read,
+            vec![2_300],
+            "the TPP reads the wire bytes ahead"
+        );
+        assert_eq!(tailed.read, whole.read);
+        assert_eq!(tailed.served, whole.served);
+    }
+
+    #[test]
+    fn snapshot_restore_keeps_the_tail() {
+        let saved = twin_run(true).saved;
+        let frames = &saved.ports[1].queues[0].frames;
+        assert_eq!(frames[0].0.len(), ETHERNET_HEADER_LEN + 24);
+        assert_eq!(frames[0].1, 1_200 - 38, "the snapshot holds the tail");
+        let mut asic = Asic::new(AsicConfig::with_ports(0xA1, 4).queue_limit_bytes(3_000));
+        asic.restore(&saved);
+        assert_eq!(asic.snapshot(), saved);
+        assert_eq!(asic.queue_len_bytes(1, 0), 3_000);
+        let served: Vec<_> = std::iter::from_fn(|| asic.dequeue_with_tail(1)).collect();
+        assert_eq!(served, *frames, "heads and tails come back as saved");
+        assert_eq!(asic.port_stats(1).tx_bytes, 3_000);
+    }
+
+    #[test]
+    fn a_tailed_frame_the_pipeline_parses_is_zero_filled_on_arrival() {
+        use tpp_wire::{build_ipv4, Ipv4Address};
+        let mut asic = asic();
+        asic.l3_mut().insert(0x0a000000, 8, 3);
+        let ip = build_ipv4(
+            Ipv4Address::new(192, 168, 0, 1),
+            Ipv4Address::new(10, 1, 2, 3),
+            17,
+            64,
+            &[0u8; 200],
+        );
+        let whole = build_frame(
+            EthernetAddress::from_host_id(99),
+            EthernetAddress::from_host_id(1),
+            EtherType::IPV4,
+            &ip,
+        );
+        // The IPv4 parser checks the total length against the buffer: a
+        // head alone would fail it and miss the L3 route.
+        let head = whole[..ETHERNET_HEADER_LEN + 20].to_vec();
+        let tail = (whole.len() - head.len()) as u32;
+        let (outcome, _) = asic.handle_frame_routed(head, tail, 0, 0, None);
+        assert!(matches!(outcome, Outcome::Enqueued { port: 3, .. }));
+        assert_eq!(asic.regs().l3_hits, 1);
+        assert_eq!(asic.dequeue_with_tail(3), Some((whole, 0)));
     }
 
     #[test]

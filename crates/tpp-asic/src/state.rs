@@ -24,8 +24,9 @@ use crate::stats::{PortStats, QueueStats, SwitchRegs};
 pub struct QueueState {
     /// The queue's statistics registers (`Queue:*`).
     pub stats: QueueStats,
-    /// Queued frames, head first.
-    pub frames: Vec<Vec<u8>>,
+    /// Queued frames, first in first, each as its head bytes and the
+    /// count of zero bytes the wire carries after them (its tail).
+    pub frames: Vec<(Vec<u8>, u32)>,
     /// The drop-tail byte limit (`Queue:Limit`).
     pub limit_bytes: u32,
 }

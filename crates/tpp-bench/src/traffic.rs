@@ -44,6 +44,11 @@ pub const FRAME_PAYLOAD: usize = 1486 - META_LEN;
 /// Bytes of flow metadata at the start of every benchmark frame.
 pub const META_LEN: usize = 24;
 
+/// Bytes a closed-loop segment's frame head holds: the Ethernet and
+/// transport headers ([`SegmentHdr::write_frame`]); a data segment's
+/// body follows as a tail.
+const SEGMENT_HEAD: usize = ETHERNET_HEADER_LEN + transport::HDR_LEN;
+
 const META_MAGIC: u16 = 0xF1C7;
 const FLAG_LAST: u8 = 1 << 0;
 const FLAG_MINING: u8 = 1 << 1;
@@ -273,6 +278,12 @@ pub struct Completion {
 /// single-path L2 fabric preserves ordering), so the final frame's
 /// arrival *is* flow completion — the receiver needs no reassembly
 /// state, every frame carries its flow metadata.
+///
+/// A frame is written as its 38-byte head, Ethernet plus the metadata,
+/// and its body of zeros is sent as a tail
+/// ([`HostCtx::send_with_tail`]): the wire, the switch queues and the
+/// FCTs count 1,500-byte frames, but a queued frame holds one small
+/// buffer. The receiver reads the metadata only, which is in the head.
 #[derive(Debug, Default)]
 pub struct FlowGenApp {
     schedule: Vec<Flow>,
@@ -303,9 +314,9 @@ impl FlowGenApp {
             let last = i + 1 == n_frames;
             let body = remaining.min(FRAME_PAYLOAD);
             remaining -= body;
-            let len = ETHERNET_HEADER_LEN + META_LEN + body;
-            let mut buf = ctx.alloc_frame(len);
-            buf.resize(len, 0);
+            let head = ETHERNET_HEADER_LEN + META_LEN;
+            let mut buf = ctx.alloc_frame(head);
+            buf.resize(head, 0);
             let mut eth = Frame::new_unchecked(&mut buf[..]);
             eth.set_dst_addr(flow.dst);
             eth.set_src_addr(ctx.mac());
@@ -317,7 +328,7 @@ impl FlowGenApp {
             p[4..8].copy_from_slice(&flow.bytes.to_be_bytes());
             p[8..16].copy_from_slice(&flow.start_ns.to_be_bytes());
             p[16..24].copy_from_slice(&flow.key.to_be_bytes());
-            ctx.send(buf);
+            ctx.send_with_tail(0, buf, body as u32);
             self.frames_sent += 1;
         }
         self.flows_started += 1;
@@ -497,9 +508,9 @@ impl ClosedFlowGenApp {
         let mac = ctx.mac();
         while let Some(seg) = st.sender.poll_send(now) {
             let hdr = st.sender.data_hdr(seg, now);
-            let mut frame = ctx.alloc_frame(hdr.frame_len());
-            hdr.write_frame(st.dst, mac, &mut frame);
-            ctx.send(frame);
+            let mut frame = ctx.alloc_frame(SEGMENT_HEAD);
+            let body = hdr.write_frame(st.dst, mac, &mut frame);
+            ctx.send_with_tail(0, frame, body);
             stats.segments_sent += 1;
         }
     }
@@ -624,9 +635,9 @@ impl ClosedFlowGenApp {
                 ack
             }
         };
-        let mut frame = ctx.alloc_frame(ack.frame_len());
-        ack.write_frame(src, ctx.mac(), &mut frame);
-        ctx.send(frame);
+        let mut frame = ctx.alloc_frame(SEGMENT_HEAD);
+        let body = ack.write_frame(src, ctx.mac(), &mut frame);
+        ctx.send_with_tail(0, frame, body);
         self.stats.acks_sent += 1;
     }
 
@@ -975,9 +986,9 @@ mod tests {
 
     impl ReplaySender {
         fn send(&self, hdr: SegmentHdr, ctx: &mut HostCtx<'_>) {
-            let mut frame = ctx.alloc_frame(hdr.frame_len());
-            hdr.write_frame(self.dst, ctx.mac(), &mut frame);
-            ctx.send(frame);
+            let mut frame = ctx.alloc_frame(SEGMENT_HEAD);
+            let body = hdr.write_frame(self.dst, ctx.mac(), &mut frame);
+            ctx.send_with_tail(0, frame, body);
         }
     }
 

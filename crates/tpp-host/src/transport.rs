@@ -177,12 +177,19 @@ impl SegmentHdr {
         ETHERNET_HEADER_LEN + HDR_LEN + body
     }
 
-    /// Append this segment's whole Ethernet frame to `buf`: both headers
-    /// and, for data segments, a zeroed body (the workload carries no
-    /// real bytes). Everything is written once, straight into the
-    /// caller's (pooled) buffer.
-    pub fn write_frame(&self, dst: EthernetAddress, src: EthernetAddress, buf: &mut Vec<u8>) {
-        let end = buf.len() + self.frame_len();
+    /// Append this segment's frame head to `buf`, the Ethernet and
+    /// transport headers, and return the bytes of body that follow them
+    /// on the wire ([`frame_len`](Self::frame_len) minus the head; 0 for
+    /// an ACK). The body is not written: the workload carries no real
+    /// bytes, so a sender passes the count as the frame's tail
+    /// (`HostCtx::send_with_tail` in `tpp-netsim`). The head is written
+    /// once, straight into the caller's (pooled) buffer.
+    pub fn write_frame(
+        &self,
+        dst: EthernetAddress,
+        src: EthernetAddress,
+        buf: &mut Vec<u8>,
+    ) -> u32 {
         write_header(buf, dst, src, TRANSPORT_ETHERTYPE);
         buf.extend_from_slice(&MAGIC);
         buf.extend_from_slice(&[self.kind, self.flags]);
@@ -193,7 +200,7 @@ impl SegmentHdr {
         buf.extend_from_slice(&self.ack.to_be_bytes());
         buf.extend_from_slice(&self.ts.to_be_bytes());
         buf.extend_from_slice(&self.body_len.to_be_bytes());
-        buf.resize(end, 0);
+        (self.frame_len() - ETHERNET_HEADER_LEN - HDR_LEN) as u32
     }
 
     /// The cumulative ACK `ack` answering this data segment: flow
@@ -929,10 +936,14 @@ mod tests {
         };
         let (dst, src) = macs();
         let mut frame = Vec::new();
-        hdr.write_frame(dst, src, &mut frame);
-        assert_eq!(frame.len(), hdr.frame_len());
+        let tail = hdr.write_frame(dst, src, &mut frame);
+        assert_eq!(frame.len() + tail as usize, hdr.frame_len());
         let p = &frame[ETHERNET_HEADER_LEN..];
-        assert_eq!(p.len(), HDR_LEN + 100);
+        assert_eq!(
+            (p.len(), tail),
+            (HDR_LEN, 100),
+            "headers written, body counted"
+        );
         assert_eq!(SegmentHdr::decode(p), Some(hdr));
         // The flow label convention lines up with the ECMP extractor.
         assert_eq!(&p[0..2], &MAGIC);
@@ -973,9 +984,15 @@ mod tests {
             // a dirty prefix shows the writer only appends.
             let mut buf = vec![0xEE; 5];
             buf.reserve(2_000);
-            hdr.write_frame(dst, src, &mut buf);
+            let tail = hdr.write_frame(dst, src, &mut buf) as usize;
             assert_eq!(&buf[..5], &[0xEE; 5]);
-            assert_eq!(&buf[5..], &encode_then_build_frame(&hdr)[..], "{hdr:?}");
+            // The head is the reference's first bytes; the tail counts
+            // the rest, which is all zeros.
+            let whole = encode_then_build_frame(&hdr);
+            let (head, body) = whole.split_at(whole.len() - tail);
+            assert_eq!(&buf[5..], head, "{hdr:?}");
+            assert!(body.iter().all(|&b| b == 0), "{hdr:?}");
+            assert_eq!(head.len(), ETHERNET_HEADER_LEN + HDR_LEN);
         }
         assert_eq!(ack.frame_len(), ETHERNET_HEADER_LEN + HDR_LEN);
     }

@@ -78,6 +78,14 @@ pub(crate) fn node_port_key(node: NodeId, port: PortId) -> u64 {
     host_bit | ((node.index() as u64) << 16) | port as u64
 }
 
+/// The `(node, port)` a [`node_port_key`] was made from: how a frame
+/// arrival's receiver is read back from its key.
+pub(crate) fn node_port_of(key: u64) -> (NodeId, PortId) {
+    let host_bit = ((key >> 63) as u32) << 31;
+    let index = (key >> 16) as u32 & !HOST_BIT;
+    (NodeId(host_bit | index), key as PortId)
+}
+
 /// The canonical total order on simulation events.
 ///
 /// Keys are derived from event *content*, never from insertion order, so
@@ -186,15 +194,15 @@ pub enum FaultApply {
 /// What happens.
 #[derive(Debug)]
 pub enum EventKind {
-    /// A frame finished arriving at `node` on `port` (for hosts, the NIC
-    /// index).
+    /// A frame finished arriving. Its receiving node and port (for hosts,
+    /// the NIC index) are read from the key's `major` ([`node_port_of`]),
+    /// which leaves room for the tail without widening the event.
     FrameArrive {
-        /// Receiving node.
-        node: NodeId,
-        /// Receiving port (NIC index for hosts).
-        port: PortId,
-        /// The frame bytes.
+        /// The frame's head: every byte a sender wrote.
         frame: Vec<u8>,
+        /// Zero bytes the wire carries after the head; the frame's wire
+        /// length is `frame.len() + tail`.
+        tail: u32,
     },
     /// The transmitter at `(node, port)` finished serializing a frame and
     /// may start the next one.
@@ -227,6 +235,10 @@ pub struct Event {
     /// Payload.
     pub kind: EventKind,
 }
+
+// Every pending event of every shard has this width, and frame arrivals
+// are most of them: a wider event measured 0.86-0.92x events/s.
+const _: () = assert!(std::mem::size_of::<Event>() == 64);
 
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
@@ -359,6 +371,24 @@ mod tests {
     }
 
     #[test]
+    fn node_port_key_round_trips_at_the_extremes() {
+        let top = HOST_BIT as usize - 1;
+        for index in [0, 1, 0xFFFF, 0x1_0000, top] {
+            for node in [NodeId::switch(SwitchId(index)), NodeId::host(HostId(index))] {
+                for port in [0, 1, PortId::MAX - 1, PortId::MAX] {
+                    let key = EventKey::frame(9, node, port, 0);
+                    assert_eq!(
+                        node_port_of(key.major),
+                        (node, port),
+                        "{node:?} port {port}"
+                    );
+                    assert!(key.is_frame_to(node, 9));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn ties_break_by_class_then_target() {
         let mut q = EventQueue::new();
         let node = NodeId::switch(SwitchId(1));
@@ -368,9 +398,8 @@ mod tests {
             &mut q,
             EventKey::frame(5, node, 0, 0),
             EventKind::FrameArrive {
-                node,
-                port: 0,
                 frame: vec![],
+                tail: 0,
             },
         );
         push(

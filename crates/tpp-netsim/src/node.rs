@@ -9,6 +9,8 @@
 
 use std::any::Any;
 
+use tpp_wire::ethernet::{EtherType, Frame, ETHERNET_HEADER_LEN};
+
 /// Identifier of a host in the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HostId(pub usize);
@@ -47,7 +49,10 @@ pub trait HostApp: AsAny + Send + 'static {
         let _ = ctx;
     }
 
-    /// Called when a frame is delivered to this host.
+    /// Called when a frame is delivered to this host. `frame` is the
+    /// frame's head, the bytes its sender wrote: a frame sent with
+    /// [`HostCtx::send_with_tail`] arrives without its tail of zeros
+    /// (every other frame arrives whole).
     fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
         let _ = (frame, ctx);
     }
@@ -62,8 +67,15 @@ pub trait HostApp: AsAny + Send + 'static {
 /// the simulator after the callback returns.
 #[derive(Debug)]
 pub(crate) enum HostAction {
-    Send { port: u16, frame: Vec<u8> },
-    Timer { delay_ns: u64, token: u64 },
+    Send {
+        port: u16,
+        frame: Vec<u8>,
+        tail: u32,
+    },
+    Timer {
+        delay_ns: u64,
+        token: u64,
+    },
 }
 
 /// The app's window onto the simulation during a callback.
@@ -94,17 +106,30 @@ impl HostCtx<'_> {
         self.mac
     }
 
-    /// Transmit a frame out of the host's first NIC (port 0). Frames
-    /// queue at the NIC and serialize at its configured rate, in order.
-    /// Multi-homed hosts pick a NIC with [`send_on`](Self::send_on).
+    /// Transmit a whole frame out of the host's first NIC (port 0).
+    /// Frames queue at the NIC and serialize at its configured rate, in
+    /// order. Multi-homed hosts pick a NIC with [`send_on`](Self::send_on).
     pub fn send(&mut self, frame: Vec<u8>) {
-        self.send_on(0, frame);
+        self.send_with_tail(0, frame, 0);
     }
 
-    /// Transmit a frame out of a specific NIC of a multi-homed host.
-    /// Each NIC has its own queue and serializes independently, so
+    /// Transmit a whole frame out of a specific NIC of a multi-homed
+    /// host. Each NIC has its own queue and serializes independently, so
     /// backlog on one port never blocks another.
     pub fn send_on(&mut self, port: u16, frame: Vec<u8>) {
+        self.send_with_tail(port, frame, 0);
+    }
+
+    /// Transmit `head` followed by `tail` zero bytes out of NIC `port`,
+    /// without building the zeros: the frame travels as its head and a
+    /// count. The wire, the switches and the taps count
+    /// `head.len() + tail` bytes exactly as for the whole frame; the
+    /// receiving app gets the head alone ([`HostApp::on_frame`]). Meant
+    /// for bulk payloads nobody reads. A head that does not hold every
+    /// byte a layer parses — a whole Ethernet header and the flow-label
+    /// window, with an EtherType other than TPP or IPv4, whose parsers
+    /// check lengths — is zero-filled here and sent whole.
+    pub fn send_with_tail(&mut self, port: u16, mut head: Vec<u8>, mut tail: u32) {
         assert!(
             port < self.ports,
             "host {:?} has {} NIC(s), no port {}",
@@ -112,7 +137,15 @@ impl HostCtx<'_> {
             self.ports,
             port
         );
-        self.actions.push(HostAction::Send { port, frame });
+        if tail > 0 && !tail_is_opaque(&head) {
+            head.resize(head.len() + tail as usize, 0);
+            tail = 0;
+        }
+        self.actions.push(HostAction::Send {
+            port,
+            frame: head,
+            tail,
+        });
     }
 
     /// The NIC the frame being delivered arrived on (0 outside
@@ -132,8 +165,9 @@ impl HostCtx<'_> {
     /// from the simulator's frame pool. Senders that build frames into
     /// this buffer reuse the capacity of frames the network (or another
     /// app) already consumed instead of hitting the allocator per
-    /// packet. Ask for the frame's real length: the pool serves small
-    /// and full-size requests from separate lists.
+    /// packet. Ask for the bytes you will write (a tailed frame's head
+    /// only): the pool serves small and full-size requests from
+    /// separate lists.
     pub fn alloc_frame(&mut self, capacity: usize) -> Vec<u8> {
         self.pool.alloc(capacity)
     }
@@ -152,4 +186,16 @@ impl HostCtx<'_> {
     pub fn set_timer(&mut self, delay_ns: u64, token: u64) {
         self.actions.push(HostAction::Timer { delay_ns, token });
     }
+}
+
+/// Whether no layer reads past `head`: it holds a whole Ethernet header
+/// and the ECMP flow-label window, and its EtherType is neither TPP nor
+/// IPv4 (the payloads switches and taps parse).
+fn tail_is_opaque(head: &[u8]) -> bool {
+    let label_end = crate::routing::FLOW_LABEL_OFFSET + 8;
+    if head.len() < ETHERNET_HEADER_LEN + label_end {
+        return false;
+    }
+    let ethertype = Frame::new_unchecked(head).ethertype();
+    ethertype != EtherType::TPP && ethertype != EtherType::IPV4
 }

@@ -11,16 +11,20 @@
 //! duplication path.
 //!
 //! Buffers are kept in two size classes, because traffic is bimodal —
-//! ACKs, probes and echoes are tens of bytes, data segments are ~1.5 KB
-//! — and [`recycle`](FramePool::recycle) accepts buffers the pool never
-//! handed out. In one shared list every small buffer an app built
-//! outside the pool is sooner or later popped for a data segment and
-//! grown (a `realloc`), small requests inherit full-size buffers, and
-//! the idle list fills to its bound with those: one unpooled probe
-//! sender on the closed-loop fat-tree costs +45 % peak RSS that way,
-//! +0 % with classes (DESIGN.md, "Who owns a frame buffer"). A request
-//! of at most [`SMALL_FRAME`] bytes is only ever served from the small
-//! list, anything larger only from the large one.
+//! ACKs, probes, echoes and the heads of tailed data frames
+//! ([`crate::HostCtx::send_with_tail`]) are tens of bytes, whole data
+//! segments are ~1.5 KB — and [`recycle`](FramePool::recycle) accepts
+//! buffers the pool never handed out. In one shared list every small
+//! buffer an app built outside the pool is sooner or later popped for a
+//! data segment and grown (a `realloc`), small requests inherit
+//! full-size buffers, and the idle list fills to its bound with those:
+//! one unpooled probe sender on the closed-loop fat-tree costs +45 %
+//! peak RSS that way, +0 % with classes (DESIGN.md, "Who owns a frame
+//! buffer"). A request of at most [`SMALL_FRAME`] bytes is only ever
+//! served from the small list, anything larger only from the large one.
+//! A small buffer is made at the top of its class, so any small request
+//! can reuse it: the list is LIFO, and a 38-byte head popped for a
+//! 150-byte probe would otherwise be grown (a `realloc`) once per probe.
 //!
 //! The pool is pure capacity reuse: a recycled buffer is always cleared
 //! before reuse, so it has no effect on simulation results.
@@ -73,15 +77,16 @@ impl FramePool {
                 self.reused += 1;
                 buf.clear();
                 if buf.capacity() < capacity {
-                    // Grow a small buffer to the top of its class at
-                    // once, so it is never grown a second time.
+                    // Only a buffer built outside the pool can be short.
+                    // Grow a small one to the top of its class at once,
+                    // so it is never grown a second time.
                     buf.reserve_exact(if small { SMALL_FRAME } else { capacity });
                 }
                 buf
             }
             None => {
                 self.fresh += 1;
-                Vec::with_capacity(capacity)
+                Vec::with_capacity(if small { SMALL_FRAME } else { capacity })
             }
         }
     }
@@ -163,6 +168,23 @@ mod tests {
         assert_eq!(buf.capacity(), SMALL_FRAME);
         pool.recycle(buf);
         assert_eq!(pool.alloc(200).capacity(), SMALL_FRAME, "same class still");
+    }
+
+    #[test]
+    fn a_head_then_a_probe_reuse_one_buffer_without_growing_it() {
+        let mut pool = FramePool::new(8);
+        // Warm-up: the first head is the only fresh allocation.
+        let head = pool.alloc(38);
+        assert_eq!(head.capacity(), SMALL_FRAME, "made at the top of the class");
+        let ptr = head.as_ptr();
+        pool.recycle(head);
+        for request in [150, 38, SMALL_FRAME, 56] {
+            let buf = pool.alloc(request);
+            assert_eq!(buf.capacity(), SMALL_FRAME, "never grown");
+            assert_eq!(buf.as_ptr(), ptr, "the same allocation");
+            pool.recycle(buf);
+        }
+        assert_eq!(pool.stats(), (4, 1, 5), "one fresh allocation in all");
     }
 
     #[test]

@@ -32,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::{RunLimit, SimConfig};
-use crate::event::{Event, EventKey, EventKind, EventQueue, FaultApply, NodeId};
+use crate::event::{node_port_of, Event, EventKey, EventKind, EventQueue, FaultApply, NodeId};
 use crate::fault::FaultCounters;
 use crate::node::{HostAction, HostApp, HostCtx, HostId, SwitchId};
 use crate::pool::FramePool;
@@ -221,7 +221,7 @@ impl ShardRun<'_> {
         while let Some(event) = self.state.events.pop_if(|key| key.time < end) {
             self.now_ns = event.key.time;
             self.state.processed += 1;
-            self.dispatch(event.kind);
+            self.dispatch(event);
         }
         self.next_pending().min(self.mailed_min)
     }
@@ -258,15 +258,16 @@ impl ShardRun<'_> {
         share.offer(now, faults, frames_lost(self.switches, self.hosts));
     }
 
-    fn dispatch(&mut self, kind: EventKind) {
+    fn dispatch(&mut self, Event { key, kind }: Event) {
         match kind {
-            EventKind::FrameArrive { node, port, frame } => {
+            EventKind::FrameArrive { frame, tail } => {
+                let (node, port) = node_port_of(key.major);
                 if !node.is_host() {
-                    self.switch_arrival(SwitchId(node.index()), port, frame);
+                    self.switch_arrival(SwitchId(node.index()), port, frame, tail);
                     self.drain_arrival_burst(node);
                 } else {
                     if !self.state.taps.is_empty() {
-                        self.tap(node, port, TapDir::Rx, &frame);
+                        self.tap(node, port, TapDir::Rx, &frame, tail);
                     }
                     let h = HostId(node.index());
                     self.call_host(h, port, |app, ctx| app.on_frame(frame, ctx));
@@ -287,15 +288,15 @@ impl ShardRun<'_> {
     }
 
     /// Hand one frame to a switch ASIC and start transmitting its output.
-    fn switch_arrival(&mut self, s: SwitchId, port: PortId, frame: Vec<u8>) {
+    fn switch_arrival(&mut self, s: SwitchId, port: PortId, frame: Vec<u8>, tail: u32) {
         if !self.state.taps.is_empty() {
-            self.tap(NodeId::switch(s), port, TapDir::Rx, &frame);
+            self.tap(NodeId::switch(s), port, TapDir::Rx, &frame, tail);
         }
         let now = self.now_ns;
         let hint = self.ecmp.and_then(|table| self.ecmp_pick(table, s, &frame));
         let (outcome, dropped) = self.switches[s.0 - self.switch_base]
             .asic
-            .handle_frame_routed(frame, port, now, hint);
+            .handle_frame_routed(frame, tail, port, now, hint);
         if let Some(frame) = dropped {
             self.recycle_dropped(frame);
         }
@@ -373,12 +374,13 @@ impl ShardRun<'_> {
         let s = SwitchId(node.index());
         let now = self.now_ns;
         while let Some(Event {
-            kind: EventKind::FrameArrive { port, frame, .. },
-            ..
+            key,
+            kind: EventKind::FrameArrive { frame, tail },
         }) = self.state.events.pop_if(|key| key.is_frame_to(node, now))
         {
             self.state.processed += 1;
-            self.switch_arrival(s, port, frame);
+            let (_, port) = node_port_of(key.major);
+            self.switch_arrival(s, port, frame, tail);
         }
     }
 
@@ -435,20 +437,20 @@ impl ShardRun<'_> {
             None => {
                 // Unconnected port: black-hole anything queued there,
                 // reclaiming the buffers.
-                while let Some((frame, _)) = self.dequeue(at, port) {
+                while let Some((frame, ..)) = self.dequeue(at, port) {
                     self.state.pool.recycle(frame);
                 }
                 return;
             }
         }
-        let Some((frame, rate_kbps)) = self.dequeue(at, port) else {
+        let Some((frame, tail, rate_kbps)) = self.dequeue(at, port) else {
             return;
         };
         let now = self.now_ns;
         let link = link_mut(self.switches, self.hosts, at, port).expect("wired");
         // A time-varying profile's degraded rate stretches the wire time
         // (and so both the transmitter-busy interval and the arrival).
-        let mut tx = tx_time_ns(frame.len(), rate_kbps);
+        let mut tx = tx_time_ns(frame.len() + tail as usize, rate_kbps);
         if let Some(p) = &link.profile {
             tx = crate::profile::scale_tx_ns(tx, p.sample(now).rate_permille);
         }
@@ -457,19 +459,22 @@ impl ShardRun<'_> {
             key: EventKey::link_free(now + tx, node, port),
             kind: EventKind::LinkFree { node, port },
         });
-        self.transmit(node, port, tx, frame);
+        self.transmit(node, port, tx, frame, tail);
     }
 
-    /// The next queued frame behind a transmitter and its line rate: the
-    /// one thing a switch port (its ASIC queues, its configured
-    /// capacity) and a host NIC (its own queue and rate) do differently.
-    fn dequeue(&mut self, at: NodeId, port: PortId) -> Option<(Vec<u8>, u32)> {
+    /// The next queued frame behind a transmitter, as its head and tail,
+    /// and its line rate: the one thing a switch port (its ASIC queues,
+    /// its configured capacity) and a host NIC (its own queue and rate)
+    /// do differently.
+    fn dequeue(&mut self, at: NodeId, port: PortId) -> Option<(Vec<u8>, u32, u32)> {
         if at.is_host() {
             let nic = &mut self.hosts[at.index()].nics[port as usize];
-            Some((nic.queue.pop_front()?, nic.rate_kbps))
+            let (frame, tail) = nic.queue.pop_front()?;
+            Some((frame, tail, nic.rate_kbps))
         } else {
             let asic = &mut self.switches[at.index()].asic;
-            Some((asic.dequeue(port)?, asic.port_capacity_kbps(port)))
+            let (frame, tail) = asic.dequeue_with_tail(port)?;
+            Some((frame, tail, asic.port_capacity_kbps(port)))
         }
     }
 
@@ -479,10 +484,11 @@ impl ShardRun<'_> {
     /// shard's queue or, across a shard boundary, in the destination
     /// shard's mailbox — propagation delay of inter-shard links is at
     /// least the lookahead, so the frame always arrives at or beyond
-    /// the end of the current window.
-    fn transmit(&mut self, from: NodeId, port: PortId, tx_ns: u64, frame: Vec<u8>) {
+    /// the end of the current window. The frame is `frame` and `tail`
+    /// zero bytes; the tail rides along as a count.
+    fn transmit(&mut self, from: NodeId, port: PortId, tx_ns: u64, frame: Vec<u8>, tail: u32) {
         if !self.state.taps.is_empty() {
-            self.tap(from, port, TapDir::Tx, &frame);
+            self.tap(from, port, TapDir::Tx, &frame, tail);
         }
         let switch_id = self.node_switch_id(from);
         let now = self.now_ns;
@@ -536,7 +542,8 @@ impl ShardRun<'_> {
             let f = link.faults;
             let rng = link.fault_rng.as_mut().expect("armed above");
             // Fixed consultation order (corrupt → duplicate → reorder)
-            // keeps the fault stream deterministic for a given plan.
+            // keeps the fault stream deterministic for a given plan. Only
+            // a TPP section is corrupted, and a TPP never has a tail.
             if f.corrupt_permille > 0 && rng.gen_range(0..1000u32) < f.corrupt_permille as u32 {
                 if let Some((byte, bit)) = pick_tpp_bit(rng, &frame) {
                     frame[byte] ^= 1 << bit;
@@ -577,11 +584,7 @@ impl ShardRun<'_> {
                 peer_shard,
                 Event {
                     key: EventKey::frame(arrival, peer, peer_port, seq),
-                    kind: EventKind::FrameArrive {
-                        node: peer,
-                        port: peer_port,
-                        frame: copy,
-                    },
+                    kind: EventKind::FrameArrive { frame: copy, tail },
                 },
             );
         }
@@ -590,11 +593,7 @@ impl ShardRun<'_> {
             peer_shard,
             Event {
                 key: EventKey::frame(arrival, peer, peer_port, seq),
-                kind: EventKind::FrameArrive {
-                    node: peer,
-                    port: peer_port,
-                    frame,
-                },
+                kind: EventKind::FrameArrive { frame, tail },
             },
         );
     }
@@ -643,10 +642,10 @@ impl ShardRun<'_> {
         }
         for action in actions.drain(..) {
             match action {
-                HostAction::Send { port, frame } => {
+                HostAction::Send { port, frame, tail } => {
                     self.hosts[h.0 - self.host_base].nics[port as usize]
                         .queue
-                        .push_back(frame);
+                        .push_back((frame, tail));
                     self.try_tx(NodeId::host(h), port);
                 }
                 HostAction::Timer { delay_ns, token } => {
@@ -699,10 +698,10 @@ impl ShardRun<'_> {
 
     #[cold]
     #[inline(never)]
-    fn tap(&mut self, node: NodeId, port: PortId, dir: TapDir, frame: &[u8]) {
+    fn tap(&mut self, node: NodeId, port: PortId, dir: TapDir, frame: &[u8], tail: u32) {
         let now = self.now_ns;
         if let Some(records) = self.state.taps.get_mut(&(node, port)) {
-            if let Some(record) = TapRecord::capture(now, dir, frame) {
+            if let Some(record) = TapRecord::capture(now, dir, frame, tail) {
                 records.push(record);
             }
         }

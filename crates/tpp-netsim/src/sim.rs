@@ -404,7 +404,7 @@ pub struct TapRecord {
     pub t_ns: u64,
     /// Direction relative to the tapped endpoint.
     pub dir: TapDir,
-    /// Frame length in bytes.
+    /// Frame length on the wire in bytes, tail included.
     pub len: usize,
     /// EtherType.
     pub ethertype: u16,
@@ -417,7 +417,7 @@ pub struct TapRecord {
 }
 
 impl TapRecord {
-    pub(crate) fn capture(t_ns: u64, dir: TapDir, frame: &[u8]) -> Option<TapRecord> {
+    pub(crate) fn capture(t_ns: u64, dir: TapDir, frame: &[u8], tail: u32) -> Option<TapRecord> {
         let parsed = Frame::new_checked(frame).ok()?;
         let tpp_hop = if parsed.is_tpp() {
             TppPacket::new_checked(parsed.payload())
@@ -429,7 +429,7 @@ impl TapRecord {
         Some(TapRecord {
             t_ns,
             dir,
-            len: frame.len(),
+            len: frame.len() + tail as usize,
             ethertype: parsed.ethertype().0,
             src: parsed.src_addr(),
             dst: parsed.dst_addr(),
@@ -499,7 +499,8 @@ pub(crate) struct SwitchNode {
 /// multi-homed host's ports serialize independently.
 pub(crate) struct Nic {
     pub(crate) rate_kbps: u32,
-    pub(crate) queue: VecDeque<Vec<u8>>,
+    /// Frames waiting for the transmitter, each a head and its tail.
+    pub(crate) queue: VecDeque<(Vec<u8>, u32)>,
     pub(crate) link: Option<Link>,
 }
 

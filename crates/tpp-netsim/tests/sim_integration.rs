@@ -802,3 +802,172 @@ fn check_frames_routed_to_an_unwired_switch_port_are_recycled_without_link_free(
     // The sender NIC's LinkFree and the switch arrival; none for port 2.
     assert_eq!(sim.events_processed(), 2);
 }
+
+/// Frames each sender puts on its NIC at start, the bytes of each on the
+/// wire, and the bytes of each that are written (Ethernet plus a 24-byte
+/// header, as the open-loop flow generator writes).
+const TWIN_FRAMES: usize = 40;
+const TWIN_LEN: usize = 1_500;
+const TWIN_HEAD: usize = 38;
+
+/// Sends [`TWIN_FRAMES`] numbered frames back to back at start: as a
+/// head and a tail, or built whole.
+struct TwinSender {
+    dst: EthernetAddress,
+    tailed: bool,
+}
+
+impl HostApp for TwinSender {
+    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+        for i in 0..TWIN_FRAMES as u64 {
+            let mut frame = ctx.alloc_frame(if self.tailed { TWIN_HEAD } else { TWIN_LEN });
+            frame.resize(TWIN_HEAD, 0);
+            let mut eth = Frame::new_unchecked(&mut frame[..]);
+            eth.set_dst_addr(self.dst);
+            eth.set_src_addr(ctx.mac());
+            eth.set_ethertype(EtherType(0x0802));
+            eth.payload_mut()[16..24].copy_from_slice(&i.to_be_bytes());
+            if self.tailed {
+                ctx.send_with_tail(0, frame, (TWIN_LEN - TWIN_HEAD) as u32);
+            } else {
+                frame.resize(TWIN_LEN, 0);
+                ctx.send(frame);
+            }
+        }
+    }
+}
+
+/// Records `(arrival time, frame number, bytes delivered)` per frame.
+#[derive(Default)]
+struct TwinReceiver {
+    got: Vec<(u64, u64, usize)>,
+}
+
+impl HostApp for TwinReceiver {
+    fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
+        let number = u64::from_be_bytes(frame[30..38].try_into().unwrap());
+        self.got.push((ctx.now(), number, frame.len()));
+        ctx.recycle_frame(frame);
+    }
+}
+
+/// What one twin run shows from outside: arrivals, tap records, frames
+/// per link direction, every port's and queue's registers, the fault
+/// counters, and the left switch's queue bytes and held heap bytes at
+/// the moment its bottleneck queue is full.
+#[derive(Debug, PartialEq)]
+struct TwinOutcome {
+    arrivals: Vec<Vec<(u64, u64)>>,
+    taps: Vec<Vec<tpp_netsim::TapRecord>>,
+    tx_frames: Vec<u64>,
+    registers: Vec<(tpp_asic::PortStats, tpp_asic::QueueStats)>,
+    duplicated: u64,
+    full_queue_bytes: u64,
+}
+
+/// Two senders into the 10 Mb/s dumbbell bottleneck (a 30 KB queue),
+/// the bottleneck duplicating every other frame. Returns the outcome and
+/// the bytes the left switch holds for its queued frames when the queue
+/// is full: its heap then, less its heap once every queue has drained
+/// (the queue rings keep their capacity, so the difference is the
+/// queued frames' buffers).
+fn twin_run(config: SimConfig, tailed: bool) -> (TwinOutcome, usize) {
+    use tpp_netsim::{Endpoint, FaultPlan};
+    let apps: Vec<(Box<dyn HostApp>, Box<dyn HostApp>)> = (0..2u32)
+        .map(|i| {
+            let sender = TwinSender {
+                dst: EthernetAddress::from_host_id(2 * i + 1),
+                tailed,
+            };
+            let receiver = TwinReceiver::default();
+            (
+                Box::new(sender) as Box<dyn HostApp>,
+                Box::new(receiver) as _,
+            )
+        })
+        .collect();
+    let params = DumbbellParams {
+        queue_limit_bytes: 20 * TWIN_LEN as u32,
+        ..Default::default()
+    };
+    let (mut sim, bell) = dumbbell_with(config, params, apps);
+    let bottleneck = Endpoint::switch(bell.left, bell.bottleneck_port);
+    let mut plan = FaultPlan::new(7);
+    plan.duplicate_window(0, time::millis(100), bottleneck, 500);
+    sim.install_faults(&plan);
+    let tapped = [bottleneck, Endpoint::host(bell.receivers[0])];
+    for at in tapped {
+        sim.observe().tap(at);
+    }
+    sim.run(RunLimit::Until(time::millis(3)));
+    let left = sim.switch(bell.left);
+    let full_queue_bytes = left.queue_len_bytes(bell.bottleneck_port, 0);
+    assert!(
+        full_queue_bytes > (19 * TWIN_LEN) as u64,
+        "{full_queue_bytes}"
+    );
+    assert!(left.queue_stats(bell.bottleneck_port, 0).packets_dropped > 0);
+    let heap_full = left.approx_bytes();
+    sim.run(RunLimit::Until(time::millis(200)));
+    let held = heap_full - sim.switch(bell.left).approx_bytes();
+    let switches = [bell.left, bell.right];
+    let outcome = TwinOutcome {
+        arrivals: bell
+            .receivers
+            .iter()
+            .map(|&r| {
+                let got = &sim.host_app::<TwinReceiver>(r).got;
+                let head = if tailed { TWIN_HEAD } else { TWIN_LEN };
+                assert!(got.iter().all(|&(.., len)| len == head));
+                got.iter().map(|&(t, n, _)| (t, n)).collect()
+            })
+            .collect(),
+        taps: tapped.map(|at| sim.tap_records(at).to_vec()).into(),
+        tx_frames: (0..2)
+            .flat_map(|i| {
+                [
+                    Endpoint::host(bell.senders[i]),
+                    Endpoint::switch(bell.right, i as PortId),
+                ]
+            })
+            .chain([bottleneck])
+            .map(|at| sim.link_tx_frames(at))
+            .collect(),
+        registers: switches
+            .iter()
+            .flat_map(|&s| {
+                let asic = sim.switch(s);
+                (0..asic.num_ports() as PortId)
+                    .map(move |p| (asic.port_stats(p).clone(), asic.queue_stats(p, 0).clone()))
+            })
+            .collect(),
+        duplicated: sim.fault_counters().duplicated,
+        full_queue_bytes,
+    };
+    (outcome, held)
+}
+
+#[test]
+fn tailed_frames_travel_like_their_materialized_twins() {
+    for_each_shard_row(check_tailed_frames_travel_like_their_materialized_twins);
+}
+
+fn check_tailed_frames_travel_like_their_materialized_twins(config: SimConfig) {
+    let (tailed, held_tailed) = twin_run(config.clone(), true);
+    let (whole, held_whole) = twin_run(config, false);
+    assert!(tailed.duplicated > 0, "the fault duplicated frames");
+    assert!(tailed.taps[0].iter().all(|r| r.len == TWIN_LEN));
+    assert_eq!(tailed, whole);
+    // The held-bytes guard: a tail is a count, not a buffer, so a full
+    // queue of tailed frames holds a fraction of its wire bytes; built
+    // whole, it holds at least all of them.
+    let queued = tailed.full_queue_bytes as usize;
+    assert!(
+        held_tailed * 4 <= queued,
+        "{held_tailed} held for {queued} queued"
+    );
+    assert!(
+        held_whole >= queued,
+        "{held_whole} held for {queued} queued"
+    );
+}

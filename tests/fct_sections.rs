@@ -19,7 +19,7 @@ use common::{allocations, CountingAllocator};
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Most allocations the smoke's `sim.run` may make (it measures 1,123):
+/// Most allocations the smoke's `sim.run` may make (it measures 1,115):
 /// one reintroduced per frame or per window on the `FlowGenApp` path
 /// adds tens of thousands.
 const SMOKE_ALLOC_CEILING: u64 = 1_542;
