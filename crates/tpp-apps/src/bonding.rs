@@ -249,7 +249,7 @@ impl BondSender {
             let Some([switch_id, epoch, queue, util]) = hop.array() else {
                 continue;
             };
-            if self.probes[path].note_epoch(switch_id, epoch, ctx) {
+            if self.probes[path].note_epoch(switch_id, epoch) {
                 epoch_changed = true;
             }
             worst_queue = worst_queue.max(queue as u64);

@@ -320,7 +320,7 @@ impl CounterTask {
                     return;
                 };
                 let mut recover = recover;
-                if self.probes.note_epoch(self.target_switch, epoch, ctx) {
+                if self.probes.note_epoch(self.target_switch, epoch) {
                     // The switch rebooted: counter and guard cells are
                     // wiped. Re-seed the sequence space from the state
                     // the read just observed and forget any pre-reboot

@@ -446,7 +446,7 @@ impl RcpStarSender {
             if capacity_bps <= 0.0 {
                 continue;
             }
-            if self.probes.note_epoch(sid, epoch, ctx) {
+            if self.probes.note_epoch(sid, epoch) {
                 // The switch rebooted and lost its SRAM: the cached view
                 // (byte-counter baseline, EWMAs) describes the previous
                 // boot. Drop it and re-seed from this echo.

@@ -30,7 +30,7 @@ use crate::state::{AsicState, PortState, QueueState};
 use crate::stats::{PortStats, QueueStats, SwitchRegs};
 use crate::tables::{FlowAction, FlowEntry, FlowKey, L2Table, LpmTable, Tcam};
 use crate::tcpu::{ExecReport, Tcpu};
-use tpp_telemetry::{LookupKind, TraceSink};
+use tpp_telemetry::{LookupKind, SharedSink};
 use tpp_wire::ethernet::{EtherType, Frame, ETHERNET_HEADER_LEN};
 use tpp_wire::tpp::TppPacket;
 
@@ -268,7 +268,7 @@ impl Asic {
     /// sink is attached every pipeline stage emits one
     /// [`TraceEvent`](tpp_telemetry::TraceEvent) per transition;
     /// detached, tracing costs nothing beyond the observer branch.
-    pub fn set_trace_sink(&mut self, sink: Option<Box<dyn TraceSink>>) {
+    pub fn set_trace_sink(&mut self, sink: Option<SharedSink>) {
         self.observer.get_or_insert_default().sink = sink;
         // Detaching the last instrument drops the observer altogether.
         self.observer
@@ -1590,7 +1590,7 @@ mod tests {
 
         let shared = SharedSink::new(64);
         let mut asic = asic();
-        asic.set_trace_sink(Some(Box::new(shared.clone())));
+        asic.set_trace_sink(Some(shared.clone()));
         let frame = tpp_frame("PUSH [Switch:SwitchID]", 2);
         assert!(asic.handle_frame(frame, 0, 7_000).is_enqueued());
         asic.dequeue(1).unwrap();
@@ -1621,7 +1621,7 @@ mod tests {
 
         let shared = SharedSink::new(64);
         let mut asic = asic();
-        asic.set_trace_sink(Some(Box::new(shared.clone())));
+        asic.set_trace_sink(Some(shared.clone()));
         // Unknown destination: parse ok, lookup miss, drop(no_route).
         let frame = build_frame(
             EthernetAddress::from_host_id(77),

@@ -54,8 +54,8 @@
 
 use tpp_isa::Opcode;
 use tpp_telemetry::{
-    DropKind, Histogram, LookupKind, MetricsRegistry, TcpuOutcome, TraceEvent, TraceEventKind,
-    TraceSink,
+    nearest_rank, DropKind, Histogram, LookupKind, MetricsRegistry, SharedSink, TcpuOutcome,
+    TraceEvent, TraceEventKind,
 };
 
 use crate::asic::{DropReason, Outcome, Route};
@@ -215,29 +215,12 @@ impl Reservoir {
         }
     }
 
-    /// Exact percentile over the held samples (nearest-rank); 0 when
-    /// empty. `p` in 0..=1.
-    pub fn percentile(&self, p: f64) -> u64 {
-        let mut sorted = Vec::new();
-        self.sort_into(&mut sorted);
-        nearest_rank(&sorted, p)
-    }
-
     /// Replace `out`'s contents with the held samples, ascending.
     fn sort_into(&self, out: &mut Vec<u64>) {
         out.clear();
         out.extend_from_slice(&self.samples);
         out.sort_unstable();
     }
-}
-
-/// Nearest-rank percentile `p` (0..=1) of ascending `sorted`; 0 when empty.
-fn nearest_rank(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).max(1);
-    sorted[rank - 1]
 }
 
 /// The span-total aggregation: a log₂ histogram (mergeable, exportable)
@@ -273,7 +256,8 @@ impl StageStat {
     /// its first.
     pub fn p50_p99(&self, scratch: &mut Vec<u64>) -> (u64, u64) {
         self.reservoir.sort_into(scratch);
-        (nearest_rank(scratch, 0.50), nearest_rank(scratch, 0.99))
+        let at = |num, den| nearest_rank(scratch, num, den).unwrap_or(0);
+        (at(1, 2), at(99, 100))
     }
 
     /// Samples the reservoir holds (what [`StageStat::p50_p99`] sorts).
@@ -484,7 +468,7 @@ impl PipelineProfile {
 /// (see the module docs).
 #[derive(Default)]
 pub(crate) struct Observer {
-    pub(crate) sink: Option<Box<dyn TraceSink>>,
+    pub(crate) sink: Option<SharedSink>,
     pub(crate) profile: Option<PipelineProfile>,
 }
 
@@ -492,7 +476,7 @@ impl Observer {
     /// Hand one event to the sink. `seq` is the `packets_processed`
     /// register, so every event of one packet's walk shares it.
     fn record(&mut self, regs: &SwitchRegs, kind: TraceEventKind) {
-        if let Some(sink) = self.sink.as_mut() {
+        if let Some(sink) = &self.sink {
             sink.record(TraceEvent {
                 t_ns: regs.wall_clock_ns,
                 switch_id: regs.switch_id,
@@ -734,14 +718,13 @@ mod tests {
 
     #[test]
     fn reservoir_percentiles() {
-        let mut r = Reservoir::new(16, 1);
+        let mut r = StageStat::new(16, 1);
         for v in [10, 20, 30, 40] {
-            r.offer(v);
+            r.record(v);
         }
-        assert_eq!(r.percentile(0.0), 10);
-        assert_eq!(r.percentile(0.5), 20);
-        assert_eq!(r.percentile(1.0), 40);
-        assert_eq!(Reservoir::new(4, 1).percentile(0.5), 0);
+        let mut scratch = Vec::new();
+        assert_eq!(r.p50_p99(&mut scratch), (20, 40));
+        assert_eq!(scratch, [10, 20, 30, 40], "the held samples, ascending");
     }
 
     #[test]
@@ -750,9 +733,11 @@ mod tests {
         for v in 0..1_000u64 {
             r.record(v.wrapping_mul(0x9E37_79B9) % 500);
         }
+        let mut sorted = r.reservoir.samples.clone();
+        sorted.sort_unstable();
+        let each = (sorted[31], sorted[63]);
         let mut scratch = Vec::new();
-        let each = (r.reservoir.percentile(0.5), r.reservoir.percentile(0.99));
-        assert_eq!(r.p50_p99(&mut scratch), each);
+        assert_eq!(r.p50_p99(&mut scratch), each, "ranks 32 and 64 of 64");
         assert_eq!(r.held(), 64);
         assert!(scratch.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(StageStat::new(4, 1).p50_p99(&mut scratch), (0, 0));

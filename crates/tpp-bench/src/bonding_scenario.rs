@@ -30,9 +30,8 @@ use tpp_netsim::{
     bonded_diamond_with, time, BondedDiamond, BondedDiamondParams, Endpoint, FaultPlan,
     LinkProfile, LinkState, RunLimit, SimConfig, Simulator,
 };
+use tpp_telemetry::nearest_rank;
 use tpp_wire::EthernetAddress;
-
-use crate::traffic::percentile;
 
 /// Probe cadence per path.
 pub const PROBE_INTERVAL_NS: u64 = time::micros(50);
@@ -285,7 +284,8 @@ pub fn run_bonding_scenario(config: SimConfig) -> BondingRun {
         .collect();
     let mut latencies: Vec<u64> = tx.ack_latencies.iter().map(|&(_, l)| l).collect();
     latencies.sort_unstable();
-    let [p50, p99, max] = [0.50, 0.99, 1.0].map(|p| percentile(&latencies, p).unwrap_or(0));
+    let [p50, p99, max] = [(1, 2), (99, 100), (1, 1)]
+        .map(|(num, den)| nearest_rank(&latencies, num, den).unwrap_or(0));
     let failover_detect_ns = tx
         .bond
         .events()

@@ -20,11 +20,12 @@ use tpp_netsim::{
     fat_tree_with, shard_matrix, time, FatTreeParams, HostApp, HostId, RunLimit, SimConfig,
     Simulator, SwitchId,
 };
+use tpp_telemetry::nearest_rank;
 use tpp_wire::EthernetAddress;
 
 use crate::traffic::{
-    completions_fingerprint, flow_schedules, percentile, splitmix64, ClosedFlowGenApp,
-    ClosedLoopConfig, Completion, FlowGenApp, TrafficConfig,
+    completions_fingerprint, flow_schedules, splitmix64, ClosedFlowGenApp, ClosedLoopConfig,
+    Completion, FlowGenApp, TrafficConfig,
 };
 
 /// A fat-tree (40 Gb/s fabric links, 10 Gb/s NICs), its seeded traffic
@@ -325,7 +326,8 @@ pub fn run(name: &str, s: &Scenario, config: SimConfig, allocs: fn() -> u64) -> 
                 .map(|c| c.fct_ns as f64 / 1e6)
                 .collect();
             v.sort_by(f64::total_cmp);
-            let [p50, p95, p99] = [0.5, 0.95, 0.99].map(|p| percentile(&v, p).unwrap_or(f64::NAN));
+            let [p50, p95, p99] = [(1, 2), (95, 100), (99, 100)]
+                .map(|(num, den)| nearest_rank(&v, num, den).unwrap_or(f64::NAN));
             fct_rows.push(format!(
                 "      {{\"dist\": \"{dist}\", \"bucket\": \"{bucket}\", \"n\": {}, \
                  \"p50_ms\": {p50:.3}, \"p95_ms\": {p95:.3}, \"p99_ms\": {p99:.3}}}",

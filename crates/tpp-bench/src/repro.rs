@@ -23,13 +23,12 @@ use tpp_rcp_ref::aimd::{AimdAcker, AimdConfig, AimdSender};
 use tpp_rcp_ref::dctcp::{DctcpConfig, DctcpReceiver, DctcpSender};
 use tpp_rcp_ref::fluid::mean_r_over_c;
 use tpp_rcp_ref::{FlowSchedule, NativeRcpRouter, RcpFluidSim, RcpParams};
-use tpp_telemetry::{SharedSink, TraceEvent};
+use tpp_telemetry::{nearest_rank, SharedSink, TraceEvent};
 use tpp_wire::ethernet::{build_frame, EtherType, ETHERNET_HEADER_LEN};
 use tpp_wire::tpp::{AddressingMode, TppBuilder, TppPacket, TPP_HEADER_LEN, WORD_SIZE};
 use tpp_wire::EthernetAddress;
 
 use crate::json::Json;
-use crate::traffic::percentile;
 use crate::{format_table, mean};
 
 /// One experiment's result.
@@ -324,7 +323,7 @@ fn e1(s: &mut Section) {
     // Three switches whose egress backlogs are the figure's annotations.
     for (i, backlog) in [(1, 0x00), (2, 0xa0), (3, 0x0e)] {
         let mut asic = switch(i);
-        asic.set_trace_sink(Some(Box::new(sink.clone())));
+        asic.set_trace_sink(Some(sink.clone()));
         if backlog > 0 {
             let filler = frame(DATA_ETHERTYPE, &vec![0; backlog - 14]);
             assert!(asic.handle_frame(filler, 0, 0).is_enqueued());
@@ -768,8 +767,8 @@ fn e15(s: &mut Section) {
             let mut fct: Vec<f64> = ns.map(|ns| ns as f64 / 1e6).collect();
             fct.sort_by(f64::total_cmp);
             let avg = scaled(fct.iter().sum::<f64>() / fct.len().max(1) as f64, 0);
-            let [p50, p95] =
-                [0.5, 0.95].map(|p| scaled(percentile(&fct, p).unwrap_or(f64::NAN), 0));
+            let [p50, p95] = [(1, 2), (95, 100)]
+                .map(|(num, den)| scaled(nearest_rank(&fct, num, den).unwrap_or(f64::NAN), 0));
             rows.push(row![name, class, avg, p50, p95, fct.len(), unfinished]);
         }
     }

@@ -787,13 +787,6 @@ pub fn completions_fingerprint(completions: impl Iterator<Item = Completion>) ->
     acc
 }
 
-/// `p`-th percentile (0..=1) of an ascending-sorted slice: the element
-/// at `round((n - 1) * p)`, no interpolation; `None` if empty.
-pub fn percentile<T: Copy>(sorted: &[T], p: f64) -> Option<T> {
-    let last = sorted.len().checked_sub(1)?;
-    Some(sorted[(last as f64 * p).round() as usize])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1097,16 +1090,5 @@ mod tests {
             assert_eq!(completed, flows_total, "every flow delivered once");
             assert!(dups > 0, "loss must force duplicate arrivals");
         });
-    }
-
-    #[test]
-    fn percentile_basics() {
-        let ps = [0.0, 0.5, 1.0];
-        let v = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(ps.map(|p| percentile(&v, p)), [1.0, 3.0, 5.0].map(Some));
-        // Index round(1.5) = 2: rounding, not interpolation.
-        let v = [10u64, 20, 30, 40];
-        assert_eq!(ps.map(|p| percentile(&v, p)), [10, 30, 40].map(Some));
-        assert_eq!(percentile::<u64>(&[], 0.5), None);
     }
 }

@@ -68,6 +68,30 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The one retransmission backoff ladder: `base · 2^min(rung, cap)`,
+/// capped at `max`, plus `draw() % span` jitter where
+/// `span = ladder / 1000 · permille`. `draw` runs only when `span` is
+/// non-zero, so a caller that counts its draws advances only then.
+/// Every step saturates, so no configuration can overflow it.
+/// [`ProbeManager`]'s retry deadlines and [`FlowSender`]'s RTO climb it.
+pub(crate) fn backoff_ladder(
+    base: u64,
+    rung: u32,
+    cap: u32,
+    max: u64,
+    permille: u64,
+    draw: impl FnOnce() -> u64,
+) -> u64 {
+    let step = 1u64.checked_shl(rung.min(cap)).unwrap_or(u64::MAX);
+    let ladder = base.saturating_mul(step).min(max);
+    let span = (ladder / 1000).saturating_mul(permille);
+    if span == 0 {
+        ladder
+    } else {
+        ladder.saturating_add(draw() % span)
+    }
+}
+
 /// A receiver that echoes every executed TPP back to its sender and
 /// counts received data bytes.
 ///
@@ -98,5 +122,35 @@ impl HostApp for EchoReceiver {
             self.data_bytes += parsed.payload().len() as u64;
         }
         ctx.recycle_frame(frame);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::backoff_ladder;
+
+    #[test]
+    fn backoff_ladder_draws_only_with_a_jitter_span() {
+        let mut draws = 0;
+        let mut draw = || {
+            draws += 1;
+            7
+        };
+        // 100 · 2^3 = 800, and 800 / 1000 · 250 = 0: no span, no draw.
+        assert_eq!(backoff_ladder(100, 3, 6, u64::MAX, 250, &mut draw), 800);
+        // The rung stops at the cap (2^2) and the ladder at `max`.
+        assert_eq!(backoff_ladder(1_000, 9, 2, 3_000, 250, &mut draw), 3_007);
+        // Saturates instead of overflowing: a rung past 63, a full
+        // ladder plus its jitter, a per-mille far above 1000.
+        assert_eq!(backoff_ladder(3, 70, 80, u64::MAX, 0, &mut draw), u64::MAX);
+        assert_eq!(
+            backoff_ladder(u64::MAX, 1, 1, u64::MAX, 250, &mut draw),
+            u64::MAX
+        );
+        assert_eq!(
+            backoff_ladder(1 << 62, 0, 0, u64::MAX, 65_535, &mut draw),
+            (1 << 62) + 7
+        );
+        assert_eq!(draws, 3);
     }
 }

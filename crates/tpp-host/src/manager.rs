@@ -24,12 +24,10 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use tpp_netsim::HostCtx;
-use tpp_telemetry::{SharedSink, TraceEvent, TraceEventKind, TraceSink};
-
 use tpp_wire::EthernetAddress;
 
 use crate::probe::{parse_echo, ProbeBuilder};
-use crate::splitmix64;
+use crate::{backoff_ladder, splitmix64};
 
 /// Length of the nonce appended to tracked probe frames.
 pub const NONCE_LEN: usize = 8;
@@ -68,17 +66,17 @@ pub struct RetryPolicy {
 
 impl RetryPolicy {
     /// Backoff interval for a given attempt: `timeout * 2^attempt` plus
-    /// per-(nonce, attempt) jitter. The shift is capped so pathological
-    /// retry counts cannot overflow.
-    fn backoff_of(policy: RetryPolicy, nonce: u64, attempt: u32) -> u64 {
-        let base = policy.timeout_ns.saturating_mul(1 << attempt.min(16));
-        let span = base / 1000 * u64::from(policy.jitter_permille);
-        let jitter = if span == 0 {
-            0
-        } else {
-            splitmix64(nonce ^ u64::from(attempt)) % span
-        };
-        base + jitter
+    /// per-(nonce, attempt) jitter, on [`backoff_ladder`], whose
+    /// exponent stops at 16.
+    fn backoff(self, nonce: u64, attempt: u32) -> u64 {
+        backoff_ladder(
+            self.timeout_ns,
+            attempt,
+            16,
+            u64::MAX,
+            u64::from(self.jitter_permille),
+            || splitmix64(nonce ^ u64::from(attempt)),
+        )
     }
 }
 
@@ -192,7 +190,6 @@ pub struct ProbeManager {
     completed: NonceMemory,
     epochs: BTreeMap<u32, u32>,
     armed_until: Option<u64>,
-    trace: Option<SharedSink>,
     stats: ProbeStats,
 }
 
@@ -204,18 +201,12 @@ fn send_copy(port: u16, frame: &[u8], ctx: &mut HostCtx<'_>) {
 }
 
 impl ProbeManager {
-    /// A manager with the given policy and no trace sink.
+    /// A manager with the given policy.
     pub fn new(policy: RetryPolicy) -> Self {
         ProbeManager {
             policy,
             ..ProbeManager::default()
         }
-    }
-
-    /// Attach a sink; the manager records `ProbeRetry`, `ProbeTimeout`
-    /// and `EpochMismatch` trace events into it.
-    pub fn set_trace(&mut self, sink: SharedSink) {
-        self.trace = Some(sink);
     }
 
     /// Send all tracked probes (and their retries) out of NIC `port` of
@@ -296,7 +287,7 @@ impl ProbeManager {
             ((ctx.host_id().0 as u64 + 1) << 40) ^ (self.salt << 20) ^ self.nonce_counter,
         );
         frame.extend_from_slice(&nonce.to_be_bytes());
-        let deadline_ns = ctx.now() + self.backoff(nonce, 0);
+        let deadline_ns = ctx.now() + self.policy.backoff(nonce, 0);
         send_copy(self.port, &frame, ctx);
         self.outstanding.insert(
             nonce,
@@ -368,7 +359,6 @@ impl ProbeManager {
             port,
             outstanding,
             expired,
-            trace,
             stats,
             ..
         } = self;
@@ -380,23 +370,14 @@ impl ProbeManager {
                 ctx.recycle_frame(std::mem::take(&mut o.frame));
                 expired.insert(nonce);
                 stats.timeouts += 1;
-                let retries = o.attempt;
-                emit(
-                    trace,
-                    now,
-                    0,
-                    TraceEventKind::ProbeTimeout { nonce, retries },
-                );
                 n_expired += 1;
                 return false;
             }
             if due {
                 o.attempt += 1;
-                o.deadline_ns = now + RetryPolicy::backoff_of(*policy, nonce, o.attempt);
+                o.deadline_ns = now + policy.backoff(nonce, o.attempt);
                 send_copy(*port, &o.frame, ctx);
                 stats.retries += 1;
-                let attempt = o.attempt;
-                emit(trace, now, 0, TraceEventKind::ProbeRetry { nonce, attempt });
             }
             let d = o.deadline_ns;
             next_deadline = Some(next_deadline.map_or(d, |next| next.min(d)));
@@ -411,19 +392,10 @@ impl ProbeManager {
     /// Record a switch's boot epoch as read from `Switch:BootEpoch`.
     /// Returns `true` when it differs from the last recorded value — the
     /// switch rebooted, and any cached state about it is stale.
-    pub fn note_epoch(&mut self, switch_id: u32, epoch: u32, ctx: &mut HostCtx<'_>) -> bool {
+    pub fn note_epoch(&mut self, switch_id: u32, epoch: u32) -> bool {
         match self.epochs.insert(switch_id, epoch) {
             Some(prev) if prev != epoch => {
                 self.stats.epoch_mismatches += 1;
-                emit(
-                    &mut self.trace,
-                    ctx.now(),
-                    switch_id,
-                    TraceEventKind::EpochMismatch {
-                        expected: prev,
-                        observed: epoch,
-                    },
-                );
                 true
             }
             _ => false,
@@ -433,10 +405,6 @@ impl ProbeManager {
     /// The last epoch recorded for `switch_id`, if any.
     pub fn epoch(&self, switch_id: u32) -> Option<u32> {
         self.epochs.get(&switch_id).copied()
-    }
-
-    fn backoff(&self, nonce: u64, attempt: u32) -> u64 {
-        RetryPolicy::backoff_of(self.policy, nonce, attempt)
     }
 
     /// Arm the service timer for `deadline_ns` unless an earlier or
@@ -449,19 +417,6 @@ impl ProbeManager {
         self.armed_until = Some(deadline_ns);
         let delay = deadline_ns.saturating_sub(ctx.now()).max(1);
         ctx.set_timer(delay, self.timer_token());
-    }
-}
-
-/// Record `kind` in the manager's trace sink, if one is attached. A free
-/// function, so `on_timer` can call it while it walks `outstanding`.
-fn emit(trace: &mut Option<SharedSink>, t_ns: u64, switch_id: u32, kind: TraceEventKind) {
-    if let Some(sink) = trace {
-        sink.record(TraceEvent {
-            t_ns,
-            switch_id,
-            seq: 0,
-            kind,
-        });
     }
 }
 
@@ -655,21 +610,21 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_is_deterministic() {
-        let mgr = ProbeManager::new(RetryPolicy {
+        let policy = RetryPolicy {
             timeout_ns: 1_000,
             max_retries: 8,
             jitter_permille: 250,
-        });
-        let b0 = mgr.backoff(42, 0);
-        let b1 = mgr.backoff(42, 1);
-        let b2 = mgr.backoff(42, 2);
+        };
+        let b0 = policy.backoff(42, 0);
+        let b1 = policy.backoff(42, 1);
+        let b2 = policy.backoff(42, 2);
         assert!((1_000..=1_250).contains(&b0));
         assert!((2_000..=2_500).contains(&b1));
         assert!((4_000..=5_000).contains(&b2));
-        assert_eq!(b1, mgr.backoff(42, 1), "same inputs, same jitter");
+        assert_eq!(b1, policy.backoff(42, 1), "same inputs, same jitter");
         assert_ne!(
-            mgr.backoff(42, 1) - 2_000,
-            mgr.backoff(43, 1) - 2_000,
+            policy.backoff(42, 1) - 2_000,
+            policy.backoff(43, 1) - 2_000,
             "different nonces jitter differently"
         );
     }

@@ -5,7 +5,6 @@
 //! program itself: a stack-mode program that pushes `k` words per hop
 //! turns the stack into `hop` consecutive `k`-word records.
 
-use tpp_telemetry::{TraceEvent, TraceEventKind, TraceSink};
 use tpp_wire::tpp::{TppPacket, WORD_SIZE};
 use tpp_wire::EthernetAddress;
 
@@ -74,26 +73,6 @@ impl<'a> PathSample<'a> {
     /// when the program pushes the queue size `i`-th).
     pub fn column(&self, i: usize) -> impl Iterator<Item = u32> + 'a {
         self.hops().map(move |h| h.word(i))
-    }
-
-    /// Re-emit this sample into a trace sink as one
-    /// [`TraceEventKind::HostHopRecord`] per hop, so host-decoded
-    /// telemetry lands in the same stream as the switches' pipeline
-    /// events (the way ndb consumes both). `t_ns` is the decode time and
-    /// `seq` a caller-chosen sample number; `switch_id` is 0 — host
-    /// events are not attributed to a switch.
-    pub fn emit_trace(&self, sink: &mut dyn TraceSink, t_ns: u64, seq: u64) {
-        for h in self.hops() {
-            sink.record(TraceEvent {
-                t_ns,
-                switch_id: 0,
-                seq,
-                kind: TraceEventKind::HostHopRecord {
-                    hop: h.hop as u32,
-                    words: h.words().collect(),
-                },
-            });
-        }
     }
 }
 
@@ -189,29 +168,6 @@ mod tests {
         let bytes = executed_tpp(&[], 0, 4);
         let tpp = TppPacket::new_checked(&bytes[..]).unwrap();
         assert!(split_hops(&tpp, 0).is_none());
-    }
-
-    #[test]
-    fn emits_one_host_event_per_hop() {
-        use tpp_telemetry::VecSink;
-
-        let bytes = executed_tpp(&[1, 10, 2, 20, 3, 30], 3, 8);
-        let tpp = TppPacket::new_checked(&bytes[..]).unwrap();
-        let sample = split_hops(&tpp, 2).unwrap();
-        let mut sink = VecSink::default();
-        sample.emit_trace(&mut sink, 5_000, 42);
-        assert_eq!(sink.events.len(), 3);
-        assert!(sink
-            .events
-            .iter()
-            .all(|e| e.t_ns == 5_000 && e.seq == 42 && e.switch_id == 0));
-        assert_eq!(
-            sink.events[2].kind,
-            TraceEventKind::HostHopRecord {
-                hop: 2,
-                words: vec![3, 30]
-            }
-        );
     }
 
     #[test]

@@ -57,7 +57,7 @@
 //! [`FlowReceiver::reusing`]).
 
 use crate::rtt::RttEstimator;
-use crate::splitmix64;
+use crate::{backoff_ladder, splitmix64};
 use tpp_wire::ethernet::{write_header, EtherType, EthernetAddress, ETHERNET_HEADER_LEN};
 
 /// EtherType of transport segments (DATA and ACK), distinct from the
@@ -484,18 +484,18 @@ impl FlowSender {
             .map(|s| s + 4 * self.est.rttvar_ns())
             .unwrap_or(self.cfg.initial_rto_ns)
             .clamp(self.cfg.min_rto_ns, self.cfg.max_rto_ns);
-        let backed = base
-            .saturating_mul(1u64 << self.backoff.min(self.cfg.backoff_cap))
-            .min(self.cfg.max_rto_ns);
-        let span = backed / 1000 * self.cfg.jitter_permille as u64;
-        let jitter = if span == 0 {
-            0
-        } else {
-            let draw = splitmix64(self.cfg.seed ^ self.key ^ self.jitter_draws);
-            self.jitter_draws += 1;
-            draw % span
-        };
-        backed + jitter
+        backoff_ladder(
+            base,
+            self.backoff,
+            self.cfg.backoff_cap,
+            self.cfg.max_rto_ns,
+            u64::from(self.cfg.jitter_permille),
+            || {
+                let draw = splitmix64(self.cfg.seed ^ self.key ^ self.jitter_draws);
+                self.jitter_draws += 1;
+                draw
+            },
+        )
     }
 
     /// Next data transmission to put on the wire, or `None` when the

@@ -40,7 +40,7 @@ use crate::series::{permille, FleetShare, SwitchSeries};
 use crate::sim::{frames_lost, link, link_mut, HostNode, SwitchNode, TapDir, TapRecord};
 use crate::time::tx_time_ns;
 use tpp_asic::{Outcome, PortId};
-use tpp_telemetry::{SharedSink, TraceEvent, TraceEventKind, TraceSink};
+use tpp_telemetry::{SharedSink, TraceEvent, TraceEventKind};
 use tpp_wire::ethernet::{Frame, ETHERNET_HEADER_LEN};
 use tpp_wire::tpp::TppPacket;
 use tpp_wire::EthernetAddress;
@@ -686,7 +686,7 @@ impl ShardRun<'_> {
     /// Record a simulator-level fault event into the fleet sink, if one
     /// is attached.
     fn emit_fault(&mut self, switch_id: u32, kind: TraceEventKind) {
-        if let Some(sink) = self.state.sink.as_mut() {
+        if let Some(sink) = &self.state.sink {
             sink.record(TraceEvent {
                 t_ns: self.now_ns,
                 switch_id,

@@ -891,7 +891,7 @@ impl Simulator {
     pub(crate) fn trace_all_impl(&mut self, capacity: usize) -> SharedSink {
         let sink = SharedSink::new(capacity);
         for sw in &mut self.switches {
-            sw.asic.set_trace_sink(Some(Box::new(sink.clone())));
+            sw.asic.set_trace_sink(Some(sink.clone()));
         }
         for shard in &mut self.shards {
             shard.sink = Some(sink.clone());

@@ -6,11 +6,11 @@
 //! sample whose timestamp falls inside it. [`WindowedSeries`] is that
 //! fold. It is built to be **downsample-correct by construction**: the
 //! aggregate of a window is a pure function of the samples that landed
-//! in it, computed by the one quantile rule ([`nearest_rank`]) the
-//! brute-force recomputation tests mirror, so feeding the same points
-//! incrementally, in one batch, or after a [`RingSeries`]
-//! stride-doubling compaction produces identical windows for identical
-//! points.
+//! in it, computed by the workspace's one quantile rule
+//! ([`nearest_rank`]) the brute-force recomputation tests mirror, so
+//! feeding the same points incrementally, in one batch, or after a
+//! [`RingSeries`] stride-doubling compaction produces identical windows
+//! for identical points.
 //!
 //! Widths are plain nanosecond counts. The paper-scale presets
 //! ([`WALL_WINDOWS`]: 1 s / 10 s / 1 min / 5 min) suit wall-clock
@@ -23,6 +23,7 @@ use std::fmt;
 use std::ops::Range;
 
 use tpp_netsim::time;
+use tpp_telemetry::nearest_rank;
 
 /// The wall-clock window presets the issue tracker of any real fleet
 /// would ask for: 1 s, 10 s, 1 min, 5 min.
@@ -60,19 +61,6 @@ impl fmt::Display for WindowLabel {
         }
         write!(f, "{width_ns}ns")
     }
-}
-
-/// Nearest-rank quantile of an ascending-sorted slice: the smallest
-/// element whose rank covers fraction `num/den` of the population.
-/// Integer-exact (no interpolation), so independently recomputing a
-/// window from its raw samples reproduces the aggregate bit-for-bit.
-pub fn nearest_rank(sorted: &[u64], num: u64, den: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let n = sorted.len() as u64;
-    let rank = (n * num).div_ceil(den).max(1);
-    sorted[(rank - 1) as usize]
 }
 
 /// The aggregate of one closed window.
@@ -187,8 +175,8 @@ impl WindowedSeries {
             min: vals[0],
             max: *vals.last().expect("non-empty window"),
             sum: vals.iter().sum(),
-            p50: nearest_rank(vals, 1, 2),
-            p99: nearest_rank(vals, 99, 100),
+            p50: nearest_rank(vals, 1, 2).expect("non-empty window"),
+            p99: nearest_rank(vals, 99, 100).expect("non-empty window"),
         });
         vals.clear();
     }
@@ -334,8 +322,8 @@ mod tests {
                     min: vals.iter().copied().min().unwrap(),
                     max: vals.iter().copied().max().unwrap(),
                     sum: vals.iter().sum(),
-                    p50: nearest_rank(&vals, 1, 2),
-                    p99: nearest_rank(&vals, 99, 100),
+                    p50: nearest_rank(&vals, 1, 2).unwrap(),
+                    p99: nearest_rank(&vals, 99, 100).unwrap(),
                 }
             })
             .collect()
@@ -424,17 +412,6 @@ mod tests {
         assert_eq!(w.windows().len(), 2);
         assert_eq!(w.windows()[0].start_ns, 0);
         assert_eq!(w.windows()[1].start_ns, 1_000);
-    }
-
-    #[test]
-    fn nearest_rank_rule() {
-        assert_eq!(nearest_rank(&[], 1, 2), 0);
-        assert_eq!(nearest_rank(&[7], 1, 2), 7);
-        assert_eq!(nearest_rank(&[1, 2, 3, 4], 1, 2), 2);
-        assert_eq!(nearest_rank(&[1, 2, 3, 4, 5], 1, 2), 3);
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(nearest_rank(&v, 99, 100), 99);
-        assert_eq!(nearest_rank(&v, 1, 1), 100);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! The schema mirrors Figure 3's pipeline. A packet walking one switch
 //! produces, in order: `Parse` → (`EdgeFilter`)? → `Lookup` → (`TcpuExec`)?
 //! → `Enqueue` | `Drop`, and later a `Dequeue` when the scheduler
-//! transmits it. End-host decoders add `HostHopRecord` events for each
-//! hop of an echoed TPP, so network- and host-side telemetry share one
-//! stream (the way the paper's ndb consumes both).
+//! transmits it. Chaos runs add fault events to the same stream. What
+//! end-hosts learn from echoed TPPs stays with them (`PathSample`,
+//! `ProbeStats`): the paper's end-host is where that state lives.
 
 use std::io::{self, Write};
 
@@ -25,8 +25,6 @@ pub enum Stage {
     Enqueue,
     /// Scheduler dequeue / transmit.
     Dequeue,
-    /// End-host decode of an echoed TPP.
-    Host,
     /// Injected fault (chaos runs): link flaps, reboots, corruption.
     Fault,
 }
@@ -41,7 +39,6 @@ impl Stage {
             Stage::Tcpu => "tcpu",
             Stage::Enqueue => "enqueue",
             Stage::Dequeue => "dequeue",
-            Stage::Host => "host",
             Stage::Fault => "fault",
         }
     }
@@ -127,11 +124,12 @@ impl TcpuOutcome {
 /// sequence number (`Dequeue` events carry the sequence current at
 /// transmit time instead — the scheduler does not know which arrival it
 /// is serving, exactly like real egress pipelines).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Emission time, ns (switch-local wall clock).
     pub t_ns: u64,
-    /// `Switch:SwitchID` of the emitting switch (0 for host events).
+    /// `Switch:SwitchID` of the emitting switch (0 when a fault hits a
+    /// host endpoint).
     pub switch_id: u32,
     /// Packet sequence number at the emitting switch.
     pub seq: u64,
@@ -140,7 +138,7 @@ pub struct TraceEvent {
 }
 
 /// The per-stage payload of a [`TraceEvent`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEventKind {
     /// Header parser verdict.
     Parse {
@@ -223,13 +221,6 @@ pub enum TraceEventKind {
         /// Occupancy remaining in that queue after the dequeue.
         depth_bytes: u64,
     },
-    /// An end-host decoded one hop's record out of an echoed TPP.
-    HostHopRecord {
-        /// 0-based hop index along the path.
-        hop: u32,
-        /// The words the program recorded at that hop.
-        words: Vec<u32>,
-    },
     /// An injected fault took a link direction down. The envelope's
     /// `switch_id` names the transmitting switch (0 for host endpoints).
     LinkDown {
@@ -256,29 +247,6 @@ pub enum TraceEventKind {
         /// Bit index (0..8) flipped within that byte.
         bit: u8,
     },
-    /// An end-host probe manager re-sent an unanswered probe.
-    ProbeRetry {
-        /// The probe's nonce.
-        nonce: u64,
-        /// 1-based retry attempt number.
-        attempt: u32,
-    },
-    /// An end-host probe exhausted its retry budget.
-    ProbeTimeout {
-        /// The probe's nonce.
-        nonce: u64,
-        /// Retries that were attempted before giving up.
-        retries: u32,
-    },
-    /// An end-host observed a switch boot epoch different from its cached
-    /// value (the envelope's `switch_id` names the switch): cached state
-    /// derived from that switch is stale.
-    EpochMismatch {
-        /// The epoch the host had cached.
-        expected: u32,
-        /// The epoch the probe reported.
-        observed: u32,
-    },
 }
 
 impl TraceEventKind {
@@ -292,14 +260,10 @@ impl TraceEventKind {
             TraceEventKind::Enqueue { .. } => Stage::Enqueue,
             TraceEventKind::Drop { .. } => Stage::Enqueue,
             TraceEventKind::Dequeue { .. } => Stage::Dequeue,
-            TraceEventKind::HostHopRecord { .. } => Stage::Host,
             TraceEventKind::LinkDown { .. }
             | TraceEventKind::LinkUp { .. }
             | TraceEventKind::SwitchReboot { .. }
             | TraceEventKind::CorruptionInjected { .. } => Stage::Fault,
-            TraceEventKind::ProbeRetry { .. }
-            | TraceEventKind::ProbeTimeout { .. }
-            | TraceEventKind::EpochMismatch { .. } => Stage::Host,
         }
     }
 
@@ -314,14 +278,10 @@ impl TraceEventKind {
             TraceEventKind::Enqueue { .. } => "enqueue",
             TraceEventKind::Drop { .. } => "drop",
             TraceEventKind::Dequeue { .. } => "dequeue",
-            TraceEventKind::HostHopRecord { .. } => "host_hop",
             TraceEventKind::LinkDown { .. } => "link_down",
             TraceEventKind::LinkUp { .. } => "link_up",
             TraceEventKind::SwitchReboot { .. } => "switch_reboot",
             TraceEventKind::CorruptionInjected { .. } => "corruption_injected",
-            TraceEventKind::ProbeRetry { .. } => "probe_retry",
-            TraceEventKind::ProbeTimeout { .. } => "probe_timeout",
-            TraceEventKind::EpochMismatch { .. } => "epoch_mismatch",
         }
     }
 }
@@ -409,10 +369,6 @@ impl TraceEvent {
                     ",\"port\":{port},\"queue\":{queue},\"len\":{len},\"depth_bytes\":{depth_bytes}"
                 ));
             }
-            TraceEventKind::HostHopRecord { hop, words } => {
-                let joined: Vec<String> = words.iter().map(u32::to_string).collect();
-                s.push_str(&format!(",\"hop\":{hop},\"words\":[{}]", joined.join(",")));
-            }
             TraceEventKind::LinkDown { port } | TraceEventKind::LinkUp { port } => {
                 s.push_str(&format!(",\"port\":{port}"));
             }
@@ -421,15 +377,6 @@ impl TraceEvent {
             }
             TraceEventKind::CorruptionInjected { port, byte, bit } => {
                 s.push_str(&format!(",\"port\":{port},\"byte\":{byte},\"bit\":{bit}"));
-            }
-            TraceEventKind::ProbeRetry { nonce, attempt } => {
-                s.push_str(&format!(",\"nonce\":{nonce},\"attempt\":{attempt}"));
-            }
-            TraceEventKind::ProbeTimeout { nonce, retries } => {
-                s.push_str(&format!(",\"nonce\":{nonce},\"retries\":{retries}"));
-            }
-            TraceEventKind::EpochMismatch { expected, observed } => {
-                s.push_str(&format!(",\"expected\":{expected},\"observed\":{observed}"));
             }
         }
         s.push('}');
@@ -510,16 +457,16 @@ mod tests {
                 reason: DropKind::NoRoute,
                 port: None,
             }),
-            ev(TraceEventKind::HostHopRecord {
-                hop: 2,
-                words: vec![1, 2, 3],
-            }),
         ];
         let mut jsonl = Vec::new();
         write_jsonl(&mut jsonl, &events).unwrap();
         let jsonl = String::from_utf8(jsonl).unwrap();
-        assert_eq!(jsonl.lines().count(), 3);
-        assert!(jsonl.lines().nth(2).unwrap().contains("\"words\":[1,2,3]"));
+        assert_eq!(jsonl.lines().count(), 2);
+        assert!(jsonl
+            .lines()
+            .nth(1)
+            .unwrap()
+            .contains("\"reason\":\"no_route\""));
     }
 
     #[test]
@@ -538,25 +485,6 @@ mod tests {
             bit: 5,
         });
         assert!(e.to_json().contains("\"byte\":20"));
-
-        let e = ev(TraceEventKind::ProbeRetry {
-            nonce: 42,
-            attempt: 1,
-        });
-        assert_eq!(e.kind.stage(), Stage::Host);
-        assert!(e.to_json().contains("\"nonce\":42"));
-
-        let e = ev(TraceEventKind::ProbeTimeout {
-            nonce: 42,
-            retries: 3,
-        });
-        assert!(e.to_json().contains("\"retries\":3"));
-
-        let e = ev(TraceEventKind::EpochMismatch {
-            expected: 0,
-            observed: 1,
-        });
-        assert!(e.to_json().contains("\"observed\":1"));
     }
 
     #[test]

@@ -15,19 +15,18 @@
 //!   carrying switch id, packet sequence number, timestamps, queue depth
 //!   and TCPU cycle accounting. The schema is documented field by field
 //!   in DESIGN.md ("Observability").
-//! * [`TraceSink`] — where events go. The dataplane calls
-//!   [`TraceSink::record`] only when a sink is attached, so an untraced
-//!   ASIC pays a single null-check per stage.
-//! * [`RingBufferSink`] — the bounded default sink: keeps the most
-//!   recent `capacity` events, counts what it sheds.
-//! * [`SharedSink`] — a cheaply clonable handle letting one buffer
-//!   collect events from many switches (shards record from worker
-//!   threads, so this is an `Arc<Mutex<…>>`, and reads come back in a
-//!   canonical `(t_ns, switch_id)` order).
+//! * [`SharedSink`] — where events go: a bounded ring that keeps the
+//!   most recent `capacity` events and counts what it sheds. An ASIC
+//!   records only when a sink is attached, so an untraced one pays a
+//!   single null-check per stage. The handle is cheaply clonable so one
+//!   buffer collects events from many switches (shards record from
+//!   worker threads, so this is an `Arc<Mutex<…>>`, and reads come back
+//!   in a canonical `(t_ns, switch_id)` order).
 //! * The JSON-lines exporter ([`write_jsonl`]) — the format
 //!   `tpp-bench`'s `--trace out.jsonl` flags produce.
 //! * [`MetricsRegistry`] — named counters and log₂-bucket histograms,
 //!   merged across switches by `tpp-netsim::Simulator` on `tick`.
+//! * [`nearest_rank`] — the one quantile rule over raw samples.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,5 +38,5 @@ pub mod sink;
 pub use event::{
     write_jsonl, DropKind, LookupKind, Stage, TcpuOutcome, TraceEvent, TraceEventKind,
 };
-pub use metrics::{Histogram, MetricsRegistry};
-pub use sink::{RingBufferSink, SharedSink, TraceSink, VecSink};
+pub use metrics::{nearest_rank, Histogram, MetricsRegistry};
+pub use sink::SharedSink;

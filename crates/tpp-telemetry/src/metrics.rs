@@ -76,6 +76,10 @@ impl Histogram {
     /// because the estimate is clamped to the observed maximum.
     ///
     /// Returns 0 for an empty histogram.
+    ///
+    /// Not a second quantile rule beside [`nearest_rank`]: a histogram
+    /// holds no samples, only log₂ bucket counts, so this estimates
+    /// within a bucket where `nearest_rank` picks an exact sample.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -125,6 +129,18 @@ impl Histogram {
         self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
     }
+}
+
+/// The one quantile rule over raw samples: nearest rank, no
+/// interpolation. The `num/den` quantile of `n` ascending-sorted samples
+/// is the sample of 1-based rank ⌈n·num/den⌉, computed in `u128` so no
+/// product overflows and clamped to `[1, n]`; `None` when `sorted` is
+/// empty. Integer-exact, so recomputing from the raw samples reproduces
+/// a value bit for bit.
+pub fn nearest_rank<T: Copy>(sorted: &[T], num: u64, den: u64) -> Option<T> {
+    let n = sorted.len() as u128;
+    let rank = (n * u128::from(num)).div_ceil(u128::from(den));
+    sorted.get(rank.clamp(1, n.max(1)) as usize - 1).copied()
 }
 
 /// A registry of named counters and histograms.
@@ -283,6 +299,29 @@ impl fmt::Debug for MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nearest_rank_rule() {
+        assert_eq!(nearest_rank::<u64>(&[], 1, 2), None);
+        assert_eq!(nearest_rank(&[7], 1, 2), Some(7));
+        assert_eq!(nearest_rank(&[1, 2, 3, 4], 1, 2), Some(2));
+        assert_eq!(nearest_rank(&[1, 2, 3, 4, 5], 1, 2), Some(3));
+        let v: Vec<u64> = (1..=100).collect();
+        assert_eq!(nearest_rank(&v, 99, 100), Some(99));
+        assert_eq!(nearest_rank(&v, 1, 1), Some(100));
+        // p0 clamps up to rank 1; works over any `Copy` sample.
+        let f = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(nearest_rank(&f, 0, 1), Some(1.0));
+        assert_eq!(nearest_rank(&f, 95, 100), Some(5.0));
+        // No product overflows: rank ⌈n·num/den⌉ is taken in u128.
+        assert_eq!(nearest_rank(&v, u64::MAX, u64::MAX), Some(100));
+    }
+
+    #[test]
+    fn nearest_rank_clamps_past_the_end() {
+        // num > den asks for rank ⌈2·3/2⌉ = 3 of 2 samples: the last.
+        assert_eq!(nearest_rank(&[1, 2], 3, 2), Some(2));
+    }
 
     #[test]
     fn histogram_buckets_and_stats() {

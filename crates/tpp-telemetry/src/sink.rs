@@ -1,106 +1,32 @@
-//! Trace sinks: where pipeline events go.
+//! The trace sink: where pipeline events go.
 //!
-//! The dataplane holds an `Option<Box<dyn TraceSink>>` and emits only
-//! when one is attached — the disabled path is a null check, which is
-//! what lets tracing live inside `handle_frame` without taxing the
-//! line-rate benchmarks.
+//! The dataplane holds an `Option<SharedSink>` and emits only when one
+//! is attached — the disabled path is a null check, which is what lets
+//! tracing live inside `handle_frame` without taxing the line-rate
+//! benchmarks. [`SharedSink`] is the one sink: a bounded ring that every
+//! switch of a run can share.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use crate::event::TraceEvent;
 
-/// A consumer of [`TraceEvent`]s.
-///
-/// Implementations must be cheap: the dataplane calls [`record`] inline
-/// from `handle_frame`. Anything expensive (serialization, IO) belongs in
-/// an exporter run after the fact over a buffered sink.
-///
-/// `Send` because switches (and the sinks inside them) are stepped from
-/// the sharded simulator's worker threads.
-///
-/// [`record`]: TraceSink::record
-pub trait TraceSink: Send {
-    /// Consume one event.
-    fn record(&mut self, event: TraceEvent);
-}
-
 /// A bounded ring buffer of the most recent events.
-///
-/// When full, the oldest event is shed and counted in
-/// [`RingBufferSink::shed`] — tracing must never grow without bound
-/// inside a long simulation.
 #[derive(Debug)]
-pub struct RingBufferSink {
+struct RingBufferSink {
     events: VecDeque<TraceEvent>,
     capacity: usize,
     shed: u64,
 }
 
-impl RingBufferSink {
-    /// A ring buffer holding at most `capacity` events (min 1).
-    pub fn new(capacity: usize) -> Self {
-        RingBufferSink {
-            events: VecDeque::with_capacity(capacity.clamp(1, 4096)),
-            capacity: capacity.max(1),
-            shed: 0,
-        }
-    }
-
-    /// The buffered events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events shed because the buffer was full.
-    pub fn shed(&self) -> u64 {
-        self.shed
-    }
-
-    /// Drain all buffered events, oldest first.
-    pub fn drain(&mut self) -> Vec<TraceEvent> {
-        self.events.drain(..).collect()
-    }
-}
-
-impl TraceSink for RingBufferSink {
-    fn record(&mut self, event: TraceEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.shed += 1;
-        }
-        self.events.push_back(event);
-    }
-}
-
-/// An unbounded sink, for short unit-test runs where shedding would hide
-/// the assertion target.
-#[derive(Debug, Default)]
-pub struct VecSink {
-    /// The recorded events, oldest first.
-    pub events: Vec<TraceEvent>,
-}
-
-impl TraceSink for VecSink {
-    fn record(&mut self, event: TraceEvent) {
-        self.events.push(event);
-    }
-}
-
-/// A clonable handle over a shared [`RingBufferSink`], letting one
+/// A clonable handle over one bounded ring of events, letting one
 /// buffer collect the event streams of many switches (and letting the
-/// caller keep a handle to read events back out after the dataplane has
-/// consumed the boxed sink).
+/// caller keep a handle to read events back out after handing a clone
+/// to the dataplane).
+///
+/// Holding at most `capacity` events, it sheds the oldest when full and
+/// counts them in [`SharedSink::shed`]: tracing must never grow without
+/// bound inside a long simulation.
 ///
 /// Shards step switches from worker threads, so the shared buffer sits
 /// behind a `Mutex`. Events from different shards interleave in lock
@@ -114,52 +40,60 @@ impl TraceSink for VecSink {
 pub struct SharedSink(Arc<Mutex<RingBufferSink>>);
 
 impl SharedSink {
-    /// A shared ring buffer of `capacity` events.
+    /// A shared ring buffer of `capacity` events (min 1).
     pub fn new(capacity: usize) -> Self {
-        SharedSink(Arc::new(Mutex::new(RingBufferSink::new(capacity))))
+        SharedSink(Arc::new(Mutex::new(RingBufferSink {
+            events: VecDeque::with_capacity(capacity.clamp(1, 4096)),
+            capacity: capacity.max(1),
+            shed: 0,
+        })))
+    }
+
+    fn ring(&self) -> std::sync::MutexGuard<'_, RingBufferSink> {
+        self.0.lock().expect("sink lock poisoned")
+    }
+
+    /// Consume one event. The dataplane calls this inline from
+    /// `handle_frame`, so it only appends; serialization and IO belong
+    /// in an exporter run afterwards.
+    pub fn record(&self, event: TraceEvent) {
+        let mut ring = self.ring();
+        if ring.events.len() == ring.capacity {
+            ring.events.pop_front();
+            ring.shed += 1;
+        }
+        ring.events.push_back(event);
     }
 
     /// Snapshot the buffered events in canonical order: stable-sorted by
     /// `(t_ns, switch_id)`, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let mut events: Vec<TraceEvent> = self
-            .0
-            .lock()
-            .expect("sink lock poisoned")
-            .events()
-            .cloned()
-            .collect();
+        let mut events: Vec<TraceEvent> = self.ring().events.iter().copied().collect();
         events.sort_by_key(|e| (e.t_ns, e.switch_id));
         events
     }
 
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.0.lock().expect("sink lock poisoned").len()
+        self.ring().events.len()
     }
 
     /// True when nothing is buffered.
     pub fn is_empty(&self) -> bool {
-        self.0.lock().expect("sink lock poisoned").is_empty()
+        self.ring().events.is_empty()
     }
 
     /// Events shed because the buffer was full.
     pub fn shed(&self) -> u64 {
-        self.0.lock().expect("sink lock poisoned").shed()
+        self.ring().shed
     }
 
     /// Drain all buffered events, in the same canonical order as
     /// [`SharedSink::events`].
     pub fn drain(&self) -> Vec<TraceEvent> {
-        let mut events = self.0.lock().expect("sink lock poisoned").drain();
+        let mut events: Vec<TraceEvent> = self.ring().events.drain(..).collect();
         events.sort_by_key(|e| (e.t_ns, e.switch_id));
         events
-    }
-}
-
-impl TraceSink for SharedSink {
-    fn record(&mut self, event: TraceEvent) {
-        self.0.lock().expect("sink lock poisoned").record(event);
     }
 }
 
@@ -179,21 +113,20 @@ mod tests {
 
     #[test]
     fn ring_buffer_sheds_oldest() {
-        let mut sink = RingBufferSink::new(3);
+        let sink = SharedSink::new(3);
         for i in 0..5 {
             sink.record(ev(i));
         }
         assert_eq!(sink.len(), 3);
         assert_eq!(sink.shed(), 2);
-        let seqs: Vec<u64> = sink.events().map(|e| e.seq).collect();
+        let seqs: Vec<u64> = sink.events().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4], "oldest shed first");
     }
 
     #[test]
     fn shared_sink_fans_in() {
         let shared = SharedSink::new(16);
-        let mut a: Box<dyn TraceSink> = Box::new(shared.clone());
-        let mut b: Box<dyn TraceSink> = Box::new(shared.clone());
+        let (a, b) = (shared.clone(), shared.clone());
         a.record(ev(1));
         b.record(ev(2));
         a.record(ev(3));
@@ -205,7 +138,7 @@ mod tests {
     #[test]
     fn events_sort_canonically_across_switches() {
         let shared = SharedSink::new(16);
-        let mut s = shared.clone();
+        let s = shared.clone();
         // Two switches' streams interleaved out of id order, as a
         // multi-shard run would record them.
         s.record(TraceEvent {
@@ -237,7 +170,7 @@ mod tests {
     #[test]
     fn drain_empties() {
         let shared = SharedSink::new(4);
-        let mut s = shared.clone();
+        let s = shared.clone();
         s.record(ev(9));
         assert_eq!(shared.drain().len(), 1);
         assert!(shared.is_empty());

@@ -96,7 +96,7 @@ pub mod prelude {
     };
     pub use crate::obs::{prometheus_snapshot, series_jsonl, Collector};
     pub use crate::telemetry::{
-        write_jsonl, MetricsRegistry, SharedSink, TraceEvent, TraceEventKind, TraceSink,
+        write_jsonl, MetricsRegistry, SharedSink, TraceEvent, TraceEventKind,
     };
     pub use crate::wire::ethernet::{build_frame, EtherType, Frame};
     pub use crate::wire::tpp::{AddressingMode, TppBuilder, TppPacket};

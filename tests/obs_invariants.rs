@@ -203,8 +203,8 @@ proptest! {
     ) {
         let [mut both, mut traced, mut profiled] = [(); 3].map(|_| observed_asic());
         let [both_sink, traced_sink] = [(); 2].map(|_| SharedSink::new(1 << 12));
-        both.set_trace_sink(Some(Box::new(both_sink.clone())));
-        traced.set_trace_sink(Some(Box::new(traced_sink.clone())));
+        both.set_trace_sink(Some(both_sink.clone()));
+        traced.set_trace_sink(Some(traced_sink.clone()));
         both.enable_profiling(ProfileConfig::default());
         profiled.enable_profiling(ProfileConfig::default());
 

@@ -26,7 +26,7 @@ fn fig1_enqueue_depths_match_hop_records() {
     let backlogs = [0x00usize, 0xa0, 0x0e];
     for (i, backlog) in backlogs.iter().enumerate() {
         let mut asic = Asic::new(AsicConfig::with_ports(i as u32 + 1, 2));
-        asic.set_trace_sink(Some(Box::new(sink.clone())));
+        asic.set_trace_sink(Some(sink.clone()));
         asic.l2_mut().insert(dst, 1);
         if *backlog > 0 {
             let filler = build_frame(dst, src, DATA_ETHERTYPE, &vec![0u8; backlog - 14]);
