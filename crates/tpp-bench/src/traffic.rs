@@ -792,6 +792,26 @@ mod tests {
     use super::*;
 
     #[test]
+    fn percentile_basics() {
+        // FCT and ack-latency percentiles take the nearest-rank sample
+        // of ⌈n·p⌉: no rounding of (n - 1)·p, no interpolation.
+        use tpp_telemetry::nearest_rank;
+        let ps = [(0, 1), (1, 2), (1, 1)];
+        let v = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(
+            ps.map(|(n, d)| nearest_rank(&v, n, d)),
+            [1.0, 3.0, 5.0].map(Some)
+        );
+        // Rank ⌈4/2⌉ = 2, where round(1.5) = 2 would index 30.
+        let v = [10u64, 20, 30, 40];
+        assert_eq!(
+            ps.map(|(n, d)| nearest_rank(&v, n, d)),
+            [10, 20, 40].map(Some)
+        );
+        assert_eq!(nearest_rank::<u64>(&[], 1, 2), None);
+    }
+
+    #[test]
     fn cdf_tables_are_monotone() {
         for t in [WEB_SEARCH_CDF, DATA_MINING_CDF] {
             assert!(t.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 < w[1].1));

@@ -407,6 +407,25 @@ mod tests {
     }
 
     #[test]
+    fn nearest_rank_rule() {
+        // Each window's p50/p99 is the nearest-rank sample of what
+        // landed in it, whatever order the samples arrived in.
+        let mut points = vec![(0, 7)];
+        points.extend([4, 1, 3, 2].map(|v| (100, v)));
+        points.extend([5, 3, 1, 4, 2].map(|v| (200, v)));
+        points.extend((1..=100).rev().map(|v| (300, v)));
+        let w = WindowedSeries::from_points(&points, 100);
+        let p = w
+            .windows()
+            .iter()
+            .map(|a| (a.p50, a.p99))
+            .collect::<Vec<_>>();
+        assert_eq!(p, [(7, 7), (2, 4), (3, 5), (50, 99)]);
+        let v: Vec<u64> = (1..=100).collect();
+        assert_eq!(nearest_rank(&v, 1, 1), Some(100));
+    }
+
+    #[test]
     fn empty_windows_are_skipped() {
         let w = WindowedSeries::from_points(&[(5, 1), (1_005, 3)], 10);
         assert_eq!(w.windows().len(), 2);
