@@ -21,8 +21,8 @@ fn main() {
         full.flows_completed
     );
     let smoke = run("smoke", &SMOKE, SimConfig::new().sequential(), || 0);
-    let doc = document(&full.section(), &smoke.section(), &closed_section());
-    std::fs::write("BENCH_fct.json", doc).unwrap_or_else(|e| {
+    let doc = document(full.section, smoke.section, closed_section());
+    std::fs::write("BENCH_fct.json", doc.pretty()).unwrap_or_else(|e| {
         eprintln!("cannot write BENCH_fct.json: {e}");
         std::process::exit(2);
     });

@@ -30,8 +30,11 @@ use tpp_netsim::{
     bonded_diamond_with, time, BondedDiamond, BondedDiamondParams, Endpoint, FaultPlan,
     LinkProfile, LinkState, RunLimit, SimConfig, Simulator,
 };
+use tpp_telemetry::json::Json;
 use tpp_telemetry::nearest_rank;
 use tpp_wire::EthernetAddress;
+
+use crate::{decimal, fields, hex};
 
 /// Probe cadence per path.
 pub const PROBE_INTERVAL_NS: u64 = time::micros(50);
@@ -195,59 +198,38 @@ impl BondingRun {
 
     /// Render as the JSON document committed at `BENCH_bonding.json`.
     pub fn to_json(&self) -> String {
-        let events: Vec<String> = self
-            .health_events
-            .iter()
-            .map(|e| {
-                format!(
-                    "    {{\"t_us\": {}, \"path\": {}, \"from\": \"{:?}\", \"to\": \"{:?}\"}}",
-                    e.t_ns / 1000,
-                    e.path,
-                    e.from,
-                    e.to
-                )
+        let paths = self.path_probes.iter().enumerate();
+        let paths = paths.map(|(i, &(sent, echoes, lost))| {
+            Json::Obj(fields! {
+                path: i, probes_sent: sent, echoes: echoes, probes_lost: lost,
+                data_sent: self.path_data_sent[i], tx_frames: self.path_tx_frames[i],
             })
-            .collect();
-        let paths: Vec<String> = self
-            .path_probes
-            .iter()
-            .enumerate()
-            .map(|(i, &(sent, echoes, lost))| {
-                format!(
-                    "    {{\"path\": {i}, \"probes_sent\": {sent}, \"echoes\": {echoes}, \
-                     \"probes_lost\": {lost}, \"data_sent\": {}, \"tx_frames\": {}}}",
-                    self.path_data_sent[i], self.path_tx_frames[i]
-                )
+        });
+        let events = self.health_events.iter().map(|e| {
+            Json::Obj(fields! {
+                t_us: e.t_ns / 1000, path: e.path, from: format!("{:?}", e.from),
+                to: format!("{:?}", e.to),
             })
-            .collect();
-        format!(
-            "{{\n  \"bench\": \"bonding_failover\",\n  \"sequences_sent\": {},\n  \
-             \"delivered\": {},\n  \"duplicate_deliveries\": {},\n  \
-             \"duplicates_suppressed\": {},\n  \"retransmits\": {},\n  \
-             \"duplicates_sent\": {},\n  \"epoch_changes\": {},\n  \
-             \"failover_detect_us\": {},\n  \
-             \"ack_latency_us\": {{\"p50\": {}, \"p99\": {}, \"max\": {}}},\n  \
-             \"goodput_mbps\": {:.2},\n  \"quiesced_at_us\": {},\n  \
-             \"fingerprint\": \"{:#018x}\",\n  \"paths\": [\n{}\n  ],\n  \
-             \"health_events\": [\n{}\n  ]\n}}\n",
-            self.sequences_sent,
-            self.delivered,
-            self.duplicate_deliveries,
-            self.duplicates_suppressed,
-            self.retransmits,
-            self.duplicates_sent,
-            self.epoch_changes,
-            self.failover_detect_ns
-                .map_or("null".to_string(), |n| (n / 1000).to_string()),
-            self.ack_latency_ns.0 / 1000,
-            self.ack_latency_ns.1 / 1000,
-            self.ack_latency_ns.2 / 1000,
-            self.goodput_mbps,
-            self.quiesced_at_ns / 1000,
-            self.fingerprint(),
-            paths.join(",\n"),
-            events.join(",\n"),
-        )
+        });
+        let (p50, p99, max) = self.ack_latency_ns;
+        Json::Obj(fields! {
+            bench: "bonding_failover",
+            sequences_sent: self.sequences_sent,
+            delivered: self.delivered,
+            duplicate_deliveries: self.duplicate_deliveries,
+            duplicates_suppressed: self.duplicates_suppressed,
+            retransmits: self.retransmits,
+            duplicates_sent: self.duplicates_sent,
+            epoch_changes: self.epoch_changes,
+            failover_detect_us: self.failover_detect_ns.map(|n| n / 1000),
+            ack_latency_us: Json::Obj(fields! { p50: p50 / 1000, p99: p99 / 1000, max: max / 1000 }),
+            goodput_mbps: decimal(self.goodput_mbps, 2),
+            quiesced_at_us: self.quiesced_at_ns / 1000,
+            fingerprint: hex(self.fingerprint()),
+            paths: paths.collect::<Vec<_>>(),
+            health_events: events.collect::<Vec<_>>(),
+        })
+        .pretty()
     }
 }
 

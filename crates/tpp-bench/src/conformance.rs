@@ -31,13 +31,14 @@ use tpp_isa::{Opcode, Stat};
 use tpp_spec::{
     execute, LinkBank, MetaBank, QueueBank, SpecPacket, SpecReport, SpecState, SwitchBank,
 };
+use tpp_telemetry::json::Json;
 use tpp_wire::ethernet::{build_frame, EtherType, ETHERNET_HEADER_LEN};
 use tpp_wire::tpp::{TppPacket, FLAG_ECHOED};
 use tpp_wire::EthernetAddress;
 
 use proptest::test_runner::TestRng;
 
-use crate::json::Json;
+use crate::fields;
 
 /// Ingress port every case injects on.
 pub const INGRESS_PORT: u16 = 0;
@@ -1065,89 +1066,48 @@ fn candidates(c: &ConformanceCase) -> Vec<ConformanceCase> {
 // Case <-> JSON
 // ---------------------------------------------------------------------------
 
-fn num_list(words: &[u32]) -> Json {
-    Json::Arr(words.iter().map(|&w| Json::Num(w as u64)).collect())
-}
-
-fn num_obj(fields: &[(&str, u64)]) -> Json {
-    Json::Obj(
-        fields
-            .iter()
-            .map(|&(key, n)| (key.to_string(), Json::Num(n)))
-            .collect(),
-    )
-}
-
 impl ConformanceCase {
     /// Serialize to the corpus JSON format.
     pub fn to_json(&self) -> Json {
         let (sw, li, qu) = (&self.switch_seed, &self.link_seed, &self.queue_seed);
-        let mut fields = vec![
-            ("name".to_string(), Json::Str(self.name.clone())),
-            ("switch_id".to_string(), Json::Num(self.switch_id as u64)),
-            ("budget".to_string(), Json::Num(self.budget as u64)),
-            ("rounds".to_string(), Json::Num(self.rounds as u64)),
-            (
-                "queue_limit_bytes".to_string(),
-                Json::Num(self.queue_limit_bytes as u64),
-            ),
-            ("now0_ns".to_string(), Json::Num(self.now0_ns)),
-            ("mode".to_string(), Json::Num(self.mode as u64)),
-            ("hop0".to_string(), Json::Num(self.hop0 as u64)),
-            ("sp0".to_string(), Json::Num(self.sp0 as u64)),
-            ("flags0".to_string(), Json::Num(self.flags0 as u64)),
-            (
-                "per_hop_words".to_string(),
-                Json::Num(self.per_hop_words as u64),
-            ),
-            ("insns".to_string(), num_list(&self.insns)),
-            ("memory".to_string(), num_list(&self.memory)),
-            ("link_sram".to_string(), num_list(&self.link_sram)),
-            ("global_sram".to_string(), num_list(&self.global_sram)),
-            (
-                "switch_seed".to_string(),
-                num_obj(&[
-                    ("flow_table_version", sw.flow_table_version.into()),
-                    ("l2_hits", sw.l2_hits),
-                    ("l3_hits", sw.l3_hits),
-                    ("tcam_hits", sw.tcam_hits),
-                    ("packets_processed", sw.packets_processed),
-                    ("tpps_executed", sw.tpps_executed),
-                    ("boot_epoch", sw.boot_epoch.into()),
-                ]),
-            ),
-            (
-                "link_seed".to_string(),
-                num_obj(&[
-                    ("rx_bytes", li.rx_bytes),
-                    ("tx_bytes", li.tx_bytes),
-                    ("rx_packets", li.rx_packets),
-                    ("tx_packets", li.tx_packets),
-                    ("bytes_dropped", li.bytes_dropped),
-                    ("bytes_enqueued", li.bytes_enqueued),
-                    ("ecn_marked", li.ecn_marked),
-                    ("snr_decidb", li.snr_decidb.into()),
-                    ("rx_utilization_permille", li.rx_utilization_permille.into()),
-                    ("tx_utilization_permille", li.tx_utilization_permille.into()),
-                ]),
-            ),
-            (
-                "queue_seed".to_string(),
-                num_obj(&[
-                    ("queue_size_bytes", qu.queue_size_bytes),
-                    ("bytes_enqueued", qu.bytes_enqueued),
-                    ("bytes_dropped", qu.bytes_dropped),
-                    ("packets_enqueued", qu.packets_enqueued),
-                    ("packets_dropped", qu.packets_dropped),
-                    ("high_watermark_bytes", qu.high_watermark_bytes),
-                ]),
-            ),
-        ];
+        let mut fields = fields! {
+            name: self.name.as_str(),
+            switch_id: self.switch_id,
+            budget: self.budget,
+            rounds: self.rounds,
+            queue_limit_bytes: self.queue_limit_bytes,
+            now0_ns: self.now0_ns,
+            mode: self.mode,
+            hop0: self.hop0,
+            sp0: self.sp0,
+            flags0: self.flags0,
+            per_hop_words: self.per_hop_words,
+            insns: self.insns.clone(),
+            memory: self.memory.clone(),
+            link_sram: self.link_sram.clone(),
+            global_sram: self.global_sram.clone(),
+            switch_seed: Json::Obj(fields! {
+                flow_table_version: sw.flow_table_version, l2_hits: sw.l2_hits,
+                l3_hits: sw.l3_hits, tcam_hits: sw.tcam_hits,
+                packets_processed: sw.packets_processed, tpps_executed: sw.tpps_executed,
+                boot_epoch: sw.boot_epoch,
+            }),
+            link_seed: Json::Obj(fields! {
+                rx_bytes: li.rx_bytes, tx_bytes: li.tx_bytes,
+                rx_packets: li.rx_packets, tx_packets: li.tx_packets,
+                bytes_dropped: li.bytes_dropped, bytes_enqueued: li.bytes_enqueued,
+                ecn_marked: li.ecn_marked, snr_decidb: li.snr_decidb,
+                rx_utilization_permille: li.rx_utilization_permille,
+                tx_utilization_permille: li.tx_utilization_permille,
+            }),
+            queue_seed: Json::Obj(fields! {
+                queue_size_bytes: qu.queue_size_bytes, bytes_enqueued: qu.bytes_enqueued,
+                bytes_dropped: qu.bytes_dropped, packets_enqueued: qu.packets_enqueued,
+                packets_dropped: qu.packets_dropped, high_watermark_bytes: qu.high_watermark_bytes,
+            }),
+        };
         if let Some((idx, xor)) = self.corrupt {
-            fields.push((
-                "corrupt".to_string(),
-                Json::Arr(vec![Json::Num(idx as u64), Json::Num(xor as u64)]),
-            ));
+            fields.extend(fields! { corrupt: vec![idx as u64, xor.into()] });
         }
         Json::Obj(fields)
     }

@@ -20,6 +20,7 @@ use tpp_netsim::{
     fat_tree_with, shard_matrix, time, FatTreeParams, HostApp, HostId, RunLimit, SimConfig,
     Simulator, SwitchId,
 };
+use tpp_telemetry::json::Json;
 use tpp_telemetry::nearest_rank;
 use tpp_wire::EthernetAddress;
 
@@ -27,6 +28,7 @@ use crate::traffic::{
     completions_fingerprint, flow_schedules, splitmix64, ClosedFlowGenApp, ClosedLoopConfig,
     Completion, FlowGenApp, TrafficConfig,
 };
+use crate::{decimal, fields, hex};
 
 /// A fat-tree (40 Gb/s fabric links, 10 Gb/s NICs), its seeded traffic
 /// matrix and the TPP applications sharing it.
@@ -102,10 +104,8 @@ fn sum_apps<A: HostApp>(sim: &Simulator, hosts: Range<usize>, f: impl Fn(&A) -> 
 
 /// One scenario run: its section and what callers gate on.
 pub struct Run {
-    /// The scenario's section, cut after its `fingerprint` line, where
-    /// the closed loop's `shard_matrix` goes.
-    head: String,
-    tail: String,
+    /// The scenario's `BENCH_fct.json` section.
+    pub section: Json,
     /// Folds every flow's FCT and, closed loop, the recovery counters, so
     /// equal fingerprints mean the whole loop ran bit-identically.
     fingerprint: u64,
@@ -115,15 +115,9 @@ pub struct Run {
     pub allocs: u64,
 }
 
-impl Run {
-    /// The run's `BENCH_fct.json` section.
-    pub fn section(&self) -> String {
-        format!("{}{}", self.head, self.tail)
-    }
-}
-
-/// Build `s` on `config`, run it to its end and harvest its section
-/// `name`; `allocs` reads a process-wide allocation counter.
+/// Build `s` on `config`, run it to its end and harvest its section;
+/// `name` labels the printed summary line, `allocs` reads a
+/// process-wide allocation counter.
 pub fn run(name: &str, s: &Scenario, config: SimConfig, allocs: fn() -> u64) -> Run {
     let params = FatTreeParams {
         k: s.k,
@@ -215,7 +209,7 @@ pub fn run(name: &str, s: &Scenario, config: SimConfig, allocs: fn() -> u64) -> 
 
     let (sim_ms, events) = (run_ns as f64 / 1e6, sim.events_processed());
     let mut completions: Vec<Completion> = Vec::with_capacity(flows_total as usize);
-    let (recovery_fold, fields) = if s.closed_loop {
+    let (recovery_fold, mut fields) = if s.closed_loop {
         let mut stats = TransportStats::default();
         for i in flow_hosts.clone() {
             let app = sim.host_app::<ClosedFlowGenApp>(HostId(i));
@@ -259,16 +253,20 @@ pub fn run(name: &str, s: &Scenario, config: SimConfig, allocs: fn() -> u64) -> 
         let mbps = |bytes: u64| bytes as f64 * 8.0 / (run_ns as f64 / 1e9) / 1e6;
         let goodput_bytes = completions.iter().map(|c| c.bytes as u64).sum();
         let (offered_mbps, goodput_mbps) = (mbps(offered_bytes), mbps(goodput_bytes));
-        let fields = format!(
-            "    \"k\": {k}, \"switches\": {n_switches}, \"hosts\": {n_hosts}, \"loss_permille\": {CLOSED_LOSS_PERMILLE},\n\
-             \x20   \"flows_total\": {flows_total}, \"flows_completed\": {completed}, \"flows_given_up\": {flows_given_up}, \"unfinished\": {unfinished},\n\
-             \x20   \"segments_sent\": {segments_sent}, \"retransmits\": {retransmits}, \"rto_fires\": {rto_fires}, \"fast_retransmits\": {fast_retransmits},\n\
-             \x20   \"acks_sent\": {acks_sent}, \"dup_segments_rx\": {dup_segments_rx}, \"probes_sent\": {probes_sent}, \"rate_updates\": {rate_updates},\n\
-             \x20   \"offered_mbps\": {offered_mbps:.1}, \"goodput_mbps\": {goodput_mbps:.1},\n\
-             \x20   \"sim_ms\": {sim_ms:.3}, \"events\": {events},\n\
-             \x20   \"path_spread\": {{\"uplinks\": {n_uplinks}, \"min_tx\": {min_tx}, \"max_tx\": {max_tx}, \
-             \"mean_tx\": {mean_tx:.1}, \"max_over_mean\": {max_over_mean:.3}}},\n"
-        );
+        let fields = fields! {
+            k: k, switches: n_switches, hosts: n_hosts, loss_permille: CLOSED_LOSS_PERMILLE,
+            flows_total: flows_total, flows_completed: completed,
+            flows_given_up: flows_given_up, unfinished: unfinished,
+            segments_sent: segments_sent, retransmits: retransmits, rto_fires: rto_fires,
+            fast_retransmits: fast_retransmits, acks_sent: acks_sent,
+            dup_segments_rx: dup_segments_rx, probes_sent: probes_sent, rate_updates: rate_updates,
+            offered_mbps: decimal(offered_mbps, 1), goodput_mbps: decimal(goodput_mbps, 1),
+            sim_ms: decimal(sim_ms, 3), events: events,
+            path_spread: Json::Obj(fields! {
+                uplinks: n_uplinks, min_tx: min_tx, max_tx: max_tx,
+                mean_tx: decimal(mean_tx, 1), max_over_mean: decimal(max_over_mean, 3),
+            }),
+        };
         (splitmix64(recovery), fields)
     } else {
         for i in flow_hosts.clone() {
@@ -288,15 +286,20 @@ pub fn run(name: &str, s: &Scenario, config: SimConfig, allocs: fn() -> u64) -> 
         let bytes_per_switch = sim.approx_bytes_per_switch();
         let programs = sim.program_interner().distinct_programs();
         let (shared, decoded) = sim.program_interner().stats();
-        let fields = format!(
-            "    \"k\": {k}, \"hosts_per_edge\": {hpe}, \"switches\": {n_switches}, \"hosts\": {n_hosts},\n\
-             \x20   \"flows_total\": {flows_total}, \"flows_started\": {flows_started}, \"flows_completed\": {flows_completed},\n\
-             \x20   \"frames_sent\": {frames_sent}, \"size_scale_div\": {size_scale_div}, \"cap_bytes\": {cap_bytes},\n\
-             \x20   \"sim_ms\": {sim_ms:.3}, \"events\": {events}, \"bytes_per_switch\": {bytes_per_switch},\n\
-             \x20   \"interner\": {{\"distinct_programs\": {programs}, \"shared_hits\": {shared}, \"decodes\": {decoded}}},\n\
-             \x20   \"tpp_apps\": {{\"microburst_probes\": {mb_probes}, \"microburst_samples\": {mb_samples}, \
-             \"rcp_flows_completed\": {rcp_completed}, \"ndb_probes\": {ndb_sent}, \"ndb_traces\": {ndb_traces}}},\n"
-        );
+        let fields = fields! {
+            k: k, hosts_per_edge: hpe, switches: n_switches, hosts: n_hosts,
+            flows_total: flows_total, flows_started: flows_started,
+            flows_completed: flows_completed, frames_sent: frames_sent,
+            size_scale_div: size_scale_div, cap_bytes: cap_bytes,
+            sim_ms: decimal(sim_ms, 3), events: events, bytes_per_switch: bytes_per_switch,
+            interner: Json::Obj(fields! {
+                distinct_programs: programs, shared_hits: shared, decodes: decoded,
+            }),
+            tpp_apps: Json::Obj(fields! {
+                microburst_probes: mb_probes, microburst_samples: mb_samples,
+                rcp_flows_completed: rcp_completed, ndb_probes: ndb_sent, ndb_traces: ndb_traces,
+            }),
+        };
         (0, fields)
     };
     let fingerprint = completions_fingerprint(completions.iter().copied()) ^ recovery_fold;
@@ -326,22 +329,26 @@ pub fn run(name: &str, s: &Scenario, config: SimConfig, allocs: fn() -> u64) -> 
                 .map(|c| c.fct_ns as f64 / 1e6)
                 .collect();
             v.sort_by(f64::total_cmp);
-            let [p50, p95, p99] = [(1, 2), (95, 100), (99, 100)]
-                .map(|(num, den)| nearest_rank(&v, num, den).unwrap_or(f64::NAN));
-            fct_rows.push(format!(
-                "      {{\"dist\": \"{dist}\", \"bucket\": \"{bucket}\", \"n\": {}, \
-                 \"p50_ms\": {p50:.3}, \"p95_ms\": {p95:.3}, \"p99_ms\": {p99:.3}}}",
-                v.len()
-            ));
+            fct_rows.push(fct_row(dist, bucket, &v));
         }
     }
+    fields.extend(fields! { fingerprint: hex(fingerprint), fct_ms: fct_rows });
     Run {
-        head: format!("  \"{name}\": {{\n{fields}    \"fingerprint\": \"0x{fingerprint:016x}\",\n"),
-        tail: format!("    \"fct_ms\": [\n{}\n    ]\n  }}", fct_rows.join(",\n")),
+        section: Json::Obj(fields),
         fingerprint,
         flows_completed,
         allocs,
     }
+}
+
+/// One `fct_ms` row: the flows' FCT percentiles (`sorted`, ms), `null`
+/// for an empty bucket.
+fn fct_row(dist: &str, bucket: &str, sorted: &[f64]) -> Json {
+    let [p50, p95, p99] = [(1, 2), (95, 100), (99, 100)]
+        .map(|(q, of)| nearest_rank(sorted, q, of).map(|p| decimal(p, 3)));
+    Json::Obj(fields! {
+        dist: dist, bucket: bucket, n: sorted.len(), p50_ms: p50, p95_ms: p95, p99_ms: p99,
+    })
 }
 
 /// Run the closed loop on every row of [`shard_matrix`]; returns the
@@ -351,27 +358,53 @@ pub fn run(name: &str, s: &Scenario, config: SimConfig, allocs: fn() -> u64) -> 
 /// # Panics
 ///
 /// When a row's fingerprint differs from the 1-shard run's.
-pub fn closed_section() -> String {
-    let runs: Vec<(&str, Run)> = shard_matrix()
+pub fn closed_section() -> Json {
+    let mut runs: Vec<(&str, Run)> = shard_matrix()
         .into_iter()
         .map(|(row, config)| (row, run("closed_loop", &CLOSED, config, || 0)))
         .collect();
-    let reference = &runs[0].1;
+    let reference = runs[0].1.fingerprint;
     let mut rows = Vec::new();
     for (row, Run { fingerprint, .. }) in &runs {
         assert_eq!(
-            *fingerprint, reference.fingerprint,
+            *fingerprint, reference,
             "{row}: closed-loop run diverged from the 1-shard baseline"
         );
-        rows.push(format!(
-            "      {{\"run\": \"{row}\", \"fingerprint\": \"0x{fingerprint:016x}\"}}"
+        rows.push(Json::Obj(
+            fields! { run: *row, fingerprint: hex(*fingerprint) },
         ));
     }
-    let shard_matrix = format!("    \"shard_matrix\": [\n{}\n    ],\n", rows.join(",\n"));
-    format!("{}{shard_matrix}{}", reference.head, reference.tail)
+    let Json::Obj(mut fields) = runs.swap_remove(0).1.section else {
+        unreachable!("a section is an object")
+    };
+    let at = 1 + fields
+        .iter()
+        .position(|(k, _)| k == "fingerprint")
+        .expect("a fingerprint");
+    fields.insert(at, ("shard_matrix".to_string(), Json::Arr(rows)));
+    Json::Obj(fields)
 }
 
 /// The whole `BENCH_fct.json` document from its three sections.
-pub fn document(full: &str, smoke: &str, closed_loop: &str) -> String {
-    format!("{{\n  \"bench\": \"fct\",\n{full},\n{smoke},\n{closed_loop}\n}}\n")
+pub fn document(full: Json, smoke: Json, closed_loop: Json) -> Json {
+    Json::Obj(fields! { bench: "fct", full: full, smoke: smoke, closed_loop: closed_loop })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_empty_bucket_writes_null_and_reads_back() {
+        let empty = fct_row("web_search", "large", &[]);
+        let null = Json::Lit("null".to_string());
+        for key in ["p50_ms", "p95_ms", "p99_ms"] {
+            assert_eq!(empty.get(key), Some(&null));
+        }
+        assert_eq!(empty.get("n"), Some(&Json::Num(0)));
+        assert_eq!(Json::parse(&empty.pretty()), Ok(empty));
+        let row = fct_row("data_mining", "small", &[0.0071, 1.0, 2.5]);
+        assert_eq!(row.get("p50_ms"), Some(&Json::Lit("1.000".to_string())));
+        assert_eq!(Json::parse(&row.pretty()), Ok(row));
+    }
 }

@@ -27,10 +27,65 @@ pub mod bonding_scenario;
 pub mod conformance;
 pub mod dash_scenario;
 pub mod fct_scenario;
-pub mod json;
 pub mod repro;
 pub mod testgen;
 pub mod traffic;
+
+use tpp_telemetry::json::Json;
+
+/// A value a tracked file holds.
+pub(crate) trait Cell {
+    fn cell(self) -> Json;
+}
+
+macro_rules! cells {
+    ($($t:ty => |$v:ident| $e:expr),* $(,)?) => {
+        $(impl Cell for $t { fn cell(self) -> Json { let $v = self; $e } })*
+    };
+}
+
+cells! {
+    Json => |v| v,
+    &str => |v| Json::Str(v.to_string()),
+    String => |v| Json::Str(v),
+    u8 => |v| Json::Num(v.into()),
+    u16 => |v| Json::Num(v.into()),
+    u32 => |v| Json::Num(v.into()),
+    u64 => |v| Json::Num(v),
+    usize => |v| Json::Num(v as u64),
+}
+
+impl<T: Cell> Cell for Vec<T> {
+    fn cell(self) -> Json {
+        Json::Arr(self.into_iter().map(Cell::cell).collect())
+    }
+}
+
+/// `None` is `null`.
+impl<T: Cell> Cell for Option<T> {
+    fn cell(self) -> Json {
+        self.map_or_else(|| Json::Lit("null".to_string()), Cell::cell)
+    }
+}
+
+/// An object's fields from `key: value` pairs, in order, each value
+/// converted by [`Cell`]: `fields! { k: 8, sim_ms: decimal(ms, 3) }`.
+macro_rules! fields {
+    ($($key:ident: $value:expr),* $(,)?) => {
+        vec![$((stringify!($key).to_string(), $crate::Cell::cell($value))),*]
+    };
+}
+pub(crate) use fields;
+
+/// `x` to `places` decimals, kept as written.
+pub(crate) fn decimal(x: f64, places: usize) -> Json {
+    Json::Lit(format!("{x:.places$}"))
+}
+
+/// `n` as `0x` and sixteen hex digits.
+pub(crate) fn hex(n: u64) -> Json {
+    Json::Str(format!("{n:#018x}"))
+}
 
 /// Lay out a simple fixed-width table, one line per row.
 pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {

@@ -23,13 +23,13 @@ use tpp_rcp_ref::aimd::{AimdAcker, AimdConfig, AimdSender};
 use tpp_rcp_ref::dctcp::{DctcpConfig, DctcpReceiver, DctcpSender};
 use tpp_rcp_ref::fluid::mean_r_over_c;
 use tpp_rcp_ref::{FlowSchedule, NativeRcpRouter, RcpFluidSim, RcpParams};
+use tpp_telemetry::json::Json;
 use tpp_telemetry::{nearest_rank, SharedSink, TraceEvent};
 use tpp_wire::ethernet::{build_frame, EtherType, ETHERNET_HEADER_LEN};
 use tpp_wire::tpp::{AddressingMode, TppBuilder, TppPacket, TPP_HEADER_LEN, WORD_SIZE};
 use tpp_wire::EthernetAddress;
 
-use crate::json::Json;
-use crate::{format_table, mean};
+use crate::{format_table, mean, Cell};
 
 /// One experiment's result.
 #[derive(Default)]
@@ -101,32 +101,6 @@ fn show(cell: &Json) -> String {
     match cell {
         Json::Str(s) => s.clone(),
         other => other.pretty().trim_end().to_string(),
-    }
-}
-
-/// A value `REPRO.json` holds.
-trait Cell {
-    fn cell(self) -> Json;
-}
-
-macro_rules! cells {
-    ($($t:ty => |$v:ident| $e:expr),* $(,)?) => {
-        $(impl Cell for $t { fn cell(self) -> Json { let $v = self; $e } })*
-    };
-}
-
-cells! {
-    Json => |v| v,
-    &str => |v| Json::Str(v.to_string()),
-    String => |v| Json::Str(v),
-    u32 => |v| Json::Num(v.into()),
-    u64 => |v| Json::Num(v),
-    usize => |v| Json::Num(v as u64),
-}
-
-impl<T: Cell> Cell for Vec<T> {
-    fn cell(self) -> Json {
-        Json::Arr(self.into_iter().map(Cell::cell).collect())
     }
 }
 

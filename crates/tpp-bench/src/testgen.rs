@@ -9,11 +9,10 @@
 //! here once instead of being copy-pasted per test file.
 
 use tpp_asic::{Asic, AsicConfig};
+use tpp_telemetry::json::Json;
 use tpp_wire::ethernet::{build_frame, EtherType};
 use tpp_wire::tpp::{AddressingMode, TppBuilder};
 use tpp_wire::EthernetAddress;
-
-use crate::json::Json;
 
 /// Identically-provisioned ASICs, decode cache on vs off, with the
 /// standard three-route test topology: L2 host 1 → port 1, L2 host 2 →
@@ -182,11 +181,9 @@ fn first_moved_field(exp: &Json, act: &Json, path: &str) -> Option<String> {
 /// A value on one line: scalars as written, containers by size.
 fn brief(value: &Json) -> String {
     match value {
-        Json::Num(n) => n.to_string(),
-        Json::Lit(text) => text.clone(),
-        Json::Str(s) => format!("{s:?}"),
         Json::Arr(items) => format!("[{} items]", items.len()),
         Json::Obj(fields) => format!("{{{} fields}}", fields.len()),
+        scalar => scalar.line(),
     }
 }
 

@@ -2,12 +2,14 @@
 //!
 //! Both are plain strings built deterministically (registries and
 //! series iterate in name order), so snapshots diff cleanly and can be
-//! pinned as goldens in CI.
+//! pinned as goldens in CI. The series lines are written and read by
+//! [`Json`].
 
 use std::fmt::Write;
 use std::ops::Range;
 
 use tpp_netsim::{RingSeries, SeriesSet};
+use tpp_telemetry::json::Json;
 use tpp_telemetry::{Histogram, MetricsRegistry};
 
 /// Append `name` in Prometheus form to `out` — `tpp_` prefix, every
@@ -143,44 +145,44 @@ pub fn prometheus_snapshot(registry: &MetricsRegistry) -> String {
     out
 }
 
-fn write_series_line(
-    out: &mut String,
-    scope: &str,
-    switch_id: Option<u32>,
-    metric: &str,
-    s: &RingSeries,
-) {
-    let _ = write!(out, "{{\"scope\":\"{scope}\"");
-    if let Some(id) = switch_id {
-        let _ = write!(out, ",\"switch_id\":{id}");
-    }
-    let _ = write!(
-        out,
-        ",\"metric\":\"{metric}\",\"stride\":{},\"offered\":{},\"points\":[",
-        s.stride(),
-        s.offered()
-    );
-    for (i, &(t, v)) in s.points().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{t},{v}]");
-    }
-    out.push_str("]}\n");
+/// One series as a JSON object: its scope, the switch id when it has
+/// one, stride, offered count and `[t_ns, value]` points.
+fn series_line(scope: &str, switch_id: Option<u32>, metric: &str, s: &RingSeries) -> Json {
+    let points = s
+        .points()
+        .iter()
+        .map(|&(t, v)| Json::Arr(vec![Json::Num(t), Json::Num(v)]));
+    let mut fields = vec![("scope", Json::Str(scope.to_string()))];
+    fields.extend(switch_id.map(|id| ("switch_id", Json::Num(id.into()))));
+    fields.extend([
+        ("metric", Json::Str(metric.to_string())),
+        ("stride", Json::Num(s.stride())),
+        ("offered", Json::Num(s.offered())),
+        ("points", Json::Arr(points.collect())),
+    ]);
+    Json::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 /// Dump a [`SeriesSet`] as JSONL: one object per series (per-switch
 /// series first, then fleet series), each carrying its stride and
 /// `[t_ns, value]` points — the format offline plotters ingest.
 pub fn series_jsonl(series: &SeriesSet) -> String {
+    let switches = series.switches.iter().flat_map(|sw| {
+        sw.iter()
+            .map(|(metric, s)| series_line("switch", Some(sw.switch_id), metric, s))
+    });
+    let fleet = series
+        .fleet_iter()
+        .map(|(metric, s)| series_line("fleet", None, metric, s));
     let mut out = String::new();
-    for sw in &series.switches {
-        for (metric, s) in sw.iter() {
-            write_series_line(&mut out, "switch", Some(sw.switch_id), metric, s);
-        }
-    }
-    for (metric, s) in series.fleet_iter() {
-        write_series_line(&mut out, "fleet", None, metric, s);
+    for line in switches.chain(fleet) {
+        out.push_str(&line.line());
+        out.push('\n');
     }
     out
 }
@@ -212,57 +214,42 @@ impl SeriesDump {
     pub(crate) fn max_value(&self) -> u64 {
         self.points.iter().map(|&(_, v)| v).max().unwrap_or(0)
     }
-}
 
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    Some(&rest[..rest.find('"')?])
+    /// The dump one [`series_jsonl`] line holds, or `None` when it is not
+    /// JSON or lacks a field (only `switch_id` is optional).
+    fn from_line(line: &str) -> Option<SeriesDump> {
+        let json = Json::parse(line).ok()?;
+        let text = |key| match json.get(key)? {
+            Json::Str(s) => Some(s.clone()),
+            _ => None,
+        };
+        let pair = |tv: &Json| match tv {
+            Json::Arr(tv) if tv.len() == 2 => {
+                Some((tv[0].to_int("t").ok()?, tv[1].to_int("v").ok()?))
+            }
+            _ => None,
+        };
+        let Some(Json::Arr(points)) = json.get("points") else {
+            return None;
+        };
+        let switch_id = json.get("switch_id").map(|id| id.to_int("switch_id"));
+        Some(SeriesDump {
+            scope: text("scope")?,
+            switch_id: switch_id.transpose().ok()?,
+            metric: text("metric")?,
+            stride: json.int_field("stride").ok()?,
+            offered: json.int_field("offered").ok()?,
+            points: points.iter().map(pair).collect::<Option<_>>()?,
+        })
+    }
 }
 
 /// Parse a [`series_jsonl`] dump back into memory — the input to the
-/// dashboard's profile-diff mode. The parser accepts exactly the shape
-/// this module emits (flat objects, integer `[t,v]` pairs); lines that
-/// don't carry the required fields are skipped rather than guessed at.
+/// dashboard's profile-diff mode. Each line goes through [`Json::parse`];
+/// lines that don't carry the required fields are skipped rather than
+/// guessed at.
 pub fn parse_series_jsonl(text: &str) -> Vec<SeriesDump> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let (Some(scope), Some(metric)) = (field_str(line, "scope"), field_str(line, "metric"))
-        else {
-            continue;
-        };
-        let mut points = Vec::new();
-        if let Some(start) = line.find("\"points\":[") {
-            let body = &line[start + "\"points\":[".len()..];
-            let body = &body[..body.rfind(']').unwrap_or(0)];
-            for pair in body.split("],[") {
-                let pair = pair.trim_matches(|c| c == '[' || c == ']');
-                if let Some((t, v)) = pair.split_once(',') {
-                    if let (Ok(t), Ok(v)) = (t.parse(), v.parse()) {
-                        points.push((t, v));
-                    }
-                }
-            }
-        }
-        out.push(SeriesDump {
-            scope: scope.to_string(),
-            switch_id: field_u64(line, "switch_id").map(|v| v as u32),
-            metric: metric.to_string(),
-            stride: field_u64(line, "stride").unwrap_or(1),
-            offered: field_u64(line, "offered").unwrap_or(0),
-            points,
-        });
-    }
-    out
+    text.lines().filter_map(SeriesDump::from_line).collect()
 }
 
 #[cfg(test)]
@@ -356,6 +343,17 @@ mod tests {
         assert!(dumps[1].points.is_empty());
         // Garbage lines are skipped, not mis-parsed.
         assert!(parse_series_jsonl("not json\n{\"scope\":\"x\"}\n").is_empty());
+    }
+
+    #[test]
+    fn committed_series_lines_read_back_byte_for_byte() {
+        let golden = include_str!("../../../tests/golden/obs_series.jsonl");
+        for line in golden.lines() {
+            assert_eq!(Json::parse(line).map(|j| j.line()).as_deref(), Ok(line));
+        }
+        let dumps = parse_series_jsonl(golden);
+        assert_eq!(dumps.len(), golden.lines().count());
+        assert!(dumps.iter().any(|d| !d.points.is_empty()));
     }
 
     #[test]

@@ -10,6 +10,8 @@
 
 use std::io::{self, Write};
 
+use crate::json::Json;
+
 /// A pipeline stage, used to label events and metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
@@ -287,44 +289,48 @@ impl TraceEventKind {
 }
 
 impl TraceEvent {
-    /// Serialize as one JSON object (no trailing newline). The field set
-    /// varies by event kind; `event`, `t_ns`, `switch` and `seq` are
-    /// always present.
+    /// Serialize as one JSON line (no trailing newline). The field set
+    /// varies by event kind; `event`, `stage`, `t_ns`, `switch` and `seq`
+    /// are always present.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128);
-        s.push_str(&format!(
-            "{{\"event\":\"{}\",\"stage\":\"{}\",\"t_ns\":{},\"switch\":{},\"seq\":{}",
-            self.kind.name(),
-            self.kind.stage().name(),
-            self.t_ns,
-            self.switch_id,
-            self.seq
-        ));
-        match &self.kind {
+        fn num(n: impl Into<u64>) -> Json {
+            Json::Num(n.into())
+        }
+        let text = |s: &str| Json::Str(s.to_string());
+        let flag = |b: bool| Json::Lit(b.to_string());
+        let mut fields = vec![
+            ("event", text(self.kind.name())),
+            ("stage", text(self.kind.stage().name())),
+            ("t_ns", num(self.t_ns)),
+            ("switch", num(self.switch_id)),
+            ("seq", num(self.seq)),
+        ];
+        match self.kind {
             TraceEventKind::Parse {
                 in_port,
                 len,
                 is_tpp,
                 ok,
-            } => {
-                s.push_str(&format!(
-                    ",\"in_port\":{in_port},\"len\":{len},\"is_tpp\":{is_tpp},\"ok\":{ok}"
-                ));
-            }
+            } => fields.extend([
+                ("in_port", num(in_port)),
+                ("len", num(len)),
+                ("is_tpp", flag(is_tpp)),
+                ("ok", flag(ok)),
+            ]),
             TraceEventKind::EdgeFilter { in_port, action } => {
-                s.push_str(&format!(",\"in_port\":{in_port},\"action\":\"{action}\""));
+                fields.extend([("in_port", num(in_port)), ("action", text(action))])
             }
             TraceEventKind::Lookup {
                 table,
                 out_port,
                 queue,
                 entry_id,
-            } => {
-                s.push_str(&format!(
-                    ",\"table\":\"{}\",\"out_port\":{out_port},\"queue\":{queue},\"entry_id\":{entry_id}",
-                    table.name()
-                ));
-            }
+            } => fields.extend([
+                ("table", text(table.name())),
+                ("out_port", num(out_port)),
+                ("queue", num(queue)),
+                ("entry_id", num(entry_id)),
+            ]),
             TraceEventKind::LookupMiss => {}
             TraceEventKind::TcpuExec {
                 out_port,
@@ -334,53 +340,58 @@ impl TraceEvent {
                 outcome,
                 hop,
                 wrote_switch,
-            } => {
-                s.push_str(&format!(
-                    ",\"out_port\":{out_port},\"instructions\":{instructions},\"cycles\":{cycles},\
-                     \"budget\":{budget},\"outcome\":\"{}\",\"hop\":{hop},\"wrote_switch\":{wrote_switch}",
-                    outcome.name()
-                ));
-            }
+            } => fields.extend([
+                ("out_port", num(out_port)),
+                ("instructions", num(instructions)),
+                ("cycles", num(cycles)),
+                ("budget", num(budget)),
+                ("outcome", text(outcome.name())),
+                ("hop", num(hop)),
+                ("wrote_switch", flag(wrote_switch)),
+            ]),
             TraceEventKind::Enqueue {
                 port,
                 queue,
                 depth_bytes,
                 len,
                 ecn_marked,
-            } => {
-                s.push_str(&format!(
-                    ",\"port\":{port},\"queue\":{queue},\"depth_bytes\":{depth_bytes},\
-                     \"len\":{len},\"ecn_marked\":{ecn_marked}"
-                ));
-            }
+            } => fields.extend([
+                ("port", num(port)),
+                ("queue", num(queue)),
+                ("depth_bytes", num(depth_bytes)),
+                ("len", num(len)),
+                ("ecn_marked", flag(ecn_marked)),
+            ]),
             TraceEventKind::Drop { reason, port } => {
-                s.push_str(&format!(",\"reason\":\"{}\"", reason.name()));
-                if let Some(p) = port {
-                    s.push_str(&format!(",\"port\":{p}"));
-                }
+                fields.push(("reason", text(reason.name())));
+                fields.extend(port.map(|p| ("port", num(p))));
             }
             TraceEventKind::Dequeue {
                 port,
                 queue,
                 len,
                 depth_bytes,
-            } => {
-                s.push_str(&format!(
-                    ",\"port\":{port},\"queue\":{queue},\"len\":{len},\"depth_bytes\":{depth_bytes}"
-                ));
-            }
+            } => fields.extend([
+                ("port", num(port)),
+                ("queue", num(queue)),
+                ("len", num(len)),
+                ("depth_bytes", num(depth_bytes)),
+            ]),
             TraceEventKind::LinkDown { port } | TraceEventKind::LinkUp { port } => {
-                s.push_str(&format!(",\"port\":{port}"));
+                fields.push(("port", num(port)))
             }
-            TraceEventKind::SwitchReboot { epoch } => {
-                s.push_str(&format!(",\"epoch\":{epoch}"));
-            }
+            TraceEventKind::SwitchReboot { epoch } => fields.push(("epoch", num(epoch))),
             TraceEventKind::CorruptionInjected { port, byte, bit } => {
-                s.push_str(&format!(",\"port\":{port},\"byte\":{byte},\"bit\":{bit}"));
+                fields.extend([("port", num(port)), ("byte", num(byte)), ("bit", num(bit))])
             }
         }
-        s.push('}');
-        s
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+        .line()
     }
 }
 
@@ -485,6 +496,115 @@ mod tests {
             bit: 5,
         });
         assert!(e.to_json().contains("\"byte\":20"));
+    }
+
+    /// Every kind's line parses back to the envelope, the kind's name and
+    /// stage, and each of the event's fields, and re-serializes to itself.
+    #[test]
+    fn every_kind_reads_back_field_for_field() {
+        use TraceEventKind::*;
+        let cases = [
+            (
+                Parse {
+                    in_port: 1,
+                    len: 64,
+                    is_tpp: true,
+                    ok: false,
+                },
+                r#"{"event":"parse","stage":"parse","t_ns":1000,"switch":161,"seq":7,"in_port":1,"len":64,"is_tpp":true,"ok":false}"#,
+            ),
+            (
+                EdgeFilter {
+                    in_port: 2,
+                    action: "unwrap",
+                },
+                r#"{"event":"edge_filter","stage":"edge_filter","t_ns":1000,"switch":161,"seq":7,"in_port":2,"action":"unwrap"}"#,
+            ),
+            (
+                Lookup {
+                    table: LookupKind::Tcam,
+                    out_port: 3,
+                    queue: 1,
+                    entry_id: 9,
+                },
+                r#"{"event":"lookup_hit","stage":"lookup","t_ns":1000,"switch":161,"seq":7,"table":"tcam","out_port":3,"queue":1,"entry_id":9}"#,
+            ),
+            (
+                LookupMiss,
+                r#"{"event":"lookup_miss","stage":"lookup","t_ns":1000,"switch":161,"seq":7}"#,
+            ),
+            (
+                TcpuExec {
+                    out_port: 2,
+                    instructions: 5,
+                    cycles: 9,
+                    budget: 300,
+                    outcome: TcpuOutcome::Completed,
+                    hop: 1,
+                    wrote_switch: false,
+                },
+                r#"{"event":"tcpu_exec","stage":"tcpu","t_ns":1000,"switch":161,"seq":7,"out_port":2,"instructions":5,"cycles":9,"budget":300,"outcome":"completed","hop":1,"wrote_switch":false}"#,
+            ),
+            (
+                Enqueue {
+                    port: 1,
+                    queue: 0,
+                    depth_bytes: 78,
+                    len: 64,
+                    ecn_marked: false,
+                },
+                r#"{"event":"enqueue","stage":"enqueue","t_ns":1000,"switch":161,"seq":7,"port":1,"queue":0,"depth_bytes":78,"len":64,"ecn_marked":false}"#,
+            ),
+            (
+                Drop {
+                    reason: DropKind::QueueFull,
+                    port: Some(6),
+                },
+                r#"{"event":"drop","stage":"enqueue","t_ns":1000,"switch":161,"seq":7,"reason":"queue_full","port":6}"#,
+            ),
+            (
+                Drop {
+                    reason: DropKind::ParseError,
+                    port: None,
+                },
+                r#"{"event":"drop","stage":"enqueue","t_ns":1000,"switch":161,"seq":7,"reason":"parse_error"}"#,
+            ),
+            (
+                Dequeue {
+                    port: 2,
+                    queue: 3,
+                    len: 1500,
+                    depth_bytes: 0,
+                },
+                r#"{"event":"dequeue","stage":"dequeue","t_ns":1000,"switch":161,"seq":7,"port":2,"queue":3,"len":1500,"depth_bytes":0}"#,
+            ),
+            (
+                LinkDown { port: 3 },
+                r#"{"event":"link_down","stage":"fault","t_ns":1000,"switch":161,"seq":7,"port":3}"#,
+            ),
+            (
+                LinkUp { port: 4 },
+                r#"{"event":"link_up","stage":"fault","t_ns":1000,"switch":161,"seq":7,"port":4}"#,
+            ),
+            (
+                SwitchReboot { epoch: 2 },
+                r#"{"event":"switch_reboot","stage":"fault","t_ns":1000,"switch":161,"seq":7,"epoch":2}"#,
+            ),
+            (
+                CorruptionInjected {
+                    port: 1,
+                    byte: 20,
+                    bit: 5,
+                },
+                r#"{"event":"corruption_injected","stage":"fault","t_ns":1000,"switch":161,"seq":7,"port":1,"byte":20,"bit":5}"#,
+            ),
+        ];
+        for (kind, expected) in cases {
+            let line = ev(kind).to_json();
+            let parsed = Json::parse(&line).expect("a trace line is JSON");
+            assert_eq!(Ok(&parsed), Json::parse(expected).as_ref(), "{line}");
+            assert_eq!(parsed.line(), line);
+        }
     }
 
     #[test]

@@ -24,6 +24,9 @@
 //!   in a canonical `(t_ns, switch_id)` order).
 //! * The JSON-lines exporter ([`write_jsonl`]) — the format
 //!   `tpp-bench`'s `--trace out.jsonl` flags produce.
+//! * [`json::Json`] — the workspace's one JSON value, reader and
+//!   writers (pretty for tracked files, one line for JSON lines), below
+//!   every other JSON the workspace writes or reads.
 //! * [`MetricsRegistry`] — named counters and log₂-bucket histograms,
 //!   merged across switches by `tpp-netsim::Simulator` on `tick`.
 //! * [`nearest_rank`] — the one quantile rule over raw samples.
@@ -32,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod json;
 pub mod metrics;
 pub mod sink;
 

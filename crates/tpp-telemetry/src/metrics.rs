@@ -8,7 +8,9 @@
 //! uniform exported *view* — the shape a production system would scrape.
 
 use std::collections::BTreeMap;
-use std::fmt::{self, Write as _};
+use std::fmt;
+
+use crate::json::Json;
 
 /// A power-of-two bucketed histogram of `u64` samples.
 ///
@@ -251,31 +253,26 @@ impl MetricsRegistry {
         self.histograms.values_mut().for_each(|h| *h = None);
     }
 
-    /// Render as one JSON object: `{"counters":{...},"histograms":{...}}`.
+    /// Render as one JSON line: `{"counters":{...},"histograms":{...}}`.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"counters\":{");
-        for (i, (name, value)) in self.counters().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{name}\":{value}");
-        }
-        s.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\"{name}\":{{\"count\":{},\"sum\":{},\"max\":{},\"mean\":{:.3}}}",
-                h.count(),
-                h.sum(),
-                h.max(),
-                h.mean()
-            );
-        }
-        s.push_str("}}");
-        s
+        let counters = self
+            .counters()
+            .map(|(name, v)| (name.to_string(), Json::Num(v)));
+        let histograms = self.histograms().map(|(name, h)| {
+            let stats = [
+                ("count", Json::Num(h.count())),
+                ("sum", Json::Num(h.sum())),
+                ("max", Json::Num(h.max())),
+                ("mean", Json::Lit(format!("{:.3}", h.mean()))),
+            ];
+            let stats = stats.map(|(k, v)| (k.to_string(), v));
+            (name.to_string(), Json::Obj(stats.into()))
+        });
+        Json::Obj(vec![
+            ("counters".to_string(), Json::Obj(counters.collect())),
+            ("histograms".to_string(), Json::Obj(histograms.collect())),
+        ])
+        .line()
     }
 }
 
@@ -444,6 +441,10 @@ mod tests {
         assert!(j.contains("\"a.b\":2"));
         assert!(j.contains("\"count\":1"));
         assert!(j.contains("\"sum\":8"));
+        let pinned =
+            r#"{"counters":{"a.b":2},"histograms":{"h":{"count":1,"sum":8,"max":8,"mean":8.000}}}"#;
+        assert_eq!(j, pinned);
+        assert_eq!(Json::parse(&j).unwrap().line(), j);
     }
 
     #[test]

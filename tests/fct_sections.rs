@@ -1,7 +1,7 @@
 //! `BENCH_fct.json`'s `smoke` (k=4, open loop, the three TPP apps) and
 //! `closed_loop` (lossy k=8 on every shard row, one fingerprint) sections,
 //! rebuilt and checked against the committed file. `full` (1.13 M flows)
-//! is spliced in from the file: `fct_bench` regenerates it, and
+//! is taken by key from the parsed file: `fct_bench` regenerates it, and
 //! `UPDATE_GOLDEN=1` rewrites the other two and keeps it. One test,
 //! because the counting allocator behind the smoke's ceiling is
 //! process-wide.
@@ -13,6 +13,7 @@ use std::path::Path;
 use tpp_bench::fct_scenario::{closed_section, document, run, SMOKE};
 use tpp_bench::testgen::assert_matches_golden;
 use tpp_netsim::SimConfig;
+use tpp_telemetry::json::Json;
 
 use common::{allocations, CountingAllocator};
 
@@ -36,7 +37,8 @@ fn smoke_and_closed_loop_sections_match_committed_file() {
 
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_fct.json");
     let committed = std::fs::read_to_string(&path).expect("BENCH_fct.json: run fct_bench");
-    let full = &committed[committed.find("  \"full\"").expect("a `full` section")..];
-    let full = &full[..full.find(",\n  \"smoke\"").expect("`smoke` after `full`")];
-    assert_matches_golden(&path, &document(full, &smoke.section(), &closed_loop));
+    let committed = Json::parse(&committed).expect("BENCH_fct.json is JSON");
+    let full = committed.get("full").expect("a `full` section").clone();
+    let doc = document(full, smoke.section, closed_loop);
+    assert_matches_golden(&path, &doc.pretty());
 }
